@@ -7,9 +7,13 @@ Components:
 - special: download-everything (N <= X + T), the three-server bit scheme,
   and the symmetrically secure N = X + 1 scheme;
 - capacity: exact rate and capacity formulas as Fractions;
+- scheme: one class per scheme behind one interface (storage, queries,
+  answer map, decoder, randomness, wire payloads, closed-form rate), and
+  the registry that sim, audit and cli find the schemes through;
 - audit: exhaustive distribution audits (security, privacy, symmetric
   security, correctness) with exact total-variation distances;
-- sim: threaded server actors, wire format, replayable transcripts;
+- sim: server objects behind a synchronous wire transport, wire format,
+  replayable and validated transcripts;
 - cli: the xstpir command.
 """
 

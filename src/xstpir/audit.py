@@ -32,10 +32,13 @@ from itertools import combinations, product
 from random import Random
 from typing import Sequence
 
-from . import csa, special
-from .csa import CsaParams, MessageSet, QueryNoise, StorageNoise
-from .field import Fe
-from .special import DownloadAllParams, SymXspirParams
+from .scheme import (
+    BinaryScheme,
+    CsaScheme,
+    DownloadAllScheme,
+    Scheme,
+    SymXspirScheme,
+)
 
 X_SECURITY = "X_SECURITY"
 T_PRIVACY = "T_PRIVACY"
@@ -105,316 +108,33 @@ def _max_pairwise_tv(counters: Sequence[Counter], total: int) -> Fraction:
     return best
 
 
-class CsaInstance:
-    """Enumeration adapter for one CsaParams instance."""
-
-    def __init__(self, params: CsaParams):
-        self.params = params
-        p = params.p
-        self.n_servers = params.N
-        self.x_threshold = params.X
-        self.t_threshold = params.T
-        self.thetas = range(1, params.K + 1)
-        self.message_count = p ** (params.K * params.L)
-        self.storage_noise_count = p ** (params.L * params.X * params.K)
-        self.query_randomness_count = p ** (params.L * params.T * params.K)
-        self._messages: list[MessageSet] | None = None
-        self._noises: list[StorageNoise] | None = None
-        self._qrs: list[QueryNoise] | None = None
-
-    def describe(self) -> str:
-        p = self.params
-        return f"csa N={p.N} K={p.K} X={p.X} T={p.T} p={p.p}"
-
-    @property
-    def messages(self) -> list[MessageSet]:
-        if self._messages is None:
-            self._messages = list(csa.iter_messages(self.params))
-        return self._messages
-
-    @property
-    def storage_noises(self) -> list[StorageNoise]:
-        if self._noises is None:
-            self._noises = list(csa.iter_storage_noise(self.params))
-        return self._noises
-
-    @property
-    def query_randomness(self) -> list[QueryNoise]:
-        if self._qrs is None:
-            self._qrs = list(csa.iter_query_noise(self.params))
-        return self._qrs
-
-    def sample_message(self, rng: Random) -> MessageSet:
-        return MessageSet.random(self.params.K, self.params.L, self.params.field, rng)
-
-    def sample_storage_noise(self, rng: Random) -> StorageNoise:
-        return StorageNoise.random(self.params, rng)
-
-    def sample_query_randomness(self, rng: Random) -> QueryNoise:
-        return QueryNoise.random(self.params, rng)
-
-    def storage(self, message: MessageSet, noise: StorageNoise):
-        return csa.encode_storage(message, noise, self.params)
-
-    def queries(self, theta: int, qr: QueryNoise):
-        return csa.gen_queries(theta, qr, self.params)
-
-    def storage_keys(self, shares) -> tuple:
-        return tuple(
-            tuple(e.value for row in s.rows for e in row) for s in shares
-        )
-
-    def query_keys(self, queries) -> tuple:
-        return tuple(
-            tuple(e.value for col in q.cols for e in col) for q in queries
-        )
-
-    def answers(self, shares, queries) -> tuple:
-        return tuple(csa.answer(s, q).value for s, q in zip(shares, queries))
-
-    def desired_key(self, message: MessageSet, theta: int) -> tuple:
-        return tuple(e.value for e in message.message(theta))
-
-    def decode_round(self, message, noise, theta, qr) -> bool:
-        shares = self.storage(message, noise)
-        queries = self.queries(theta, qr)
-        raw = [csa.answer(s, q) for s, q in zip(shares, queries)]
-        out = csa.decode(raw, self.params)
-        return out.desired == message.message(theta)
-
-
-class DownloadAllInstance:
-    """Enumeration adapter for the download-everything scheme."""
-
-    def __init__(self, params: DownloadAllParams):
-        self.params = params
-        self.n_servers = params.N
-        self.x_threshold = params.X
-        self.t_threshold = params.T
-        self.thetas = range(1, params.K + 1)
-        self.message_count = params.p ** (params.K * params.L)
-        self.storage_noise_count = params.p ** (params.K * params.X)
-        self.query_randomness_count = 1
-
-    def describe(self) -> str:
-        p = self.params
-        return f"download_all N={p.N} K={p.K} X={p.X} T={p.T} p={p.p}"
-
-    @property
-    def messages(self) -> list[MessageSet]:
-        f = self.params.field
-        k, length = self.params.K, self.params.L
-        return [
-            MessageSet.from_ints(
-                [vals[i * length : (i + 1) * length] for i in range(k)], f
-            )
-            for vals in product(range(self.params.p), repeat=k * length)
-        ]
-
-    @property
-    def storage_noises(self) -> list[tuple[tuple[Fe, ...], ...]]:
-        f = self.params.field
-        k, x = self.params.K, self.params.X
-        return [
-            tuple(
-                tuple(f(v) for v in vals[i * x : (i + 1) * x]) for i in range(k)
-            )
-            for vals in product(range(self.params.p), repeat=k * x)
-        ]
-
-    @property
-    def query_randomness(self) -> list[None]:
-        return [None]
-
-    def sample_message(self, rng: Random) -> MessageSet:
-        return MessageSet.random(self.params.K, self.params.L, self.params.field, rng)
-
-    def sample_storage_noise(self, rng: Random):
-        return special.download_all_noise(self.params, rng)
-
-    def sample_query_randomness(self, rng: Random) -> None:
-        return None
-
-    def storage(self, message, noise):
-        return special.download_all_encode(message, noise, self.params)
-
-    def queries(self, theta, qr) -> tuple:
-        # Every server is asked for its whole store; the request is constant.
-        return ((),) * self.params.N
-
-    def storage_keys(self, shares) -> tuple:
-        return tuple(tuple(e.value for e in s) for s in shares)
-
-    def query_keys(self, queries) -> tuple:
-        return queries
-
-    def answers(self, shares, queries) -> tuple:
-        return self.storage_keys(shares)
-
-    def desired_key(self, message: MessageSet, theta: int) -> tuple:
-        return tuple(e.value for e in message.message(theta))
-
-    def decode_round(self, message, noise, theta, qr) -> bool:
-        got, _ = special.download_all_retrieve(self.params, message, noise, theta)
-        return got == message.message(theta)
-
-
-class BinaryInstance:
-    """Enumeration adapter for the three-server bit scheme.
-
-    A custom B may be injected (including invalid ones) to probe how the
-    audits react to a corrupted instance.
-    """
-
-    def __init__(self, k: int, b=None):
-        self.k = k
-        self.b = special.build_B(k) if b is None else b
-        self.n_servers = 3
-        self.x_threshold = 1
-        self.t_threshold = 1
-        self.thetas = range(1, k + 1)
-        self.message_count = 2**k
-        self.storage_noise_count = 2**k
-        self.query_randomness_count = 2**k
-
-    def describe(self) -> str:
-        return f"binary_n3 N=3 K={self.k} X=1 T=1 p=2"
-
-    @property
-    def messages(self) -> list[tuple[int, ...]]:
-        return [tuple(bits) for bits in product((0, 1), repeat=self.k)]
-
-    storage_noises = messages
-    query_randomness = messages
-
-    def sample_message(self, rng: Random) -> tuple[int, ...]:
-        return tuple(rng.randrange(2) for _ in range(self.k))
-
-    sample_storage_noise = sample_message
-    sample_query_randomness = sample_message
-
-    def storage(self, message, noise):
-        return special.binary_storage(message, noise, self.b)
-
-    def queries(self, theta, qr):
-        return special.binary_queries(theta, qr, self.b)
-
-    def storage_keys(self, shares) -> tuple:
-        return shares
-
-    def query_keys(self, queries) -> tuple:
-        return queries
-
-    def answers(self, shares, queries) -> tuple:
-        return tuple(special.binary_answer(s, q) for s, q in zip(shares, queries))
-
-    def desired_key(self, message, theta: int) -> int:
-        return message[theta - 1]
-
-    def decode_round(self, message, noise, theta, qr) -> bool:
-        decoded = 0
-        for a in self.answers(self.storage(message, noise), self.queries(theta, qr)):
-            decoded ^= a or 0
-        return decoded == message[theta - 1]
-
-
-class SymXspirInstance:
-    """Enumeration adapter for the symmetrically secure N = X + 1 scheme."""
-
-    def __init__(self, params: SymXspirParams):
-        self.params = params
-        self.n_servers = params.N
-        self.x_threshold = params.X
-        self.t_threshold = 1
-        self.thetas = range(1, params.K + 1)
-        self.message_count = params.p**params.K
-        self.storage_noise_count = params.p ** (params.X * params.K * params.K)
-        self.query_randomness_count = params.K
-
-    def describe(self) -> str:
-        p = self.params
-        return f"sym_xspir N={p.N} K={p.K} X={p.X} T=1 p={p.p}"
-
-    @property
-    def messages(self) -> list[tuple[Fe, ...]]:
-        f = self.params.field
-        return [
-            tuple(f(v) for v in vals)
-            for vals in product(range(self.params.p), repeat=self.params.K)
-        ]
-
-    @property
-    def storage_noises(self) -> list[tuple]:
-        f = self.params.field
-        k, x = self.params.K, self.params.X
-        out = []
-        for vals in product(range(self.params.p), repeat=x * k * k):
-            it = iter(vals)
-            out.append(
-                tuple(
-                    tuple(tuple(f(next(it)) for _ in range(k)) for _ in range(k))
-                    for _ in range(x)
-                )
-            )
-        return out
-
-    @property
-    def query_randomness(self) -> list[int]:
-        return list(range(1, self.params.K + 1))
-
-    def sample_message(self, rng: Random) -> tuple[Fe, ...]:
-        f = self.params.field
-        return tuple(f.random(rng) for _ in range(self.params.K))
-
-    def sample_storage_noise(self, rng: Random):
-        f = self.params.field
-        k = self.params.K
-        return tuple(
-            tuple(tuple(f.random(rng) for _ in range(k)) for _ in range(k))
-            for _ in range(self.params.X)
-        )
-
-    def sample_query_randomness(self, rng: Random) -> int:
-        return rng.randrange(self.params.K) + 1
-
-    def storage(self, message, noise):
-        return special.sym_xspir_storage(message, noise, self.params)
-
-    def queries(self, theta, m_o):
-        return special.sym_xspir_queries(theta, m_o, self.params)
-
-    def storage_keys(self, shares) -> tuple:
-        return tuple(
-            tuple(e.value for row in grid for e in row) for grid in shares
-        )
-
-    def query_keys(self, queries) -> tuple:
-        return queries
-
-    def answers(self, shares, queries) -> tuple:
-        return tuple(
-            tuple(e.value for e in special.sym_xspir_answer(grid, req))
-            for grid, req in zip(shares, queries)
-        )
-
-    def desired_key(self, message, theta: int) -> int:
-        return message[theta - 1].value
-
-    def decode_round(self, message, noise, theta, m_o) -> bool:
-        answers = [
-            special.sym_xspir_answer(grid, req)
-            for grid, req in zip(
-                self.storage(message, noise), self.queries(theta, m_o)
-            )
-        ]
-        decoded = answers[-1][theta - 1]
-        for x in range(self.params.X):
-            decoded = decoded - answers[x][theta - 1]
-        return decoded == message[theta - 1]
+def _max_tv(tables: dict[object, list[Counter]], total: int) -> Fraction:
+    """Max pairwise TV within each entry's tables, each over `total`
+    realizations."""
+    max_tv = Fraction(0)
+    for counters in tables.values():
+        for c in counters:
+            assert sum(c.values()) == total
+        max_tv = max(max_tv, _max_pairwise_tv(counters, total))
+    return max_tv
+
+
+# The audits take any Scheme. The older adapter names stay, as the scheme
+# classes themselves: CsaInstance(params), BinaryInstance(k, b=None), ...
+CsaInstance = CsaScheme
+DownloadAllInstance = DownloadAllScheme
+BinaryInstance = BinaryScheme
+SymXspirInstance = SymXspirScheme
+
+
+def _subsets(inst: Scheme, size: int) -> list[tuple[int, ...]]:
+    if not 1 <= size <= inst.N:
+        raise ValueError(f"subset size must be in 1..{inst.N}, got {size}")
+    return list(combinations(range(inst.N), size))
 
 
 def audit_security(
-    inst,
+    inst: Scheme,
     subset_size: int | None = None,
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
@@ -424,32 +144,28 @@ def audit_security(
 
     For each subset, the exact distribution of the restricted share tuple
     over all storage noise is tabulated per message value; the report carries
-    the maximum pairwise total-variation distance found.
+    the maximum pairwise total-variation distance found. A subset size
+    outside 1..N raises ValueError.
     """
-    size = inst.x_threshold if subset_size is None else subset_size
-    subsets = list(combinations(range(inst.n_servers), size))
-    work = inst.message_count * inst.storage_noise_count
+    size = inst.X if subset_size is None else subset_size
+    subsets = _subsets(inst, size)
+    noise_count = inst.storage_noises.size
+    work = inst.messages.size * noise_count
     if work <= cap:
-        messages = inst.messages
-        noises = inst.storage_noises
-        assert len(messages) == inst.message_count
-        assert len(noises) == inst.storage_noise_count
+        messages = list(inst.messages)
+        noises = list(inst.storage_noises)
         tables: dict[tuple, list[Counter]] = {
             s: [Counter() for _ in messages] for s in subsets
         }
         enumerated = 0
         for mi, m in enumerate(messages):
             for z in noises:
-                keys = inst.storage_keys(inst.storage(m, z))
+                keys = inst.share_payloads(inst.storage(m, z))
                 enumerated += 1
                 for s in subsets:
                     tables[s][mi][tuple(keys[i] for i in s)] += 1
         assert enumerated == work
-        max_tv = Fraction(0)
-        for s in subsets:
-            for c in tables[s]:
-                assert sum(c.values()) == inst.storage_noise_count
-            max_tv = max(max_tv, _max_pairwise_tv(tables[s], inst.storage_noise_count))
+        max_tv = _max_tv(tables, noise_count)
         return AuditReport(
             X_SECURITY, inst.describe(), size, len(subsets),
             max_tv, max_tv == 0, True, enumerated,
@@ -457,24 +173,20 @@ def audit_security(
     rng = Random(seed)
     max_tv = Fraction(0)
     for s in subsets:
-        pair = [inst.sample_message(rng) for _ in range(2)]
+        pair = [inst.messages.sample(rng) for _ in range(2)]
         tabs = []
         for m in pair:
             c: Counter = Counter()
             for _ in range(samples):
-                keys = inst.storage_keys(inst.storage(m, inst.sample_storage_noise(rng)))
+                keys = inst.share_payloads(inst.storage(m, inst.storage_noises.sample(rng)))
                 c[tuple(keys[i] for i in s)] += 1
             tabs.append(c)
         max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
-    return AuditReport(
-        X_SECURITY, inst.describe(), size, len(subsets),
-        max_tv, max_tv <= SAMPLED_TOLERANCE, False,
-        0, samples, detail=f"sampled, tolerance {SAMPLED_TOLERANCE}",
-    )
+    return _sampled_report(X_SECURITY, inst, size, len(subsets), max_tv, samples)
 
 
 def audit_privacy(
-    inst,
+    inst: Scheme,
     subset_size: int | None = None,
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
@@ -484,27 +196,28 @@ def audit_privacy(
     depend on theta.
 
     The view distribution is tabulated over messages, storage noise and query
-    randomness jointly, once per theta, and compared across thetas.
+    randomness jointly, once per theta, and compared across thetas. A subset
+    size outside 1..N raises ValueError.
     """
-    size = inst.t_threshold if subset_size is None else subset_size
-    subsets = list(combinations(range(inst.n_servers), size))
+    size = inst.T if subset_size is None else subset_size
+    subsets = _subsets(inst, size)
     thetas = list(inst.thetas)
-    pairs = inst.message_count * inst.storage_noise_count
-    work = len(thetas) * pairs * inst.query_randomness_count
+    pairs = inst.messages.size * inst.storage_noises.size
+    work = len(thetas) * pairs * inst.query_randomness.size
     if work <= cap:
+        noises = list(inst.storage_noises)
         share_keys = [
-            inst.storage_keys(inst.storage(m, z))
-            for m in inst.messages
-            for z in inst.storage_noises
+            inst.share_payloads(inst.storage(m, z)) for m in inst.messages for z in noises
         ]
         assert len(share_keys) == pairs
         tables: dict[tuple, list[Counter]] = {
             s: [Counter() for _ in thetas] for s in subsets
         }
+        randomness = list(inst.query_randomness)
         enumerated = 0
         for ti, theta in enumerate(thetas):
-            for qr in inst.query_randomness:
-                qkeys = inst.query_keys(inst.queries(theta, qr))
+            for qr in randomness:
+                qkeys = inst.query_payloads(inst.queries(theta, qr))
                 for skeys in share_keys:
                     enumerated += 1
                     for s in subsets:
@@ -514,12 +227,7 @@ def audit_privacy(
                         )
                         tables[s][ti][view] += 1
         assert enumerated == work
-        total = pairs * inst.query_randomness_count
-        max_tv = Fraction(0)
-        for s in subsets:
-            for c in tables[s]:
-                assert sum(c.values()) == total
-            max_tv = max(max_tv, _max_pairwise_tv(tables[s], total))
+        max_tv = _max_tv(tables, pairs * inst.query_randomness.size)
         return AuditReport(
             T_PRIVACY, inst.describe(), size, len(subsets),
             max_tv, max_tv == 0, True, enumerated,
@@ -531,23 +239,32 @@ def audit_privacy(
         for theta in (thetas[0], thetas[-1]):
             c: Counter = Counter()
             for _ in range(samples):
-                m = inst.sample_message(rng)
-                z = inst.sample_storage_noise(rng)
-                qr = inst.sample_query_randomness(rng)
-                qkeys = inst.query_keys(inst.queries(theta, qr))
-                skeys = inst.storage_keys(inst.storage(m, z))
+                m = inst.messages.sample(rng)
+                z = inst.storage_noises.sample(rng)
+                qr = inst.query_randomness.sample(rng)
+                qkeys = inst.query_payloads(inst.queries(theta, qr))
+                skeys = inst.share_payloads(inst.storage(m, z))
                 c[(tuple(qkeys[i] for i in s), tuple(skeys[i] for i in s))] += 1
             tabs.append(c)
         max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
+    return _sampled_report(T_PRIVACY, inst, size, len(subsets), max_tv, samples)
+
+
+def _sampled_report(prop, inst, size, checked, max_tv, samples) -> AuditReport:
     return AuditReport(
-        T_PRIVACY, inst.describe(), size, len(subsets),
+        prop, inst.describe(), size, checked,
         max_tv, max_tv <= SAMPLED_TOLERANCE, False,
         0, samples, detail=f"sampled, tolerance {SAMPLED_TOLERANCE}",
     )
 
 
+def _answers(inst: Scheme, shares, queries) -> tuple:
+    """Every server's answer, zero queries included."""
+    return tuple(map(inst.answer, shares, queries))
+
+
 def audit_sym_security(
-    inst,
+    inst: Scheme,
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
@@ -563,13 +280,13 @@ def audit_sym_security(
     thetas = list(inst.thetas)
     work = (
         len(thetas)
-        * inst.query_randomness_count
-        * inst.message_count
-        * inst.storage_noise_count
+        * inst.query_randomness.size
+        * inst.messages.size
+        * inst.storage_noises.size
     )
     if work <= cap:
-        messages = inst.messages
-        noises = inst.storage_noises
+        messages = list(inst.messages)
+        noises = list(inst.storage_noises)
         share_cache = [[inst.storage(m, z) for z in noises] for m in messages]
         max_tv = Fraction(0)
         enumerated = 0
@@ -578,7 +295,7 @@ def audit_sym_security(
             realizations: dict[tuple, list] = {}
             for qr in inst.query_randomness:
                 q = inst.queries(theta, qr)
-                realizations.setdefault(inst.query_keys(q), []).append(q)
+                realizations.setdefault(inst.query_payloads(q), []).append(q)
             for qlist in realizations.values():
                 by_desired: dict = {}
                 for mi, m in enumerate(messages):
@@ -586,58 +303,45 @@ def audit_sym_security(
                     for zi in range(len(noises)):
                         shares = share_cache[mi][zi]
                         for q in qlist:
-                            c[inst.answers(shares, q)] += 1
+                            c[_answers(inst, shares, q)] += 1
                             enumerated += 1
-                    by_desired.setdefault(inst.desired_key(m, theta), []).append(c)
-                total = len(noises) * len(qlist)
-                for counters in by_desired.values():
-                    for c in counters:
-                        assert sum(c.values()) == total
-                    max_tv = max(max_tv, _max_pairwise_tv(counters, total))
-                    groups += 1
+                    by_desired.setdefault(inst.plaintext(m, theta), []).append(c)
+                max_tv = max(max_tv, _max_tv(by_desired, len(noises) * len(qlist)))
+                groups += len(by_desired)
         assert enumerated == work
         return AuditReport(
-            SYM_SECURITY, inst.describe(), inst.n_servers, groups,
+            SYM_SECURITY, inst.describe(), inst.N, groups,
             max_tv, max_tv == 0, True, enumerated,
         )
     rng = Random(seed)
     max_tv = Fraction(0)
     groups = 0
     for theta in (thetas[0], thetas[-1]):
-        qr = inst.sample_query_randomness(rng)
-        q = inst.queries(theta, qr)
-        base = inst.sample_message(rng)
-        other = inst.sample_message(rng)
-        # Force the pair to share the desired value so they are comparable.
-        other = _replace_desired(inst, other, base, theta)
+        q = inst.queries(theta, inst.query_randomness.sample(rng))
+        base = inst.messages.draw(rng)
+        other = inst.messages.draw(rng)
+        # Give the pair the same message theta so they are comparable.
+        desired = slice((theta - 1) * inst.L, theta * inst.L)
+        other[desired] = base[desired]
         tabs = []
-        for m in (base, other):
+        for values in (base, other):
+            m = inst.messages.build(values)
             c: Counter = Counter()
             for _ in range(samples):
-                c[inst.answers(inst.storage(m, inst.sample_storage_noise(rng)), q)] += 1
+                c[_answers(inst, inst.storage(m, inst.storage_noises.sample(rng)), q)] += 1
             tabs.append(c)
         max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
         groups += 1
-    return AuditReport(
-        SYM_SECURITY, inst.describe(), inst.n_servers, groups,
-        max_tv, max_tv <= SAMPLED_TOLERANCE, False,
-        0, samples, detail=f"sampled, tolerance {SAMPLED_TOLERANCE}",
-    )
+    return _sampled_report(SYM_SECURITY, inst, inst.N, groups, max_tv, samples)
 
 
-def _replace_desired(inst, message, donor, theta: int):
-    """Copy the theta entry of `donor` into `message` (adapter-shape aware)."""
-    if isinstance(message, MessageSet):
-        rows = list(message.symbols)
-        rows[theta - 1] = donor.symbols[theta - 1]
-        return MessageSet(tuple(rows))
-    out = list(message)
-    out[theta - 1] = donor[theta - 1]
-    return tuple(out)
+def _decodes(inst: Scheme, m, z, theta: int, qr) -> bool:
+    answers = _answers(inst, inst.storage(m, z), inst.queries(theta, qr))
+    return inst.decode(theta, answers) == inst.plaintext(m, theta)
 
 
 def audit_correctness(
-    inst,
+    inst: Scheme,
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
@@ -652,58 +356,50 @@ def audit_correctness(
     thetas = list(inst.thetas)
     work = (
         len(thetas)
-        * inst.message_count
-        * inst.storage_noise_count
-        * inst.query_randomness_count
+        * inst.messages.size
+        * inst.storage_noises.size
+        * inst.query_randomness.size
     )
-    detail = ""
-    if work <= cap:
-        failures = 0
-        enumerated = 0
-        for theta in thetas:
-            for m in inst.messages:
-                for z in inst.storage_noises:
-                    for qr in inst.query_randomness:
-                        enumerated += 1
-                        try:
-                            ok = inst.decode_round(m, z, theta, qr)
-                        except Exception as exc:
-                            ok = False
-                            if not detail:
-                                detail = f"decode raised {type(exc).__name__}: {exc}"
-                        if not ok:
-                            failures += 1
-        assert enumerated == work
-        frac = Fraction(failures, enumerated)
-        return AuditReport(
-            CORRECTNESS, inst.describe(), inst.n_servers, len(thetas),
-            frac, failures == 0, True, enumerated, detail=detail,
+    exhaustive = work <= cap
+    if exhaustive:
+        rounds = product(
+            thetas, list(inst.messages), list(inst.storage_noises),
+            list(inst.query_randomness),
         )
-    rng = Random(seed)
-    failures = 0
-    for _ in range(samples):
-        theta = thetas[rng.randrange(len(thetas))]
-        m = inst.sample_message(rng)
-        z = inst.sample_storage_noise(rng)
-        qr = inst.sample_query_randomness(rng)
+    else:
+        rounds = _sampled_rounds(inst, thetas, samples, Random(seed))
+    detail = ""
+    failures = enumerated = 0
+    for theta, m, z, qr in rounds:
+        enumerated += 1
         try:
-            ok = inst.decode_round(m, z, theta, qr)
+            ok = _decodes(inst, m, z, theta, qr)
         except Exception as exc:
             ok = False
             if not detail:
                 detail = f"decode raised {type(exc).__name__}: {exc}"
         if not ok:
             failures += 1
+    assert enumerated == (work if exhaustive else samples)
     return AuditReport(
-        CORRECTNESS, inst.describe(), inst.n_servers, len(thetas),
-        Fraction(failures, samples), failures == 0, False,
-        0, samples, detail=detail,
+        CORRECTNESS, inst.describe(), inst.N, len(thetas),
+        Fraction(failures, enumerated), failures == 0, exhaustive,
+        enumerated if exhaustive else 0, None if exhaustive else samples,
+        detail=detail,
     )
 
 
-def estimate_work(inst, prop: str, subset_size: int | None = None) -> int:
+def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
+    for _ in range(samples):
+        theta = thetas[rng.randrange(len(thetas))]
+        m = inst.messages.sample(rng)
+        z = inst.storage_noises.sample(rng)
+        yield theta, m, z, inst.query_randomness.sample(rng)
+
+
+def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> int:
     """Enumeration size the exhaustive mode of the given audit would need."""
-    pairs = inst.message_count * inst.storage_noise_count
+    pairs = inst.messages.size * inst.storage_noises.size
     if prop == X_SECURITY:
         return pairs
-    return len(list(inst.thetas)) * pairs * inst.query_randomness_count
+    return len(inst.thetas) * pairs * inst.query_randomness.size

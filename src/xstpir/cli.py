@@ -22,12 +22,18 @@ from random import Random
 
 from . import audit as audit_mod
 from . import capacity, sim
-from .csa import CsaParams
-from .field import InsufficientFieldError, smallest_valid_prime
-from .special import DownloadAllParams, SymXspirParams
+from .scheme import SCHEMES as REGISTRY
+from .scheme import Scheme
 
-SCHEMES = ("csa", "download_all", "binary_n3", "sym_xspir")
-PROPERTIES = ("security", "privacy", "sym-security", "correctness")
+SCHEMES = tuple(REGISTRY)
+# property name: (audit, what it checks)
+AUDITS = {
+    "security": (audit_mod.audit_security, audit_mod.X_SECURITY),
+    "privacy": (audit_mod.audit_privacy, audit_mod.T_PRIVACY),
+    "sym-security": (audit_mod.audit_sym_security, audit_mod.SYM_SECURITY),
+    "correctness": (audit_mod.audit_correctness, audit_mod.CORRECTNESS),
+}
+PROPERTIES = tuple(AUDITS)
 
 
 class UsageError(ValueError):
@@ -49,44 +55,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        for name, value in (("N", self.N), ("K", self.K), ("X", self.X), ("T", self.T)):
-            if value < 1:
-                raise UsageError(f"{name} must be a positive integer, got {value}")
 
-    def build_params(self):
-        """Map the regime to its scheme, rejecting out-of-regime dimensions."""
+    def build_scheme(self) -> Scheme:
+        """The scheme at these dimensions, rejecting out-of-regime ones."""
         try:
-            if self.scheme == "csa":
-                if self.N <= self.X + self.T:
-                    raise UsageError(
-                        "csa needs N > X + T; for X < N <= X + T use download_all"
-                    )
-                return CsaParams.make(self.N, self.K, self.X, self.T, p=self.prime)
-            if self.scheme == "download_all":
-                if not self.X < self.N <= self.X + self.T:
-                    raise UsageError(
-                        "download_all needs X < N <= X + T; for N > X + T use csa"
-                    )
-                return DownloadAllParams.make(self.N, self.K, self.X, self.T, p=self.prime)
-            if self.scheme == "binary_n3":
-                if (self.N, self.X, self.T) != (3, 1, 1):
-                    raise UsageError("binary_n3 is fixed at N=3, X=1, T=1")
-                if self.K < 2:
-                    raise UsageError(
-                        "binary_n3 needs K >= 2: no K x K bit matrix B has both "
-                        "B and I+B invertible at K=1"
-                    )
-                if self.prime not in (None, 2):
-                    raise UsageError("binary_n3 runs over GF(2); drop --prime")
-                return self.K
-            if self.N != self.X + 1:
-                raise UsageError("sym_xspir needs N = X + 1")
-            if self.T != 1:
-                raise UsageError("sym_xspir is single-query-private: T must be 1")
-            return SymXspirParams.make(self.X, self.K, p=self.prime)
-        except (InsufficientFieldError, ValueError) as exc:
-            if isinstance(exc, UsageError):
-                raise
+            return REGISTRY[self.scheme].make(self.N, self.K, self.X, self.T, p=self.prime)
+        except ValueError as exc:  # InsufficientFieldError included
             raise UsageError(str(exc)) from exc
 
 
@@ -169,14 +143,13 @@ def _fmt(value: Fraction) -> str:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = _experiment_from_args(args)
-    params = cfg.build_params()
+    scheme = cfg.build_scheme()
     theta = args.theta if args.theta is not None else 1
     if not 1 <= theta <= cfg.K:
         raise UsageError(f"theta must be in 1..{cfg.K}")
     rng = Random(cfg.seed)
-    scheme_sim = sim._make_sim(params)
-    messages = scheme_sim.random_messages(rng)
-    run = sim.run_retrieval(params, messages, theta, cfg.seed, rng=rng)
+    messages = scheme.messages.sample(rng)
+    run = sim.run_retrieval(scheme.params, messages, theta, cfg.seed, rng=rng)
     t = run.transcript
     out = args.out if args.out is not None else "transcript.txt"
     Path(out).write_text(t.render())
@@ -193,48 +166,28 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _audit_instance(cfg: ExperimentConfig, params):
-    if cfg.scheme == "csa":
-        return audit_mod.CsaInstance(params)
-    if cfg.scheme == "download_all":
-        return audit_mod.DownloadAllInstance(params)
-    if cfg.scheme == "binary_n3":
-        return audit_mod.BinaryInstance(params)
-    return audit_mod.SymXspirInstance(params)
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _experiment_from_args(args)
-    params = cfg.build_params()
-    inst = _audit_instance(cfg, params)
+    inst = cfg.build_scheme()
     prop = args.property
     if prop is None:
         raise UsageError(f"--property is required; pick one of {PROPERTIES}")
     cap = args.cap if args.cap is not None else audit_mod.DEFAULT_CAP
     samples = args.samples if args.samples is not None else audit_mod.DEFAULT_SAMPLES
-    subset_size = args.subset_size
-    work = audit_mod.estimate_work(inst, {
-        "security": audit_mod.X_SECURITY,
-        "privacy": audit_mod.T_PRIVACY,
-        "sym-security": audit_mod.SYM_SECURITY,
-        "correctness": audit_mod.CORRECTNESS,
-    }[prop], subset_size)
+    auditor, kind = AUDITS[prop]
+    work = audit_mod.estimate_work(inst, kind)
     if work > cap and not args.sampled:
         raise UsageError(
             f"exhaustive audit would enumerate {work} realizations, over the cap "
             f"of {cap}; rerun with --sampled (or raise --cap) to proceed"
         )
-    kwargs = {"cap": cap, "samples": samples, "seed": cfg.seed}
-    if args.sampled:
-        kwargs["cap"] = 0  # force the sampled path
-    if prop == "security":
-        report = audit_mod.audit_security(inst, subset_size, **kwargs)
-    elif prop == "privacy":
-        report = audit_mod.audit_privacy(inst, subset_size, **kwargs)
-    elif prop == "sym-security":
-        report = audit_mod.audit_sym_security(inst, **kwargs)
-    else:
-        report = audit_mod.audit_correctness(inst, **kwargs)
+    kwargs = {"cap": 0 if args.sampled else cap, "samples": samples, "seed": cfg.seed}
+    if kind in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
+        kwargs["subset_size"] = args.subset_size
+    try:
+        report = auditor(inst, **kwargs)
+    except ValueError as exc:  # a subset size outside 1..N
+        raise UsageError(str(exc)) from exc
     out = args.out if args.out is not None else "audit_report.txt"
     Path(out).write_text(report.render())
     sys.stdout.write(report.render())
@@ -244,32 +197,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     cfg = _experiment_from_args(args)
-    params = cfg.build_params()
+    scheme = cfg.build_scheme()
     theta = args.theta if args.theta is not None else 1
     exhaustive = bool(args.exhaustive)
     trials = args.trials if args.trials is not None else 1000
     measured = sim.empirical_rate(
-        params, exhaustive=exhaustive, trials=trials, seed=cfg.seed, theta=theta
+        scheme.params, exhaustive=exhaustive, trials=trials, seed=cfg.seed, theta=theta
     )
-    closed = _closed_form_rate(cfg)
+    closed = scheme.closed_form_rate()
     mode = "exhaustive" if exhaustive else f"sampled over {trials} trials"
     print(f"scheme {cfg.scheme} N={cfg.N} K={cfg.K} X={cfg.X} T={cfg.T}")
     print(f"empirical rate ({mode}): {_fmt(measured)}")
     print(f"closed form: {_fmt(closed)}")
     print(f"match {'true' if measured == closed else 'false'}")
     return 0
-
-
-def _closed_form_rate(cfg: ExperimentConfig) -> Fraction:
-    if cfg.scheme == "csa":
-        length = cfg.N - cfg.X - cfg.T
-        q = cfg.prime if cfg.prime else smallest_valid_prime(cfg.N, length)
-        return capacity.finite_k_rate(cfg.N, cfg.X, cfg.T, cfg.K, q, length)
-    if cfg.scheme == "binary_n3":
-        return capacity.finite_k_rate(3, 1, 1, cfg.K, 2, 1)
-    if cfg.scheme == "download_all":
-        return Fraction(cfg.N - cfg.X, cfg.N * cfg.K)
-    return Fraction(1, cfg.K * cfg.N)
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
@@ -298,18 +239,18 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 def _best_achieved(n, k, x, t, bound):
     """Best rate this package actually achieves at finite K, if any."""
-    if x >= 1 and n <= x + t:
-        rate = Fraction(n - x, n * k)
-        return rate, "download_all", rate == bound
-    if (n, x, t) == (3, 1, 1) and k >= 2:
-        rate = capacity.c_n3(k)
-        return rate, "binary_n3", rate == bound
-    if x >= 1 and n > x + t:
-        length = n - x - t
-        q = smallest_valid_prime(n, length)
-        rate = capacity.finite_k_rate(n, x, t, k, q, length)
-        return rate, "csa", rate == bound
-    return None, "", False
+    best = None
+    for cls in REGISTRY.values():
+        try:
+            scheme = cls.make(n, k, x, t)
+        except ValueError:
+            continue  # outside the scheme's regime
+        rate = scheme.closed_form_rate()
+        if best is None or rate > best[0]:
+            best = (rate, scheme.name)
+    if best is None:
+        return None, "", False
+    return best[0], best[1], best[0] == bound
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -25,8 +25,10 @@ from .field import (
     Fe,
     InsufficientFieldError,
     PrimeField,
+    Space,
     is_prime,
     matrix_rank,
+    nest,
     smallest_valid_prime,
     solve_linear,
 )
@@ -179,10 +181,13 @@ class MessageSet:
         return cls(tuple(tuple(field(v) for v in row) for row in rows))
 
     @classmethod
+    def space(cls, k: int, length: int, field: PrimeField) -> Space:
+        """Every set of k messages of `length` symbols, values row by row."""
+        return Space(field.modulus, k * length, lambda v: cls(nest(v, (k, length), field)))
+
+    @classmethod
     def random(cls, k: int, length: int, field: PrimeField, rng: Random) -> "MessageSet":
-        return cls(
-            tuple(tuple(field.random(rng) for _ in range(length)) for _ in range(k))
-        )
+        return cls.space(k, length, field).sample(rng)
 
     @classmethod
     def zeros(cls, k: int, length: int, field: PrimeField) -> "MessageSet":
@@ -190,63 +195,47 @@ class MessageSet:
 
 
 @dataclass(frozen=True)
-class StorageNoise:
-    """Storage-side noise: z[l][x] is a K-vector, for l in 1..L, x in 1..X."""
+class _Noise:
+    """Uniform noise: z[l][j] is a K-vector, for l in 1..L and j in 1..J,
+    with J given by the subclass's `_shape`."""
 
     z: tuple[tuple[tuple[Fe, ...], ...], ...]
 
-    @classmethod
-    def random(cls, params: CsaParams, rng: Random) -> "StorageNoise":
-        f = params.field
-        return cls(
-            tuple(
-                tuple(
-                    tuple(f.random(rng) for _ in range(params.K))
-                    for _ in range(params.X)
-                )
-                for _ in range(params.L)
-            )
-        )
+    @staticmethod
+    def _shape(params: CsaParams) -> tuple[int, int, int]:
+        raise NotImplementedError
 
     @classmethod
-    def zeros(cls, params: CsaParams) -> "StorageNoise":
-        zero = params.field.zero
-        return cls(
-            tuple(
-                tuple((zero,) * params.K for _ in range(params.X))
-                for _ in range(params.L)
-            )
-        )
+    def space(cls, params: CsaParams) -> Space:
+        shape, f = cls._shape(params), params.field
+        return Space(params.p, shape[0] * shape[1] * shape[2], lambda v: cls(nest(v, shape, f)))
+
+    @classmethod
+    def random(cls, params: CsaParams, rng: Random):
+        return cls.space(params).sample(rng)
+
+    @classmethod
+    def zeros(cls, params: CsaParams):
+        space = cls.space(params)
+        return space.build([0] * space.count)
 
 
 @dataclass(frozen=True)
-class QueryNoise:
+class StorageNoise(_Noise):
+    """Storage-side noise: z[l][x] is a K-vector, for l in 1..L, x in 1..X."""
+
+    @staticmethod
+    def _shape(params: CsaParams) -> tuple[int, int, int]:
+        return (params.L, params.X, params.K)
+
+
+@dataclass(frozen=True)
+class QueryNoise(_Noise):
     """Query-side noise: z[l][t] is a K-vector, for l in 1..L, t in 1..T."""
 
-    z: tuple[tuple[tuple[Fe, ...], ...], ...]
-
-    @classmethod
-    def random(cls, params: CsaParams, rng: Random) -> "QueryNoise":
-        f = params.field
-        return cls(
-            tuple(
-                tuple(
-                    tuple(f.random(rng) for _ in range(params.K))
-                    for _ in range(params.T)
-                )
-                for _ in range(params.L)
-            )
-        )
-
-    @classmethod
-    def zeros(cls, params: CsaParams) -> "QueryNoise":
-        zero = params.field.zero
-        return cls(
-            tuple(
-                tuple((zero,) * params.K for _ in range(params.T))
-                for _ in range(params.L)
-            )
-        )
+    @staticmethod
+    def _shape(params: CsaParams) -> tuple[int, int, int]:
+        return (params.L, params.T, params.K)
 
 
 @dataclass(frozen=True)
@@ -434,50 +423,14 @@ def residual_in_interference_span(params: CsaParams, residual: Sequence[Fe]) -> 
 
 def iter_messages(params: CsaParams) -> Iterator[MessageSet]:
     """All p^(K*L) message sets, for exhaustive small-instance enumeration."""
-    field = params.field
-    total = params.K * params.L
-    for values in _iter_tuples(params.p, total):
-        it = iter(values)
-        yield MessageSet(
-            tuple(tuple(field(next(it)) for _ in range(params.L)) for _ in range(params.K))
-        )
+    return iter(MessageSet.space(params.K, params.L, params.field))
 
 
 def iter_storage_noise(params: CsaParams) -> Iterator[StorageNoise]:
     """All p^(L*X*K) storage-noise realizations."""
-    field = params.field
-    total = params.L * params.X * params.K
-    for values in _iter_tuples(params.p, total):
-        it = iter(values)
-        yield StorageNoise(
-            tuple(
-                tuple(
-                    tuple(field(next(it)) for _ in range(params.K))
-                    for _ in range(params.X)
-                )
-                for _ in range(params.L)
-            )
-        )
+    return iter(StorageNoise.space(params))
 
 
 def iter_query_noise(params: CsaParams) -> Iterator[QueryNoise]:
     """All p^(L*T*K) query-noise realizations."""
-    field = params.field
-    total = params.L * params.T * params.K
-    for values in _iter_tuples(params.p, total):
-        it = iter(values)
-        yield QueryNoise(
-            tuple(
-                tuple(
-                    tuple(field(next(it)) for _ in range(params.K))
-                    for _ in range(params.T)
-                )
-                for _ in range(params.L)
-            )
-        )
-
-
-def _iter_tuples(base: int, length: int) -> Iterator[tuple[int, ...]]:
-    from itertools import product
-
-    return product(range(base), repeat=length)
+    return iter(QueryNoise.space(params))

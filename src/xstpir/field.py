@@ -9,7 +9,8 @@ arithmetic; no floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Callable, Iterator, Sequence
 
 
 class FieldMismatchError(ValueError):
@@ -195,6 +196,43 @@ class Fe:
 
     def __repr__(self) -> str:
         return f"{self.value}%{self.field.modulus}"
+
+
+def nest(values: Sequence[int], shape: Sequence[int], field: PrimeField | None = None) -> tuple:
+    """Flat row-major `values` as nested tuples of `shape`; as elements of
+    `field` when one is given."""
+    items = [field(v) for v in values] if field else list(values)
+    for size in reversed(shape[1:]):
+        items = [tuple(items[i : i + size]) for i in range(0, len(items), size)]
+    return tuple(items)
+
+
+@dataclass(frozen=True)
+class Space:
+    """A uniform random object: `count` values in range(base), turned into
+    its native form by `build`.
+
+    Iterating enumerates every realization, in lexicographic order of the
+    values; `sample` draws the values one by one, in the same order, from
+    an injected random.Random-like source.
+    """
+
+    base: int
+    count: int
+    build: Callable[[Sequence[int]], object]
+
+    @property
+    def size(self) -> int:
+        return self.base**self.count
+
+    def __iter__(self) -> Iterator:
+        return map(self.build, product(range(self.base), repeat=self.count))
+
+    def draw(self, rng) -> list[int]:
+        return [rng.randrange(self.base) for _ in range(self.count)]
+
+    def sample(self, rng):
+        return self.build(self.draw(rng))
 
 
 def mat_vec(matrix: Sequence[Sequence[Fe]], vec: Sequence[Fe]) -> list[Fe]:

@@ -1,10 +1,13 @@
-"""In-process retrieval harness: one thread per server, queue channels, a
-line-oriented wire format, and replayable transcripts.
+"""In-process retrieval harness: server objects behind a synchronous wire
+transport, a line-oriented wire format, and replayable transcripts.
 
-The client encodes storage, hands each server actor its share and nothing
-else, sends one QUERY message per server, collects one ANSWER (or
-ANSWER_EMPTY for a server whose query vector is all zero and therefore owes
-no symbols), and decodes. Download accounting counts answer payload symbols
+The client encodes storage and hands each server object its share, in the
+scheme's native form, and nothing else. For each server it then encodes
+one QUERY line; the addressed server parses it, applies the scheme's
+answer map and encodes an ANSWER line (or ANSWER_EMPTY when its query owes
+no symbols, as an all-zero query does); the client parses that line,
+checks the whole exchange against the scheme, and decodes. Replay goes
+through the same checks. Download accounting counts answer payload symbols
 only; upload is free by convention. Every retrieval is driven by a single
 seeded generator, so a fixed (params, messages, theta, seed) reproduces a
 byte-identical transcript.
@@ -12,27 +15,18 @@ byte-identical transcript.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import csa, special
-from .csa import CsaParams, MessageSet, QueryNoise, StorageNoise
-from .field import SingularMatrixError
-from .special import (
-    BinarySchemeState,
-    DownloadAllParams,
-    SymXspirParams,
-    build_B,
-)
+from .scheme import Payload, Scheme, for_params, from_header
 
 KIND_QUERY = "QUERY"
 KIND_ANSWER = "ANSWER"
 KIND_ANSWER_EMPTY = "ANSWER_EMPTY"
 _KINDS = (KIND_QUERY, KIND_ANSWER, KIND_ANSWER_EMPTY)
+_HEADER = ("scheme", "N", "K", "X", "T", "p", "L", "seed", "theta")
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -100,17 +94,7 @@ class Transcript:
         return sum(self.downloaded)
 
     def render(self) -> str:
-        lines = [
-            f"scheme {self.scheme}",
-            f"N {self.N}",
-            f"K {self.K}",
-            f"X {self.X}",
-            f"T {self.T}",
-            f"p {self.p}",
-            f"L {self.L}",
-            f"seed {self.seed}",
-            f"theta {self.theta}",
-        ]
+        lines = [f"{key} {getattr(self, key)}" for key in _HEADER]
         lines.extend(m.encode().rstrip("\n") for m in self.queries)
         lines.extend(m.encode().rstrip("\n") for m in self.answers)
         decoded = " ".join(str(v) for v in self.decoded)
@@ -141,70 +125,99 @@ class Transcript:
                 header[key] = value.strip()
         if decoded is None:
             raise ValueError("transcript has no DECODED line")
+        missing = [key for key in _HEADER if key not in header]
+        if missing:
+            raise ValueError(f"transcript header lacks {', '.join(missing)}")
         return cls(
-            scheme=header["scheme"],
-            N=int(header["N"]),
-            K=int(header["K"]),
-            X=int(header["X"]),
-            T=int(header["T"]),
-            p=int(header["p"]),
-            L=int(header["L"]),
-            seed=int(header["seed"]),
-            theta=int(header["theta"]),
+            header["scheme"],
+            *(int(header[key]) for key in _HEADER[1:]),
             queries=tuple(queries),
             answers=tuple(answers),
             decoded=decoded,
         )
 
 
-class Server(threading.Thread):
-    """One server actor. It holds its own share and nothing else.
+def _check_symbols(msg: WireMessage, count: int, alphabet: range) -> None:
+    payload = msg.payload
+    if len(payload) != count:
+        raise ValueError(
+            f"{msg.kind} {msg.server_id} carries {len(payload)} symbols, "
+            f"the scheme sends {count}"
+        )
+    if payload and not (alphabet.start <= min(payload) and max(payload) < alphabet.stop):
+        raise ValueError(
+            f"{msg.kind} {msg.server_id} has a symbol outside "
+            f"{alphabet.start}..{alphabet.stop - 1}"
+        )
 
-    It receives exactly one QUERY addressed to it, applies the scheme's
-    answer map to (share, query payload) and replies with ANSWER, or with
-    ANSWER_EMPTY when the answer map returns None (zero-query case). The
-    kinds of everything it received are logged for the information-flow
-    assertions in tests.
+
+def _answers_by_server(
+    scheme: Scheme, queries: Sequence[WireMessage], answers: Sequence[WireMessage]
+) -> list[Payload | None]:
+    """Check one exchange against the scheme and return the answer payloads
+    in server order (None for ANSWER_EMPTY).
+
+    Raises ValueError unless there is exactly one QUERY and one ANSWER or
+    ANSWER_EMPTY for each server id 1..N, every query has the scheme's
+    length and alphabet, and every answer carries exactly the symbols its
+    query owes, each below p.
+    """
+    n = scheme.N
+    for what, msgs in (("QUERY", queries), ("answer", answers)):
+        ids = sorted(m.server_id for m in msgs)
+        if ids != list(range(1, n + 1)):
+            raise ValueError(f"need one {what} per server id 1..{n}, got ids {ids}")
+    by_id = {m.server_id: m for m in answers}
+    out: list[Payload | None] = []
+    for q in sorted(queries, key=lambda m: m.server_id):
+        _check_symbols(q, scheme.query_symbols, scheme.query_alphabet)
+        a, owed = by_id[q.server_id], scheme.answer_symbols(q.payload)
+        if a.kind != (KIND_ANSWER if owed else KIND_ANSWER_EMPTY):
+            raise ValueError(f"server {a.server_id} replied {a.kind} to its query")
+        _check_symbols(a, owed, range(scheme.p))
+        out.append(a.payload if owed else None)
+    return out
+
+
+class Server:
+    """One server. It holds its own share, in the scheme's native form, and
+    nothing else.
+
+    `handle` takes one wire line and returns the reply line. A QUERY
+    addressed to this server is answered through the scheme's answer map,
+    with ANSWER_EMPTY when the query owes no symbols. Anything else (a
+    query for another server, or a line of another kind) is logged as
+    misaddressed and answered with ANSWER_EMPTY. `received` logs what
+    arrived, for the information-flow checks.
     """
 
-    def __init__(
-        self,
-        server_id: int,
-        share: tuple[int, ...],
-        answer_fn: Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...] | None],
-        inbox: "queue.Queue[WireMessage]",
-        outbox: "queue.Queue[WireMessage]",
-    ):
-        super().__init__(name=f"server-{server_id}", daemon=True)
+    def __init__(self, server_id: int, share, scheme: Scheme):
         self.server_id = server_id
         self.share = share
-        self.answer_fn = answer_fn
-        self.inbox = inbox
-        self.outbox = outbox
+        self.scheme = scheme
         self.received: list[str] = []
 
-    def run(self) -> None:
-        msg = self.inbox.get()
+    def handle(self, line: str) -> str:
+        msg = WireMessage.parse(line)
+        reply = WireMessage(KIND_ANSWER_EMPTY, self.server_id, ())
         if msg.kind != KIND_QUERY or msg.server_id != self.server_id:
-            # Record the violation for the harness check and keep the
-            # client from blocking; the harness raises after join.
             self.received.append(f"misaddressed:{msg.kind}")
-            self.outbox.put(WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()))
-            return
+            return reply.encode()
         self.received.append(msg.kind)
-        result = self.answer_fn(self.share, msg.payload)
-        if result is None:
-            self.outbox.put(WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()))
-        else:
-            self.outbox.put(WireMessage(KIND_ANSWER, self.server_id, tuple(result)))
+        scheme = self.scheme
+        _check_symbols(msg, scheme.query_symbols, scheme.query_alphabet)
+        if scheme.answer_symbols(msg.payload):
+            query = scheme.query_from_payload(self.server_id, msg.payload)
+            reply = WireMessage(KIND_ANSWER, self.server_id, scheme.answer(self.share, query))
+        return reply.encode()
 
 
 @dataclass(frozen=True)
 class RetrievalRun:
     """A transcript plus the harness-side record of what each server stored.
 
-    Shares never travel between servers; they are kept here so collusion
-    views can be assembled for the audits.
+    Shares never travel between servers; they are kept here, as flat
+    payloads, so collusion views can be assembled for the audits.
     """
 
     transcript: Transcript
@@ -212,279 +225,8 @@ class RetrievalRun:
     plaintext: tuple[int, ...]
 
 
-class _CsaSim:
-    scheme = "csa"
-
-    def __init__(self, params: CsaParams):
-        self.params = params
-        self.field = params.field
-
-    def header(self) -> dict[str, int]:
-        p = self.params
-        return {"N": p.N, "K": p.K, "X": p.X, "T": p.T, "p": p.p, "L": p.L}
-
-    @property
-    def message_length(self) -> int:
-        return self.params.L
-
-    def random_messages(self, rng: Random) -> MessageSet:
-        return MessageSet.random(self.params.K, self.params.L, self.field, rng)
-
-    def plaintext(self, messages: MessageSet, theta: int) -> tuple[int, ...]:
-        return tuple(e.value for e in messages.message(theta))
-
-    def encode(self, messages: MessageSet, rng: Random) -> tuple[tuple[int, ...], ...]:
-        noise = StorageNoise.random(self.params, rng)
-        shares = csa.encode_storage(messages, noise, self.params)
-        return tuple(
-            tuple(e.value for row in s.rows for e in row) for s in shares
-        )
-
-    def build_queries(self, theta: int, rng: Random) -> tuple[tuple[int, ...], ...]:
-        qnoise = QueryNoise.random(self.params, rng)
-        return self.queries_from_noise(theta, qnoise)
-
-    def queries_from_noise(self, theta: int, qnoise: QueryNoise) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(e.value for col in q.cols for e in col)
-            for q in csa.gen_queries(theta, qnoise, self.params)
-        )
-
-    def iter_query_randomness(self):
-        return csa.iter_query_noise(self.params)
-
-    def downloads_for(self, query_payloads: Sequence[tuple[int, ...]]) -> int:
-        return sum(1 for q in query_payloads if any(q))
-
-    def answer_fn(self) -> Callable:
-        params = self.params
-        field = self.field
-
-        def fn(share: tuple[int, ...], query: tuple[int, ...]) -> tuple[int, ...] | None:
-            if not any(query):
-                return None
-            rows = _unflatten(share, params.L, params.K, field)
-            cols = _unflatten(query, params.L, params.K, field)
-            value = csa.answer(
-                csa.StorageShare(1, rows), csa.QueryShare(1, cols)
-            )
-            return (value.value,)
-
-        return fn
-
-    def decode(
-        self,
-        theta: int,
-        query_payloads: Sequence[tuple[int, ...]],
-        answer_payloads: Sequence[tuple[int, ...] | None],
-    ) -> tuple[int, ...]:
-        f = self.field
-        raw = [
-            f.zero if a is None else f(a[0]) for a in answer_payloads
-        ]
-        try:
-            out = csa.decode(raw, self.params)
-        except SingularMatrixError as exc:
-            raise ProtocolInvariantError(f"decode failed: {exc}") from exc
-        return tuple(e.value for e in out.desired)
-
-
-class _DownloadAllSim:
-    scheme = "download_all"
-
-    def __init__(self, params: DownloadAllParams):
-        self.params = params
-        self.field = params.field
-
-    def header(self) -> dict[str, int]:
-        p = self.params
-        return {"N": p.N, "K": p.K, "X": p.X, "T": p.T, "p": p.p, "L": p.L}
-
-    @property
-    def message_length(self) -> int:
-        return self.params.L
-
-    def random_messages(self, rng: Random) -> MessageSet:
-        return MessageSet.random(self.params.K, self.params.L, self.field, rng)
-
-    def plaintext(self, messages: MessageSet, theta: int) -> tuple[int, ...]:
-        return tuple(e.value for e in messages.message(theta))
-
-    def encode(self, messages: MessageSet, rng: Random) -> tuple[tuple[int, ...], ...]:
-        noise = special.download_all_noise(self.params, rng)
-        shares = special.download_all_encode(messages, noise, self.params)
-        return tuple(tuple(e.value for e in s) for s in shares)
-
-    def build_queries(self, theta: int, rng: Random) -> tuple[tuple[int, ...], ...]:
-        return ((),) * self.params.N
-
-    def iter_query_randomness(self):
-        return iter((None,))
-
-    def queries_from_noise(self, theta: int, qnoise) -> tuple[tuple[int, ...], ...]:
-        return ((),) * self.params.N
-
-    def downloads_for(self, query_payloads) -> int:
-        return self.params.N * self.params.K
-
-    def answer_fn(self) -> Callable:
-        def fn(share: tuple[int, ...], query: tuple[int, ...]) -> tuple[int, ...]:
-            # The request is empty by design: send the whole store.
-            return share
-
-        return fn
-
-    def decode(self, theta, query_payloads, answer_payloads) -> tuple[int, ...]:
-        f = self.field
-        payloads = [
-            tuple(f(v) for v in (a or ())) for a in answer_payloads
-        ]
-        decoded = special.download_all_decode(payloads, self.params)
-        return tuple(e.value for e in decoded[theta - 1])
-
-
-class _BinarySim:
-    scheme = "binary_n3"
-
-    def __init__(self, k: int):
-        self.k = k
-        self.b = build_B(k)
-
-    def header(self) -> dict[str, int]:
-        return {"N": 3, "K": self.k, "X": 1, "T": 1, "p": 2, "L": 1}
-
-    @property
-    def message_length(self) -> int:
-        return 1
-
-    def random_messages(self, rng: Random) -> tuple[int, ...]:
-        return tuple(rng.randrange(2) for _ in range(self.k))
-
-    def plaintext(self, messages, theta: int) -> tuple[int, ...]:
-        return (messages[theta - 1],)
-
-    def encode(self, messages, rng: Random) -> tuple[tuple[int, ...], ...]:
-        z = tuple(rng.randrange(2) for _ in range(self.k))
-        return special.binary_storage(messages, z, self.b)
-
-    def build_queries(self, theta: int, rng: Random) -> tuple[tuple[int, ...], ...]:
-        zp = tuple(rng.randrange(2) for _ in range(self.k))
-        return special.binary_queries(theta, zp, self.b)
-
-    def iter_query_randomness(self):
-        from itertools import product
-
-        return product((0, 1), repeat=self.k)
-
-    def queries_from_noise(self, theta: int, zp) -> tuple[tuple[int, ...], ...]:
-        return special.binary_queries(theta, tuple(zp), self.b)
-
-    def downloads_for(self, query_payloads) -> int:
-        return sum(1 for q in query_payloads if any(q))
-
-    def answer_fn(self) -> Callable:
-        def fn(share: tuple[int, ...], query: tuple[int, ...]) -> tuple[int, ...] | None:
-            a = special.binary_answer(share, query)
-            return None if a is None else (a,)
-
-        return fn
-
-    def decode(self, theta, query_payloads, answer_payloads) -> tuple[int, ...]:
-        bit = 0
-        for a in answer_payloads:
-            if a:
-                bit ^= a[0]
-        return (bit,)
-
-
-class _SymXspirSim:
-    scheme = "sym_xspir"
-
-    def __init__(self, params: SymXspirParams):
-        self.params = params
-        self.field = params.field
-
-    def header(self) -> dict[str, int]:
-        p = self.params
-        return {"N": p.N, "K": p.K, "X": p.X, "T": 1, "p": p.p, "L": 1}
-
-    @property
-    def message_length(self) -> int:
-        return 1
-
-    def random_messages(self, rng: Random) -> tuple:
-        f = self.field
-        return tuple(f.random(rng) for _ in range(self.params.K))
-
-    def plaintext(self, messages, theta: int) -> tuple[int, ...]:
-        return (messages[theta - 1].value,)
-
-    def encode(self, messages, rng: Random) -> tuple[tuple[int, ...], ...]:
-        f = self.field
-        k = self.params.K
-        noise = tuple(
-            tuple(tuple(f.random(rng) for _ in range(k)) for _ in range(k))
-            for _ in range(self.params.X)
-        )
-        grids = special.sym_xspir_storage(messages, noise, self.params)
-        return tuple(
-            tuple(e.value for row in grid for e in row) for grid in grids
-        )
-
-    def build_queries(self, theta: int, rng: Random) -> tuple[tuple[int, ...], ...]:
-        m_o = rng.randrange(self.params.K) + 1
-        return special.sym_xspir_queries(theta, m_o, self.params)
-
-    def iter_query_randomness(self):
-        return iter(range(1, self.params.K + 1))
-
-    def queries_from_noise(self, theta: int, m_o) -> tuple[tuple[int, ...], ...]:
-        return special.sym_xspir_queries(theta, m_o, self.params)
-
-    def downloads_for(self, query_payloads) -> int:
-        return self.params.N * self.params.K
-
-    def answer_fn(self) -> Callable:
-        k = self.params.K
-
-        def fn(share: tuple[int, ...], query: tuple[int, ...]) -> tuple[int, ...]:
-            grid = [share[i * k : (i + 1) * k] for i in range(k)]
-            return tuple(grid[kk][query[kk] - 1] for kk in range(k))
-
-        return fn
-
-    def decode(self, theta, query_payloads, answer_payloads) -> tuple[int, ...]:
-        f = self.field
-        value = f(answer_payloads[-1][theta - 1])
-        for x in range(self.params.X):
-            value = value - f(answer_payloads[x][theta - 1])
-        return (value.value,)
-
-
-def _unflatten(flat: Sequence[int], length: int, k: int, field):
-    if len(flat) != length * k:
-        raise ValueError("payload has wrong symbol count")
-    return tuple(
-        tuple(field(v) for v in flat[i * k : (i + 1) * k]) for i in range(length)
-    )
-
-
-def _make_sim(params):
-    if isinstance(params, CsaParams):
-        return _CsaSim(params)
-    if isinstance(params, DownloadAllParams):
-        return _DownloadAllSim(params)
-    if isinstance(params, SymXspirParams):
-        return _SymXspirSim(params)
-    if isinstance(params, int):
-        return _BinarySim(params)
-    if isinstance(params, BinarySchemeState):
-        return _BinarySim(params.K)
-    raise TypeError(f"no simulation for {type(params).__name__}")
-
-
 def run_retrieval(params, messages, theta: int, seed: int, rng: Random | None = None) -> RetrievalRun:
-    """Run one full retrieval against live server actors.
+    """Run one full retrieval against server objects over the wire.
 
     `params` selects the scheme: CsaParams, DownloadAllParams, SymXspirParams,
     or an int K for the three-server bit scheme. `messages` is the scheme's
@@ -492,78 +234,45 @@ def run_retrieval(params, messages, theta: int, seed: int, rng: Random | None = 
     from `rng` (default: Random(seed)); noise is drawn before query
     randomness, so a fixed seed reproduces the transcript byte for byte.
     """
-    sim = _make_sim(params)
+    scheme = for_params(params)
+    scheme.check_theta(theta)
     if rng is None:
         rng = Random(seed)
-    shares = sim.encode(messages, rng)
-    query_payloads = sim.build_queries(theta, rng)
-    n = len(shares)
-
-    outbox: "queue.Queue[WireMessage]" = queue.Queue()
-    servers = []
-    for i in range(n):
-        inbox: "queue.Queue[WireMessage]" = queue.Queue()
-        server = Server(i + 1, shares[i], sim.answer_fn(), inbox, outbox)
-        servers.append(server)
-        server.start()
-    queries = tuple(
-        WireMessage(KIND_QUERY, i + 1, tuple(query_payloads[i])) for i in range(n)
+    shares = scheme.storage(messages, scheme.storage_noises.sample(rng))
+    queries = scheme.queries(theta, scheme.query_randomness.sample(rng))
+    sent = tuple(
+        WireMessage(KIND_QUERY, n, payload)
+        for n, payload in enumerate(scheme.query_payloads(queries), start=1)
     )
-    for server, msg in zip(servers, queries):
-        server.inbox.put(msg)
-    replies = [outbox.get() for _ in range(n)]
+    servers = [Server(n, share, scheme) for n, share in enumerate(shares, start=1)]
+    replies = tuple(
+        WireMessage.parse(server.handle(msg.encode())) for server, msg in zip(servers, sent)
+    )
     for server in servers:
-        server.join()
         if server.received != [KIND_QUERY]:
-            raise ProtocolInvariantError(
-                f"server {server.server_id} saw {server.received}"
-            )
-    replies.sort(key=lambda m: m.server_id)
-    if [m.server_id for m in replies] != list(range(1, n + 1)):
-        raise ProtocolInvariantError("missing or duplicated answers")
-
-    answer_payloads = [
-        None if m.kind == KIND_ANSWER_EMPTY else m.payload for m in replies
-    ]
-    decoded = sim.decode(theta, [q.payload for q in queries], answer_payloads)
-    plaintext = sim.plaintext(messages, theta)
+            raise ProtocolInvariantError(f"server {server.server_id} saw {server.received}")
+    try:
+        decoded = scheme.decode(theta, _answers_by_server(scheme, sent, replies))
+    except ValueError as exc:
+        raise ProtocolInvariantError(f"decode failed: {exc}") from exc
+    plaintext = scheme.plaintext(messages, theta)
     if decoded != plaintext:
-        raise ProtocolInvariantError(
-            f"decoded {decoded} but plaintext is {plaintext}"
-        )
-    header = sim.header()
+        raise ProtocolInvariantError(f"decoded {decoded} but plaintext is {plaintext}")
     transcript = Transcript(
-        scheme=sim.scheme,
-        N=header["N"],
-        K=header["K"],
-        X=header["X"],
-        T=header["T"],
-        p=header["p"],
-        L=header["L"],
-        seed=seed,
-        theta=theta,
-        queries=queries,
-        answers=tuple(replies),
-        decoded=decoded,
+        scheme.name, **scheme.header(), seed=seed, theta=theta,
+        queries=sent, answers=replies, decoded=decoded,
     )
-    return RetrievalRun(transcript, tuple(shares), plaintext)
+    return RetrievalRun(transcript, scheme.share_payloads(shares), plaintext)
+
+
+def _scheme_of(transcript: Transcript) -> Scheme:
+    header = {key: getattr(transcript, key) for key in _HEADER[1:7]}
+    return from_header(transcript.scheme, header)
 
 
 def params_from_header(transcript: Transcript):
     """Rebuild the scheme parameters a transcript was produced with."""
-    if transcript.scheme == "csa":
-        return CsaParams.make(
-            transcript.N, transcript.K, transcript.X, transcript.T, p=transcript.p
-        )
-    if transcript.scheme == "download_all":
-        return DownloadAllParams(
-            transcript.N, transcript.K, transcript.X, transcript.T, transcript.p
-        )
-    if transcript.scheme == "binary_n3":
-        return transcript.K
-    if transcript.scheme == "sym_xspir":
-        return SymXspirParams(transcript.X, transcript.K, transcript.p)
-    raise ValueError(f"unknown scheme {transcript.scheme!r}")
+    return _scheme_of(transcript).params
 
 
 def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
@@ -571,20 +280,14 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
 
     Returns the parsed transcript and the value re-decoded from the recorded
     header, queries and answers alone; a faithful transcript re-decodes to
-    its own DECODED line.
+    its own DECODED line. Raises ValueError when the transcript is not one
+    the scheme in its header could have produced (see `_answers_by_server`).
     """
     transcript = Transcript.parse(text)
-    sim = _make_sim(params_from_header(transcript))
-    answer_payloads = [
-        None if m.kind == KIND_ANSWER_EMPTY else m.payload
-        for m in transcript.answers
-    ]
-    decoded = sim.decode(
-        transcript.theta,
-        [q.payload for q in transcript.queries],
-        answer_payloads,
-    )
-    return transcript, decoded
+    scheme = _scheme_of(transcript)
+    scheme.check_theta(transcript.theta)
+    answers = _answers_by_server(scheme, transcript.queries, transcript.answers)
+    return transcript, scheme.decode(transcript.theta, answers)
 
 
 def empirical_rate(
@@ -601,22 +304,20 @@ def empirical_rate(
     payload is all zero); sampled mode runs `trials` full retrievals with
     seeds seed, seed+1, ...
     """
-    sim = _make_sim(params)
+    scheme = for_params(params)
     if exhaustive:
         total = 0
-        count = 0
-        for qr in sim.iter_query_randomness():
-            payloads = sim.queries_from_noise(theta, qr)
-            total += sim.downloads_for(payloads)
-            count += 1
-        return Fraction(sim.message_length * count, total)
+        for randomness in scheme.query_randomness:
+            payloads = scheme.query_payloads(scheme.queries(theta, randomness))
+            total += sum(map(scheme.answer_symbols, payloads))
+        return Fraction(scheme.L * scheme.query_randomness.size, total)
     total = 0
     rng_master = Random(seed)
     for i in range(trials):
-        messages = sim.random_messages(rng_master)
+        messages = scheme.messages.sample(rng_master)
         run = run_retrieval(params, messages, theta, seed + i)
         total += run.transcript.total_downloaded
-    return Fraction(sim.message_length * trials, total)
+    return Fraction(scheme.L * trials, total)
 
 
 def collude(

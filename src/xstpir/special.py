@@ -280,15 +280,6 @@ class BinarySchemeState:
         draw = lambda: tuple(rng.randrange(2) for _ in range(k))
         return cls(k, draw(), draw(), draw(), b)
 
-    @classmethod
-    def _unvalidated(cls, k, w, z, zp, b) -> "BinarySchemeState":
-        """Construct without invariant checks. Only for adversarial tests."""
-        inst = object.__new__(cls)
-        for name, value in (("K", k), ("W", tuple(w)), ("Z", tuple(z)),
-                            ("Zp", tuple(zp)), ("B", b)):
-            object.__setattr__(inst, name, value)
-        return inst
-
 
 @dataclass(frozen=True)
 class BinaryRound:

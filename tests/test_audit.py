@@ -3,6 +3,8 @@ planted defects must be caught."""
 
 from fractions import Fraction
 
+import pytest
+
 from xstpir.audit import (
     CORRECTNESS,
     SYM_SECURITY,
@@ -148,6 +150,18 @@ def test_default_subset_sizes_follow_the_instance():
     priv = audit_privacy(inst)
     assert priv.subset_size == 1  # T
     assert priv.subsets_checked == 4
+
+
+def test_subset_sizes_outside_1_to_n_are_rejected():
+    # an empty subset list would pass vacuously with subsets_checked 0
+    inst = _csa(3, 1, 1, 1)
+    for auditor in (audit_security, audit_privacy):
+        for size in (0, 4):
+            with pytest.raises(ValueError, match="subset size must be in 1..3"):
+                auditor(inst, subset_size=size)
+            with pytest.raises(ValueError, match="subset size"):
+                auditor(inst, subset_size=size, cap=0, samples=10)
+    assert audit_security(inst, subset_size=3).subsets_checked == 1
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,11 @@ def test_retrieve_all_schemes(tmp_path, capsys, monkeypatch):
         ["capacity", "-N", "3", "-X", "1"],
         ["bench", "--n-min", "2", "--n-max", "4"],
         ["audit", *CSA_ARGS],  # no --property
+        # collusion sizes outside 1..N: no subset to audit
+        ["audit", "--scheme", "csa", "-N", "3", "-K", "1", "-X", "1", "-T", "1",
+         "--property", "security", "--subset-size", "4"],
+        ["audit", "--scheme", "csa", "-N", "3", "-K", "1", "-X", "1", "-T", "1",
+         "--property", "privacy", "--subset-size", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):

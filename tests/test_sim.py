@@ -1,17 +1,20 @@
-"""Threaded protocol harness: wire format, determinism, replay, rates,
-collusion views, and the information-flow guards."""
+"""Protocol harness: wire format, determinism, replay and its transcript
+checks, rates, collusion views, and the information-flow guards."""
 
-import queue
+import threading
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from xstpir.csa import CsaParams, MessageSet
+from xstpir import csa as csa_mod
+from xstpir.csa import CsaParams, MessageSet, StorageNoise
+from xstpir.scheme import CsaScheme
 from xstpir.sim import (
     KIND_ANSWER,
     KIND_ANSWER_EMPTY,
     KIND_QUERY,
+    ProtocolInvariantError,
     Server,
     Transcript,
     WireMessage,
@@ -283,22 +286,130 @@ def test_server_only_ever_sees_its_own_query():
     assert all(q.kind == KIND_QUERY for q in run.transcript.queries)
 
 
-def test_misaddressed_traffic_is_logged_not_answered():
-    outbox: "queue.Queue[WireMessage]" = queue.Queue()
-    inbox: "queue.Queue[WireMessage]" = queue.Queue()
-    server = Server(1, (0, 0), lambda s, q: (0,), inbox, outbox)
-    server.start()
-    inbox.put(WireMessage(KIND_QUERY, 2, (1,)))  # addressed to someone else
-    reply = outbox.get(timeout=5)
-    server.join(timeout=5)
+def test_misaddressed_traffic_is_logged_not_answered(monkeypatch):
+    params = CsaParams.make(5, 2, 1, 1)
+    scheme = CsaScheme(params)
+    share = scheme.storage(
+        MessageSet.zeros(2, 3, params.field), StorageNoise.zeros(params)
+    )[0]
+    server = Server(1, share, scheme)
+    query = " ".join(["1"] * scheme.query_symbols)
+    reply = server.handle(f"QUERY 2 {scheme.query_symbols} {query}\n")  # for someone else
     assert server.received == ["misaddressed:QUERY"]
-    assert reply.kind == KIND_ANSWER_EMPTY
+    assert WireMessage.parse(reply) == WireMessage(KIND_ANSWER_EMPTY, 1, ())
 
-    outbox2: "queue.Queue[WireMessage]" = queue.Queue()
-    inbox2: "queue.Queue[WireMessage]" = queue.Queue()
-    server2 = Server(1, (0, 0), lambda s, q: (0,), inbox2, outbox2)
-    server2.start()
-    inbox2.put(WireMessage(KIND_ANSWER, 1, (1,)))  # wrong kind entirely
-    outbox2.get(timeout=5)
-    server2.join(timeout=5)
+    server2 = Server(1, share, scheme)
+    reply = server2.handle(WireMessage(KIND_ANSWER, 1, (1,)).encode())  # wrong kind
     assert server2.received == ["misaddressed:ANSWER"]
+    assert WireMessage.parse(reply).kind == KIND_ANSWER_EMPTY
+
+    # run_retrieval refuses a run in which any server saw misaddressed traffic
+    handle = Server.handle
+
+    def readdress(self, line):
+        sid = self.server_id % params.N + 1
+        return handle(self, line.replace(f"QUERY {self.server_id} ", f"QUERY {sid} ", 1))
+
+    monkeypatch.setattr(Server, "handle", readdress)
+    w = MessageSet.zeros(2, 3, params.field)
+    with pytest.raises(ProtocolInvariantError, match="misaddressed:QUERY"):
+        run_retrieval(params, w, 1, seed=0)
+
+
+def test_run_retrieval_starts_no_thread(monkeypatch):
+    counts = []
+    answer = csa_mod.answer
+
+    def counting_answer(share, query):
+        counts.append(threading.active_count())
+        return answer(share, query)
+
+    monkeypatch.setattr(csa_mod, "answer", counting_answer)
+    before = threading.active_count()
+    params, run = _csa_run(seed=8)
+    assert run.transcript.decoded == run.plaintext
+    assert counts and set(counts) == {before}
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# transcript validation in replay
+# ---------------------------------------------------------------------------
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def _swap_answer_lines(text):
+    lines = text.splitlines()
+    answers = [i for i, line in enumerate(lines) if line.startswith("ANSWER")]
+    for i, line in zip(answers, reversed([lines[i] for i in answers])):
+        lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+def _replace_line(text, prefix, new):
+    """Replace the first line starting with `prefix` by `new` (None: drop it)."""
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[index : index + 1] = [] if new is None else [new]
+    return "\n".join(lines) + "\n"
+
+
+def _drop_line(text, prefix):
+    return _replace_line(text, prefix, None)
+
+
+def _set_payload(text, kind, server_id, payload):
+    new = WireMessage(kind, server_id, tuple(payload)).encode().rstrip("\n")
+    return _replace_line(text, f"{kind} {server_id} ", new)
+
+
+# Each case edits a faithful csa (5,2,1,1) transcript (no ANSWER_EMPTY, theta
+# 1) into one that no run could have produced; `match` names the check.
+BAD_TRANSCRIPTS = {
+    "missing header line": (lambda t: _drop_line(t, "X "), "header lacks X"),
+    "theta beyond K": (lambda t: _edit(t, "theta 1\n", "theta 9\n"), "theta must be in 1..2"),
+    "theta zero": (lambda t: _edit(t, "theta 1\n", "theta 0\n"), "theta must be in 1..2"),
+    "answer symbol not below p": (
+        lambda t: _set_payload(t, "ANSWER", 2, [999]), "outside 0..10"
+    ),
+    "query symbol not below p": (
+        lambda t: _set_payload(t, "QUERY", 2, [11, 0, 0, 0, 0, 0]), "outside 0..10"
+    ),
+    "missing answer": (lambda t: _drop_line(t, "ANSWER 3 "), "one answer per server"),
+    "duplicated answer": (lambda t: _edit(t, "ANSWER 3 ", "ANSWER 2 "), "one answer per server"),
+    "missing query": (lambda t: _drop_line(t, "QUERY 5 "), "one QUERY per server"),
+    "query too short": (
+        lambda t: _set_payload(t, "QUERY", 1, [1, 2, 3, 4, 5]), "carries 5 symbols"
+    ),
+    "answer too long": (lambda t: _set_payload(t, "ANSWER", 1, [1, 2]), "carries 2 symbols"),
+    "empty answer to a nonzero query": (
+        lambda t: _replace_line(t, "ANSWER 4 ", "ANSWER_EMPTY 4 0"), "replied ANSWER_EMPTY"
+    ),
+    "header disagrees with the scheme": (
+        lambda t: _edit(t, "L 3\n", "L 2\n"), "does not match"
+    ),
+    "unknown scheme": (lambda t: _edit(t, "scheme csa\n", "scheme pir\n"), "unknown scheme"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TRANSCRIPTS))
+def test_replay_rejects_transcripts_no_run_could_produce(case):
+    _, run = _csa_run(seed=0, theta=1)
+    text = run.transcript.render()
+    assert replay(text)[1] == run.transcript.decoded
+    edit, match = BAD_TRANSCRIPTS[case]
+    with pytest.raises(ValueError, match=match):
+        replay(edit(text))
+
+
+def test_replay_matches_answers_to_servers_by_id():
+    _, run = _csa_run(seed=0, theta=2)
+    text = _swap_answer_lines(run.transcript.render())
+    assert text != run.transcript.render()
+    parsed, redecoded = replay(text)
+    assert [a.server_id for a in parsed.answers] == [5, 4, 3, 2, 1]
+    assert redecoded == run.transcript.decoded
