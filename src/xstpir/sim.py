@@ -117,11 +117,15 @@ class Transcript:
                 (queries if msg.kind == KIND_QUERY else answers).append(msg)
             elif tag == "DECODED":
                 parts = line.split()
+                if decoded is not None or len(parts) < 2:
+                    raise ValueError(f"repeated or malformed DECODED line: {line!r}")
                 decoded = tuple(int(v) for v in parts[2:])
                 if len(decoded) != int(parts[1]):
                     raise ValueError("DECODED count mismatch")
             else:
                 key, _, value = line.partition(" ")
+                if key not in _HEADER or key in header:
+                    raise ValueError(f"unknown or repeated header line: {line!r}")
                 header[key] = value.strip()
         if decoded is None:
             raise ValueError("transcript has no DECODED line")

@@ -326,7 +326,7 @@ def test_run_retrieval_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(csa_mod, "answer", counting_answer)
     before = threading.active_count()
-    params, run = _csa_run(seed=8)
+    _, run = _csa_run(seed=8)
     assert run.transcript.decoded == run.plaintext
     assert counts and set(counts) == {before}
     assert threading.active_count() == before
@@ -371,6 +371,13 @@ def _set_payload(text, kind, server_id, payload):
 # 1) into one that no run could have produced; `match` names the check.
 BAD_TRANSCRIPTS = {
     "missing header line": (lambda t: _drop_line(t, "X "), "header lacks X"),
+    "repeated header line": (
+        lambda t: _edit(t, "theta 1\n", "theta 1\ntheta 2\n"), "repeated header line"
+    ),
+    "unknown header line": (lambda t: _edit(t, "seed ", "mode fast\nseed "), "unknown"),
+    "DECODED line without a count": (
+        lambda t: _replace_line(t, "DECODED ", "DECODED"), "malformed DECODED"
+    ),
     "theta beyond K": (lambda t: _edit(t, "theta 1\n", "theta 9\n"), "theta must be in 1..2"),
     "theta zero": (lambda t: _edit(t, "theta 1\n", "theta 0\n"), "theta must be in 1..2"),
     "answer symbol not below p": (
