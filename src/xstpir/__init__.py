@@ -68,35 +68,26 @@ from .sim import (
     run_retrieval,
 )
 from .special import (
-    BinaryRound,
-    BinarySchemeState,
     DownloadAllParams,
     SymXspirParams,
-    SymXspirRound,
-    SymXspirState,
-    binary_round,
     build_B,
     download_all_decode,
     download_all_encode,
-    download_all_retrieve,
-    sym_xspir_round,
 )
 
 __all__ = [
-    "BinMatrix", "BinaryRound", "BinarySchemeState", "CsaParams",
-    "DecodeOutput", "DownloadAllParams", "Fe", "FieldMismatchError",
-    "InsufficientFieldError", "MessageSet", "PrimeField",
-    "ProtocolInvariantError", "QueryNoise", "QueryShare", "RetrievalRun",
-    "SingularMatrixError", "StorageNoise", "StorageShare", "SymXspirParams",
-    "SymXspirRound", "SymXspirState", "Transcript", "WireMessage",
-    "answer", "bin_det", "bin_inv", "binary_round", "build_B", "c_n3",
-    "c_pir", "c_tpir", "choose_alphas", "collude", "decode",
-    "decoding_matrix", "delta", "delta_except", "download_all_decode",
-    "download_all_encode", "download_all_retrieve", "empirical_rate",
+    "BinMatrix", "CsaParams", "DecodeOutput", "DownloadAllParams", "Fe",
+    "FieldMismatchError", "InsufficientFieldError", "MessageSet",
+    "PrimeField", "ProtocolInvariantError", "QueryNoise", "QueryShare",
+    "RetrievalRun", "SingularMatrixError", "StorageNoise", "StorageShare",
+    "SymXspirParams", "Transcript", "WireMessage", "answer", "bin_det",
+    "bin_inv", "build_B", "c_n3", "c_pir", "c_tpir", "choose_alphas",
+    "collude", "decode", "decoding_matrix", "delta", "delta_except",
+    "download_all_decode", "download_all_encode", "empirical_rate",
     "encode_storage", "finite_k_rate", "gen_queries", "interference_aligned",
     "mds_pir_asym", "mds_pir_rate", "replay", "run_retrieval",
-    "smallest_valid_prime", "solve_linear", "sym_xspir_round",
-    "xstpir_asymptotic", "xstpir_upper_bound",
+    "smallest_valid_prime", "solve_linear", "xstpir_asymptotic",
+    "xstpir_upper_bound",
 ]
 
 __version__ = "0.1.0"

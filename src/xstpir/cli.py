@@ -175,19 +175,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else audit_mod.DEFAULT_CAP
     samples = args.samples if args.samples is not None else audit_mod.DEFAULT_SAMPLES
     auditor, kind = AUDITS[prop]
+    kwargs = {"cap": 0 if args.sampled else cap, "samples": samples, "seed": cfg.seed}
+    if args.subset_size is not None:
+        if kind not in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
+            raise UsageError(f"--subset-size applies to security and privacy, not {prop}")
+        if not 1 <= args.subset_size <= inst.N:
+            raise UsageError(f"--subset-size must be in 1..{inst.N}, got {args.subset_size}")
+        kwargs["subset_size"] = args.subset_size
     work = audit_mod.estimate_work(inst, kind)
     if work > cap and not args.sampled:
         raise UsageError(
             f"exhaustive audit would enumerate {work} realizations, over the cap "
             f"of {cap}; rerun with --sampled (or raise --cap) to proceed"
         )
-    kwargs = {"cap": 0 if args.sampled else cap, "samples": samples, "seed": cfg.seed}
-    if kind in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
-        kwargs["subset_size"] = args.subset_size
-    try:
-        report = auditor(inst, **kwargs)
-    except ValueError as exc:  # a subset size outside 1..N
-        raise UsageError(str(exc)) from exc
+    report = auditor(inst, **kwargs)
     out = args.out if args.out is not None else "audit_report.txt"
     Path(out).write_text(report.render())
     sys.stdout.write(report.render())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable, Iterator, Sequence
 
 
@@ -198,12 +199,13 @@ class Fe:
         return f"{self.value}%{self.field.modulus}"
 
 
-def nest(values: Sequence[int], shape: Sequence[int], field: PrimeField | None = None) -> tuple:
-    """Flat row-major `values` as nested tuples of `shape`; as elements of
-    `field` when one is given."""
-    items = [field(v) for v in values] if field else list(values)
-    for size in reversed(shape[1:]):
-        items = [tuple(items[i : i + size]) for i in range(0, len(items), size)]
+def nest(values: Sequence[int], shape: Sequence[int], field: PrimeField) -> tuple:
+    """Flat row-major `values` as nested tuples of `shape`, as elements of
+    `field`."""
+    items = [field(v) for v in values]
+    for depth in range(len(shape) - 1, 0, -1):
+        size = shape[depth]
+        items = [tuple(items[i * size : (i + 1) * size]) for i in range(prod(shape[:depth]))]
     return tuple(items)
 
 

@@ -167,9 +167,8 @@ class DownloadAllScheme(Scheme):
         self.params = params
         self.N, self.K, self.X, self.T = params.N, params.K, params.X, params.T
         self.p, self.L = params.p, params.L
-        f, k, x = params.field, params.K, params.X
-        self.messages = MessageSet.space(k, params.L, f)
-        self.storage_noises = Space(self.p, k * x, lambda v: nest(v, (k, x), f))
+        self.messages = MessageSet.space(params.K, params.L, params.field)
+        self.storage_noises = special.download_all_noise_space(params)
         # The request is constant: there is no query randomness.
         self.query_randomness = Space(self.p, 0, lambda v: None)
         self.query_symbols = 0
@@ -275,9 +274,9 @@ class SymXspirScheme(Scheme):
         self.params = params
         self.N, self.K, self.X, self.T = params.N, params.K, params.X, 1
         self.p, self.L = params.p, 1
-        f, k, x = params.field, params.K, params.X
+        f, k = params.field, params.K
         self.messages = Space(self.p, k, lambda v: nest(v, (k,), f))
-        self.storage_noises = Space(self.p, x * k * k, lambda v: nest(v, (x, k, k), f))
+        self.storage_noises = special.sym_xspir_noise_space(params)
         # The private column m_o, uniform on 1..K.
         self.query_randomness = Space(k, 1, lambda v: v[0] + 1)
         self.query_symbols = k

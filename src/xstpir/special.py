@@ -14,7 +14,6 @@ Three constructions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Sequence
 
 from .csa import MessageSet
@@ -23,9 +22,10 @@ from .field import (
     Fe,
     InsufficientFieldError,
     PrimeField,
-    bin_det,
+    Space,
     bit_dot,
     is_prime,
+    nest,
     smallest_valid_prime,
     solve_linear,
 )
@@ -86,12 +86,10 @@ def _noise_generator(params: DownloadAllParams) -> list[list[Fe]]:
     ]
 
 
-def download_all_noise(params: DownloadAllParams, rng: Random) -> tuple[tuple[Fe, ...], ...]:
-    """K x X noise block: one length-X noise vector per message."""
-    f = params.field
-    return tuple(
-        tuple(f.random(rng) for _ in range(params.X)) for _ in range(params.K)
-    )
+def download_all_noise_space(params: DownloadAllParams) -> Space:
+    """Every K x X noise block: one length-X noise vector per message."""
+    shape = (params.K, params.X)
+    return Space(params.p, params.K * params.X, lambda v: nest(v, shape, params.field))
 
 
 def download_all_encode(
@@ -154,24 +152,6 @@ def download_all_decode(
     return tuple(out)
 
 
-def download_all_retrieve(
-    params: DownloadAllParams,
-    messages: MessageSet,
-    noise: Sequence[Sequence[Fe]],
-    theta: int,
-) -> tuple[tuple[Fe, ...], int]:
-    """Full round: encode, download everything, decode, keep message theta.
-
-    Returns (message, downloaded symbol count); the count is always N*K, so
-    the rate is (N - X) / (N * K).
-    """
-    if not 1 <= theta <= params.K:
-        raise ValueError(f"theta must be in 1..{params.K}")
-    shares = download_all_encode(messages, noise, params)
-    decoded = download_all_decode(shares, params)
-    return decoded[theta - 1], params.N * params.K
-
-
 def build_B(k: int) -> BinMatrix:
     """A K x K bit matrix with B and I + B both invertible, for any K >= 2.
 
@@ -217,6 +197,8 @@ def binary_storage(
     """Three stored vectors: (W + Z, W + Z B, Z), all over GF(2)."""
     if len(w) != len(z) or b.rows != b.cols or b.rows != len(w):
         raise ValueError("dimension mismatch")
+    if not set(w) | set(z) <= {0, 1}:
+        raise ValueError("W and Z must be bit vectors")
     zb = b.vec_mul(z)
     s1 = tuple(a ^ c for a, c in zip(w, z))
     s2 = tuple(a ^ c for a, c in zip(w, zb))
@@ -246,68 +228,6 @@ def binary_answer(storage: Sequence[int], query: Sequence[int]) -> int | None:
     if not any(query):
         return None
     return bit_dot(storage, query)
-
-
-@dataclass(frozen=True)
-class BinarySchemeState:
-    """One full instance of the three-server bit scheme: messages and noise.
-
-    W holds the K message bits, Z the storage noise, Zp the query noise; B
-    must have both B and I + B invertible, which build_B guarantees.
-    """
-
-    K: int
-    W: tuple[int, ...]
-    Z: tuple[int, ...]
-    Zp: tuple[int, ...]
-    B: BinMatrix
-
-    def __post_init__(self):
-        if self.K < 2:
-            raise ValueError("need K >= 2")
-        for name, vec in (("W", self.W), ("Z", self.Z), ("Zp", self.Zp)):
-            if len(vec) != self.K or any(v not in (0, 1) for v in vec):
-                raise ValueError(f"{name} must be a length-K bit vector")
-        if self.B.rows != self.K or self.B.cols != self.K:
-            raise ValueError("B must be K x K")
-        if bin_det(self.B) != 1 or bin_det(BinMatrix.identity(self.K) + self.B) != 1:
-            raise ValueError("B and I + B must both be invertible")
-
-    @classmethod
-    def random(cls, k: int, rng: Random, b: BinMatrix | None = None) -> "BinarySchemeState":
-        if b is None:
-            b = build_B(k)
-        draw = lambda: tuple(rng.randrange(2) for _ in range(k))
-        return cls(k, draw(), draw(), draw(), b)
-
-
-@dataclass(frozen=True)
-class BinaryRound:
-    """One retrieval of the bit scheme: everything on the wire plus the result."""
-
-    storage: tuple[tuple[int, ...], ...]
-    queries: tuple[tuple[int, ...], ...]
-    answers: tuple[int | None, ...]
-    downloaded: tuple[int, ...]
-    decoded: int
-
-
-def binary_round(state: BinarySchemeState, theta: int) -> BinaryRound:
-    """Run the three-server bit scheme once.
-
-    The decoded bit is the XOR of the three answers (an absent answer from a
-    zero-query server contributes 0) and always equals W_theta. Each query
-    vector is individually uniform, so a server learns nothing about theta,
-    and each stored vector is uniform, so a server learns nothing about W.
-    """
-    storage = binary_storage(state.W, state.Z, state.B)
-    queries = binary_queries(theta, state.Zp, state.B)
-    answers = tuple(binary_answer(s, q) for s, q in zip(storage, queries))
-    downloaded = tuple(0 if a is None else 1 for a in answers)
-    decoded = 0
-    for a in answers:
-        decoded ^= a or 0
-    return BinaryRound(storage, queries, answers, downloaded, decoded)
 
 
 @dataclass(frozen=True)
@@ -342,42 +262,11 @@ class SymXspirParams:
         return PrimeField(self.p)
 
 
-@dataclass(frozen=True)
-class SymXspirState:
-    """Messages, the X*K*K noise grid, and the user's private column m_o.
-
-    z[x][k][m] is the noise symbol at noise-server x+1 for message k+1 and
-    column m+1; W holds the K single-symbol messages.
-    """
-
-    params: SymXspirParams
-    W: tuple[Fe, ...]
-    z: tuple[tuple[tuple[Fe, ...], ...], ...]
-    m_o: int
-
-    def __post_init__(self):
-        k, x = self.params.K, self.params.X
-        if len(self.W) != k:
-            raise ValueError("need K message symbols")
-        if len(self.z) != x or any(
-            len(zk) != k or any(len(zkm) != k for zkm in zk) for zk in self.z
-        ):
-            raise ValueError("noise grid must be X x K x K")
-        if not 1 <= self.m_o <= k:
-            raise ValueError(f"m_o must be in 1..{k}")
-
-    @classmethod
-    def random(cls, params: SymXspirParams, rng: Random) -> "SymXspirState":
-        f = params.field
-        w = tuple(f.random(rng) for _ in range(params.K))
-        z = tuple(
-            tuple(
-                tuple(f.random(rng) for _ in range(params.K))
-                for _ in range(params.K)
-            )
-            for _ in range(params.X)
-        )
-        return cls(params, w, z, rng.randrange(params.K) + 1)
+def sym_xspir_noise_space(params: SymXspirParams) -> Space:
+    """Every X x K x K noise grid: z[x][k][m] is the noise symbol at
+    noise-server x+1 for message k+1 and column m+1."""
+    shape = (params.X, params.K, params.K)
+    return Space(params.p, params.X * params.K * params.K, lambda v: nest(v, shape, params.field))
 
 
 def _wrap(m: int, k: int) -> int:
@@ -390,6 +279,10 @@ def sym_xspir_storage(
 ) -> tuple[tuple[tuple[Fe, ...], ...], ...]:
     """Per-server K x K grids: servers 1..X hold raw noise, server N holds
     every message masked by the column-aligned noise sums."""
+    if len(w) != params.K or len(z) != params.X or any(
+        len(zx) != params.K or any(len(row) != params.K for row in zx) for zx in z
+    ):
+        raise ValueError("need K message symbols and an X x K x K noise grid")
     noise_servers = tuple(
         tuple(tuple(zk) for zk in z[x]) for x in range(params.X)
     )
@@ -429,35 +322,3 @@ def sym_xspir_answer(
     if len(request) != len(grid):
         raise ValueError("need one column index per message")
     return tuple(grid[k][request[k] - 1] for k in range(len(grid)))
-
-
-@dataclass(frozen=True)
-class SymXspirRound:
-    """One retrieval: per-server requests, K-symbol answers, the result."""
-
-    queries: tuple[tuple[int, ...], ...]
-    answers: tuple[tuple[Fe, ...], ...]
-    downloaded: tuple[int, ...]
-    decoded: Fe
-
-
-def sym_xspir_round(state: SymXspirState, theta: int) -> SymXspirRound:
-    """Run the symmetrically secure scheme once.
-
-    Slot theta of server N's answer is W_theta masked by the noises at
-    column m_o, which are exactly what the noise servers return in the same
-    slot; subtracting recovers W_theta. Every download is K symbols, so the
-    rate is 1/(K*N). Slots k != theta stay masked by noise entries the user
-    never sees in clear form, which is the symmetric-security side.
-    """
-    params = state.params
-    storage = sym_xspir_storage(state.W, state.z, params)
-    queries = sym_xspir_queries(theta, state.m_o, params)
-    answers = tuple(
-        sym_xspir_answer(grid, req) for grid, req in zip(storage, queries)
-    )
-    decoded = answers[-1][theta - 1]
-    for x in range(params.X):
-        decoded = decoded - answers[x][theta - 1]
-    downloaded = tuple(len(a) for a in answers)
-    return SymXspirRound(queries, answers, downloaded, decoded)

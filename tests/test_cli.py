@@ -118,6 +118,11 @@ def test_retrieve_all_schemes(tmp_path, capsys, monkeypatch):
          "--property", "security", "--subset-size", "4"],
         ["audit", "--scheme", "csa", "-N", "3", "-K", "1", "-X", "1", "-T", "1",
          "--property", "privacy", "--subset-size", "0"],
+        # properties that audit no collusion set take no subset size
+        ["audit", "--scheme", "csa", "-N", "3", "-K", "1", "-X", "1", "-T", "1",
+         "--property", "correctness", "--subset-size", "9"],
+        ["audit", "--scheme", "sym_xspir", "-N", "2", "-K", "2", "-X", "1", "-T", "1",
+         "--property", "sym-security", "--subset-size", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):

@@ -9,28 +9,37 @@ import pytest
 
 from xstpir.csa import MessageSet
 from xstpir.field import BinMatrix, InsufficientFieldError, bin_det
+from xstpir.scheme import BinaryScheme, DownloadAllScheme, SymXspirScheme
+from xstpir.sim import run_retrieval
 from xstpir.special import (
-    BinarySchemeState,
     DownloadAllParams,
     SymXspirParams,
-    SymXspirState,
     binary_answer,
     binary_queries,
-    binary_round,
     binary_storage,
     build_B,
     download_all_decode,
     download_all_encode,
-    download_all_noise,
-    download_all_retrieve,
+    download_all_noise_space,
     sym_xspir_queries,
-    sym_xspir_round,
     sym_xspir_storage,
 )
 
 
 def _bits(k: int):
     return product((0, 1), repeat=k)
+
+
+def _round(scheme, messages, noise, randomness, theta):
+    """One retrieval through the scheme's own maps, without the wire:
+    (queries, per-server answers, decoded value)."""
+    queries = scheme.queries(theta, randomness)
+    answers = tuple(map(scheme.answer, scheme.storage(messages, noise), queries))
+    return queries, answers, scheme.decode(theta, answers)
+
+
+def _downloaded(answers) -> tuple[int, ...]:
+    return tuple(0 if a is None else len(a) for a in answers)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +63,7 @@ def test_download_all_params_validation():
 
 def test_download_all_exhaustive_tiny_instance():
     params = DownloadAllParams.make(2, 2, 1, 1)
+    scheme = DownloadAllScheme(params)
     f = params.field
     assert params.L == 1
     rounds = 0
@@ -62,9 +72,9 @@ def test_download_all_exhaustive_tiny_instance():
         for z1, z2 in product(range(3), repeat=2):
             noise = ((f(z1),), (f(z2),))
             for theta in (1, 2):
-                msg, downloaded = download_all_retrieve(params, w, noise, theta)
-                assert msg == w.message(theta)
-                assert downloaded == params.N * params.K
+                _, answers, decoded = _round(scheme, w, noise, None, theta)
+                assert decoded == tuple(e.value for e in w.message(theta))
+                assert sum(_downloaded(answers)) == params.N * params.K
                 rounds += 1
     assert rounds == 3**4 * 2
 
@@ -77,7 +87,7 @@ def test_download_all_decode_matches_independent_oracle():
     rng = Random(8)
     for _ in range(50):
         w = MessageSet.random(params.K, params.L, f, rng)
-        noise = download_all_noise(params, rng)
+        noise = download_all_noise_space(params).sample(rng)
         payloads = download_all_encode(w, noise, params)
         got = download_all_decode(payloads, params)
         for k in range(params.K):
@@ -88,6 +98,14 @@ def test_download_all_decode_matches_independent_oracle():
             )
             assert got[k] == oracle
         assert got == w.symbols
+
+
+def test_download_all_runs_without_storage_noise():
+    # X = 0: the noise block has an empty row per message
+    params = DownloadAllParams.make(1, 2, 0, 1)
+    assert download_all_noise_space(params).sample(Random(0)) == ((), ())
+    w = MessageSet.from_ints([[1], [0]], params.field)
+    assert run_retrieval(params, w, 1, seed=0).transcript.decoded == (1,)
 
 
 def test_download_all_single_server_view_is_uniform():
@@ -119,7 +137,7 @@ def test_download_all_shape_errors():
     with pytest.raises(ValueError):
         download_all_decode(((f(0), f(0)),), params)  # missing a server
     with pytest.raises(ValueError):
-        download_all_retrieve(params, w, ((f(0),), (f(0),)), 3)
+        run_retrieval(params, w, 3, seed=0)  # theta outside 1..K
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +197,18 @@ def test_binary_layout_closed_forms():
 
 def test_binary_round_exhaustive():
     for k in (2, 3):
+        scheme = BinaryScheme(k)
         state_space = 0
         for w in _bits(k):
             for z in _bits(k):
                 for zp in _bits(k):
-                    state = BinarySchemeState(k, w, z, zp, build_B(k))
                     for theta in range(1, k + 1):
-                        r = binary_round(state, theta)
-                        assert r.decoded == w[theta - 1]
-                        for q, a, d in zip(r.queries, r.answers, r.downloaded):
+                        queries, answers, decoded = _round(scheme, w, z, zp, theta)
+                        assert decoded == (w[theta - 1],)
+                        for q, a, d in zip(queries, answers, _downloaded(answers)):
                             assert (a is None) == (not any(q))
                             assert d == (0 if a is None else 1)
+                            assert d == scheme.answer_symbols(q)
                         state_space += 1
         assert state_space == 8**k * k
 
@@ -198,16 +217,16 @@ def test_binary_download_count_depends_only_on_query_noise():
     # per theta, exactly three choices of Z' silence one server each, so the
     # total download over the 2^K query noises is 3 * 2^K - 3 for every theta
     for k in (2, 3, 4):
-        b = build_B(k)
+        scheme = BinaryScheme(k)
         w = (0,) * k
         z = (0,) * k
         for theta in range(1, k + 1):
             total = 0
             silent = 0
             for zp in _bits(k):
-                r = binary_round(BinarySchemeState(k, w, z, zp, b), theta)
-                total += sum(r.downloaded)
-                silent += r.downloaded.count(0)
+                downloaded = _downloaded(_round(scheme, w, z, zp, theta)[1])
+                total += sum(downloaded)
+                silent += downloaded.count(0)
             assert total == 3 * 2**k - 3
             assert silent == 3
 
@@ -249,16 +268,19 @@ def test_binary_answer_zero_query_is_free():
 
 
 def test_binary_state_validation():
+    with pytest.raises(ValueError, match="K >= 2"):
+        BinaryScheme.make(3, 1, 1, 1)
+    # with I + B singular (here B = I), server 3's query is the theta unit
+    # vector whatever the query noise: B must keep I + B invertible
+    for zp in _bits(2):
+        assert binary_queries(2, zp, BinMatrix.identity(2))[2] == (0, 1)
+    with pytest.raises(ValueError, match="bit vectors"):
+        binary_storage((0, 2), (0, 0), build_B(2))
     with pytest.raises(ValueError):
-        BinarySchemeState(1, (0,), (0,), (0,), BinMatrix.identity(1))
-    with pytest.raises(ValueError, match="invertible"):
-        BinarySchemeState(2, (0, 0), (0, 0), (0, 0), BinMatrix.identity(2))
+        run_retrieval(2, (0, 2), 1, seed=0)
     with pytest.raises(ValueError):
-        BinarySchemeState(2, (0, 2), (0, 0), (0, 0), build_B(2))
-    with pytest.raises(ValueError):
-        BinarySchemeState(3, (0, 0, 0), (0, 0, 0), (0, 0, 0), build_B(2))
-    state = BinarySchemeState.random(4, Random(0))
-    assert state.B.to_rows() == build_B(4).to_rows()
+        binary_storage((0, 0, 0), (0, 0, 0), build_B(2))
+    assert BinaryScheme(4).b.to_rows() == build_B(4).to_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +300,7 @@ def test_sym_xspir_params():
 
 def test_sym_xspir_exhaustive_binary_instance():
     params = SymXspirParams.make(1, 2)
+    scheme = SymXspirScheme(params)
     f = params.field
     rounds = 0
     for w_bits in _bits(2):
@@ -290,25 +313,27 @@ def test_sym_xspir_exhaustive_binary_instance():
                 ),
             )
             for m_o in (1, 2):
-                state = SymXspirState(params, w, z, m_o)
                 for theta in (1, 2):
-                    r = sym_xspir_round(state, theta)
-                    assert r.decoded == w[theta - 1]
-                    assert r.downloaded == (2, 2)
+                    _, answers, decoded = _round(scheme, w, z, m_o, theta)
+                    assert decoded == (w[theta - 1].value,)
+                    assert _downloaded(answers) == (2, 2)
                     rounds += 1
     assert rounds == 4 * 16 * 2 * 2
 
 
 def test_sym_xspir_randomized_wider_instance():
     params = SymXspirParams.make(2, 3, p=5)
+    scheme = SymXspirScheme(params)
     rng = Random(31)
     for _ in range(200):
-        state = SymXspirState.random(params, rng)
+        w = scheme.messages.sample(rng)
+        z = scheme.storage_noises.sample(rng)
+        m_o = scheme.query_randomness.sample(rng)
         theta = rng.randrange(1, params.K + 1)
-        r = sym_xspir_round(state, theta)
-        assert r.decoded == state.W[theta - 1]
-        assert r.downloaded == (params.K,) * params.N
-        assert sum(r.downloaded) == params.K * params.N
+        _, answers, decoded = _round(scheme, w, z, m_o, theta)
+        assert decoded == (w[theta - 1].value,)
+        assert _downloaded(answers) == (params.K,) * params.N
+        assert sum(_downloaded(answers)) == params.K * params.N
 
 
 def test_sym_xspir_query_structure():
@@ -330,20 +355,23 @@ def test_sym_xspir_query_structure():
 
 def test_sym_xspir_answer_slots():
     params = SymXspirParams.make(2, 2, p=3)
+    scheme = SymXspirScheme(params)
     rng = Random(13)
     for _ in range(50):
-        state = SymXspirState.random(params, rng)
+        w = scheme.messages.sample(rng)
+        z = scheme.storage_noises.sample(rng)
+        m_o = scheme.query_randomness.sample(rng)
         theta = rng.randrange(1, 3)
-        r = sym_xspir_round(state, theta)
+        _, answers, _ = _round(scheme, w, z, m_o, theta)
         # noise servers return their grid entries at the constant column
         for x in range(params.X):
-            assert r.answers[x][theta - 1] == state.z[x][theta - 1][state.m_o - 1]
+            assert answers[x][theta - 1] == z[x][theta - 1][m_o - 1].value
         # the masked server's theta slot carries W_theta under the same noise
-        masked = r.answers[params.N - 1][theta - 1]
-        expected = state.W[theta - 1]
+        masked = answers[params.N - 1][theta - 1]
+        expected = w[theta - 1]
         for x in range(params.X):
-            expected = expected + state.z[x][theta - 1][state.m_o - 1]
-        assert masked == expected
+            expected = expected + z[x][theta - 1][m_o - 1]
+        assert masked == expected.value
 
 
 def test_sym_xspir_storage_shapes():
@@ -359,6 +387,8 @@ def test_sym_xspir_storage_shapes():
         (f(2) + f(2), f(2) + f(0)),
     )
     with pytest.raises(ValueError):
-        SymXspirState(params, w, z, m_o=3)
+        sym_xspir_queries(1, 3, params)  # m_o outside 1..K
     with pytest.raises(ValueError):
-        SymXspirState(params, w, (z[0][:1],), m_o=1)
+        sym_xspir_storage(w, (z[0][:1],), params)
+    with pytest.raises(ValueError):
+        sym_xspir_storage(w[:1], z, params)
