@@ -13,11 +13,22 @@ interference.
 The per-block scale is computed as the product with the l-th factor removed,
 never as a division, so it is well defined even at points where a factor
 vanishes.
+
+Representation: `Fe` field elements appear only in `CsaParams.alphas` and
+in `MessageSet`. Noise, shares, queries, answers and decoded symbols are
+plain ints in range(p), and the storage, query, answer and decode maps run
+on them with one reduction mod p per output symbol. What those maps need
+from the parameters alone (the points l + alpha_n, their powers, the query
+scales, the desired rows of the inverse decoding matrix and the query
+check weights) sits in one table per params value, computed once from the
+`Fe` definitions below (`delta_except`, `decoding_matrix`, `solve_linear`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from operator import mul
 from random import Random
 from typing import Iterator, Sequence
 
@@ -29,6 +40,7 @@ from .field import (
     is_prime,
     matrix_rank,
     nest,
+    reshape,
     smallest_valid_prime,
     solve_linear,
 )
@@ -196,10 +208,10 @@ class MessageSet:
 
 @dataclass(frozen=True)
 class _Noise:
-    """Uniform noise: z[l][j] is a K-vector, for l in 1..L and j in 1..J,
-    with J given by the subclass's `_shape`."""
+    """Uniform noise: z[l][j] is a K-vector of ints in range(p), for l in
+    1..L and j in 1..J, with J given by the subclass's `_shape`."""
 
-    z: tuple[tuple[tuple[Fe, ...], ...], ...]
+    z: tuple[tuple[tuple[int, ...], ...], ...]
 
     @staticmethod
     def _shape(params: CsaParams) -> tuple[int, int, int]:
@@ -207,8 +219,8 @@ class _Noise:
 
     @classmethod
     def space(cls, params: CsaParams) -> Space:
-        shape, f = cls._shape(params), params.field
-        return Space(params.p, shape[0] * shape[1] * shape[2], lambda v: cls(nest(v, shape, f)))
+        shape = cls._shape(params)
+        return Space(params.p, shape[0] * shape[1] * shape[2], lambda v: cls(reshape(v, shape)))
 
     @classmethod
     def random(cls, params: CsaParams, rng: Random):
@@ -240,26 +252,120 @@ class QueryNoise(_Noise):
 
 @dataclass(frozen=True)
 class StorageShare:
-    """What one server stores: rows[l] is the mixed K-vector for block l."""
+    """What one server stores: rows[l] is the mixed K-vector for block l,
+    ints in range(p)."""
 
     server_index: int
-    rows: tuple[tuple[Fe, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    p: int
 
 
 @dataclass(frozen=True)
 class QueryShare:
-    """What one server is asked: cols[l] is the scaled K-vector for block l."""
+    """What one server is asked: cols[l] is the scaled K-vector for block l,
+    ints in range(p)."""
 
     server_index: int
-    cols: tuple[tuple[Fe, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
+    p: int
 
 
 @dataclass(frozen=True)
 class DecodeOutput:
-    """Solved answer system: L desired symbols plus X + T interference values."""
+    """The L desired symbols, ints in range(p)."""
 
-    desired: tuple[Fe, ...]
-    interference: tuple[Fe, ...]
+    desired: tuple[int, ...]
+
+
+# Params values whose tables are kept; a run uses one or a few.
+_TABLES = 16
+
+
+class _Table:
+    """Everything the scheme's maps need from the params alone, as ints mod p.
+
+    For server n (0-based) and block l (0-based, the paper's l + 1):
+    `powers[n][l]` is (u, u^2, ..., u^max(X, T)) with u = l + 1 + alpha_n,
+    and `scales[n][l]` is delta_except(alpha_n, L, l + 1). The decoder rows
+    and the query check weights need inverses; they are computed on first
+    use, so corrupted params still encode and answer, and a failure is
+    raised again by every later call instead of being kept.
+    """
+
+    def __init__(self, params: CsaParams):
+        self.params = params
+        p, depth = params.p, max(params.X, params.T)
+        self.points = [
+            [(l_index + alpha.value) % p for l_index in range(1, params.L + 1)]
+            for alpha in params.alphas
+        ]
+        self.powers = [
+            [tuple(pow(u, j, p) for j in range(1, depth + 1)) for u in row]
+            for row in self.points
+        ]
+        self.scales = [
+            [delta_except(alpha, params.L, l_index).value for l_index in range(1, params.L + 1)]
+            for alpha in params.alphas
+        ]
+
+    @cached_property
+    def decoder(self) -> list[list[int]]:
+        """The L desired rows of the inverse decoding matrix, as ints."""
+        params = self.params
+        f, n = params.field, params.N
+        identity = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+        inverse = solve_linear(decoding_matrix(params), identity)
+        return [[e.value for e in row] for row in inverse[: params.L]]
+
+    @cached_property
+    def check_weights(self) -> list[list[int]]:
+        """w[l][n] = lambda_{n,l} / s_{n,l}, with lambda_{n,l} the Lagrange
+        weight at u = 0 over the N points of block l and s_{n,l} the query
+        scale."""
+        p = self.params.p
+        out = []
+        for l in range(self.params.L):
+            points = [row[l] for row in self.points]
+            weights = []
+            for n, u in enumerate(points):
+                num = den = 1
+                for m, v in enumerate(points):
+                    if m != n:
+                        num = num * v % p
+                        den = den * (v - u) % p
+                weights.append(num * pow(den * self.scales[n][l], -1, p) % p)
+            out.append(weights)
+        return out
+
+
+@lru_cache(maxsize=_TABLES)
+def _table(params: CsaParams) -> _Table:
+    return _Table(params)
+
+
+def _mix(
+    table: _Table,
+    bases: Sequence[Sequence[int]],
+    z: Sequence[Sequence[Sequence[int]]],
+    scales: list[list[int]] | None,
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Per server n, the L vectors base_l + sum_j u^j z[l][j] mod p, with
+    u = l + alpha_n, each times s_{n,l} when `scales` is given."""
+    p = table.params.p
+    out = []
+    for n, powers in enumerate(table.powers):
+        rows = []
+        for l, (base, zl, weights) in enumerate(zip(bases, z, powers)):
+            row = base
+            for w, zj in zip(weights, zl):
+                row = [a + w * b for a, b in zip(row, zj)]
+            if scales is None:
+                rows.append(tuple([v % p for v in row]))
+            else:
+                s = scales[n][l]
+                rows.append(tuple([s * v % p for v in row]))
+        out.append(tuple(rows))
+    return out
 
 
 def _check_dims(params: CsaParams, messages: MessageSet) -> None:
@@ -281,19 +387,9 @@ def encode_storage(
     _check_dims(params, messages)
     if len(noise.z) != params.L or any(len(zl) != params.X for zl in noise.z):
         raise ValueError("storage noise has wrong shape")
-    shares = []
-    for n, alpha in enumerate(params.alphas, start=1):
-        rows = []
-        for l_index in range(1, params.L + 1):
-            point = l_index + alpha
-            row = list(messages.column(l_index))
-            weight = point
-            for zx in noise.z[l_index - 1]:
-                row = [a + weight * b for a, b in zip(row, zx)]
-                weight = weight * point
-            rows.append(tuple(row))
-        shares.append(StorageShare(n, tuple(rows)))
-    return tuple(shares)
+    columns = [[e.value for e in col] for col in zip(*messages.symbols)]
+    rows = _mix(_table(params), columns, noise.z, None)
+    return tuple(StorageShare(n, r, params.p) for n, r in enumerate(rows, start=1))
 
 
 def gen_queries(
@@ -310,39 +406,57 @@ def gen_queries(
         raise ValueError(f"theta must be in 1..{params.K}")
     if len(qnoise.z) != params.L or any(len(zl) != params.T for zl in qnoise.z):
         raise ValueError("query noise has wrong shape")
-    field = params.field
-    unit = [field.one if k == theta else field.zero for k in range(1, params.K + 1)]
-    queries = []
-    for n, alpha in enumerate(params.alphas, start=1):
-        cols = []
-        for l_index in range(1, params.L + 1):
-            point = l_index + alpha
-            col = list(unit)
-            weight = point
-            for zt in qnoise.z[l_index - 1]:
-                col = [a + weight * b for a, b in zip(col, zt)]
-                weight = weight * point
-            scale = delta_except(alpha, params.L, l_index)
-            cols.append(tuple(scale * c for c in col))
-        queries.append(QueryShare(n, tuple(cols)))
-    return tuple(queries)
+    unit = [int(k == theta) for k in range(1, params.K + 1)]
+    table = _table(params)
+    cols = _mix(table, [unit] * params.L, qnoise.z, table.scales)
+    return tuple(QueryShare(n, c, params.p) for n, c in enumerate(cols, start=1))
 
 
-def answer(share: StorageShare, query: QueryShare) -> Fe:
+def answer(share: StorageShare, query: QueryShare) -> int:
     """One server's scalar answer: the dot product of its share and query."""
     if share.server_index != query.server_index:
         raise ValueError("share and query belong to different servers")
+    if share.p != query.p:
+        raise ValueError("share and query live in different fields")
     if len(share.rows) != len(query.cols):
         raise ValueError("share and query have different block counts")
-    acc = None
+    acc = 0
     for row, col in zip(share.rows, query.cols):
         if len(row) != len(col):
             raise ValueError("share and query have different message counts")
-        for a, b in zip(row, col):
-            term = a * b
-            acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
+        acc += sum(map(mul, row, col))
+    return acc % share.p
+
+
+def decode(answers: Sequence[int], params: CsaParams) -> DecodeOutput:
+    """Invert the answer system; the first L unknowns are the desired symbols.
+
+    The desired rows of the inverse are computed once per params value. A
+    singular decoding matrix cannot occur for validated params; if it does
+    occur (corrupted evaluation points), the solver's error propagates.
+    """
+    if len(answers) != params.N:
+        raise ValueError("need one answer per server")
+    p = params.p
+    return DecodeOutput(tuple(sum(map(mul, row, answers)) % p for row in _table(params).decoder))
+
+
+def constant_terms(queries: Sequence[QueryShare], params: CsaParams) -> tuple[tuple[int, ...], ...]:
+    """Per block l, the K-vector sum over n of lambda_{n,l} / s_{n,l} * q_{n,l}.
+
+    Unscaled, the query for block l is a polynomial in u = l + alpha_n of
+    degree T < N whose constant term is the unit vector of theta;
+    lambda_{n,l} are the Lagrange weights that evaluate it at u = 0 from its
+    N values. Honest queries for theta give that unit vector in every block,
+    whatever the noise, so this reads off which message they retrieve.
+    """
+    if len(queries) != params.N:
+        raise ValueError("need one query per server")
+    p = params.p
+    return tuple(
+        tuple(sum(map(mul, weights, column)) % p for column in zip(*(q.cols[l] for q in queries)))
+        for l, weights in enumerate(_table(params).check_weights)
+    )
 
 
 def desired_columns(params: CsaParams) -> list[list[Fe]]:
@@ -376,18 +490,6 @@ def decoding_matrix(params: CsaParams) -> list[list[Fe]]:
     return [[col[n] for col in cols] for n in range(params.N)]
 
 
-def decode(answers: Sequence[Fe], params: CsaParams) -> DecodeOutput:
-    """Invert the answer system; the first L unknowns are the desired symbols.
-
-    A singular decoding matrix cannot occur for validated params; if it does
-    occur (corrupted evaluation points), the solver's error propagates.
-    """
-    if len(answers) != params.N:
-        raise ValueError("need one answer per server")
-    solution = solve_linear(decoding_matrix(params), list(answers))
-    return DecodeOutput(tuple(solution[: params.L]), tuple(solution[params.L :]))
-
-
 def interference_aligned(
     params: CsaParams,
     messages: MessageSet,
@@ -404,10 +506,8 @@ def interference_aligned(
     """
     shares = encode_storage(messages, noise, params)
     queries = gen_queries(theta, qnoise, params)
-    answers = [answer(s, q) for s, q in zip(shares, queries)]
-    desired = messages.message(theta)
-    residual = list(answers)
-    for col, w in zip(desired_columns(params), desired):
+    residual = [params.field(answer(s, q)) for s, q in zip(shares, queries)]
+    for col, w in zip(desired_columns(params), messages.message(theta)):
         residual = [r - w * c for r, c in zip(residual, col)]
     return residual_in_interference_span(params, residual)
 

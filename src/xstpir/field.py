@@ -4,6 +4,13 @@ Everything in this package reduces to the primitives here: field-tagged
 modular scalars, Gaussian elimination for square systems, and a dedicated
 bit-matrix type for the two-element field. Every operation is exact integer
 arithmetic; no floating point is involved anywhere.
+
+`Fe` is the reference representation: it checks its field on every
+operation and serves the linear algebra here, parameters, plaintext
+messages, and the schemes outside the aligned regime. Hot loops do not use
+it: the aligned scheme (`csa`) runs its storage, query, answer and decode
+maps on plain ints reduced mod p, with its field-dependent constants
+computed once through the `Fe` functions here.
 """
 
 from __future__ import annotations
@@ -199,14 +206,19 @@ class Fe:
         return f"{self.value}%{self.field.modulus}"
 
 
-def nest(values: Sequence[int], shape: Sequence[int], field: PrimeField) -> tuple:
-    """Flat row-major `values` as nested tuples of `shape`, as elements of
-    `field`."""
-    items = [field(v) for v in values]
+def reshape(values: Sequence, shape: Sequence[int]) -> tuple:
+    """Flat row-major `values` as nested tuples of `shape`."""
+    items = values
     for depth in range(len(shape) - 1, 0, -1):
         size = shape[depth]
         items = [tuple(items[i * size : (i + 1) * size]) for i in range(prod(shape[:depth]))]
     return tuple(items)
+
+
+def nest(values: Sequence[int], shape: Sequence[int], field: PrimeField) -> tuple:
+    """Flat row-major `values` as nested tuples of `shape`, as elements of
+    `field`."""
+    return reshape([field(v) for v in values], shape)
 
 
 @dataclass(frozen=True)
@@ -294,9 +306,12 @@ def is_invertible(matrix: Sequence[Sequence[Fe]]) -> bool:
     return matrix_rank(matrix) == n
 
 
-def solve_linear(matrix: Sequence[Sequence[Fe]], rhs: Sequence[Fe]) -> list[Fe]:
+def solve_linear(matrix: Sequence[Sequence[Fe]], rhs: Sequence) -> list:
     """Solve the square system M x = y exactly by Gaussian elimination.
 
+    `rhs` is either the vector y, and the result the vector x, or a matrix
+    Y given as n rows with one column per right-hand side, and the result
+    the matrix X (n rows) with M X = Y; all columns share one elimination.
     Raises SingularMatrixError when M is not invertible.
     """
     n = len(matrix)
@@ -304,10 +319,14 @@ def solve_linear(matrix: Sequence[Sequence[Fe]], rhs: Sequence[Fe]) -> list[Fe]:
         return []
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear needs a square matrix and matching rhs")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    columns = isinstance(rhs[0], (list, tuple))
+    tails = [list(y) if columns else [y] for y in rhs]
+    if len({len(tail) for tail in tails}) != 1:
+        raise ValueError("right-hand side rows differ in length")
+    aug = [list(row) + tail for row, tail in zip(matrix, tails)]
     if _eliminate(aug, limit=n) != n:
         raise SingularMatrixError("coefficient matrix is singular")
-    return [aug[i][n] for i in range(n)]
+    return [row[n:] for row in aug] if columns else [row[n] for row in aug]
 
 
 @dataclass(frozen=True)

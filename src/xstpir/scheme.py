@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from . import capacity, csa, special
@@ -94,6 +95,11 @@ class Scheme:
     def answer_symbols(self, query: Payload) -> int:
         return self.K
 
+    def check_retrieves(self, theta: int, queries: Sequence[Payload]) -> None:
+        """Raise ValueError unless the query payloads, in server order,
+        retrieve message theta. The default checks nothing; it fits a scheme
+        whose queries do not depend on theta."""
+
     def decode(self, theta: int, answers: Sequence[Payload | None]) -> Payload:
         raise NotImplementedError
 
@@ -133,24 +139,32 @@ class CsaScheme(Scheme):
         return csa.gen_queries(theta, randomness, self.params)
 
     def share_payloads(self, shares):
-        return tuple(tuple(e.value for row in s.rows for e in row) for s in shares)
+        return tuple(tuple(chain.from_iterable(s.rows)) for s in shares)
 
     def query_payloads(self, queries):
-        return tuple(tuple(e.value for col in q.cols for e in col) for q in queries)
+        return tuple(tuple(chain.from_iterable(q.cols)) for q in queries)
 
     def query_from_payload(self, server_id, payload):
-        return csa.QueryShare(server_id, nest(payload, (self.L, self.K), self.params.field))
+        k = self.K
+        cols = tuple(payload[i : i + k] for i in range(0, self.L * k, k))
+        return csa.QueryShare(server_id, cols, self.p)
 
     def answer(self, share, query):
-        return (csa.answer(share, query).value,)
+        return (csa.answer(share, query),)
 
     def answer_symbols(self, query):
         return 1 if any(query) else 0
 
+    def check_retrieves(self, theta, queries):
+        """Each block's queries, unscaled and evaluated at u = 0, must give
+        the unit vector of theta (see `csa.constant_terms`)."""
+        shares = [self.query_from_payload(n, q) for n, q in enumerate(queries, start=1)]
+        unit = tuple(int(k == theta) for k in range(1, self.K + 1))
+        if any(v != unit for v in csa.constant_terms(shares, self.params)):
+            raise ValueError(f"the queries do not retrieve message {theta}")
+
     def decode(self, theta, answers):
-        f = self.params.field
-        out = csa.decode([f(a[0]) if a else f.zero for a in answers], self.params)
-        return tuple(e.value for e in out.desired)
+        return csa.decode([a[0] if a else 0 for a in answers], self.params).desired
 
     def closed_form_rate(self):
         return capacity.finite_k_rate(self.N, self.X, self.T, self.K, self.p, self.L)
@@ -185,6 +199,9 @@ class DownloadAllScheme(Scheme):
 
     def queries(self, theta, randomness):
         return ((),) * self.N
+
+    # check_retrieves keeps the default: the queries are empty, so a replay
+    # can only tell theta by re-decoding against the DECODED line.
 
     def share_payloads(self, shares):
         return tuple(tuple(e.value for e in s) for s in shares)
@@ -253,6 +270,12 @@ class BinaryScheme(Scheme):
     def answer_symbols(self, query):
         return 1 if any(query) else 0
 
+    def check_retrieves(self, theta, queries):
+        """q1 + q2 must be the unit vector of theta; server 1's query is the
+        randomness Z' itself, so all three queries are rebuilt from it."""
+        if tuple(queries) != self.queries(theta, queries[0]):
+            raise ValueError(f"the queries do not retrieve message {theta}")
+
     def decode(self, theta, answers):
         return (sum(a[0] for a in answers if a) % 2,)
 
@@ -301,6 +324,13 @@ class SymXspirScheme(Scheme):
 
     def answer(self, share, query):
         return tuple(e.value for e in special.sym_xspir_answer(share, query))
+
+    def check_retrieves(self, theta, queries):
+        """Server N's first column is wrap(m_o - theta + 1), with m_o the
+        column every other server is asked for, so all queries are rebuilt
+        from m_o = server 1's first column."""
+        if tuple(queries) != self.queries(theta, queries[0][0]):
+            raise ValueError(f"the queries do not retrieve message {theta}")
 
     def decode(self, theta, answers):
         value = answers[-1][theta - 1] - sum(a[theta - 1] for a in answers[: self.X])

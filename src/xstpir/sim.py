@@ -48,13 +48,14 @@ class WireMessage:
             raise ValueError("ANSWER_EMPTY carries no payload")
         if self.server_id < 1:
             raise ValueError("server ids are 1-based")
-        if any(v < 0 for v in self.payload):
+        if self.payload and min(self.payload) < 0:
             raise ValueError("payload symbols are nonnegative integers")
 
     def encode(self) -> str:
-        parts = [self.kind, str(self.server_id), str(len(self.payload))]
-        parts.extend(str(v) for v in self.payload)
-        return " ".join(parts) + "\n"
+        head = f"{self.kind} {self.server_id} {len(self.payload)}"
+        if not self.payload:
+            return head + "\n"
+        return f"{head} {' '.join(map(str, self.payload))}\n"
 
     @classmethod
     def parse(cls, line: str) -> "WireMessage":
@@ -62,7 +63,7 @@ class WireMessage:
         if len(parts) < 3:
             raise ValueError(f"malformed wire line: {line!r}")
         kind, server_id, count = parts[0], int(parts[1]), int(parts[2])
-        payload = tuple(int(v) for v in parts[3:])
+        payload = tuple(map(int, parts[3:]))
         if len(payload) != count:
             raise ValueError(f"payload count mismatch in line: {line!r}")
         return cls(kind, server_id, payload)
@@ -285,13 +286,19 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
     Returns the parsed transcript and the value re-decoded from the recorded
     header, queries and answers alone; a faithful transcript re-decodes to
     its own DECODED line. Raises ValueError when the transcript is not one
-    the scheme in its header could have produced (see `_answers_by_server`).
+    the scheme in its header could have produced (see `_answers_by_server`),
+    or when its queries do not retrieve the header's theta. download_all
+    sends empty queries, so there the re-decode against the DECODED line is
+    the only check of theta.
     """
     transcript = Transcript.parse(text)
     scheme = _scheme_of(transcript)
-    scheme.check_theta(transcript.theta)
+    theta = transcript.theta
+    scheme.check_theta(theta)
     answers = _answers_by_server(scheme, transcript.queries, transcript.answers)
-    return transcript, scheme.decode(transcript.theta, answers)
+    queries = sorted(transcript.queries, key=lambda m: m.server_id)
+    scheme.check_retrieves(theta, [m.payload for m in queries])
+    return transcript, scheme.decode(theta, answers)
 
 
 def empirical_rate(

@@ -136,17 +136,16 @@ def download_all_decode(
     if len(payloads) != params.N or any(len(row) != params.K for row in payloads):
         raise ValueError("need the full N x K download")
     gen = _noise_generator(params)
-    tail_block = [gen[n] for n in range(params.L, params.N)]
+    # noise[x][k] for every message k at once: one elimination of the tail.
+    tail = [list(payloads[n]) for n in range(params.L, params.N)]
+    noise = solve_linear(gen[params.L :], tail) if params.X else []
     out = []
     for k in range(params.K):
-        stored = [payloads[n][k] for n in range(params.N)]
-        tail = stored[params.L :]
-        noise_k = solve_linear(tail_block, tail) if params.X else []
         cleaned = []
         for n in range(params.L):
-            acc = stored[n]
+            acc = payloads[n][k]
             for x in range(params.X):
-                acc = acc - gen[n][x] * noise_k[x]
+                acc = acc - gen[n][x] * noise[x][k]
             cleaned.append(acc)
         out.append(tuple(cleaned))
     return tuple(out)

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from xstpir import csa as csa_mod
 from xstpir.csa import (
     CsaParams,
     MessageSet,
@@ -36,7 +37,12 @@ from xstpir.field import (
     SingularMatrixError,
     is_invertible,
     is_prime,
+    solve_linear,
 )
+
+
+def _values(symbols):
+    return tuple(e.value for e in symbols)
 
 
 def test_delta_goldens():
@@ -127,7 +133,7 @@ def test_storage_layout_worked_example():
     f = params.field
     w = MessageSet.from_ints([[1, 2], [3, 4]], f)  # rows are messages
     z = StorageNoise(
-        (((f(5), f(6)),), ((f(2), f(1)),))  # z[l][x] is a K-vector
+        (((5, 6),), ((2, 1),))  # z[l][x] is a K-vector
     )
     shares = encode_storage(w, z, params)
     for n, alpha in enumerate(params.alphas, start=1):
@@ -137,7 +143,7 @@ def test_storage_layout_worked_example():
         for l_index in range(1, params.L + 1):
             point = l_index + alpha
             expected = tuple(
-                w.column(l_index)[k] + point * z.z[l_index - 1][0][k]
+                (w.column(l_index)[k] + point * z.z[l_index - 1][0][k]).value
                 for k in range(params.K)
             )
             assert share.rows[l_index - 1] == expected
@@ -148,8 +154,8 @@ def test_query_layout_worked_example():
     f = params.field
     zp = QueryNoise(
         (
-            ((f(1), f(2)), (f(3), f(4))),  # block 1: T = 2 noise K-vectors
-            ((f(5), f(6)), (f(0), f(1))),
+            ((1, 2), (3, 4)),  # block 1: T = 2 noise K-vectors
+            ((5, 6), (0, 1)),
         )
     )
     theta = 2
@@ -167,7 +173,7 @@ def test_query_layout_worked_example():
                 for zt in zp.z[l_index - 1]:
                     acc = acc + weight * zt[k - 1]
                     weight = weight * point
-                expected.append(scale * acc)
+                expected.append((scale * acc).value)
             assert q.cols[l_index - 1] == tuple(expected)
     with pytest.raises(ValueError):
         gen_queries(0, zp, params)
@@ -181,14 +187,14 @@ def test_scalar_answer_expansion_oracle_exhaustive():
     f = params.field
     for wv, zv, zpv in product(range(5), repeat=3):
         w = MessageSet.from_ints([[wv]], f)
-        z = StorageNoise((((f(zv),),),))
-        zp = QueryNoise((((f(zpv),),),))
+        z = StorageNoise((((zv,),),))
+        zp = QueryNoise((((zpv,),),))
         shares = encode_storage(w, z, params)
         queries = gen_queries(1, zp, params)
         for n, alpha in enumerate(params.alphas):
             point = 1 + alpha
             expected = f(wv) + point * (f(wv) * f(zpv) + f(zv)) + point * point * f(zv) * f(zpv)
-            assert answer(shares[n], queries[n]) == expected
+            assert answer(shares[n], queries[n]) == expected.value
 
 
 def test_two_block_product_form_oracle():
@@ -214,9 +220,97 @@ def test_two_block_product_form_oracle():
             expected = g * (w1 + b * z11 + b * b * z12) * (1 + b * zp1) + b * (
                 w2 + g * z21 + g * g * z22
             ) * (1 + g * zp2)
-            assert answers[n] == expected
+            assert answers[n] == expected.value
         out = decode(answers, params)
-        assert out.desired == w.message(1)
+        assert out.desired == _values(w.message(1))
+
+
+# (N, K, X, T, p): L = 1 (N = X + T + 1) and longer messages, minimal and
+# non-minimal primes (None picks the minimal one).
+KERNEL_GRID = [
+    (3, 1, 1, 1, None),
+    (4, 3, 2, 1, None),
+    (6, 2, 2, 3, 13),
+    (5, 2, 1, 1, None),
+    (5, 3, 1, 2, 23),
+    (7, 3, 2, 2, 17),
+    (8, 4, 1, 3, None),
+]
+
+
+@pytest.mark.parametrize("n,k,x,t,p", KERNEL_GRID)
+def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
+    # Shares, queries and answers recomputed from the paper's definitions
+    # with Fe arithmetic: S_n,l = W_l + sum_x u^x Z_l,x and
+    # Q_n,l = prod_{i != l} (i + alpha_n) (e_theta + sum_t u^t Z'_l,t),
+    # with u = l + alpha_n; the answer is sum_l S_n,l . Q_n,l.
+    params = CsaParams.make(n, k, x, t, p=p)
+    f = params.field
+    rng = Random(n * 1000 + k * 100 + x * 10 + t)
+    for _ in range(4):
+        w = MessageSet.random(k, params.L, f, rng)
+        z = StorageNoise.random(params, rng)
+        zp = QueryNoise.random(params, rng)
+        theta = rng.randrange(1, k + 1)
+        shares = encode_storage(w, z, params)
+        queries = gen_queries(theta, zp, params)
+        answers = [answer(s, q) for s, q in zip(shares, queries)]
+        for idx, alpha in enumerate(params.alphas):
+            want_answer = f.zero
+            for l_index in range(1, params.L + 1):
+                u = l_index + alpha
+                scale = f.one
+                for i in range(1, params.L + 1):
+                    if i != l_index:
+                        scale = scale * (i + alpha)
+                row, col = [], []
+                for kk in range(k):
+                    s_sym = w.symbols[kk][l_index - 1]
+                    q_sym = f.one if kk + 1 == theta else f.zero
+                    for j in range(x):
+                        s_sym = s_sym + u ** (j + 1) * z.z[l_index - 1][j][kk]
+                    for j in range(t):
+                        q_sym = q_sym + u ** (j + 1) * zp.z[l_index - 1][j][kk]
+                    q_sym = scale * q_sym
+                    row.append(s_sym)
+                    col.append(q_sym)
+                    want_answer = want_answer + s_sym * q_sym
+                assert shares[idx].rows[l_index - 1] == _values(row)
+                assert queries[idx].cols[l_index - 1] == _values(col)
+            assert answers[idx] == want_answer.value
+        assert decode(answers, params).desired == _values(w.message(theta))
+
+
+def test_decode_of_arbitrary_answers_matches_elimination():
+    # not only honest answers: decode is the inverse of the decoding matrix
+    rng = Random(8)
+    for n, k, x, t, p in KERNEL_GRID:
+        params = CsaParams.make(n, k, x, t, p=p)
+        f = params.field
+        matrix = decoding_matrix(params)
+        for _ in range(5):
+            answers = [rng.randrange(params.p) for _ in range(n)]
+            want = solve_linear(matrix, [f(a) for a in answers])[: params.L]
+            assert decode(answers, params).desired == _values(want)
+
+
+def test_singular_decoder_raises_on_every_call(monkeypatch):
+    f = PrimeField(5)
+    params = CsaParams._unvalidated(
+        N=3, K=1, X=1, T=1, L=1, p=5, alphas=(f(0), f(1), f(1))
+    )
+    calls = []
+    solve = csa_mod.solve_linear
+
+    def counting_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(csa_mod, "solve_linear", counting_solve)
+    for attempt in range(1, 4):
+        with pytest.raises(SingularMatrixError):
+            decode([1, 2, 3], params)
+        assert len(calls) == attempt  # the failure was not kept
 
 
 def test_decoding_matrix_golden():
@@ -252,7 +346,7 @@ def test_decode_exhaustive_tiny_instance():
             for zp in iter_query_noise(params):
                 queries = gen_queries(1, zp, params)
                 answers = [answer(s, q) for s, q in zip(shares, queries)]
-                assert decode(answers, params).desired == w.message(1)
+                assert decode(answers, params).desired == _values(w.message(1))
                 count += 1
     assert count == 5**3
 
@@ -270,7 +364,7 @@ def test_randomized_decode_across_regimes():
             shares = encode_storage(w, z, params)
             queries = gen_queries(theta, zp, params)
             answers = [answer(s, q) for s, q in zip(shares, queries)]
-            assert decode(answers, params).desired == w.message(theta)
+            assert decode(answers, params).desired == _values(w.message(theta))
 
 
 def test_storage_noise_coefficients_invertible_for_any_x_subset():
@@ -299,10 +393,12 @@ def test_answer_is_linear_in_the_query():
     combined = QueryShare(
         q1.server_index,
         tuple(
-            tuple(a + b for a, b in zip(c1, c2)) for c1, c2 in zip(q1.cols, q2.cols)
+            tuple((a + b) % f.modulus for a, b in zip(c1, c2))
+            for c1, c2 in zip(q1.cols, q2.cols)
         ),
+        f.modulus,
     )
-    assert answer(share, combined) == answer(share, q1) + answer(share, q2)
+    assert answer(share, combined) == (answer(share, q1) + answer(share, q2)) % f.modulus
     with pytest.raises(ValueError):
         answer(share, gen_queries(1, QueryNoise.zeros(params), params)[0])
 

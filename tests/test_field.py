@@ -176,6 +176,25 @@ def test_solve_linear_random_roundtrip():
             done += 1
 
 
+def test_solve_linear_matrix_rhs_matches_column_solves():
+    rng = Random(31)
+    f = PrimeField(11)
+    done = 0
+    while done < 30:
+        n, width = rng.randrange(1, 6), rng.randrange(1, 4)
+        m = [[f.random(rng) for _ in range(n)] for _ in range(n)]
+        if not is_invertible(m):
+            continue
+        y = [[f.random(rng) for _ in range(width)] for _ in range(n)]
+        x = solve_linear(m, y)
+        assert len(x) == n and all(len(row) == width for row in x)
+        for j in range(width):
+            assert [row[j] for row in x] == solve_linear(m, [row[j] for row in y])
+        done += 1
+    with pytest.raises(ValueError):
+        solve_linear([[f(1), f(0)], [f(0), f(1)]], [[f(1)], [f(1), f(2)]])
+
+
 def test_solve_linear_singular_raises():
     f = PrimeField(5)
     m = [[f(1), f(1)], [f(2), f(2)]]

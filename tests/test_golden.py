@@ -27,7 +27,7 @@ from xstpir.audit import (
 )
 from xstpir.csa import CsaParams, MessageSet
 from xstpir.field import BinMatrix, PrimeField
-from xstpir.sim import run_retrieval
+from xstpir.sim import replay, run_retrieval
 from xstpir.special import DownloadAllParams, SymXspirParams
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,6 +141,13 @@ CASES = [("transcripts", n) for n in TRANSCRIPTS] + [("audits", n) for n in AUDI
 @pytest.mark.parametrize("kind,name", CASES, ids=[f"{k}/{n}" for k, n in CASES])
 def test_output_matches_golden(kind, name):
     assert render(kind, name) == (GOLDEN / kind / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", TRANSCRIPTS)
+def test_golden_transcripts_replay_to_their_decoded_line(name):
+    # replay's query checks accept every golden run, ANSWER_EMPTY included
+    transcript, redecoded = replay((GOLDEN / "transcripts" / f"{name}.txt").read_text())
+    assert redecoded == transcript.decoded
 
 
 if __name__ == "__main__":

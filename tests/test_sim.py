@@ -58,6 +58,8 @@ def test_wire_message_validation():
     with pytest.raises(ValueError):
         WireMessage(KIND_QUERY, 1, (-1,))
     with pytest.raises(ValueError):
+        WireMessage(KIND_QUERY, 1, (4, -1, 2))
+    with pytest.raises(ValueError):
         WireMessage("PING", 1, ())
     with pytest.raises(ValueError):
         WireMessage.parse("QUERY 1 3 0 1")  # count does not match payload
@@ -367,8 +369,33 @@ def _set_payload(text, kind, server_id, payload):
     return _replace_line(text, f"{kind} {server_id} ", new)
 
 
-# Each case edits a faithful csa (5,2,1,1) transcript (no ANSWER_EMPTY, theta
-# 1) into one that no run could have produced; `match` names the check.
+def _download_all_run():
+    params = DownloadAllParams.make(2, 2, 1, 1)
+    messages = MessageSet.from_ints([[2], [1]], params.field)
+    return run_retrieval(params, messages, 1, seed=0)
+
+
+def _sym_xspir_run():
+    params = SymXspirParams.make(1, 2, p=5)
+    return run_retrieval(params, (params.field(3), params.field(0)), 1, seed=0)
+
+
+# A faithful theta-1 transcript of each scheme; the csa (5,2,1,1) one has no
+# ANSWER_EMPTY, and the two download_all messages differ.
+FAITHFUL_RUNS = {
+    "csa": lambda: _csa_run(seed=0, theta=1)[1],
+    "download_all": _download_all_run,
+    "binary_n3": lambda: run_retrieval(2, (0, 1), 1, seed=0),
+    "sym_xspir": _sym_xspir_run,
+}
+
+_THETA_2 = lambda t: _edit(t, "theta 1\n", "theta 2\n")
+
+# Each case edits a faithful transcript (of csa unless a third element names
+# the scheme) into one that no run could have produced; `match` names the
+# check. download_all queries are empty, so nothing there tells theta but
+# the re-decode: its case (match None) must re-decode to something other
+# than its DECODED line.
 BAD_TRANSCRIPTS = {
     "missing header line": (lambda t: _drop_line(t, "X "), "header lacks X"),
     "repeated header line": (
@@ -400,17 +427,42 @@ BAD_TRANSCRIPTS = {
         lambda t: _edit(t, "L 3\n", "L 2\n"), "does not match"
     ),
     "unknown scheme": (lambda t: _edit(t, "scheme csa\n", "scheme pir\n"), "unknown scheme"),
+    "theta edited (csa)": (_THETA_2, "do not retrieve message 2"),
+    "theta edited (binary_n3)": (_THETA_2, "do not retrieve message 2", "binary_n3"),
+    "theta edited (sym_xspir)": (_THETA_2, "do not retrieve message 2", "sym_xspir"),
+    "theta edited (download_all)": (_THETA_2, None, "download_all"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_TRANSCRIPTS))
 def test_replay_rejects_transcripts_no_run_could_produce(case):
-    _, run = _csa_run(seed=0, theta=1)
+    edit, match, *scheme = BAD_TRANSCRIPTS[case]
+    run = FAITHFUL_RUNS[scheme[0] if scheme else "csa"]()
     text = run.transcript.render()
     assert replay(text)[1] == run.transcript.decoded
-    edit, match = BAD_TRANSCRIPTS[case]
+    if match is None:
+        transcript, redecoded = replay(edit(text))
+        assert redecoded != transcript.decoded
+        return
     with pytest.raises(ValueError, match=match):
         replay(edit(text))
+
+
+def test_replays_with_one_header_eliminate_once(monkeypatch):
+    texts = [_csa_run(seed=s, theta=1 + s % 2)[1].transcript.render() for s in (0, 1)]
+    calls = []
+    solve = csa_mod.solve_linear
+
+    def counting_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(csa_mod, "solve_linear", counting_solve)
+    csa_mod._table.cache_clear()
+    for text in texts:
+        transcript, redecoded = replay(text)
+        assert redecoded == transcript.decoded
+    assert len(calls) == 1
 
 
 def test_replay_matches_answers_to_servers_by_id():

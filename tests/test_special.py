@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from xstpir.csa import MessageSet
-from xstpir.field import BinMatrix, InsufficientFieldError, bin_det
+from xstpir.field import BinMatrix, InsufficientFieldError, bin_det, solve_linear
 from xstpir.scheme import BinaryScheme, DownloadAllScheme, SymXspirScheme
 from xstpir.sim import run_retrieval
 from xstpir.special import (
@@ -98,6 +98,26 @@ def test_download_all_decode_matches_independent_oracle():
             )
             assert got[k] == oracle
         assert got == w.symbols
+
+
+def test_download_all_decode_of_arbitrary_payloads_matches_per_message_solves():
+    # X = 2, payloads not from any encoding: each message's noise solved on
+    # its own from the tail block must give the same output
+    params = DownloadAllParams.make(4, 3, 2, 2)
+    f = params.field
+    gen = [[f(n) ** (x + 1) for x in range(params.X)] for n in range(1, params.N + 1)]
+    rng = Random(12)
+    for _ in range(20):
+        payloads = [[f.random(rng) for _ in range(params.K)] for _ in range(params.N)]
+        got = download_all_decode(payloads, params)
+        for k in range(params.K):
+            stored = [row[k] for row in payloads]
+            noise = solve_linear(gen[params.L :], stored[params.L :])
+            want = tuple(
+                stored[n] - sum((g * z for g, z in zip(gen[n], noise)), f.zero)
+                for n in range(params.L)
+            )
+            assert got[k] == want
 
 
 def test_download_all_runs_without_storage_noise():
