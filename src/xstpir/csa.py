@@ -34,6 +34,7 @@ from typing import Iterator, Sequence
 
 from .field import (
     Fe,
+    FieldMismatchError,
     InsufficientFieldError,
     PrimeField,
     Space,
@@ -387,6 +388,9 @@ def encode_storage(
     _check_dims(params, messages)
     if len(noise.z) != params.L or any(len(zl) != params.X for zl in noise.z):
         raise ValueError("storage noise has wrong shape")
+    field = params.field
+    if any(e.field is not field for row in messages.symbols for e in row):
+        raise FieldMismatchError(f"messages must live in {field!r}")
     columns = [[e.value for e in col] for col in zip(*messages.symbols)]
     rows = _mix(_table(params), columns, noise.z, None)
     return tuple(StorageShare(n, r, params.p) for n, r in enumerate(rows, start=1))
@@ -441,7 +445,9 @@ def decode(answers: Sequence[int], params: CsaParams) -> DecodeOutput:
     return DecodeOutput(tuple(sum(map(mul, row, answers)) % p for row in _table(params).decoder))
 
 
-def constant_terms(queries: Sequence[QueryShare], params: CsaParams) -> tuple[tuple[int, ...], ...]:
+def constant_terms(
+    queries: Sequence[QueryShare], params: CsaParams
+) -> tuple[tuple[int, ...], ...]:
     """Per block l, the K-vector sum over n of lambda_{n,l} / s_{n,l} * q_{n,l}.
 
     Unscaled, the query for block l is a polynomial in u = l + alpha_n of

@@ -32,6 +32,7 @@ from xstpir.csa import (
     residual_in_interference_span,
 )
 from xstpir.field import (
+    FieldMismatchError,
     InsufficientFieldError,
     PrimeField,
     SingularMatrixError,
@@ -147,6 +148,13 @@ def test_storage_layout_worked_example():
                 for k in range(params.K)
             )
             assert share.rows[l_index - 1] == expected
+
+
+def test_storage_rejects_messages_from_another_field():
+    params = CsaParams.make(5, 2, 1, 2)  # p = 7
+    w = MessageSet.from_ints([[1, 2], [3, 4]], PrimeField(11))
+    with pytest.raises(FieldMismatchError):
+        encode_storage(w, StorageNoise.zeros(params), params)
 
 
 def test_query_layout_worked_example():
