@@ -9,7 +9,11 @@ tables built from full enumeration of the relevant randomness:
   storage noise) for every message realization;
 - T-privacy: any T servers' joint view of (their queries, their shares) is
   identically distributed (over messages, storage noise and query
-  randomness) for every retrieval index theta;
+  randomness) for every retrieval index theta. The storage depends on
+  neither theta nor the query randomness, so each theta's joint table is
+  its query table times one share table common to every theta, and the
+  distance between two such products is the distance between their query
+  tables; the audit tabulates the query view alone;
 - symmetric security: conditioned on (theta, the realized queries, the value
   of message theta), the answer tuple is identically distributed (over the
   storage noise) for every value of the other messages;
@@ -28,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from random import Random
 from typing import Sequence
 
@@ -195,9 +199,20 @@ def audit_privacy(
     """The joint view (queries, shares) of any `subset_size` servers must not
     depend on theta.
 
-    The view distribution is tabulated over messages, storage noise and query
-    randomness jointly, once per theta, and compared across thetas. A subset
-    size outside 1..N raises ValueError.
+    The exhaustive table is built from the query view alone. The query view
+    of a subset depends only on (theta, qr), the share view only on (m, z),
+    and the two are enumerated independently, so theta's joint count of a
+    view (a, b) is Q_theta(a) * S(b), with Q_theta counted over the query
+    randomness and S over the `pairs` = |messages| * |storage noise| values
+    of (m, z), the same S for every theta. Hence
+
+        sum_{a,b} |Q_1(a) S(b) - Q_2(a) S(b)| / (2 |qr| pairs)
+            = sum_a |Q_1(a) - Q_2(a)| / (2 |qr|),
+
+    and the share enumeration cannot move max_tv. `enumerated` still counts
+    the len(thetas) * |qr| * pairs joint realizations the table covers.
+    The sampled fallback draws (m, z, qr) jointly. A subset size outside
+    1..N raises ValueError.
     """
     size = inst.T if subset_size is None else subset_size
     subsets = _subsets(inst, size)
@@ -205,32 +220,19 @@ def audit_privacy(
     pairs = inst.messages.size * inst.storage_noises.size
     work = len(thetas) * pairs * inst.query_randomness.size
     if work <= cap:
-        noises = list(inst.storage_noises)
-        share_keys = [
-            inst.share_payloads(inst.storage(m, z)) for m in inst.messages for z in noises
-        ]
-        assert len(share_keys) == pairs
+        randomness = list(inst.query_randomness)
         tables: dict[tuple, list[Counter]] = {
             s: [Counter() for _ in thetas] for s in subsets
         }
-        randomness = list(inst.query_randomness)
-        enumerated = 0
         for ti, theta in enumerate(thetas):
             for qr in randomness:
                 qkeys = inst.query_payloads(inst.queries(theta, qr))
-                for skeys in share_keys:
-                    enumerated += 1
-                    for s in subsets:
-                        view = (
-                            tuple(qkeys[i] for i in s),
-                            tuple(skeys[i] for i in s),
-                        )
-                        tables[s][ti][view] += 1
-        assert enumerated == work
-        max_tv = _max_tv(tables, pairs * inst.query_randomness.size)
+                for s in subsets:
+                    tables[s][ti][tuple(qkeys[i] for i in s)] += 1
+        max_tv = _max_tv(tables, len(randomness))
         return AuditReport(
             T_PRIVACY, inst.describe(), size, len(subsets),
-            max_tv, max_tv == 0, True, enumerated,
+            max_tv, max_tv == 0, True, len(thetas) * len(randomness) * pairs,
         )
     rng = Random(seed)
     max_tv = Fraction(0)
@@ -335,9 +337,27 @@ def audit_sym_security(
     return _sampled_report(SYM_SECURITY, inst, inst.N, groups, max_tv, samples)
 
 
-def _decodes(inst: Scheme, m, z, theta: int, qr) -> bool:
-    answers = _answers(inst, inst.storage(m, z), inst.queries(theta, qr))
-    return inst.decode(theta, answers) == inst.plaintext(m, theta)
+def _attempt(make, *args):
+    """make(*args), or the exception it raised."""
+    try:
+        return make(*args)
+    except Exception as exc:
+        return exc
+
+
+def _decodes(inst: Scheme, theta: int, m, shares, queries) -> tuple[bool, Exception | None]:
+    """Whether one realization decodes to message theta, and the first
+    exception on its way: from building the shares, from building the
+    queries (each passed in as the exception when it raised), or from the
+    answers and decode."""
+    for made in (shares, queries):
+        if isinstance(made, Exception):
+            return False, made
+    try:
+        answers = _answers(inst, shares, queries)
+        return inst.decode(theta, answers) == inst.plaintext(m, theta), None
+    except Exception as exc:
+        return False, exc
 
 
 def audit_correctness(
@@ -349,9 +369,11 @@ def audit_correctness(
     """decode must return message theta on every realization.
 
     The max_tv_distance field carries the exact failure fraction, so the
-    pass condition is uniformly distance == 0. A decode that raises (for
-    instance after a corrupted-parameter injection) counts as a failure and
-    the first error is surfaced in the detail field.
+    pass condition is uniformly distance == 0. A realization whose storage,
+    queries or decode raises (for instance after a corrupted-parameter
+    injection) counts as a failure, and the first error in (theta, m, z, qr)
+    order is surfaced in the detail field. The exhaustive mode builds the
+    storage once per (m, z) and the queries once per (theta, qr).
     """
     thetas = list(inst.thetas)
     work = (
@@ -362,22 +384,16 @@ def audit_correctness(
     )
     exhaustive = work <= cap
     if exhaustive:
-        rounds = product(
-            thetas, list(inst.messages), list(inst.storage_noises),
-            list(inst.query_randomness),
-        )
+        rounds = _exhaustive_rounds(inst, thetas)
     else:
         rounds = _sampled_rounds(inst, thetas, samples, Random(seed))
     detail = ""
     failures = enumerated = 0
-    for theta, m, z, qr in rounds:
+    for theta, m, shares, queries in rounds:
         enumerated += 1
-        try:
-            ok = _decodes(inst, m, z, theta, qr)
-        except Exception as exc:
-            ok = False
-            if not detail:
-                detail = f"decode raised {type(exc).__name__}: {exc}"
+        ok, error = _decodes(inst, theta, m, shares, queries)
+        if error is not None and not detail:
+            detail = f"decode raised {type(error).__name__}: {error}"
         if not ok:
             failures += 1
     assert enumerated == (work if exhaustive else samples)
@@ -389,12 +405,26 @@ def audit_correctness(
     )
 
 
+def _exhaustive_rounds(inst: Scheme, thetas: list[int]):
+    """Every (theta, m, shares, queries) in (theta, m, z, qr) order."""
+    messages = list(inst.messages)
+    randomness = list(inst.query_randomness)
+    stored = [[_attempt(inst.storage, m, z) for z in inst.storage_noises] for m in messages]
+    for theta in thetas:
+        asked = [_attempt(inst.queries, theta, qr) for qr in randomness]
+        for m, row in zip(messages, stored):
+            for shares in row:
+                for queries in asked:
+                    yield theta, m, shares, queries
+
+
 def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
     for _ in range(samples):
         theta = thetas[rng.randrange(len(thetas))]
         m = inst.messages.sample(rng)
         z = inst.storage_noises.sample(rng)
-        yield theta, m, z, inst.query_randomness.sample(rng)
+        qr = inst.query_randomness.sample(rng)
+        yield theta, m, _attempt(inst.storage, m, z), _attempt(inst.queries, theta, qr)
 
 
 def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> int:

@@ -392,7 +392,11 @@ def encode_storage(
     if any(e.field is not field for row in messages.symbols for e in row):
         raise FieldMismatchError(f"messages must live in {field!r}")
     columns = [[e.value for e in col] for col in zip(*messages.symbols)]
-    rows = _mix(_table(params), columns, noise.z, None)
+    table = _table(params)
+    try:
+        rows = _mix(table, columns, noise.z, None)
+    except TypeError as exc:
+        raise ValueError(f"storage noise must hold ints in range({params.p})") from exc
     return tuple(StorageShare(n, r, params.p) for n, r in enumerate(rows, start=1))
 
 
@@ -412,7 +416,10 @@ def gen_queries(
         raise ValueError("query noise has wrong shape")
     unit = [int(k == theta) for k in range(1, params.K + 1)]
     table = _table(params)
-    cols = _mix(table, [unit] * params.L, qnoise.z, table.scales)
+    try:
+        cols = _mix(table, [unit] * params.L, qnoise.z, table.scales)
+    except TypeError as exc:
+        raise ValueError(f"query noise must hold ints in range({params.p})") from exc
     return tuple(QueryShare(n, c, params.p) for n, c in enumerate(cols, start=1))
 
 

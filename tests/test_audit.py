@@ -1,7 +1,9 @@
 """Distribution audits: the tiny instances must come out exactly clean, and
 planted defects must be caught."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -266,3 +268,179 @@ def test_report_is_a_plain_value():
     r2 = audit_security(BinaryInstance(2))
     assert r1 == r2
     assert isinstance(r1, AuditReport)
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive audits do only the work their result depends on
+# ---------------------------------------------------------------------------
+
+
+def _joint_privacy_reference(inst, size):
+    """The joint (query view, share view) enumeration over every (theta, qr,
+    m, z), with the max pairwise TV over thetas per subset: the table the
+    privacy audit's query-only table factors."""
+    subsets = list(combinations(range(inst.N), size))
+    thetas = list(inst.thetas)
+    share_keys = [
+        inst.share_payloads(inst.storage(m, z))
+        for m in inst.messages
+        for z in inst.storage_noises
+    ]
+    tables = {s: [Counter() for _ in thetas] for s in subsets}
+    enumerated = 0
+    for ti, theta in enumerate(thetas):
+        for qr in inst.query_randomness:
+            qkeys = inst.query_payloads(inst.queries(theta, qr))
+            for skeys in share_keys:
+                enumerated += 1
+                for s in subsets:
+                    view = (tuple(qkeys[i] for i in s), tuple(skeys[i] for i in s))
+                    tables[s][ti][view] += 1
+    total = enumerated // len(thetas)
+    max_tv = ZERO
+    for counters in tables.values():
+        for c1, c2 in combinations(counters, 2):
+            diff = sum(abs(c1[k] - c2[k]) for k in set(c1) | set(c2))
+            max_tv = max(max_tv, Fraction(diff, 2 * total))
+    return max_tv, enumerated, len(subsets)
+
+
+PRIVACY_CASES = {
+    "csa-3111": (lambda: _csa(3, 1, 1, 1), None),
+    "csa-3211": (lambda: _csa(3, 2, 1, 1), None),
+    "csa-4121": (lambda: _csa(4, 1, 2, 1), None),
+    "dl-2111": (lambda: _dl(2, 1, 1, 1), None),
+    "dl-2211": (lambda: _dl(2, 2, 1, 1), None),
+    "binary-k2": (lambda: BinaryInstance(2), None),
+    "binary-k3": (lambda: BinaryInstance(3), None),
+    "symx-x1k2": (lambda: _symx(1, 2), None),
+    # planted failures
+    "csa-3211-pairs": (lambda: _csa(3, 2, 1, 1), 2),
+    "binary-identity": (lambda: BinaryInstance(2, b=BinMatrix.identity(2)), None),
+}
+
+
+@pytest.mark.parametrize("case", PRIVACY_CASES)
+def test_privacy_matches_the_joint_enumeration(case):
+    make, subset_size = PRIVACY_CASES[case]
+    inst = make()
+    report = audit_privacy(inst, subset_size=subset_size)
+    size = report.subset_size
+    assert (report.max_tv_distance, report.enumerated, report.subsets_checked) == (
+        _joint_privacy_reference(inst, size)
+    )
+    assert report.passed == (subset_size is None and case != "binary-identity")
+
+
+def _count_calls(inst):
+    """Wrap inst's storage and queries methods; the Counter counts calls."""
+    calls = Counter()
+    for name in ("storage", "queries"):
+        def counted(*args, _method=getattr(inst, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        setattr(inst, name, counted)
+    return calls
+
+
+WORK_CASES = {
+    "csa-3211": lambda: _csa(3, 2, 1, 1),
+    "csa-4121": lambda: _csa(4, 1, 2, 1),
+    "dl-2211": lambda: _dl(2, 2, 1, 1),
+    "binary-k2": lambda: BinaryInstance(2),
+    "symx-x1k2": lambda: _symx(1, 2),
+}
+
+
+@pytest.mark.parametrize("case", WORK_CASES)
+def test_exhaustive_privacy_builds_each_query_once_and_no_storage(case):
+    inst = WORK_CASES[case]()
+    calls = _count_calls(inst)
+    assert audit_privacy(inst).exhaustive
+    assert calls["queries"] == len(inst.thetas) * inst.query_randomness.size
+    assert calls["storage"] == 0
+
+
+@pytest.mark.parametrize("case", WORK_CASES)
+def test_exhaustive_correctness_builds_each_storage_and_query_once(case):
+    inst = WORK_CASES[case]()
+    calls = _count_calls(inst)
+    assert audit_correctness(inst).exhaustive
+    assert calls["storage"] == inst.messages.size * inst.storage_noises.size
+    assert calls["queries"] == len(inst.thetas) * inst.query_randomness.size
+
+
+def _per_realization_reference(inst):
+    """Correctness as one storage, queries and decode per (theta, m, z, qr),
+    in that order: the failure fraction and the first error's detail."""
+    failures = enumerated = 0
+    detail = ""
+    for theta, m, z, qr in product(
+        list(inst.thetas), list(inst.messages), list(inst.storage_noises),
+        list(inst.query_randomness),
+    ):
+        enumerated += 1
+        try:
+            answers = tuple(map(inst.answer, inst.storage(m, z), inst.queries(theta, qr)))
+            ok = inst.decode(theta, answers) == inst.plaintext(m, theta)
+        except Exception as exc:
+            ok = False
+            if not detail:
+                detail = f"decode raised {type(exc).__name__}: {exc}"
+        failures += not ok
+    return Fraction(failures, enumerated), detail
+
+
+class _QueriesFailForTheta2(CsaInstance):
+    def queries(self, theta, randomness):
+        if theta == 2:
+            raise RuntimeError("no queries for theta 2")
+        return super().queries(theta, randomness)
+
+
+class _StorageFailsForOneMessage(CsaInstance):
+    def __init__(self, params, index):
+        super().__init__(params)
+        self.bad = list(self.messages)[index]
+
+    def storage(self, messages, noise):
+        if messages == self.bad:
+            raise RuntimeError("no storage for this message")
+        return super().storage(messages, noise)
+
+
+class _BothFail(_StorageFailsForOneMessage):
+    def queries(self, theta, randomness):
+        if theta == 1:
+            raise RuntimeError("no queries for theta 1")
+        return super().queries(theta, randomness)
+
+
+FAILURE_CASES = {
+    # theta 2 is half of all realizations
+    "queries": (
+        lambda p: _QueriesFailForTheta2(p), Fraction(1, 2),
+        "decode raised RuntimeError: no queries for theta 2",
+    ),
+    # one of the 25 messages, not the first enumerated
+    "storage": (
+        lambda p: _StorageFailsForOneMessage(p, 7), Fraction(1, 25),
+        "decode raised RuntimeError: no storage for this message",
+    ),
+    # the first realization fails both ways: storage comes first
+    "storage-before-queries": (
+        lambda p: _BothFail(p, 0), Fraction(1, 2) + Fraction(1, 2 * 25),
+        "decode raised RuntimeError: no storage for this message",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILURE_CASES)
+def test_correctness_failures_match_the_per_realization_loop(case):
+    make, fraction, detail = FAILURE_CASES[case]
+    inst = make(CsaParams.make(3, 2, 1, 1))  # p = 5, 25 messages, 2 thetas
+    report = audit_correctness(inst)
+    assert (report.max_tv_distance, report.detail) == _per_realization_reference(inst)
+    assert (report.max_tv_distance, report.detail) == (fraction, detail)
+    assert not report.passed
+    assert report.enumerated == 2 * 5**2 * 5**2 * 5**2

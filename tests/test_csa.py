@@ -157,6 +157,22 @@ def test_storage_rejects_messages_from_another_field():
         encode_storage(w, StorageNoise.zeros(params), params)
 
 
+def test_noise_of_field_elements_is_rejected_by_name():
+    # The maps take noise as ints in range(p); Fe noise built by hand must
+    # raise a ValueError that names the noise, not a TypeError from the mix.
+    params = CsaParams.make(5, 2, 1, 2)  # p = 7
+    f = params.field
+    w = MessageSet.from_ints([[1, 2], [3, 4]], f)
+    storage_noise = StorageNoise(((((f(5), f(6)),), ((f(2), f(1)),))))
+    with pytest.raises(ValueError, match=r"storage noise must hold ints in range\(7\)"):
+        encode_storage(w, storage_noise, params)
+    query_noise = QueryNoise(
+        (((f(1), f(2)), (f(3), f(4))), ((f(5), f(6)), (f(0), f(1))))
+    )
+    with pytest.raises(ValueError, match=r"query noise must hold ints in range\(7\)"):
+        gen_queries(1, query_noise, params)
+
+
 def test_query_layout_worked_example():
     params = CsaParams.make(5, 2, 1, 2)
     f = params.field
