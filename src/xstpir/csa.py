@@ -15,21 +15,32 @@ never as a division, so it is well defined even at points where a factor
 vanishes.
 
 Representation: `Fe` field elements appear only in `CsaParams.alphas` and
-in `MessageSet`. Noise, shares, queries, answers and decoded symbols are
-plain ints in range(p), and the storage, query, answer and decode maps run
-on them with one reduction mod p per output symbol. What those maps need
-from the parameters alone (the points l + alpha_n, their powers, the query
+in `MessageSet`; the params checks and the choice of points run on their
+int values. Noise, shares, queries, answers and decoded symbols are plain
+ints in range(p), and the storage, query, answer and decode maps run on
+them with one reduction mod p per output symbol. What those maps need from
+the parameters alone (the points l + alpha_n, their powers, the query
 scales, the desired rows of the inverse decoding matrix and the query
 check weights) sits in one table per params value, computed once from the
 `Fe` definitions below (`delta_except`, `decoding_matrix`, `solve_linear`).
+
+Every server evaluates the same K-vector polynomial in its own point u, so
+storage and queries share one mixing kernel. With two or more noise terms
+per block it packs each K-vector into one int of 16-, 32- or 64-bit lanes,
+wide enough that (p - 1) + depth * (p - 1)^2 never carries, and builds each
+row with one big-int multiply-add per noise term; with one noise term, or
+lanes wider than 64 bits, it runs one pass over the symbols per term. Both
+give the same ints.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 from random import Random
+from sys import byteorder
 from typing import Iterator, Sequence
 
 from .field import (
@@ -74,21 +85,18 @@ def delta_except(alpha: Fe, length: int, skip: int) -> Fe:
 def choose_alphas(p: int, length: int, count: int) -> tuple[Fe, ...]:
     """First `count` field values alpha with alpha + i nonzero for i in 1..length.
 
-    Scans upward from 0; values p - length .. p - 1 are the excluded ones, so
-    for any p >= count + length this returns 0, 1, ..., count - 1. Raises
+    v in range(p) is usable iff v + length < p, when v + 1 .. v + length stay
+    strictly between 0 and p; so the excluded values are p - length .. p - 1,
+    and for any p >= count + length this returns 0, 1, ..., count - 1. Raises
     InsufficientFieldError when fewer than `count` usable points exist.
     """
     field = PrimeField(p)
-    out: list[Fe] = []
-    for v in range(p):
-        candidate = field(v)
-        if all(candidate + i for i in range(1, length + 1)):
-            out.append(candidate)
-            if len(out) == count:
-                return tuple(out)
-    raise InsufficientFieldError(
-        f"GF({p}) has only {len(out)} usable evaluation points, need {count}"
-    )
+    usable = range(p)[: max(p - length, 0)]
+    if not 0 < count <= len(usable):
+        raise InsufficientFieldError(
+            f"GF({p}) has only {len(usable)} usable evaluation points, need {count}"
+        )
+    return tuple(map(field, usable[:count]))
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,8 @@ class CsaParams:
         for alpha in self.alphas:
             if not isinstance(alpha, Fe) or alpha.field is not field:
                 raise ValueError("evaluation points must live in GF(p)")
-            if not all(alpha + i for i in range(1, self.L + 1)):
+            # alpha + i vanishes for some i in 1..L iff alpha + L reaches p
+            if alpha.value % self.p + self.L >= self.p:
                 raise ValueError(f"evaluation point {alpha.value} has a vanishing shift")
         if len({a.value for a in self.alphas}) != self.N:
             raise ValueError("evaluation points must be pairwise distinct")
@@ -308,6 +317,10 @@ class _Table:
             [delta_except(alpha, params.L, l_index).value for l_index in range(1, params.L + 1)]
             for alpha in params.alphas
         ]
+        # Lane width `_mix` packs rows into, per noise depth; None where it
+        # runs the loop: at depth 1, where packing measured no faster, and
+        # past 64 bits.
+        self.lanes = {d: _lane_bits(p, d) if d > 1 else None for d in (params.X, params.T)}
 
     @cached_property
     def decoder(self) -> list[list[int]]:
@@ -344,6 +357,17 @@ def _table(params: CsaParams) -> _Table:
     return _Table(params)
 
 
+# Lane width in bits -> array typecode with items of that width.
+_LANE_CODES = {array(code).itemsize * 8: code for code in "QIH"}
+
+
+def _lane_bits(p: int, depth: int) -> int | None:
+    """Narrowest lane that holds (p - 1) + depth * (p - 1)^2, the largest
+    value a packed row reaches before its reduction mod p; None past 64 bits."""
+    bound = (p - 1) + depth * (p - 1) ** 2
+    return next((bits for bits in sorted(_LANE_CODES) if bound < 1 << bits), None)
+
+
 def _mix(
     table: _Table,
     bases: Sequence[Sequence[int]],
@@ -351,7 +375,18 @@ def _mix(
     scales: list[list[int]] | None,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Per server n, the L vectors base_l + sum_j u^j z[l][j] mod p, with
-    u = l + alpha_n, each times s_{n,l} when `scales` is given."""
+    u = l + alpha_n, each times s_{n,l} when `scales` is given, in which
+    case the bases must be 0/1 vectors. The table's `lanes` picks the
+    kernel for the depth of z.
+    """
+    bits = table.lanes[len(z[0])]
+    if bits is None:
+        return _mix_loop(table, bases, z, scales)
+    return _mix_packed(table, bases, z, scales, bits)
+
+
+def _mix_loop(table, bases, z, scales):
+    """`_mix` one symbol at a time, one pass per noise term."""
     p = table.params.p
     out = []
     for n, powers in enumerate(table.powers):
@@ -365,6 +400,45 @@ def _mix(
             else:
                 s = scales[n][l]
                 rows.append(tuple([s * v % p for v in row]))
+        out.append(tuple(rows))
+    return out
+
+
+def _mix_packed(table, bases, z, scales, bits):
+    """`_mix` with each K-vector packed into one int, `bits` per symbol.
+
+    Bases and noise are reduced mod p once and packed, in O(L * depth * K)
+    work that all N servers share; a row is then one big-int multiply-add
+    per noise term and one unpacking pass. A scaled row folds its scale
+    into the weights: s * base_l + sum_j (s u^j mod p) z[l][j]. Either way
+    no lane exceeds (p - 1) + depth * (p - 1)^2, which `bits` holds, so no
+    lane carries into the next. A noise vector whose length is not K
+    raises ValueError: packed, it would leave lanes without noise.
+    """
+    p = table.params.p
+    code = _LANE_CODES[bits]
+    k = len(bases[0])
+    width = k * bits // 8
+
+    def pack(vector):
+        lanes = array(code, [v % p for v in vector])
+        if len(lanes) != k:
+            raise ValueError(f"a vector of {len(lanes)} symbols among rows of {k}")
+        return int.from_bytes(lanes.tobytes(), byteorder)
+
+    packed_bases = [pack(base) for base in bases]
+    packed_z = [[pack(zj) for zj in zl] for zl in z]
+    out = []
+    for n, powers in enumerate(table.powers):
+        rows = []
+        for l, (acc, zl, weights) in enumerate(zip(packed_bases, packed_z, powers)):
+            if scales is not None:
+                s = scales[n][l]
+                acc, weights = s * acc, [s * w % p for w in weights]
+            for w, zj in zip(weights, zl):
+                acc += w * zj
+            lanes = memoryview(acc.to_bytes(width, byteorder)).cast(code)
+            rows.append(tuple([v % p for v in lanes]))
         out.append(tuple(rows))
     return out
 
@@ -397,6 +471,8 @@ def encode_storage(
         rows = _mix(table, columns, noise.z, None)
     except TypeError as exc:
         raise ValueError(f"storage noise must hold ints in range({params.p})") from exc
+    except ValueError as exc:
+        raise ValueError("storage noise has wrong shape") from exc
     return tuple(StorageShare(n, r, params.p) for n, r in enumerate(rows, start=1))
 
 
@@ -420,6 +496,8 @@ def gen_queries(
         cols = _mix(table, [unit] * params.L, qnoise.z, table.scales)
     except TypeError as exc:
         raise ValueError(f"query noise must hold ints in range({params.p})") from exc
+    except ValueError as exc:
+        raise ValueError("query noise has wrong shape") from exc
     return tuple(QueryShare(n, c, params.p) for n, c in enumerate(cols, start=1))
 
 

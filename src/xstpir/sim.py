@@ -52,6 +52,16 @@ class WireMessage:
             raise ValueError("payload symbols are nonnegative integers")
 
     def encode(self) -> str:
+        """The wire line, newline included. It is formatted on the first
+        call and kept, so a message that is sent and then rendered is
+        formatted once."""
+        line = self.__dict__.get("_line")
+        if line is None:
+            line = self._format()
+            object.__setattr__(self, "_line", line)
+        return line
+
+    def _format(self) -> str:
         head = f"{self.kind} {self.server_id} {len(self.payload)}"
         if not self.payload:
             return head + "\n"
@@ -95,13 +105,13 @@ class Transcript:
         return sum(self.downloaded)
 
     def render(self) -> str:
-        lines = [f"{key} {getattr(self, key)}" for key in _HEADER]
-        lines.extend(m.encode().rstrip("\n") for m in self.queries)
-        lines.extend(m.encode().rstrip("\n") for m in self.answers)
+        lines = [f"{key} {getattr(self, key)}\n" for key in _HEADER]
+        lines.extend(m.encode() for m in self.queries)
+        lines.extend(m.encode() for m in self.answers)
         decoded = " ".join(str(v) for v in self.decoded)
         suffix = f" {decoded}" if decoded else ""
-        lines.append(f"DECODED {len(self.decoded)}{suffix}")
-        return "\n".join(lines) + "\n"
+        lines.append(f"DECODED {len(self.decoded)}{suffix}\n")
+        return "".join(lines)
 
     @classmethod
     def parse(cls, text: str) -> "Transcript":
@@ -204,17 +214,16 @@ class Server:
 
     def handle(self, line: str) -> str:
         msg = WireMessage.parse(line)
-        reply = WireMessage(KIND_ANSWER_EMPTY, self.server_id, ())
         if msg.kind != KIND_QUERY or msg.server_id != self.server_id:
             self.received.append(f"misaddressed:{msg.kind}")
-            return reply.encode()
+            return WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()).encode()
         self.received.append(msg.kind)
         scheme = self.scheme
         _check_symbols(msg, scheme.query_symbols, scheme.query_alphabet)
-        if scheme.answer_symbols(msg.payload):
-            query = scheme.query_from_payload(self.server_id, msg.payload)
-            reply = WireMessage(KIND_ANSWER, self.server_id, scheme.answer(self.share, query))
-        return reply.encode()
+        if not scheme.answer_symbols(msg.payload):
+            return WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()).encode()
+        query = scheme.query_from_payload(self.server_id, msg.payload)
+        return WireMessage(KIND_ANSWER, self.server_id, scheme.answer(self.share, query)).encode()
 
 
 @dataclass(frozen=True)

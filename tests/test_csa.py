@@ -5,7 +5,9 @@ so a sign or indexing slip in the library cannot cancel itself out.
 """
 
 from itertools import combinations, product
+from math import isqrt
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -261,8 +263,12 @@ KERNEL_GRID = [
     (8, 4, 1, 3, None),
 ]
 
+# The grid plus the size of the benchmark's bulk retrievals, where storage
+# and queries both take the packed mixing kernel with 16-bit lanes.
+KERNEL_POINTS = KERNEL_GRID + [(12, 64, 2, 2, None)]
 
-@pytest.mark.parametrize("n,k,x,t,p", KERNEL_GRID)
+
+@pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS)
 def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
     # Shares, queries and answers recomputed from the paper's definitions
     # with Fe arithmetic: S_n,l = W_l + sum_x u^x Z_l,x and
@@ -303,6 +309,163 @@ def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
                 assert queries[idx].cols[l_index - 1] == _values(col)
             assert answers[idx] == want_answer.value
         assert decode(answers, params).desired == _values(w.message(theta))
+
+
+def _mix_by(path):
+    """A stand-in for csa._mix that always takes one of its two kernels."""
+    if path == "loop":
+        return csa_mod._mix_loop
+
+    def packed(table, bases, z, scales):
+        bits = csa_mod._lane_bits(table.params.p, len(z[0]))
+        return csa_mod._mix_packed(table, bases, z, scales, bits)
+
+    return packed
+
+
+def _shares_and_queries(monkeypatch, path, params, w, z, zp, theta):
+    with monkeypatch.context() as m:
+        if path is not None:
+            m.setattr(csa_mod, "_mix", _mix_by(path))
+        return encode_storage(w, z, params), gen_queries(theta, zp, params)
+
+
+@pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS)
+def test_packed_kernel_matches_the_loop(monkeypatch, n, k, x, t, p):
+    params = CsaParams.make(n, k, x, t, p=p)
+    rng = Random(n * 1000 + k * 100 + x * 10 + t + 1)
+    for _ in range(3):
+        w = MessageSet.random(k, params.L, params.field, rng)
+        z = StorageNoise.random(params, rng)
+        zp = QueryNoise.random(params, rng)
+        theta = rng.randrange(1, k + 1)
+        args = (params, w, z, zp, theta)
+        loop = _shares_and_queries(monkeypatch, "loop", *args)
+        assert _shares_and_queries(monkeypatch, "packed", *args) == loop
+        assert _shares_and_queries(monkeypatch, None, *args) == loop
+
+
+def test_unreduced_noise_gives_the_shares_of_its_residues(monkeypatch):
+    # Noise is reduced mod p before packing: negative values and values
+    # >= p mix exactly as their residues do, on both kernels.
+    params = CsaParams.make(7, 3, 2, 2, p=17)
+    p = params.p
+    rng = Random(77)
+    w = MessageSet.random(3, params.L, params.field, rng)
+    z = StorageNoise.random(params, rng)
+    zp = QueryNoise.random(params, rng)
+
+    def shifted(noise):
+        return type(noise)(tuple(
+            tuple(tuple(v + p * rng.randrange(-3, 4) for v in zj) for zj in zl)
+            for zl in noise.z
+        ))
+
+    bare_z, bare_zp = shifted(z), shifted(zp)
+    assert any(v < 0 for zl in bare_z.z for zj in zl for v in zj)
+    assert any(v >= p for zl in bare_zp.z for zj in zl for v in zj)
+    want = _shares_and_queries(monkeypatch, "loop", params, w, z, zp, 2)
+    for path in ("loop", "packed", None):
+        got = _shares_and_queries(monkeypatch, path, params, w, bare_z, bare_zp, 2)
+        assert got == want
+
+
+@pytest.mark.parametrize("path", ["loop", "packed"])
+def test_both_kernels_reject_noise_that_is_not_ints(monkeypatch, path):
+    params = CsaParams.make(7, 2, 2, 2, p=17)
+    f = params.field
+    w = MessageSet.zeros(2, params.L, f)
+    z = StorageNoise.zeros(params)
+    zp = QueryNoise.zeros(params)
+    fe_z = StorageNoise(tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in z.z))
+    fe_zp = QueryNoise(tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in zp.z))
+    with pytest.raises(ValueError, match=r"storage noise must hold ints in range\(17\)"):
+        _shares_and_queries(monkeypatch, path, params, w, fe_z, zp, 1)
+    with pytest.raises(ValueError, match=r"query noise must hold ints in range\(17\)"):
+        _shares_and_queries(monkeypatch, path, params, w, z, fe_zp, 1)
+
+
+def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
+    params = CsaParams.make(7, 2, 2, 2, p=17)  # two noise terms: packed
+    w = MessageSet.zeros(2, params.L, params.field)
+    for cut in (1, 3):  # one symbol short, one too many
+        vector = (0,) * cut
+        z = StorageNoise(((vector,) * params.X,) * params.L)
+        with pytest.raises(ValueError, match="storage noise has wrong shape"):
+            encode_storage(w, z, params)
+        zp = QueryNoise(((vector,) * params.T,) * params.L)
+        with pytest.raises(ValueError, match="query noise has wrong shape"):
+            gen_queries(1, zp, params)
+
+
+def _lane_limit(bits, depth):
+    """The largest modulus m with (m - 1) + depth (m - 1)^2 < 2^bits, the
+    largest prime at most m, and the smallest prime above m."""
+    q = isqrt(2**bits // depth)
+    while depth * q * q + q >= 2**bits:
+        q -= 1
+    limit = below = q + 1
+    above = limit + 1
+    while not is_prime(below):
+        below -= 1
+    while not is_prime(above):
+        above += 1
+    return limit, below, above
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("bits", [16, 32, 64])
+def test_lane_width_boundaries(bits, depth):
+    limit, below, above = _lane_limit(bits, depth)
+    wider = None if bits == 64 else 2 * bits
+    assert csa_mod._lane_bits(limit, depth) == csa_mod._lane_bits(below, depth) == bits
+    assert csa_mod._lane_bits(limit + 1, depth) == csa_mod._lane_bits(above, depth) == wider
+    # At the limit every lane reaches the bound exactly and must not carry:
+    # storage with base, weights and noise all p - 1, and queries with scale
+    # p - 1, weights 1 and noise p - 1. Query weights p - 1 check that the
+    # folded weights s u^j are reduced. The kernel's arithmetic holds for
+    # any modulus, so the limit itself is tested, prime or not.
+    for p in (limit, below):
+        k, blocks, servers = 5, 2, 3
+        top = p - 1
+        z = [[[top] * k] * depth] * blocks
+        unit, scales = [[0, 0, 1, 0, 0]] * blocks, [[top] * blocks] * servers
+        for bases, powers, scaled in (
+            ([[top] * k] * blocks, top, None),
+            (unit, 1, scales),
+            (unit, top, scales),
+        ):
+            table = SimpleNamespace(
+                params=SimpleNamespace(p=p), powers=[[(powers,) * depth] * blocks] * servers
+            )
+            loop = csa_mod._mix_loop(table, bases, z, scaled)
+            assert csa_mod._mix_packed(table, bases, z, scaled, bits) == loop
+
+
+def test_one_noise_term_or_lanes_past_64_bits_take_the_loop(monkeypatch):
+    _, below, above = _lane_limit(64, 2)
+    ran = []
+    for name in ("_mix_loop", "_mix_packed"):
+        kernel = getattr(csa_mod, name)
+        monkeypatch.setattr(
+            csa_mod, name, lambda *args, _k=kernel, _n=name: ran.append(_n) or _k(*args)
+        )
+    for x, t, p, path in (
+        (2, 2, below, "_mix_packed"),
+        (2, 2, above, "_mix_loop"),
+        (1, 1, 23, "_mix_loop"),
+    ):
+        params = CsaParams.make(5, 3, x, t, p=p)
+        rng = Random(p)
+        w = MessageSet.random(3, params.L, params.field, rng)
+        z = StorageNoise.random(params, rng)
+        zp = QueryNoise.random(params, rng)
+        ran.clear()
+        shares = encode_storage(w, z, params)
+        queries = gen_queries(2, zp, params)
+        assert ran == [path, path]
+        answers = [answer(s, q) for s, q in zip(shares, queries)]
+        assert decode(answers, params).desired == _values(w.message(2))
 
 
 def test_decode_of_arbitrary_answers_matches_elimination():

@@ -79,6 +79,37 @@ def test_transcript_round_trip_and_counters():
     assert t.render().rstrip().splitlines()[-1].startswith("DECODED ")
 
 
+def test_render_reuses_the_query_lines_the_servers_received(monkeypatch):
+    # Each QUERY payload is formatted once, when it is sent; rendering the
+    # transcript, however often, joins the very lines the servers parsed.
+    formatted = []
+    format_line = WireMessage._format
+
+    def counting(msg):
+        formatted.append((msg.kind, msg.server_id))
+        return format_line(msg)
+
+    monkeypatch.setattr(WireMessage, "_format", counting)
+    received = {}
+    handle = Server.handle
+
+    def recording(server, text):
+        received[server.server_id] = text
+        return handle(server, text)
+
+    monkeypatch.setattr(Server, "handle", recording)
+    params = CsaParams.make(12, 8, 2, 2)
+    messages = MessageSet.random(8, params.L, params.field, Random(5))
+    transcript = run_retrieval(params, messages, 3, 5).transcript
+    text = transcript.render()
+    assert transcript.render() == text
+    queries = [kind for kind in formatted if kind[0] == KIND_QUERY]
+    assert sorted(queries) == [(KIND_QUERY, n) for n in range(1, 13)]
+    for msg in transcript.queries:
+        assert msg.encode() is received[msg.server_id]
+        assert msg.encode() in text
+
+
 def test_transcript_parse_rejects_garbage():
     _, run = _csa_run()
     text = run.transcript.render()
