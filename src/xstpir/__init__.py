@@ -10,8 +10,9 @@ Components:
 - scheme: one class per scheme behind one interface (storage, queries,
   answer map, decoder, randomness, wire payloads, closed-form rate), and
   the registry that sim, audit and cli find the schemes through;
-- audit: exhaustive distribution audits (security, privacy, symmetric
-  security, correctness) with exact total-variation distances;
+- audit: exact distribution audits (security, privacy, symmetric
+  security, correctness) with exact total-variation distances, by rank
+  tests for the linear schemes and by enumeration otherwise;
 - sim: server objects behind a synchronous wire transport, wire format,
   replayable and validated transcripts;
 - cli: the xstpir command.

@@ -1,30 +1,55 @@
-"""Distribution audits: prove, by exhaustive enumeration over small
-instances, that a scheme's shares, queries and answers have exactly the
-distributions its guarantees require.
+"""Distribution audits: decide exactly, on small instances, that a scheme's
+shares, queries and answers have the distributions its guarantees require.
 
-Four properties are checked, each by comparing exact outcome-frequency
-tables built from full enumeration of the relevant randomness:
+Four properties are checked:
 
 - X-security: any X servers' shares are identically distributed (over the
   storage noise) for every message realization;
 - T-privacy: any T servers' joint view of (their queries, their shares) is
   identically distributed (over messages, storage noise and query
-  randomness) for every retrieval index theta. The storage depends on
-  neither theta nor the query randomness, so each theta's joint table is
-  its query table times one share table common to every theta, and the
-  distance between two such products is the distance between their query
-  tables; the audit tabulates the query view alone;
+  randomness) for every retrieval index theta;
 - symmetric security: conditioned on (theta, the realized queries, the value
   of message theta), the answer tuple is identically distributed (over the
   storage noise) for every value of the other messages;
 - correctness: the decoded value equals message theta on every realization.
 
-Distances between tables are exact total-variation distances as Fractions;
-an audit passes only at distance exactly 0 (correctness reuses the field as
-an exact failure fraction). When the enumeration would exceed the cap the
-audit falls back to seeded random sampling with an explicit tolerance and
-the report is flagged non-exhaustive; the bundled acceptance instances are
-all small enough to stay exhaustive.
+An exact report (`exhaustive true`) comes from one of two engines.
+
+Rank tests decide security, privacy and sym-security of a scheme that
+declares itself `linear` (csa, download_all, binary_n3). Each view these
+audits compare is then an affine image c + A u of uniform randomness u,
+so it is uniform on the coset c + colspan(A): two such views have the same
+distribution when their cosets coincide and disjoint supports otherwise,
+and every total-variation distance is exactly 0 or 1. The matrices are
+read through the `Scheme` interface alone, from the maps at zero and at
+each unit vector of their Spaces, with one more evaluation to check that
+the map is affine (ValueError if not). With shares_S = c + M_S m + Z_S z,
+queries_S = q_S(theta) + R_S r and answers = c + A_m m + A_z z for a fixed
+query, and A_other the columns of A_m outside message theta:
+
+- X-security of a subset S holds iff rank[M_S | Z_S] = rank Z_S;
+- T-privacy of S holds iff q_S(theta) - q_S(1) lies in colspan(R_S) for
+  every theta (the share view is common to every theta, see below);
+- sym-security holds iff rank[A_other | A_z] = rank A_z for every theta
+  and every distinct query payload.
+
+The report carries max_tv 1 if any test fails and 0 otherwise, and the
+subsets_checked and enumerated fields the enumeration would give.
+
+Enumeration decides everything else (sym_xspir, and correctness of every
+scheme) from exact outcome-frequency tables over all the relevant
+randomness, and it is the oracle the rank tests are tested against. The
+storage depends on neither theta nor the query randomness, so each
+theta's joint privacy table is its query table times one share table
+common to every theta, and the distance between two such products is the
+distance between their query tables; the privacy audit tabulates the
+query view alone.
+
+Distances are exact Fractions; an audit passes only at distance exactly 0
+(correctness reuses the field as an exact failure fraction). When the
+exact engine's work (`estimate_work`) would exceed the cap the audit falls
+back to seeded random sampling with an explicit tolerance, and the report
+is flagged non-exhaustive.
 """
 
 from __future__ import annotations
@@ -33,9 +58,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from random import Random
 from typing import Sequence
 
+from .field import eliminate_mod
 from .scheme import (
     BinaryScheme,
     CsaScheme,
@@ -48,6 +75,14 @@ X_SECURITY = "X_SECURITY"
 T_PRIVACY = "T_PRIVACY"
 SYM_SECURITY = "SYM_SECURITY"
 CORRECTNESS = "CORRECTNESS"
+
+RANK_TESTS = "rank tests"
+ENUMERATION = "enumeration"
+# The unit estimate_work counts in, per engine.
+WORK_UNITS = {
+    RANK_TESTS: "steps (scheme calls and elimination multiply-adds)",
+    ENUMERATION: "realizations",
+}
 
 DEFAULT_CAP = 1 << 24
 DEFAULT_SAMPLES = 20000
@@ -137,6 +172,71 @@ def _subsets(inst: Scheme, size: int) -> list[tuple[int, ...]]:
     return list(combinations(range(inst.N), size))
 
 
+def _verdict(leaks) -> Fraction:
+    """The rank tests' max_tv: 1 if any test found a leak, else 0."""
+    return Fraction(int(any(leaks)))
+
+
+def _rank_grows(rows: list[list[int]], limit: int, p: int) -> bool:
+    """Whether rank[A | B] > rank A mod p, for rows of [A | B] with A the
+    first `limit` columns: whether some column of B lies outside colspan A."""
+    rank = eliminate_mod(rows, p, limit)
+    return any(any(row[limit:]) for row in rows[rank:])
+
+
+def _points(inst: Scheme, *spaces) -> list[list[int]]:
+    """Where the probe evaluates a map of the values of `spaces`, laid end
+    to end: zero, each unit vector, and a check point with every coordinate
+    nonzero. ValueError unless each Space has base p."""
+    p = inst.p
+    if any(space.base != p for space in spaces):
+        raise ValueError(f"{inst.describe()} is declared linear but its Spaces are not all mod {p}")
+    n = sum(space.count for space in spaces)
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    return [[0] * n, *units, [i % (p - 1) + 1 for i in range(n)]]
+
+
+def _flat(payloads, shape: list) -> list[int]:
+    if [None if y is None else len(y) for y in payloads] != shape:
+        raise ValueError("a scheme declared linear is not affine: its payload shapes vary")
+    return [v for y in payloads if y is not None for v in y]
+
+
+def _affine(values: list, point: list[int], p: int) -> list[list[list[int]]]:
+    """The affine map whose per-server payloads at the `_points` are
+    `values` (`point` being the check point): for server n, one row
+    [c, a_1, ..., a_k] per payload coordinate, that coordinate being
+    c + sum_j a_j u_j mod p. A None payload (ANSWER_EMPTY) is a constant
+    with no coordinates. ValueError unless every payload has the zero
+    point's shape and the one at `point` is the affine prediction there."""
+    shape = [None if y is None else len(y) for y in values[0]]
+    base, *units, check = [_flat(y, shape) for y in values]
+    cols = [[(a - b) % p for a, b in zip(y, base)] for y in units]
+    predicted = base
+    for x, col in zip(point, cols):
+        predicted = [a + x * c for a, c in zip(predicted, col)]
+    if any((a - b) % p for a, b in zip(check, predicted)):
+        raise ValueError("a scheme declared linear is not affine at the check point")
+    rows = [[c % p] + [col[i] for col in cols] for i, c in enumerate(base)]
+    servers, start = [], 0
+    for length in shape:
+        servers.append(rows[start : start + (length or 0)])
+        start += length or 0
+    return servers
+
+
+def _probe_storage(inst: Scheme) -> tuple[list, list, list]:
+    """The probe points over (messages, storage noise), and the messages
+    and the storage built at each."""
+    km = inst.messages.count
+    points = _points(inst, inst.messages, inst.storage_noises)
+    messages = [inst.messages.build(x[:km]) for x in points]
+    stored = [
+        inst.storage(m, inst.storage_noises.build(x[km:])) for m, x in zip(messages, points)
+    ]
+    return points, messages, stored
+
+
 def audit_security(
     inst: Scheme,
     subset_size: int | None = None,
@@ -146,33 +246,22 @@ def audit_security(
 ) -> AuditReport:
     """Shares of any `subset_size` servers must not depend on the messages.
 
-    For each subset, the exact distribution of the restricted share tuple
-    over all storage noise is tabulated per message value; the report carries
-    the maximum pairwise total-variation distance found. A subset size
-    outside 1..N raises ValueError.
+    The report carries, over the subsets, the maximum total-variation
+    distance between the share views of two message values: by rank tests
+    for a linear scheme, else from the exact distribution of each subset's
+    share tuple over all storage noise, tabulated per message value. A
+    subset size outside 1..N raises ValueError.
     """
     size = inst.X if subset_size is None else subset_size
     subsets = _subsets(inst, size)
-    noise_count = inst.storage_noises.size
-    work = inst.messages.size * noise_count
-    if work <= cap:
-        messages = list(inst.messages)
-        noises = list(inst.storage_noises)
-        tables: dict[tuple, list[Counter]] = {
-            s: [Counter() for _ in messages] for s in subsets
-        }
-        enumerated = 0
-        for mi, m in enumerate(messages):
-            for z in noises:
-                keys = inst.share_payloads(inst.storage(m, z))
-                enumerated += 1
-                for s in subsets:
-                    tables[s][mi][tuple(keys[i] for i in s)] += 1
-        assert enumerated == work
-        max_tv = _max_tv(tables, noise_count)
+    if estimate_work(inst, X_SECURITY, size) <= cap:
+        if inst.linear:
+            max_tv = _security_by_rank(inst, subsets)
+        else:
+            max_tv = _security_by_enumeration(inst, subsets)
         return AuditReport(
             X_SECURITY, inst.describe(), size, len(subsets),
-            max_tv, max_tv == 0, True, enumerated,
+            max_tv, max_tv == 0, True, inst.messages.size * inst.storage_noises.size,
         )
     rng = Random(seed)
     max_tv = Fraction(0)
@@ -189,6 +278,33 @@ def audit_security(
     return _sampled_report(X_SECURITY, inst, size, len(subsets), max_tv, samples)
 
 
+def _security_by_rank(inst: Scheme, subsets) -> Fraction:
+    """rank[M_S | Z_S] = rank Z_S for every subset S: the message columns
+    of the share map lie in the span of its noise columns."""
+    points, _, stored = _probe_storage(inst)
+    shares = _affine([inst.share_payloads(s) for s in stored], points[-1], inst.p)
+    km = inst.messages.count
+    return _verdict(
+        _rank_grows(
+            [row[1 + km :] + row[1 : 1 + km] for n in s for row in shares[n]],
+            inst.storage_noises.count, inst.p,
+        )
+        for s in subsets
+    )
+
+
+def _security_by_enumeration(inst: Scheme, subsets) -> Fraction:
+    messages = list(inst.messages)
+    noises = list(inst.storage_noises)
+    tables: dict[tuple, list[Counter]] = {s: [Counter() for _ in messages] for s in subsets}
+    for mi, m in enumerate(messages):
+        for z in noises:
+            keys = inst.share_payloads(inst.storage(m, z))
+            for s in subsets:
+                tables[s][mi][tuple(keys[i] for i in s)] += 1
+    return _max_tv(tables, len(noises))
+
+
 def audit_privacy(
     inst: Scheme,
     subset_size: int | None = None,
@@ -199,17 +315,18 @@ def audit_privacy(
     """The joint view (queries, shares) of any `subset_size` servers must not
     depend on theta.
 
-    The exhaustive table is built from the query view alone. The query view
+    The exact engines decide it from the query view alone. The query view
     of a subset depends only on (theta, qr), the share view only on (m, z),
-    and the two are enumerated independently, so theta's joint count of a
-    view (a, b) is Q_theta(a) * S(b), with Q_theta counted over the query
+    and the two are drawn independently, so theta's joint count of a view
+    (a, b) is Q_theta(a) * S(b), with Q_theta counted over the query
     randomness and S over the `pairs` = |messages| * |storage noise| values
     of (m, z), the same S for every theta. Hence
 
         sum_{a,b} |Q_1(a) S(b) - Q_2(a) S(b)| / (2 |qr| pairs)
             = sum_a |Q_1(a) - Q_2(a)| / (2 |qr|),
 
-    and the share enumeration cannot move max_tv. `enumerated` still counts
+    and the share view cannot move max_tv. A linear scheme is decided by
+    rank tests, any other by tabulating Q_theta. `enumerated` still counts
     the len(thetas) * |qr| * pairs joint realizations the table covers.
     The sampled fallback draws (m, z, qr) jointly. A subset size outside
     1..N raises ValueError.
@@ -217,22 +334,15 @@ def audit_privacy(
     size = inst.T if subset_size is None else subset_size
     subsets = _subsets(inst, size)
     thetas = list(inst.thetas)
-    pairs = inst.messages.size * inst.storage_noises.size
-    work = len(thetas) * pairs * inst.query_randomness.size
-    if work <= cap:
-        randomness = list(inst.query_randomness)
-        tables: dict[tuple, list[Counter]] = {
-            s: [Counter() for _ in thetas] for s in subsets
-        }
-        for ti, theta in enumerate(thetas):
-            for qr in randomness:
-                qkeys = inst.query_payloads(inst.queries(theta, qr))
-                for s in subsets:
-                    tables[s][ti][tuple(qkeys[i] for i in s)] += 1
-        max_tv = _max_tv(tables, len(randomness))
+    if estimate_work(inst, T_PRIVACY, size) <= cap:
+        if inst.linear:
+            max_tv = _privacy_by_rank(inst, thetas, subsets)
+        else:
+            max_tv = _privacy_by_enumeration(inst, thetas, subsets)
+        pairs = inst.messages.size * inst.storage_noises.size
         return AuditReport(
             T_PRIVACY, inst.describe(), size, len(subsets),
-            max_tv, max_tv == 0, True, len(thetas) * len(randomness) * pairs,
+            max_tv, max_tv == 0, True, len(thetas) * inst.query_randomness.size * pairs,
         )
     rng = Random(seed)
     max_tv = Fraction(0)
@@ -250,6 +360,50 @@ def audit_privacy(
             tabs.append(c)
         max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
     return _sampled_report(T_PRIVACY, inst, size, len(subsets), max_tv, samples)
+
+
+def _privacy_by_rank(inst: Scheme, thetas: list[int], subsets) -> Fraction:
+    """q_S(theta) - q_S(thetas[0]) in colspan R_S for every subset S and
+    theta, R_S being the same for every theta (ValueError if not)."""
+    space = inst.query_randomness
+    points = _points(inst, space)
+    views = [
+        _affine(
+            [inst.query_payloads(inst.queries(theta, space.build(x))) for x in points],
+            points[-1], inst.p,
+        )
+        for theta in thetas
+    ]
+    first, *others = views
+    coefficients = [[row[1:] for row in rows] for rows in first]
+    for theta, view in zip(thetas[1:], others):
+        if [[row[1:] for row in rows] for rows in view] != coefficients:
+            raise ValueError(
+                f"{inst.describe()} is declared linear but the query randomness "
+                f"enters the queries for theta {theta} differently"
+            )
+    return _verdict(
+        _rank_grows(
+            [
+                row[1:] + [view[n][i][0] - row[0] for view in others]
+                for n in s
+                for i, row in enumerate(first[n])
+            ],
+            space.count, inst.p,
+        )
+        for s in subsets
+    )
+
+
+def _privacy_by_enumeration(inst: Scheme, thetas: list[int], subsets) -> Fraction:
+    randomness = list(inst.query_randomness)
+    tables: dict[tuple, list[Counter]] = {s: [Counter() for _ in thetas] for s in subsets}
+    for ti, theta in enumerate(thetas):
+        for qr in randomness:
+            qkeys = inst.query_payloads(inst.queries(theta, qr))
+            for s in subsets:
+                tables[s][ti][tuple(qkeys[i] for i in s)] += 1
+    return _max_tv(tables, len(randomness))
 
 
 def _sampled_report(prop, inst, size, checked, max_tv, samples) -> AuditReport:
@@ -277,43 +431,20 @@ def audit_sym_security(
     distribution of the full answer tuple over the storage noise must be the
     same for all values of the remaining messages. Schemes with T = 1 are
     expected to pass; running a T > 1 instance is allowed and documents the
-    leak by reporting the nonzero distance.
+    leak by reporting the nonzero distance. `subsets_checked` counts those
+    (theta, query payload, value of message theta) groups.
     """
     thetas = list(inst.thetas)
-    work = (
-        len(thetas)
-        * inst.query_randomness.size
-        * inst.messages.size
-        * inst.storage_noises.size
-    )
-    if work <= cap:
-        messages = list(inst.messages)
-        noises = list(inst.storage_noises)
-        share_cache = [[inst.storage(m, z) for z in noises] for m in messages]
-        max_tv = Fraction(0)
-        enumerated = 0
-        groups = 0
-        for theta in thetas:
-            realizations: dict[tuple, list] = {}
-            for qr in inst.query_randomness:
-                q = inst.queries(theta, qr)
-                realizations.setdefault(inst.query_payloads(q), []).append(q)
-            for qlist in realizations.values():
-                by_desired: dict = {}
-                for mi, m in enumerate(messages):
-                    c: Counter = Counter()
-                    for zi in range(len(noises)):
-                        shares = share_cache[mi][zi]
-                        for q in qlist:
-                            c[_answers(inst, shares, q)] += 1
-                            enumerated += 1
-                    by_desired.setdefault(inst.plaintext(m, theta), []).append(c)
-                max_tv = max(max_tv, _max_tv(by_desired, len(noises) * len(qlist)))
-                groups += len(by_desired)
-        assert enumerated == work
+    if estimate_work(inst, SYM_SECURITY) <= cap:
+        if inst.linear:
+            max_tv, groups = _sym_security_by_rank(inst, thetas)
+        else:
+            max_tv, groups = _sym_security_by_enumeration(inst, thetas)
         return AuditReport(
             SYM_SECURITY, inst.describe(), inst.N, groups,
-            max_tv, max_tv == 0, True, enumerated,
+            max_tv, max_tv == 0, True,
+            len(thetas) * inst.query_randomness.size
+            * inst.messages.size * inst.storage_noises.size,
         )
     rng = Random(seed)
     max_tv = Fraction(0)
@@ -335,6 +466,60 @@ def audit_sym_security(
         max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
         groups += 1
     return _sampled_report(SYM_SECURITY, inst, inst.N, groups, max_tv, samples)
+
+
+def _distinct_queries(inst: Scheme, theta: int) -> dict[tuple, list]:
+    """Every query tuple for theta, grouped by payload."""
+    realizations: dict[tuple, list] = {}
+    for qr in inst.query_randomness:
+        q = inst.queries(theta, qr)
+        realizations.setdefault(inst.query_payloads(q), []).append(q)
+    return realizations
+
+
+def _sym_security_by_rank(inst: Scheme, thetas: list[int]) -> tuple[Fraction, int]:
+    """rank[A_other | A_z] = rank A_z for every theta and distinct query
+    payload. The groups are counted without enumerating the messages: p to
+    the rank of the plaintext map per distinct payload."""
+    p, km, kz = inst.p, inst.messages.count, inst.storage_noises.count
+    points, messages, stored = _probe_storage(inst)
+    leak, groups = False, 0
+    for theta in thetas:
+        plain = _affine([(inst.plaintext(m, theta),) for m in messages], points[-1], p)[0]
+        asked = _distinct_queries(inst, theta)
+        groups += len(asked) * p ** eliminate_mod([row[1:] for row in plain], p)
+        own = range((theta - 1) * inst.L, theta * inst.L)  # message theta's columns
+        for q, *_ in asked.values():
+            if leak:
+                break
+            answers = _affine([_answers(inst, s, q) for s in stored], points[-1], p)
+            rows = [
+                row[1 + km :] + [a for j, a in enumerate(row[1 : 1 + km]) if j not in own]
+                for server in answers
+                for row in server
+            ]
+            leak = _rank_grows(rows, kz, p)
+    return Fraction(int(leak)), groups
+
+
+def _sym_security_by_enumeration(inst: Scheme, thetas: list[int]) -> tuple[Fraction, int]:
+    messages = list(inst.messages)
+    noises = list(inst.storage_noises)
+    share_cache = [[inst.storage(m, z) for z in noises] for m in messages]
+    max_tv = Fraction(0)
+    groups = 0
+    for theta in thetas:
+        for qlist in _distinct_queries(inst, theta).values():
+            by_desired: dict = {}
+            for mi, m in enumerate(messages):
+                c: Counter = Counter()
+                for shares in share_cache[mi]:
+                    for q in qlist:
+                        c[_answers(inst, shares, q)] += 1
+                by_desired.setdefault(inst.plaintext(m, theta), []).append(c)
+            max_tv = max(max_tv, _max_tv(by_desired, len(noises) * len(qlist)))
+            groups += len(by_desired)
+    return max_tv, groups
 
 
 def _attempt(make, *args):
@@ -427,9 +612,56 @@ def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
         yield theta, m, _attempt(inst.storage, m, z), _attempt(inst.queries, theta, qr)
 
 
+def exact_engine(inst: Scheme, prop: str) -> str:
+    """How the exact mode of this audit decides it: RANK_TESTS or
+    ENUMERATION."""
+    return RANK_TESTS if inst.linear and prop != CORRECTNESS else ENUMERATION
+
+
+def _elimination(rows: int, cols: int, pivot_cols: int) -> int:
+    """A bound on the multiply-adds of `eliminate_mod` on rows x cols with
+    pivots in `pivot_cols` columns: each pivot clears at most every row."""
+    return rows * cols * min(rows, pivot_cols)
+
+
 def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> int:
-    """Enumeration size the exhaustive mode of the given audit would need."""
-    pairs = inst.messages.size * inst.storage_noises.size
+    """What the exact mode of this audit costs, in the unit of its engine
+    (`exact_engine`, `WORK_UNITS`); the audits run it only when this is
+    within the cap.
+
+    Enumeration counts realizations: the (m, z) pairs for security, the
+    (theta, qr) pairs of the query-side table for privacy, and every
+    (theta, m, z, qr) for sym-security and correctness.
+
+    Rank tests count steps: one per scheme call, plus the `_elimination`
+    bound for every test. Security: a storage probe (dim + 2 calls, dim =
+    |m| + |z| coordinates) and one test per subset, its rows the subset's
+    share payloads (their lengths read from one storage call at zero).
+    Privacy: a query probe per theta and one test per subset, on the
+    subset's query payloads. Sym-security: the storage probe, per theta a
+    plaintext probe and every query, and per query tuple (a bound on the
+    distinct ones) the answers of every probe storage and one test on
+    N * answer_symbols(an all-ones query) rows.
+    """
+    thetas = len(inst.thetas)
+    m, z, qr = inst.messages, inst.storage_noises, inst.query_randomness
+    if exact_engine(inst, prop) == ENUMERATION:
+        if prop == X_SECURITY:
+            return m.size * z.size
+        if prop == T_PRIVACY:
+            return thetas * qr.size
+        return thetas * m.size * z.size * qr.size
+    dim = m.count + z.count
     if prop == X_SECURITY:
-        return pairs
-    return len(inst.thetas) * pairs * inst.query_randomness.size
+        size = inst.X if subset_size is None else subset_size
+        zero = inst.storage(m.build([0] * m.count), z.build([0] * z.count))
+        rows = size * max(map(len, inst.share_payloads(zero)))
+        return dim + 3 + comb(inst.N, size) * _elimination(rows, dim, z.count)
+    if prop == T_PRIVACY:
+        size = inst.T if subset_size is None else subset_size
+        rows = size * inst.query_symbols
+        tests = comb(inst.N, size) * _elimination(rows, qr.count + thetas - 1, qr.count)
+        return thetas * (qr.count + 2) + tests
+    rows = inst.N * inst.answer_symbols((1,) * inst.query_symbols)
+    per_query = 1 + inst.N * (dim + 2) + _elimination(rows, dim, z.count)
+    return (dim + 2) * (1 + thetas) + thetas * qr.size * per_query

@@ -175,18 +175,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else audit_mod.DEFAULT_CAP
     samples = args.samples if args.samples is not None else audit_mod.DEFAULT_SAMPLES
     auditor, kind = AUDITS[prop]
-    kwargs = {"cap": 0 if args.sampled else cap, "samples": samples, "seed": cfg.seed}
+    kwargs = {"cap": cap, "samples": samples, "seed": cfg.seed}
     if args.subset_size is not None:
         if kind not in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
             raise UsageError(f"--subset-size applies to security and privacy, not {prop}")
         if not 1 <= args.subset_size <= inst.N:
             raise UsageError(f"--subset-size must be in 1..{inst.N}, got {args.subset_size}")
         kwargs["subset_size"] = args.subset_size
-    work = audit_mod.estimate_work(inst, kind)
+    work = audit_mod.estimate_work(inst, kind, args.subset_size)
     if work > cap and not args.sampled:
+        engine = audit_mod.exact_engine(inst, kind)
         raise UsageError(
-            f"exhaustive audit would enumerate {work} realizations, over the cap "
-            f"of {cap}; rerun with --sampled (or raise --cap) to proceed"
+            f"the exact audit by {engine} would take {work} {audit_mod.WORK_UNITS[engine]}, "
+            f"over the cap of {cap}; rerun with --sampled (or raise --cap) to proceed"
         )
     report = auditor(inst, **kwargs)
     out = args.out if args.out is not None else "audit_report.txt"

@@ -1,16 +1,18 @@
 """Exact arithmetic over prime fields and over GF(2) bit matrices.
 
 Everything in this package reduces to the primitives here: field-tagged
-modular scalars, Gaussian elimination for square systems, and a dedicated
-bit-matrix type for the two-element field. Every operation is exact integer
-arithmetic; no floating point is involved anywhere.
+modular scalars, Gaussian elimination (ranks on int rows, solutions of
+square systems), and a dedicated bit-matrix type for the two-element
+field. Every operation is exact integer arithmetic; no floating point is
+involved anywhere.
 
 `Fe` is the reference representation: it checks its field on every
-operation and serves the linear algebra here, parameters, plaintext
-messages, and the schemes outside the aligned regime. Hot loops do not use
-it: the aligned scheme (`csa`) runs its storage, query, answer and decode
-maps on plain ints reduced mod p, with its field-dependent constants
-computed once through the `Fe` functions here.
+operation and serves `solve_linear`, parameters, plaintext messages, and
+the schemes outside the aligned regime. Hot loops do not use it: the
+aligned scheme (`csa`) runs its storage, query, answer and decode maps on
+plain ints reduced mod p, with its field-dependent constants computed once
+through the `Fe` functions here. Ranks are taken on ints (`eliminate_mod`);
+`matrix_rank` and `is_invertible` pass `Fe` values through it.
 """
 
 from __future__ import annotations
@@ -243,7 +245,19 @@ class Space:
         return map(self.build, product(range(self.base), repeat=self.count))
 
     def draw(self, rng) -> list[int]:
-        return [rng.randrange(self.base) for _ in range(self.count)]
+        """`count` values in range(base), drawn as `rng.randrange(base)`
+        draws each one: `getrandbits(base.bit_length())`, redrawn while the
+        value is >= base. The values, and the state `rng` is left in, are
+        those of the `randrange` loop."""
+        base, getrandbits = self.base, rng.getrandbits
+        bits = base.bit_length()
+        values = []
+        for _ in range(self.count):
+            v = getrandbits(bits)
+            while v >= base:
+                v = getrandbits(bits)
+            values.append(v)
+        return values
 
     def sample(self, rng):
         return self.build(self.draw(rng))
@@ -295,8 +309,48 @@ def _eliminate(rows: list[list[Fe]], limit: int | None = None) -> int:
     return rank
 
 
+def eliminate_mod(rows: list[list[int]], p: int, limit: int | None = None) -> int:
+    """In-place row echelon reduction of int rows mod the prime p; returns
+    the rank.
+
+    Entries may be any ints; they are reduced mod p first. `limit` caps the
+    columns eligible for pivoting, so augmented columns do not count toward
+    the rank: rows from the returned rank on are then zero in the first
+    `limit` columns and hold, in the others, what those columns cannot
+    reach. Only the rows below each pivot are cleared, which is all a rank
+    needs.
+    """
+    rows[:] = [[v % p for v in row] for row in rows]
+    if not rows:
+        return 0
+    n_cols = len(rows[0]) if limit is None else limit
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col]
+            if factor:
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def matrix_rank(matrix: Sequence[Sequence[Fe]]) -> int:
-    return _eliminate([list(row) for row in matrix])
+    """Rank of a matrix of elements of one field, by `eliminate_mod`."""
+    entries = [e for row in matrix for e in row]
+    if not entries:
+        return 0
+    field = entries[0].field
+    if any(e.field is not field for e in entries):
+        raise FieldMismatchError("matrix entries come from different fields")
+    return eliminate_mod([[e.value for e in row] for row in matrix], field.modulus)
 
 
 def is_invertible(matrix: Sequence[Sequence[Fe]]) -> bool:

@@ -43,10 +43,20 @@ class Scheme:
     answer map and returns the answer payload; `answer_symbols` tells from
     a query payload how many symbols the answer carries, 0 meaning the
     server owes nothing and replies ANSWER_EMPTY.
+
+    `linear` declares that the share payloads, the query payloads of each
+    theta, and every server's answer to a fixed query are affine maps mod
+    p of the Space values (messages, storage noise, query randomness, all
+    with base p), that the query randomness enters the queries the same
+    way for every theta, and that `plaintext` is message theta's row of the
+    `messages` values. The audits then decide security, privacy and
+    sym-security by rank tests on matrices they read through this
+    interface (see `audit`).
     """
 
     name = ""
     params_type: type = object
+    linear = False
 
     @classmethod
     def make(cls, N: int, K: int, X: int, T: int, p: int | None = None) -> "Scheme":
@@ -115,6 +125,7 @@ class CsaScheme(Scheme):
 
     name = "csa"
     params_type = CsaParams
+    linear = True
 
     def __init__(self, params: CsaParams):
         self.params = params
@@ -176,6 +187,7 @@ class DownloadAllScheme(Scheme):
 
     name = "download_all"
     params_type = DownloadAllParams
+    linear = True
 
     def __init__(self, params: DownloadAllParams):
         self.params = params
@@ -227,6 +239,7 @@ class BinaryScheme(Scheme):
 
     name = "binary_n3"
     params_type = int
+    linear = True
 
     def __init__(self, k: int, b=None):
         self.params = k
@@ -292,6 +305,9 @@ class SymXspirScheme(Scheme):
 
     name = "sym_xspir"
     params_type = SymXspirParams
+    # Queries are column indices, and an answer selects the entries they
+    # name: not affine in the query randomness.
+    linear = False
 
     def __init__(self, params: SymXspirParams):
         self.params = params

@@ -9,6 +9,8 @@ import pytest
 
 from xstpir.audit import (
     CORRECTNESS,
+    ENUMERATION,
+    RANK_TESTS,
     SYM_SECURITY,
     T_PRIVACY,
     X_SECURITY,
@@ -22,8 +24,9 @@ from xstpir.audit import (
     audit_security,
     audit_sym_security,
     estimate_work,
+    exact_engine,
 )
-from xstpir.csa import CsaParams
+from xstpir.csa import CsaParams, MessageSet, QueryNoise
 from xstpir.field import BinMatrix, PrimeField
 from xstpir.special import DownloadAllParams, SymXspirParams
 
@@ -41,6 +44,14 @@ def _dl(n, k, x, t):
 
 def _symx(x, k, p=None):
     return SymXspirInstance(SymXspirParams.make(x, k, p))
+
+
+def _enumerated(inst):
+    """inst, audited by enumeration: a test-side subclass of its class with
+    linear = False. The oracle the rank tests must agree with."""
+    cls = type(inst)
+    inst.__class__ = type(f"Enumerated{cls.__name__}", (cls,), {"linear": False})
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +147,45 @@ def test_enumerated_counts_match_state_space_products():
     assert audit_privacy(d).enumerated == 2 * 9 * 9
 
 
-def test_estimate_work_matches_exhaustive_enumeration():
-    for inst in [_csa(3, 2, 1, 1), BinaryInstance(2), _symx(1, 2), _dl(2, 2, 1, 1)]:
-        assert audit_security(inst).enumerated == estimate_work(inst, X_SECURITY)
-        assert audit_privacy(inst).enumerated == estimate_work(inst, T_PRIVACY)
-        assert audit_sym_security(inst).enumerated == estimate_work(inst, SYM_SECURITY)
-        assert audit_correctness(inst).enumerated == estimate_work(inst, CORRECTNESS)
+# audit, prop, instance, kwargs, engine, work (where it has a closed form)
+BOUNDARY_CASES = {
+    "security-rank": (audit_security, X_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS, None),
+    "security-rank-pairs": (
+        audit_security, X_SECURITY, lambda: _csa(4, 1, 2, 1), {"subset_size": 3},
+        RANK_TESTS, None,
+    ),
+    "privacy-rank": (audit_privacy, T_PRIVACY, lambda: BinaryInstance(2), {}, RANK_TESTS, None),
+    "privacy-rank-pairs": (
+        audit_privacy, T_PRIVACY, lambda: _csa(3, 2, 1, 1), {"subset_size": 2},
+        RANK_TESTS, None,
+    ),
+    "symsec-rank": (audit_sym_security, SYM_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS, None),
+    # sym_xspir (p = 2): 4 messages, 16 noise grids, 2 columns, 2 thetas
+    "security-enumeration": (audit_security, X_SECURITY, lambda: _symx(1, 2), {}, ENUMERATION, 4 * 16),
+    "privacy-enumeration": (audit_privacy, T_PRIVACY, lambda: _symx(1, 2), {}, ENUMERATION, 2 * 2),
+    "symsec-enumeration": (
+        audit_sym_security, SYM_SECURITY, lambda: _symx(1, 2), {}, ENUMERATION, 2 * 4 * 16 * 2,
+    ),
+    "correctness-enumeration": (
+        audit_correctness, CORRECTNESS, lambda: _csa(3, 1, 1, 1), {}, ENUMERATION, 5 * 5 * 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_estimate_work_is_the_cap_boundary(case):
+    # the cap is compared with the work of the engine that runs: at the
+    # estimate the exact engine runs, one below it the sampled one
+    auditor, prop, make, kwargs, engine, closed_form = BOUNDARY_CASES[case]
+    inst = make()
+    assert exact_engine(inst, prop) == engine
+    work = estimate_work(inst, prop, kwargs.get("subset_size"))
+    if closed_form is not None:
+        assert work == closed_form
+    exact = auditor(inst, cap=work, samples=40, seed=1, **kwargs)
+    assert exact.exhaustive and exact.samples is None
+    sampled = auditor(make(), cap=work - 1, samples=40, seed=1, **kwargs)
+    assert not sampled.exhaustive and sampled.samples == 40
 
 
 def test_default_subset_sizes_follow_the_instance():
@@ -352,7 +396,7 @@ WORK_CASES = {
 
 @pytest.mark.parametrize("case", WORK_CASES)
 def test_exhaustive_privacy_builds_each_query_once_and_no_storage(case):
-    inst = WORK_CASES[case]()
+    inst = _enumerated(WORK_CASES[case]())
     calls = _count_calls(inst)
     assert audit_privacy(inst).exhaustive
     assert calls["queries"] == len(inst.thetas) * inst.query_randomness.size
@@ -442,3 +486,103 @@ def test_correctness_failures_match_the_per_realization_loop(case):
     assert (report.max_tv_distance, report.detail) == (fraction, detail)
     assert not report.passed
     assert report.enumerated == 2 * 5**2 * 5**2 * 5**2
+
+
+# ---------------------------------------------------------------------------
+# the rank tests against the enumeration
+# ---------------------------------------------------------------------------
+
+# Every security, privacy and sym-security audit of a linear scheme in the
+# tests, the goldens included: audit, instance, kwargs.
+ORACLE_CASES = {
+    "security-csa-3111": (audit_security, lambda: _csa(3, 1, 1, 1), {}),
+    "security-csa-3211": (audit_security, lambda: _csa(3, 2, 1, 1), {}),
+    "security-csa-4121": (audit_security, lambda: _csa(4, 1, 2, 1), {}),
+    "security-dl-2111": (audit_security, lambda: _dl(2, 1, 1, 1), {}),
+    "security-dl-2211": (audit_security, lambda: _dl(2, 2, 1, 1), {}),
+    "security-binary-k2": (audit_security, lambda: BinaryInstance(2), {}),
+    "security-binary-k3": (audit_security, lambda: BinaryInstance(3), {}),
+    "security-csa-4121-triples": (audit_security, lambda: _csa(4, 1, 2, 1), {"subset_size": 3}),
+    "privacy-csa-3111": (audit_privacy, lambda: _csa(3, 1, 1, 1), {}),
+    "privacy-csa-3211": (audit_privacy, lambda: _csa(3, 2, 1, 1), {}),
+    "privacy-csa-4121": (audit_privacy, lambda: _csa(4, 1, 2, 1), {}),
+    "privacy-dl-2111": (audit_privacy, lambda: _dl(2, 1, 1, 1), {}),
+    "privacy-dl-2211": (audit_privacy, lambda: _dl(2, 2, 1, 1), {}),
+    "privacy-binary-k2": (audit_privacy, lambda: BinaryInstance(2), {}),
+    "privacy-binary-k3": (audit_privacy, lambda: BinaryInstance(3), {}),
+    "privacy-binary-k4": (audit_privacy, lambda: BinaryInstance(4), {}),
+    "symsec-csa-3211": (audit_sym_security, lambda: _csa(3, 2, 1, 1), {}),
+    "symsec-dl-2111": (audit_sym_security, lambda: _dl(2, 1, 1, 1), {}),
+    "symsec-binary-k2": (audit_sym_security, lambda: BinaryInstance(2), {}),
+    "symsec-binary-k3": (audit_sym_security, lambda: BinaryInstance(3), {}),
+    # planted failures: over_x, over_t, bad_b, download-everything with two
+    # messages, and the aligned scheme at T = 2
+    "over-x-csa-3111": (audit_security, lambda: _csa(3, 1, 1, 1), {"subset_size": 2}),
+    "over-x-csa-3211": (audit_security, lambda: _csa(3, 2, 1, 1), {"subset_size": 2}),
+    "over-t-csa-3211": (audit_privacy, lambda: _csa(3, 2, 1, 1), {"subset_size": 2}),
+    "bad-b-binary-k2": (audit_privacy, lambda: BinaryInstance(2, b=BinMatrix.identity(2)), {}),
+    "symsec-dl-2211": (audit_sym_security, lambda: _dl(2, 2, 1, 1), {}),
+    "symsec-csa-4212": (audit_sym_security, lambda: _csa(4, 2, 1, 2, p=5), {}),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_rank_tests_match_the_enumeration(case):
+    auditor, make, kwargs = ORACLE_CASES[case]
+    inst = make()
+    assert inst.linear
+    report = auditor(inst, **kwargs)
+    assert report == auditor(_enumerated(make()), **kwargs)  # field by field
+    assert report.exhaustive and report.max_tv_distance in (ZERO, ONE)
+
+
+class _SquaresMessages(CsaInstance):
+    """Declared linear, but stores the square of every message symbol."""
+
+    def storage(self, messages, noise):
+        rows = [[e.value**2 for e in row] for row in messages.symbols]
+        return super().storage(MessageSet.from_ints(rows, self.params.field), noise)
+
+
+class _SquaresQueryNoise(CsaInstance):
+    def queries(self, theta, randomness):
+        z = tuple(tuple(tuple(v * v % self.p for v in k) for k in t) for t in randomness.z)
+        return super().queries(theta, QueryNoise(z))
+
+
+class _NoiseDependsOnTheta(CsaInstance):
+    """Affine for each theta, but theta 2 scales the query noise by 2."""
+
+    def queries(self, theta, randomness):
+        scale = 2 if theta == 2 else 1
+        z = tuple(tuple(tuple(v * scale % self.p for v in k) for k in t) for t in randomness.z)
+        return super().queries(theta, QueryNoise(z))
+
+
+def _wrong_modulus():
+    inst = BinaryInstance(2)
+    inst.p = 3  # its Spaces stay mod 2
+    return inst
+
+
+NOT_LINEAR_CASES = {
+    "storage": (
+        lambda: _SquaresMessages(CsaParams.make(3, 2, 1, 1)),
+        (audit_security, audit_sym_security), "not affine",
+    ),
+    "queries": (
+        lambda: _SquaresQueryNoise(CsaParams.make(3, 2, 1, 1)), (audit_privacy,), "not affine",
+    ),
+    "theta": (
+        lambda: _NoiseDependsOnTheta(CsaParams.make(3, 2, 1, 1)), (audit_privacy,), "differently",
+    ),
+    "modulus": (_wrong_modulus, (audit_security, audit_privacy), "not all mod 3"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_LINEAR_CASES)
+def test_a_scheme_declared_linear_that_is_not_raises(case):
+    make, auditors, message = NOT_LINEAR_CASES[case]
+    for auditor in auditors:
+        with pytest.raises(ValueError, match=message):
+            auditor(make())

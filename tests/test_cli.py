@@ -185,7 +185,8 @@ def test_audit_refuses_oversized_enumeration(tmp_path, capsys, monkeypatch):
         ["audit", *BINARY_ARGS, "--property", "privacy", "--cap", "10"], capsys
     )
     assert code == 2
-    assert "128" in err  # the exact size of what it refused to enumerate
+    # the exact work it refused, in the unit of the engine that would run
+    assert "rank tests would take 44 steps" in err
     assert "--sampled" in err
 
 
@@ -199,6 +200,27 @@ def test_audit_sampled_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "exhaustive false" in out
     assert "samples 6000" in out
+
+
+def test_audit_sampled_allows_only_the_fallback_beyond_the_cap(tmp_path, capsys, monkeypatch):
+    # csa N=5 is within the cap of the rank tests, so --sampled changes
+    # nothing: the audit is exact
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["audit", *CSA_ARGS, "--property", "security", "--sampled"], capsys)
+    assert code == 0
+    assert "exhaustive true" in out
+    assert "max_tv 0\npass true" in out
+
+
+def test_audit_sampled_over_collusion_fails_exactly(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        ["audit", *CSA_ARGS, "--property", "security", "--sampled", "--subset-size", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert "exhaustive true" in out
+    assert "max_tv 1\npass false" in out
 
 
 def test_audit_correctness_properties(tmp_path, capsys, monkeypatch):

@@ -9,9 +9,12 @@ from xstpir.field import (
     FieldMismatchError,
     PrimeField,
     SingularMatrixError,
+    Space,
+    _eliminate,
     bin_det,
     bin_inv,
     bit_dot,
+    eliminate_mod,
     is_invertible,
     is_prime,
     mat_vec,
@@ -215,6 +218,51 @@ def test_matrix_rank_examples():
     assert matrix_rank([[f(0), f(0)], [f(0), f(0)]]) == 0
     assert matrix_rank([[f(1), f(2)], [f(2), f(4)]]) == 1
     assert matrix_rank([[f(1), f(0)], [f(0), f(1)]]) == 2
+
+
+def _random_matrices(p, rng):
+    """Zero, wide, tall, square and rank-deficient matrices of ints mod p."""
+    yield [[0] * 4 for _ in range(3)]
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        yield [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(20):
+        rows, cols, rank = rng.randrange(2, 8), rng.randrange(2, 8), rng.randrange(1, 3)
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+        yield [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left
+        ]
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_int_rank_matches_the_fe_rank(p):
+    f = PrimeField(p)
+    rng = Random(p)
+    for m in _random_matrices(p, rng):
+        want = _eliminate([[f(v) for v in row] for row in m])
+        assert eliminate_mod([list(row) for row in m], p) == want, m
+        # unreduced and negative entries are the same matrix
+        shifted = [[v - p * rng.randrange(-3, 4) for v in row] for row in m]
+        assert eliminate_mod(shifted, p) == want
+        assert matrix_rank([[f(v) for v in row] for row in m]) == want
+        # with a limit, the rank of the leading columns; the rows after it
+        # are zero there
+        limit = rng.randrange(len(m[0]) + 1)
+        rows = [list(row) for row in m]
+        rank = eliminate_mod(rows, p, limit)
+        assert rank == _eliminate([[f(v) for v in row[:limit]] for row in m])
+        assert not any(any(row[:limit]) for row in rows[rank:])
+    assert eliminate_mod([], p) == 0
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 23, 64, 65, 1009])
+def test_space_draw_matches_the_randrange_loop(base):
+    # the same values, and the source left in the same state
+    for count in (0, 1, 2, 1000):
+        a, b = Random(base * count + 1), Random(base * count + 1)
+        assert Space(base, count, tuple).draw(a) == [b.randrange(base) for _ in range(count)]
+        assert a.getstate() == b.getstate()
 
 
 # ---------------------------------------------------------------------------
