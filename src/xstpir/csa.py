@@ -386,8 +386,14 @@ def _mix(
 
 
 def _mix_loop(table, bases, z, scales):
-    """`_mix` one symbol at a time, one pass per noise term."""
+    """`_mix` one symbol at a time, one pass per noise term. A noise vector
+    whose length is not K raises ValueError: zipped, it would cut the rows."""
     p = table.params.p
+    k = len(bases[0])
+    for zl in z:
+        for zj in zl:
+            if len(zj) != k:
+                raise ValueError(f"a vector of {len(zj)} symbols among rows of {k}")
     out = []
     for n, powers in enumerate(table.powers):
         rows = []

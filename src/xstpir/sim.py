@@ -11,6 +11,20 @@ through the same checks. Download accounting counts answer payload symbols
 only; upload is free by convention. Every retrieval is driven by a single
 seeded generator, so a fixed (params, messages, theta, seed) reproduces a
 byte-identical transcript.
+
+Every payload (QUERY and ANSWER lines, and the DECODED line) is written
+and read through one symbol codec: a table of the canonical decimal
+strings of the symbols below `_TABLE_SIZE`, and its inverse dict, both
+built at import. A symbol or token outside the table (a larger value, or a
+spelling such as "007", "+3" or "1_000" that `int` accepts) takes the
+`str`/`int` path instead, so each line is formatted, accepted or rejected
+exactly as by `str` and `int` alone.
+
+Each payload's length and alphabet are checked once, by whoever receives
+it: a server checks its QUERY in `Server.handle`, the client checks the
+ANSWERs (`_answers_by_server`) but not the queries it built itself, and
+`replay`, which receives everything, checks both. `WireMessage` itself
+refuses only negative symbols.
 """
 
 from __future__ import annotations
@@ -27,6 +41,30 @@ KIND_ANSWER = "ANSWER"
 KIND_ANSWER_EMPTY = "ANSWER_EMPTY"
 _KINDS = (KIND_QUERY, KIND_ANSWER, KIND_ANSWER_EMPTY)
 _HEADER = ("scheme", "N", "K", "X", "T", "p", "L", "seed", "theta")
+
+# The symbol codec's table: the canonical text of each symbol below a fixed
+# bound, and its inverse. Larger symbols take the str/int path.
+_TABLE_SIZE = 1024
+_TEXT_OF = {v: str(v) for v in range(_TABLE_SIZE)}
+_VALUE_OF = {text: v for v, text in _TEXT_OF.items()}
+
+
+def _format_symbols(symbols: Sequence[int]) -> str:
+    """`" ".join(map(str, symbols))` for int symbols, reading each text
+    from the table. (A non-int equal to an entry, such as 3.0, is written
+    as that int.)"""
+    try:
+        return " ".join([_TEXT_OF[v] for v in symbols])
+    except (KeyError, TypeError):
+        return " ".join(map(str, symbols))
+
+
+def _parse_symbols(tokens: Sequence[str]) -> tuple[int, ...]:
+    """`tuple(map(int, tokens))`, reading each value from the table."""
+    try:
+        return tuple(map(_VALUE_OF.__getitem__, tokens))
+    except KeyError:
+        return tuple(map(int, tokens))
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -65,7 +103,7 @@ class WireMessage:
         head = f"{self.kind} {self.server_id} {len(self.payload)}"
         if not self.payload:
             return head + "\n"
-        return f"{head} {' '.join(map(str, self.payload))}\n"
+        return f"{head} {_format_symbols(self.payload)}\n"
 
     @classmethod
     def parse(cls, line: str) -> "WireMessage":
@@ -73,7 +111,7 @@ class WireMessage:
         if len(parts) < 3:
             raise ValueError(f"malformed wire line: {line!r}")
         kind, server_id, count = parts[0], int(parts[1]), int(parts[2])
-        payload = tuple(map(int, parts[3:]))
+        payload = _parse_symbols(parts[3:])
         if len(payload) != count:
             raise ValueError(f"payload count mismatch in line: {line!r}")
         return cls(kind, server_id, payload)
@@ -108,7 +146,7 @@ class Transcript:
         lines = [f"{key} {getattr(self, key)}\n" for key in _HEADER]
         lines.extend(m.encode() for m in self.queries)
         lines.extend(m.encode() for m in self.answers)
-        decoded = " ".join(str(v) for v in self.decoded)
+        decoded = _format_symbols(self.decoded)
         suffix = f" {decoded}" if decoded else ""
         lines.append(f"DECODED {len(self.decoded)}{suffix}\n")
         return "".join(lines)
@@ -130,7 +168,7 @@ class Transcript:
                 parts = line.split()
                 if decoded is not None or len(parts) < 2:
                     raise ValueError(f"repeated or malformed DECODED line: {line!r}")
-                decoded = tuple(int(v) for v in parts[2:])
+                decoded = _parse_symbols(parts[2:])
                 if len(decoded) != int(parts[1]):
                     raise ValueError("DECODED count mismatch")
             else:
@@ -153,13 +191,17 @@ class Transcript:
 
 
 def _check_symbols(msg: WireMessage, count: int, alphabet: range) -> None:
+    """The receiver's one check of a payload: its length and alphabet. A
+    `WireMessage` holds no negative symbol, so an alphabet from 0 needs only
+    the payload's max."""
     payload = msg.payload
     if len(payload) != count:
         raise ValueError(
             f"{msg.kind} {msg.server_id} carries {len(payload)} symbols, "
             f"the scheme sends {count}"
         )
-    if payload and not (alphabet.start <= min(payload) and max(payload) < alphabet.stop):
+    start = alphabet.start
+    if payload and (max(payload) >= alphabet.stop or (start and min(payload) < start)):
         raise ValueError(
             f"{msg.kind} {msg.server_id} has a symbol outside "
             f"{alphabet.start}..{alphabet.stop - 1}"
@@ -173,9 +215,10 @@ def _answers_by_server(
     in server order (None for ANSWER_EMPTY).
 
     Raises ValueError unless there is exactly one QUERY and one ANSWER or
-    ANSWER_EMPTY for each server id 1..N, every query has the scheme's
-    length and alphabet, and every answer carries exactly the symbols its
-    query owes, each below p.
+    ANSWER_EMPTY for each server id 1..N, and every answer carries exactly
+    the symbols its query owes, each below p. The query payloads' own
+    lengths and alphabets are their receivers' to check (see the module
+    docstring).
     """
     n = scheme.N
     for what, msgs in (("QUERY", queries), ("answer", answers)):
@@ -185,7 +228,6 @@ def _answers_by_server(
     by_id = {m.server_id: m for m in answers}
     out: list[Payload | None] = []
     for q in sorted(queries, key=lambda m: m.server_id):
-        _check_symbols(q, scheme.query_symbols, scheme.query_alphabet)
         a, owed = by_id[q.server_id], scheme.answer_symbols(q.payload)
         if a.kind != (KIND_ANSWER if owed else KIND_ANSWER_EMPTY):
             raise ValueError(f"server {a.server_id} replied {a.kind} to its query")
@@ -295,15 +337,18 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
     Returns the parsed transcript and the value re-decoded from the recorded
     header, queries and answers alone; a faithful transcript re-decodes to
     its own DECODED line. Raises ValueError when the transcript is not one
-    the scheme in its header could have produced (see `_answers_by_server`),
-    or when its queries do not retrieve the header's theta. download_all
-    sends empty queries, so there the re-decode against the DECODED line is
-    the only check of theta.
+    the scheme in its header could have produced (a query of the wrong
+    length or alphabet, or see `_answers_by_server`), or when its queries
+    do not retrieve the header's theta. download_all sends empty queries,
+    so there the re-decode against the DECODED line is the only check of
+    theta.
     """
     transcript = Transcript.parse(text)
     scheme = _scheme_of(transcript)
     theta = transcript.theta
     scheme.check_theta(theta)
+    for q in transcript.queries:
+        _check_symbols(q, scheme.query_symbols, scheme.query_alphabet)
     answers = _answers_by_server(scheme, transcript.queries, transcript.answers)
     queries = sorted(transcript.queries, key=lambda m: m.server_id)
     scheme.check_retrieves(theta, [m.payload for m in queries])

@@ -398,6 +398,28 @@ def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
             gen_queries(1, zp, params)
 
 
+@pytest.mark.parametrize("n,k,x,t", [(5, 2, 1, 1), (6, 3, 1, 2), (6, 3, 2, 1)])
+def test_loop_kernel_rejects_noise_vectors_of_the_wrong_length(n, k, x, t):
+    # One noise term per block takes the loop kernel, which zips each noise
+    # vector with the row: a short vector must not cut the row short.
+    params = CsaParams.make(n, k, x, t)
+    w = MessageSet.zeros(k, params.L, params.field)
+
+    def noise(depth, bad, cut):
+        """Zero noise whose first vector in block `bad` has `cut` symbols."""
+        return tuple(
+            ((0,) * (cut if l == bad else k),) + ((0,) * k,) * (depth - 1)
+            for l in range(params.L)
+        )
+
+    for cut in (1, k + 1):
+        for bad in range(params.L):
+            with pytest.raises(ValueError, match="storage noise has wrong shape"):
+                encode_storage(w, StorageNoise(noise(x, bad, cut)), params)
+            with pytest.raises(ValueError, match="query noise has wrong shape"):
+                gen_queries(1, QueryNoise(noise(t, bad, cut)), params)
+
+
 def _lane_limit(bits, depth):
     """The largest modulus m with (m - 1) + depth (m - 1)^2 < 2^bits, the
     largest prime at most m, and the smallest prime above m."""

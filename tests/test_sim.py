@@ -2,12 +2,14 @@
 checks, rates, collusion views, and the information-flow guards."""
 
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from xstpir import csa as csa_mod
+from xstpir import sim as sim_mod
 from xstpir.csa import CsaParams, MessageSet, StorageNoise
 from xstpir.scheme import CsaScheme
 from xstpir.sim import (
@@ -67,6 +69,93 @@ def test_wire_message_validation():
         WireMessage.parse("PING 1 0")
     with pytest.raises(ValueError):
         WireMessage.parse("QUERY")
+
+
+B = sim_mod._TABLE_SIZE
+CODEC_PAYLOADS = [
+    (),
+    (0,),
+    (B - 1,),
+    (B,),
+    (B + 1,),
+    (10**30,),
+    (0, B - 1, B, B + 1, 10**30, 7, 0),
+    tuple(range(B + 3)),
+]
+
+
+def _outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared whole
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("payload", CODEC_PAYLOADS, ids=range(len(CODEC_PAYLOADS)))
+def test_symbol_codec_writes_and_reads_what_str_and_int_do(payload):
+    text = " ".join(map(str, payload))
+    assert sim_mod._format_symbols(payload) == text
+    assert sim_mod._parse_symbols(text.split()) == payload
+    msg = WireMessage(KIND_QUERY, 3, payload)
+    line = f"QUERY 3 {len(payload)} {text}".rstrip() + "\n"
+    assert msg.encode() == line
+    assert WireMessage.parse(line) == msg
+    _, run = _csa_run()
+    t = replace(run.transcript, decoded=payload)
+    rendered = t.render()
+    assert rendered.endswith(f"DECODED {len(payload)} {text}".rstrip() + "\n")
+    assert Transcript.parse(rendered) == t
+
+
+def test_symbol_codec_formats_negative_decoded_symbols_as_str_does():
+    _, run = _csa_run()
+    t = replace(run.transcript, decoded=(-1, -B, 3))
+    assert t.render().endswith(f"DECODED 3 -1 -{B} 3\n")
+    assert Transcript.parse(t.render()) == t
+
+
+# Tokens that are not the table's spelling of a symbol. A wire line takes
+# the first group as `int` does and refuses the second exactly as before,
+# with the same exception and message.
+ODD_TOKENS = ["007", "+3", "1_000", "٣", "0" * 40 + "5", str(B), str(10**30)]
+BAD_TOKENS = ["-1", "3.0", "x", "1" * 5000, "--1", "0x1f"]
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS + BAD_TOKENS)
+def test_symbol_codec_reads_any_token_as_int_does(token):
+    tokens = ["4", token, "0"]
+    as_int = _outcome(lambda: tuple(map(int, tokens)))
+    assert _outcome(sim_mod._parse_symbols, tokens) == as_int
+    want = _outcome(lambda: WireMessage(KIND_QUERY, 2, tuple(map(int, tokens))))
+    assert isinstance(want, WireMessage) == (token in ODD_TOKENS)
+    assert isinstance(want, WireMessage) or want[0] is ValueError
+    rendered = _csa_run()[1].transcript.render()
+    for sep in (" ", "\t", " \t "):
+        line = sep.join(["QUERY", "2", "3", *tokens]) + "\n"
+        assert _outcome(WireMessage.parse, line) == want
+        text = _replace_line(rendered, "DECODED ", sep.join(["DECODED", "3", *tokens]))
+        assert _outcome(lambda: Transcript.parse(text).decoded) == as_int
+
+
+def test_each_payload_is_range_checked_once_by_its_receiver(monkeypatch):
+    checked = []
+    check = sim_mod._check_symbols
+
+    def counting(msg, count, alphabet):
+        checked.append((msg.kind, msg.server_id))
+        return check(msg, count, alphabet)
+
+    monkeypatch.setattr(sim_mod, "_check_symbols", counting)
+    params, run = _csa_run(seed=4)
+    n = params.N
+    each = sorted((kind, i) for kind in (KIND_QUERY, KIND_ANSWER) for i in range(1, n + 1))
+    assert len(checked) == 2 * n
+    assert sorted(checked) == each  # the servers' queries, the client's answers
+    checked.clear()
+    replay(run.transcript.render())
+    assert len(checked) == 2 * n
+    assert sorted(checked) == each
 
 
 def test_transcript_round_trip_and_counters():
