@@ -21,9 +21,9 @@ audits compare is then an affine image c + A u of uniform randomness u,
 so it is uniform on the coset c + colspan(A): two such views have the same
 distribution when their cosets coincide and disjoint supports otherwise,
 and every total-variation distance is exactly 0 or 1. The matrices are
-read through the `Scheme` interface alone, from the maps at zero and at
-each unit vector of their Spaces, with one more evaluation to check that
-the map is affine (ValueError if not). With shares_S = c + M_S m + Z_S z,
+read through the `Scheme` interface alone (`xstpir.affine`), from the maps
+at zero and at each unit vector of their Spaces, with one more evaluation
+to check that the map is affine (ValueError if not). With shares_S = c + M_S m + Z_S z,
 queries_S = q_S(theta) + R_S r and answers = c + A_m m + A_z z for a fixed
 query, and A_other the columns of A_m outside message theta:
 
@@ -50,6 +50,16 @@ Distances are exact Fractions; an audit passes only at distance exactly 0
 exact engine's work (`estimate_work`) would exceed the cap the audit falls
 back to seeded random sampling with an explicit tolerance, and the report
 is flagged non-exhaustive.
+
+For a linear scheme, sampled security, privacy and sym-security read the
+sampled view's affine map once, by the same probe: dim + 2 scheme calls
+for a view of dim random values (privacy probes the queries of each of
+the two thetas it compares, sym-security the answers to each of its two
+sampled queries). Each draw's view is then evaluated on the audited
+servers' rows alone. The values are drawn in the same order, and the
+same views counted, as when the scheme is called per draw, which sampled
+correctness and every scheme not declared linear still do; so the
+reports are the same.
 """
 
 from __future__ import annotations
@@ -62,6 +72,7 @@ from math import comb
 from random import Random
 from typing import Sequence
 
+from . import affine
 from .field import eliminate_mod
 from .scheme import (
     BinaryScheme,
@@ -131,31 +142,15 @@ def _tv(c1: Counter, c2: Counter, total: int) -> Fraction:
 def _max_pairwise_tv(counters: Sequence[Counter], total: int) -> Fraction:
     """Max TV over all pairs; identical tables are grouped first so the
     common all-equal case costs one pass."""
-    reps: list[Counter] = []
-    seen: set[tuple] = set()
-    for c in counters:
-        sig = tuple(sorted(c.items()))
-        if sig not in seen:
-            seen.add(sig)
-            reps.append(c)
-    best = Fraction(0)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            d = _tv(reps[i], reps[j], total)
-            if d > best:
-                best = d
-    return best
+    reps = {tuple(sorted(c.items())): c for c in counters}.values()
+    return max((_tv(a, b, total) for a, b in combinations(reps, 2)), default=Fraction(0))
 
 
 def _max_tv(tables: dict[object, list[Counter]], total: int) -> Fraction:
     """Max pairwise TV within each entry's tables, each over `total`
     realizations."""
-    max_tv = Fraction(0)
-    for counters in tables.values():
-        for c in counters:
-            assert sum(c.values()) == total
-        max_tv = max(max_tv, _max_pairwise_tv(counters, total))
-    return max_tv
+    assert all(sum(c.values()) == total for counters in tables.values() for c in counters)
+    return max((_max_pairwise_tv(c, total) for c in tables.values()), default=Fraction(0))
 
 
 # The audits take any Scheme. The older adapter names stay, as the scheme
@@ -184,57 +179,11 @@ def _rank_grows(rows: list[list[int]], limit: int, p: int) -> bool:
     return any(any(row[limit:]) for row in rows[rank:])
 
 
-def _points(inst: Scheme, *spaces) -> list[list[int]]:
-    """Where the probe evaluates a map of the values of `spaces`, laid end
-    to end: zero, each unit vector, and a check point with every coordinate
-    nonzero. ValueError unless each Space has base p."""
-    p = inst.p
-    if any(space.base != p for space in spaces):
-        raise ValueError(f"{inst.describe()} is declared linear but its Spaces are not all mod {p}")
-    n = sum(space.count for space in spaces)
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
-    return [[0] * n, *units, [i % (p - 1) + 1 for i in range(n)]]
-
-
-def _flat(payloads, shape: list) -> list[int]:
-    if [None if y is None else len(y) for y in payloads] != shape:
-        raise ValueError("a scheme declared linear is not affine: its payload shapes vary")
-    return [v for y in payloads if y is not None for v in y]
-
-
-def _affine(values: list, point: list[int], p: int) -> list[list[list[int]]]:
-    """The affine map whose per-server payloads at the `_points` are
-    `values` (`point` being the check point): for server n, one row
-    [c, a_1, ..., a_k] per payload coordinate, that coordinate being
-    c + sum_j a_j u_j mod p. A None payload (ANSWER_EMPTY) is a constant
-    with no coordinates. ValueError unless every payload has the zero
-    point's shape and the one at `point` is the affine prediction there."""
-    shape = [None if y is None else len(y) for y in values[0]]
-    base, *units, check = [_flat(y, shape) for y in values]
-    cols = [[(a - b) % p for a, b in zip(y, base)] for y in units]
-    predicted = base
-    for x, col in zip(point, cols):
-        predicted = [a + x * c for a, c in zip(predicted, col)]
-    if any((a - b) % p for a, b in zip(check, predicted)):
-        raise ValueError("a scheme declared linear is not affine at the check point")
-    rows = [[c % p] + [col[i] for col in cols] for i, c in enumerate(base)]
-    servers, start = [], 0
-    for length in shape:
-        servers.append(rows[start : start + (length or 0)])
-        start += length or 0
-    return servers
-
-
-def _probe_storage(inst: Scheme) -> tuple[list, list, list]:
-    """The probe points over (messages, storage noise), and the messages
-    and the storage built at each."""
-    km = inst.messages.count
-    points = _points(inst, inst.messages, inst.storage_noises)
-    messages = [inst.messages.build(x[:km]) for x in points]
-    stored = [
-        inst.storage(m, inst.storage_noises.build(x[km:])) for m, x in zip(messages, points)
-    ]
-    return points, messages, stored
+def _sampled_tv(samples: int, tables) -> Fraction:
+    """The TV distance between two tables, each a (view, draw) pair counting
+    view(draw()) over `samples` draws, the first's all drawn first."""
+    first, second = (Counter(view(draw()) for _ in range(samples)) for view, draw in tables)
+    return _tv(first, second, samples)
 
 
 def audit_security(
@@ -263,30 +212,26 @@ def audit_security(
             X_SECURITY, inst.describe(), size, len(subsets),
             max_tv, max_tv == 0, True, inst.messages.size * inst.storage_noises.size,
         )
-    rng = Random(seed)
+    rng, noise = Random(seed), inst.storage_noises.draw
+    shares = affine.storage_at(inst, inst.share_payloads)
+    view = affine.view(inst, shares, (inst.messages, inst.storage_noises))
     max_tv = Fraction(0)
     for s in subsets:
-        pair = [inst.messages.sample(rng) for _ in range(2)]
-        tabs = []
-        for m in pair:
-            c: Counter = Counter()
-            for _ in range(samples):
-                keys = inst.share_payloads(inst.storage(m, inst.storage_noises.sample(rng)))
-                c[tuple(keys[i] for i in s)] += 1
-            tabs.append(c)
-        max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
+        pair = [inst.messages.draw(rng) for _ in range(2)]
+        tables = [(view(s), lambda m=m: m + noise(rng)) for m in pair]
+        max_tv = max(max_tv, _sampled_tv(samples, tables))
     return _sampled_report(X_SECURITY, inst, size, len(subsets), max_tv, samples)
 
 
 def _security_by_rank(inst: Scheme, subsets) -> Fraction:
     """rank[M_S | Z_S] = rank Z_S for every subset S: the message columns
     of the share map lie in the span of its noise columns."""
-    points, _, stored = _probe_storage(inst)
-    shares = _affine([inst.share_payloads(s) for s in stored], points[-1], inst.p)
-    km = inst.messages.count
+    spaces = (inst.messages, inst.storage_noises)
+    shares = affine.probe(inst, affine.storage_at(inst, inst.share_payloads), spaces)
+    km, dim = inst.messages.count, affine.dim(inst, spaces)
     return _verdict(
         _rank_grows(
-            [row[1 + km :] + row[1 : 1 + km] for n in s for row in shares[n]],
+            [affine.dense(row, dim, km) for n in s for row in shares[n]],
             inst.storage_noises.count, inst.p,
         )
         for s in subsets
@@ -344,55 +289,59 @@ def audit_privacy(
             T_PRIVACY, inst.describe(), size, len(subsets),
             max_tv, max_tv == 0, True, len(thetas) * inst.query_randomness.size * pairs,
         )
-    rng = Random(seed)
+    rng, spaces = Random(seed), (inst.messages, inst.storage_noises, inst.query_randomness)
+
+    def draw():
+        return [v for space in spaces for v in space.draw(rng)]
+
+    ends = (thetas[0], thetas[-1])
+    shares = affine.view(inst, affine.storage_at(inst, inst.share_payloads), spaces[:2])
+    start = inst.messages.count + inst.storage_noises.count
+    maps = _query_maps(inst, ends, start) if inst.linear else [None] * 2
+    asked = [
+        affine.view(inst, affine.queries_at(inst, theta), spaces[2:], start, rows)
+        for theta, rows in zip(ends, maps)
+    ]
     max_tv = Fraction(0)
     for s in subsets:
-        tabs = []
-        for theta in (thetas[0], thetas[-1]):
-            c: Counter = Counter()
-            for _ in range(samples):
-                m = inst.messages.sample(rng)
-                z = inst.storage_noises.sample(rng)
-                qr = inst.query_randomness.sample(rng)
-                qkeys = inst.query_payloads(inst.queries(theta, qr))
-                skeys = inst.share_payloads(inst.storage(m, z))
-                c[(tuple(qkeys[i] for i in s), tuple(skeys[i] for i in s))] += 1
-            tabs.append(c)
-        max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
+        share = shares(s)
+        tables = [(lambda u, q=q(s): (q(u), share(u)), draw) for q in asked]
+        max_tv = max(max_tv, _sampled_tv(samples, tables))
     return _sampled_report(T_PRIVACY, inst, size, len(subsets), max_tv, samples)
 
 
 def _privacy_by_rank(inst: Scheme, thetas: list[int], subsets) -> Fraction:
     """q_S(theta) - q_S(thetas[0]) in colspan R_S for every subset S and
     theta, R_S being the same for every theta (ValueError if not)."""
-    space = inst.query_randomness
-    points = _points(inst, space)
-    views = [
-        _affine(
-            [inst.query_payloads(inst.queries(theta, space.build(x))) for x in points],
-            points[-1], inst.p,
+    first, *others = _query_maps(inst, thetas)
+    kq = inst.query_randomness.count
+    return _verdict(
+        _rank_grows(
+            [
+                affine.dense(row, kq) + [view[n][i][0] - row[0] for view in others]
+                for n in s
+                for i, row in enumerate(first[n])
+            ],
+            kq, inst.p,
         )
-        for theta in thetas
-    ]
-    first, *others = views
-    coefficients = [[row[1:] for row in rows] for rows in first]
-    for theta, view in zip(thetas[1:], others):
-        if [[row[1:] for row in rows] for rows in view] != coefficients:
+        for s in subsets
+    )
+
+
+def _query_maps(inst: Scheme, thetas, start: int = 0) -> list:
+    """The affine query map of each theta (`affine.probe`, the query
+    randomness held from u[start]). ValueError unless the randomness enters
+    every theta's queries the same way."""
+    space = (inst.query_randomness,)
+    maps = [affine.probe(inst, affine.queries_at(inst, t), space, start) for t in thetas]
+    coefficients = [[row[1:] for row in rows] for rows in maps[0]]
+    for theta, rows in zip(thetas[1:], maps[1:]):
+        if [[row[1:] for row in server] for server in rows] != coefficients:
             raise ValueError(
                 f"{inst.describe()} is declared linear but the query randomness "
                 f"enters the queries for theta {theta} differently"
             )
-    return _verdict(
-        _rank_grows(
-            [
-                row[1:] + [view[n][i][0] - row[0] for view in others]
-                for n in s
-                for i, row in enumerate(first[n])
-            ],
-            space.count, inst.p,
-        )
-        for s in subsets
-    )
+    return maps
 
 
 def _privacy_by_enumeration(inst: Scheme, thetas: list[int], subsets) -> Fraction:
@@ -446,26 +395,21 @@ def audit_sym_security(
             len(thetas) * inst.query_randomness.size
             * inst.messages.size * inst.storage_noises.size,
         )
-    rng = Random(seed)
+    rng, noise = Random(seed), inst.storage_noises.draw
+    ends, spaces = (thetas[0], thetas[-1]), (inst.messages, inst.storage_noises)
     max_tv = Fraction(0)
-    groups = 0
-    for theta in (thetas[0], thetas[-1]):
+    for theta in ends:
         q = inst.queries(theta, inst.query_randomness.sample(rng))
         base = inst.messages.draw(rng)
         other = inst.messages.draw(rng)
         # Give the pair the same message theta so they are comparable.
         desired = slice((theta - 1) * inst.L, theta * inst.L)
         other[desired] = base[desired]
-        tabs = []
-        for values in (base, other):
-            m = inst.messages.build(values)
-            c: Counter = Counter()
-            for _ in range(samples):
-                c[_answers(inst, inst.storage(m, inst.storage_noises.sample(rng)), q)] += 1
-            tabs.append(c)
-        max_tv = max(max_tv, _tv(tabs[0], tabs[1], samples))
-        groups += 1
-    return _sampled_report(SYM_SECURITY, inst, inst.N, groups, max_tv, samples)
+        answers = affine.storage_at(inst, lambda stored: _answers(inst, stored, q))
+        view = affine.view(inst, answers, spaces)(range(inst.N))
+        tables = [(view, lambda m=m: m + noise(rng)) for m in (base, other)]
+        max_tv = max(max_tv, _sampled_tv(samples, tables))
+    return _sampled_report(SYM_SECURITY, inst, inst.N, len(ends), max_tv, samples)
 
 
 def _distinct_queries(inst: Scheme, theta: int) -> dict[tuple, list]:
@@ -482,21 +426,25 @@ def _sym_security_by_rank(inst: Scheme, thetas: list[int]) -> tuple[Fraction, in
     payload. The groups are counted without enumerating the messages: p to
     the rank of the plaintext map per distinct payload."""
     p, km, kz = inst.p, inst.messages.count, inst.storage_noises.count
-    points, messages, stored = _probe_storage(inst)
+    spaces = (inst.messages, inst.storage_noises)
+    dim = affine.dim(inst, spaces)
+    stored = list(map(affine.storage_at(inst), affine.points(dim, p)))
     leak, groups = False, 0
     for theta in thetas:
-        plain = _affine([(inst.plaintext(m, theta),) for m in messages], points[-1], p)[0]
+        plain = affine.probe(
+            inst, lambda u: (inst.plaintext(inst.messages.build(u[:km]), theta),), spaces
+        )
         asked = _distinct_queries(inst, theta)
-        groups += len(asked) * p ** eliminate_mod([row[1:] for row in plain], p)
-        own = range((theta - 1) * inst.L, theta * inst.L)  # message theta's columns
+        groups += len(asked) * p ** eliminate_mod([affine.dense(row, dim) for row in plain[0]], p)
+        own = range(kz + (theta - 1) * inst.L, kz + theta * inst.L)  # message theta's columns
         for q, *_ in asked.values():
             if leak:
                 break
-            answers = _affine([_answers(inst, s, q) for s in stored], points[-1], p)
+            answers = affine.read((_answers(inst, s, q) for s in stored), dim, p)
             rows = [
-                row[1 + km :] + [a for j, a in enumerate(row[1 : 1 + km]) if j not in own]
+                [a for j, a in enumerate(affine.dense(row, dim, km)) if j not in own]
                 for server in answers
-                for row in server
+                for row in server or ()
             ]
             leak = _rank_grows(rows, kz, p)
     return Fraction(int(leak)), groups
@@ -561,12 +509,7 @@ def audit_correctness(
     storage once per (m, z) and the queries once per (theta, qr).
     """
     thetas = list(inst.thetas)
-    work = (
-        len(thetas)
-        * inst.messages.size
-        * inst.storage_noises.size
-        * inst.query_randomness.size
-    )
+    work = estimate_work(inst, CORRECTNESS)
     exhaustive = work <= cap
     if exhaustive:
         rounds = _exhaustive_rounds(inst, thetas)

@@ -24,12 +24,13 @@ Each payload's length and alphabet are checked once, by whoever receives
 it: a server checks its QUERY in `Server.handle`, the client checks the
 ANSWERs (`_answers_by_server`) but not the queries it built itself, and
 `replay`, which receives everything, checks both. `WireMessage` itself
-refuses only negative symbols.
+refuses only negative symbols, and skips that scan for a line whose every
+token was read from the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -59,12 +60,18 @@ def _format_symbols(symbols: Sequence[int]) -> str:
         return " ".join(map(str, symbols))
 
 
+def _read_symbols(tokens: Sequence[str]) -> tuple[tuple[int, ...], bool]:
+    """`tuple(map(int, tokens))`, reading each value from the table, and
+    whether every token was in the table (so that no value is negative)."""
+    try:
+        return tuple(map(_VALUE_OF.__getitem__, tokens)), True
+    except KeyError:
+        return tuple(map(int, tokens)), False
+
+
 def _parse_symbols(tokens: Sequence[str]) -> tuple[int, ...]:
     """`tuple(map(int, tokens))`, reading each value from the table."""
-    try:
-        return tuple(map(_VALUE_OF.__getitem__, tokens))
-    except KeyError:
-        return tuple(map(int, tokens))
+    return _read_symbols(tokens)[0]
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -78,15 +85,18 @@ class WireMessage:
     kind: str
     server_id: int
     payload: tuple[int, ...]
+    # Set by `parse` when every symbol came from the codec table, whose
+    # values are all >= 0: the scan for a negative symbol is then skipped.
+    _read_from_table: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _read_from_table):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
         if self.kind == KIND_ANSWER_EMPTY and self.payload:
             raise ValueError("ANSWER_EMPTY carries no payload")
         if self.server_id < 1:
             raise ValueError("server ids are 1-based")
-        if self.payload and min(self.payload) < 0:
+        if self.payload and not _read_from_table and min(self.payload) < 0:
             raise ValueError("payload symbols are nonnegative integers")
 
     def encode(self) -> str:
@@ -111,10 +121,10 @@ class WireMessage:
         if len(parts) < 3:
             raise ValueError(f"malformed wire line: {line!r}")
         kind, server_id, count = parts[0], int(parts[1]), int(parts[2])
-        payload = _parse_symbols(parts[3:])
+        payload, read_from_table = _read_symbols(parts[3:])
         if len(payload) != count:
             raise ValueError(f"payload count mismatch in line: {line!r}")
-        return cls(kind, server_id, payload)
+        return cls(kind, server_id, payload, read_from_table)
 
 
 @dataclass(frozen=True)

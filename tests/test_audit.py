@@ -1,6 +1,7 @@
 """Distribution audits: the tiny instances must come out exactly clean, and
 planted defects must be caught."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,6 +10,7 @@ import pytest
 
 from xstpir.audit import (
     CORRECTNESS,
+    DEFAULT_CAP,
     ENUMERATION,
     RANK_TESTS,
     SYM_SECURITY,
@@ -48,7 +50,8 @@ def _symx(x, k, p=None):
 
 def _enumerated(inst):
     """inst, audited by enumeration: a test-side subclass of its class with
-    linear = False. The oracle the rank tests must agree with."""
+    linear = False. The oracle the rank tests must agree with; its sampled
+    audits call the scheme once per draw."""
     cls = type(inst)
     inst.__class__ = type(f"Enumerated{cls.__name__}", (cls,), {"linear": False})
     return inst
@@ -584,5 +587,68 @@ NOT_LINEAR_CASES = {
 def test_a_scheme_declared_linear_that_is_not_raises(case):
     make, auditors, message = NOT_LINEAR_CASES[case]
     for auditor in auditors:
-        with pytest.raises(ValueError, match=message):
-            auditor(make())
+        for cap in (DEFAULT_CAP, 0):  # the exact engine, then the sampled one
+            with pytest.raises(ValueError, match=message):
+                auditor(make(), cap=cap, samples=50)
+
+
+# ---------------------------------------------------------------------------
+# the sampled views of a linear scheme, read from the probed affine map
+# ---------------------------------------------------------------------------
+
+SAMPLED_INSTANCES = {
+    "csa-3211": lambda: _csa(3, 2, 1, 1),
+    "csa-3111": lambda: _csa(3, 1, 1, 1),
+    "csa-4121": lambda: _csa(4, 1, 2, 1),
+    "csa-5211": lambda: _csa(5, 2, 1, 1),
+    "binary-k2": lambda: BinaryInstance(2),
+    "binary-k4": lambda: BinaryInstance(4),
+    "binary-identity": lambda: BinaryInstance(2, b=BinMatrix.identity(2)),
+    "dl-2211": lambda: _dl(2, 2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLED_INSTANCES)
+def test_sampled_views_match_the_per_draw_scheme_calls(case):
+    make = SAMPLED_INSTANCES[case]
+    sizes = range(1, make().N + 1)
+    runs = [(audit_sym_security, {})] + [
+        (auditor, {"subset_size": size}) for auditor in (audit_security, audit_privacy)
+        for size in sizes
+    ]
+    for seed in (0, 1, 2):
+        for auditor, kwargs in runs:
+            kwargs = dict(kwargs, cap=0, samples=60, seed=seed)
+            report = auditor(make(), **kwargs)
+            assert not report.exhaustive and report.samples == 60
+            assert report == auditor(_enumerated(make()), **kwargs)  # field by field
+
+
+def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
+    for samples in (10, 400):
+        inst = _csa(3, 2, 1, 1)
+        dim, kq = inst.messages.count + inst.storage_noises.count, inst.query_randomness.count
+        calls = _count_calls(inst)
+        audit_security(inst, subset_size=2, cap=0, samples=samples)
+        assert calls == {"storage": 1 + dim + 2}  # estimate_work's zero point, then the probe
+        calls.clear()
+        audit_privacy(inst, subset_size=2, cap=0, samples=samples)
+        assert calls == {"storage": dim + 2, "queries": 2 * (kq + 2)}  # one probe per theta
+        calls.clear()
+        audit_sym_security(inst, cap=0, samples=samples)
+        assert calls == {"storage": 2 * (dim + 2), "queries": 2}  # one probe per drawn query
+
+
+def test_the_sampled_probe_holds_only_the_nonzero_coefficients():
+    # A dense table of the csa (12,64,2,2) share map would hold 1,538
+    # evaluations x 6,144 symbols, about 75 MB; each share symbol has 3
+    # nonzero coefficients (one message symbol, X = 2 noise symbols).
+    inst = _csa(12, 64, 2, 2)
+    tracemalloc.start()
+    try:
+        report = audit_security(inst, samples=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.exhaustive and report.samples == 2
+    assert peak < 50_000_000

@@ -158,6 +158,24 @@ def test_each_payload_is_range_checked_once_by_its_receiver(monkeypatch):
     assert sorted(checked) == each
 
 
+def test_only_payloads_not_read_from_the_table_are_scanned_for_negatives(monkeypatch):
+    scanned = []
+
+    def counting(values):
+        scanned.append(tuple(values))
+        return min(values)
+
+    monkeypatch.setattr(sim_mod, "min", counting, raising=False)
+    WireMessage.parse("QUERY 2 3 4 0 1023\n")  # every token a table entry
+    assert scanned == []
+    WireMessage.parse("QUERY 2 3 4 007 1024\n")  # read by int: scanned
+    WireMessage(KIND_QUERY, 2, (4, 0, 9))  # built in code: scanned
+    assert scanned == [(4, 7, 1024), (4, 0, 9)]
+    for line in ("QUERY 2 3 4 -1 0\n", "QUERY 2 2 -0 -7\n"):
+        with pytest.raises(ValueError, match="payload symbols are nonnegative integers"):
+            WireMessage.parse(line)
+
+
 def test_transcript_round_trip_and_counters():
     _, run = _csa_run(seed=3)
     t = run.transcript
