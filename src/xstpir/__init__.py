@@ -44,11 +44,9 @@ from .csa import (
     delta_except,
     encode_storage,
     gen_queries,
-    interference_aligned,
 )
 from .field import (
     BinMatrix,
-    Fe,
     FieldMismatchError,
     InsufficientFieldError,
     PrimeField,
@@ -77,7 +75,7 @@ from .special import (
 )
 
 __all__ = [
-    "BinMatrix", "CsaParams", "DecodeOutput", "DownloadAllParams", "Fe",
+    "BinMatrix", "CsaParams", "DecodeOutput", "DownloadAllParams",
     "FieldMismatchError", "InsufficientFieldError", "MessageSet",
     "PrimeField", "ProtocolInvariantError", "QueryNoise", "QueryShare",
     "RetrievalRun", "SingularMatrixError", "StorageNoise", "StorageShare",
@@ -85,10 +83,9 @@ __all__ = [
     "bin_inv", "build_B", "c_n3", "c_pir", "c_tpir", "choose_alphas",
     "collude", "decode", "decoding_matrix", "delta", "delta_except",
     "download_all_decode", "download_all_encode", "empirical_rate",
-    "encode_storage", "finite_k_rate", "gen_queries", "interference_aligned",
-    "mds_pir_asym", "mds_pir_rate", "replay", "run_retrieval",
-    "smallest_valid_prime", "solve_linear", "xstpir_asymptotic",
-    "xstpir_upper_bound",
+    "encode_storage", "finite_k_rate", "gen_queries", "mds_pir_asym",
+    "mds_pir_rate", "replay", "run_retrieval", "smallest_valid_prime",
+    "solve_linear", "xstpir_asymptotic", "xstpir_upper_bound",
 ]
 
 __version__ = "0.1.0"

@@ -14,15 +14,14 @@ The per-block scale is computed as the product with the l-th factor removed,
 never as a division, so it is well defined even at points where a factor
 vanishes.
 
-Representation: `Fe` field elements appear only in `CsaParams.alphas` and
-in `MessageSet`; the params checks and the choice of points run on their
-int values. Noise, shares, queries, answers and decoded symbols are plain
-ints in range(p), and the storage, query, answer and decode maps run on
+Representation: every symbol is an int in range(p), the evaluation points
+and the messages included. Noise, shares, queries, answers and decoded
+symbols are ints too, and the storage, query, answer and decode maps run on
 them with one reduction mod p per output symbol. What those maps need from
 the parameters alone (the points l + alpha_n, their powers, the query
 scales, the desired rows of the inverse decoding matrix and the query
 check weights) sits in one table per params value, computed once from the
-`Fe` definitions below (`delta_except`, `decoding_matrix`, `solve_linear`).
+definitions below (`delta_except`, `decoding_matrix`, `solve_linear`).
 
 Every server evaluates the same K-vector polynomial in its own point u, so
 storage and queries share one mixing kernel. With two or more noise terms
@@ -41,62 +40,59 @@ from functools import cached_property, lru_cache
 from operator import mul
 from random import Random
 from sys import byteorder
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .field import (
-    Fe,
     FieldMismatchError,
     InsufficientFieldError,
     PrimeField,
     Space,
     is_prime,
-    matrix_rank,
-    nest,
     reshape,
     smallest_valid_prime,
     solve_linear,
 )
 
 
-def delta(alpha: Fe, length: int) -> Fe:
-    """Product (1 + alpha)(2 + alpha) ... (length + alpha)."""
-    acc = alpha.field.one
+def delta(alpha: int, length: int, p: int) -> int:
+    """Product (1 + alpha)(2 + alpha) ... (length + alpha) mod p."""
+    acc = 1 % p
     for i in range(1, length + 1):
-        acc = acc * (i + alpha)
+        acc = acc * (i + alpha) % p
     return acc
 
 
-def delta_except(alpha: Fe, length: int, skip: int) -> Fe:
-    """delta(alpha, length) with the (skip + alpha) factor removed.
+def delta_except(alpha: int, length: int, skip: int, p: int) -> int:
+    """delta(alpha, length, p) with the (skip + alpha) factor removed.
 
     This is the division-free reading of delta/(skip + alpha): the factor is
     eliminated from the product, so the value is defined for every alpha,
-    including those where skip + alpha = 0.
+    including those where skip + alpha = 0 mod p.
     """
     if not 1 <= skip <= length:
         raise ValueError("skip index out of range")
-    acc = alpha.field.one
+    acc = 1 % p
     for i in range(1, length + 1):
         if i != skip:
-            acc = acc * (i + alpha)
+            acc = acc * (i + alpha) % p
     return acc
 
 
-def choose_alphas(p: int, length: int, count: int) -> tuple[Fe, ...]:
-    """First `count` field values alpha with alpha + i nonzero for i in 1..length.
+def choose_alphas(p: int, length: int, count: int) -> tuple[int, ...]:
+    """First `count` values alpha in range(p) with alpha + i nonzero mod p
+    for i in 1..length.
 
     v in range(p) is usable iff v + length < p, when v + 1 .. v + length stay
     strictly between 0 and p; so the excluded values are p - length .. p - 1,
     and for any p >= count + length this returns 0, 1, ..., count - 1. Raises
     InsufficientFieldError when fewer than `count` usable points exist.
     """
-    field = PrimeField(p)
     usable = range(p)[: max(p - length, 0)]
     if not 0 < count <= len(usable):
         raise InsufficientFieldError(
             f"GF({p}) has only {len(usable)} usable evaluation points, need {count}"
         )
-    return tuple(map(field, usable[:count]))
+    return tuple(usable[:count])
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ class CsaParams:
     T: int
     L: int
     p: int
-    alphas: tuple[Fe, ...]
+    alphas: tuple[int, ...]
 
     def __post_init__(self):
         if self.K < 1:
@@ -129,14 +125,13 @@ class CsaParams:
             raise ValueError(f"need a prime p >= N + L = {self.N + self.L}")
         if len(self.alphas) != self.N:
             raise ValueError("need one evaluation point per server")
-        field = PrimeField(self.p)
         for alpha in self.alphas:
-            if not isinstance(alpha, Fe) or alpha.field is not field:
-                raise ValueError("evaluation points must live in GF(p)")
+            if not isinstance(alpha, int) or not 0 <= alpha < self.p:
+                raise ValueError("evaluation points must be ints in range(p)")
             # alpha + i vanishes for some i in 1..L iff alpha + L reaches p
-            if alpha.value % self.p + self.L >= self.p:
-                raise ValueError(f"evaluation point {alpha.value} has a vanishing shift")
-        if len({a.value for a in self.alphas}) != self.N:
+            if alpha + self.L >= self.p:
+                raise ValueError(f"evaluation point {alpha} has a vanishing shift")
+        if len(set(self.alphas)) != self.N:
             raise ValueError("evaluation points must be pairwise distinct")
 
     @classmethod
@@ -167,9 +162,11 @@ class CsaParams:
 
 @dataclass(frozen=True)
 class MessageSet:
-    """K messages of L symbols each; row k is message k."""
+    """K messages of L symbols each over GF(p); row k is message k, its
+    symbols ints in range(p)."""
 
-    symbols: tuple[tuple[Fe, ...], ...]
+    symbols: tuple[tuple[int, ...], ...]
+    p: int
 
     def __post_init__(self):
         if not self.symbols or not self.symbols[0]:
@@ -177,6 +174,8 @@ class MessageSet:
         width = len(self.symbols[0])
         if any(len(row) != width for row in self.symbols):
             raise ValueError("all messages must have the same length")
+        if min(map(min, self.symbols)) < 0 or max(map(max, self.symbols)) >= self.p:
+            raise ValueError(f"message symbols must lie in range({self.p})")
 
     @property
     def K(self) -> int:
@@ -186,26 +185,37 @@ class MessageSet:
     def L(self) -> int:
         return len(self.symbols[0])
 
-    def message(self, k: int) -> tuple[Fe, ...]:
+    def message(self, k: int) -> tuple[int, ...]:
         """Message k, 1-based."""
         if not 1 <= k <= self.K:
             raise ValueError(f"message index {k} outside 1..{self.K}")
         return self.symbols[k - 1]
 
-    def column(self, l_index: int) -> tuple[Fe, ...]:
+    def column(self, l_index: int) -> tuple[int, ...]:
         """The K symbols at position l_index (1-based) across all messages."""
         if not 1 <= l_index <= self.L:
             raise ValueError(f"symbol index {l_index} outside 1..{self.L}")
         return tuple(row[l_index - 1] for row in self.symbols)
 
+    def check(self, params) -> None:
+        """ValueError unless these are params.K messages of params.L
+        symbols; FieldMismatchError unless they are over GF(params.p)."""
+        if self.K != params.K or self.L != params.L:
+            raise ValueError(
+                f"messages are {self.K}x{self.L}, params need {params.K}x{params.L}"
+            )
+        if self.p != params.p:
+            raise FieldMismatchError(f"messages must live in GF({params.p})")
+
     @classmethod
     def from_ints(cls, rows: Sequence[Sequence[int]], field: PrimeField) -> "MessageSet":
-        return cls(tuple(tuple(field(v) for v in row) for row in rows))
+        return cls(tuple(tuple(map(field, row)) for row in rows), field.modulus)
 
     @classmethod
     def space(cls, k: int, length: int, field: PrimeField) -> Space:
         """Every set of k messages of `length` symbols, values row by row."""
-        return Space(field.modulus, k * length, lambda v: cls(nest(v, (k, length), field)))
+        p = field.modulus
+        return Space(p, k * length, lambda v: cls(reshape(v, (k, length)), p))
 
     @classmethod
     def random(cls, k: int, length: int, field: PrimeField, rng: Random) -> "MessageSet":
@@ -213,19 +223,36 @@ class MessageSet:
 
     @classmethod
     def zeros(cls, k: int, length: int, field: PrimeField) -> "MessageSet":
-        return cls(tuple((field.zero,) * length for _ in range(k)))
+        return cls(((0,) * length,) * k, field.modulus)
 
 
 @dataclass(frozen=True)
 class _Noise:
     """Uniform noise: z[l][j] is a K-vector of ints in range(p), for l in
-    1..L and j in 1..J, with J given by the subclass's `_shape`."""
+    1..L and j in 1..J, with J given by the subclass's `_shape`. The grid
+    is checked once, here, to be a box: one J per block, one length per
+    vector. Its (L, J, K) is then read off its first vector (`check`)."""
 
     z: tuple[tuple[tuple[int, ...], ...], ...]
+    kind = ""
+
+    def __post_init__(self):
+        z = self.z
+        if z and (
+            any(len(zl) != len(z[0]) for zl in z)
+            or any(len(zj) != len(z[0][0]) for zl in z for zj in zl)
+        ):
+            raise ValueError(f"{self.kind} noise has wrong shape")
 
     @staticmethod
     def _shape(params: CsaParams) -> tuple[int, int, int]:
         raise NotImplementedError
+
+    def check(self, params: CsaParams) -> None:
+        """ValueError unless the grid's shape is `_shape(params)`."""
+        z, (blocks, depth, k) = self.z, self._shape(params)
+        if len(z) != blocks or len(z[0]) != depth or len(z[0][0]) != k:
+            raise ValueError(f"{self.kind} noise has wrong shape")
 
     @classmethod
     def space(cls, params: CsaParams) -> Space:
@@ -246,6 +273,8 @@ class _Noise:
 class StorageNoise(_Noise):
     """Storage-side noise: z[l][x] is a K-vector, for l in 1..L, x in 1..X."""
 
+    kind = "storage"
+
     @staticmethod
     def _shape(params: CsaParams) -> tuple[int, int, int]:
         return (params.L, params.X, params.K)
@@ -254,6 +283,8 @@ class StorageNoise(_Noise):
 @dataclass(frozen=True)
 class QueryNoise(_Noise):
     """Query-side noise: z[l][t] is a K-vector, for l in 1..L, t in 1..T."""
+
+    kind = "query"
 
     @staticmethod
     def _shape(params: CsaParams) -> tuple[int, int, int]:
@@ -306,17 +337,14 @@ class _Table:
         self.params = params
         p, depth = params.p, max(params.X, params.T)
         self.points = [
-            [(l_index + alpha.value) % p for l_index in range(1, params.L + 1)]
+            [(l_index + alpha) % p for l_index in range(1, params.L + 1)]
             for alpha in params.alphas
         ]
         self.powers = [
             [tuple(pow(u, j, p) for j in range(1, depth + 1)) for u in row]
             for row in self.points
         ]
-        self.scales = [
-            [delta_except(alpha, params.L, l_index).value for l_index in range(1, params.L + 1)]
-            for alpha in params.alphas
-        ]
+        self.scales = list(zip(*desired_columns(params)))
         # Lane width `_mix` packs rows into, per noise depth; None where it
         # runs the loop: at depth 1, where packing measured no faster, and
         # past 64 bits.
@@ -324,12 +352,10 @@ class _Table:
 
     @cached_property
     def decoder(self) -> list[list[int]]:
-        """The L desired rows of the inverse decoding matrix, as ints."""
-        params = self.params
-        f, n = params.field, params.N
-        identity = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-        inverse = solve_linear(decoding_matrix(params), identity)
-        return [[e.value for e in row] for row in inverse[: params.L]]
+        """The L desired rows of the inverse decoding matrix."""
+        params, n = self.params, self.params.N
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        return solve_linear(decoding_matrix(params), identity, params.p)[: params.L]
 
     @cached_property
     def check_weights(self) -> list[list[int]]:
@@ -386,14 +412,8 @@ def _mix(
 
 
 def _mix_loop(table, bases, z, scales):
-    """`_mix` one symbol at a time, one pass per noise term. A noise vector
-    whose length is not K raises ValueError: zipped, it would cut the rows."""
+    """`_mix` one symbol at a time, one pass per noise term."""
     p = table.params.p
-    k = len(bases[0])
-    for zl in z:
-        for zj in zl:
-            if len(zj) != k:
-                raise ValueError(f"a vector of {len(zj)} symbols among rows of {k}")
     out = []
     for n, powers in enumerate(table.powers):
         rows = []
@@ -418,19 +438,14 @@ def _mix_packed(table, bases, z, scales, bits):
     per noise term and one unpacking pass. A scaled row folds its scale
     into the weights: s * base_l + sum_j (s u^j mod p) z[l][j]. Either way
     no lane exceeds (p - 1) + depth * (p - 1)^2, which `bits` holds, so no
-    lane carries into the next. A noise vector whose length is not K
-    raises ValueError: packed, it would leave lanes without noise.
+    lane carries into the next.
     """
     p = table.params.p
     code = _LANE_CODES[bits]
-    k = len(bases[0])
-    width = k * bits // 8
+    width = len(bases[0]) * bits // 8
 
     def pack(vector):
-        lanes = array(code, [v % p for v in vector])
-        if len(lanes) != k:
-            raise ValueError(f"a vector of {len(lanes)} symbols among rows of {k}")
-        return int.from_bytes(lanes.tobytes(), byteorder)
+        return int.from_bytes(array(code, [v % p for v in vector]).tobytes(), byteorder)
 
     packed_bases = [pack(base) for base in bases]
     packed_z = [[pack(zj) for zj in zl] for zl in z]
@@ -449,13 +464,6 @@ def _mix_packed(table, bases, z, scales, bits):
     return out
 
 
-def _check_dims(params: CsaParams, messages: MessageSet) -> None:
-    if messages.K != params.K or messages.L != params.L:
-        raise ValueError(
-            f"messages are {messages.K}x{messages.L}, params need {params.K}x{params.L}"
-        )
-
-
 def encode_storage(
     messages: MessageSet, noise: StorageNoise, params: CsaParams
 ) -> tuple[StorageShare, ...]:
@@ -465,20 +473,12 @@ def encode_storage(
     Any X of these shares are an invertible linear image of the noise alone,
     which is what makes the storage X-secure.
     """
-    _check_dims(params, messages)
-    if len(noise.z) != params.L or any(len(zl) != params.X for zl in noise.z):
-        raise ValueError("storage noise has wrong shape")
-    field = params.field
-    if any(e.field is not field for row in messages.symbols for e in row):
-        raise FieldMismatchError(f"messages must live in {field!r}")
-    columns = [[e.value for e in col] for col in zip(*messages.symbols)]
-    table = _table(params)
+    messages.check(params)
+    noise.check(params)
     try:
-        rows = _mix(table, columns, noise.z, None)
+        rows = _mix(_table(params), list(zip(*messages.symbols)), noise.z, None)
     except TypeError as exc:
         raise ValueError(f"storage noise must hold ints in range({params.p})") from exc
-    except ValueError as exc:
-        raise ValueError("storage noise has wrong shape") from exc
     return tuple(StorageShare(n, r, params.p) for n, r in enumerate(rows, start=1))
 
 
@@ -494,16 +494,13 @@ def gen_queries(
     """
     if not 1 <= theta <= params.K:
         raise ValueError(f"theta must be in 1..{params.K}")
-    if len(qnoise.z) != params.L or any(len(zl) != params.T for zl in qnoise.z):
-        raise ValueError("query noise has wrong shape")
+    qnoise.check(params)
     unit = [int(k == theta) for k in range(1, params.K + 1)]
     table = _table(params)
     try:
         cols = _mix(table, [unit] * params.L, qnoise.z, table.scales)
     except TypeError as exc:
         raise ValueError(f"query noise must hold ints in range({params.p})") from exc
-    except ValueError as exc:
-        raise ValueError("query noise has wrong shape") from exc
     return tuple(QueryShare(n, c, params.p) for n, c in enumerate(cols, start=1))
 
 
@@ -556,27 +553,28 @@ def constant_terms(
     )
 
 
-def desired_columns(params: CsaParams) -> list[list[Fe]]:
+def desired_columns(params: CsaParams) -> list[list[int]]:
     """Columns multiplying the desired symbols in the stacked answer vector.
 
     Column l has entries delta_except(alpha_n, L, l) over the servers n.
     """
     return [
-        [delta_except(alpha, params.L, l_index) for alpha in params.alphas]
+        [delta_except(alpha, params.L, l_index, params.p) for alpha in params.alphas]
         for l_index in range(1, params.L + 1)
     ]
 
 
-def interference_columns(params: CsaParams) -> list[list[Fe]]:
+def interference_columns(params: CsaParams) -> list[list[int]]:
     """Columns spanning the aligned interference: delta_n * alpha_n^i."""
-    deltas = [delta(alpha, params.L) for alpha in params.alphas]
+    p = params.p
+    deltas = [delta(alpha, params.L, p) for alpha in params.alphas]
     return [
-        [d * alpha**i for d, alpha in zip(deltas, params.alphas)]
+        [d * pow(alpha, i, p) % p for d, alpha in zip(deltas, params.alphas)]
         for i in range(params.X + params.T)
     ]
 
 
-def decoding_matrix(params: CsaParams) -> list[list[Fe]]:
+def decoding_matrix(params: CsaParams) -> list[list[int]]:
     """The N x N matrix mapping (desired symbols, interference) to answers.
 
     Row n is [delta_except(alpha_n, L, 1), ..., delta_except(alpha_n, L, L),
@@ -585,49 +583,3 @@ def decoding_matrix(params: CsaParams) -> list[list[Fe]]:
     """
     cols = desired_columns(params) + interference_columns(params)
     return [[col[n] for col in cols] for n in range(params.N)]
-
-
-def interference_aligned(
-    params: CsaParams,
-    messages: MessageSet,
-    noise: StorageNoise,
-    qnoise: QueryNoise,
-    theta: int,
-) -> bool:
-    """Check the alignment identity on a full round of honest answers.
-
-    Subtracts the desired-symbol contribution from each answer and tests that
-    the residual lies in the span of the X + T interference columns. Honest
-    answers satisfy this for every choice of evaluation points, because the
-    identity is polynomial in alpha; a corrupted answer generically does not.
-    """
-    shares = encode_storage(messages, noise, params)
-    queries = gen_queries(theta, qnoise, params)
-    residual = [params.field(answer(s, q)) for s, q in zip(shares, queries)]
-    for col, w in zip(desired_columns(params), messages.message(theta)):
-        residual = [r - w * c for r, c in zip(residual, col)]
-    return residual_in_interference_span(params, residual)
-
-
-def residual_in_interference_span(params: CsaParams, residual: Sequence[Fe]) -> bool:
-    """True iff the residual vector lies in the interference column span."""
-    cols = interference_columns(params)
-    base_rows = [[col[n] for col in cols] for n in range(params.N)]
-    base_rank = matrix_rank(base_rows)
-    augmented = [row + [residual[n]] for n, row in enumerate(base_rows)]
-    return matrix_rank(augmented) == base_rank
-
-
-def iter_messages(params: CsaParams) -> Iterator[MessageSet]:
-    """All p^(K*L) message sets, for exhaustive small-instance enumeration."""
-    return iter(MessageSet.space(params.K, params.L, params.field))
-
-
-def iter_storage_noise(params: CsaParams) -> Iterator[StorageNoise]:
-    """All p^(L*X*K) storage-noise realizations."""
-    return iter(StorageNoise.space(params))
-
-
-def iter_query_noise(params: CsaParams) -> Iterator[QueryNoise]:
-    """All p^(L*T*K) query-noise realizations."""
-    return iter(QueryNoise.space(params))

@@ -1,18 +1,16 @@
 """Exact arithmetic over prime fields and over GF(2) bit matrices.
 
-Everything in this package reduces to the primitives here: field-tagged
-modular scalars, Gaussian elimination (ranks on int rows, solutions of
-square systems), and a dedicated bit-matrix type for the two-element
-field. Every operation is exact integer arithmetic; no floating point is
-involved anywhere.
+Everything in this package reduces to the primitives here: the prime
+field as its modulus, Gaussian elimination on int rows (ranks, solutions
+of square systems, inverses), and a dedicated bit-matrix type for the
+two-element field. Every operation is exact integer arithmetic; no
+floating point is involved anywhere.
 
-`Fe` is the reference representation: it checks its field on every
-operation and serves `solve_linear`, parameters, plaintext messages, and
-the schemes outside the aligned regime. Hot loops do not use it: the
-aligned scheme (`csa`) runs its storage, query, answer and decode maps on
-plain ints reduced mod p, with its field-dependent constants computed once
-through the `Fe` functions here. Ranks are taken on ints (`eliminate_mod`);
-`matrix_rank` and `is_invertible` pass `Fe` values through it.
+Representation: a symbol of GF(p) is a plain int in range(p), in every
+scheme, its parameters and its messages; the maps reduce mod p where they
+sum and return ints in range(p). One elimination, `eliminate_mod`, gives
+ranks; `solve_linear` finishes it by back substitution for solutions and
+inverses.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 
 class FieldMismatchError(ValueError):
-    """Arithmetic attempted between elements of different fields."""
+    """Symbols of one prime field given where another field's are needed."""
 
 
 class SingularMatrixError(ValueError):
@@ -67,11 +65,11 @@ def smallest_valid_prime(n: int, length: int) -> int:
 
 
 class PrimeField:
-    """The field of integers modulo a prime.
+    """The field of integers modulo a prime, as its modulus.
 
-    Instances are interned, so ``PrimeField(11) is PrimeField(11)`` holds and
-    elements can compare their field by identity. Calling the field coerces
-    an integer into it: ``PrimeField(11)(14)`` is the element 3.
+    Instances are interned, so ``PrimeField(11) is PrimeField(11)`` holds.
+    Symbols are plain ints in range(p); calling the field reduces an int
+    into that range: ``PrimeField(11)(14)`` is 3.
     """
 
     __slots__ = ("modulus",)
@@ -87,125 +85,15 @@ class PrimeField:
             cls._interned[modulus] = field
         return field
 
-    def __call__(self, value: int) -> "Fe":
-        return Fe(value % self.modulus, self)
+    def __call__(self, value: int) -> int:
+        return value % self.modulus
 
-    @property
-    def zero(self) -> "Fe":
-        return Fe(0, self)
-
-    @property
-    def one(self) -> "Fe":
-        return Fe(1 % self.modulus, self)
-
-    def __iter__(self) -> Iterator["Fe"]:
-        return (Fe(v, self) for v in range(self.modulus))
-
-    def random(self, rng) -> "Fe":
-        """Uniform element drawn from an injected random.Random-like source."""
-        return Fe(rng.randrange(self.modulus), self)
+    def random(self, rng) -> int:
+        """Uniform symbol drawn from an injected random.Random-like source."""
+        return rng.randrange(self.modulus)
 
     def __repr__(self) -> str:
         return f"GF({self.modulus})"
-
-
-class Fe:
-    """A single prime-field element. Immutable; value is kept reduced mod p.
-
-    Supports +, -, *, /, unary -, integer powers and mixing with plain ints
-    (which are coerced into the same field). Mixing elements of two different
-    fields raises FieldMismatchError rather than guessing.
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value
-        self.field = field
-
-    def _coerce(self, other) -> "Fe | None":
-        if isinstance(other, Fe):
-            if other.field is not self.field:
-                raise FieldMismatchError(
-                    f"cannot mix {self.field!r} and {other.field!r} elements"
-                )
-            return other
-        if isinstance(other, int):
-            return Fe(other % self.field.modulus, self.field)
-        return None
-
-    def __add__(self, other) -> "Fe":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fe((self.value + other.value) % self.field.modulus, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Fe":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fe((self.value - other.value) % self.field.modulus, self.field)
-
-    def __rsub__(self, other) -> "Fe":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fe((other.value - self.value) % self.field.modulus, self.field)
-
-    def __mul__(self, other) -> "Fe":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fe((self.value * other.value) % self.field.modulus, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Fe":
-        return Fe(-self.value % self.field.modulus, self.field)
-
-    def inv(self) -> "Fe":
-        """Multiplicative inverse via Fermat: v^(p-2) mod p."""
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.field!r}")
-        p = self.field.modulus
-        return Fe(pow(self.value, p - 2, p), self.field)
-
-    def __truediv__(self, other) -> "Fe":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other) -> "Fe":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, exponent: int) -> "Fe":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return Fe(pow(self.value, exponent, self.field.modulus), self.field)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Fe)
-            and self.field is other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.modulus))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}%{self.field.modulus}"
 
 
 def reshape(values: Sequence, shape: Sequence[int]) -> tuple:
@@ -215,12 +103,6 @@ def reshape(values: Sequence, shape: Sequence[int]) -> tuple:
         size = shape[depth]
         items = [tuple(items[i * size : (i + 1) * size]) for i in range(prod(shape[:depth]))]
     return tuple(items)
-
-
-def nest(values: Sequence[int], shape: Sequence[int], field: PrimeField) -> tuple:
-    """Flat row-major `values` as nested tuples of `shape`, as elements of
-    `field`."""
-    return reshape([field(v) for v in values], shape)
 
 
 @dataclass(frozen=True)
@@ -263,52 +145,6 @@ class Space:
         return self.build(self.draw(rng))
 
 
-def mat_vec(matrix: Sequence[Sequence[Fe]], vec: Sequence[Fe]) -> list[Fe]:
-    """Matrix times column vector over a prime field."""
-    out = []
-    for row in matrix:
-        if len(row) != len(vec):
-            raise ValueError("matrix/vector dimension mismatch")
-        acc = row[0] * vec[0]
-        for a, b in zip(row[1:], vec[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return out
-
-
-def _eliminate(rows: list[list[Fe]], limit: int | None = None) -> int:
-    """In-place row echelon reduction; returns the rank.
-
-    Pivot choice is the first nonzero entry in the column, which is always
-    exact over a field (no numerical stability concerns).  `limit` caps the
-    columns eligible for pivoting so augmented columns do not count toward
-    the rank.
-    """
-    if not rows:
-        return 0
-    n_cols = len(rows[0]) if limit is None else limit
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def eliminate_mod(rows: list[list[int]], p: int, limit: int | None = None) -> int:
     """In-place row echelon reduction of int rows mod the prime p; returns
     the rank.
@@ -318,7 +154,7 @@ def eliminate_mod(rows: list[list[int]], p: int, limit: int | None = None) -> in
     the rank: rows from the returned rank on are then zero in the first
     `limit` columns and hold, in the others, what those columns cannot
     reach. Only the rows below each pivot are cleared, which is all a rank
-    needs.
+    needs; `solve_linear` clears the rest.
     """
     rows[:] = [[v % p for v in row] for row in rows]
     if not rows:
@@ -342,31 +178,15 @@ def eliminate_mod(rows: list[list[int]], p: int, limit: int | None = None) -> in
     return rank
 
 
-def matrix_rank(matrix: Sequence[Sequence[Fe]]) -> int:
-    """Rank of a matrix of elements of one field, by `eliminate_mod`."""
-    entries = [e for row in matrix for e in row]
-    if not entries:
-        return 0
-    field = entries[0].field
-    if any(e.field is not field for e in entries):
-        raise FieldMismatchError("matrix entries come from different fields")
-    return eliminate_mod([[e.value for e in row] for row in matrix], field.modulus)
-
-
-def is_invertible(matrix: Sequence[Sequence[Fe]]) -> bool:
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    return matrix_rank(matrix) == n
-
-
-def solve_linear(matrix: Sequence[Sequence[Fe]], rhs: Sequence) -> list:
-    """Solve the square system M x = y exactly by Gaussian elimination.
+def solve_linear(matrix: Sequence[Sequence[int]], rhs: Sequence, p: int) -> list:
+    """Solve the square system M x = y over GF(p) exactly.
 
     `rhs` is either the vector y, and the result the vector x, or a matrix
     Y given as n rows with one column per right-hand side, and the result
-    the matrix X (n rows) with M X = Y; all columns share one elimination.
-    Raises SingularMatrixError when M is not invertible.
+    the matrix X (n rows) with M X = Y; all columns share one elimination
+    (`eliminate_mod`, then back substitution). Entries are any ints; the
+    result holds ints in range(p). Raises SingularMatrixError when M is
+    not invertible.
     """
     n = len(matrix)
     if n == 0:
@@ -378,8 +198,15 @@ def solve_linear(matrix: Sequence[Sequence[Fe]], rhs: Sequence) -> list:
     if len({len(tail) for tail in tails}) != 1:
         raise ValueError("right-hand side rows differ in length")
     aug = [list(row) + tail for row, tail in zip(matrix, tails)]
-    if _eliminate(aug, limit=n) != n:
+    if eliminate_mod(aug, p, limit=n) != n:
         raise SingularMatrixError("coefficient matrix is singular")
+    # Row i has its unit pivot in column i; clear the entries above each.
+    for i in range(n - 1, 0, -1):
+        pivot = aug[i]
+        for r in range(i):
+            factor = aug[r][i]
+            if factor:
+                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], pivot)]
     return [row[n:] for row in aug] if columns else [row[n] for row in aug]
 
 

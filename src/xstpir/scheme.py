@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import capacity, csa, special
 from .csa import CsaParams, MessageSet, QueryNoise, StorageNoise
-from .field import Space, nest
+from .field import Space
 from .special import DownloadAllParams, SymXspirParams
 
 Payload = tuple[int, ...]
@@ -114,7 +114,7 @@ class Scheme:
         raise NotImplementedError
 
     def plaintext(self, messages, theta: int) -> Payload:
-        return tuple(e.value for e in messages.message(theta))
+        return messages.message(theta)
 
     def closed_form_rate(self) -> Fraction:
         raise NotImplementedError
@@ -216,15 +216,13 @@ class DownloadAllScheme(Scheme):
     # can only tell theta by re-decoding against the DECODED line.
 
     def share_payloads(self, shares):
-        return tuple(tuple(e.value for e in s) for s in shares)
+        return tuple(shares)
 
     def answer(self, share, query):
-        return tuple(e.value for e in share)
+        return share
 
     def decode(self, theta, answers):
-        f = self.params.field
-        payloads = [tuple(f(v) for v in a) for a in answers]
-        return tuple(e.value for e in special.download_all_decode(payloads, self.params)[theta - 1])
+        return special.download_all_decode(answers, self.params)[theta - 1]
 
     def closed_form_rate(self):
         return Fraction(self.N - self.X, self.N * self.K)
@@ -313,8 +311,8 @@ class SymXspirScheme(Scheme):
         self.params = params
         self.N, self.K, self.X, self.T = params.N, params.K, params.X, 1
         self.p, self.L = params.p, 1
-        f, k = params.field, params.K
-        self.messages = Space(self.p, k, lambda v: nest(v, (k,), f))
+        k = params.K
+        self.messages = Space(self.p, k, tuple)
         self.storage_noises = special.sym_xspir_noise_space(params)
         # The private column m_o, uniform on 1..K.
         self.query_randomness = Space(k, 1, lambda v: v[0] + 1)
@@ -336,10 +334,10 @@ class SymXspirScheme(Scheme):
         return special.sym_xspir_queries(theta, randomness, self.params)
 
     def share_payloads(self, shares):
-        return tuple(tuple(e.value for row in grid for e in row) for grid in shares)
+        return tuple(tuple(chain.from_iterable(grid)) for grid in shares)
 
     def answer(self, share, query):
-        return tuple(e.value for e in special.sym_xspir_answer(share, query))
+        return special.sym_xspir_answer(share, query)
 
     def check_retrieves(self, theta, queries):
         """Server N's first column is wrap(m_o - theta + 1), with m_o the
@@ -353,7 +351,7 @@ class SymXspirScheme(Scheme):
         return (value % self.p,)
 
     def plaintext(self, messages, theta):
-        return (messages[theta - 1].value,)
+        return (messages[theta - 1] % self.p,)
 
     def closed_form_rate(self):
         return Fraction(1, self.K * self.N)

@@ -296,7 +296,8 @@ def run_retrieval(params, messages, theta: int, seed: int, rng: Random | None = 
 
     `params` selects the scheme: CsaParams, DownloadAllParams, SymXspirParams,
     or an int K for the three-server bit scheme. `messages` is the scheme's
-    plaintext object (MessageSet or bit/field tuple). All randomness comes
+    plaintext object (a MessageSet, or a tuple of bits or of ints mod p,
+    one per message). All randomness comes
     from `rng` (default: Random(seed)); noise is drawn before query
     randomness, so a fixed seed reproduces the transcript byte for byte.
     """

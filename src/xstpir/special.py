@@ -14,18 +14,18 @@ Three constructions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .csa import MessageSet
 from .field import (
     BinMatrix,
-    Fe,
     InsufficientFieldError,
     PrimeField,
     Space,
     bit_dot,
     is_prime,
-    nest,
+    reshape,
     smallest_valid_prime,
     solve_linear,
 )
@@ -72,61 +72,50 @@ class DownloadAllParams:
         return PrimeField(self.p)
 
 
-def _noise_generator(params: DownloadAllParams) -> list[list[Fe]]:
+def _noise_generator(params: DownloadAllParams) -> list[list[int]]:
     """N x X generator spreading X noise symbols across the servers.
 
     Entry (n, x) is n^(x+1) at the nonzero points 1..N; every X x X submatrix
     is a scaled Vandermonde block and hence invertible, so any X coordinates
     of the codeword are an invertible image of the noise.
     """
-    field = params.field
-    return [
-        [field(n) ** (x + 1) for x in range(params.X)]
-        for n in range(1, params.N + 1)
-    ]
+    p = params.p
+    return [[pow(n, x + 1, p) for x in range(params.X)] for n in range(1, params.N + 1)]
 
 
 def download_all_noise_space(params: DownloadAllParams) -> Space:
     """Every K x X noise block: one length-X noise vector per message."""
     shape = (params.K, params.X)
-    return Space(params.p, params.K * params.X, lambda v: nest(v, shape, params.field))
+    return Space(params.p, params.K * params.X, lambda v: reshape(v, shape))
 
 
 def download_all_encode(
     messages: MessageSet,
-    noise: Sequence[Sequence[Fe]],
+    noise: Sequence[Sequence[int]],
     params: DownloadAllParams,
-) -> tuple[tuple[Fe, ...], ...]:
+) -> tuple[tuple[int, ...], ...]:
     """Store one symbol per message per server.
 
     Message k is padded with X zeros to length N and added to the noise
     codeword; server n keeps coordinate n of each sum. Any X servers see an
     invertible image of pure noise.
     """
-    if messages.K != params.K or messages.L != params.L:
-        raise ValueError(
-            f"messages are {messages.K}x{messages.L}, params need {params.K}x{params.L}"
-        )
+    messages.check(params)
     if len(noise) != params.K or any(len(zk) != params.X for zk in noise):
         raise ValueError("noise must be K x X")
-    gen = _noise_generator(params)
-    zero = params.field.zero
-    shares = []
-    for n in range(params.N):
-        row = []
-        for k in range(params.K):
-            padded = messages.symbols[k][n] if n < params.L else zero
-            acc = padded
-            for x in range(params.X):
-                acc = acc + gen[n][x] * noise[k][x]
-            row.append(acc)
-        shares.append(tuple(row))
-    return tuple(shares)
+    p, L = params.p, params.L
+    return tuple(
+        tuple(
+            ((row[n] if n < L else 0) + sum(map(mul, g, zk))) % p
+            for row, zk in zip(messages.symbols, noise)
+        )
+        for n, g in enumerate(_noise_generator(params))
+    )
 
 
 def download_all_decode(
-    payloads: Sequence[Sequence[Fe]], params: DownloadAllParams
-) -> tuple[tuple[Fe, ...], ...]:
+    payloads: Sequence[Sequence[int]], params: DownloadAllParams
+) -> tuple[tuple[int, ...], ...]:
     """Recover all K messages from the full N x K download.
 
     The last X coordinates of each stored column are pure noise through an
@@ -135,20 +124,17 @@ def download_all_decode(
     """
     if len(payloads) != params.N or any(len(row) != params.K for row in payloads):
         raise ValueError("need the full N x K download")
+    p, L = params.p, params.L
     gen = _noise_generator(params)
     # noise[x][k] for every message k at once: one elimination of the tail.
-    tail = [list(payloads[n]) for n in range(params.L, params.N)]
-    noise = solve_linear(gen[params.L :], tail) if params.X else []
-    out = []
-    for k in range(params.K):
-        cleaned = []
-        for n in range(params.L):
-            acc = payloads[n][k]
-            for x in range(params.X):
-                acc = acc - gen[n][x] * noise[x][k]
-            cleaned.append(acc)
-        out.append(tuple(cleaned))
-    return tuple(out)
+    noise = solve_linear(gen[L:], [list(row) for row in payloads[L:]], p) if params.X else []
+    return tuple(
+        tuple(
+            (payloads[n][k] - sum(g * zx[k] for g, zx in zip(gen[n], noise))) % p
+            for n in range(L)
+        )
+        for k in range(params.K)
+    )
 
 
 def build_B(k: int) -> BinMatrix:
@@ -265,7 +251,7 @@ def sym_xspir_noise_space(params: SymXspirParams) -> Space:
     """Every X x K x K noise grid: z[x][k][m] is the noise symbol at
     noise-server x+1 for message k+1 and column m+1."""
     shape = (params.X, params.K, params.K)
-    return Space(params.p, params.X * params.K * params.K, lambda v: nest(v, shape, params.field))
+    return Space(params.p, params.X * params.K * params.K, lambda v: reshape(v, shape))
 
 
 def _wrap(m: int, k: int) -> int:
@@ -274,27 +260,21 @@ def _wrap(m: int, k: int) -> int:
 
 
 def sym_xspir_storage(
-    w: Sequence[Fe], z: Sequence[Sequence[Sequence[Fe]]], params: SymXspirParams
-) -> tuple[tuple[tuple[Fe, ...], ...], ...]:
+    w: Sequence[int], z: Sequence[Sequence[Sequence[int]]], params: SymXspirParams
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per-server K x K grids: servers 1..X hold raw noise, server N holds
     every message masked by the column-aligned noise sums."""
     if len(w) != params.K or len(z) != params.X or any(
         len(zx) != params.K or any(len(row) != params.K for row in zx) for zx in z
     ):
         raise ValueError("need K message symbols and an X x K x K noise grid")
-    noise_servers = tuple(
-        tuple(tuple(zk) for zk in z[x]) for x in range(params.X)
+    p = params.p
+    noise_servers = tuple(tuple(tuple(v % p for v in zk) for zk in zx) for zx in z)
+    masked = tuple(
+        tuple((w[k] + sum(zx[k][m] for zx in z)) % p for m in range(params.K))
+        for k in range(params.K)
     )
-    masked = []
-    for k in range(params.K):
-        row = []
-        for m in range(params.K):
-            acc = w[k]
-            for x in range(params.X):
-                acc = acc + z[x][k][m]
-            row.append(acc)
-        masked.append(tuple(row))
-    return noise_servers + (tuple(masked),)
+    return noise_servers + (masked,)
 
 
 def sym_xspir_queries(theta: int, m_o: int, params: SymXspirParams) -> tuple[tuple[int, ...], ...]:
@@ -315,8 +295,8 @@ def sym_xspir_queries(theta: int, m_o: int, params: SymXspirParams) -> tuple[tup
 
 
 def sym_xspir_answer(
-    grid: Sequence[Sequence[Fe]], request: Sequence[int]
-) -> tuple[Fe, ...]:
+    grid: Sequence[Sequence[int]], request: Sequence[int]
+) -> tuple[int, ...]:
     """Entry (k, request_k) of the stored grid, for each message slot k."""
     if len(request) != len(grid):
         raise ValueError("need one column index per message")

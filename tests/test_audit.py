@@ -287,6 +287,19 @@ def test_sampled_mode_still_catches_gross_leaks():
     assert not report.passed
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_sym_security_compares_differing_undesired_messages(seed):
+    # download_all at K = 2 hands the user the other message, so a sampled
+    # pair of message sets that differ there is at distance 1; a pair that
+    # shared it (a message set compared with itself) would pass. At K = 1
+    # there is no other message to leak.
+    leak = audit_sym_security(_dl(2, 2, 1, 1), cap=0, samples=2000, seed=seed)
+    assert not leak.exhaustive and leak.samples == 2000
+    assert leak.max_tv_distance == ONE and not leak.passed
+    alone = audit_sym_security(_dl(2, 1, 1, 1), cap=0, samples=2000, seed=seed)
+    assert not alone.exhaustive and alone.passed
+
+
 def test_sampled_mode_is_seed_deterministic():
     a = audit_privacy(_csa(3, 1, 1, 1), cap=0, samples=300, seed=7)
     b = audit_privacy(_csa(3, 1, 1, 1), cap=0, samples=300, seed=7)
@@ -543,7 +556,7 @@ class _SquaresMessages(CsaInstance):
     """Declared linear, but stores the square of every message symbol."""
 
     def storage(self, messages, noise):
-        rows = [[e.value**2 for e in row] for row in messages.symbols]
+        rows = [[v**2 for v in row] for row in messages.symbols]
         return super().storage(MessageSet.from_ints(rows, self.params.field), noise)
 
 

@@ -1,8 +1,14 @@
-"""Exhaustive and randomized checks of the exact-arithmetic primitives."""
+"""Exhaustive and randomized checks of the exact-arithmetic primitives.
+
+The scalar tests check the `Fe` elements of the test oracle, which the int
+code is compared against everywhere else; the elimination tests compare
+the int elimination with the oracle's."""
 
 from random import Random
 
+import oracle
 import pytest
+from oracle import Field, lift, values
 
 from xstpir.field import (
     BinMatrix,
@@ -10,15 +16,11 @@ from xstpir.field import (
     PrimeField,
     SingularMatrixError,
     Space,
-    _eliminate,
     bin_det,
     bin_inv,
     bit_dot,
     eliminate_mod,
-    is_invertible,
     is_prime,
-    mat_vec,
-    matrix_rank,
     smallest_valid_prime,
     solve_linear,
 )
@@ -48,21 +50,22 @@ def _oracle_is_prime(n: int) -> bool:
 
 
 def test_field_interning_and_validation():
-    assert PrimeField(7) is PrimeField(7)
-    assert PrimeField(7) is not PrimeField(11)
-    for bad in (0, 1, 4, 6, 9, 100):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
+    for field in (PrimeField, Field):
+        assert field(7) is field(7)
+        assert field(7) is not field(11)
+        for bad in (0, 1, 4, 6, 9, 100):
+            with pytest.raises(ValueError):
+                field(bad)
 
 
 def test_basic_op_examples():
-    f5 = PrimeField(5)
+    f5 = Field(5)
     assert f5(3) + f5(4) == f5(2)
     assert f5(3) * f5(4) == f5(2)
     assert -f5(2) == f5(3)
     assert f5(1) - f5(3) == f5(3)
     assert f5(7) == f5(2)  # coercion reduces mod p
-    f11 = PrimeField(11)
+    f11 = Field(11)
     assert f11(4).inv() == f11(3)
     assert f11(4) / f11(4) == f11.one
     assert f11(2) ** 10 == f11.one
@@ -71,7 +74,7 @@ def test_basic_op_examples():
 
 
 def test_int_operands_coerce():
-    f7 = PrimeField(7)
+    f7 = Field(7)
     a = f7(3)
     assert a + 5 == f7(1)
     assert 5 + a == f7(1)
@@ -81,7 +84,7 @@ def test_int_operands_coerce():
 
 
 def test_mixed_field_arithmetic_rejected():
-    a, b = PrimeField(5)(2), PrimeField(7)(2)
+    a, b = Field(5)(2), Field(7)(2)
     for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
         with pytest.raises(FieldMismatchError):
             op()
@@ -91,7 +94,7 @@ def test_mixed_field_arithmetic_rejected():
 
 def test_inverse_exhaustive_all_primes_to_101():
     for p in PRIMES_TO_101:
-        f = PrimeField(p)
+        f = Field(p)
         for v in range(1, p):
             e = f(v)
             assert e * e.inv() == f.one
@@ -101,7 +104,7 @@ def test_inverse_exhaustive_all_primes_to_101():
 
 def test_negation_and_subtraction_consistent():
     for p in (2, 3, 13):
-        f = PrimeField(p)
+        f = Field(p)
         for a in f:
             assert a + (-a) == f.zero
             for b in f:
@@ -109,7 +112,7 @@ def test_negation_and_subtraction_consistent():
 
 
 def test_element_hash_and_bool():
-    f = PrimeField(5)
+    f = Field(5)
     assert hash(f(3)) == hash(f(8))
     assert {f(0), f(5), f(1)} == {f(0), f(1)}
     assert not f(0)
@@ -158,9 +161,13 @@ def test_is_prime_matches_oracle_to_1000():
 
 
 def test_solve_linear_worked_example():
-    f = PrimeField(5)
-    m = [[f(1), f(1)], [f(0), f(1)]]
-    assert solve_linear(m, [f(3), f(2)]) == [f(1), f(2)]
+    m = [[1, 1], [0, 1]]
+    assert solve_linear(m, [3, 2], 5) == [1, 2]
+    assert oracle.solve_linear(lift(m, 5), lift([3, 2], 5)) == list(lift([1, 2], 5))
+
+
+def _invertible(m, p):
+    return oracle.is_invertible(lift(m, p))
 
 
 def test_solve_linear_random_roundtrip():
@@ -171,11 +178,11 @@ def test_solve_linear_random_roundtrip():
         while done < 40:
             n = rng.randrange(1, 6)
             m = [[f.random(rng) for _ in range(n)] for _ in range(n)]
-            if not is_invertible(m):
+            if not _invertible(m, p):
                 continue
             x = [f.random(rng) for _ in range(n)]
-            y = mat_vec(m, x)
-            assert solve_linear(m, y) == x
+            y = list(values(oracle.mat_vec(lift(m, p), lift(x, p))))
+            assert solve_linear(m, y, p) == x
             done += 1
 
 
@@ -186,38 +193,76 @@ def test_solve_linear_matrix_rhs_matches_column_solves():
     while done < 30:
         n, width = rng.randrange(1, 6), rng.randrange(1, 4)
         m = [[f.random(rng) for _ in range(n)] for _ in range(n)]
-        if not is_invertible(m):
+        if not _invertible(m, 11):
             continue
         y = [[f.random(rng) for _ in range(width)] for _ in range(n)]
-        x = solve_linear(m, y)
+        x = solve_linear(m, y, 11)
         assert len(x) == n and all(len(row) == width for row in x)
         for j in range(width):
-            assert [row[j] for row in x] == solve_linear(m, [row[j] for row in y])
+            assert [row[j] for row in x] == solve_linear(m, [row[j] for row in y], 11)
         done += 1
     with pytest.raises(ValueError):
-        solve_linear([[f(1), f(0)], [f(0), f(1)]], [[f(1)], [f(1), f(2)]])
+        solve_linear([[1, 0], [0, 1]], [[1], [1, 2]], 11)
 
 
 def test_solve_linear_singular_raises():
-    f = PrimeField(5)
-    m = [[f(1), f(1)], [f(2), f(2)]]
+    m = [[1, 1], [2, 2]]
     with pytest.raises(SingularMatrixError):
-        solve_linear(m, [f(1), f(0)])
+        solve_linear(m, [1, 0], 5)
 
 
 def test_solve_linear_shape_errors():
-    f = PrimeField(5)
     with pytest.raises(ValueError):
-        solve_linear([[f(1), f(2)]], [f(1)])
+        solve_linear([[1, 2]], [1], 5)
     with pytest.raises(ValueError):
-        solve_linear([[f(1)]], [f(1), f(2)])
+        solve_linear([[1]], [1, 2], 5)
+
+
+# A non-minimal modulus beside the small ones, where reductions that a
+# small p hides (a missing % p, an unreduced pivot) show.
+SOLVE_PRIMES = [2, 3, 5, 7, 11, 101]
+
+
+@pytest.mark.parametrize("p", SOLVE_PRIMES)
+def test_solve_linear_matches_the_oracle(p):
+    # vector and matrix right-hand sides, unreduced entries included, and
+    # singular matrices, which both must refuse
+    rng = Random(p * 7 + 1)
+    solved = singular = 0
+    while solved < 30 or singular < 5:
+        n, width = rng.randrange(1, 6), rng.randrange(1, 4)
+        m = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+        y = [rng.randrange(-p, 2 * p) for _ in range(n)]
+        ys = [[rng.randrange(p) for _ in range(width)] for _ in range(n)]
+        if not _invertible(m, p):
+            for rhs in (y, ys):
+                with pytest.raises(SingularMatrixError):
+                    solve_linear(m, rhs, p)
+                with pytest.raises(SingularMatrixError):
+                    oracle.solve_linear(lift(m, p), lift(rhs, p))
+            singular += 1
+            continue
+        fm = lift(m, p)
+        assert solve_linear(m, y, p) == list(values(oracle.solve_linear(fm, lift(y, p))))
+        want = [list(row) for row in values(oracle.solve_linear(fm, lift(ys, p)))]
+        assert solve_linear(m, ys, p) == want
+        solved += 1
+    # a matrix made singular by repeating a row, at every size
+    for n in range(2, 6):
+        m = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+        m.append(list(m[0]))
+        with pytest.raises(SingularMatrixError):
+            solve_linear(m, [1] * n, p)
 
 
 def test_matrix_rank_examples():
-    f = PrimeField(7)
-    assert matrix_rank([[f(0), f(0)], [f(0), f(0)]]) == 0
-    assert matrix_rank([[f(1), f(2)], [f(2), f(4)]]) == 1
-    assert matrix_rank([[f(1), f(0)], [f(0), f(1)]]) == 2
+    for m, rank in (
+        ([[0, 0], [0, 0]], 0),
+        ([[1, 2], [2, 4]], 1),
+        ([[1, 0], [0, 1]], 2),
+    ):
+        assert oracle.matrix_rank(lift(m, 7)) == rank
+        assert eliminate_mod(m, 7) == rank
 
 
 def _random_matrices(p, rng):
@@ -237,21 +282,21 @@ def _random_matrices(p, rng):
 
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_int_rank_matches_the_fe_rank(p):
-    f = PrimeField(p)
+    f = Field(p)
     rng = Random(p)
     for m in _random_matrices(p, rng):
-        want = _eliminate([[f(v) for v in row] for row in m])
+        want = oracle.eliminate([[f(v) for v in row] for row in m])
         assert eliminate_mod([list(row) for row in m], p) == want, m
         # unreduced and negative entries are the same matrix
         shifted = [[v - p * rng.randrange(-3, 4) for v in row] for row in m]
         assert eliminate_mod(shifted, p) == want
-        assert matrix_rank([[f(v) for v in row] for row in m]) == want
+        assert oracle.matrix_rank([[f(v) for v in row] for row in m]) == want
         # with a limit, the rank of the leading columns; the rows after it
         # are zero there
         limit = rng.randrange(len(m[0]) + 1)
         rows = [list(row) for row in m]
         rank = eliminate_mod(rows, p, limit)
-        assert rank == _eliminate([[f(v) for v in row[:limit]] for row in m])
+        assert rank == oracle.eliminate([[f(v) for v in row[:limit]] for row in m])
         assert not any(any(row[:limit]) for row in rows[rank:])
     assert eliminate_mod([], p) == 0
 

@@ -1,10 +1,13 @@
 """Package-wide rules checked on the source: the package imports only the
 standard library and itself (relatively), so it runs on a bare Python and
-numpy stays optional."""
+numpy stays optional; and a field symbol has one representation, an int
+in range(p), so no element class comes back beside it."""
 
 import ast
 import sys
 from pathlib import Path
+
+from xstpir.field import PrimeField
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xstpir"
 
@@ -43,3 +46,55 @@ def test_the_guard_sees_imports_at_any_depth(tmp_path):
     )
     outside = [m for _, m in _absolute_imports(source) if m not in sys.stdlib_module_names]
     assert sorted(outside) == ["numpy", "pandas", "xstpir"]
+
+
+# Names of the element-object representation; they live in tests/oracle.py.
+ORACLE_ONLY = {"Fe", "nest", "mat_vec"}
+
+
+def _oracle_names(path: Path):
+    """(line, name) of each definition, import or use of an ORACLE_ONLY
+    name in `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {
+                name.rpartition(".")[2]
+                for alias in node.names
+                for name in (alias.name, alias.asname or alias.name)
+            }
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            if name in ORACLE_ONLY:
+                yield node.lineno, name
+
+
+def test_no_module_defines_or_imports_a_second_field_representation():
+    sources = sorted(PACKAGE.glob("*.py"))
+    found = [f"{path.name}:{line} {name}" for path in sources for line, name in _oracle_names(path)]
+    assert found == []
+
+
+def test_the_representation_guard_sees_definitions_imports_and_uses(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from .field import Fe as F\nfrom . import field\n"
+        "def nest(v):\n    return field.mat_vec(v)\n"
+        "class Fe:\n    pass\nimport x.mat_vec\n"
+    )
+    assert sorted(_oracle_names(source)) == [
+        (1, "Fe"), (3, "nest"), (4, "mat_vec"), (5, "Fe"), (7, "mat_vec"),
+    ]
+
+
+def test_a_field_symbol_is_an_int():
+    symbol = PrimeField(11)(14)
+    assert type(symbol) is int
+    assert symbol == 3

@@ -5,10 +5,18 @@ from collections import Counter
 from itertools import product
 from random import Random
 
+import oracle
 import pytest
+from oracle import Field, lift, values
 
 from xstpir.csa import MessageSet
-from xstpir.field import BinMatrix, InsufficientFieldError, bin_det, solve_linear
+from xstpir.field import (
+    BinMatrix,
+    FieldMismatchError,
+    InsufficientFieldError,
+    PrimeField,
+    bin_det,
+)
 from xstpir.scheme import BinaryScheme, DownloadAllScheme, SymXspirScheme
 from xstpir.sim import run_retrieval
 from xstpir.special import (
@@ -21,6 +29,8 @@ from xstpir.special import (
     download_all_decode,
     download_all_encode,
     download_all_noise_space,
+    sym_xspir_answer,
+    sym_xspir_noise_space,
     sym_xspir_queries,
     sym_xspir_storage,
 )
@@ -73,7 +83,7 @@ def test_download_all_exhaustive_tiny_instance():
             noise = ((f(z1),), (f(z2),))
             for theta in (1, 2):
                 _, answers, decoded = _round(scheme, w, noise, None, theta)
-                assert decoded == tuple(e.value for e in w.message(theta))
+                assert decoded == w.message(theta)
                 assert sum(_downloaded(answers)) == params.N * params.K
                 rounds += 1
     assert rounds == 3**4 * 2
@@ -83,13 +93,12 @@ def test_download_all_decode_matches_independent_oracle():
     # X = 1: the last server stores pure noise scaled by N, so
     # z_k = payload[N-1][k] / N and symbol l is payload[l][k] - (l+1) z_k
     params = DownloadAllParams.make(3, 2, 1, 2)
-    f = params.field
     rng = Random(8)
     for _ in range(50):
-        w = MessageSet.random(params.K, params.L, f, rng)
-        noise = download_all_noise_space(params).sample(rng)
-        payloads = download_all_encode(w, noise, params)
-        got = download_all_decode(payloads, params)
+        w = MessageSet.random(params.K, params.L, params.field, rng)
+        noise = lift(download_all_noise_space(params).sample(rng), params.p)
+        payloads = lift(download_all_encode(w, values(noise), params), params.p)
+        got = lift(download_all_decode(values(payloads), params), params.p)
         for k in range(params.K):
             z_k = payloads[params.N - 1][k] / params.N
             assert z_k == noise[k][0]
@@ -97,22 +106,22 @@ def test_download_all_decode_matches_independent_oracle():
                 payloads[l][k] - (l + 1) * z_k for l in range(params.L)
             )
             assert got[k] == oracle
-        assert got == w.symbols
+        assert values(got) == w.symbols
 
 
 def test_download_all_decode_of_arbitrary_payloads_matches_per_message_solves():
     # X = 2, payloads not from any encoding: each message's noise solved on
     # its own from the tail block must give the same output
     params = DownloadAllParams.make(4, 3, 2, 2)
-    f = params.field
+    f = Field(params.p)
     gen = [[f(n) ** (x + 1) for x in range(params.X)] for n in range(1, params.N + 1)]
     rng = Random(12)
     for _ in range(20):
         payloads = [[f.random(rng) for _ in range(params.K)] for _ in range(params.N)]
-        got = download_all_decode(payloads, params)
+        got = lift(download_all_decode(values(payloads), params), params.p)
         for k in range(params.K):
             stored = [row[k] for row in payloads]
-            noise = solve_linear(gen[params.L :], stored[params.L :])
+            noise = oracle.solve_linear(gen[params.L :], stored[params.L :])
             want = tuple(
                 stored[n] - sum((g * z for g, z in zip(gen[n], noise)), f.zero)
                 for n in range(params.L)
@@ -141,11 +150,43 @@ def test_download_all_single_server_view_is_uniform():
             noise = ((f(z1),), (f(z2),))
             shares = download_all_encode(w, noise, params)
             for n, payload in enumerate(shares):
-                per_server[n][tuple(e.value for e in payload)] += 1
+                per_server[n][payload] += 1
         for table in per_server:
             assert set(table.values()) == {1}  # uniform over all 9 pairs
         tables.append(per_server)
     assert all(t == tables[0] for t in tables)
+
+
+# (N, K, X, T, p): X = 0 and X = 1, 2; minimal primes from 2 to 11, and a
+# non-minimal one
+DOWNLOAD_ALL_GRID = [
+    (1, 2, 0, 1, 2),
+    (2, 3, 0, 2, 3),
+    (2, 2, 1, 1, 3),
+    (3, 2, 1, 2, 5),
+    (4, 3, 2, 2, 5),
+    (6, 2, 3, 3, 7),
+    (9, 2, 5, 4, 11),
+    (3, 3, 2, 1, 13),
+]
+
+
+@pytest.mark.parametrize("n,k,x,t,p", DOWNLOAD_ALL_GRID)
+def test_download_all_matches_the_oracle(n, k, x, t, p):
+    # the int maps against the oracle's symbol-by-symbol Fe maps, on seeded
+    # messages and noise, and on payloads that no encoding produced
+    params = DownloadAllParams(n, k, x, t, p)
+    assert params.p == p
+    rng = Random(n * 1000 + k * 100 + x * 10 + t)
+    for _ in range(10):
+        w = MessageSet.random(k, params.L, params.field, rng)
+        noise = download_all_noise_space(params).sample(rng)
+        shares = download_all_encode(w, noise, params)
+        assert shares == values(oracle.download_all_encode(lift(w.symbols, p), lift(noise, p), params))
+        assert download_all_decode(shares, params) == w.symbols
+        payloads = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+        want = values(oracle.download_all_decode(lift(payloads, p), params))
+        assert download_all_decode(payloads, params) == want
 
 
 def test_download_all_shape_errors():
@@ -158,6 +199,10 @@ def test_download_all_shape_errors():
         download_all_decode(((f(0), f(0)),), params)  # missing a server
     with pytest.raises(ValueError):
         run_retrieval(params, w, 3, seed=0)  # theta outside 1..K
+    with pytest.raises(ValueError):
+        download_all_encode(MessageSet.from_ints([[1, 2]], f), ((0,), (0,)), params)
+    with pytest.raises(FieldMismatchError):
+        download_all_encode(MessageSet.from_ints([[1], [2]], PrimeField(5)), ((0,), (0,)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +380,7 @@ def test_sym_xspir_exhaustive_binary_instance():
             for m_o in (1, 2):
                 for theta in (1, 2):
                     _, answers, decoded = _round(scheme, w, z, m_o, theta)
-                    assert decoded == (w[theta - 1].value,)
+                    assert decoded == (w[theta - 1],)
                     assert _downloaded(answers) == (2, 2)
                     rounds += 1
     assert rounds == 4 * 16 * 2 * 2
@@ -351,7 +396,7 @@ def test_sym_xspir_randomized_wider_instance():
         m_o = scheme.query_randomness.sample(rng)
         theta = rng.randrange(1, params.K + 1)
         _, answers, decoded = _round(scheme, w, z, m_o, theta)
-        assert decoded == (w[theta - 1].value,)
+        assert decoded == (w[theta - 1],)
         assert _downloaded(answers) == (params.K,) * params.N
         assert sum(_downloaded(answers)) == params.K * params.N
 
@@ -385,10 +430,10 @@ def test_sym_xspir_answer_slots():
         _, answers, _ = _round(scheme, w, z, m_o, theta)
         # noise servers return their grid entries at the constant column
         for x in range(params.X):
-            assert answers[x][theta - 1] == z[x][theta - 1][m_o - 1].value
+            assert answers[x][theta - 1] == z[x][theta - 1][m_o - 1]
         # the masked server's theta slot carries W_theta under the same noise
         masked = answers[params.N - 1][theta - 1]
-        expected = w[theta - 1]
+        expected = Field(params.p)(w[theta - 1])
         for x in range(params.X):
             expected = expected + z[x][theta - 1][m_o - 1]
         assert masked == expected.value
@@ -396,19 +441,45 @@ def test_sym_xspir_answer_slots():
 
 def test_sym_xspir_storage_shapes():
     params = SymXspirParams.make(1, 2, p=3)
-    f = params.field
+    f = Field(params.p)
     w = (f(1), f(2))
     z = (((f(0), f(1)), (f(2), f(0))),)
-    grids = sym_xspir_storage(w, z, params)
+    grids = sym_xspir_storage(values(w), values(z), params)
     assert len(grids) == params.N
-    assert grids[0] == z[0]
-    assert grids[1] == (
+    assert grids[0] == values(z[0])
+    assert grids[1] == values((
         (f(1) + f(0), f(1) + f(1)),
         (f(2) + f(2), f(2) + f(0)),
-    )
+    ))
     with pytest.raises(ValueError):
         sym_xspir_queries(1, 3, params)  # m_o outside 1..K
     with pytest.raises(ValueError):
         sym_xspir_storage(w, (z[0][:1],), params)
     with pytest.raises(ValueError):
         sym_xspir_storage(w[:1], z, params)
+
+
+@pytest.mark.parametrize("x,k,p", [(1, 2, 2), (2, 3, 3), (1, 4, 5), (3, 2, 7), (2, 2, 11), (2, 3, 13)])
+def test_sym_xspir_matches_the_oracle(x, k, p):
+    # storage and every answer against the oracle's Fe maps; unreduced
+    # messages and noise store as their residues
+    params = SymXspirParams.make(x, k, p=p)
+    rng = Random(x * 100 + k * 10 + p)
+    for _ in range(10):
+        w = tuple(rng.randrange(p) for _ in range(k))
+        z = sym_xspir_noise_space(params).sample(rng)
+        grids = sym_xspir_storage(w, z, params)
+        want = oracle.sym_xspir_storage(lift(w, p), lift(z, p), params)
+        assert grids == values(want)
+        shifted = sym_xspir_storage(
+            tuple(v + p * rng.randrange(-2, 3) for v in w),
+            tuple(tuple(tuple(v - p for v in row) for row in zx) for zx in z),
+            params,
+        )
+        assert shifted == grids
+        for theta in range(1, k + 1):
+            for m_o in range(1, k + 1):
+                for grid, fe_grid, request in zip(grids, want, sym_xspir_queries(theta, m_o, params)):
+                    assert sym_xspir_answer(grid, request) == values(
+                        oracle.sym_xspir_answer(fe_grid, request)
+                    )
