@@ -2,7 +2,7 @@
 
 Components:
 
-- field: exact prime-field and GF(2) bit-matrix arithmetic;
+- field: exact prime-field arithmetic, GF(2) included;
 - csa: the cross-subspace-alignment scheme for N > X + T servers;
 - special: download-everything (N <= X + T), the three-server bit scheme,
   and the symmetrically secure N = X + 1 scheme;
@@ -46,13 +46,10 @@ from .csa import (
     gen_queries,
 )
 from .field import (
-    BinMatrix,
     FieldMismatchError,
     InsufficientFieldError,
     PrimeField,
     SingularMatrixError,
-    bin_det,
-    bin_inv,
     smallest_valid_prime,
     solve_linear,
 )
@@ -75,12 +72,12 @@ from .special import (
 )
 
 __all__ = [
-    "BinMatrix", "CsaParams", "DecodeOutput", "DownloadAllParams",
+    "CsaParams", "DecodeOutput", "DownloadAllParams",
     "FieldMismatchError", "InsufficientFieldError", "MessageSet",
     "PrimeField", "ProtocolInvariantError", "QueryNoise", "QueryShare",
     "RetrievalRun", "SingularMatrixError", "StorageNoise", "StorageShare",
-    "SymXspirParams", "Transcript", "WireMessage", "answer", "bin_det",
-    "bin_inv", "build_B", "c_n3", "c_pir", "c_tpir", "choose_alphas",
+    "SymXspirParams", "Transcript", "WireMessage", "answer",
+    "build_B", "c_n3", "c_pir", "c_tpir", "choose_alphas",
     "collude", "decode", "decoding_matrix", "delta", "delta_except",
     "download_all_decode", "download_all_encode", "empirical_rate",
     "encode_storage", "finite_k_rate", "gen_queries", "mds_pir_asym",

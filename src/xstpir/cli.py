@@ -141,12 +141,26 @@ def _fmt(value: Fraction) -> str:
     return f"{value} ({float(value):.6f})"
 
 
+def _theta(args: argparse.Namespace, k: int) -> int:
+    theta = args.theta if args.theta is not None else 1
+    if not 1 <= theta <= k:
+        raise UsageError(f"theta must be in 1..{k}")
+    return theta
+
+
+def _positive(args: argparse.Namespace, name: str, default: int) -> int:
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if value < 1:
+        raise UsageError(f"--{name} must be >= 1, got {value}")
+    return value
+
+
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = _experiment_from_args(args)
     scheme = cfg.build_scheme()
-    theta = args.theta if args.theta is not None else 1
-    if not 1 <= theta <= cfg.K:
-        raise UsageError(f"theta must be in 1..{cfg.K}")
+    theta = _theta(args, cfg.K)
     rng = Random(cfg.seed)
     messages = scheme.messages.sample(rng)
     run = sim.run_retrieval(scheme.params, messages, theta, cfg.seed, rng=rng)
@@ -173,7 +187,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if prop is None:
         raise UsageError(f"--property is required; pick one of {PROPERTIES}")
     cap = args.cap if args.cap is not None else audit_mod.DEFAULT_CAP
-    samples = args.samples if args.samples is not None else audit_mod.DEFAULT_SAMPLES
+    samples = _positive(args, "samples", audit_mod.DEFAULT_SAMPLES)
     auditor, kind = AUDITS[prop]
     kwargs = {"cap": cap, "samples": samples, "seed": cfg.seed}
     if args.subset_size is not None:
@@ -200,9 +214,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_rate(args: argparse.Namespace) -> int:
     cfg = _experiment_from_args(args)
     scheme = cfg.build_scheme()
-    theta = args.theta if args.theta is not None else 1
+    theta = _theta(args, cfg.K)
     exhaustive = bool(args.exhaustive)
-    trials = args.trials if args.trials is not None else 1000
+    trials = _positive(args, "trials", 1000)
     measured = sim.empirical_rate(
         scheme.params, exhaustive=exhaustive, trials=trials, seed=cfg.seed, theta=theta
     )

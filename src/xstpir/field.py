@@ -1,10 +1,10 @@
-"""Exact arithmetic over prime fields and over GF(2) bit matrices.
+"""Exact arithmetic over prime fields.
 
 Everything in this package reduces to the primitives here: the prime
-field as its modulus, Gaussian elimination on int rows (ranks, solutions
-of square systems, inverses), and a dedicated bit-matrix type for the
-two-element field. Every operation is exact integer arithmetic; no
-floating point is involved anywhere.
+field as its modulus, and Gaussian elimination on int rows (ranks,
+solutions of square systems, inverses). GF(2) is the prime field at
+p = 2, with no kernel of its own. Every operation is exact integer
+arithmetic; no floating point is involved anywhere.
 
 Representation: a symbol of GF(p) is a plain int in range(p), in every
 scheme, its parameters and its messages; the maps reduce mod p where they
@@ -208,174 +208,3 @@ def solve_linear(matrix: Sequence[Sequence[int]], rhs: Sequence, p: int) -> list
             if factor:
                 aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], pivot)]
     return [row[n:] for row in aug] if columns else [row[n] for row in aug]
-
-
-@dataclass(frozen=True)
-class BinMatrix:
-    """A matrix over GF(2), stored as a row-major tuple of 0/1 bits."""
-
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.bits) != self.rows * self.cols:
-            raise ValueError("bit array length must equal rows * cols")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(b) & 1 for row in rows for b in row))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BinMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, k: int) -> "BinMatrix":
-        return cls(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
-
-    @classmethod
-    def anti_identity(cls, k: int) -> "BinMatrix":
-        """Ones on the anti-diagonal: entry (i, k-1-i) is 1."""
-        return cls(
-            k, k, tuple(1 if i + j == k - 1 else 0 for i in range(k) for j in range(k))
-        )
-
-    @classmethod
-    def block(cls, grid: Sequence[Sequence["BinMatrix"]]) -> "BinMatrix":
-        """Assemble a block matrix from a 2-d grid of compatible blocks."""
-        row_heights = [band[0].rows for band in grid]
-        col_widths = [blk.cols for blk in grid[0]]
-        for band, height in zip(grid, row_heights):
-            if len(band) != len(col_widths):
-                raise ValueError("ragged block grid")
-            for blk, width in zip(band, col_widths):
-                if blk.rows != height or blk.cols != width:
-                    raise ValueError("incompatible block dimensions")
-        out_rows: list[list[int]] = []
-        for band, height in zip(grid, row_heights):
-            for i in range(height):
-                row: list[int] = []
-                for blk in band:
-                    row.extend(blk.row(i))
-                out_rows.append(row)
-        return cls.from_rows(out_rows)
-
-    def at(self, i: int, j: int) -> int:
-        return self.bits[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.bits[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "BinMatrix":
-        return BinMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __add__(self, other: "BinMatrix") -> "BinMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch in GF(2) matrix addition")
-        return BinMatrix(
-            self.rows, self.cols, tuple(a ^ b for a, b in zip(self.bits, other.bits))
-        )
-
-    def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in GF(2) matrix product")
-        rows = []
-        other_t = other.transpose()
-        for i in range(self.rows):
-            r = self.row(i)
-            rows.append(
-                [bit_dot(r, other_t.row(j)) for j in range(other.cols)]
-            )
-        return BinMatrix.from_rows(rows) if rows else BinMatrix.zeros(0, other.cols)
-
-    def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column bit-vector."""
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(bit_dot(self.row(i), vec) for i in range(self.rows))
-
-    def vec_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Row bit-vector times matrix."""
-        if len(vec) != self.rows:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            bit_dot(vec, [self.at(i, j) for i in range(self.rows)])
-            for j in range(self.cols)
-        )
-
-    def _row_masks(self) -> list[int]:
-        return [
-            int("".join(map(str, self.row(i))), 2) if self.cols else 0
-            for i in range(self.rows)
-        ]
-
-
-def bit_dot(u: Sequence[int], v: Sequence[int]) -> int:
-    """Inner product of two bit vectors over GF(2)."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    acc = 0
-    for a, b in zip(u, v):
-        acc ^= a & b
-    return acc
-
-
-def bin_det(m: BinMatrix) -> int:
-    """Determinant over GF(2): 1 iff the matrix has full rank."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    masks = m._row_masks()
-    n = m.rows
-    rank = 0
-    for col in range(n - 1, -1, -1):
-        bit = 1 << col
-        pivot = next((r for r in range(rank, n) if masks[r] & bit), None)
-        if pivot is None:
-            return 0
-        masks[rank], masks[pivot] = masks[pivot], masks[rank]
-        for r in range(n):
-            if r != rank and masks[r] & bit:
-                masks[r] ^= masks[rank]
-        rank += 1
-    return 1
-
-
-def bin_inv(m: BinMatrix) -> BinMatrix:
-    """Inverse over GF(2) by Gauss-Jordan; raises SingularMatrixError."""
-    if m.rows != m.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    masks = m._row_masks()
-    aug = [(masks[i] << n) | (1 << (n - 1 - i)) for i in range(n)]
-    rank = 0
-    for col in range(2 * n - 1, n - 1, -1):
-        bit = 1 << col
-        pivot = next((r for r in range(rank, n) if aug[r] & bit), None)
-        if pivot is None:
-            raise SingularMatrixError("bit matrix is singular")
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        for r in range(n):
-            if r != rank and aug[r] & bit:
-                aug[r] ^= aug[rank]
-        rank += 1
-    inv_bits = []
-    for r in range(n):
-        low = aug[r] & ((1 << n) - 1)
-        inv_bits.extend((low >> (n - 1 - j)) & 1 for j in range(n))
-    return BinMatrix(n, n, tuple(inv_bits))

@@ -231,8 +231,9 @@ class DownloadAllScheme(Scheme):
 class BinaryScheme(Scheme):
     """The three-server bit scheme over GF(2) (N = 3, X = T = 1).
 
-    `b` replaces the K x K matrix B of `special.build_B`; audits inject
-    invalid ones to probe how they react to a corrupted instance.
+    `b` replaces the K x K matrix B of `special.build_B`, given like it as
+    K rows of ints in {0, 1}; audits inject invalid ones to probe how they
+    react to a corrupted instance.
     """
 
     name = "binary_n3"

@@ -19,11 +19,9 @@ from typing import Sequence
 
 from .csa import MessageSet
 from .field import (
-    BinMatrix,
     InsufficientFieldError,
     PrimeField,
     Space,
-    bit_dot,
     is_prime,
     reshape,
     smallest_valid_prime,
@@ -137,82 +135,76 @@ def download_all_decode(
     )
 
 
-def build_B(k: int) -> BinMatrix:
-    """A K x K bit matrix with B and I + B both invertible, for any K >= 2.
+def build_B(k: int) -> tuple[tuple[int, ...], ...]:
+    """A K x K bit matrix B, as K rows of ints in {0, 1}, with B and I + B
+    both invertible over GF(2), for any K >= 2.
 
-    Even K: [[I, J], [J, 0]] on half-size blocks, with J the anti-diagonal
-    identity. Odd K: the top-left (K+1)/2 block is J + I + I' (I' being the
-    identity padded by a zero last row and column), bordered by truncated
-    anti-diagonal blocks. No such matrix exists for K = 1, since B and B + I
-    cannot both be nonzero bits.
+    Every K: ones on the anti-diagonal i + j = K - 1. Even K: ones also on
+    the first K/2 diagonal entries, which is [[I, J], [J, 0]] on half-size
+    blocks, J the anti-diagonal identity. Odd K: ones also on the short
+    anti-diagonal i + j = (K-1)/2, which is the top-left (K+1)/2 block
+    J + I + I' (I' the identity padded by a zero last row and column)
+    bordered by truncated anti-diagonal blocks. No such matrix exists for
+    K = 1, since B and B + I cannot both be nonzero bits.
     """
     if k < 2:
         raise ValueError("no K x K bit matrix with B and I+B invertible for K < 2")
-    if k % 2 == 0:
-        h = k // 2
-        return BinMatrix.block(
-            [
-                [BinMatrix.identity(h), BinMatrix.anti_identity(h)],
-                [BinMatrix.anti_identity(h), BinMatrix.zeros(h, h)],
-            ]
-        )
-    m = (k + 1) // 2
-    h = m - 1
-    padded_identity = BinMatrix.block(
-        [
-            [BinMatrix.identity(h), BinMatrix.zeros(h, 1)],
-            [BinMatrix.zeros(1, h), BinMatrix.zeros(1, 1)],
-        ]
-    )
-    top_left = BinMatrix.anti_identity(m) + padded_identity + BinMatrix.identity(m)
-    top_right = BinMatrix.block(
-        [[BinMatrix.anti_identity(h)], [BinMatrix.zeros(1, h)]]
-    )
-    bottom_left = BinMatrix.block(
-        [[BinMatrix.anti_identity(h), BinMatrix.zeros(h, 1)]]
-    )
-    return BinMatrix.block(
-        [[top_left, top_right], [bottom_left, BinMatrix.zeros(h, h)]]
-    )
+    h = k // 2
+    rows = []
+    for i in range(k):
+        row = [0] * k
+        row[k - 1 - i] = 1
+        if k % 2 and i <= h:
+            row[h - i] = 1
+        elif not k % 2 and i < h:
+            row[i] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _check_square(b: Sequence[Sequence[int]], k: int) -> None:
+    if len(b) != k or any(len(row) != k for row in b):
+        raise ValueError("dimension mismatch")
 
 
 def binary_storage(
-    w: Sequence[int], z: Sequence[int], b: BinMatrix
+    w: Sequence[int], z: Sequence[int], b: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Three stored vectors: (W + Z, W + Z B, Z), all over GF(2)."""
-    if len(w) != len(z) or b.rows != b.cols or b.rows != len(w):
+    if len(w) != len(z):
         raise ValueError("dimension mismatch")
+    _check_square(b, len(w))
     if not set(w) | set(z) <= {0, 1}:
         raise ValueError("W and Z must be bit vectors")
-    zb = b.vec_mul(z)
     s1 = tuple(a ^ c for a, c in zip(w, z))
-    s2 = tuple(a ^ c for a, c in zip(w, zb))
+    s2 = tuple((a + sum(map(mul, z, col))) % 2 for a, col in zip(w, zip(*b)))
     return s1, s2, tuple(z)
 
 
 def binary_queries(
-    theta: int, zp: Sequence[int], b: BinMatrix
+    theta: int, zp: Sequence[int], b: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Three query vectors: (Z', Q + Z', (I + B) Z' + B Q), Q the theta unit."""
-    k = b.rows
-    if b.cols != k or len(zp) != k:
-        raise ValueError("dimension mismatch")
+    """Three query vectors: (Z', Q + Z', (I + B) Z' + B Q), Q the theta
+    unit; the third is computed as Z' + B (Q + Z')."""
+    k = len(zp)
+    _check_square(b, k)
     if not 1 <= theta <= k:
         raise ValueError(f"theta must be in 1..{k}")
-    unit = tuple(1 if i == theta - 1 else 0 for i in range(k))
-    q2 = tuple(a ^ c for a, c in zip(unit, zp))
-    q3 = tuple(
-        a ^ c
-        for a, c in zip((BinMatrix.identity(k) + b).mul_vec(zp), b.mul_vec(unit))
-    )
-    return tuple(zp), q2, q3
+    if not set(zp) <= {0, 1}:
+        raise ValueError("Z' must be a bit vector")
+    q2 = list(zp)
+    q2[theta - 1] ^= 1
+    q3 = tuple((a + sum(map(mul, row, q2))) % 2 for a, row in zip(zp, b))
+    return tuple(zp), tuple(q2), q3
 
 
 def binary_answer(storage: Sequence[int], query: Sequence[int]) -> int | None:
     """Inner product over GF(2); None marks the free all-zero-query case."""
     if not any(query):
         return None
-    return bit_dot(storage, query)
+    if len(storage) != len(query):
+        raise ValueError("dimension mismatch")
+    return sum(map(mul, storage, query)) % 2
 
 
 @dataclass(frozen=True)

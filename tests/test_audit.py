@@ -29,7 +29,7 @@ from xstpir.audit import (
     exact_engine,
 )
 from xstpir.csa import CsaParams, MessageSet, QueryNoise
-from xstpir.field import BinMatrix, PrimeField
+from xstpir.field import PrimeField
 from xstpir.special import DownloadAllParams, SymXspirParams
 
 ZERO = Fraction(0)
@@ -232,7 +232,7 @@ def test_privacy_fails_beyond_designed_collusion():
 
 def test_privacy_fails_with_identity_mixing_matrix():
     # B = I makes the third query (I + B) Z' + B e_theta = e_theta in clear
-    report = audit_privacy(BinaryInstance(2, b=BinMatrix.identity(2)))
+    report = audit_privacy(BinaryInstance(2, b=((1, 0), (0, 1))))
     assert not report.passed
     assert report.max_tv_distance == ONE
 
@@ -281,7 +281,7 @@ def test_sampled_mode_engages_when_capped():
 
 def test_sampled_mode_still_catches_gross_leaks():
     report = audit_privacy(
-        BinaryInstance(2, b=BinMatrix.identity(2)), cap=0, samples=400, seed=1
+        BinaryInstance(2, b=((1, 0), (0, 1))), cap=0, samples=400, seed=1
     )
     assert not report.exhaustive
     assert not report.passed
@@ -376,7 +376,7 @@ PRIVACY_CASES = {
     "symx-x1k2": (lambda: _symx(1, 2), None),
     # planted failures
     "csa-3211-pairs": (lambda: _csa(3, 2, 1, 1), 2),
-    "binary-identity": (lambda: BinaryInstance(2, b=BinMatrix.identity(2)), None),
+    "binary-identity": (lambda: BinaryInstance(2, b=((1, 0), (0, 1))), None),
 }
 
 
@@ -536,7 +536,7 @@ ORACLE_CASES = {
     "over-x-csa-3111": (audit_security, lambda: _csa(3, 1, 1, 1), {"subset_size": 2}),
     "over-x-csa-3211": (audit_security, lambda: _csa(3, 2, 1, 1), {"subset_size": 2}),
     "over-t-csa-3211": (audit_privacy, lambda: _csa(3, 2, 1, 1), {"subset_size": 2}),
-    "bad-b-binary-k2": (audit_privacy, lambda: BinaryInstance(2, b=BinMatrix.identity(2)), {}),
+    "bad-b-binary-k2": (audit_privacy, lambda: BinaryInstance(2, b=((1, 0), (0, 1))), {}),
     "symsec-dl-2211": (audit_sym_security, lambda: _dl(2, 2, 1, 1), {}),
     "symsec-csa-4212": (audit_sym_security, lambda: _csa(4, 2, 1, 2, p=5), {}),
 }
@@ -616,7 +616,7 @@ SAMPLED_INSTANCES = {
     "csa-5211": lambda: _csa(5, 2, 1, 1),
     "binary-k2": lambda: BinaryInstance(2),
     "binary-k4": lambda: BinaryInstance(4),
-    "binary-identity": lambda: BinaryInstance(2, b=BinMatrix.identity(2)),
+    "binary-identity": lambda: BinaryInstance(2, b=((1, 0), (0, 1))),
     "dl-2211": lambda: _dl(2, 2, 1, 1),
 }
 

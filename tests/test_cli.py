@@ -123,6 +123,17 @@ def test_retrieve_all_schemes(tmp_path, capsys, monkeypatch):
          "--property", "correctness", "--subset-size", "9"],
         ["audit", "--scheme", "sym_xspir", "-N", "2", "-K", "2", "-X", "1", "-T", "1",
          "--property", "sym-security", "--subset-size", "1"],
+        # sampled audits and rates need at least one draw
+        ["audit", "--scheme", "csa", "-N", "4", "-K", "2", "-X", "1", "-T", "1",
+         "--property", "security", "--sampled", "--cap", "0", "--samples", "0"],
+        ["audit", "--scheme", "csa", "-N", "4", "-K", "2", "-X", "1", "-T", "1",
+         "--property", "correctness", "--sampled", "--cap", "0", "--samples", "0"],
+        ["audit", "--scheme", "csa", "-N", "4", "-K", "2", "-X", "1", "-T", "1",
+         "--property", "security", "--sampled", "--cap", "0", "--samples", "-3"],
+        ["rate", "--scheme", "csa", "-N", "4", "-K", "2", "-X", "1", "-T", "1",
+         "--trials", "0"],
+        ["rate", "--scheme", "csa", "-N", "4", "-K", "2", "-X", "1", "-T", "1",
+         "--theta", "9"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -398,6 +409,11 @@ def test_config_type_errors(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["retrieve", "--config", str(cfg)], capsys)
     assert code == 2
     assert "integer" in err
+
+    cfg.write_text("scheme=csa\nN=4\nK=2\nX=1\nT=1\ntrials=0\n")
+    code, _, err = run_cli(["rate", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "trials must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------

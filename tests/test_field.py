@@ -11,14 +11,10 @@ import pytest
 from oracle import Field, lift, values
 
 from xstpir.field import (
-    BinMatrix,
     FieldMismatchError,
     PrimeField,
     SingularMatrixError,
     Space,
-    bin_det,
-    bin_inv,
-    bit_dot,
     eliminate_mod,
     is_prime,
     smallest_valid_prime,
@@ -311,63 +307,26 @@ def test_space_draw_matches_the_randrange_loop(base):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) bit matrices
+# GF(2): the int kernel at p = 2
 # ---------------------------------------------------------------------------
 
 
-def test_binmatrix_constructors():
-    i2 = BinMatrix.identity(2)
-    assert i2.to_rows() == [[1, 0], [0, 1]]
-    j3 = BinMatrix.anti_identity(3)
-    assert j3.to_rows() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    z = BinMatrix.zeros(2, 3)
-    assert z.to_rows() == [[0, 0, 0], [0, 0, 0]]
-    with pytest.raises(ValueError):
-        BinMatrix(2, 2, (0, 1, 1))
-    with pytest.raises(ValueError):
-        BinMatrix(1, 2, (0, 2))
-    with pytest.raises(ValueError):
-        BinMatrix.from_rows([[1, 0], [1]])
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def test_binmatrix_add_is_xor():
-    a = BinMatrix.from_rows([[1, 0], [1, 1]])
-    b = BinMatrix.from_rows([[1, 1], [0, 1]])
-    assert (a + b).to_rows() == [[0, 1], [1, 0]]
-    with pytest.raises(ValueError):
-        a + BinMatrix.zeros(1, 2)
-
-
-def test_binmatrix_products():
-    j = BinMatrix.anti_identity(4)
-    assert (j @ j).to_rows() == BinMatrix.identity(4).to_rows()
-    a = BinMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    v = (1, 0, 1)
-    assert a.mul_vec(v) == (1, 1)
-    assert a.vec_mul((1, 1)) == (1, 0, 1)
-    assert bit_dot((1, 1, 0), (1, 0, 1)) == 1
-    with pytest.raises(ValueError):
-        a.mul_vec((1, 0))
-
-
-def test_binmatrix_block_assembly():
-    m = BinMatrix.block(
-        [
-            [BinMatrix.identity(2), BinMatrix.zeros(2, 1)],
-            [BinMatrix.from_rows([[1, 1]]), BinMatrix.from_rows([[1]])],
-        ]
-    )
-    assert m.to_rows() == [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
-    with pytest.raises(ValueError):
-        BinMatrix.block([[BinMatrix.identity(2), BinMatrix.zeros(1, 1)]])
+def _oracle_product(a, b, p: int) -> list[list[int]]:
+    """a times b over GF(p), one column of b at a time through the oracle."""
+    columns = [values(oracle.mat_vec(lift(a, p), col)) for col in zip(*lift(b, p))]
+    return [list(row) for row in zip(*columns)]
 
 
 def test_bin_det_examples():
-    assert bin_det(BinMatrix.identity(5)) == 1
-    assert bin_det(BinMatrix.from_rows([[1, 1], [1, 1]])) == 0
-    assert bin_det(BinMatrix.from_rows([[0, 1], [1, 0]])) == 1
+    assert eliminate_mod(_identity(5), 2) == 5
+    assert eliminate_mod([[1, 1], [1, 1]], 2) == 1
+    assert eliminate_mod([[0, 1], [1, 0]], 2) == 2
     with pytest.raises(ValueError):
-        bin_det(BinMatrix.zeros(2, 3))
+        solve_linear([[0, 0, 0], [0, 0, 0]], [0, 0], 2)
 
 
 def test_bin_inv_roundtrip_randomized():
@@ -375,13 +334,14 @@ def test_bin_inv_roundtrip_randomized():
     done = 0
     while done < 60:
         n = rng.randrange(1, 9)
-        m = BinMatrix(n, n, tuple(rng.randrange(2) for _ in range(n * n)))
-        if bin_det(m) == 0:
+        m = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+        if eliminate_mod([list(row) for row in m], 2) < n:
             with pytest.raises(SingularMatrixError):
-                bin_inv(m)
+                solve_linear(m, _identity(n), 2)
             continue
-        assert (m @ bin_inv(m)).to_rows() == BinMatrix.identity(n).to_rows()
-        assert (bin_inv(m) @ m).to_rows() == BinMatrix.identity(n).to_rows()
+        inv = solve_linear(m, _identity(n), 2)
+        assert _oracle_product(m, inv, 2) == _identity(n)
+        assert _oracle_product(inv, m, 2) == _identity(n)
         done += 1
 
 
@@ -394,4 +354,5 @@ def test_bin_det_agrees_with_exhaustive_3x3():
     from itertools import product
 
     for bits in product((0, 1), repeat=9):
-        assert bin_det(BinMatrix(3, 3, bits)) == det3(bits)
+        rows = [list(bits[0:3]), list(bits[3:6]), list(bits[6:9])]
+        assert (eliminate_mod(rows, 2) == 3) == (det3(bits) == 1)

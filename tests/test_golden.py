@@ -26,7 +26,7 @@ from xstpir.audit import (
     audit_sym_security,
 )
 from xstpir.csa import CsaParams, MessageSet
-from xstpir.field import BinMatrix, PrimeField
+from xstpir.field import PrimeField
 from xstpir.sim import replay, run_retrieval
 from xstpir.special import DownloadAllParams, SymXspirParams
 
@@ -103,7 +103,7 @@ AUDITS = {
         audit_security, lambda: BinaryInstance(2), {"cap": 0, "samples": 6000, "seed": 1},
     ),
     "sampled-privacy-binary-identity": (
-        audit_privacy, lambda: BinaryInstance(2, b=BinMatrix.identity(2)),
+        audit_privacy, lambda: BinaryInstance(2, b=((1, 0), (0, 1))),
         {"cap": 0, "samples": 400, "seed": 1},
     ),
     "sampled-privacy-csa-3111-seed7": (

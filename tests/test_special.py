@@ -11,11 +11,10 @@ from oracle import Field, lift, values
 
 from xstpir.csa import MessageSet
 from xstpir.field import (
-    BinMatrix,
     FieldMismatchError,
     InsufficientFieldError,
     PrimeField,
-    bin_det,
+    eliminate_mod,
 )
 from xstpir.scheme import BinaryScheme, DownloadAllScheme, SymXspirScheme
 from xstpir.sim import run_retrieval
@@ -211,21 +210,21 @@ def test_download_all_shape_errors():
 
 
 def test_build_b_goldens():
-    assert build_B(2).to_rows() == [[1, 1], [1, 0]]
-    assert build_B(3).to_rows() == [[0, 1, 1], [1, 1, 0], [1, 0, 0]]
-    assert build_B(4).to_rows() == [
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-    ]
-    assert build_B(5).to_rows() == [
-        [0, 0, 1, 0, 1],
-        [0, 1, 0, 1, 0],
-        [1, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0],
-        [1, 0, 0, 0, 0],
-    ]
+    assert build_B(2) == ((1, 1), (1, 0))
+    assert build_B(3) == ((0, 1, 1), (1, 1, 0), (1, 0, 0))
+    assert build_B(4) == (
+        (1, 0, 0, 1),
+        (0, 1, 1, 0),
+        (0, 1, 0, 0),
+        (1, 0, 0, 0),
+    )
+    assert build_B(5) == (
+        (0, 0, 1, 0, 1),
+        (0, 1, 0, 1, 0),
+        (1, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0),
+        (1, 0, 0, 0, 0),
+    )
     with pytest.raises(ValueError):
         build_B(1)
 
@@ -233,31 +232,37 @@ def test_build_b_goldens():
 def test_build_b_and_complement_invertible():
     for k in range(2, 17):
         b = build_B(k)
-        assert bin_det(b) == 1
-        assert bin_det(BinMatrix.identity(k) + b) == 1
+        assert eliminate_mod(list(b), 2) == k
+        i_plus_b = [[v ^ (i == j) for j, v in enumerate(row)] for i, row in enumerate(b)]
+        assert eliminate_mod(i_plus_b, 2) == k
 
 
 def test_binary_layout_closed_forms():
+    # the closed forms on the oracle's GF(2) elements, as the paper states them
     rng = Random(21)
+    f = Field(2)
     for k in (2, 3, 5):
         b = build_B(k)
-        ident = BinMatrix.identity(k)
+        fb = lift(b, 2)
+        fb_t = list(zip(*fb))  # Z B is B^T Z
+        i_plus_b = [[v + f(int(i == j)) for j, v in enumerate(row)] for i, row in enumerate(fb)]
         for _ in range(20):
             w = tuple(rng.randrange(2) for _ in range(k))
             z = tuple(rng.randrange(2) for _ in range(k))
             zp = tuple(rng.randrange(2) for _ in range(k))
             theta = rng.randrange(1, k + 1)
+            fw, fz, fzp = lift(w, 2), lift(z, 2), lift(zp, 2)
             s1, s2, s3 = binary_storage(w, z, b)
-            assert s1 == tuple(a ^ c for a, c in zip(w, z))
-            assert s2 == tuple(a ^ c for a, c in zip(w, b.vec_mul(z)))
+            assert s1 == values(tuple(a + c for a, c in zip(fw, fz)))
+            assert s2 == values(tuple(a + c for a, c in zip(fw, oracle.mat_vec(fb_t, fz))))
             assert s3 == z
-            unit = tuple(1 if i == theta - 1 else 0 for i in range(k))
+            unit = lift(tuple(1 if i == theta - 1 else 0 for i in range(k)), 2)
             q1, q2, q3 = binary_queries(theta, zp, b)
             assert q1 == zp
-            assert q2 == tuple(a ^ c for a, c in zip(unit, zp))
-            assert q3 == tuple(
-                a ^ c for a, c in zip((ident + b).mul_vec(zp), b.mul_vec(unit))
-            )
+            assert q2 == values(tuple(a + c for a, c in zip(unit, fzp)))
+            assert q3 == values(tuple(
+                a + c for a, c in zip(oracle.mat_vec(i_plus_b, fzp), oracle.mat_vec(fb, unit))
+            ))
 
 
 def test_binary_round_exhaustive():
@@ -338,14 +343,16 @@ def test_binary_state_validation():
     # with I + B singular (here B = I), server 3's query is the theta unit
     # vector whatever the query noise: B must keep I + B invertible
     for zp in _bits(2):
-        assert binary_queries(2, zp, BinMatrix.identity(2))[2] == (0, 1)
+        assert binary_queries(2, zp, ((1, 0), (0, 1)))[2] == (0, 1)
     with pytest.raises(ValueError, match="bit vectors"):
         binary_storage((0, 2), (0, 0), build_B(2))
+    with pytest.raises(ValueError, match="bit vector"):
+        binary_queries(1, (0, 2), build_B(2))
     with pytest.raises(ValueError):
         run_retrieval(2, (0, 2), 1, seed=0)
     with pytest.raises(ValueError):
         binary_storage((0, 0, 0), (0, 0, 0), build_B(2))
-    assert BinaryScheme(4).b.to_rows() == build_B(4).to_rows()
+    assert BinaryScheme(4).b == build_B(4)
 
 
 # ---------------------------------------------------------------------------
