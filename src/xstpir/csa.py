@@ -29,7 +29,8 @@ per block it packs each K-vector into one int of 16-, 32- or 64-bit lanes,
 wide enough that (p - 1) + depth * (p - 1)^2 never carries, and builds each
 row with one big-int multiply-add per noise term; with one noise term, or
 lanes wider than 64 bits, it runs one pass over the symbols per term. Both
-give the same ints.
+give the same ints. The replay check of theta (`constant_terms`) runs on
+the same lanes, N terms deep: one big-int multiply-add per server per block.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 from operator import mul
 from random import Random
 from sys import byteorder
@@ -56,10 +58,7 @@ from .field import (
 
 def delta(alpha: int, length: int, p: int) -> int:
     """Product (1 + alpha)(2 + alpha) ... (length + alpha) mod p."""
-    acc = 1 % p
-    for i in range(1, length + 1):
-        acc = acc * (i + alpha) % p
-    return acc
+    return prod(i + alpha for i in range(1, length + 1)) % p
 
 
 def delta_except(alpha: int, length: int, skip: int, p: int) -> int:
@@ -71,11 +70,7 @@ def delta_except(alpha: int, length: int, skip: int, p: int) -> int:
     """
     if not 1 <= skip <= length:
         raise ValueError("skip index out of range")
-    acc = 1 % p
-    for i in range(1, length + 1):
-        if i != skip:
-            acc = acc * (i + alpha) % p
-    return acc
+    return prod(i + alpha for i in range(1, length + 1) if i != skip) % p
 
 
 def choose_alphas(p: int, length: int, count: int) -> tuple[int, ...]:
@@ -87,12 +82,12 @@ def choose_alphas(p: int, length: int, count: int) -> tuple[int, ...]:
     and for any p >= count + length this returns 0, 1, ..., count - 1. Raises
     InsufficientFieldError when fewer than `count` usable points exist.
     """
-    usable = range(p)[: max(p - length, 0)]
-    if not 0 < count <= len(usable):
+    usable = max(p - length, 0)
+    if not 0 < count <= usable:
         raise InsufficientFieldError(
-            f"GF({p}) has only {len(usable)} usable evaluation points, need {count}"
+            f"GF({p}) has only {usable} usable evaluation points, need {count}"
         )
-    return tuple(usable[:count])
+    return tuple(range(count))
 
 
 @dataclass(frozen=True)
@@ -345,10 +340,10 @@ class _Table:
             for row in self.points
         ]
         self.scales = list(zip(*desired_columns(params)))
-        # Lane width `_mix` packs rows into, per noise depth; None where it
-        # runs the loop: at depth 1, where packing measured no faster, and
-        # past 64 bits.
-        self.lanes = {d: _lane_bits(p, d) if d > 1 else None for d in (params.X, params.T)}
+        # Lane width per depth for `_mix` (X, T) and `constant_terms` (N);
+        # None where they loop: at depth 1, where packing measured no
+        # faster, and past 64 bits.
+        self.lanes = {d: _lane_bits(p, d) if d > 1 else None for d in (params.X, params.T, params.N)}
 
     @cached_property
     def decoder(self) -> list[list[int]]:
@@ -362,18 +357,13 @@ class _Table:
         """w[l][n] = lambda_{n,l} / s_{n,l}, with lambda_{n,l} the Lagrange
         weight at u = 0 over the N points of block l and s_{n,l} the query
         scale."""
-        p = self.params.p
-        out = []
+        p, out = self.params.p, []
         for l in range(self.params.L):
-            points = [row[l] for row in self.points]
-            weights = []
+            points, weights = [row[l] for row in self.points], []
             for n, u in enumerate(points):
-                num = den = 1
-                for m, v in enumerate(points):
-                    if m != n:
-                        num = num * v % p
-                        den = den * (v - u) % p
-                weights.append(num * pow(den * self.scales[n][l], -1, p) % p)
+                others = points[:n] + points[n + 1 :]
+                den = prod(v - u for v in others) * self.scales[n][l]
+                weights.append(prod(others) * pow(den, -1, p) % p)
             out.append(weights)
         return out
 
@@ -392,6 +382,22 @@ def _lane_bits(p: int, depth: int) -> int | None:
     value a packed row reaches before its reduction mod p; None past 64 bits."""
     bound = (p - 1) + depth * (p - 1) ** 2
     return next((bits for bits in sorted(_LANE_CODES) if bound < 1 << bits), None)
+
+
+def _pack(values: Sequence[int], bits: int) -> int:
+    """One int of `bits`-bit lanes holding `values`, in native order; at 16
+    bits, as bytes written into each lane's low byte, so all below 256."""
+    if bits == 16:
+        buf = bytearray(2 * len(values))
+        buf[byteorder == "big" :: 2] = bytes(values)
+        return int.from_bytes(buf, byteorder)
+    return int.from_bytes(array(_LANE_CODES[bits], values).tobytes(), byteorder)
+
+
+def _unpack(acc: int, count: int, bits: int, p: int) -> tuple[int, ...]:
+    """The `count` lanes of `acc`, each reduced mod p."""
+    lanes = memoryview(acc.to_bytes(count * bits // 8, byteorder)).cast(_LANE_CODES[bits])
+    return tuple([v % p for v in lanes])
 
 
 def _mix(
@@ -440,15 +446,9 @@ def _mix_packed(table, bases, z, scales, bits):
     no lane exceeds (p - 1) + depth * (p - 1)^2, which `bits` holds, so no
     lane carries into the next.
     """
-    p = table.params.p
-    code = _LANE_CODES[bits]
-    width = len(bases[0]) * bits // 8
-
-    def pack(vector):
-        return int.from_bytes(array(code, [v % p for v in vector]).tobytes(), byteorder)
-
-    packed_bases = [pack(base) for base in bases]
-    packed_z = [[pack(zj) for zj in zl] for zl in z]
+    p, k = table.params.p, len(bases[0])
+    packed_bases = [_pack([v % p for v in base], bits) for base in bases]
+    packed_z = [[_pack([v % p for v in zj], bits) for zj in zl] for zl in z]
     out = []
     for n, powers in enumerate(table.powers):
         rows = []
@@ -458,8 +458,7 @@ def _mix_packed(table, bases, z, scales, bits):
                 acc, weights = s * acc, [s * w % p for w in weights]
             for w, zj in zip(weights, zl):
                 acc += w * zj
-            lanes = memoryview(acc.to_bytes(width, byteorder)).cast(code)
-            rows.append(tuple([v % p for v in lanes]))
+            rows.append(_unpack(acc, k, bits, p))
         out.append(tuple(rows))
     return out
 
@@ -534,9 +533,11 @@ def decode(answers: Sequence[int], params: CsaParams) -> DecodeOutput:
 
 
 def constant_terms(
-    queries: Sequence[QueryShare], params: CsaParams
+    queries: Sequence[Sequence[int]], params: CsaParams
 ) -> tuple[tuple[int, ...], ...]:
-    """Per block l, the K-vector sum over n of lambda_{n,l} / s_{n,l} * q_{n,l}.
+    """Per block l, the K-vector sum over n of lambda_{n,l} / s_{n,l} * q_{n,l},
+    from the N flat query payloads (block l at symbols l*K .. l*K + K - 1),
+    whose symbols must lie in range(p), which the packed lanes are sized for.
 
     Unscaled, the query for block l is a polynomial in u = l + alpha_n of
     degree T < N whose constant term is the unit vector of theta;
@@ -546,10 +547,17 @@ def constant_terms(
     """
     if len(queries) != params.N:
         raise ValueError("need one query per server")
-    p = params.p
+    p, k, table = params.p, params.K, _table(params)
+    bits = table.lanes[params.N]
+    if bits is None:
+        return tuple(
+            tuple(sum(map(mul, w, col)) % p for col in zip(*(q[l * k : l * k + k] for q in queries)))
+            for l, w in enumerate(table.check_weights)
+        )
+    mask, packed = (1 << k * bits) - 1, [_pack(q, bits) for q in queries]
     return tuple(
-        tuple(sum(map(mul, weights, column)) % p for column in zip(*(q.cols[l] for q in queries)))
-        for l, weights in enumerate(_table(params).check_weights)
+        _unpack(sum([w * (q >> l * k * bits & mask) for w, q in zip(weights, packed)]), k, bits, p)
+        for l, weights in enumerate(table.check_weights)
     )
 
 

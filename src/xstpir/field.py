@@ -33,19 +33,25 @@ class InsufficientFieldError(ValueError):
     """The field is too small to supply the evaluation points a scheme needs."""
 
 
+# Strong-probable-prime bases, and the bound below which they decide
+# primality exactly (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test. Moduli in this package are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    """Deterministic Miller-Rabin test with the first 13 primes as bases.
+    Raises ValueError at or above `_MR_BOUND`, where it is not proven exact."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide primality at or above {_MR_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False  # a witnesses that n is composite
     return True
 
 

@@ -106,9 +106,9 @@ class Scheme:
         return self.K
 
     def check_retrieves(self, theta: int, queries: Sequence[Payload]) -> None:
-        """Raise ValueError unless the query payloads, in server order,
-        retrieve message theta. The default checks nothing; it fits a scheme
-        whose queries do not depend on theta."""
+        """Raise ValueError unless the query payloads, in server order and
+        of checked length and alphabet, retrieve message theta. The default
+        checks nothing; it fits a scheme whose queries do not depend on theta."""
 
     def decode(self, theta: int, answers: Sequence[Payload | None]) -> Payload:
         raise NotImplementedError
@@ -169,9 +169,8 @@ class CsaScheme(Scheme):
     def check_retrieves(self, theta, queries):
         """Each block's queries, unscaled and evaluated at u = 0, must give
         the unit vector of theta (see `csa.constant_terms`)."""
-        shares = [self.query_from_payload(n, q) for n, q in enumerate(queries, start=1)]
         unit = tuple(int(k == theta) for k in range(1, self.K + 1))
-        if any(v != unit for v in csa.constant_terms(shares, self.params)):
+        if any(v != unit for v in csa.constant_terms(queries, self.params)):
             raise ValueError(f"the queries do not retrieve message {theta}")
 
     def decode(self, theta, answers):

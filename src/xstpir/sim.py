@@ -23,9 +23,10 @@ exactly as by `str` and `int` alone.
 Each payload's length and alphabet are checked once, by whoever receives
 it: a server checks its QUERY in `Server.handle`, the client checks the
 ANSWERs (`_answers_by_server`) but not the queries it built itself, and
-`replay`, which receives everything, checks both. `WireMessage` itself
-refuses only negative symbols, and skips that scan for a line whose every
-token was read from the table.
+`replay`, which receives everything, checks both, and the queries before
+the scheme's check of theta, which packs them into lanes sized for that
+alphabet. `WireMessage` itself refuses only negative symbols, and skips
+that scan for a line whose every token was read from the table.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ def _read_symbols(tokens: Sequence[str]) -> tuple[tuple[int, ...], bool]:
         return tuple(map(_VALUE_OF.__getitem__, tokens)), True
     except KeyError:
         return tuple(map(int, tokens)), False
-
-
-def _parse_symbols(tokens: Sequence[str]) -> tuple[int, ...]:
-    """`tuple(map(int, tokens))`, reading each value from the table."""
-    return _read_symbols(tokens)[0]
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -178,7 +174,7 @@ class Transcript:
                 parts = line.split()
                 if decoded is not None or len(parts) < 2:
                     raise ValueError(f"repeated or malformed DECODED line: {line!r}")
-                decoded = _parse_symbols(parts[2:])
+                decoded = _read_symbols(parts[2:])[0]
                 if len(decoded) != int(parts[1]):
                     raise ValueError("DECODED count mismatch")
             else:
@@ -221,8 +217,8 @@ def _check_symbols(msg: WireMessage, count: int, alphabet: range) -> None:
 def _answers_by_server(
     scheme: Scheme, queries: Sequence[WireMessage], answers: Sequence[WireMessage]
 ) -> list[Payload | None]:
-    """Check one exchange against the scheme and return the answer payloads
-    in server order (None for ANSWER_EMPTY).
+    """Check one exchange, `queries` in server order, against the scheme
+    and return the answer payloads in that order (None for ANSWER_EMPTY).
 
     Raises ValueError unless there is exactly one QUERY and one ANSWER or
     ANSWER_EMPTY for each server id 1..N, and every answer carries exactly
@@ -237,7 +233,7 @@ def _answers_by_server(
             raise ValueError(f"need one {what} per server id 1..{n}, got ids {ids}")
     by_id = {m.server_id: m for m in answers}
     out: list[Payload | None] = []
-    for q in sorted(queries, key=lambda m: m.server_id):
+    for q in queries:
         a, owed = by_id[q.server_id], scheme.answer_symbols(q.payload)
         if a.kind != (KIND_ANSWER if owed else KIND_ANSWER_EMPTY):
             raise ValueError(f"server {a.server_id} replied {a.kind} to its query")
@@ -358,10 +354,10 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
     scheme = _scheme_of(transcript)
     theta = transcript.theta
     scheme.check_theta(theta)
-    for q in transcript.queries:
-        _check_symbols(q, scheme.query_symbols, scheme.query_alphabet)
-    answers = _answers_by_server(scheme, transcript.queries, transcript.answers)
     queries = sorted(transcript.queries, key=lambda m: m.server_id)
+    for q in queries:
+        _check_symbols(q, scheme.query_symbols, scheme.query_alphabet)
+    answers = _answers_by_server(scheme, queries, transcript.answers)
     scheme.check_retrieves(theta, [m.payload for m in queries])
     return transcript, scheme.decode(theta, answers)
 

@@ -143,6 +143,13 @@ def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ")
 
 
+def test_prime_past_the_primality_bound_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["retrieve", *CSA_ARGS, "--prime", str(2**127 - 1)], capsys)
+    assert code == 2
+    assert "3317044064679887385961981" in err
+
+
 def test_unknown_scheme_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["retrieve", "--scheme", "bogus", "-N", "3", "-K", "1", "-X", "1",

@@ -4,7 +4,7 @@ The expansion oracles recompute server answers from scratch in product form,
 so a sign or indexing slip in the library cannot cancel itself out.
 """
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import isqrt
 from random import Random
 from types import SimpleNamespace
@@ -134,6 +134,13 @@ def test_params_validation():
     for alphas in ((0, 1, 5), (0, 1, -1), (0, 1, 2.0), (0, 1, Field(5)(2))):
         with pytest.raises(ValueError, match=r"ints in range\(p\)"):
             CsaParams(3, 1, 1, 1, L=1, p=5, alphas=alphas)
+
+
+def test_params_take_large_prime_moduli_and_refuse_undecidable_ones():
+    params = CsaParams.make(4, 2, 1, 1, p=2**61 - 1)
+    assert (params.p, params.alphas) == (2**61 - 1, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        CsaParams.make(4, 2, 1, 1, p=2**127 - 1)
 
 
 def test_storage_layout_worked_example():
@@ -512,6 +519,68 @@ def test_one_noise_term_or_lanes_past_64_bits_take_the_loop(monkeypatch):
         assert ran == [path, path]
         answers = [answer(s, q) for s, q in zip(shares, queries)]
         assert decode(answers, params).desired == w.message(2)
+
+
+# One csa instance per lane width of `constant_terms` (16, 32 and 64 bits,
+# and past 64 bits, where it sums column by column), as (N, K, X, T, p);
+# test_sim.py replays tampered transcripts of the same four.
+CHECK_LANES = {
+    16: (24, 32, 4, 4, 41),
+    32: (6, 3, 1, 2, 1009),
+    64: (7, 4, 2, 2, 65537),
+    None: (8, 3, 2, 2, 2**31 - 1),
+}
+
+
+@pytest.mark.parametrize("bits", list(CHECK_LANES))
+def test_constant_terms_match_a_lagrange_evaluation(monkeypatch, bits):
+    # Arbitrary in-range payloads, not only honest queries; with the lanes
+    # switched off the same function sums column by column, exactly.
+    n, k, x, t, p = CHECK_LANES[bits]
+    params = CsaParams.make(n, k, x, t, p=p)
+    assert csa_mod._lane_bits(p, n) == bits
+    table = csa_mod._table(params)
+    rng = Random(p)
+    for _ in range(3):
+        payloads = [
+            tuple(rng.randrange(p) for _ in range(params.L * k)) for _ in range(n)
+        ]
+        got = csa_mod.constant_terms(payloads, params)
+        assert got == values(oracle.constant_terms(payloads, params))
+        with monkeypatch.context() as m:
+            m.setitem(table.lanes, n, None)
+            assert csa_mod.constant_terms(payloads, params) == got
+    top = [(p - 1,) * (params.L * k)] * n
+    assert csa_mod.constant_terms(top, params) == values(oracle.constant_terms(top, params))
+
+
+@pytest.mark.parametrize("servers", [3, 8])
+@pytest.mark.parametrize("bits", [16, 32, 64])
+def test_constant_terms_lane_width_boundaries(monkeypatch, bits, servers):
+    # At the largest modulus each width holds for N servers, every symbol
+    # and weight p - 1 makes every lane reach (p - 1) + N (p - 1)^2's
+    # N (p - 1)^2 exactly; it must not carry. Prime or not, as for `_mix`.
+    limit, below, _ = _lane_limit(bits, servers)
+    assert csa_mod._lane_bits(limit, servers) == bits
+    k, blocks = 5, 3
+    for p in (limit, below):
+        params = SimpleNamespace(N=servers, K=k, p=p)
+        table = SimpleNamespace(lanes={servers: bits}, check_weights=[[p - 1] * servers] * blocks)
+        monkeypatch.setattr(csa_mod, "_table", lambda _: table)
+        payloads = [[p - 1] * (blocks * k)] * servers
+        want = ((servers * (p - 1) ** 2 % p,) * k,) * blocks
+        assert csa_mod.constant_terms(payloads, params) == want
+
+
+@pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS)
+def test_honest_queries_have_the_unit_vector_of_theta_as_constant_term(n, k, x, t, p):
+    params = CsaParams.make(n, k, x, t, p=p)
+    rng = Random(n * 1000 + k * 100 + x * 10 + t + 2)
+    for theta in range(1, k + 1):
+        queries = gen_queries(theta, QueryNoise.random(params, rng), params)
+        payloads = [tuple(chain.from_iterable(q.cols)) for q in queries]
+        unit = tuple(int(kk == theta) for kk in range(1, k + 1))
+        assert csa_mod.constant_terms(payloads, params) == (unit,) * params.L
 
 
 def test_decode_of_arbitrary_answers_matches_elimination():

@@ -4,6 +4,7 @@ The scalar tests check the `Fe` elements of the test oracle, which the int
 code is compared against everywhere else; the elimination tests compare
 the int elimination with the oracle's."""
 
+import time
 from random import Random
 
 import oracle
@@ -145,10 +146,36 @@ def test_smallest_valid_prime_rejects_nonpositive():
         smallest_valid_prime(3, 0)
 
 
-def test_is_prime_matches_oracle_to_1000():
-    assert [n for n in range(1001) if is_prime(n)] == [
-        n for n in range(1001) if _oracle_is_prime(n)
+def test_is_prime_matches_oracle_below_100000():
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if _oracle_is_prime(n)
     ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3_215_031_751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3_825_123_056_546_413_051,  # to the first nine prime bases
+        318_665_857_834_031_151_167_461,  # to the first twelve
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_decides_a_large_prime_modulus_quickly():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_is_prime_refuses_moduli_past_its_proven_bound():
+    bound = 3_317_044_064_679_887_385_961_981
+    assert not is_prime(bound - 2)
+    for n in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(bound)):
+            is_prime(n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from test_csa import CHECK_LANES
 
 from xstpir import csa as csa_mod
 from xstpir import sim as sim_mod
@@ -96,7 +97,7 @@ def _outcome(fn, *args):
 def test_symbol_codec_writes_and_reads_what_str_and_int_do(payload):
     text = " ".join(map(str, payload))
     assert sim_mod._format_symbols(payload) == text
-    assert sim_mod._parse_symbols(text.split()) == payload
+    assert sim_mod._read_symbols(text.split())[0] == payload
     msg = WireMessage(KIND_QUERY, 3, payload)
     line = f"QUERY 3 {len(payload)} {text}".rstrip() + "\n"
     assert msg.encode() == line
@@ -126,7 +127,7 @@ BAD_TOKENS = ["-1", "3.0", "x", "1" * 5000, "--1", "0x1f"]
 def test_symbol_codec_reads_any_token_as_int_does(token):
     tokens = ["4", token, "0"]
     as_int = _outcome(lambda: tuple(map(int, tokens)))
-    assert _outcome(sim_mod._parse_symbols, tokens) == as_int
+    assert _outcome(lambda: sim_mod._read_symbols(tokens)[0]) == as_int
     want = _outcome(lambda: WireMessage(KIND_QUERY, 2, tuple(map(int, tokens))))
     assert isinstance(want, WireMessage) == (token in ODD_TOKENS)
     assert isinstance(want, WireMessage) or want[0] is ValueError
@@ -482,10 +483,11 @@ def _edit(text, old, new):
     return text.replace(old, new, 1)
 
 
-def _swap_answer_lines(text):
+def _reverse_lines(text, prefix):
+    """`text` with its lines that start with `prefix` in reverse order."""
     lines = text.splitlines()
-    answers = [i for i, line in enumerate(lines) if line.startswith("ANSWER")]
-    for i, line in zip(answers, reversed([lines[i] for i in answers])):
+    found = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    for i, line in zip(found, reversed([lines[i] for i in found])):
         lines[i] = line
     return "\n".join(lines) + "\n"
 
@@ -586,6 +588,46 @@ def test_replay_rejects_transcripts_no_run_could_produce(case):
         replay(edit(text))
 
 
+def _lane_run(bits):
+    n, k, x, t, p = CHECK_LANES[bits]
+    params = CsaParams.make(n, k, x, t, p=p)
+    assert csa_mod._lane_bits(p, n) == bits
+    messages = MessageSet.random(k, params.L, params.field, Random(p))
+    return params, run_retrieval(params, messages, 1, seed=0)
+
+
+def _query_symbol(params, symbol):
+    payload = [symbol] + [0] * (params.L * params.K - 1)
+    return lambda t: _set_payload(t, "QUERY", 2, payload)
+
+
+@pytest.mark.parametrize("case", ["theta edited", "query symbol not below p"])
+@pytest.mark.parametrize("bits", list(CHECK_LANES))
+def test_replay_rejects_tampering_at_every_lane_width(bits, case):
+    params, run = _lane_run(bits)
+    text = run.transcript.render()
+    assert replay(text)[1] == run.transcript.decoded
+    edit, match = {
+        "theta edited": (_THETA_2, "do not retrieve message 2"),
+        "query symbol not below p": (
+            _query_symbol(params, params.p), f"outside 0..{params.p - 1}"
+        ),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        replay(edit(text))
+
+
+def test_replay_rejects_a_query_symbol_the_lanes_would_take_before_packing(monkeypatch):
+    # At p = 41 the check packs symbols as bytes, which would accept 200;
+    # the receiver's alphabet check must refuse it before the check runs.
+    params, run = _lane_run(16)
+    called = []
+    monkeypatch.setattr(csa_mod, "constant_terms", lambda *args: called.append(args))
+    with pytest.raises(ValueError, match="outside 0..40"):
+        replay(_query_symbol(params, 200)(run.transcript.render()))
+    assert not called
+
+
 def test_replays_with_one_header_eliminate_once(monkeypatch):
     texts = [_csa_run(seed=s, theta=1 + s % 2)[1].transcript.render() for s in (0, 1)]
     calls = []
@@ -604,9 +646,15 @@ def test_replays_with_one_header_eliminate_once(monkeypatch):
 
 
 def test_replay_matches_answers_to_servers_by_id():
+    # Answer lines, query lines or both out of server order: replay pairs
+    # each with its server and checks theta on the queries in server order.
     _, run = _csa_run(seed=0, theta=2)
-    text = _swap_answer_lines(run.transcript.render())
-    assert text != run.transcript.render()
-    parsed, redecoded = replay(text)
-    assert [a.server_id for a in parsed.answers] == [5, 4, 3, 2, 1]
-    assert redecoded == run.transcript.decoded
+    for prefixes in (["ANSWER"], ["QUERY"], ["ANSWER", "QUERY"]):
+        text = run.transcript.render()
+        for prefix in prefixes:
+            text = _reverse_lines(text, prefix)
+        parsed, redecoded = replay(text)
+        for prefix in prefixes:
+            msgs = parsed.answers if prefix == "ANSWER" else parsed.queries
+            assert [m.server_id for m in msgs] == [5, 4, 3, 2, 1]
+        assert redecoded == run.transcript.decoded
