@@ -21,45 +21,36 @@ audits compare is then an affine image c + A u of uniform randomness u,
 so it is uniform on the coset c + colspan(A): two such views have the same
 distribution when their cosets coincide and disjoint supports otherwise,
 and every total-variation distance is exactly 0 or 1. The matrices are
-read through the `Scheme` interface alone (`xstpir.affine`), from the maps
-at zero and at each unit vector of their Spaces, with one more evaluation
-to check that the map is affine (ValueError if not). With shares_S = c + M_S m + Z_S z,
-queries_S = q_S(theta) + R_S r and answers = c + A_m m + A_z z for a fixed
-query, and A_other the columns of A_m outside message theta:
+read through the `Scheme` interface alone (`xstpir.affine`). With shares_S
+= c + M_S m + Z_S z, queries_S = q_S(theta) + R_S r and answers = c + A_m m
++ A_z z for a fixed query, and A_other the columns of A_m outside message
+theta:
 
 - X-security of a subset S holds iff rank[M_S | Z_S] = rank Z_S;
 - T-privacy of S holds iff q_S(theta) - q_S(1) lies in colspan(R_S) for
-  every theta (the share view is common to every theta, see below);
+  every theta (the share view is common to every theta: `audit_privacy`);
 - sym-security holds iff rank[A_other | A_z] = rank A_z for every theta
   and every distinct query payload.
 
-The report carries max_tv 1 if any test fails and 0 otherwise, and the
+Each asks whether some column of B lies outside colspan A in [A | B], by
+one elimination per connected component of A (`affine.split`). The report
+carries max_tv 1 if any test fails and 0 otherwise, and the
 subsets_checked and enumerated fields the enumeration would give.
 
 Enumeration decides everything else (sym_xspir, and correctness of every
 scheme) from exact outcome-frequency tables over all the relevant
-randomness, and it is the oracle the rank tests are tested against. The
-storage depends on neither theta nor the query randomness, so each
-theta's joint privacy table is its query table times one share table
-common to every theta, and the distance between two such products is the
-distance between their query tables; the privacy audit tabulates the
-query view alone.
+randomness, and it is the oracle the rank tests are tested against.
 
-Distances are exact Fractions; an audit passes only at distance exactly 0
+Distances are exact Fractions; an exact audit passes only at distance 0
 (correctness reuses the field as an exact failure fraction). When the
-exact engine's work (`estimate_work`) would exceed the cap the audit falls
-back to seeded random sampling with an explicit tolerance, and the report
-is flagged non-exhaustive.
-
-For a linear scheme, sampled security, privacy and sym-security read the
-sampled view's affine map once, by the same probe: dim + 2 scheme calls
-for a view of dim random values (privacy probes the queries of each of
-the two thetas it compares, sym-security the answers to each of its two
-sampled queries). Each draw's view is then evaluated on the audited
-servers' rows alone. The values are drawn in the same order, and the
-same views counted, as when the scheme is called per draw, which sampled
-correctness and every scheme not declared linear still do; so the
-reports are the same.
+exact engine's work (`estimate_work`) would exceed the cap the audit runs
+on a seeded random draw, and the report is flagged non-exhaustive. For a
+linear scheme the draw picks which rank tests run: min(samples, C(N,
+size)) distinct subsets for security and privacy (privacy comparing the
+first and the last theta), `samples` query realizations for sym-security.
+Such a report is one-sided: max_tv 1 proves a leak, max_tv 0 says that
+none of the tests run found one, and `detail` says how many ran. Any other
+scheme compares outcome frequencies over `samples` drawn realizations.
 """
 
 from __future__ import annotations
@@ -73,14 +64,7 @@ from random import Random
 from typing import Sequence
 
 from . import affine
-from .field import eliminate_mod
-from .scheme import (
-    BinaryScheme,
-    CsaScheme,
-    DownloadAllScheme,
-    Scheme,
-    SymXspirScheme,
-)
+from .scheme import BinaryScheme, CsaScheme, DownloadAllScheme, Scheme, SymXspirScheme
 
 X_SECURITY = "X_SECURITY"
 T_PRIVACY = "T_PRIVACY"
@@ -91,13 +75,14 @@ RANK_TESTS = "rank tests"
 ENUMERATION = "enumeration"
 # The unit estimate_work counts in, per engine.
 WORK_UNITS = {
-    RANK_TESTS: "steps (scheme calls and elimination multiply-adds)",
+    RANK_TESTS: "steps (payload symbols read from the scheme and elimination multiply-adds)",
     ENUMERATION: "realizations",
 }
 
 DEFAULT_CAP = 1 << 24
 DEFAULT_SAMPLES = 20000
-# Sampled mode cannot certify distance 0; it only flags gross violations.
+# Comparing sampled outcome frequencies cannot certify distance 0, only flag
+# gross violations. The rank tests of a linear scheme need no tolerance.
 SAMPLED_TOLERANCE = Fraction(1, 20)
 
 
@@ -161,29 +146,50 @@ BinaryInstance = BinaryScheme
 SymXspirInstance = SymXspirScheme
 
 
-def _subsets(inst: Scheme, size: int) -> list[tuple[int, ...]]:
+def _check_size(inst: Scheme, size: int) -> int:
     if not 1 <= size <= inst.N:
         raise ValueError(f"subset size must be in 1..{inst.N}, got {size}")
-    return list(combinations(range(inst.N), size))
+    return size
 
 
-def _verdict(leaks) -> Fraction:
-    """The rank tests' max_tv: 1 if any test found a leak, else 0."""
-    return Fraction(int(any(leaks)))
+def _cached(inst: Scheme, key: tuple, make):
+    """make(), once per scheme instance and key: the probe and split that
+    estimate_work makes are the ones the audit then runs."""
+    cache = vars(inst).setdefault("_audit_cache", {})
+    return cache[key] if key in cache else cache.setdefault(key, make())
 
 
-def _rank_grows(rows: list[list[int]], limit: int, p: int) -> bool:
-    """Whether rank[A | B] > rank A mod p, for rows of [A | B] with A the
-    first `limit` columns: whether some column of B lies outside colspan A."""
-    rank = eliminate_mod(rows, p, limit)
-    return any(any(row[limit:]) for row in rows[rank:])
+def _rank_report(prop, inst, size, tests, exact, enumerated, samples, seed) -> AuditReport:
+    """The split rank test `tests` on the size-subsets of the servers, in
+    lexicographic order up to the first leak: on every one if `exact`,
+    else on min(samples, C(N, size)) distinct ones drawn from Random(seed)."""
+    total = comb(inst.N, size)
+    subsets = combinations(range(inst.N), size)
+    if not exact and samples < total:
+        rng, drawn = Random(seed), set()
+        while len(drawn) < samples:
+            drawn.add(tuple(sorted(rng.sample(range(inst.N), size))))
+        subsets = sorted(drawn)
+    seen: dict = {}
+    for tested, s in enumerate(subsets, 1):
+        if leak := affine.leaks(tests, s, inst.p, seen):
+            break
+    return _report(
+        prop, inst, size, total if exact else tested, Fraction(int(leak)), exact, enumerated,
+        samples, f"sampled: rank tests on {tested} of {total} subsets",
+    )
 
 
-def _sampled_tv(samples: int, tables) -> Fraction:
-    """The TV distance between two tables, each a (view, draw) pair counting
-    view(draw()) over `samples` draws, the first's all drawn first."""
-    first, second = (Counter(view(draw()) for _ in range(samples)) for view, draw in tables)
-    return _tv(first, second, samples)
+def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, detail=""):
+    """An exact report, passing at max_tv 0, or a sampled one: of rank
+    tests (`detail` says which ran), passing at 0, or of outcome tables,
+    passing within SAMPLED_TOLERANCE."""
+    head = (prop, inst.describe(), size, checked, max_tv)
+    if exact:
+        return AuditReport(*head, max_tv == 0, True, enumerated)
+    passed = max_tv == 0 if detail else max_tv <= SAMPLED_TOLERANCE
+    return AuditReport(*head, passed, False, 0, samples, detail or
+                       f"sampled, tolerance {SAMPLED_TOLERANCE}")
 
 
 def audit_security(
@@ -201,53 +207,42 @@ def audit_security(
     share tuple over all storage noise, tabulated per message value. A
     subset size outside 1..N raises ValueError.
     """
-    size = inst.X if subset_size is None else subset_size
-    subsets = _subsets(inst, size)
-    if estimate_work(inst, X_SECURITY, size) <= cap:
-        if inst.linear:
-            max_tv = _security_by_rank(inst, subsets)
-        else:
-            max_tv = _security_by_enumeration(inst, subsets)
-        return AuditReport(
-            X_SECURITY, inst.describe(), size, len(subsets),
-            max_tv, max_tv == 0, True, inst.messages.size * inst.storage_noises.size,
-        )
-    rng, noise = Random(seed), inst.storage_noises.draw
-    shares = affine.storage_at(inst, inst.share_payloads)
-    view = affine.view(inst, shares, (inst.messages, inst.storage_noises))
-    max_tv = Fraction(0)
-    for s in subsets:
-        pair = [inst.messages.draw(rng) for _ in range(2)]
-        tables = [(view(s), lambda m=m: m + noise(rng)) for m in pair]
-        max_tv = max(max_tv, _sampled_tv(samples, tables))
-    return _sampled_report(X_SECURITY, inst, size, len(subsets), max_tv, samples)
+    size = _check_size(inst, inst.X if subset_size is None else subset_size)
+    exact = estimate_work(inst, X_SECURITY, size, cap) <= cap
+    enumerated = inst.messages.size * inst.storage_noises.size
+    if inst.linear:
+        tests = _security_tests(inst)
+        return _rank_report(X_SECURITY, inst, size, tests, exact, enumerated, samples, seed)
+    subsets, rng, z = list(combinations(range(inst.N), size)), Random(seed), inst.storage_noises
+    # exact: every message value over all storage noise; sampled: two drawn
+    # message values, each over `samples` draws of it
+    messages = list(inst.messages) if exact else [inst.messages.sample(rng) for _ in range(2)]
+    per = z.size if exact else samples
+    draws = lambda: z if exact else (z.sample(rng) for _ in range(samples))
+    views = ((i, inst.share_payloads(inst.storage(m, noise)))
+             for i, m in enumerate(messages) for noise in draws())
+    max_tv = _subset_tables(subsets, views, len(messages), per)
+    return _report(X_SECURITY, inst, size, len(subsets), max_tv, exact, enumerated, samples)
 
 
-def _security_by_rank(inst: Scheme, subsets) -> Fraction:
-    """rank[M_S | Z_S] = rank Z_S for every subset S: the message columns
-    of the share map lie in the span of its noise columns."""
+def _security_tests(inst: Scheme) -> list:
+    """[Z | M] of the share map, split: on every subset's rows the message
+    columns must lie in the span of the noise columns."""
     spaces = (inst.messages, inst.storage_noises)
-    shares = affine.probe(inst, affine.storage_at(inst, inst.share_payloads), spaces)
     km, dim = inst.messages.count, affine.dim(inst, spaces)
-    return _verdict(
-        _rank_grows(
-            [affine.dense(row, dim, km) for n in s for row in shares[n]],
-            inst.storage_noises.count, inst.p,
-        )
-        for s in subsets
-    )
+    shares = affine.storage_at(inst, inst.share_payloads)
+    probe = lambda: affine.split(affine.probe(inst, shares, spaces), range(km, dim), range(km))
+    return _cached(inst, (X_SECURITY,), probe)
 
 
-def _security_by_enumeration(inst: Scheme, subsets) -> Fraction:
-    messages = list(inst.messages)
-    noises = list(inst.storage_noises)
-    tables: dict[tuple, list[Counter]] = {s: [Counter() for _ in messages] for s in subsets}
-    for mi, m in enumerate(messages):
-        for z in noises:
-            keys = inst.share_payloads(inst.storage(m, z))
-            for s in subsets:
-                tables[s][mi][tuple(keys[i] for i in s)] += 1
-    return _max_tv(tables, len(noises))
+def _subset_tables(subsets, views, tables: int, per: int) -> Fraction:
+    """Max TV, per subset, between `tables` tables of its view, each over
+    `per` realizations: views yields (table, every server's payload)."""
+    counts: dict[tuple, list[Counter]] = {s: [Counter() for _ in range(tables)] for s in subsets}
+    for table, payloads in views:
+        for s in subsets:
+            counts[s][table][tuple(payloads[n] for n in s)] += 1
+    return _max_tv(counts, per)
 
 
 def audit_privacy(
@@ -260,8 +255,8 @@ def audit_privacy(
     """The joint view (queries, shares) of any `subset_size` servers must not
     depend on theta.
 
-    The exact engines decide it from the query view alone. The query view
-    of a subset depends only on (theta, qr), the share view only on (m, z),
+    Every engine decides it from the query view alone. The query view of
+    a subset depends only on (theta, qr), the share view only on (m, z),
     and the two are drawn independently, so theta's joint count of a view
     (a, b) is Q_theta(a) * S(b), with Q_theta counted over the query
     randomness and S over the `pairs` = |messages| * |storage noise| values
@@ -271,69 +266,54 @@ def audit_privacy(
             = sum_a |Q_1(a) - Q_2(a)| / (2 |qr|),
 
     and the share view cannot move max_tv. A linear scheme is decided by
-    rank tests, any other by tabulating Q_theta. `enumerated` still counts
-    the len(thetas) * |qr| * pairs joint realizations the table covers.
-    The sampled fallback draws (m, z, qr) jointly. A subset size outside
-    1..N raises ValueError.
+    rank tests, any other by tabulating Q_theta; `enumerated` still counts
+    the len(thetas) * |qr| * pairs joint realizations. The sampled mode
+    compares the first and the last theta. A subset size outside 1..N
+    raises ValueError.
     """
-    size = inst.T if subset_size is None else subset_size
-    subsets = _subsets(inst, size)
-    thetas = list(inst.thetas)
-    if estimate_work(inst, T_PRIVACY, size) <= cap:
-        if inst.linear:
-            max_tv = _privacy_by_rank(inst, thetas, subsets)
-        else:
-            max_tv = _privacy_by_enumeration(inst, thetas, subsets)
-        pairs = inst.messages.size * inst.storage_noises.size
-        return AuditReport(
-            T_PRIVACY, inst.describe(), size, len(subsets),
-            max_tv, max_tv == 0, True, len(thetas) * inst.query_randomness.size * pairs,
-        )
-    rng, spaces = Random(seed), (inst.messages, inst.storage_noises, inst.query_randomness)
-
-    def draw():
-        return [v for space in spaces for v in space.draw(rng)]
-
-    ends = (thetas[0], thetas[-1])
-    shares = affine.view(inst, affine.storage_at(inst, inst.share_payloads), spaces[:2])
-    start = inst.messages.count + inst.storage_noises.count
-    maps = _query_maps(inst, ends, start) if inst.linear else [None] * 2
-    asked = [
-        affine.view(inst, affine.queries_at(inst, theta), spaces[2:], start, rows)
-        for theta, rows in zip(ends, maps)
-    ]
-    max_tv = Fraction(0)
-    for s in subsets:
-        share = shares(s)
-        tables = [(lambda u, q=q(s): (q(u), share(u)), draw) for q in asked]
-        max_tv = max(max_tv, _sampled_tv(samples, tables))
-    return _sampled_report(T_PRIVACY, inst, size, len(subsets), max_tv, samples)
+    size = _check_size(inst, inst.T if subset_size is None else subset_size)
+    thetas, qr = list(inst.thetas), inst.query_randomness
+    ends = [thetas[0], thetas[-1]]
+    exact = estimate_work(inst, T_PRIVACY, size, cap) <= cap
+    enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
+    if inst.linear:
+        tests = _privacy_tests(inst, thetas if exact else ends)
+        return _rank_report(T_PRIVACY, inst, size, tests, exact, enumerated, samples, seed)
+    subsets, rng = list(combinations(range(inst.N), size)), Random(seed)
+    # exact: every theta over all query randomness; sampled: the two ends,
+    # each over `samples` draws of it
+    compared, per = (thetas, qr.size) if exact else (ends, samples)
+    draws = lambda: qr if exact else (qr.sample(rng) for _ in range(samples))
+    views = ((i, inst.query_payloads(inst.queries(t, r)))
+             for i, t in enumerate(compared) for r in draws())
+    max_tv = _subset_tables(subsets, views, len(compared), per)
+    return _report(T_PRIVACY, inst, size, len(subsets), max_tv, exact, enumerated, samples)
 
 
-def _privacy_by_rank(inst: Scheme, thetas: list[int], subsets) -> Fraction:
-    """q_S(theta) - q_S(thetas[0]) in colspan R_S for every subset S and
-    theta, R_S being the same for every theta (ValueError if not)."""
-    first, *others = _query_maps(inst, thetas)
-    kq = inst.query_randomness.count
-    return _verdict(
-        _rank_grows(
-            [
-                affine.dense(row, kq) + [view[n][i][0] - row[0] for view in others]
-                for n in s
-                for i, row in enumerate(first[n])
-            ],
-            kq, inst.p,
-        )
-        for s in subsets
-    )
+def _privacy_tests(inst: Scheme, thetas: list[int]) -> list:
+    """[R | q(theta) - q(thetas[0]) for each later theta] of the query
+    maps, split, R being the same for every theta (ValueError if not): on
+    every subset's rows the differences must lie in the span of R."""
+    kq, p = inst.query_randomness.count, inst.p
+
+    def row(n, i, c, js, aj, others):
+        extra = [(kq + t, d) for t, view in enumerate(others) if (d := (view[n][i][0] - c) % p)]
+        return c, js + tuple(j for j, _ in extra), aj + tuple(d for _, d in extra)
+
+    def split():
+        first, *others = _query_maps(inst, thetas)
+        view = [[row(n, i, *r, others) for i, r in enumerate(rows)] for n, rows in enumerate(first)]
+        return affine.split(view, range(kq), range(kq, kq + len(others)))
+
+    return _cached(inst, (T_PRIVACY, *thetas), split)
 
 
-def _query_maps(inst: Scheme, thetas, start: int = 0) -> list:
-    """The affine query map of each theta (`affine.probe`, the query
-    randomness held from u[start]). ValueError unless the randomness enters
-    every theta's queries the same way."""
+def _query_maps(inst: Scheme, thetas) -> list:
+    """The affine query map of each theta (`affine.probe`). ValueError
+    unless the randomness enters every theta's queries the same way."""
     space = (inst.query_randomness,)
-    maps = [affine.probe(inst, affine.queries_at(inst, t), space, start) for t in thetas]
+    probe = lambda t: lambda: affine.probe(inst, affine.queries_at(inst, t), space)
+    maps = [_cached(inst, ("queries", t), probe(t)) for t in thetas]
     coefficients = [[row[1:] for row in rows] for rows in maps[0]]
     for theta, rows in zip(thetas[1:], maps[1:]):
         if [[row[1:] for row in server] for server in rows] != coefficients:
@@ -342,25 +322,6 @@ def _query_maps(inst: Scheme, thetas, start: int = 0) -> list:
                 f"enters the queries for theta {theta} differently"
             )
     return maps
-
-
-def _privacy_by_enumeration(inst: Scheme, thetas: list[int], subsets) -> Fraction:
-    randomness = list(inst.query_randomness)
-    tables: dict[tuple, list[Counter]] = {s: [Counter() for _ in thetas] for s in subsets}
-    for ti, theta in enumerate(thetas):
-        for qr in randomness:
-            qkeys = inst.query_payloads(inst.queries(theta, qr))
-            for s in subsets:
-                tables[s][ti][tuple(qkeys[i] for i in s)] += 1
-    return _max_tv(tables, len(randomness))
-
-
-def _sampled_report(prop, inst, size, checked, max_tv, samples) -> AuditReport:
-    return AuditReport(
-        prop, inst.describe(), size, checked,
-        max_tv, max_tv <= SAMPLED_TOLERANCE, False,
-        0, samples, detail=f"sampled, tolerance {SAMPLED_TOLERANCE}",
-    )
 
 
 def _answers(inst: Scheme, shares, queries) -> tuple:
@@ -381,35 +342,40 @@ def audit_sym_security(
     same for all values of the remaining messages. Schemes with T = 1 are
     expected to pass; running a T > 1 instance is allowed and documents the
     leak by reporting the nonzero distance. `subsets_checked` counts those
-    (theta, query payload, value of message theta) groups.
+    (theta, query payload, value of message theta) groups, sampled rank
+    tests the distinct (theta, query payload) pairs they test.
     """
-    thetas = list(inst.thetas)
-    if estimate_work(inst, SYM_SECURITY) <= cap:
-        if inst.linear:
-            max_tv, groups = _sym_security_by_rank(inst, thetas)
+    thetas, rng, qr = list(inst.thetas), Random(seed), inst.query_randomness
+    exact = estimate_work(inst, SYM_SECURITY) <= cap
+    enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
+    if inst.linear:
+        if exact:
+            asked = {t: _distinct_queries(inst, t) for t in thetas}
+            pairs = ((t, q) for t in thetas for q, *_ in asked[t].values())
         else:
-            max_tv, groups = _sym_security_by_enumeration(inst, thetas)
-        return AuditReport(
-            SYM_SECURITY, inst.describe(), inst.N, groups,
-            max_tv, max_tv == 0, True,
-            len(thetas) * inst.query_randomness.size
-            * inst.messages.size * inst.storage_noises.size,
+            drawn = (rng.choice(thetas) for _ in range(samples))
+            pairs = ((t, inst.queries(t, qr.sample(rng))) for t in drawn)
+        tested, distinct, leak = _sym_by_rank(inst, pairs)
+        # a linear plaintext is message theta's L values: p^L groups per payload
+        checked = sum(map(len, asked.values())) * inst.p**inst.L if exact else distinct
+        return _report(
+            SYM_SECURITY, inst, inst.N, checked, Fraction(int(leak)), exact, enumerated, samples,
+            f"sampled: rank tests on {tested} query realizations drawn from {len(thetas)} x "
+            f"{qr.base}^{qr.count}",
         )
-    rng, noise = Random(seed), inst.storage_noises.draw
-    ends, spaces = (thetas[0], thetas[-1]), (inst.messages, inst.storage_noises)
-    max_tv = Fraction(0)
-    for theta in ends:
+    if exact:
+        max_tv, groups = _sym_security_by_enumeration(inst, thetas)
+        return _report(SYM_SECURITY, inst, inst.N, groups, max_tv, True, enumerated, 0)
+    tables = {}
+    for i, theta in enumerate((thetas[0], thetas[-1])):
         q = inst.queries(theta, inst.query_randomness.sample(rng))
-        base = inst.messages.draw(rng)
-        other = inst.messages.draw(rng)
-        # Give the pair the same message theta so they are comparable.
+        base, other = inst.messages.draw(rng), inst.messages.draw(rng)
         desired = slice((theta - 1) * inst.L, theta * inst.L)
-        other[desired] = base[desired]
+        other[desired] = base[desired]  # the same message theta, so they are comparable
         answers = affine.storage_at(inst, lambda stored: _answers(inst, stored, q))
-        view = affine.view(inst, answers, spaces)(range(inst.N))
-        tables = [(view, lambda m=m: m + noise(rng)) for m in (base, other)]
-        max_tv = max(max_tv, _sampled_tv(samples, tables))
-    return _sampled_report(SYM_SECURITY, inst, inst.N, len(ends), max_tv, samples)
+        draw = lambda m: answers(m + inst.storage_noises.draw(rng))
+        tables[i] = [Counter(draw(m) for _ in range(samples)) for m in (base, other)]
+    return _report(SYM_SECURITY, inst, inst.N, 2, _max_tv(tables, samples), False, 0, samples)
 
 
 def _distinct_queries(inst: Scheme, theta: int) -> dict[tuple, list]:
@@ -421,33 +387,26 @@ def _distinct_queries(inst: Scheme, theta: int) -> dict[tuple, list]:
     return realizations
 
 
-def _sym_security_by_rank(inst: Scheme, thetas: list[int]) -> tuple[Fraction, int]:
-    """rank[A_other | A_z] = rank A_z for every theta and distinct query
-    payload. The groups are counted without enumerating the messages: p to
-    the rank of the plaintext map per distinct payload."""
-    p, km, kz = inst.p, inst.messages.count, inst.storage_noises.count
-    spaces = (inst.messages, inst.storage_noises)
-    dim = affine.dim(inst, spaces)
+def _sym_by_rank(inst: Scheme, asked) -> tuple[int, int, bool]:
+    """rank[A_other | A_z] > rank A_z, split, for the answers to each
+    (theta, query tuple) in `asked`, read at the storage of every probe
+    point, up to the first leak: how many were tested, how many distinct
+    (theta, payload) pairs among them, and whether one leaks."""
+    km, p, L = inst.messages.count, inst.p, inst.L
+    dim = affine.dim(inst, (inst.messages, inst.storage_noises))
     stored = list(map(affine.storage_at(inst), affine.points(dim, p)))
-    leak, groups = False, 0
-    for theta in thetas:
-        plain = affine.probe(
-            inst, lambda u: (inst.plaintext(inst.messages.build(u[:km]), theta),), spaces
-        )
-        asked = _distinct_queries(inst, theta)
-        groups += len(asked) * p ** eliminate_mod([affine.dense(row, dim) for row in plain[0]], p)
-        own = range(kz + (theta - 1) * inst.L, kz + theta * inst.L)  # message theta's columns
-        for q, *_ in asked.values():
-            if leak:
-                break
+    verdicts: dict[tuple, bool] = {}  # by (theta, query payload)
+    seen: dict = {}
+    for tested, (theta, q) in enumerate(asked, 1):
+        key = (theta, inst.query_payloads(q))
+        if key not in verdicts:
             answers = affine.read((_answers(inst, s, q) for s in stored), dim, p)
-            rows = [
-                [a for j, a in enumerate(affine.dense(row, dim, km)) if j not in own]
-                for server in answers
-                for row in server or ()
-            ]
-            leak = _rank_grows(rows, kz, p)
-    return Fraction(int(leak)), groups
+            others = set(range(km)) - set(range((theta - 1) * L, theta * L))  # not message theta
+            tests = affine.split(answers, range(km, dim), others)
+            verdicts[key] = affine.leaks(tests, range(inst.N), p, seen)
+        if verdicts[key]:
+            return tested, len(verdicts), True
+    return tested, len(verdicts), False
 
 
 def _sym_security_by_enumeration(inst: Scheme, thetas: list[int]) -> tuple[Fraction, int]:
@@ -556,8 +515,7 @@ def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
 
 
 def exact_engine(inst: Scheme, prop: str) -> str:
-    """How the exact mode of this audit decides it: RANK_TESTS or
-    ENUMERATION."""
+    """How the exact mode of this audit decides it: RANK_TESTS or ENUMERATION."""
     return RANK_TESTS if inst.linear and prop != CORRECTNESS else ENUMERATION
 
 
@@ -567,24 +525,24 @@ def _elimination(rows: int, cols: int, pivot_cols: int) -> int:
     return rows * cols * min(rows, pivot_cols)
 
 
-def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> int:
+def estimate_work(
+    inst: Scheme, prop: str, subset_size: int | None = None, cap: int = DEFAULT_CAP
+) -> int:
     """What the exact mode of this audit costs, in the unit of its engine
     (`exact_engine`, `WORK_UNITS`); the audits run it only when this is
-    within the cap.
+    within the cap. Enumeration counts realizations: the (m, z) pairs for
+    security, the (theta, qr) pairs of the query-side table for privacy,
+    and every (theta, m, z, qr) for sym-security and correctness.
 
-    Enumeration counts realizations: the (m, z) pairs for security, the
-    (theta, qr) pairs of the query-side table for privacy, and every
-    (theta, m, z, qr) for sym-security and correctness.
-
-    Rank tests count steps: one per scheme call, plus the `_elimination`
-    bound for every test. Security: a storage probe (dim + 2 calls, dim =
-    |m| + |z| coordinates) and one test per subset, its rows the subset's
-    share payloads (their lengths read from one storage call at zero).
-    Privacy: a query probe per theta and one test per subset, on the
-    subset's query payloads. Sym-security: the storage probe, per theta a
-    plaintext probe and every query, and per query tuple (a bound on the
-    distinct ones) the answers of every probe storage and one test on
-    N * answer_symbols(an all-ones query) rows.
+    Rank tests count steps: each scheme call weighted by the payload
+    symbols it returns, plus the `_elimination` bound of every test. For
+    security and privacy that is the probe (dim + 2 storage calls, dim =
+    |m| + |z|, or qr.count + 2 query calls per theta) and per subset each
+    split component, bounded by the rows of its `size` servers with the
+    most. The probe runs, and the audit then reuses it, only when its cost
+    is within `cap`; else the count is that cost alone. Sym-security: the
+    storage probe, every query of every theta, and per query the answers
+    at every probe point and one unsplit test.
     """
     thetas = len(inst.thetas)
     m, z, qr = inst.messages, inst.storage_noises, inst.query_randomness
@@ -594,17 +552,21 @@ def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> in
         if prop == T_PRIVACY:
             return thetas * qr.size
         return thetas * m.size * z.size * qr.size
-    dim = m.count + z.count
-    if prop == X_SECURITY:
-        size = inst.X if subset_size is None else subset_size
-        zero = inst.storage(m.build([0] * m.count), z.build([0] * z.count))
-        rows = size * max(map(len, inst.share_payloads(zero)))
-        return dim + 3 + comb(inst.N, size) * _elimination(rows, dim, z.count)
+    dim, queried = m.count + z.count, inst.N * inst.query_symbols
     if prop == T_PRIVACY:
-        size = inst.T if subset_size is None else subset_size
-        rows = size * inst.query_symbols
-        tests = comb(inst.N, size) * _elimination(rows, qr.count + thetas - 1, qr.count)
-        return thetas * (qr.count + 2) + tests
-    rows = inst.N * inst.answer_symbols((1,) * inst.query_symbols)
-    per_query = 1 + inst.N * (dim + 2) + _elimination(rows, dim, z.count)
-    return (dim + 2) * (1 + thetas) + thetas * qr.size * per_query
+        probe = thetas * (qr.count + 2) * queried
+    else:
+        zero = inst.storage(m.build([0] * m.count), z.build([0] * z.count))
+        probe = (dim + 2) * sum(map(len, inst.share_payloads(zero)))
+    if prop == SYM_SECURITY:
+        rows = inst.N * inst.answer_symbols((1,) * inst.query_symbols)
+        per_query = queried + (dim + 2) * rows + _elimination(rows, dim, z.count)
+        return probe + thetas * qr.size * per_query
+    if probe > cap:
+        return probe
+    security = prop == X_SECURITY
+    tests = _security_tests(inst) if security else _privacy_tests(inst, list(inst.thetas))
+    size = (inst.X if security else inst.T) if subset_size is None else subset_size
+    return probe + comb(inst.N, size) * sum(
+        _elimination(sum(sorted(map(len, rows))[-size:]), width, na) for na, width, rows in tests
+    )

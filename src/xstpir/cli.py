@@ -196,7 +196,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if not 1 <= args.subset_size <= inst.N:
             raise UsageError(f"--subset-size must be in 1..{inst.N}, got {args.subset_size}")
         kwargs["subset_size"] = args.subset_size
-    work = audit_mod.estimate_work(inst, kind, args.subset_size)
+    work = audit_mod.estimate_work(inst, kind, args.subset_size, cap)
     if work > cap and not args.sampled:
         engine = audit_mod.exact_engine(inst, kind)
         raise UsageError(
@@ -217,9 +217,14 @@ def cmd_rate(args: argparse.Namespace) -> int:
     theta = _theta(args, cfg.K)
     exhaustive = bool(args.exhaustive)
     trials = _positive(args, "trials", 1000)
-    measured = sim.empirical_rate(
-        scheme.params, exhaustive=exhaustive, trials=trials, seed=cfg.seed, theta=theta
-    )
+    try:
+        measured = sim.empirical_rate(
+            scheme.params, exhaustive=exhaustive, trials=trials, seed=cfg.seed, theta=theta
+        )
+    except ValueError as exc:
+        if not exhaustive:
+            raise
+        raise UsageError(f"{exc}; rerun without --exhaustive to sample --trials retrievals")
     closed = scheme.closed_form_rate()
     mode = "exhaustive" if exhaustive else f"sampled over {trials} trials"
     print(f"scheme {cfg.scheme} N={cfg.N} K={cfg.K} X={cfg.X} T={cfg.T}")

@@ -5,9 +5,12 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
+from random import Random
 
 import pytest
 
+from xstpir import affine
 from xstpir.audit import (
     CORRECTNESS,
     DEFAULT_CAP,
@@ -150,19 +153,39 @@ def test_enumerated_counts_match_state_space_products():
     assert audit_privacy(d).enumerated == 2 * 9 * 9
 
 
-# audit, prop, instance, kwargs, engine, work (where it has a closed form)
+# audit, prop, instance, kwargs, engine, work. The rank tests count the
+# probe (calls x payload symbols it reads) plus, per subset, the elimination
+# bound rows * cols * min(rows, A's cols) of each split component B touches.
 BOUNDARY_CASES = {
-    "security-rank": (audit_security, X_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS, None),
+    # csa (3,2,1,1): dim 4 (2 message, 2 noise symbols), 6 share symbols;
+    # per subset two components, 1 row x (1 noise + 1 message column)
+    "security-rank": (
+        audit_security, X_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS,
+        6 * 6 + 3 * 2 * (1 * 2 * 1),
+    ),
+    # csa (4,1,2,1): dim 3, 4 share symbols; one component, 3 rows x (2 + 1)
     "security-rank-pairs": (
         audit_security, X_SECURITY, lambda: _csa(4, 1, 2, 1), {"subset_size": 3},
-        RANK_TESTS, None,
+        RANK_TESTS, 5 * 4 + 4 * (3 * 3 * 2),
     ),
-    "privacy-rank": (audit_privacy, T_PRIVACY, lambda: BinaryInstance(2), {}, RANK_TESTS, None),
+    # binary_n3 K = 2: 2 thetas x 4 calls x 6 query symbols; every query
+    # symbol in one component, 2 rows a server x (2 + 1 theta difference)
+    "privacy-rank": (
+        audit_privacy, T_PRIVACY, lambda: BinaryInstance(2), {}, RANK_TESTS,
+        2 * 4 * 6 + 3 * (2 * 3 * 2),
+    ),
+    # csa (3,2,1,1): 2 thetas x 4 calls x 6 query symbols; two components,
+    # 2 rows x (1 + 1)
     "privacy-rank-pairs": (
         audit_privacy, T_PRIVACY, lambda: _csa(3, 2, 1, 1), {"subset_size": 2},
-        RANK_TESTS, None,
+        RANK_TESTS, 2 * 4 * 6 + 3 * 2 * (2 * 2 * 1),
     ),
-    "symsec-rank": (audit_sym_security, SYM_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS, None),
+    # the storage probe, then for 2 thetas x 25 queries: 6 query symbols, 6
+    # probe answers of 3 symbols, and a 3 x 4 elimination with 2 pivots
+    "symsec-rank": (
+        audit_sym_security, SYM_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS,
+        6 * 6 + 2 * 25 * (6 + 6 * 3 + 3 * 4 * 2),
+    ),
     # sym_xspir (p = 2): 4 messages, 16 noise grids, 2 columns, 2 thetas
     "security-enumeration": (audit_security, X_SECURITY, lambda: _symx(1, 2), {}, ENUMERATION, 4 * 16),
     "privacy-enumeration": (audit_privacy, T_PRIVACY, lambda: _symx(1, 2), {}, ENUMERATION, 2 * 2),
@@ -271,20 +294,28 @@ def test_sym_security_fails_for_aligned_scheme_at_t_2():
 
 
 def test_sampled_mode_engages_when_capped():
+    # a linear scheme: rank tests on drawn subsets, here all three
     report = audit_security(BinaryInstance(2), cap=0, samples=6000, seed=1)
     assert not report.exhaustive
     assert report.samples == 6000
+    assert report.passed
+    assert report.max_tv_distance == ZERO
+    assert report.detail == "sampled: rank tests on 3 of 3 subsets"
+    # any other scheme: sampled outcome tables, within the tolerance
+    report = audit_security(_symx(1, 2), cap=0, samples=6000, seed=1)
+    assert not report.exhaustive and report.samples == 6000
     assert report.passed
     assert report.max_tv_distance <= Fraction(1, 20)
     assert "tolerance" in report.detail
 
 
 def test_sampled_mode_still_catches_gross_leaks():
-    report = audit_privacy(
-        BinaryInstance(2, b=((1, 0), (0, 1))), cap=0, samples=400, seed=1
-    )
-    assert not report.exhaustive
-    assert not report.passed
+    # by rank tests, and by outcome tables when not declared linear
+    identity = ((1, 0), (0, 1))
+    for inst in (BinaryInstance(2, b=identity), _enumerated(BinaryInstance(2, b=identity))):
+        report = audit_privacy(inst, cap=0, samples=400, seed=1)
+        assert not report.exhaustive
+        assert not report.passed
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -292,12 +323,14 @@ def test_sampled_sym_security_compares_differing_undesired_messages(seed):
     # download_all at K = 2 hands the user the other message, so a sampled
     # pair of message sets that differ there is at distance 1; a pair that
     # shared it (a message set compared with itself) would pass. At K = 1
-    # there is no other message to leak.
-    leak = audit_sym_security(_dl(2, 2, 1, 1), cap=0, samples=2000, seed=seed)
-    assert not leak.exhaustive and leak.samples == 2000
-    assert leak.max_tv_distance == ONE and not leak.passed
-    alone = audit_sym_security(_dl(2, 1, 1, 1), cap=0, samples=2000, seed=seed)
-    assert not alone.exhaustive and alone.passed
+    # there is no other message to leak. Both by the rank tests and, when
+    # not declared linear, by outcome tables.
+    for make in (_dl, lambda *a: _enumerated(_dl(*a))):
+        leak = audit_sym_security(make(2, 2, 1, 1), cap=0, samples=2000, seed=seed)
+        assert not leak.exhaustive and leak.samples == 2000
+        assert leak.max_tv_distance == ONE and not leak.passed
+        alone = audit_sym_security(make(2, 1, 1, 1), cap=0, samples=2000, seed=seed)
+        assert not alone.exhaustive and alone.passed
 
 
 def test_sampled_mode_is_seed_deterministic():
@@ -531,6 +564,12 @@ ORACLE_CASES = {
     "symsec-dl-2111": (audit_sym_security, lambda: _dl(2, 1, 1, 1), {}),
     "symsec-binary-k2": (audit_sym_security, lambda: BinaryInstance(2), {}),
     "symsec-binary-k3": (audit_sym_security, lambda: BinaryInstance(3), {}),
+    "symsec-csa-3111": (audit_sym_security, lambda: _csa(3, 1, 1, 1), {}),
+    "symsec-csa-4121": (audit_sym_security, lambda: _csa(4, 1, 2, 1), {}),
+    "symsec-binary-k4": (audit_sym_security, lambda: BinaryInstance(4), {}),
+    "symsec-binary-identity": (
+        audit_sym_security, lambda: BinaryInstance(2, b=((1, 0), (0, 1))), {},
+    ),
     # planted failures: over_x, over_t, bad_b, download-everything with two
     # messages, and the aligned scheme at T = 2
     "over-x-csa-3111": (audit_security, lambda: _csa(3, 1, 1, 1), {"subset_size": 2}),
@@ -606,7 +645,102 @@ def test_a_scheme_declared_linear_that_is_not_raises(case):
 
 
 # ---------------------------------------------------------------------------
-# the sampled views of a linear scheme, read from the probed affine map
+# the split rank tests against one elimination and the enumeration
+# ---------------------------------------------------------------------------
+
+# Every linear instance the audit tests use, planted leaks included, but
+# for csa (12,64,2,2), whose unsplit tests are 1,024 x 1,536 eliminations.
+LINEAR_INSTANCES = {
+    "csa-3111": lambda: _csa(3, 1, 1, 1),
+    "csa-3211": lambda: _csa(3, 2, 1, 1),
+    "csa-4121": lambda: _csa(4, 1, 2, 1),
+    "csa-4212": lambda: _csa(4, 2, 1, 2, p=5),
+    "csa-5211": lambda: _csa(5, 2, 1, 1),
+    "dl-2111": lambda: _dl(2, 1, 1, 1),
+    "dl-2211": lambda: _dl(2, 2, 1, 1),
+    "binary-k2": lambda: BinaryInstance(2),
+    "binary-k3": lambda: BinaryInstance(3),
+    "binary-k4": lambda: BinaryInstance(4),
+    "binary-identity": lambda: BinaryInstance(2, b=((1, 0), (0, 1))),
+}
+
+
+def _dense(row, columns):
+    """A sparse row's coefficients in the order of `columns`."""
+    coefficients = dict(zip(row[1], row[2]))
+    return [coefficients.get(j, 0) for j in columns]
+
+
+def _unsplit(inst, auditor, size):
+    """max_tv by one elimination of each size-subset's whole [A | B]:
+    [noise | messages] of the shares, or [query randomness | q(theta) -
+    q(1) for each later theta] of the queries."""
+    p, km, kz = inst.p, inst.messages.count, inst.storage_noises.count
+    if auditor is audit_security:
+        at = affine.storage_at(inst, inst.share_payloads)
+        view = affine.probe(inst, at, (inst.messages, inst.storage_noises))
+        columns, limit = [*range(km, km + kz), *range(km)], kz
+    else:
+        kq, thetas = inst.query_randomness.count, list(inst.thetas)
+        first, *others = [
+            affine.probe(inst, affine.queries_at(inst, t), (inst.query_randomness,))
+            for t in thetas
+        ]
+        view = [
+            [
+                (c, js + tuple(range(kq, kq + len(others))),
+                 aj + tuple(other[n][i][0] - c for other in others))
+                for i, (c, js, aj) in enumerate(rows)
+            ]
+            for n, rows in enumerate(first)
+        ]
+        columns, limit = list(range(kq + len(others))), kq
+    return Fraction(int(any(
+        affine.rank_grows([_dense(row, columns) for n in s for row in view[n]], limit, p)
+        for s in combinations(range(inst.N), size)
+    )))
+
+
+@pytest.mark.parametrize("case", LINEAR_INSTANCES)
+def test_split_rank_tests_match_one_elimination_and_the_enumeration(case):
+    make = LINEAR_INSTANCES[case]
+    for auditor, prop in ((audit_security, X_SECURITY), (audit_privacy, T_PRIVACY)):
+        for size in range(1, make().N + 1):
+            report = auditor(make(), subset_size=size)
+            assert report.exhaustive
+            assert report.max_tv_distance == _unsplit(make(), auditor, size)
+            # the oracle, where it is quick (not at csa (5,2,1,1))
+            if estimate_work(_enumerated(make()), prop, size) <= 10**5:
+                assert report == auditor(_enumerated(make()), subset_size=size)  # field by field
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_split_matches_one_elimination_on_random_sparse_matrices(p):
+    # Random [A | B | ignored] rows over up to four servers, every server
+    # subset tested: the components' verdicts, cached across all of the
+    # matrices, against one elimination of [A | B].
+    rng, seen = Random(p), {}
+    for _ in range(150):
+        na, nb = rng.randrange(5), rng.randrange(1, 4)
+        pivots, others = range(na), range(na, na + nb)
+        view = []
+        for _ in range(rng.randrange(1, 5)):
+            server = []
+            for _ in range(rng.randrange(4)):
+                k = rng.randrange(1, min(4, na + nb + 2))
+                js = tuple(sorted(rng.sample(range(na + nb + 1), k)))
+                server.append((0, js, tuple(rng.randrange(1, p) for _ in js)))
+            view.append(server if server or rng.random() < 0.5 else None)
+        tests = affine.split(view, pivots, others)
+        for size in range(1, len(view) + 1):
+            for s in combinations(range(len(view)), size):
+                rows = [_dense(row, range(na + nb)) for n in s for row in view[n] or ()]
+                expected = affine.rank_grows(rows, na, p)
+                assert affine.leaks(tests, s, p, seen) == expected, (view, s)
+
+
+# ---------------------------------------------------------------------------
+# sampled audits of a linear scheme: rank tests on a draw
 # ---------------------------------------------------------------------------
 
 SAMPLED_INSTANCES = {
@@ -623,18 +757,37 @@ SAMPLED_INSTANCES = {
 
 @pytest.mark.parametrize("case", SAMPLED_INSTANCES)
 def test_sampled_views_match_the_per_draw_scheme_calls(case):
+    # A sampled rank test is one-sided: its FAIL is a proven leak, so the
+    # exact report fails too (and that one equals the per-draw enumeration,
+    # see test_rank_tests_match_the_enumeration); when the draws cover every
+    # subset its verdict is the exact one.
     make = SAMPLED_INSTANCES[case]
-    sizes = range(1, make().N + 1)
-    runs = [(audit_sym_security, {})] + [
-        (auditor, {"subset_size": size}) for auditor in (audit_security, audit_privacy)
-        for size in sizes
+    n = make().N
+    runs = [(audit_sym_security, SYM_SECURITY, {})] + [
+        (auditor, prop, {"subset_size": size})
+        for auditor, prop in ((audit_security, X_SECURITY), (audit_privacy, T_PRIVACY))
+        for size in range(1, n + 1)
     ]
-    for seed in (0, 1, 2):
-        for auditor, kwargs in runs:
-            kwargs = dict(kwargs, cap=0, samples=60, seed=seed)
-            report = auditor(make(), **kwargs)
-            assert not report.exhaustive and report.samples == 60
-            assert report == auditor(_enumerated(make()), **kwargs)  # field by field
+    for auditor, prop, kwargs in runs:
+        size, work = kwargs.get("subset_size"), estimate_work(make(), prop, kwargs.get("subset_size"))
+        # csa (5,2,1,1) sym-security is past the exact cap; it is T = 1, so secure
+        exact = auditor(make(), **kwargs) if work <= DEFAULT_CAP else None
+        for seed, samples in product((0, 1, 2), (1, 60)):
+            report = auditor(make(), cap=0, samples=samples, seed=seed, **kwargs)
+            if work == 0:  # download_all's queries are empty: nothing to test
+                assert report == exact
+                continue
+            assert not report.exhaustive and report.samples == samples
+            assert report.max_tv_distance in (ZERO, ONE)
+            assert report.passed == (report.max_tv_distance == ZERO)
+            assert "sampled: rank tests on" in report.detail
+            if exact is None:
+                assert report.passed
+            elif not report.passed:
+                assert not exact.passed
+            if size is not None and samples >= comb(n, size):
+                assert report.subsets_checked <= comb(n, size)
+                assert report.max_tv_distance == exact.max_tv_distance
 
 
 def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
@@ -646,16 +799,25 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
         assert calls == {"storage": 1 + dim + 2}  # estimate_work's zero point, then the probe
         calls.clear()
         audit_privacy(inst, subset_size=2, cap=0, samples=samples)
-        assert calls == {"storage": dim + 2, "queries": 2 * (kq + 2)}  # one probe per theta
+        assert calls == {"queries": 2 * (kq + 2)}  # one probe per compared theta, no storage
         calls.clear()
         audit_sym_security(inst, cap=0, samples=samples)
-        assert calls == {"storage": 2 * (dim + 2), "queries": 2}  # one probe per drawn query
+        # the zero point, the storage at every probe point, one query per draw
+        assert calls == {"storage": 1 + dim + 2, "queries": samples}
+    # the exact audit reuses the probe estimate_work made, and its split
+    inst = _csa(3, 2, 1, 1)
+    calls = _count_calls(inst)
+    estimate_work(inst, X_SECURITY)
+    assert audit_security(inst).exhaustive
+    assert calls == {"storage": 2 + dim + 2}  # two zero points, one probe
 
 
 def test_the_sampled_probe_holds_only_the_nonzero_coefficients():
     # A dense table of the csa (12,64,2,2) share map would hold 1,538
     # evaluations x 6,144 symbols, about 75 MB; each share symbol has 3
-    # nonzero coefficients (one message symbol, X = 2 noise symbols).
+    # nonzero coefficients (one message symbol, X = 2 noise symbols), and
+    # each split component of a subset's test is 2 rows x 3 columns. The
+    # probe and the 66 tests fit the default cap, so the audit is exact.
     inst = _csa(12, 64, 2, 2)
     tracemalloc.start()
     try:
@@ -663,5 +825,6 @@ def test_the_sampled_probe_holds_only_the_nonzero_coefficients():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not report.exhaustive and report.samples == 2
+    assert report.exhaustive and report.subsets_checked == 66
+    assert report.max_tv_distance == ZERO and report.passed
     assert peak < 50_000_000

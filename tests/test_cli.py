@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -203,8 +204,10 @@ def test_audit_refuses_oversized_enumeration(tmp_path, capsys, monkeypatch):
         ["audit", *BINARY_ARGS, "--property", "privacy", "--cap", "10"], capsys
     )
     assert code == 2
-    # the exact work it refused, in the unit of the engine that would run
-    assert "rank tests would take 44 steps" in err
+    # the exact work it refused, in the unit of the engine that would run:
+    # the query probe (2 thetas x 4 calls x 6 symbols) is already over the
+    # cap, so the count stops there, without probing
+    assert "rank tests would take 48 steps" in err
     assert "--sampled" in err
 
 
@@ -241,6 +244,37 @@ def test_audit_sampled_over_collusion_fails_exactly(tmp_path, capsys, monkeypatc
     assert "max_tv 1\npass false" in out
 
 
+def test_audit_sampled_rank_tests_pass_a_secure_instance(tmp_path, capsys, monkeypatch):
+    # comparing sampled share histograms read 19787/20000 here
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        ["audit", *CSA_ARGS, "--property", "security", "--sampled", "--cap", "0"], capsys
+    )
+    assert code == 0
+    assert "exhaustive false" in out
+    assert "max_tv 0\npass true" in out
+    assert "detail sampled: rank tests on 5 of 5 subsets" in out
+
+
+LARGE_CSA_ARGS = ["--scheme", "csa", "-N", "12", "-K", "64", "-X", "2", "-T", "2"]
+
+
+@pytest.mark.parametrize("extra,code,verdict", [
+    ([], 0, "max_tv 0\npass true"),
+    (["--subset-size", "3"], 1, "max_tv 1\npass false"),
+])
+def test_audit_decides_a_large_csa_security_exactly(extra, code, verdict, tmp_path, capsys,
+                                                    monkeypatch):
+    # the split rank tests fit the default cap at csa (12,64,2,2)
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    got, out, _ = run_cli(["audit", *LARGE_CSA_ARGS, "--property", "security", *extra], capsys)
+    assert time.perf_counter() - started < 5
+    assert got == code
+    assert "exhaustive true" in out
+    assert verdict in out
+
+
 def test_audit_correctness_properties(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
@@ -272,6 +306,23 @@ def test_rate_exhaustive_matches_closed_form(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert "5/12" in out
     assert "match true" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "csa", "-N", "4", "-K", "2", "-X", "1", "-T", "1",
+     "--prime", "2305843009213693951"],
+    LARGE_CSA_ARGS,
+])
+def test_rate_exhaustive_refuses_past_the_cap(argv, capsys, tmp_path, monkeypatch):
+    # before enumerating: the first ran out of memory, the second never ended
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    code, out, err = run_cli(["rate", *argv, "--exhaustive"], capsys)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "query realizations, over the cap of 16777216" in err
+    assert "--trials" in err
 
 
 def test_rate_sampled_mode_runs(capsys, tmp_path, monkeypatch):
