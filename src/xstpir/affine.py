@@ -116,7 +116,7 @@ def split(view, pivots: range, others) -> list:
 
     def root(j):
         while (up := parent.get(j, j)) != j:
-            j = parent[j] = parent.get(up, up)
+            parent[j] = j = parent.get(up, up)  # halve the path: point j at its grandparent
         return j
 
     for _, js, _ in rows:

@@ -44,10 +44,11 @@ randomness, and it is the oracle the rank tests are tested against.
 Distances are exact Fractions; an exact audit passes only at distance 0
 (correctness reuses the field as an exact failure fraction). When the
 exact engine's work (`estimate_work`) would exceed the cap the audit runs
-on a seeded random draw, and the report is flagged non-exhaustive. For a
-linear scheme the draw picks which rank tests run: min(samples, C(N,
-size)) distinct subsets for security and privacy (privacy comparing the
-first and the last theta), `samples` query realizations for sym-security.
+on a seeded random draw, flagged non-exhaustive (with fallback=False it
+raises OverCap). For a linear scheme the draw picks which rank tests run:
+min(samples, C(N, size)) distinct subsets for security and privacy
+(privacy comparing the first and the last theta), `samples` query
+realizations for sym-security.
 Such a report is one-sided: max_tv 1 proves a leak, max_tv 0 says that
 none of the tests run found one, and `detail` says how many ran. Any other
 scheme compares outcome frequencies over `samples` drawn realizations.
@@ -84,6 +85,10 @@ DEFAULT_SAMPLES = 20000
 # Comparing sampled outcome frequencies cannot certify distance 0, only flag
 # gross violations. The rank tests of a linear scheme need no tolerance.
 SAMPLED_TOLERANCE = Fraction(1, 20)
+
+
+class OverCap(ValueError):
+    """An exact computation past its work cap, with no sampled fallback."""
 
 
 @dataclass(frozen=True)
@@ -152,14 +157,17 @@ def _check_size(inst: Scheme, size: int) -> int:
     return size
 
 
-def _cached(inst: Scheme, key: tuple, make):
-    """make(), once per scheme instance and key: the probe and split that
-    estimate_work makes are the ones the audit then runs."""
-    cache = vars(inst).setdefault("_audit_cache", {})
-    return cache[key] if key in cache else cache.setdefault(key, make())
+def _exact(inst: Scheme, prop: str, work: int, cap: int, fallback: bool) -> bool:
+    """Whether the exact engine runs: whether its work is within the cap.
+    Past the cap, OverCap unless the sampled `fallback` is allowed."""
+    if work > cap and not fallback:
+        engine = exact_engine(inst, prop)
+        raise OverCap(f"the exact audit by {engine} would take {work} {WORK_UNITS[engine]}, "
+                      f"over the cap of {cap}")
+    return work <= cap
 
 
-def _rank_report(prop, inst, size, tests, exact, enumerated, samples, seed) -> AuditReport:
+def _subsets_report(prop, inst, size, tests, exact, enumerated, samples, seed) -> AuditReport:
     """The split rank test `tests` on the size-subsets of the servers, in
     lexicographic order up to the first leak: on every one if `exact`,
     else on min(samples, C(N, size)) distinct ones drawn from Random(seed)."""
@@ -174,21 +182,25 @@ def _rank_report(prop, inst, size, tests, exact, enumerated, samples, seed) -> A
     for tested, s in enumerate(subsets, 1):
         if leak := affine.leaks(tests, s, inst.p, seen):
             break
-    return _report(
-        prop, inst, size, total if exact else tested, Fraction(int(leak)), exact, enumerated,
-        samples, f"sampled: rank tests on {tested} of {total} subsets",
-    )
+    return _rank_report(prop, inst, size, total if exact else tested, leak, exact, enumerated,
+                        samples, f"sampled: rank tests on {tested} of {total} subsets")
 
 
-def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, detail=""):
-    """An exact report, passing at max_tv 0, or a sampled one: of rank
-    tests (`detail` says which ran), passing at 0, or of outcome tables,
-    passing within SAMPLED_TOLERANCE."""
+def _rank_report(prop, inst, size, checked, leak, exact, enumerated, samples, detail):
+    """The verdict of rank tests: max_tv 1 on a leak, else 0, passing at 0.
+    A sampled one says in `detail` which tests ran."""
+    head = (prop, inst.describe(), size, checked, Fraction(int(leak)), not leak)
+    return AuditReport(*head, True, enumerated) if exact else AuditReport(
+        *head, False, 0, samples, detail)
+
+
+def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples):
+    """The verdict of outcome tables: exact, passing at max_tv 0, or
+    sampled, passing within SAMPLED_TOLERANCE."""
     head = (prop, inst.describe(), size, checked, max_tv)
     if exact:
         return AuditReport(*head, max_tv == 0, True, enumerated)
-    passed = max_tv == 0 if detail else max_tv <= SAMPLED_TOLERANCE
-    return AuditReport(*head, passed, False, 0, samples, detail or
+    return AuditReport(*head, max_tv <= SAMPLED_TOLERANCE, False, 0, samples,
                        f"sampled, tolerance {SAMPLED_TOLERANCE}")
 
 
@@ -198,6 +210,7 @@ def audit_security(
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
+    fallback: bool = True,
 ) -> AuditReport:
     """Shares of any `subset_size` servers must not depend on the messages.
 
@@ -208,11 +221,12 @@ def audit_security(
     subset size outside 1..N raises ValueError.
     """
     size = _check_size(inst, inst.X if subset_size is None else subset_size)
-    exact = estimate_work(inst, X_SECURITY, size, cap) <= cap
+    work, tests = _plan(inst, X_SECURITY, size, cap)
+    exact = _exact(inst, X_SECURITY, work, cap, fallback)
     enumerated = inst.messages.size * inst.storage_noises.size
     if inst.linear:
-        tests = _security_tests(inst)
-        return _rank_report(X_SECURITY, inst, size, tests, exact, enumerated, samples, seed)
+        tests = _security_tests(inst) if tests is None else tests
+        return _subsets_report(X_SECURITY, inst, size, tests, exact, enumerated, samples, seed)
     subsets, rng, z = list(combinations(range(inst.N), size)), Random(seed), inst.storage_noises
     # exact: every message value over all storage noise; sampled: two drawn
     # message values, each over `samples` draws of it
@@ -231,8 +245,7 @@ def _security_tests(inst: Scheme) -> list:
     spaces = (inst.messages, inst.storage_noises)
     km, dim = inst.messages.count, affine.dim(inst, spaces)
     shares = affine.storage_at(inst, inst.share_payloads)
-    probe = lambda: affine.split(affine.probe(inst, shares, spaces), range(km, dim), range(km))
-    return _cached(inst, (X_SECURITY,), probe)
+    return affine.split(affine.probe(inst, shares, spaces), range(km, dim), range(km))
 
 
 def _subset_tables(subsets, views, tables: int, per: int) -> Fraction:
@@ -251,6 +264,7 @@ def audit_privacy(
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
+    fallback: bool = True,
 ) -> AuditReport:
     """The joint view (queries, shares) of any `subset_size` servers must not
     depend on theta.
@@ -274,11 +288,12 @@ def audit_privacy(
     size = _check_size(inst, inst.T if subset_size is None else subset_size)
     thetas, qr = list(inst.thetas), inst.query_randomness
     ends = [thetas[0], thetas[-1]]
-    exact = estimate_work(inst, T_PRIVACY, size, cap) <= cap
+    work, tests = _plan(inst, T_PRIVACY, size, cap)
+    exact = _exact(inst, T_PRIVACY, work, cap, fallback)
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
     if inst.linear:
-        tests = _privacy_tests(inst, thetas if exact else ends)
-        return _rank_report(T_PRIVACY, inst, size, tests, exact, enumerated, samples, seed)
+        tests = tests if exact else _privacy_tests(inst, ends)
+        return _subsets_report(T_PRIVACY, inst, size, tests, exact, enumerated, samples, seed)
     subsets, rng = list(combinations(range(inst.N), size)), Random(seed)
     # exact: every theta over all query randomness; sampled: the two ends,
     # each over `samples` draws of it
@@ -300,20 +315,16 @@ def _privacy_tests(inst: Scheme, thetas: list[int]) -> list:
         extra = [(kq + t, d) for t, view in enumerate(others) if (d := (view[n][i][0] - c) % p)]
         return c, js + tuple(j for j, _ in extra), aj + tuple(d for _, d in extra)
 
-    def split():
-        first, *others = _query_maps(inst, thetas)
-        view = [[row(n, i, *r, others) for i, r in enumerate(rows)] for n, rows in enumerate(first)]
-        return affine.split(view, range(kq), range(kq, kq + len(others)))
-
-    return _cached(inst, (T_PRIVACY, *thetas), split)
+    first, *others = _query_maps(inst, thetas)
+    view = [[row(n, i, *r, others) for i, r in enumerate(rows)] for n, rows in enumerate(first)]
+    return affine.split(view, range(kq), range(kq, kq + len(others)))
 
 
 def _query_maps(inst: Scheme, thetas) -> list:
     """The affine query map of each theta (`affine.probe`). ValueError
     unless the randomness enters every theta's queries the same way."""
     space = (inst.query_randomness,)
-    probe = lambda t: lambda: affine.probe(inst, affine.queries_at(inst, t), space)
-    maps = [_cached(inst, ("queries", t), probe(t)) for t in thetas]
+    maps = [affine.probe(inst, affine.queries_at(inst, t), space) for t in thetas]
     coefficients = [[row[1:] for row in rows] for rows in maps[0]]
     for theta, rows in zip(thetas[1:], maps[1:]):
         if [[row[1:] for row in server] for server in rows] != coefficients:
@@ -334,6 +345,7 @@ def audit_sym_security(
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
+    fallback: bool = True,
 ) -> AuditReport:
     """Answers must reveal nothing beyond message theta.
 
@@ -346,7 +358,7 @@ def audit_sym_security(
     tests the distinct (theta, query payload) pairs they test.
     """
     thetas, rng, qr = list(inst.thetas), Random(seed), inst.query_randomness
-    exact = estimate_work(inst, SYM_SECURITY) <= cap
+    exact = _exact(inst, SYM_SECURITY, estimate_work(inst, SYM_SECURITY), cap, fallback)
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
     if inst.linear:
         if exact:
@@ -358,11 +370,9 @@ def audit_sym_security(
         tested, distinct, leak = _sym_by_rank(inst, pairs)
         # a linear plaintext is message theta's L values: p^L groups per payload
         checked = sum(map(len, asked.values())) * inst.p**inst.L if exact else distinct
-        return _report(
-            SYM_SECURITY, inst, inst.N, checked, Fraction(int(leak)), exact, enumerated, samples,
-            f"sampled: rank tests on {tested} query realizations drawn from {len(thetas)} x "
-            f"{qr.base}^{qr.count}",
-        )
+        detail = f"{tested} query realizations drawn from {len(thetas)} x {qr.base}^{qr.count}"
+        return _rank_report(SYM_SECURITY, inst, inst.N, checked, leak, exact, enumerated, samples,
+                            f"sampled: rank tests on {detail}")
     if exact:
         max_tv, groups = _sym_security_by_enumeration(inst, thetas)
         return _report(SYM_SECURITY, inst, inst.N, groups, max_tv, True, enumerated, 0)
@@ -410,11 +420,9 @@ def _sym_by_rank(inst: Scheme, asked) -> tuple[int, int, bool]:
 
 
 def _sym_security_by_enumeration(inst: Scheme, thetas: list[int]) -> tuple[Fraction, int]:
-    messages = list(inst.messages)
-    noises = list(inst.storage_noises)
+    messages, noises = list(inst.messages), list(inst.storage_noises)
     share_cache = [[inst.storage(m, z) for z in noises] for m in messages]
-    max_tv = Fraction(0)
-    groups = 0
+    max_tv, groups = Fraction(0), 0
     for theta in thetas:
         for qlist in _distinct_queries(inst, theta).values():
             by_desired: dict = {}
@@ -457,6 +465,7 @@ def audit_correctness(
     cap: int = DEFAULT_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
+    fallback: bool = True,
 ) -> AuditReport:
     """decode must return message theta on every realization.
 
@@ -469,13 +478,10 @@ def audit_correctness(
     """
     thetas = list(inst.thetas)
     work = estimate_work(inst, CORRECTNESS)
-    exhaustive = work <= cap
-    if exhaustive:
-        rounds = _exhaustive_rounds(inst, thetas)
-    else:
-        rounds = _sampled_rounds(inst, thetas, samples, Random(seed))
-    detail = ""
-    failures = enumerated = 0
+    exhaustive = _exact(inst, CORRECTNESS, work, cap, fallback)
+    rounds = (_exhaustive_rounds(inst, thetas) if exhaustive
+              else _sampled_rounds(inst, thetas, samples, Random(seed)))
+    detail, failures, enumerated = "", 0, 0
     for theta, m, shares, queries in rounds:
         enumerated += 1
         ok, error = _decodes(inst, theta, m, shares, queries)
@@ -507,10 +513,8 @@ def _exhaustive_rounds(inst: Scheme, thetas: list[int]):
 
 def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
     for _ in range(samples):
-        theta = thetas[rng.randrange(len(thetas))]
-        m = inst.messages.sample(rng)
-        z = inst.storage_noises.sample(rng)
-        qr = inst.query_randomness.sample(rng)
+        theta, m = thetas[rng.randrange(len(thetas))], inst.messages.sample(rng)
+        z, qr = inst.storage_noises.sample(rng), inst.query_randomness.sample(rng)
         yield theta, m, _attempt(inst.storage, m, z), _attempt(inst.queries, theta, qr)
 
 
@@ -525,12 +529,10 @@ def _elimination(rows: int, cols: int, pivot_cols: int) -> int:
     return rows * cols * min(rows, pivot_cols)
 
 
-def estimate_work(
-    inst: Scheme, prop: str, subset_size: int | None = None, cap: int = DEFAULT_CAP
-) -> int:
+def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> int:
     """What the exact mode of this audit costs, in the unit of its engine
     (`exact_engine`, `WORK_UNITS`); the audits run it only when this is
-    within the cap. Enumeration counts realizations: the (m, z) pairs for
+    within their cap. Enumeration counts realizations: the (m, z) pairs for
     security, the (theta, qr) pairs of the query-side table for privacy,
     and every (theta, m, z, qr) for sym-security and correctness.
 
@@ -539,19 +541,23 @@ def estimate_work(
     security and privacy that is the probe (dim + 2 storage calls, dim =
     |m| + |z|, or qr.count + 2 query calls per theta) and per subset each
     split component, bounded by the rows of its `size` servers with the
-    most. The probe runs, and the audit then reuses it, only when its cost
-    is within `cap`; else the count is that cost alone. Sym-security: the
+    most; counting the components runs the probe, so when the probe alone
+    costs more than DEFAULT_CAP the count is that cost. Sym-security: the
     storage probe, every query of every theta, and per query the answers
     at every probe point and one unsplit test.
     """
+    return _plan(inst, prop, subset_size, DEFAULT_CAP)[0]
+
+
+def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int) -> tuple[int, list | None]:
+    """estimate_work's count, probing only when the probe fits `cap` (else
+    the count is the probe's cost), and the split rank tests of the exact
+    mode when it probed for them (else None)."""
     thetas = len(inst.thetas)
     m, z, qr = inst.messages, inst.storage_noises, inst.query_randomness
     if exact_engine(inst, prop) == ENUMERATION:
-        if prop == X_SECURITY:
-            return m.size * z.size
-        if prop == T_PRIVACY:
-            return thetas * qr.size
-        return thetas * m.size * z.size * qr.size
+        counts = {X_SECURITY: m.size * z.size, T_PRIVACY: thetas * qr.size}
+        return counts.get(prop, thetas * m.size * z.size * qr.size), None
     dim, queried = m.count + z.count, inst.N * inst.query_symbols
     if prop == T_PRIVACY:
         probe = thetas * (qr.count + 2) * queried
@@ -561,12 +567,12 @@ def estimate_work(
     if prop == SYM_SECURITY:
         rows = inst.N * inst.answer_symbols((1,) * inst.query_symbols)
         per_query = queried + (dim + 2) * rows + _elimination(rows, dim, z.count)
-        return probe + thetas * qr.size * per_query
+        return probe + thetas * qr.size * per_query, None
     if probe > cap:
-        return probe
+        return probe, None
     security = prop == X_SECURITY
     tests = _security_tests(inst) if security else _privacy_tests(inst, list(inst.thetas))
     size = (inst.X if security else inst.T) if subset_size is None else subset_size
     return probe + comb(inst.N, size) * sum(
         _elimination(sum(sorted(map(len, rows))[-size:]), width, na) for na, width, rows in tests
-    )
+    ), tests

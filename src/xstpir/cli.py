@@ -189,21 +189,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else audit_mod.DEFAULT_CAP
     samples = _positive(args, "samples", audit_mod.DEFAULT_SAMPLES)
     auditor, kind = AUDITS[prop]
-    kwargs = {"cap": cap, "samples": samples, "seed": cfg.seed}
+    kwargs = {"cap": cap, "samples": samples, "seed": cfg.seed, "fallback": bool(args.sampled)}
     if args.subset_size is not None:
         if kind not in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
             raise UsageError(f"--subset-size applies to security and privacy, not {prop}")
         if not 1 <= args.subset_size <= inst.N:
             raise UsageError(f"--subset-size must be in 1..{inst.N}, got {args.subset_size}")
         kwargs["subset_size"] = args.subset_size
-    work = audit_mod.estimate_work(inst, kind, args.subset_size, cap)
-    if work > cap and not args.sampled:
-        engine = audit_mod.exact_engine(inst, kind)
-        raise UsageError(
-            f"the exact audit by {engine} would take {work} {audit_mod.WORK_UNITS[engine]}, "
-            f"over the cap of {cap}; rerun with --sampled (or raise --cap) to proceed"
-        )
-    report = auditor(inst, **kwargs)
+    try:
+        report = auditor(inst, **kwargs)
+    except audit_mod.OverCap as exc:
+        raise UsageError(f"{exc}; rerun with --sampled (or raise --cap) to proceed") from exc
     out = args.out if args.out is not None else "audit_report.txt"
     Path(out).write_text(report.render())
     sys.stdout.write(report.render())
@@ -221,10 +217,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
         measured = sim.empirical_rate(
             scheme.params, exhaustive=exhaustive, trials=trials, seed=cfg.seed, theta=theta
         )
-    except ValueError as exc:
-        if not exhaustive:
-            raise
-        raise UsageError(f"{exc}; rerun without --exhaustive to sample --trials retrievals")
+    except audit_mod.OverCap as exc:
+        raise UsageError(f"{exc}; rerun without --exhaustive to sample --trials retrievals") from exc
     closed = scheme.closed_form_rate()
     mode = "exhaustive" if exhaustive else f"sampled over {trials} trials"
     print(f"scheme {cfg.scheme} N={cfg.N} K={cfg.K} X={cfg.X} T={cfg.T}")
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow the randomized fallback beyond the cap")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--cap", type=int, default=None,
-                   help="max exhaustive enumeration size")
+                   help="max work of the exact audit")
     p.add_argument("--out", default=None, help="report path (default audit_report.txt)")
     p.set_defaults(fn=cmd_audit)
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .audit import DEFAULT_CAP
+from .audit import DEFAULT_CAP, OverCap
 from .scheme import Payload, Scheme, for_params, from_header
 
 KIND_QUERY = "QUERY"
@@ -375,13 +375,13 @@ def empirical_rate(
     Exhaustive mode enumerates the query randomness, which fully determines
     the download count (a server downloads nothing exactly when its query
     payload is all zero); sampled mode runs `trials` full retrievals with
-    seeds seed, seed+1, ... Exhaustive mode refuses (ValueError) more than
+    seeds seed, seed+1, ... Exhaustive mode refuses (OverCap) more than
     the audits' DEFAULT_CAP query realizations, before enumerating them.
     """
     scheme = for_params(params)
     if exhaustive and (qr := scheme.query_randomness).size > DEFAULT_CAP:
-        raise ValueError(f"an exhaustive rate would enumerate {qr.base}^{qr.count} query "
-                         f"realizations, over the cap of {DEFAULT_CAP}")
+        raise OverCap(f"an exhaustive rate would enumerate {qr.base}^{qr.count} query "
+                      f"realizations, over the cap of {DEFAULT_CAP}")
     if exhaustive:
         total = 0
         for randomness in scheme.query_randomness:

@@ -23,6 +23,7 @@ from xstpir.audit import (
     BinaryInstance,
     CsaInstance,
     DownloadAllInstance,
+    OverCap,
     SymXspirInstance,
     audit_correctness,
     audit_privacy,
@@ -714,29 +715,43 @@ def test_split_rank_tests_match_one_elimination_and_the_enumeration(case):
                 assert report == auditor(_enumerated(make()), subset_size=size)  # field by field
 
 
+def _split_against_one_elimination(view, na, nb, p, seen):
+    tests = affine.split(view, range(na), range(na, na + nb))
+    for size in range(1, len(view) + 1):
+        for s in combinations(range(len(view)), size):
+            rows = [_dense(row, range(na + nb)) for n in s for row in view[n] or ()]
+            expected = affine.rank_grows(rows, na, p)
+            assert affine.leaks(tests, s, p, seen) == expected, (view, s)
+
+
+def test_split_keeps_a_component_whole_after_a_long_chain():
+    # Rows over A columns (2,3), (1,2), (0,1) chain 3 -> 2 -> 1 -> 0; the
+    # find on 3 for the row (3,4) must not cut 1 off from 0, or the rows
+    # (0,1) and (0,) form a component without B, are dropped, and the
+    # contradiction x3 = 1 against x0 = ... = x3 = 0 goes unseen.
+    view = [[(0, js, (1,) * len(js)) for js in ((2, 3), (1, 2), (0, 1), (3, 4), (0,))]]
+    assert affine.rank_grows([_dense(row, range(5)) for row in view[0]], 4, 2)
+    _split_against_one_elimination(view, 4, 1, 2, {})
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_split_matches_one_elimination_on_random_sparse_matrices(p):
     # Random [A | B | ignored] rows over up to four servers, every server
     # subset tested: the components' verdicts, cached across all of the
-    # matrices, against one elimination of [A | B].
+    # matrices, against one elimination of [A | B]. Up to 9 A columns and
+    # 8 rows of at most 3 columns per server give long chains of unions.
     rng, seen = Random(p), {}
-    for _ in range(150):
-        na, nb = rng.randrange(5), rng.randrange(1, 4)
-        pivots, others = range(na), range(na, na + nb)
+    for _ in range(400):
+        na, nb = rng.randrange(10), rng.randrange(1, 4)
         view = []
         for _ in range(rng.randrange(1, 5)):
             server = []
-            for _ in range(rng.randrange(4)):
+            for _ in range(rng.randrange(9)):
                 k = rng.randrange(1, min(4, na + nb + 2))
                 js = tuple(sorted(rng.sample(range(na + nb + 1), k)))
                 server.append((0, js, tuple(rng.randrange(1, p) for _ in js)))
             view.append(server if server or rng.random() < 0.5 else None)
-        tests = affine.split(view, pivots, others)
-        for size in range(1, len(view) + 1):
-            for s in combinations(range(len(view)), size):
-                rows = [_dense(row, range(na + nb)) for n in s for row in view[n] or ()]
-                expected = affine.rank_grows(rows, na, p)
-                assert affine.leaks(tests, s, p, seen) == expected, (view, s)
+        _split_against_one_elimination(view, na, nb, p, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +811,7 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
         dim, kq = inst.messages.count + inst.storage_noises.count, inst.query_randomness.count
         calls = _count_calls(inst)
         audit_security(inst, subset_size=2, cap=0, samples=samples)
-        assert calls == {"storage": 1 + dim + 2}  # estimate_work's zero point, then the probe
+        assert calls == {"storage": 1 + dim + 2}  # the work count's zero point, then the probe
         calls.clear()
         audit_privacy(inst, subset_size=2, cap=0, samples=samples)
         assert calls == {"queries": 2 * (kq + 2)}  # one probe per compared theta, no storage
@@ -804,12 +819,25 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
         audit_sym_security(inst, cap=0, samples=samples)
         # the zero point, the storage at every probe point, one query per draw
         assert calls == {"storage": 1 + dim + 2, "queries": samples}
-    # the exact audit reuses the probe estimate_work made, and its split
+    # the exact audit runs the split its work count probed for, and the
+    # count itself leaves nothing on the scheme
     inst = _csa(3, 2, 1, 1)
     calls = _count_calls(inst)
-    estimate_work(inst, X_SECURITY)
+    state = dict(vars(inst))
+    assert estimate_work(inst, X_SECURITY) > 0 and vars(inst) == state
+    calls.clear()
     assert audit_security(inst).exhaustive
-    assert calls == {"storage": 2 + dim + 2}  # two zero points, one probe
+    assert calls == {"storage": 1 + dim + 2}  # the zero point, one probe
+
+
+@pytest.mark.parametrize("auditor", [audit_security, audit_privacy, audit_sym_security,
+                                     audit_correctness])
+def test_an_audit_without_fallback_refuses_past_the_cap(auditor):
+    # it names the exact work in its engine's unit, and runs nothing more
+    inst = _csa(3, 2, 1, 1)
+    with pytest.raises(OverCap, match=r"would take \d+ \w+.*, over the cap of 0$"):
+        auditor(inst, cap=0, fallback=False)
+    assert auditor(inst, fallback=False).exhaustive
 
 
 def test_the_sampled_probe_holds_only_the_nonzero_coefficients():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from xstpir import sim
 from xstpir.cli import main
 
 
@@ -323,6 +324,18 @@ def test_rate_exhaustive_refuses_past_the_cap(argv, capsys, tmp_path, monkeypatc
     assert len(err.splitlines()) == 1
     assert "query realizations, over the cap of 16777216" in err
     assert "--trials" in err
+
+
+def test_rate_exhaustive_reports_only_the_cap_refusal_as_usage(capsys, tmp_path, monkeypatch):
+    # any other error of the exact rate is not a usage mistake
+    monkeypatch.chdir(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a cap refusal")
+
+    monkeypatch.setattr(sim, "empirical_rate", broken)
+    with pytest.raises(ValueError, match="^not a cap refusal$"):
+        run_cli(["rate", *BINARY_ARGS, "--exhaustive"], capsys)
 
 
 def test_rate_sampled_mode_runs(capsys, tmp_path, monkeypatch):
