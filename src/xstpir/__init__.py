@@ -11,8 +11,11 @@ Components:
   answer map, decoder, randomness, wire payloads, closed-form rate), and
   the registry that sim, audit and cli find the schemes through;
 - audit: exact distribution audits (security, privacy, symmetric
-  security, correctness) with exact total-variation distances, by rank
-  tests for the linear schemes and by enumeration otherwise;
+  security, correctness) with exact total-variation distances: by rank
+  tests where the scheme declares the map an audit reads affine (`linear`
+  for shares and answers, read by security and sym-security, as every
+  scheme does; `linear_queries` for queries, read by privacy, as all but
+  sym_xspir do), and by enumeration otherwise, correctness included;
 - sim: server objects behind a synchronous wire transport, wire format,
   replayable and validated transcripts;
 - cli: the xstpir command.

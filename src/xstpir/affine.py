@@ -1,5 +1,5 @@
 """Affine maps of a scheme's random values, read through the `Scheme`
-interface: the probe behind the audits of schemes declared `linear`.
+interface: the probe behind the audits' rank tests (`audit.exact_engine`).
 
 A map `at` takes the values of some Spaces, laid end to end as one list u
 (messages, storage noise, query randomness, in that order), to per-server

@@ -13,18 +13,20 @@ Four properties are checked:
   storage noise) for every value of the other messages;
 - correctness: the decoded value equals message theta on every realization.
 
-An exact report (`exhaustive true`) comes from one of two engines.
+An exact report (`exhaustive true`) comes from one of two engines, as
+`exact_engine` picks from the scheme's declarations.
 
-Rank tests decide security, privacy and sym-security of a scheme that
-declares itself `linear` (csa, download_all, binary_n3). Each view these
-audits compare is then an affine image c + A u of uniform randomness u,
-so it is uniform on the coset c + colspan(A): two such views have the same
-distribution when their cosets coincide and disjoint supports otherwise,
-and every total-variation distance is exactly 0 or 1. The matrices are
-read through the `Scheme` interface alone (`xstpir.affine`). With shares_S
-= c + M_S m + Z_S z, queries_S = q_S(theta) + R_S r and answers = c + A_m m
-+ A_z z for a fixed query, and A_other the columns of A_m outside message
-theta:
+Rank tests decide security and sym-security where the storage side is
+declared `linear` (csa, download_all, binary_n3, sym_xspir), and privacy
+where the query side is declared `linear_queries` (all but sym_xspir).
+Each view these audits compare is then an affine image c + A u of uniform
+randomness u, so it is uniform on the coset c + colspan(A): two such views
+have the same distribution when their cosets coincide and disjoint
+supports otherwise, and every total-variation distance is exactly 0 or 1.
+The matrices are read through the `Scheme` interface alone
+(`xstpir.affine`). With shares_S = c + M_S m + Z_S z, queries_S =
+q_S(theta) + R_S r and answers = c + A_m m + A_z z for a fixed query, and
+A_other the columns of A_m outside message theta:
 
 - X-security of a subset S holds iff rank[M_S | Z_S] = rank Z_S;
 - T-privacy of S holds iff q_S(theta) - q_S(1) lies in colspan(R_S) for
@@ -37,21 +39,22 @@ one elimination per connected component of A (`affine.split`). The report
 carries max_tv 1 if any test fails and 0 otherwise, and the
 subsets_checked and enumerated fields the enumeration would give.
 
-Enumeration decides everything else (sym_xspir, and correctness of every
-scheme) from exact outcome-frequency tables over all the relevant
-randomness, and it is the oracle the rank tests are tested against.
+Enumeration decides everything else (privacy of sym_xspir, whose queries
+are column indices, and correctness of every scheme) from exact
+outcome-frequency tables over all the relevant randomness, and it is the
+oracle the rank tests are tested against.
 
 Distances are exact Fractions; an exact audit passes only at distance 0
 (correctness reuses the field as an exact failure fraction). When the
 exact engine's work (`estimate_work`) would exceed the cap the audit runs
 on a seeded random draw, flagged non-exhaustive (with fallback=False it
-raises OverCap). For a linear scheme the draw picks which rank tests run:
-min(samples, C(N, size)) distinct subsets for security and privacy
-(privacy comparing the first and the last theta), `samples` query
-realizations for sym-security.
-Such a report is one-sided: max_tv 1 proves a leak, max_tv 0 says that
-none of the tests run found one, and `detail` says how many ran. Any other
-scheme compares outcome frequencies over `samples` drawn realizations.
+raises OverCap; samples below 1 raise ValueError). Under rank tests the
+draw picks which tests run: min(samples, C(N, size)) distinct subsets for
+security and privacy (privacy comparing the first and the last theta),
+`samples` query realizations for sym-security. Such a report is
+one-sided: max_tv 1 proves a leak, max_tv 0 says that none of the tests
+run found one, and `detail` says how many ran. Enumeration's fallback
+compares outcome frequencies over `samples` drawn realizations.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from random import Random
-from typing import Sequence
-
 from . import affine
 from .scheme import BinaryScheme, CsaScheme, DownloadAllScheme, Scheme, SymXspirScheme
 
@@ -129,18 +130,13 @@ def _tv(c1: Counter, c2: Counter, total: int) -> Fraction:
     return Fraction(sum(abs(c1[k] - c2[k]) for k in keys), 2 * total)
 
 
-def _max_pairwise_tv(counters: Sequence[Counter], total: int) -> Fraction:
-    """Max TV over all pairs; identical tables are grouped first so the
-    common all-equal case costs one pass."""
-    reps = {tuple(sorted(c.items())): c for c in counters}.values()
-    return max((_tv(a, b, total) for a, b in combinations(reps, 2)), default=Fraction(0))
-
-
 def _max_tv(tables: dict[object, list[Counter]], total: int) -> Fraction:
     """Max pairwise TV within each entry's tables, each over `total`
-    realizations."""
+    realizations; identical tables are grouped first, so the common
+    all-equal case costs one pass."""
     assert all(sum(c.values()) == total for counters in tables.values() for c in counters)
-    return max((_max_pairwise_tv(c, total) for c in tables.values()), default=Fraction(0))
+    reps = [{tuple(sorted(c.items())): c for c in counters}.values() for counters in tables.values()]
+    return max((_tv(a, b, total) for r in reps for a, b in combinations(r, 2)), default=Fraction(0))
 
 
 # The audits take any Scheme. The older adapter names stay, as the scheme
@@ -157,14 +153,17 @@ def _check_size(inst: Scheme, size: int) -> int:
     return size
 
 
-def _exact(inst: Scheme, prop: str, work: int, cap: int, fallback: bool) -> bool:
-    """Whether the exact engine runs: whether its work is within the cap.
-    Past the cap, OverCap unless the sampled `fallback` is allowed."""
+def _exact(inst: Scheme, prop: str, size, cap: int, samples: int, fallback: bool):
+    """Whether the exact engine runs (`_plan`'s work within the cap), and
+    `_plan`'s tests. Past the cap, OverCap unless `fallback` is allowed."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    work, tests = _plan(inst, prop, size, cap)
     if work > cap and not fallback:
         engine = exact_engine(inst, prop)
         raise OverCap(f"the exact audit by {engine} would take {work} {WORK_UNITS[engine]}, "
                       f"over the cap of {cap}")
-    return work <= cap
+    return work <= cap, tests
 
 
 def _subsets_report(prop, inst, size, tests, exact, enumerated, samples, seed) -> AuditReport:
@@ -182,24 +181,18 @@ def _subsets_report(prop, inst, size, tests, exact, enumerated, samples, seed) -
     for tested, s in enumerate(subsets, 1):
         if leak := affine.leaks(tests, s, inst.p, seen):
             break
-    return _rank_report(prop, inst, size, total if exact else tested, leak, exact, enumerated,
-                        samples, f"sampled: rank tests on {tested} of {total} subsets")
+    return _report(prop, inst, size, total if exact else tested, Fraction(leak), exact,
+                   enumerated, samples, f"{tested} of {total} subsets")
 
 
-def _rank_report(prop, inst, size, checked, leak, exact, enumerated, samples, detail):
-    """The verdict of rank tests: max_tv 1 on a leak, else 0, passing at 0.
-    A sampled one says in `detail` which tests ran."""
-    head = (prop, inst.describe(), size, checked, Fraction(int(leak)), not leak)
-    return AuditReport(*head, True, enumerated) if exact else AuditReport(
-        *head, False, 0, samples, detail)
-
-
-def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples):
-    """The verdict of outcome tables: exact, passing at max_tv 0, or
-    sampled, passing within SAMPLED_TOLERANCE."""
+def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, ranked=""):
+    """Exact: pass at max_tv 0. Sampled by the rank tests `ranked` names:
+    pass at 0 (1 is a leak). Else: pass within SAMPLED_TOLERANCE."""
     head = (prop, inst.describe(), size, checked, max_tv)
     if exact:
         return AuditReport(*head, max_tv == 0, True, enumerated)
+    if ranked:
+        return AuditReport(*head, max_tv == 0, False, 0, samples, f"sampled: rank tests on {ranked}")
     return AuditReport(*head, max_tv <= SAMPLED_TOLERANCE, False, 0, samples,
                        f"sampled, tolerance {SAMPLED_TOLERANCE}")
 
@@ -216,15 +209,14 @@ def audit_security(
 
     The report carries, over the subsets, the maximum total-variation
     distance between the share views of two message values: by rank tests
-    for a linear scheme, else from the exact distribution of each subset's
+    (`exact_engine`), else from the exact distribution of each subset's
     share tuple over all storage noise, tabulated per message value. A
     subset size outside 1..N raises ValueError.
     """
     size = _check_size(inst, inst.X if subset_size is None else subset_size)
-    work, tests = _plan(inst, X_SECURITY, size, cap)
-    exact = _exact(inst, X_SECURITY, work, cap, fallback)
+    exact, tests = _exact(inst, X_SECURITY, size, cap, samples, fallback)
     enumerated = inst.messages.size * inst.storage_noises.size
-    if inst.linear:
+    if exact_engine(inst, X_SECURITY) == RANK_TESTS:
         tests = _security_tests(inst) if tests is None else tests
         return _subsets_report(X_SECURITY, inst, size, tests, exact, enumerated, samples, seed)
     subsets, rng, z = list(combinations(range(inst.N), size)), Random(seed), inst.storage_noises
@@ -279,8 +271,8 @@ def audit_privacy(
         sum_{a,b} |Q_1(a) S(b) - Q_2(a) S(b)| / (2 |qr| pairs)
             = sum_a |Q_1(a) - Q_2(a)| / (2 |qr|),
 
-    and the share view cannot move max_tv. A linear scheme is decided by
-    rank tests, any other by tabulating Q_theta; `enumerated` still counts
+    and the share view cannot move max_tv. It is decided by rank tests
+    (`exact_engine`) or by tabulating Q_theta; `enumerated` still counts
     the len(thetas) * |qr| * pairs joint realizations. The sampled mode
     compares the first and the last theta. A subset size outside 1..N
     raises ValueError.
@@ -288,10 +280,9 @@ def audit_privacy(
     size = _check_size(inst, inst.T if subset_size is None else subset_size)
     thetas, qr = list(inst.thetas), inst.query_randomness
     ends = [thetas[0], thetas[-1]]
-    work, tests = _plan(inst, T_PRIVACY, size, cap)
-    exact = _exact(inst, T_PRIVACY, work, cap, fallback)
+    exact, tests = _exact(inst, T_PRIVACY, size, cap, samples, fallback)
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
-    if inst.linear:
+    if exact_engine(inst, T_PRIVACY) == RANK_TESTS:
         tests = tests if exact else _privacy_tests(inst, ends)
         return _subsets_report(T_PRIVACY, inst, size, tests, exact, enumerated, samples, seed)
     subsets, rng = list(combinations(range(inst.N), size)), Random(seed)
@@ -358,9 +349,9 @@ def audit_sym_security(
     tests the distinct (theta, query payload) pairs they test.
     """
     thetas, rng, qr = list(inst.thetas), Random(seed), inst.query_randomness
-    exact = _exact(inst, SYM_SECURITY, estimate_work(inst, SYM_SECURITY), cap, fallback)
+    exact = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)[0]
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
-    if inst.linear:
+    if exact_engine(inst, SYM_SECURITY) == RANK_TESTS:
         if exact:
             asked = {t: _distinct_queries(inst, t) for t in thetas}
             pairs = ((t, q) for t in thetas for q, *_ in asked[t].values())
@@ -371,14 +362,14 @@ def audit_sym_security(
         # a linear plaintext is message theta's L values: p^L groups per payload
         checked = sum(map(len, asked.values())) * inst.p**inst.L if exact else distinct
         detail = f"{tested} query realizations drawn from {len(thetas)} x {qr.base}^{qr.count}"
-        return _rank_report(SYM_SECURITY, inst, inst.N, checked, leak, exact, enumerated, samples,
-                            f"sampled: rank tests on {detail}")
+        return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
+                       samples, detail)
     if exact:
         max_tv, groups = _sym_security_by_enumeration(inst, thetas)
         return _report(SYM_SECURITY, inst, inst.N, groups, max_tv, True, enumerated, 0)
     tables = {}
     for i, theta in enumerate((thetas[0], thetas[-1])):
-        q = inst.queries(theta, inst.query_randomness.sample(rng))
+        q = inst.queries(theta, qr.sample(rng))
         base, other = inst.messages.draw(rng), inst.messages.draw(rng)
         desired = slice((theta - 1) * inst.L, theta * inst.L)
         other[desired] = base[desired]  # the same message theta, so they are comparable
@@ -415,8 +406,8 @@ def _sym_by_rank(inst: Scheme, asked) -> tuple[int, int, bool]:
             tests = affine.split(answers, range(km, dim), others)
             verdicts[key] = affine.leaks(tests, range(inst.N), p, seen)
         if verdicts[key]:
-            return tested, len(verdicts), True
-    return tested, len(verdicts), False
+            break
+    return tested, len(verdicts), verdicts[key]
 
 
 def _sym_security_by_enumeration(inst: Scheme, thetas: list[int]) -> tuple[Fraction, int]:
@@ -477,8 +468,7 @@ def audit_correctness(
     storage once per (m, z) and the queries once per (theta, qr).
     """
     thetas = list(inst.thetas)
-    work = estimate_work(inst, CORRECTNESS)
-    exhaustive = _exact(inst, CORRECTNESS, work, cap, fallback)
+    exhaustive = _exact(inst, CORRECTNESS, None, cap, samples, fallback)[0]
     rounds = (_exhaustive_rounds(inst, thetas) if exhaustive
               else _sampled_rounds(inst, thetas, samples, Random(seed)))
     detail, failures, enumerated = "", 0, 0
@@ -489,7 +479,7 @@ def audit_correctness(
             detail = f"decode raised {type(error).__name__}: {error}"
         if not ok:
             failures += 1
-    assert enumerated == (work if exhaustive else samples)
+    assert enumerated == (estimate_work(inst, CORRECTNESS) if exhaustive else samples)
     return AuditReport(
         CORRECTNESS, inst.describe(), inst.N, len(thetas),
         Fraction(failures, enumerated), failures == 0, exhaustive,
@@ -519,8 +509,10 @@ def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
 
 
 def exact_engine(inst: Scheme, prop: str) -> str:
-    """How the exact mode of this audit decides it: RANK_TESTS or ENUMERATION."""
-    return RANK_TESTS if inst.linear and prop != CORRECTNESS else ENUMERATION
+    """How the exact mode of this audit decides it: RANK_TESTS where the
+    scheme declares the map it reads affine (`Scheme`), else ENUMERATION."""
+    declared = inst.linear_queries if prop == T_PRIVACY else inst.linear
+    return RANK_TESTS if declared and prop != CORRECTNESS else ENUMERATION
 
 
 def _elimination(rows: int, cols: int, pivot_cols: int) -> int:

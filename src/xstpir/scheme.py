@@ -44,19 +44,19 @@ class Scheme:
     a query payload how many symbols the answer carries, 0 meaning the
     server owes nothing and replies ANSWER_EMPTY.
 
-    `linear` declares that the share payloads, the query payloads of each
-    theta, and every server's answer to a fixed query are affine maps mod
-    p of the Space values (messages, storage noise, query randomness, all
-    with base p), that the query randomness enters the queries the same
-    way for every theta, and that `plaintext` is message theta's row of the
-    `messages` values. The audits then decide security, privacy and
-    sym-security by rank tests on matrices they read through this
-    interface (see `audit`).
+    Two flags declare maps affine mod p in Space values of base p; only
+    `audit.exact_engine` reads them. `linear`: the share payloads, and
+    every server's answer to a fixed query, are affine in (messages,
+    storage noise), and `plaintext` is message theta's row of the
+    `messages` values; security and sym-security are then decided by rank
+    tests. `linear_queries`: each theta's query payloads are affine in the
+    query randomness, which enters them the same way for every theta;
+    privacy is then decided by rank tests (see `audit`).
     """
 
     name = ""
     params_type: type = object
-    linear = False
+    linear = linear_queries = False
 
     @classmethod
     def make(cls, N: int, K: int, X: int, T: int, p: int | None = None) -> "Scheme":
@@ -125,7 +125,7 @@ class CsaScheme(Scheme):
 
     name = "csa"
     params_type = CsaParams
-    linear = True
+    linear = linear_queries = True
 
     def __init__(self, params: CsaParams):
         self.params = params
@@ -186,7 +186,7 @@ class DownloadAllScheme(Scheme):
 
     name = "download_all"
     params_type = DownloadAllParams
-    linear = True
+    linear = linear_queries = True
 
     def __init__(self, params: DownloadAllParams):
         self.params = params
@@ -237,7 +237,7 @@ class BinaryScheme(Scheme):
 
     name = "binary_n3"
     params_type = int
-    linear = True
+    linear = linear_queries = True
 
     def __init__(self, k: int, b=None):
         self.params = k
@@ -303,9 +303,9 @@ class SymXspirScheme(Scheme):
 
     name = "sym_xspir"
     params_type = SymXspirParams
-    # Queries are column indices, and an answer selects the entries they
-    # name: not affine in the query randomness.
-    linear = False
+    # Shares, and the answers to a fixed query, are affine in (messages,
+    # noise); the queries are column indices, not affine in m_o.
+    linear = True
 
     def __init__(self, params: SymXspirParams):
         self.params = params

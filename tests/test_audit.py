@@ -4,7 +4,7 @@ planted defects must be caught."""
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from random import Random
 
@@ -53,12 +53,22 @@ def _symx(x, k, p=None):
 
 
 def _enumerated(inst):
-    """inst, audited by enumeration: a test-side subclass of its class with
-    linear = False. The oracle the rank tests must agree with; its sampled
-    audits call the scheme once per draw."""
+    """inst, audited by enumeration: a test-side subclass of its class that
+    declares neither its storage side (`linear`) nor its queries
+    (`linear_queries`) affine. The oracle the rank tests must agree with;
+    its sampled audits call the scheme once per draw."""
     cls = type(inst)
-    inst.__class__ = type(f"Enumerated{cls.__name__}", (cls,), {"linear": False})
+    declared = {"linear": False, "linear_queries": False}
+    inst.__class__ = type(f"Enumerated{cls.__name__}", (cls,), declared)
     return inst
+
+
+PROPERTY = {
+    audit_security: X_SECURITY,
+    audit_privacy: T_PRIVACY,
+    audit_sym_security: SYM_SECURITY,
+    audit_correctness: CORRECTNESS,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +197,27 @@ BOUNDARY_CASES = {
         audit_sym_security, SYM_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS,
         6 * 6 + 2 * 25 * (6 + 6 * 3 + 3 * 4 * 2),
     ),
+    # sym_xspir (1,2), p = 2: dim 6 (2 message, 4 noise symbols), 8 share
+    # symbols. Per subset four components, one per noise symbol z_km, each
+    # 1 row x (z_km + w_k): the noise server holds z_km, the masked server
+    # w_k + z_km.
+    "security-rank-symx": (
+        audit_security, X_SECURITY, lambda: _symx(1, 2), {}, RANK_TESTS, 8 * 8 + 2 * 4 * (1 * 2 * 1),
+    ),
+    # the storage probe, then for 2 thetas x 2 queries: 4 query symbols, 8
+    # probe answers of 4 symbols, and a 4 x 6 elimination with 4 pivots
+    "symsec-rank-symx": (
+        audit_sym_security, SYM_SECURITY, lambda: _symx(1, 2), {}, RANK_TESTS,
+        8 * 8 + 2 * 2 * (4 + 8 * 4 + 4 * 6 * 4),
+    ),
     # sym_xspir (p = 2): 4 messages, 16 noise grids, 2 columns, 2 thetas
-    "security-enumeration": (audit_security, X_SECURITY, lambda: _symx(1, 2), {}, ENUMERATION, 4 * 16),
+    "security-enumeration": (
+        audit_security, X_SECURITY, lambda: _enumerated(_symx(1, 2)), {}, ENUMERATION, 4 * 16,
+    ),
     "privacy-enumeration": (audit_privacy, T_PRIVACY, lambda: _symx(1, 2), {}, ENUMERATION, 2 * 2),
     "symsec-enumeration": (
-        audit_sym_security, SYM_SECURITY, lambda: _symx(1, 2), {}, ENUMERATION, 2 * 4 * 16 * 2,
+        audit_sym_security, SYM_SECURITY, lambda: _enumerated(_symx(1, 2)), {}, ENUMERATION,
+        2 * 4 * 16 * 2,
     ),
     "correctness-enumeration": (
         audit_correctness, CORRECTNESS, lambda: _csa(3, 1, 1, 1), {}, ENUMERATION, 5 * 5 * 5,
@@ -302,8 +328,8 @@ def test_sampled_mode_engages_when_capped():
     assert report.passed
     assert report.max_tv_distance == ZERO
     assert report.detail == "sampled: rank tests on 3 of 3 subsets"
-    # any other scheme: sampled outcome tables, within the tolerance
-    report = audit_security(_symx(1, 2), cap=0, samples=6000, seed=1)
+    # by enumeration: sampled outcome tables, within the tolerance
+    report = audit_security(_enumerated(_symx(1, 2)), cap=0, samples=6000, seed=1)
     assert not report.exhaustive and report.samples == 6000
     assert report.passed
     assert report.max_tv_distance <= Fraction(1, 20)
@@ -542,8 +568,19 @@ def test_correctness_failures_match_the_per_realization_loop(case):
 # the rank tests against the enumeration
 # ---------------------------------------------------------------------------
 
-# Every security, privacy and sym-security audit of a linear scheme in the
-# tests, the goldens included: audit, instance, kwargs.
+class _AnswersTheWholeGrid(SymXspirInstance):
+    """Every server answers with its whole stored grid, so the user learns
+    every message: a planted sym-security leak."""
+
+    def answer(self, share, query):
+        return tuple(chain.from_iterable(share))
+
+    def answer_symbols(self, query):
+        return self.K * self.K
+
+
+# Every security, privacy and sym-security audit the rank tests decide in
+# the tests, the goldens included: audit, instance, kwargs.
 ORACLE_CASES = {
     "security-csa-3111": (audit_security, lambda: _csa(3, 1, 1, 1), {}),
     "security-csa-3211": (audit_security, lambda: _csa(3, 2, 1, 1), {}),
@@ -579,6 +616,20 @@ ORACLE_CASES = {
     "bad-b-binary-k2": (audit_privacy, lambda: BinaryInstance(2, b=((1, 0), (0, 1))), {}),
     "symsec-dl-2211": (audit_sym_security, lambda: _dl(2, 2, 1, 1), {}),
     "symsec-csa-4212": (audit_sym_security, lambda: _csa(4, 2, 1, 2, p=5), {}),
+    # sym_xspir declares its storage side linear, not its queries
+    "security-symx-x1k2": (audit_security, lambda: _symx(1, 2), {}),
+    "security-symx-x1k2p3": (audit_security, lambda: _symx(1, 2, 3), {}),
+    "security-symx-x2k2": (audit_security, lambda: _symx(2, 2), {}),
+    "symsec-symx-x1k2": (audit_sym_security, lambda: _symx(1, 2), {}),
+    "symsec-symx-x1k2p3": (audit_sym_security, lambda: _symx(1, 2, 3), {}),
+    "symsec-symx-x2k2": (audit_sym_security, lambda: _symx(2, 2), {}),
+    # planted failures: all N servers, and answers that hand over the grid
+    "over-x-symx-x1k2": (audit_security, lambda: _symx(1, 2), {"subset_size": 2}),
+    "over-x-symx-x1k2p3": (audit_security, lambda: _symx(1, 2, 3), {"subset_size": 2}),
+    "over-x-symx-x2k2": (audit_security, lambda: _symx(2, 2), {"subset_size": 3}),
+    "symsec-symx-whole-grid": (
+        audit_sym_security, lambda: _AnswersTheWholeGrid(SymXspirParams.make(1, 2)), {},
+    ),
 }
 
 
@@ -586,10 +637,27 @@ ORACLE_CASES = {
 def test_rank_tests_match_the_enumeration(case):
     auditor, make, kwargs = ORACLE_CASES[case]
     inst = make()
-    assert inst.linear
+    assert exact_engine(inst, PROPERTY[auditor]) == RANK_TESTS
     report = auditor(inst, **kwargs)
     assert report == auditor(_enumerated(make()), **kwargs)  # field by field
     assert report.exhaustive and report.max_tv_distance in (ZERO, ONE)
+
+
+@pytest.mark.parametrize("case", [c for c in ORACLE_CASES if "symx" in c])
+def test_sym_xspir_rank_tests_pass_it_and_catch_the_planted_leaks(case):
+    auditor, make, kwargs = ORACLE_CASES[case]
+    report = auditor(make(), **kwargs)
+    planted = case.startswith("over-x") or case.endswith("whole-grid")
+    assert (report.passed, report.max_tv_distance) == ((False, ONE) if planted else (True, ZERO))
+
+
+def test_sym_xspir_privacy_stays_on_the_enumeration():
+    # its queries are column indices, not affine in the query randomness;
+    # at K = p = 2 the probe's one-point check could pass by chance
+    for inst in (_symx(1, 2), _symx(2, 3, 5)):
+        assert exact_engine(inst, T_PRIVACY) == ENUMERATION
+        assert exact_engine(inst, CORRECTNESS) == ENUMERATION
+        assert exact_engine(inst, X_SECURITY) == exact_engine(inst, SYM_SECURITY) == RANK_TESTS
 
 
 class _SquaresMessages(CsaInstance):
@@ -830,8 +898,20 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
     assert calls == {"storage": 1 + dim + 2}  # the zero point, one probe
 
 
-@pytest.mark.parametrize("auditor", [audit_security, audit_privacy, audit_sym_security,
-                                     audit_correctness])
+@pytest.mark.parametrize("auditor", PROPERTY)
+@pytest.mark.parametrize("make", [lambda: _csa(3, 2, 1, 1), lambda: _symx(1, 2)],
+                         ids=["csa-3211", "symx-x1k2"])
+def test_samples_below_one_are_refused_before_any_work(auditor, make):
+    # they raised UnboundLocalError or ZeroDivisionError, or passed vacuously
+    inst = make()
+    calls = _count_calls(inst)
+    for cap, samples in product((0, DEFAULT_CAP), (0, -3)):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            auditor(inst, cap=cap, samples=samples)
+    assert not calls
+
+
+@pytest.mark.parametrize("auditor", PROPERTY)
 def test_an_audit_without_fallback_refuses_past_the_cap(auditor):
     # it names the exact work in its engine's unit, and runs nothing more
     inst = _csa(3, 2, 1, 1)

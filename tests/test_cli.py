@@ -276,6 +276,24 @@ def test_audit_decides_a_large_csa_security_exactly(extra, code, verdict, tmp_pa
     assert verdict in out
 
 
+LARGE_SYMX_ARGS = ["--scheme", "sym_xspir", "-N", "3", "-K", "4", "-X", "2", "-T", "1",
+                   "--prime", "5"]
+
+
+@pytest.mark.parametrize("prop", ["security", "sym-security"])
+def test_audit_decides_a_large_sym_xspir_storage_side_exactly(prop, tmp_path, capsys,
+                                                              monkeypatch):
+    # 5^(4 + 2 * 16) storage realizations, past any enumeration: the rank
+    # tests read the share and answer maps instead
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    code, out, _ = run_cli(["audit", *LARGE_SYMX_ARGS, "--property", prop], capsys)
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    assert "exhaustive true" in out
+    assert "max_tv 0\npass true" in out
+
+
 def test_audit_correctness_properties(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
