@@ -24,13 +24,12 @@ check weights) sits in one table per params value, computed once from the
 definitions below (`delta_except`, `decoding_matrix`, `solve_linear`).
 
 Every server evaluates the same K-vector polynomial in its own point u, so
-storage and queries share one mixing kernel. With two or more noise terms
-per block it packs each K-vector into one int of 16-, 32- or 64-bit lanes,
-wide enough that (p - 1) + depth * (p - 1)^2 never carries, and builds each
-row with one big-int multiply-add per noise term; with one noise term, or
-lanes wider than 64 bits, it runs one pass over the symbols per term. Both
-give the same ints. The replay check of theta (`constant_terms`) runs on
-the same lanes, N terms deep: one big-int multiply-add per server per block.
+storage and queries share one mixing kernel. It packs each K-vector into one
+int of lanes wide enough that (p - 1) + depth * (p - 1)^2 never carries
+(8, 16, 32 or 64 bits, or whole bytes past 64), and builds each row with one
+big-int multiply-add per noise term. The replay check of theta
+(`constant_terms`) runs on the same lanes, N terms deep: one big-int
+multiply-add per server per block.
 """
 
 from __future__ import annotations
@@ -321,8 +320,11 @@ class _Table:
     """Everything the scheme's maps need from the params alone, as ints mod p.
 
     For server n (0-based) and block l (0-based, the paper's l + 1):
-    `powers[n][l]` is (u, u^2, ..., u^max(X, T)) with u = l + 1 + alpha_n,
-    and `scales[n][l]` is delta_except(alpha_n, L, l + 1). The decoder rows
+    `powers[n][l]` is (1, u, u^2, ..., u^max(X, T)) with u = l + 1 + alpha_n,
+    the weights of a storage row's terms (its base, then its noise);
+    `scales[n][l]` is delta_except(alpha_n, L, l + 1), and
+    `query_weights[n][l]` is `powers[n][l]` times that scale, mod p, the
+    weights of a query row's terms. The decoder rows
     and the query check weights need inverses; they are computed on first
     use, so corrupted params still encode and answer, and a failure is
     raised again by every later call instead of being kept.
@@ -336,14 +338,16 @@ class _Table:
             for alpha in params.alphas
         ]
         self.powers = [
-            [tuple(pow(u, j, p) for j in range(1, depth + 1)) for u in row]
+            [tuple(pow(u, j, p) for j in range(depth + 1)) for u in row]
             for row in self.points
         ]
         self.scales = list(zip(*desired_columns(params)))
-        # Lane width per depth for `_mix` (X, T) and `constant_terms` (N);
-        # None where they loop: at depth 1, where packing measured no
-        # faster, and past 64 bits.
-        self.lanes = {d: _lane_bits(p, d) if d > 1 else None for d in (params.X, params.T, params.N)}
+        self.query_weights = [
+            [tuple(s * w % p for w in ws) for ws, s in zip(row, scales)]
+            for row, scales in zip(self.powers, self.scales)
+        ]
+        # Lane width per depth for `_mix` (X, T) and `constant_terms` (N).
+        self.lanes = {d: _lane_bits(p, d) for d in (params.X, params.T, params.N)}
 
     @cached_property
     def decoder(self) -> list[list[int]]:
@@ -374,93 +378,64 @@ def _table(params: CsaParams) -> _Table:
 
 
 # Lane width in bits -> array typecode with items of that width.
-_LANE_CODES = {array(code).itemsize * 8: code for code in "QIH"}
+_LANE_CODES = {array(code).itemsize * 8: code for code in "QIHB"}
 
 
-def _lane_bits(p: int, depth: int) -> int | None:
+def _lane_bits(p: int, depth: int) -> int:
     """Narrowest lane that holds (p - 1) + depth * (p - 1)^2, the largest
-    value a packed row reaches before its reduction mod p; None past 64 bits."""
-    bound = (p - 1) + depth * (p - 1) ** 2
-    return next((bits for bits in sorted(_LANE_CODES) if bound < 1 << bits), None)
+    value a packed row reaches before its reduction mod p: 8, 16, 32 or 64
+    bits, or past 64 bits the fewest whole bytes."""
+    need = ((p - 1) + depth * (p - 1) ** 2).bit_length()
+    return next((bits for bits in sorted(_LANE_CODES) if need <= bits), -(-need // 8) * 8)
 
 
 def _pack(values: Sequence[int], bits: int) -> int:
-    """One int of `bits`-bit lanes holding `values`, in native order; at 16
-    bits, as bytes written into each lane's low byte, so all below 256."""
+    """One int of `bits`-bit lanes holding `values`, in native order. At 8
+    and 16 bits the values, all below 256, are written as bytes: at 16 bits
+    into each lane's low byte."""
+    if bits == 8:
+        return int.from_bytes(bytes(values), byteorder)
     if bits == 16:
         buf = bytearray(2 * len(values))
         buf[byteorder == "big" :: 2] = bytes(values)
         return int.from_bytes(buf, byteorder)
-    return int.from_bytes(array(_LANE_CODES[bits], values).tobytes(), byteorder)
+    if bits in _LANE_CODES:
+        return int.from_bytes(array(_LANE_CODES[bits], values).tobytes(), byteorder)
+    return int.from_bytes(b"".join([v.to_bytes(bits // 8, byteorder) for v in values]), byteorder)
 
 
-def _unpack(acc: int, count: int, bits: int, p: int) -> tuple[int, ...]:
-    """The `count` lanes of `acc`, each reduced mod p."""
-    lanes = memoryview(acc.to_bytes(count * bits // 8, byteorder)).cast(_LANE_CODES[bits])
-    return tuple([v % p for v in lanes])
+def _unpack(accs: Sequence[int], count: int, bits: int, p: int) -> list[tuple[int, ...]]:
+    """The `count` lanes of each int in `accs`, each reduced mod p, as one
+    tuple per int, read in one pass over all their bytes."""
+    raw = b"".join([acc.to_bytes(count * bits // 8, byteorder) for acc in accs])
+    if bits in _LANE_CODES:
+        lanes = [v % p for v in memoryview(raw).cast(_LANE_CODES[bits])]
+    else:
+        step = bits // 8
+        lanes = [int.from_bytes(raw[i : i + step], byteorder) % p for i in range(0, len(raw), step)]
+    return list(zip(*[iter(lanes)] * count))  # consecutive runs of `count`
 
 
 def _mix(
     table: _Table,
     bases: Sequence[Sequence[int]],
     z: Sequence[Sequence[Sequence[int]]],
-    scales: list[list[int]] | None,
+    weights: list[list[tuple[int, ...]]],
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Per server n, the L vectors base_l + sum_j u^j z[l][j] mod p, with
-    u = l + alpha_n, each times s_{n,l} when `scales` is given, in which
-    case the bases must be 0/1 vectors. The table's `lanes` picks the
-    kernel for the depth of z.
+    """Per server n, the L vectors c_0 base_l + sum_j c_j z[l][j] mod p, with
+    (c_0, c_1, ...) = weights[n][l]: the table's `powers` for storage rows,
+    its `query_weights` for query rows, whose bases must be 0/1 vectors.
+
+    Each K-vector is reduced mod p and packed into one int, on the table's
+    lanes for the depth of z, once for all N servers; a row is then one
+    big-int multiply-add per term, and all N * L rows are unpacked in one
+    pass. No lane exceeds (p - 1) + depth * (p - 1)^2, which the lanes hold,
+    so no lane carries into the next.
     """
-    bits = table.lanes[len(z[0])]
-    if bits is None:
-        return _mix_loop(table, bases, z, scales)
-    return _mix_packed(table, bases, z, scales, bits)
-
-
-def _mix_loop(table, bases, z, scales):
-    """`_mix` one symbol at a time, one pass per noise term."""
-    p = table.params.p
-    out = []
-    for n, powers in enumerate(table.powers):
-        rows = []
-        for l, (base, zl, weights) in enumerate(zip(bases, z, powers)):
-            row = base
-            for w, zj in zip(weights, zl):
-                row = [a + w * b for a, b in zip(row, zj)]
-            if scales is None:
-                rows.append(tuple([v % p for v in row]))
-            else:
-                s = scales[n][l]
-                rows.append(tuple([s * v % p for v in row]))
-        out.append(tuple(rows))
-    return out
-
-
-def _mix_packed(table, bases, z, scales, bits):
-    """`_mix` with each K-vector packed into one int, `bits` per symbol.
-
-    Bases and noise are reduced mod p once and packed, in O(L * depth * K)
-    work that all N servers share; a row is then one big-int multiply-add
-    per noise term and one unpacking pass. A scaled row folds its scale
-    into the weights: s * base_l + sum_j (s u^j mod p) z[l][j]. Either way
-    no lane exceeds (p - 1) + depth * (p - 1)^2, which `bits` holds, so no
-    lane carries into the next.
-    """
-    p, k = table.params.p, len(bases[0])
-    packed_bases = [_pack([v % p for v in base], bits) for base in bases]
-    packed_z = [[_pack([v % p for v in zj], bits) for zj in zl] for zl in z]
-    out = []
-    for n, powers in enumerate(table.powers):
-        rows = []
-        for l, (acc, zl, weights) in enumerate(zip(packed_bases, packed_z, powers)):
-            if scales is not None:
-                s = scales[n][l]
-                acc, weights = s * acc, [s * w % p for w in weights]
-            for w, zj in zip(weights, zl):
-                acc += w * zj
-            rows.append(_unpack(acc, k, bits, p))
-        out.append(tuple(rows))
-    return out
+    p, k, bits = table.params.p, len(bases[0]), table.lanes[len(z[0])]
+    terms = [[_pack([v % p for v in vec], bits) for vec in (base, *zl)] for base, zl in zip(bases, z)]
+    accs = [sum(map(mul, ws, ts)) for row in weights for ws, ts in zip(row, terms)]
+    return list(zip(*[iter(_unpack(accs, k, bits, p))] * len(bases)))
 
 
 def encode_storage(
@@ -475,7 +450,8 @@ def encode_storage(
     messages.check(params)
     noise.check(params)
     try:
-        rows = _mix(_table(params), list(zip(*messages.symbols)), noise.z, None)
+        table = _table(params)
+        rows = _mix(table, list(zip(*messages.symbols)), noise.z, table.powers)
     except TypeError as exc:
         raise ValueError(f"storage noise must hold ints in range({params.p})") from exc
     return tuple(StorageShare(n, r, params.p) for n, r in enumerate(rows, start=1))
@@ -497,7 +473,7 @@ def gen_queries(
     unit = [int(k == theta) for k in range(1, params.K + 1)]
     table = _table(params)
     try:
-        cols = _mix(table, [unit] * params.L, qnoise.z, table.scales)
+        cols = _mix(table, [unit] * params.L, qnoise.z, table.query_weights)
     except TypeError as exc:
         raise ValueError(f"query noise must hold ints in range({params.p})") from exc
     return tuple(QueryShare(n, c, params.p) for n, c in enumerate(cols, start=1))
@@ -538,6 +514,9 @@ def constant_terms(
     """Per block l, the K-vector sum over n of lambda_{n,l} / s_{n,l} * q_{n,l},
     from the N flat query payloads (block l at symbols l*K .. l*K + K - 1),
     whose symbols must lie in range(p), which the packed lanes are sized for.
+    Each payload is packed once on the table's lanes for depth N; each block
+    is then one big-int multiply-add per server, and all L blocks are
+    unpacked in one pass.
 
     Unscaled, the query for block l is a polynomial in u = l + alpha_n of
     degree T < N whose constant term is the unit vector of theta;
@@ -549,16 +528,12 @@ def constant_terms(
         raise ValueError("need one query per server")
     p, k, table = params.p, params.K, _table(params)
     bits = table.lanes[params.N]
-    if bits is None:
-        return tuple(
-            tuple(sum(map(mul, w, col)) % p for col in zip(*(q[l * k : l * k + k] for q in queries)))
-            for l, w in enumerate(table.check_weights)
-        )
     mask, packed = (1 << k * bits) - 1, [_pack(q, bits) for q in queries]
-    return tuple(
-        _unpack(sum([w * (q >> l * k * bits & mask) for w, q in zip(weights, packed)]), k, bits, p)
+    accs = [
+        sum([w * (q >> l * k * bits & mask) for w, q in zip(weights, packed)])
         for l, weights in enumerate(table.check_weights)
-    )
+    ]
+    return tuple(_unpack(accs, k, bits, p))
 
 
 def desired_columns(params: CsaParams) -> list[list[int]]:

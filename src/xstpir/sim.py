@@ -377,8 +377,13 @@ def empirical_rate(
     payload is all zero); sampled mode runs `trials` full retrievals with
     seeds seed, seed+1, ... Exhaustive mode refuses (OverCap) more than
     the audits' DEFAULT_CAP query realizations, before enumerating them.
+    A theta outside 1..K or `trials` below 1 raises ValueError first, in
+    either mode.
     """
     scheme = for_params(params)
+    scheme.check_theta(theta)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if exhaustive and (qr := scheme.query_randomness).size > DEFAULT_CAP:
         raise OverCap(f"an exhaustive rate would enumerate {qr.base}^{qr.count} query "
                       f"realizations, over the cap of {DEFAULT_CAP}")

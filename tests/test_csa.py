@@ -4,8 +4,8 @@ The expansion oracles recompute server answers from scratch in product form,
 so a sign or indexing slip in the library cannot cancel itself out.
 """
 
-from itertools import chain, combinations, product
-from math import isqrt
+from itertools import chain, combinations, count, product
+from math import isqrt, prod
 from random import Random
 from types import SimpleNamespace
 
@@ -43,6 +43,7 @@ from xstpir.field import (
     FieldMismatchError,
     InsufficientFieldError,
     PrimeField,
+    _MR_BOUND,
     SingularMatrixError,
     eliminate_mod,
     is_prime,
@@ -277,9 +278,21 @@ KERNEL_GRID = [
     (8, 4, 1, 3, None),
 ]
 
+
+def _largest_prime_below(bound):
+    p = bound - 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+# The largest modulus the package accepts.
+TOP_PRIME = _largest_prime_below(_MR_BOUND)
+
 # The grid plus the size of the benchmark's bulk retrievals, where storage
-# and queries both take the packed mixing kernel with 16-bit lanes.
-KERNEL_POINTS = KERNEL_GRID + [(12, 64, 2, 2, None)]
+# and queries both run on 16-bit lanes, and a size at the largest modulus,
+# where both run on lanes past 64 bits.
+KERNEL_POINTS = KERNEL_GRID + [(12, 64, 2, 2, None), (5, 3, 2, 2, TOP_PRIME)]
 
 
 @pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS)
@@ -325,68 +338,93 @@ def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
         assert decode(answers, params).desired == w.message(theta)
 
 
-def _mix_by(path):
-    """A stand-in for csa._mix that always takes one of its two kernels."""
-    if path == "loop":
-        return csa_mod._mix_loop
+def _loop(p, weights, bases, z):
+    """The reference for csa._mix, one symbol at a time: per server n and
+    block l, sum_j c_j t_j mod p over the terms (base_l, z[l][0], z[l][1],
+    ...), with (c_0, c_1, ...) = weights[n][l]."""
+    return [
+        tuple(
+            tuple(sum(c * t[kk] for c, t in zip(ws, (base, *zl))) % p for kk in range(len(base)))
+            for ws, base, zl in zip(row, bases, z)
+        )
+        for row in weights
+    ]
 
-    def packed(table, bases, z, scales):
-        bits = csa_mod._lane_bits(table.params.p, len(z[0]))
-        return csa_mod._mix_packed(table, bases, z, scales, bits)
 
-    return packed
+def _paper_weights(params, depth, scaled):
+    """Per server n and block l, (c, c u, ..., c u^depth) mod p with
+    u = l + alpha_n, and c the product of (i + alpha_n) over i != l when
+    `scaled` (queries), else 1 (storage)."""
+    p, blocks = params.p, range(1, params.L + 1)
+    return [
+        [
+            tuple(
+                (prod(i + alpha for i in blocks if i != l) if scaled else 1) * (l + alpha) ** j % p
+                for j in range(depth + 1)
+            )
+            for l in blocks
+        ]
+        for alpha in params.alphas
+    ]
 
 
-def _shares_and_queries(monkeypatch, path, params, w, z, zp, theta):
-    with monkeypatch.context() as m:
-        if path is not None:
-            m.setattr(csa_mod, "_mix", _mix_by(path))
-        return encode_storage(w, z, params), gen_queries(theta, zp, params)
+def _check_against_the_loop(params, w, z, zp, theta):
+    """Shares and queries against the per-symbol reference."""
+    p, unit = params.p, [int(kk == theta) for kk in range(1, params.K + 1)]
+    assert [s.rows for s in encode_storage(w, z, params)] == _loop(
+        p, _paper_weights(params, params.X, False), list(zip(*w.symbols)), z.z
+    )
+    assert [q.cols for q in gen_queries(theta, zp, params)] == _loop(
+        p, _paper_weights(params, params.T, True), [unit] * params.L, zp.z
+    )
 
 
 @pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS)
-def test_packed_kernel_matches_the_loop(monkeypatch, n, k, x, t, p):
-    params = CsaParams.make(n, k, x, t, p=p)
-    rng = Random(n * 1000 + k * 100 + x * 10 + t + 1)
-    for _ in range(3):
-        w = MessageSet.random(k, params.L, params.field, rng)
+def test_packed_kernel_matches_the_loop(n, k, x, t, p):
+    # The kernel against a per-symbol sum mod p of the paper's rows, in ints,
+    # at the size's modulus and at the largest one, where the lanes are
+    # past 64 bits.
+    for prime in (p, TOP_PRIME):
+        params = CsaParams.make(n, k, x, t, p=prime)
+        rng = Random(n * 1000 + k * 100 + x * 10 + t + 1)
+        for _ in range(3):
+            w = MessageSet.random(k, params.L, params.field, rng)
+            z = StorageNoise.random(params, rng)
+            zp = QueryNoise.random(params, rng)
+            _check_against_the_loop(params, w, z, zp, rng.randrange(1, k + 1))
+
+
+def test_unreduced_noise_gives_the_shares_of_its_residues():
+    # Noise is reduced mod p before packing: negative values and values
+    # >= p mix exactly as their residues do, at one and two noise terms
+    # and on lanes past 64 bits.
+    for params in (
+        CsaParams.make(7, 3, 2, 2, p=17),
+        CsaParams.make(5, 3, 1, 1),
+        CsaParams.make(7, 3, 2, 2, p=TOP_PRIME),
+    ):
+        p = params.p
+        rng = Random(77)
+        w = MessageSet.random(3, params.L, params.field, rng)
         z = StorageNoise.random(params, rng)
         zp = QueryNoise.random(params, rng)
-        theta = rng.randrange(1, k + 1)
-        args = (params, w, z, zp, theta)
-        loop = _shares_and_queries(monkeypatch, "loop", *args)
-        assert _shares_and_queries(monkeypatch, "packed", *args) == loop
-        assert _shares_and_queries(monkeypatch, None, *args) == loop
+
+        def shifted(noise):
+            return type(noise)(tuple(
+                tuple(tuple(v + p * rng.randrange(-3, 4) for v in zj) for zj in zl)
+                for zl in noise.z
+            ))
+
+        bare_z, bare_zp = shifted(z), shifted(zp)
+        assert any(v < 0 for zl in bare_z.z for zj in zl for v in zj)
+        assert any(v >= p for zl in bare_zp.z for zj in zl for v in zj)
+        want = encode_storage(w, z, params), gen_queries(2, zp, params)
+        assert (encode_storage(w, bare_z, params), gen_queries(2, bare_zp, params)) == want
 
 
-def test_unreduced_noise_gives_the_shares_of_its_residues(monkeypatch):
-    # Noise is reduced mod p before packing: negative values and values
-    # >= p mix exactly as their residues do, on both kernels.
-    params = CsaParams.make(7, 3, 2, 2, p=17)
-    p = params.p
-    rng = Random(77)
-    w = MessageSet.random(3, params.L, params.field, rng)
-    z = StorageNoise.random(params, rng)
-    zp = QueryNoise.random(params, rng)
-
-    def shifted(noise):
-        return type(noise)(tuple(
-            tuple(tuple(v + p * rng.randrange(-3, 4) for v in zj) for zj in zl)
-            for zl in noise.z
-        ))
-
-    bare_z, bare_zp = shifted(z), shifted(zp)
-    assert any(v < 0 for zl in bare_z.z for zj in zl for v in zj)
-    assert any(v >= p for zl in bare_zp.z for zj in zl for v in zj)
-    want = _shares_and_queries(monkeypatch, "loop", params, w, z, zp, 2)
-    for path in ("loop", "packed", None):
-        got = _shares_and_queries(monkeypatch, path, params, w, bare_z, bare_zp, 2)
-        assert got == want
-
-
-@pytest.mark.parametrize("path", ["loop", "packed"])
-def test_both_kernels_reject_noise_that_is_not_ints(monkeypatch, path):
-    params = CsaParams.make(7, 2, 2, 2, p=17)
+@pytest.mark.parametrize("depth", [1, 2])
+def test_noise_that_is_not_ints_is_rejected(depth):
+    params = CsaParams.make(2 * depth + 3, 2, depth, depth, p=17)
     f = Field(params.p)
     w = MessageSet.zeros(2, params.L, params.field)
     z = StorageNoise.zeros(params)
@@ -394,9 +432,9 @@ def test_both_kernels_reject_noise_that_is_not_ints(monkeypatch, path):
     fe_z = StorageNoise(tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in z.z))
     fe_zp = QueryNoise(tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in zp.z))
     with pytest.raises(ValueError, match=r"storage noise must hold ints in range\(17\)"):
-        _shares_and_queries(monkeypatch, path, params, w, fe_z, zp, 1)
+        encode_storage(w, fe_z, params)
     with pytest.raises(ValueError, match=r"query noise must hold ints in range\(17\)"):
-        _shares_and_queries(monkeypatch, path, params, w, z, fe_zp, 1)
+        gen_queries(1, fe_zp, params)
 
 
 def _ragged(params, depth, cut):
@@ -407,7 +445,7 @@ def _ragged(params, depth, cut):
 
 
 def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
-    params = CsaParams.make(7, 2, 2, 2, p=17)  # two noise terms: packed
+    params = CsaParams.make(7, 2, 2, 2, p=17)
     w = MessageSet.zeros(2, params.L, params.field)
     for cut in (1, 3):  # one symbol short, one too many
         vector = (0,) * cut
@@ -417,8 +455,8 @@ def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
         zp = QueryNoise(((vector,) * params.T,) * params.L)
         with pytest.raises(ValueError, match="query noise has wrong shape"):
             gen_queries(1, zp, params)
-    # a ragged grid is refused where it is built, on either kernel: here
-    # with two noise terms (packed) and with one (the loop)
+    # a ragged grid is refused where it is built, with two noise terms and
+    # with one
     for params in (params, CsaParams.make(5, 2, 1, 1)):
         for cut in (1, 3):
             with pytest.raises(ValueError, match="storage noise has wrong shape"):
@@ -430,9 +468,10 @@ def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
 
 
 @pytest.mark.parametrize("n,k,x,t", [(5, 2, 1, 1), (6, 3, 1, 2), (6, 3, 2, 1)])
-def test_loop_kernel_rejects_noise_vectors_of_the_wrong_length(n, k, x, t):
-    # One noise term per block takes the loop kernel, which zips each noise
-    # vector with the row: a short vector must not cut the row short.
+def test_one_noise_term_rejects_noise_vectors_of_the_wrong_length(n, k, x, t):
+    # A noise vector of the wrong length in any block is refused, not
+    # zipped short or packed into the next lane: on a side with one noise
+    # term per block, and at (6, 3, 2, 1) beside a side with two.
     params = CsaParams.make(n, k, x, t)
     w = MessageSet.zeros(k, params.L, params.field)
 
@@ -466,80 +505,91 @@ def _lane_limit(bits, depth):
     return limit, below, above
 
 
+# The lane widths `_lane_bits` picks from: 8, 16, 32 and 64 bits, then
+# every whole number of bytes.
+def _narrowest_lane(bound):
+    return next(bits for bits in chain((8, 16, 32, 64), count(72, 8)) if bound < 1 << bits)
+
+
+def test_lane_width_is_the_narrowest_that_holds_a_row():
+    primes = {2, TOP_PRIME}
+    for depth in range(1, 65):
+        for bits in (8, 16, 32, 64, 72, 128):
+            primes.update(_lane_limit(bits, depth)[1:])
+    for p in sorted(primes):
+        for depth in range(1, 65):
+            bits = csa_mod._lane_bits(p, depth)
+            assert bits is not None
+            assert bits == _narrowest_lane((p - 1) + depth * (p - 1) ** 2)
+
+
 @pytest.mark.parametrize("depth", [2, 3])
-@pytest.mark.parametrize("bits", [16, 32, 64])
+@pytest.mark.parametrize("bits", [16, 32, 64, 72])
 def test_lane_width_boundaries(bits, depth):
     limit, below, above = _lane_limit(bits, depth)
-    wider = None if bits == 64 else 2 * bits
+    wider = _narrowest_lane(1 << bits)
     assert csa_mod._lane_bits(limit, depth) == csa_mod._lane_bits(below, depth) == bits
     assert csa_mod._lane_bits(limit + 1, depth) == csa_mod._lane_bits(above, depth) == wider
     # At the limit every lane reaches the bound exactly and must not carry:
-    # storage with base, weights and noise all p - 1, and queries with scale
-    # p - 1, weights 1 and noise p - 1. Query weights p - 1 check that the
-    # folded weights s u^j are reduced. The kernel's arithmetic holds for
-    # any modulus, so the limit itself is tested, prime or not.
+    # storage with base, weights and noise all p - 1, and queries with
+    # scale and weights p - 1 on a unit base. The kernel's arithmetic holds
+    # for any modulus, so the limit itself is tested, prime or not.
     for p in (limit, below):
         k, blocks, servers = 5, 2, 3
         top = p - 1
         z = [[[top] * k] * depth] * blocks
-        unit, scales = [[0, 0, 1, 0, 0]] * blocks, [[top] * blocks] * servers
-        for bases, powers, scaled in (
-            ([[top] * k] * blocks, top, None),
-            (unit, 1, scales),
-            (unit, top, scales),
+        table = SimpleNamespace(params=SimpleNamespace(p=p), lanes={depth: bits})
+        for bases, weights in (
+            ([[top] * k] * blocks, (1,) + (top,) * depth),
+            ([[0, 0, 1, 0, 0]] * blocks, (top,) * (depth + 1)),
         ):
-            table = SimpleNamespace(
-                params=SimpleNamespace(p=p), powers=[[(powers,) * depth] * blocks] * servers
-            )
-            loop = csa_mod._mix_loop(table, bases, z, scaled)
-            assert csa_mod._mix_packed(table, bases, z, scaled, bits) == loop
+            weights = [[weights] * blocks] * servers
+            assert csa_mod._mix(table, bases, z, weights) == _loop(p, weights, bases, z)
+    # The same at the prime below the limit, through the table: the query
+    # weights fold in the scale, and must be reduced mod p before packing.
+    params = CsaParams.make(2 * depth + 3, 5, depth, depth, p=below)  # L = 3: scales other than 1
+    assert csa_mod._table(params).lanes[depth] == bits
+    top = below - 1
+    w = MessageSet(((top,) * params.L,) * 5, below)
+    z = StorageNoise(((((top,) * 5),) * depth,) * params.L)
+    zp = QueryNoise(z.z)
+    _check_against_the_loop(params, w, z, zp, 3)
 
 
-def test_one_noise_term_or_lanes_past_64_bits_take_the_loop(monkeypatch):
+def test_one_noise_term_and_lanes_past_64_bits_decode():
     _, below, above = _lane_limit(64, 2)
-    ran = []
-    for name in ("_mix_loop", "_mix_packed"):
-        kernel = getattr(csa_mod, name)
-        monkeypatch.setattr(
-            csa_mod, name, lambda *args, _k=kernel, _n=name: ran.append(_n) or _k(*args)
-        )
-    for x, t, p, path in (
-        (2, 2, below, "_mix_packed"),
-        (2, 2, above, "_mix_loop"),
-        (1, 1, 23, "_mix_loop"),
-    ):
+    for x, t, p, bits in ((2, 2, below, 64), (2, 2, above, 72), (1, 1, 23, 16)):
         params = CsaParams.make(5, 3, x, t, p=p)
+        assert csa_mod._table(params).lanes[x] == bits
         rng = Random(p)
         w = MessageSet.random(3, params.L, params.field, rng)
         z = StorageNoise.random(params, rng)
         zp = QueryNoise.random(params, rng)
-        ran.clear()
         shares = encode_storage(w, z, params)
         queries = gen_queries(2, zp, params)
-        assert ran == [path, path]
         answers = [answer(s, q) for s, q in zip(shares, queries)]
         assert decode(answers, params).desired == w.message(2)
 
 
 # One csa instance per lane width of `constant_terms` (16, 32 and 64 bits,
-# and past 64 bits, where it sums column by column), as (N, K, X, T, p);
-# test_sim.py replays tampered transcripts of the same four.
+# and two past 64 bits: 72 bits at p = 2^31 - 1 and 168 at the largest
+# modulus), as (N, K, X, T, p); test_sim.py replays tampered transcripts of
+# the same five.
 CHECK_LANES = {
     16: (24, 32, 4, 4, 41),
     32: (6, 3, 1, 2, 1009),
     64: (7, 4, 2, 2, 65537),
-    None: (8, 3, 2, 2, 2**31 - 1),
+    72: (8, 3, 2, 2, 2**31 - 1),
+    168: (5, 3, 2, 2, TOP_PRIME),
 }
 
 
 @pytest.mark.parametrize("bits", list(CHECK_LANES))
-def test_constant_terms_match_a_lagrange_evaluation(monkeypatch, bits):
-    # Arbitrary in-range payloads, not only honest queries; with the lanes
-    # switched off the same function sums column by column, exactly.
+def test_constant_terms_match_a_lagrange_evaluation(bits):
+    # Arbitrary in-range payloads, not only honest queries.
     n, k, x, t, p = CHECK_LANES[bits]
     params = CsaParams.make(n, k, x, t, p=p)
     assert csa_mod._lane_bits(p, n) == bits
-    table = csa_mod._table(params)
     rng = Random(p)
     for _ in range(3):
         payloads = [
@@ -547,15 +597,12 @@ def test_constant_terms_match_a_lagrange_evaluation(monkeypatch, bits):
         ]
         got = csa_mod.constant_terms(payloads, params)
         assert got == values(oracle.constant_terms(payloads, params))
-        with monkeypatch.context() as m:
-            m.setitem(table.lanes, n, None)
-            assert csa_mod.constant_terms(payloads, params) == got
     top = [(p - 1,) * (params.L * k)] * n
     assert csa_mod.constant_terms(top, params) == values(oracle.constant_terms(top, params))
 
 
 @pytest.mark.parametrize("servers", [3, 8])
-@pytest.mark.parametrize("bits", [16, 32, 64])
+@pytest.mark.parametrize("bits", [16, 32, 64, 72])
 def test_constant_terms_lane_width_boundaries(monkeypatch, bits, servers):
     # At the largest modulus each width holds for N servers, every symbol
     # and weight p - 1 makes every lane reach (p - 1) + N (p - 1)^2's

@@ -378,6 +378,26 @@ def test_exhaustive_rates_hit_closed_forms():
     assert empirical_rate(SymXspirParams.make(1, 2), exhaustive=True) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("exhaustive", [False, True])
+@pytest.mark.parametrize(
+    "params",
+    [CsaParams.make(3, 2, 1, 1), DownloadAllParams.make(3, 4, 1, 2), 2, SymXspirParams.make(1, 2)],
+    ids=["csa", "download_all", "binary_n3", "sym_xspir"],
+)
+def test_empirical_rate_refuses_bad_arguments_before_any_retrieval(monkeypatch, params, exhaustive):
+    scheme = sim_mod.for_params(params)
+    calls = []
+    monkeypatch.setattr(sim_mod, "run_retrieval", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(type(scheme), "queries", lambda *args: calls.append(args))
+    for theta in (0, scheme.K + 1, 99):
+        with pytest.raises(ValueError, match=rf"theta must be in 1\.\.{scheme.K}"):
+            empirical_rate(params, exhaustive=exhaustive, theta=theta)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            empirical_rate(params, exhaustive=exhaustive, trials=trials)
+    assert not calls
+
+
 def test_sampled_rate_approaches_exhaustive():
     exact = empirical_rate(2, exhaustive=True)
     sampled = empirical_rate(2, trials=300, seed=11)
