@@ -14,8 +14,8 @@ Components:
   security, correctness) with exact total-variation distances: by rank
   tests where the scheme declares the map an audit reads affine (`linear`
   for shares and answers, read by security and sym-security, as every
-  scheme does; `linear_queries` for queries, read by privacy, as all but
-  sym_xspir do), and by enumeration otherwise, correctness included;
+  scheme does; `linear_queries` for queries, read by privacy), by an
+  identity test for correctness given both, else by enumeration;
 - sim: server objects behind a synchronous wire transport, wire format,
   replayable and validated transcripts;
 - cli: the xstpir command.

@@ -13,7 +13,7 @@ Four properties are checked:
   storage noise) for every value of the other messages;
 - correctness: the decoded value equals message theta on every realization.
 
-An exact report (`exhaustive true`) comes from one of two engines, as
+An exact report (`exhaustive true`) comes from one of three engines, as
 `exact_engine` picks from the scheme's declarations.
 
 Rank tests decide security and sym-security where the storage side is
@@ -39,10 +39,16 @@ one elimination per connected component of A (`affine.split`). The report
 carries max_tv 1 if any test fails and 0 otherwise, and the
 subsets_checked and enumerated fields the enumeration would give.
 
-Enumeration decides everything else (privacy of sym_xspir, whose queries
-are column indices, and correctness of every scheme) from exact
+The identity test decides correctness where both maps are declared (all
+but sym_xspir): decode(answers) - message theta is then affine in the
+storage values u for fixed query randomness v and in v for fixed u, so it
+is 0 everywhere iff it is 0 where u and v are each zero or a unit vector.
+It decodes there and at the check points of `affine.points`, so that a
+declaration alone cannot pass; as with the rank tests, a scheme declared
+linear that fails only off those points is not caught. Where it fails,
+enumeration takes over. Enumeration decides everything else from exact
 outcome-frequency tables over all the relevant randomness, and it is the
-oracle the rank tests are tested against.
+oracle the other engines are tested against.
 
 Distances are exact Fractions; an exact audit passes only at distance 0
 (correctness reuses the field as an exact failure fraction). When the
@@ -74,10 +80,12 @@ SYM_SECURITY = "SYM_SECURITY"
 CORRECTNESS = "CORRECTNESS"
 
 RANK_TESTS = "rank tests"
+IDENTITY = "identity test"
 ENUMERATION = "enumeration"
 # The unit estimate_work counts in, per engine.
 WORK_UNITS = {
     RANK_TESTS: "steps (payload symbols read from the scheme and elimination multiply-adds)",
+    IDENTITY: "steps (payload symbols read from the scheme)",
     ENUMERATION: "realizations",
 }
 
@@ -153,14 +161,15 @@ def _check_size(inst: Scheme, size: int) -> int:
     return size
 
 
-def _exact(inst: Scheme, prop: str, size, cap: int, samples: int, fallback: bool):
-    """Whether the exact engine runs (`_plan`'s work within the cap), and
-    `_plan`'s tests. Past the cap, OverCap unless `fallback` is allowed."""
+def _exact(inst: Scheme, prop: str, size, cap: int, samples: int, fallback: bool, engine=None):
+    """Whether `engine` (by default `exact_engine`'s) runs, its `_plan` work
+    within the cap, and `_plan`'s tests. Past the cap, OverCap unless
+    `fallback` is allowed."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    work, tests = _plan(inst, prop, size, cap)
+    engine = engine or exact_engine(inst, prop)
+    work, tests = _plan(inst, prop, size, cap, engine)
     if work > cap and not fallback:
-        engine = exact_engine(inst, prop)
         raise OverCap(f"the exact audit by {engine} would take {work} {WORK_UNITS[engine]}, "
                       f"over the cap of {cap}")
     return work <= cap, tests
@@ -445,8 +454,7 @@ def _decodes(inst: Scheme, theta: int, m, shares, queries) -> tuple[bool, Except
         if isinstance(made, Exception):
             return False, made
     try:
-        answers = _answers(inst, shares, queries)
-        return inst.decode(theta, answers) == inst.plaintext(m, theta), None
+        return inst.decode(theta, _answers(inst, shares, queries)) == inst.plaintext(m, theta), None
     except Exception as exc:
         return False, exc
 
@@ -465,40 +473,53 @@ def audit_correctness(
     queries or decode raises (for instance after a corrupted-parameter
     injection) counts as a failure, and the first error in (theta, m, z, qr)
     order is surfaced in the detail field. The exhaustive mode builds the
-    storage once per (m, z) and the queries once per (theta, qr).
+    storage once per (m, z) and the queries once per (theta, qr); it runs
+    where the identity test (`exact_engine`) fails, within the cap.
     """
-    thetas = list(inst.thetas)
-    exhaustive = _exact(inst, CORRECTNESS, None, cap, samples, fallback)[0]
-    rounds = (_exhaustive_rounds(inst, thetas) if exhaustive
-              else _sampled_rounds(inst, thetas, samples, Random(seed)))
-    detail, failures, enumerated = "", 0, 0
-    for theta, m, shares, queries in rounds:
-        enumerated += 1
-        ok, error = _decodes(inst, theta, m, shares, queries)
+    thetas, qr = list(inst.thetas), inst.query_randomness
+    enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
+    exhaustive, zero = _exact(inst, CORRECTNESS, None, cap, samples, fallback)
+    if exhaustive and exact_engine(inst, CORRECTNESS) == IDENTITY:
+        if all(_decodes(inst, *r)[0] for r in _identity_rounds(inst, thetas, zero)):
+            return _report(CORRECTNESS, inst, inst.N, len(thetas), Fraction(0), True, enumerated, None)
+        exhaustive = _exact(inst, CORRECTNESS, None, cap, samples, fallback, ENUMERATION)[0]
+    if exhaustive:  # every (theta, m, z, qr), in that order
+        stored = [(m, _attempt(inst.storage, m, z)) for m in inst.messages for z in inst.storage_noises]
+        rounds = _rounds(inst, thetas, stored, list(qr))
+    else:
+        rounds = _sampled_rounds(inst, thetas, samples, Random(seed))
+    detail, failures, count = "", 0, 0
+    for count, realization in enumerate(rounds, 1):
+        ok, error = _decodes(inst, *realization)
         if error is not None and not detail:
             detail = f"decode raised {type(error).__name__}: {error}"
-        if not ok:
-            failures += 1
-    assert enumerated == (estimate_work(inst, CORRECTNESS) if exhaustive else samples)
+        failures += not ok
+    assert count == (enumerated if exhaustive else samples)
     return AuditReport(
         CORRECTNESS, inst.describe(), inst.N, len(thetas),
-        Fraction(failures, enumerated), failures == 0, exhaustive,
+        Fraction(failures, count), failures == 0, exhaustive,
         enumerated if exhaustive else 0, None if exhaustive else samples,
         detail=detail,
     )
 
 
-def _exhaustive_rounds(inst: Scheme, thetas: list[int]):
-    """Every (theta, m, shares, queries) in (theta, m, z, qr) order."""
-    messages = list(inst.messages)
-    randomness = list(inst.query_randomness)
-    stored = [[_attempt(inst.storage, m, z) for z in inst.storage_noises] for m in messages]
+def _rounds(inst: Scheme, thetas: list[int], stored: list, randomness: list):
+    """(theta, m, shares, queries), nested as theta, (m, shares) in `stored`, randomness."""
     for theta in thetas:
         asked = [_attempt(inst.queries, theta, qr) for qr in randomness]
-        for m, row in zip(messages, stored):
-            for shares in row:
-                for queries in asked:
-                    yield theta, m, shares, queries
+        for m, shares in stored:
+            for queries in asked:
+                yield theta, m, shares, queries
+
+
+def _identity_rounds(inst: Scheme, thetas: list[int], zero):
+    """The rounds at each storage point times each query point of
+    `affine.points`; `zero` is the storage at the zero point, from `_plan`."""
+    m, qr, p = inst.messages, inst.query_randomness, inst.p
+    points = list(affine.points(affine.dim(inst, (m, inst.storage_noises)), p))
+    shares = [zero, *(_attempt(affine.storage_at(inst), u) for u in points[1:])]
+    asked = list(map(qr.build, affine.points(affine.dim(inst, (qr,)), p)))
+    return _rounds(inst, thetas, [(m.build(u[: m.count]), s) for u, s in zip(points, shares)], asked)
 
 
 def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
@@ -509,10 +530,11 @@ def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
 
 
 def exact_engine(inst: Scheme, prop: str) -> str:
-    """How the exact mode of this audit decides it: RANK_TESTS where the
-    scheme declares the map it reads affine (`Scheme`), else ENUMERATION."""
-    declared = inst.linear_queries if prop == T_PRIVACY else inst.linear
-    return RANK_TESTS if declared and prop != CORRECTNESS else ENUMERATION
+    """The exact mode's engine: RANK_TESTS where the scheme declares the map
+    this audit reads affine (`Scheme`), IDENTITY for correctness if both, else ENUMERATION."""
+    if prop == CORRECTNESS:
+        return IDENTITY if inst.linear and inst.linear_queries else ENUMERATION
+    return RANK_TESTS if (inst.linear_queries if prop == T_PRIVACY else inst.linear) else ENUMERATION
 
 
 def _elimination(rows: int, cols: int, pivot_cols: int) -> int:
@@ -536,28 +558,35 @@ def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> in
     most; counting the components runs the probe, so when the probe alone
     costs more than DEFAULT_CAP the count is that cost. Sym-security: the
     storage probe, every query of every theta, and per query the answers
-    at every probe point and one unsplit test.
+    at every probe point and one unsplit test. The identity test: the
+    storage at dim + 2 points, per theta the queries at qr.count + 2, and
+    at each of those the answers at every storage point and a decode.
     """
-    return _plan(inst, prop, subset_size, DEFAULT_CAP)[0]
+    return _plan(inst, prop, subset_size, DEFAULT_CAP, exact_engine(inst, prop))[0]
 
 
-def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int) -> tuple[int, list | None]:
-    """estimate_work's count, probing only when the probe fits `cap` (else
-    the count is the probe's cost), and the split rank tests of the exact
-    mode when it probed for them (else None)."""
+def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int, engine: str):
+    """estimate_work's count for `engine`, probing only when the probe fits
+    `cap` (else the count is the probe's cost), and the split rank tests of
+    the exact mode when it probed for them (the identity test's storage at
+    zero, or its error; else None)."""
     thetas = len(inst.thetas)
     m, z, qr = inst.messages, inst.storage_noises, inst.query_randomness
-    if exact_engine(inst, prop) == ENUMERATION:
+    if engine == ENUMERATION:
         counts = {X_SECURITY: m.size * z.size, T_PRIVACY: thetas * qr.size}
         return counts.get(prop, thetas * m.size * z.size * qr.size), None
     dim, queried = m.count + z.count, inst.N * inst.query_symbols
     if prop == T_PRIVACY:
         probe = thetas * (qr.count + 2) * queried
     else:
-        zero = inst.storage(m.build([0] * m.count), z.build([0] * z.count))
-        probe = (dim + 2) * sum(map(len, inst.share_payloads(zero)))
+        zero = _attempt(inst.storage, m.build([0] * m.count), z.build([0] * z.count))
+        if (failed := isinstance(zero, Exception)) and prop != CORRECTNESS:
+            raise zero
+        probe = 0 if failed else (dim + 2) * sum(map(len, inst.share_payloads(zero)))
+    rows = inst.N * inst.answer_symbols((1,) * inst.query_symbols)
+    if prop == CORRECTNESS:
+        return probe + thetas * (qr.count + 2) * (queried + (dim + 2) * (rows + inst.L)), zero
     if prop == SYM_SECURITY:
-        rows = inst.N * inst.answer_symbols((1,) * inst.query_symbols)
         per_query = queried + (dim + 2) * rows + _elimination(rows, dim, z.count)
         return probe + thetas * qr.size * per_query, None
     if probe > cap:

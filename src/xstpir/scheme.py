@@ -51,7 +51,8 @@ class Scheme:
     `messages` values; security and sym-security are then decided by rank
     tests. `linear_queries`: each theta's query payloads are affine in the
     query randomness, which enters them the same way for every theta;
-    privacy is then decided by rank tests (see `audit`).
+    privacy is then decided by rank tests. With both, `answer` is bi-affine
+    and `decode` affine, and the identity test decides correctness.
     """
 
     name = ""

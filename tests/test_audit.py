@@ -15,6 +15,7 @@ from xstpir.audit import (
     CORRECTNESS,
     DEFAULT_CAP,
     ENUMERATION,
+    IDENTITY,
     RANK_TESTS,
     SYM_SECURITY,
     T_PRIVACY,
@@ -50,6 +51,12 @@ def _dl(n, k, x, t):
 
 def _symx(x, k, p=None):
     return SymXspirInstance(SymXspirParams.make(x, k, p))
+
+
+def _broken_csa():
+    """csa (3,1,1,1) with two equal alphas: its decoder matrix is singular."""
+    f = PrimeField(5)
+    return CsaInstance(CsaParams._unvalidated(N=3, K=1, X=1, T=1, L=1, p=5, alphas=(f(0), f(1), f(1))))
 
 
 def _enumerated(inst):
@@ -220,7 +227,15 @@ BOUNDARY_CASES = {
         2 * 4 * 16 * 2,
     ),
     "correctness-enumeration": (
-        audit_correctness, CORRECTNESS, lambda: _csa(3, 1, 1, 1), {}, ENUMERATION, 5 * 5 * 5,
+        audit_correctness, CORRECTNESS, lambda: _enumerated(_csa(3, 1, 1, 1)), {}, ENUMERATION,
+        5 * 5 * 5,
+    ),
+    # csa (3,1,1,1): dim_u 2, 3 share symbols, so 4 storage points x 3; for
+    # 1 theta x 3 query points: 3 query symbols, and at each of the 4
+    # storage points 3 one-symbol answers and a decode of L = 1 symbol
+    "correctness-identity": (
+        audit_correctness, CORRECTNESS, lambda: _csa(3, 1, 1, 1), {}, IDENTITY,
+        4 * 3 + 1 * 3 * (3 + 4 * (3 + 1)),
     ),
 }
 
@@ -288,11 +303,7 @@ def test_privacy_fails_with_identity_mixing_matrix():
 
 
 def test_correctness_surfaces_decode_errors():
-    f = PrimeField(5)
-    params = CsaParams._unvalidated(
-        N=3, K=1, X=1, T=1, L=1, p=5, alphas=(f(0), f(1), f(1))
-    )
-    report = audit_correctness(CsaInstance(params))
+    report = audit_correctness(_broken_csa())
     assert not report.passed
     assert report.max_tv_distance == ONE
     assert "SingularMatrixError" in report.detail
@@ -481,11 +492,22 @@ def test_exhaustive_privacy_builds_each_query_once_and_no_storage(case):
 
 @pytest.mark.parametrize("case", WORK_CASES)
 def test_exhaustive_correctness_builds_each_storage_and_query_once(case):
-    inst = WORK_CASES[case]()
+    inst = _enumerated(WORK_CASES[case]())
     calls = _count_calls(inst)
     assert audit_correctness(inst).exhaustive
     assert calls["storage"] == inst.messages.size * inst.storage_noises.size
     assert calls["queries"] == len(inst.thetas) * inst.query_randomness.size
+
+
+@pytest.mark.parametrize("case", [c for c in WORK_CASES if "symx" not in c])
+def test_the_identity_test_builds_each_storage_and_query_point_once(case):
+    # zero, each unit vector and the check point, on each side
+    inst = WORK_CASES[case]()
+    calls = _count_calls(inst)
+    assert exact_engine(inst, CORRECTNESS) == IDENTITY
+    assert audit_correctness(inst).exhaustive
+    assert calls["storage"] == inst.messages.count + inst.storage_noises.count + 2
+    assert calls["queries"] == len(inst.thetas) * (inst.query_randomness.count + 2)
 
 
 def _per_realization_reference(inst):
@@ -711,6 +733,62 @@ def test_a_scheme_declared_linear_that_is_not_raises(case):
         for cap in (DEFAULT_CAP, 0):  # the exact engine, then the sampled one
             with pytest.raises(ValueError, match=message):
                 auditor(make(), cap=cap, samples=50)
+
+
+def test_the_identity_test_refuses_spaces_not_mod_p():
+    # its points are values mod p; the sampled correctness audit draws from
+    # the Spaces themselves
+    with pytest.raises(ValueError, match="not all mod 3"):
+        audit_correctness(_wrong_modulus())
+    assert not audit_correctness(_wrong_modulus(), cap=0, samples=50).exhaustive
+
+
+class _AsksForTheNextMessage(CsaInstance):
+    """Declared linear, but its queries for theta ask for message
+    theta mod K + 1."""
+
+    def queries(self, theta, randomness):
+        return super().queries(theta % self.K + 1, randomness)
+
+
+# Every correctness audit the identity test decides in the tests, the
+# goldens included, and planted failures: instance, failure fraction.
+CORRECTNESS_ORACLE_CASES = {
+    "csa-3111": (lambda: _csa(3, 1, 1, 1), ZERO),
+    "csa-3211": (lambda: _csa(3, 2, 1, 1), ZERO),
+    "csa-4121": (lambda: _csa(4, 1, 2, 1), ZERO),
+    "dl-2111": (lambda: _dl(2, 1, 1, 1), ZERO),
+    "dl-2211": (lambda: _dl(2, 2, 1, 1), ZERO),
+    "binary-k2": (lambda: BinaryInstance(2), ZERO),
+    "binary-k3": (lambda: BinaryInstance(3), ZERO),
+    "binary-k4": (lambda: BinaryInstance(4), ZERO),
+    # decode raises SingularMatrixError on every realization
+    "broken-csa": (_broken_csa, ONE),
+    # storage or queries raise; "storage" only at the message part of the
+    # storage check point
+    **{
+        f"raises-{case}": (lambda make=make: make(CsaParams.make(3, 2, 1, 1)), fraction)
+        for case, (make, fraction, _) in FAILURE_CASES.items()
+    },
+    # squares agree with the values on the grid of 0 and unit vectors: only
+    # the check point (1, 2, 3, 4) shows the failure
+    "squares-messages": (lambda: _SquaresMessages(CsaParams.make(3, 2, 1, 1)), Fraction(3, 5)),
+    # wrong wherever messages 1 and 2 differ
+    "asks-for-the-next-message": (
+        lambda: _AsksForTheNextMessage(CsaParams.make(3, 2, 1, 1)), Fraction(4, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CORRECTNESS_ORACLE_CASES)
+def test_the_identity_test_matches_the_enumeration(case):
+    make, fraction = CORRECTNESS_ORACLE_CASES[case]
+    inst = make()
+    assert exact_engine(inst, CORRECTNESS) == IDENTITY
+    report = audit_correctness(inst)
+    assert report == audit_correctness(_enumerated(make()))  # field by field
+    assert report.exhaustive
+    assert (report.max_tv_distance, report.passed) == (fraction, fraction == 0)
 
 
 # ---------------------------------------------------------------------------

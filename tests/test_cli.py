@@ -276,6 +276,19 @@ def test_audit_decides_a_large_csa_security_exactly(extra, code, verdict, tmp_pa
     assert verdict in out
 
 
+def test_audit_decides_csa_correctness_past_any_enumeration(tmp_path, capsys, monkeypatch):
+    # 1.1e19 realizations: the identity test decodes at each storage point
+    # times each query point instead
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    code, out, _ = run_cli(["audit", "--scheme", "csa", "-N", "5", "-K", "2", "-X", "1", "-T", "1",
+                            "--property", "correctness"], capsys)
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    assert "exhaustive true" in out
+    assert "max_tv 0\npass true" in out
+
+
 LARGE_SYMX_ARGS = ["--scheme", "sym_xspir", "-N", "3", "-K", "4", "-X", "2", "-T", "1",
                    "--prime", "5"]
 
