@@ -1,5 +1,6 @@
 """Affine maps of a scheme's random values, read through the `Scheme`
-interface: the probe behind the audits' rank tests (`audit.exact_engine`).
+interface: the probe behind the audits' rank tests and identity test
+(`audit.exact_engine`).
 
 A map `at` takes the values of some Spaces, laid end to end as one list u
 (messages, storage noise, query randomness, in that order), to per-server
@@ -10,6 +11,14 @@ and keeps each payload coordinate as a sparse row (c, js, aj): the
 coordinate is c + sum_i aj[i] * u[js[i]] mod p, over the nonzero
 coefficients only, so memory is O(nonzeros) however long u is.
 
+`share_map` and `query_maps` read a scheme's maps once each: the shares,
+and the queries of the first theta, each other theta in two more calls
+(`constants`). A server's answer is read from the rows the scheme declares
+for it (`declared`, `Scheme.answer_rows`), checked against `answer` at the
+check point; `compose` and `cross` apply such declared rows, and decode's,
+to the maps without calling the scheme again. `identity` assembles the
+correctness identity of a scheme declared linear on both sides from them.
+
 The audits' rank tests ask whether some column of B lies outside colspan A
 in a matrix [A | B] of such rows. A is block diagonal over the connected
 components of its row-column graph, so B lies in colspan A iff it does on
@@ -19,10 +28,16 @@ the rows of every component: `split` cuts the test into components, and
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import chain, compress, count, islice
+from operator import mul, ne
 
 from .field import eliminate_mod
 from .scheme import Scheme
+
+
+def check(n: int, p: int) -> list[int]:
+    """The check point of n values: every coordinate nonzero."""
+    return [i % (p - 1) + 1 for i in range(n)]
 
 
 def points(n: int, p: int):
@@ -33,13 +48,13 @@ def points(n: int, p: int):
         x = [0] * n
         x[j] = 1
         yield x
-    yield [i % (p - 1) + 1 for i in range(n)]
+    yield check(n, p)
 
 
 def _flat(payloads, shape: list) -> list[int]:
     if [None if y is None else len(y) for y in payloads] != shape:
         raise ValueError("a scheme declared linear is not affine: its payload shapes vary")
-    return [v for y in payloads if y is not None for v in y]
+    return list(chain.from_iterable(y for y in payloads if y is not None))
 
 
 def read(payloads, n: int, p: int) -> list:
@@ -56,7 +71,7 @@ def read(payloads, n: int, p: int) -> list:
     terms: list[list[tuple[int, int]]] = [[] for _ in base]
     for j, y in zip(range(n), payloads):
         y = _flat(y, shape)
-        for i in [i for i, a, b in zip(count(), y, base) if a != b]:
+        for i in compress(count(), map(ne, y, base)):
             if a := (y[i] - base[i]) % p:
                 terms[i].append((j, a))
     check = _flat(next(payloads), shape)
@@ -68,6 +83,55 @@ def read(payloads, n: int, p: int) -> list:
         for c, t in zip(base, terms)
     ])
     return [None if length is None else list(islice(rows, length)) for length in shape]
+
+
+def constants(view, n: int, p: int):
+    """A function of a map `at` of n values meant to share `view`'s
+    coefficients (`read`): its constant, the payloads at zero flattened,
+    or None unless it moves from there to the check point as `view` does."""
+    shape, x = [None if server is None else len(server) for server in view], check(n, p)
+    moved = [sum(a * x[j] for j, a in zip(js, aj)) % p for server in view for _, js, aj in server or ()]
+
+    def constant(at):
+        base = _flat(at([0] * n), shape)
+        return base if [(y - c) % p for y, c in zip(_flat(at(x), shape), base)] == moved else None
+
+    return constant
+
+
+def compose(row, rows: list, p: int) -> tuple:
+    """The sparse row (c, js, aj) of sum(a * rows[i] for i, a in zip(*row)):
+    declared coefficients (a row (js, aj)) applied to the rows of a map."""
+    c, out = 0, {}
+    for i, a in zip(*row):
+        ci, js, aj = rows[i]
+        c += a * ci
+        for j, b in zip(js, aj):
+            out[j] = out.get(j, 0) + a * b
+    out = {j: v % p for j, v in out.items() if v % p}
+    return c % p, tuple(out), tuple(out.values())
+
+
+def cross(queries: list, shares: list, delta: list, width: int, p: int) -> dict:
+    """The parts of answers a(u, v) = R(q(v)) s(u) that move with v: q and s
+    affine maps (per server their rows, `read`), R affine in the query
+    payload, delta[k] its rows' change along symbol k. Each distinct column
+    over the answer symbols (n * width + r), with a (v index, u index or -1
+    for the v part alone) where it sits, the v parts first."""
+    moved: dict[tuple, dict] = {}
+    for n, rows in enumerate(queries):
+        for k, (_, js, aj) in enumerate(rows):
+            for r, row in enumerate(delta[k]):
+                c, us, ua = compose(row, shares[n], p)
+                for j, b in zip(js, aj):
+                    for m, a in ((-1, c), *zip(us, ua)):
+                        cell = moved.setdefault((j, m), {})
+                        cell[n * width + r] = cell.get(n * width + r, 0) + a * b
+    distinct: dict[tuple, tuple] = {}
+    for j, m in sorted(moved, key=lambda jm: jm[1] >= 0):
+        if column := tuple((i, a % p) for i, a in moved[j, m].items() if a % p):
+            distinct.setdefault(column, (j, m))
+    return distinct
 
 
 def dim(inst: Scheme, spaces) -> int:
@@ -90,10 +154,111 @@ def storage_at(inst: Scheme, then=lambda stored: stored):
     return lambda u: then(inst.storage(build_m(u[:km]), build_z(u[km:])))
 
 
-def queries_at(inst: Scheme, theta: int):
-    """The query payloads for theta, as a map of the query randomness."""
-    build = inst.query_randomness.build
-    return lambda u: inst.query_payloads(inst.queries(theta, build(u)))
+def query_maps(inst: Scheme, thetas: list[int], spot: list) -> tuple:
+    """The query map of thetas[0] (`probe`), and per theta its constant
+    (flat) and its queries at the check point, in two calls for each later
+    theta; ValueError unless the randomness enters them the same way there.
+    spot[0] and spot[2] follow the calls, to name the one that raises."""
+    qr, asked = inst.query_randomness, [None]
+
+    def at(theta):
+        def call(v):
+            spot[0], spot[2] = theta, v
+            asked[0] = inst.queries(theta, qr.build(v))
+            return inst.query_payloads(asked[0])
+        return call
+
+    first = probe(inst, at(thetas[0]), (qr,))
+    shared = constants(first, qr.count, inst.p)
+    maps = [([c for rows in first for c, _, _ in rows], asked[0])]
+    for theta in thetas[1:]:
+        if (constant := shared(at(theta))) is None:
+            raise ValueError(f"{inst.describe()} is declared linear but the query randomness "
+                             f"enters the queries for theta {theta} differently")
+        maps.append((constant, asked[0]))
+    return first, maps
+
+
+def share_map(inst: Scheme, zero, spot: list) -> tuple:
+    """The share map (`read`, given the storage at zero) and the storage at
+    its check point; spot[1] follows the point read."""
+    n, stored, build = dim(inst, (inst.messages, inst.storage_noises)), [zero], storage_at(inst)
+
+    def at(u):
+        spot[1] = u
+        stored[0] = build(u)
+        return inst.share_payloads(stored[0])
+
+    rest = points(n, inst.p)
+    spot[1] = next(rest)
+    return read(chain([inst.share_payloads(zero)], map(at, rest)), n, inst.p), stored[0]
+
+
+def declared(inst: Scheme, payloads, shares, answers) -> list:
+    """Each server's answer rows for the query `payloads`
+    (`Scheme.answer_rows`). ValueError unless they give `answers`, the
+    answers at the check point, from `shares`, the share payloads there."""
+    p, given = inst.p, list(map(inst.answer_rows, payloads))
+    for n, rows, share, answer in zip(count(1), given, shares, answers):
+        got = None if rows is None else [sum(map(mul, map(share.__getitem__, js), aj)) for js, aj in rows]
+        if (got is None) != (answer is None) or got is not None and (
+                len(got) != len(answer) or any((v - g) % p for g, v in zip(got, answer))):
+            raise ValueError(f"{inst.describe()} declares answer rows that are not "
+                             f"server {n}'s answer at the check point")
+    return given
+
+
+def identity(inst: Scheme, thetas: list[int], zero):
+    """The identity test of `audit.audit_correctness` on `thetas`, given the
+    storage at zero: g(u, v) = decode(answers) - message theta, bi-affine
+    in the storage values u and the query randomness v, assembled from the
+    share map, the query map, the declared answer rows (`declared`, checked
+    at the check point) and decode's rows (decode read at zero, unit and
+    check answers). None if its constant and its u-, v- and uv-coefficients
+    all vanish and a real decode at the check points is right, else the
+    (theta, storage point, query point) of the call that raised or of a
+    coefficient that does not vanish."""
+    p, N, L, qs = inst.p, inst.N, inst.L, inst.query_symbols
+    du, dv = (dim(inst, s) for s in ((inst.messages, inst.storage_noises), (inst.query_randomness,)))
+    unit = lambda n, j: [int(i == j) for i in range(n)]  # unit(n, -1) is zero
+    # the answer rows at the zero query, and their change along each query symbol
+    given = [inst.answer_rows(tuple(unit(qs, k))) for k in range(-1, qs)]
+    width = next((len(rows) for rows in given if rows is not None), 0)
+    base, *units = [rows or (((), ()),) * width for rows in given]
+    delta = [[(js + bj, aj + tuple(-a for a in ba)) for (js, aj), (bj, ba) in zip(rows, base)]
+             for rows in units]
+    spot, probed = [thetas[0], unit(du, -1), unit(dv, -1)], []
+    try:
+        if isinstance(zero, Exception):
+            raise zero
+        shares, stored = share_map(inst, zero, spot)
+        first, maps = query_maps(inst, thetas, spot)
+        spot[1:] = check(du, p), check(dv, p)
+        checked = inst.messages.build(spot[1][: inst.messages.count])
+        for spot[0], (_, queries) in zip(thetas, maps):  # decode's rows, and one real decode
+            answers = list(map(inst.answer, stored, queries))
+            at = lambda a: [inst.decode(spot[0], [tuple(a[n * width:][:width]) for n in range(N)])]
+            rows = read(map(at, points(N * width, p)), N * width, p)[0]
+            decoded = inst.decode(spot[0], answers) == inst.plaintext(checked, spot[0])
+            probed.append((rows, answers, decoded))
+    except Exception:
+        return tuple(spot)
+    moving, shared = cross(first, shares, delta, width, p), inst.share_payloads(stored)
+    for theta, (constant, queries), (rows, answers, decoded) in zip(thetas, maps, probed):
+        declared(inst, inst.query_payloads(queries), shared, answers)
+        forms = [compose(row, shares[n], p) for n in range(N)
+                 for row in inst.answer_rows(tuple(constant[n * qs:][:qs])) or (((), ()),) * width]
+        for l, (c, js, aj) in enumerate(rows):  # decode's row l, minus message theta's symbol l
+            c, us, _ = compose((js + (-1,), aj + (1,)), [*forms, (c, ((theta - 1) * L + l,), (-1,))], p)
+            if c or us:
+                return theta, unit(du, -1 if c else min(us)), unit(dv, -1)
+            row = dict(zip(js, aj))
+            for column, (j, m) in moving.items():
+                if sum(row.get(i, 0) * a for i, a in column) % p:
+                    return theta, unit(du, m), unit(dv, j)
+        if not decoded:
+            return theta, spot[1], spot[2]
+    return None
 
 
 def rank_grows(rows: list[list[int]], limit: int, p: int) -> bool:

@@ -1,64 +1,57 @@
 """Distribution audits: decide exactly, on small instances, that a scheme's
 shares, queries and answers have the distributions its guarantees require.
 
-Four properties are checked:
-
-- X-security: any X servers' shares are identically distributed (over the
-  storage noise) for every message realization;
-- T-privacy: any T servers' joint view of (their queries, their shares) is
-  identically distributed (over messages, storage noise and query
-  randomness) for every retrieval index theta;
-- symmetric security: conditioned on (theta, the realized queries, the value
-  of message theta), the answer tuple is identically distributed (over the
-  storage noise) for every value of the other messages;
-- correctness: the decoded value equals message theta on every realization.
+Four properties are checked: X-security (any X servers' shares are
+identically distributed over the storage noise for every message value),
+T-privacy (any T servers' queries and shares are identically distributed
+for every theta), symmetric security (given theta, the queries and message
+theta, the answers are identically distributed over the storage noise for
+every value of the other messages), and correctness (decode returns message
+theta on every realization).
 
 An exact report (`exhaustive true`) comes from one of three engines, as
-`exact_engine` picks from the scheme's declarations.
+`exact_engine` picks from the scheme's declarations (`Scheme`). The first
+two read each declared map once (`affine.probe`) and check every
+declaration at the check point of `affine.points`, so a declaration alone
+cannot pass; a scheme declared linear that fails only off those points is
+not caught.
 
 Rank tests decide security and sym-security where the storage side is
-declared `linear` (csa, download_all, binary_n3, sym_xspir), and privacy
-where the query side is declared `linear_queries` (all but sym_xspir).
-Each view these audits compare is then an affine image c + A u of uniform
-randomness u, so it is uniform on the coset c + colspan(A): two such views
-have the same distribution when their cosets coincide and disjoint
-supports otherwise, and every total-variation distance is exactly 0 or 1.
-The matrices are read through the `Scheme` interface alone
-(`xstpir.affine`). With shares_S = c + M_S m + Z_S z, queries_S =
-q_S(theta) + R_S r and answers = c + A_m m + A_z z for a fixed query, and
-A_other the columns of A_m outside message theta:
+declared `linear`, and privacy where the query side is (`linear_queries`).
+Each compared view is then an affine image c + A u of uniform u, uniform
+on c + colspan(A), so every TV distance is exactly 0 or 1. With shares_S =
+c + M_S m + Z_S z, queries_S = q_S(theta) + R_S r, and answers = A_m m +
+A_z z for a fixed query (its declared answer rows times the share map):
+X-security of a subset S holds iff rank[M_S | Z_S] = rank Z_S; T-privacy
+iff every q_S(theta) - q_S(1) lies in colspan(R_S), R probed at the first
+theta and each other theta read in two calls; sym-security iff
+rank[A_other | A_z] = rank A_z (A_other: A_m outside message theta) for
+every theta and distinct query payload, one elimination each. Security
+and privacy split [A | B] into the components of A (`affine.split`).
 
-- X-security of a subset S holds iff rank[M_S | Z_S] = rank Z_S;
-- T-privacy of S holds iff q_S(theta) - q_S(1) lies in colspan(R_S) for
-  every theta (the share view is common to every theta: `audit_privacy`);
-- sym-security holds iff rank[A_other | A_z] = rank A_z for every theta
-  and every distinct query payload.
-
-Each asks whether some column of B lies outside colspan A in [A | B], by
-one elimination per connected component of A (`affine.split`). The report
-carries max_tv 1 if any test fails and 0 otherwise, and the
-subsets_checked and enumerated fields the enumeration would give.
-
-The identity test decides correctness where both maps are declared (all
-but sym_xspir): decode(answers) - message theta is then affine in the
-storage values u for fixed query randomness v and in v for fixed u, so it
-is 0 everywhere iff it is 0 where u and v are each zero or a unit vector.
-It decodes there and at the check points of `affine.points`, so that a
-declaration alone cannot pass; as with the rank tests, a scheme declared
-linear that fails only off those points is not caught. Where it fails,
-enumeration takes over. Enumeration decides everything else from exact
-outcome-frequency tables over all the relevant randomness, and it is the
-oracle the other engines are tested against.
+The identity test (`affine.identity`) decides correctness where both
+sides are declared. g(u, v) = decode(answers) - message theta is then
+bi-affine in the storage values u and the query randomness v; it is
+assembled from the share map, the query map, the answer rows and decode
+read at zero, unit and check answers, and its constant and u-, v- and
+uv-coefficients must all vanish. Where one does not, or a call raises,
+enumeration takes over within its cap; past it the report fails, not
+exhaustive, max_tv 1, with the witness realization (theta, storage and
+query point, what went wrong) in `detail`, never a sampled statistic.
+Enumeration decides the rest from exact outcome-frequency tables over all
+the randomness (sym_xspir's privacy and correctness, and a scheme that
+declares nothing), and it is the oracle the other engines are tested
+against.
 
 Distances are exact Fractions; an exact audit passes only at distance 0
-(correctness reuses the field as an exact failure fraction). When the
-exact engine's work (`estimate_work`) would exceed the cap the audit runs
-on a seeded random draw, flagged non-exhaustive (with fallback=False it
-raises OverCap; samples below 1 raise ValueError). Under rank tests the
-draw picks which tests run: min(samples, C(N, size)) distinct subsets for
-security and privacy (privacy comparing the first and the last theta),
-`samples` query realizations for sym-security. Such a report is
-one-sided: max_tv 1 proves a leak, max_tv 0 says that none of the tests
+(correctness reports the exact failure fraction). When the exact engine's
+work (`estimate_work`) would exceed the cap the audit runs on a seeded
+draw, flagged non-exhaustive (fallback=False raises OverCap; samples below
+1 raise ValueError). The first two engines then run their probes and the
+tests of the draw: min(samples, C(N, size)) distinct subsets (privacy
+comparing the first and the last theta), `samples` query realizations for
+sym-security, min(samples, K) thetas for correctness. Such a report is
+one-sided: max_tv 1 proves a failure, max_tv 0 says that none of the tests
 run found one, and `detail` says how many ran. Enumeration's fallback
 compares outcome frequencies over `samples` drawn realizations.
 """
@@ -68,7 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 from random import Random
 from . import affine
@@ -191,17 +184,17 @@ def _subsets_report(prop, inst, size, tests, exact, enumerated, samples, seed) -
         if leak := affine.leaks(tests, s, inst.p, seen):
             break
     return _report(prop, inst, size, total if exact else tested, Fraction(leak), exact,
-                   enumerated, samples, f"{tested} of {total} subsets")
+                   enumerated, samples, f"rank tests on {tested} of {total} subsets")
 
 
 def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, ranked=""):
-    """Exact: pass at max_tv 0. Sampled by the rank tests `ranked` names:
-    pass at 0 (1 is a leak). Else: pass within SAMPLED_TOLERANCE."""
+    """Exact: pass at max_tv 0. Sampled by the exact tests `ranked` names:
+    pass at 0 (1 is a failure). Else: pass within SAMPLED_TOLERANCE."""
     head = (prop, inst.describe(), size, checked, max_tv)
     if exact:
         return AuditReport(*head, max_tv == 0, True, enumerated)
     if ranked:
-        return AuditReport(*head, max_tv == 0, False, 0, samples, f"sampled: rank tests on {ranked}")
+        return AuditReport(*head, max_tv == 0, False, 0, samples, f"sampled: {ranked}")
     return AuditReport(*head, max_tv <= SAMPLED_TOLERANCE, False, 0, samples,
                        f"sampled, tolerance {SAMPLED_TOLERANCE}")
 
@@ -309,30 +302,17 @@ def _privacy_tests(inst: Scheme, thetas: list[int]) -> list:
     """[R | q(theta) - q(thetas[0]) for each later theta] of the query
     maps, split, R being the same for every theta (ValueError if not): on
     every subset's rows the differences must lie in the span of R."""
-    kq, p = inst.query_randomness.count, inst.p
+    kq, p, flat = inst.query_randomness.count, inst.p, count()
+    first, (_, *others) = affine.query_maps(inst, thetas, [None] * 3)
+    others = [constant for constant, _ in others]
 
-    def row(n, i, c, js, aj, others):
-        extra = [(kq + t, d) for t, view in enumerate(others) if (d := (view[n][i][0] - c) % p)]
+    def row(c, js, aj):
+        i = next(flat)
+        extra = [(kq + t, d) for t, other in enumerate(others) if (d := (other[i] - c) % p)]
         return c, js + tuple(j for j, _ in extra), aj + tuple(d for _, d in extra)
 
-    first, *others = _query_maps(inst, thetas)
-    view = [[row(n, i, *r, others) for i, r in enumerate(rows)] for n, rows in enumerate(first)]
+    view = [[row(*r) for r in rows] for rows in first]
     return affine.split(view, range(kq), range(kq, kq + len(others)))
-
-
-def _query_maps(inst: Scheme, thetas) -> list:
-    """The affine query map of each theta (`affine.probe`). ValueError
-    unless the randomness enters every theta's queries the same way."""
-    space = (inst.query_randomness,)
-    maps = [affine.probe(inst, affine.queries_at(inst, t), space) for t in thetas]
-    coefficients = [[row[1:] for row in rows] for rows in maps[0]]
-    for theta, rows in zip(thetas[1:], maps[1:]):
-        if [[row[1:] for row in server] for server in rows] != coefficients:
-            raise ValueError(
-                f"{inst.describe()} is declared linear but the query randomness "
-                f"enters the queries for theta {theta} differently"
-            )
-    return maps
 
 
 def _answers(inst: Scheme, shares, queries) -> tuple:
@@ -358,7 +338,7 @@ def audit_sym_security(
     tests the distinct (theta, query payload) pairs they test.
     """
     thetas, rng, qr = list(inst.thetas), Random(seed), inst.query_randomness
-    exact = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)[0]
+    exact, zero = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
     if exact_engine(inst, SYM_SECURITY) == RANK_TESTS:
         if exact:
@@ -367,10 +347,10 @@ def audit_sym_security(
         else:
             drawn = (rng.choice(thetas) for _ in range(samples))
             pairs = ((t, inst.queries(t, qr.sample(rng))) for t in drawn)
-        tested, distinct, leak = _sym_by_rank(inst, pairs)
+        tested, distinct, leak = _sym_by_rank(inst, pairs, zero)
         # a linear plaintext is message theta's L values: p^L groups per payload
         checked = sum(map(len, asked.values())) * inst.p**inst.L if exact else distinct
-        detail = f"{tested} query realizations drawn from {len(thetas)} x {qr.base}^{qr.count}"
+        detail = f"rank tests on {tested} query realizations drawn from {len(thetas)} x {qr.base}^{qr.count}"
         return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
                        samples, detail)
     if exact:
@@ -397,23 +377,32 @@ def _distinct_queries(inst: Scheme, theta: int) -> dict[tuple, list]:
     return realizations
 
 
-def _sym_by_rank(inst: Scheme, asked) -> tuple[int, int, bool]:
-    """rank[A_other | A_z] > rank A_z, split, for the answers to each
-    (theta, query tuple) in `asked`, read at the storage of every probe
-    point, up to the first leak: how many were tested, how many distinct
-    (theta, payload) pairs among them, and whether one leaks."""
-    km, p, L = inst.messages.count, inst.p, inst.L
-    dim = affine.dim(inst, (inst.messages, inst.storage_noises))
-    stored = list(map(affine.storage_at(inst), affine.points(dim, p)))
+def _sym_by_rank(inst: Scheme, asked, zero) -> tuple[int, int, bool]:
+    """rank[A_other | A_z] > rank A_z for the answers to each (theta, query
+    tuple) in `asked`, up to the first leak, A being the declared answer
+    rows composed with the share map: how many were tested, how many
+    distinct (theta, payload) pairs among them, and whether one leaks."""
+    km, kz, p, L = inst.messages.count, inst.storage_noises.count, inst.p, inst.L
+    shares, stored = affine.share_map(inst, zero, [None] * 3)
+    # each share row's (column, coefficient) pairs, the columns [noise | messages]
+    place = [*range(kz, kz + km), *range(kz)]
+    shares = [[tuple(zip(map(place.__getitem__, js), aj)) for _, js, aj in server] for server in shares]
+    checked = inst.share_payloads(stored)
     verdicts: dict[tuple, bool] = {}  # by (theta, query payload)
-    seen: dict = {}
     for tested, (theta, q) in enumerate(asked, 1):
         key = (theta, inst.query_payloads(q))
         if key not in verdicts:
-            answers = affine.read((_answers(inst, s, q) for s in stored), dim, p)
-            others = set(range(km)) - set(range((theta - 1) * L, theta * L))  # not message theta
-            tests = affine.split(answers, range(km, dim), others)
-            verdicts[key] = affine.leaks(tests, range(inst.N), p, seen)
+            rows, cut = [], kz + (theta - 1) * L
+            answers = list(map(inst.answer, stored, q))
+            for view, declared in zip(shares, affine.declared(inst, key[1], checked, answers)):
+                for js, aj in declared or ():
+                    dense = [0] * (kz + km)
+                    for i, a in zip(js, aj):
+                        for j, b in view[i]:
+                            dense[j] += a * b
+                    del dense[cut:cut + L]  # message theta is given
+                    rows.append(dense)
+            verdicts[key] = affine.rank_grows(rows, kz, p)
         if verdicts[key]:
             break
     return tested, len(verdicts), verdicts[key]
@@ -472,17 +461,21 @@ def audit_correctness(
     pass condition is uniformly distance == 0. A realization whose storage,
     queries or decode raises (for instance after a corrupted-parameter
     injection) counts as a failure, and the first error in (theta, m, z, qr)
-    order is surfaced in the detail field. The exhaustive mode builds the
-    storage once per (m, z) and the queries once per (theta, qr); it runs
-    where the identity test (`exact_engine`) fails, within the cap.
-    """
+    order is surfaced in the detail field. Enumeration (each storage once
+    per (m, z), each query tuple once per (theta, qr)) runs where the
+    identity test (`exact_engine`) fails, within its cap; past it the
+    failure is reported with the identity test's witness and max_tv 1."""
     thetas, qr = list(inst.thetas), inst.query_randomness
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
     exhaustive, zero = _exact(inst, CORRECTNESS, None, cap, samples, fallback)
-    if exhaustive and exact_engine(inst, CORRECTNESS) == IDENTITY:
-        if all(_decodes(inst, *r)[0] for r in _identity_rounds(inst, thetas, zero)):
-            return _report(CORRECTNESS, inst, inst.N, len(thetas), Fraction(0), True, enumerated, None)
-        exhaustive = _exact(inst, CORRECTNESS, None, cap, samples, fallback, ENUMERATION)[0]
+    if exact_engine(inst, CORRECTNESS) == IDENTITY:
+        drawn = thetas if exhaustive else sorted(Random(seed).sample(thetas, min(samples, len(thetas))))
+        if (failed := affine.identity(inst, drawn, zero)) is None:
+            return _report(CORRECTNESS, inst, inst.N, len(drawn), Fraction(0), exhaustive, enumerated,
+                           samples, f"identity test on {len(drawn)} of {len(thetas)} thetas")
+        if not (exhaustive and _exact(inst, CORRECTNESS, None, cap, samples, True, ENUMERATION)[0]):
+            return AuditReport(CORRECTNESS, inst.describe(), inst.N, len(drawn), Fraction(1), False,
+                               False, 0, None if exhaustive else samples, _witness(inst, *failed))
     if exhaustive:  # every (theta, m, z, qr), in that order
         stored = [(m, _attempt(inst.storage, m, z)) for m in inst.messages for z in inst.storage_noises]
         rounds = _rounds(inst, thetas, stored, list(qr))
@@ -512,14 +505,18 @@ def _rounds(inst: Scheme, thetas: list[int], stored: list, randomness: list):
                 yield theta, m, shares, queries
 
 
-def _identity_rounds(inst: Scheme, thetas: list[int], zero):
-    """The rounds at each storage point times each query point of
-    `affine.points`; `zero` is the storage at the zero point, from `_plan`."""
-    m, qr, p = inst.messages, inst.query_randomness, inst.p
-    points = list(affine.points(affine.dim(inst, (m, inst.storage_noises)), p))
-    shares = [zero, *(_attempt(affine.storage_at(inst), u) for u in points[1:])]
-    asked = list(map(qr.build, affine.points(affine.dim(inst, (qr,)), p)))
-    return _rounds(inst, thetas, [(m.build(u[: m.count]), s) for u, s in zip(points, shares)], asked)
+def _witness(inst: Scheme, theta: int, u: list, v: list) -> str:
+    """What goes wrong at theta in the realization at storage point u and
+    query point v; ValueError if nothing does, though the identity test
+    said so."""
+    ok, error = _decodes(inst, theta, inst.messages.build(u[: inst.messages.count]),
+                         _attempt(affine.storage_at(inst), u),
+                         _attempt(inst.queries, theta, inst.query_randomness.build(v)))
+    if ok:
+        raise ValueError(f"{inst.describe()} decodes at theta {theta} where its declarations say it does not")
+    name = lambda x: "zero" if not any(x) else f"unit {x.index(1)}" if x.count(0) == len(x) - 1 else "check"
+    what = f"decode raised {type(error).__name__}: {error}" if error else "decode is not message theta"
+    return f"identity test: theta {theta}, storage point {name(u)}, query point {name(v)}: {what}"
 
 
 def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
@@ -550,17 +547,19 @@ def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> in
     security, the (theta, qr) pairs of the query-side table for privacy,
     and every (theta, m, z, qr) for sym-security and correctness.
 
-    Rank tests count steps: each scheme call weighted by the payload
-    symbols it returns, plus the `_elimination` bound of every test. For
-    security and privacy that is the probe (dim + 2 storage calls, dim =
-    |m| + |z|, or qr.count + 2 query calls per theta) and per subset each
-    split component, bounded by the rows of its `size` servers with the
-    most; counting the components runs the probe, so when the probe alone
-    costs more than DEFAULT_CAP the count is that cost. Sym-security: the
-    storage probe, every query of every theta, and per query the answers
-    at every probe point and one unsplit test. The identity test: the
-    storage at dim + 2 points, per theta the queries at qr.count + 2, and
-    at each of those the answers at every storage point and a decode.
+    The other engines count steps: each scheme call weighted by the
+    payload symbols it returns, plus the `_elimination` bound of every rank
+    test. Security: the storage probe (dim + 2 calls, dim = |m| + |z|) and
+    per subset each split component, bounded by the rows of its `size`
+    servers with the most. Privacy: the query probe of the first theta
+    (qr.count + 2 calls), two calls per other theta, and the components
+    likewise; counting them runs the probe, so when the probe alone costs
+    more than DEFAULT_CAP the count is that cost. Sym-security: the storage
+    probe, and per query of every theta its payloads, the N answers at the
+    check point and one elimination. The identity test: the storage probe,
+    the query maps, the answer rows at the zero and each unit query, and
+    per theta the N answers at the check point and decodes at the answer
+    probe's points and of the real answers.
     """
     return _plan(inst, prop, subset_size, DEFAULT_CAP, exact_engine(inst, prop))[0]
 
@@ -568,8 +567,8 @@ def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> in
 def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int, engine: str):
     """estimate_work's count for `engine`, probing only when the probe fits
     `cap` (else the count is the probe's cost), and the split rank tests of
-    the exact mode when it probed for them (the identity test's storage at
-    zero, or its error; else None)."""
+    the exact mode when it probed for them (for sym-security and the
+    identity test, the storage at zero or its error; else None)."""
     thetas = len(inst.thetas)
     m, z, qr = inst.messages, inst.storage_noises, inst.query_randomness
     if engine == ENUMERATION:
@@ -577,18 +576,19 @@ def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int, engine: st
         return counts.get(prop, thetas * m.size * z.size * qr.size), None
     dim, queried = m.count + z.count, inst.N * inst.query_symbols
     if prop == T_PRIVACY:
-        probe = thetas * (qr.count + 2) * queried
+        probe = (qr.count + 2 * thetas) * queried
     else:
         zero = _attempt(inst.storage, m.build([0] * m.count), z.build([0] * z.count))
         if (failed := isinstance(zero, Exception)) and prop != CORRECTNESS:
             raise zero
         probe = 0 if failed else (dim + 2) * sum(map(len, inst.share_payloads(zero)))
-    rows = inst.N * inst.answer_symbols((1,) * inst.query_symbols)
+    width = inst.answer_symbols((1,) * inst.query_symbols)
+    rows = inst.N * width
     if prop == CORRECTNESS:
-        return probe + thetas * (qr.count + 2) * (queried + (dim + 2) * (rows + inst.L)), zero
+        declared = (qr.count + 2 * thetas) * queried + (inst.query_symbols + 1) * width
+        return probe + declared + thetas * (rows + (rows + 3) * inst.L), zero
     if prop == SYM_SECURITY:
-        per_query = queried + (dim + 2) * rows + _elimination(rows, dim, z.count)
-        return probe + thetas * qr.size * per_query, None
+        return probe + thetas * qr.size * (queried + rows + _elimination(rows, dim, z.count)), zero
     if probe > cap:
         return probe, None
     security = prop == X_SECURITY

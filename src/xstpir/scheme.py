@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Sequence
 
 from . import capacity, csa, special
@@ -45,14 +45,17 @@ class Scheme:
     server owes nothing and replies ANSWER_EMPTY.
 
     Two flags declare maps affine mod p in Space values of base p; only
-    `audit.exact_engine` reads them. `linear`: the share payloads, and
-    every server's answer to a fixed query, are affine in (messages,
-    storage noise), and `plaintext` is message theta's row of the
-    `messages` values; security and sym-security are then decided by rank
-    tests. `linear_queries`: each theta's query payloads are affine in the
-    query randomness, which enters them the same way for every theta;
-    privacy is then decided by rank tests. With both, `answer` is bi-affine
-    and `decode` affine, and the identity test decides correctness.
+    `audit.exact_engine` reads them. `linear`: the share payloads are
+    affine in (messages, storage noise), `answer_rows` declares each
+    answer, and `plaintext` is message theta's row of the `messages`
+    values; security and sym-security are then decided by rank tests.
+    `linear_queries`: each theta's query payloads are affine in the query
+    randomness, which enters them the same way for every theta; privacy is
+    then decided by rank tests. With both, `answer_rows` is affine in the
+    query payload and `decode` affine in the answers, and the identity test
+    decides correctness. The audits check each declaration against the
+    scheme's own calls at the check point of `affine.points`, so a
+    declaration alone cannot pass.
     """
 
     name = ""
@@ -106,6 +109,13 @@ class Scheme:
     def answer_symbols(self, query: Payload) -> int:
         return self.K
 
+    def answer_rows(self, query: Payload):
+        """The answer to `query` as a linear map of the share payload, for a
+        scheme declared `linear`: per answer symbol its row (js, aj), the
+        share indices and coefficients of its nonzero terms; None where the
+        server replies ANSWER_EMPTY."""
+        raise NotImplementedError
+
     def check_retrieves(self, theta: int, queries: Sequence[Payload]) -> None:
         """Raise ValueError unless the query payloads, in server order and
         of checked length and alphabet, retrieve message theta. The default
@@ -119,6 +129,11 @@ class Scheme:
 
     def closed_form_rate(self) -> Fraction:
         raise NotImplementedError
+
+
+def _inner(query: Payload) -> tuple:
+    """One answer symbol: the inner product of the share with `query`."""
+    return ((tuple(compress(count(), query)), tuple(filter(None, query))),)
 
 
 class CsaScheme(Scheme):
@@ -166,6 +181,9 @@ class CsaScheme(Scheme):
 
     def answer_symbols(self, query):
         return 1 if any(query) else 0
+
+    def answer_rows(self, query):
+        return _inner(query)
 
     def check_retrieves(self, theta, queries):
         """Each block's queries, unscaled and evaluated at u = 0, must give
@@ -220,6 +238,9 @@ class DownloadAllScheme(Scheme):
 
     def answer(self, share, query):
         return share
+
+    def answer_rows(self, query):
+        return tuple(((k,), (1,)) for k in range(self.K))
 
     def decode(self, theta, answers):
         return special.download_all_decode(answers, self.params)[theta - 1]
@@ -282,6 +303,9 @@ class BinaryScheme(Scheme):
     def answer_symbols(self, query):
         return 1 if any(query) else 0
 
+    def answer_rows(self, query):
+        return _inner(query) if any(query) else None
+
     def check_retrieves(self, theta, queries):
         """q1 + q2 must be the unit vector of theta; server 1's query is the
         randomness Z' itself, so all three queries are rebuilt from it."""
@@ -339,6 +363,9 @@ class SymXspirScheme(Scheme):
 
     def answer(self, share, query):
         return special.sym_xspir_answer(share, query)
+
+    def answer_rows(self, query):
+        return tuple(((k * self.K + m - 1,), (1,)) for k, m in enumerate(query))
 
     def check_retrieves(self, theta, queries):
         """Server N's first column is wrap(m_o - theta + 1), with m_o the

@@ -33,7 +33,7 @@ from xstpir.audit import (
     estimate_work,
     exact_engine,
 )
-from xstpir.csa import CsaParams, MessageSet, QueryNoise
+from xstpir.csa import CsaParams, MessageSet, QueryNoise, QueryShare
 from xstpir.field import PrimeField
 from xstpir.special import DownloadAllParams, SymXspirParams
 
@@ -186,23 +186,25 @@ BOUNDARY_CASES = {
         audit_security, X_SECURITY, lambda: _csa(4, 1, 2, 1), {"subset_size": 3},
         RANK_TESTS, 5 * 4 + 4 * (3 * 3 * 2),
     ),
-    # binary_n3 K = 2: 2 thetas x 4 calls x 6 query symbols; every query
-    # symbol in one component, 2 rows a server x (2 + 1 theta difference)
+    # binary_n3 K = 2: the first theta's probe (2 + 2 calls) and 2 calls
+    # for the other, x 6 query symbols; every query symbol in one
+    # component, 2 rows a server x (2 + 1 theta difference)
     "privacy-rank": (
         audit_privacy, T_PRIVACY, lambda: BinaryInstance(2), {}, RANK_TESTS,
-        2 * 4 * 6 + 3 * (2 * 3 * 2),
+        (4 + 2) * 6 + 3 * (2 * 3 * 2),
     ),
-    # csa (3,2,1,1): 2 thetas x 4 calls x 6 query symbols; two components,
+    # csa (3,2,1,1): (4 + 2) calls x 6 query symbols; two components,
     # 2 rows x (1 + 1)
     "privacy-rank-pairs": (
         audit_privacy, T_PRIVACY, lambda: _csa(3, 2, 1, 1), {"subset_size": 2},
-        RANK_TESTS, 2 * 4 * 6 + 3 * 2 * (2 * 2 * 1),
+        RANK_TESTS, (4 + 2) * 6 + 3 * 2 * (2 * 2 * 1),
     ),
-    # the storage probe, then for 2 thetas x 25 queries: 6 query symbols, 6
-    # probe answers of 3 symbols, and a 3 x 4 elimination with 2 pivots
+    # the storage probe, then for 2 thetas x 25 queries: 6 query symbols, 3
+    # one-symbol answers at the check point, and a 3 x 4 elimination with
+    # 2 pivots
     "symsec-rank": (
         audit_sym_security, SYM_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS,
-        6 * 6 + 2 * 25 * (6 + 6 * 3 + 3 * 4 * 2),
+        6 * 6 + 2 * 25 * (6 + 3 + 3 * 4 * 2),
     ),
     # sym_xspir (1,2), p = 2: dim 6 (2 message, 4 noise symbols), 8 share
     # symbols. Per subset four components, one per noise symbol z_km, each
@@ -211,11 +213,12 @@ BOUNDARY_CASES = {
     "security-rank-symx": (
         audit_security, X_SECURITY, lambda: _symx(1, 2), {}, RANK_TESTS, 8 * 8 + 2 * 4 * (1 * 2 * 1),
     ),
-    # the storage probe, then for 2 thetas x 2 queries: 4 query symbols, 8
-    # probe answers of 4 symbols, and a 4 x 6 elimination with 4 pivots
+    # the storage probe, then for 2 thetas x 2 queries: 4 query symbols, 2
+    # answers of 2 symbols at the check point, and a 4 x 6 elimination with
+    # 4 pivots
     "symsec-rank-symx": (
         audit_sym_security, SYM_SECURITY, lambda: _symx(1, 2), {}, RANK_TESTS,
-        8 * 8 + 2 * 2 * (4 + 8 * 4 + 4 * 6 * 4),
+        8 * 8 + 2 * 2 * (4 + 4 + 4 * 6 * 4),
     ),
     # sym_xspir (p = 2): 4 messages, 16 noise grids, 2 columns, 2 thetas
     "security-enumeration": (
@@ -230,12 +233,14 @@ BOUNDARY_CASES = {
         audit_correctness, CORRECTNESS, lambda: _enumerated(_csa(3, 1, 1, 1)), {}, ENUMERATION,
         5 * 5 * 5,
     ),
-    # csa (3,1,1,1): dim_u 2, 3 share symbols, so 4 storage points x 3; for
-    # 1 theta x 3 query points: 3 query symbols, and at each of the 4
-    # storage points 3 one-symbol answers and a decode of L = 1 symbol
+    # csa (3,1,1,1): dim_u 2, 3 share symbols, so 4 storage points x 3;
+    # the query map (1 + 2 calls for 1 theta) x 3 query symbols; the answer
+    # rows at the zero query and 1 unit query, one symbol each; for the
+    # theta, 3 one-symbol answers at the check point and decodes of L = 1
+    # symbol at 3 + 2 answer points and at the real answers
     "correctness-identity": (
         audit_correctness, CORRECTNESS, lambda: _csa(3, 1, 1, 1), {}, IDENTITY,
-        4 * 3 + 1 * 3 * (3 + 4 * (3 + 1)),
+        4 * 3 + 3 * 3 + 2 * 1 + 1 * (3 + (3 + 3) * 1),
     ),
 }
 
@@ -462,9 +467,10 @@ def test_privacy_matches_the_joint_enumeration(case):
 
 
 def _count_calls(inst):
-    """Wrap inst's storage and queries methods; the Counter counts calls."""
+    """Wrap inst's storage, queries and answer methods; the Counter counts
+    calls."""
     calls = Counter()
-    for name in ("storage", "queries"):
+    for name in ("storage", "queries", "answer"):
         def counted(*args, _method=getattr(inst, name), _name=name):
             calls[_name] += 1
             return _method(*args)
@@ -507,7 +513,10 @@ def test_the_identity_test_builds_each_storage_and_query_point_once(case):
     assert exact_engine(inst, CORRECTNESS) == IDENTITY
     assert audit_correctness(inst).exhaustive
     assert calls["storage"] == inst.messages.count + inst.storage_noises.count + 2
-    assert calls["queries"] == len(inst.thetas) * (inst.query_randomness.count + 2)
+    # the first theta's query map, then zero and the check point per theta
+    assert calls["queries"] == inst.query_randomness.count + 2 * len(inst.thetas)
+    # each server's answer at the check points, per theta
+    assert calls["answer"] == inst.N * len(inst.thetas)
 
 
 def _per_realization_reference(inst):
@@ -599,6 +608,9 @@ class _AnswersTheWholeGrid(SymXspirInstance):
 
     def answer_symbols(self, query):
         return self.K * self.K
+
+    def answer_rows(self, query):
+        return tuple(((i,), (1,)) for i in range(self.K * self.K))
 
 
 # Every security, privacy and sym-security audit the rank tests decide in
@@ -736,11 +748,11 @@ def test_a_scheme_declared_linear_that_is_not_raises(case):
 
 
 def test_the_identity_test_refuses_spaces_not_mod_p():
-    # its points are values mod p; the sampled correctness audit draws from
-    # the Spaces themselves
-    with pytest.raises(ValueError, match="not all mod 3"):
-        audit_correctness(_wrong_modulus())
-    assert not audit_correctness(_wrong_modulus(), cap=0, samples=50).exhaustive
+    # its points are values mod p, and its sampled mode runs the same
+    # probes on drawn thetas, as the rank tests' sampled modes do
+    for cap in (DEFAULT_CAP, 0):
+        with pytest.raises(ValueError, match="not all mod 3"):
+            audit_correctness(_wrong_modulus(), cap=cap, samples=50)
 
 
 class _AsksForTheNextMessage(CsaInstance):
@@ -749,6 +761,19 @@ class _AsksForTheNextMessage(CsaInstance):
 
     def queries(self, theta, randomness):
         return super().queries(theta % self.K + 1, randomness)
+
+
+class _DoublesServer1QueryNoise(CsaInstance):
+    """Declared linear, but server 1's query noise counts twice, so the
+    interference no longer aligns: wrong only where both the storage and the
+    query noise are nonzero, in the uv-coefficients of g alone."""
+
+    def queries(self, theta, randomness):
+        first, *rest = super().queries(theta, randomness)
+        qr = self.query_randomness
+        clean = super().queries(theta, qr.build([0] * qr.count))[0]
+        cols = tuple(tuple((2 * a - b) % self.p for a, b in zip(x, y)) for x, y in zip(first.cols, clean.cols))
+        return (QueryShare(1, cols, self.p), *rest)
 
 
 # Every correctness audit the identity test decides in the tests, the
@@ -777,6 +802,9 @@ CORRECTNESS_ORACLE_CASES = {
     "asks-for-the-next-message": (
         lambda: _AsksForTheNextMessage(CsaParams.make(3, 2, 1, 1)), Fraction(4, 5),
     ),
+    "doubles-server-1-query-noise": (
+        lambda: _DoublesServer1QueryNoise(CsaParams.make(3, 2, 1, 1)), Fraction(96, 125),
+    ),
 }
 
 
@@ -789,6 +817,62 @@ def test_the_identity_test_matches_the_enumeration(case):
     assert report == audit_correctness(_enumerated(make()))  # field by field
     assert report.exhaustive
     assert (report.max_tv_distance, report.passed) == (fraction, fraction == 0)
+
+
+class _StorageFailsAtTheCheckPoint(CsaInstance):
+    """Declared linear, but its storage raises for one message value: at
+    csa (5,2,1,1) (p = 11), (1, 2, 3 / 4, 5, 6), the message part of the
+    storage check point, which a drawn realization all but never hits."""
+
+    def storage(self, messages, noise):
+        if messages.symbols == ((1, 2, 3), (4, 5, 6)):
+            raise RuntimeError("no storage for this message")
+        return super().storage(messages, noise)
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 0], ids=["identity", "sampled"])
+def test_a_failure_the_identity_test_proves_is_reported_past_the_enumeration(cap):
+    # 1.1e19 realizations, past any enumeration: the identity test sees the
+    # storage raise at its check point, and the report keeps that witness,
+    # which drawn realizations would all but never hit
+    inst = _StorageFailsAtTheCheckPoint(CsaParams.make(5, 2, 1, 1))
+    report = audit_correctness(inst, cap=cap, samples=2000)
+    assert (report.passed, report.exhaustive, report.max_tv_distance) == (False, False, ONE)
+    assert report.samples == (2000 if cap == 0 else None)
+    assert report.detail == ("identity test: theta 1, storage point check, query point zero: "
+                             "decode raised RuntimeError: no storage for this message")
+    if cap:  # the witness is a proof, so an audit without fallback reports it too
+        assert audit_correctness(inst, cap=cap, fallback=False) == report
+
+
+def test_sampled_correctness_runs_the_identity_test_on_drawn_thetas():
+    report = audit_correctness(_csa(3, 2, 1, 1), cap=0, samples=1, seed=0)
+    assert (report.passed, report.exhaustive, report.max_tv_distance) == (True, False, ZERO)
+    assert report.detail == "sampled: identity test on 1 of 2 thetas"
+    # decoding message 2 for theta 1: the u-coefficient of message 1 is off
+    report = audit_correctness(_AsksForTheNextMessage(CsaParams.make(3, 2, 1, 1)), cap=0, samples=5)
+    assert (report.passed, report.max_tv_distance, report.subsets_checked) == (False, ONE, 2)
+    assert report.detail == ("identity test: theta 1, storage point unit 0, query point zero: "
+                             "decode is not message theta")
+    # a declaration its calls contradict, though the scheme decodes: refused
+    with pytest.raises(ValueError, match="decodes at theta 2 where its declarations say"):
+        audit_correctness(_NoiseDependsOnTheta(CsaParams.make(3, 2, 1, 1)), cap=0, samples=5)
+
+
+class _ShiftedAnswerRows(CsaInstance):
+    """Declares each answer row one share symbol off: a false declaration."""
+
+    def answer_rows(self, query):
+        (js, aj), = super().answer_rows(query)
+        return ((tuple((j + 1) % len(query) for j in js), aj),)
+
+
+@pytest.mark.parametrize("auditor", [audit_sym_security, audit_correctness])
+def test_answer_rows_that_are_not_the_answers_raise(auditor):
+    # checked against `answer` at the check point, exact and sampled
+    for cap in (DEFAULT_CAP, 0):
+        with pytest.raises(ValueError, match="declares answer rows that are not server"):
+            auditor(_ShiftedAnswerRows(CsaParams.make(3, 2, 1, 1)), cap=cap, samples=50)
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +913,10 @@ def _unsplit(inst, auditor, size):
         columns, limit = [*range(km, km + kz), *range(km)], kz
     else:
         kq, thetas = inst.query_randomness.count, list(inst.thetas)
+        build = inst.query_randomness.build
         first, *others = [
-            affine.probe(inst, affine.queries_at(inst, t), (inst.query_randomness,))
+            affine.probe(inst, lambda u, t=t: inst.query_payloads(inst.queries(t, build(u))),
+                         (inst.query_randomness,))
             for t in thetas
         ]
         view = [
@@ -960,11 +1046,16 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
         assert calls == {"storage": 1 + dim + 2}  # the work count's zero point, then the probe
         calls.clear()
         audit_privacy(inst, subset_size=2, cap=0, samples=samples)
-        assert calls == {"queries": 2 * (kq + 2)}  # one probe per compared theta, no storage
+        # the first theta's probe, then zero and the check point of the
+        # last; no storage
+        assert calls == {"queries": kq + 2 + 2}
         calls.clear()
-        audit_sym_security(inst, cap=0, samples=samples)
-        # the zero point, the storage at every probe point, one query per draw
-        assert calls == {"storage": 1 + dim + 2, "queries": samples}
+        report = audit_sym_security(inst, cap=0, samples=samples)
+        # the storage at every probe point (the work count's zero point
+        # reused), one query per draw, and each server's answer at the
+        # check point per distinct query payload
+        assert calls == {"storage": dim + 2, "queries": samples,
+                         "answer": inst.N * report.subsets_checked}
     # the exact audit runs the split its work count probed for, and the
     # count itself leaves nothing on the scheme
     inst = _csa(3, 2, 1, 1)

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from xstpir import sim
-from xstpir.cli import main
+from xstpir.cli import REGISTRY, main
+from xstpir.scheme import CsaScheme
 
 
 def run_cli(argv, capsys):
@@ -206,9 +207,10 @@ def test_audit_refuses_oversized_enumeration(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     # the exact work it refused, in the unit of the engine that would run:
-    # the query probe (2 thetas x 4 calls x 6 symbols) is already over the
-    # cap, so the count stops there, without probing
-    assert "rank tests would take 48 steps" in err
+    # the query probe (4 calls at the first theta, 2 at the other, x 6
+    # symbols) is already over the cap, so the count stops there, without
+    # probing
+    assert "rank tests would take 36 steps" in err
     assert "--sampled" in err
 
 
@@ -274,6 +276,48 @@ def test_audit_decides_a_large_csa_security_exactly(extra, code, verdict, tmp_pa
     assert got == code
     assert "exhaustive true" in out
     assert verdict in out
+
+
+@pytest.mark.parametrize("prop,extra,code,verdict", [
+    ("privacy", [], 0, "max_tv 0\npass true"),
+    ("privacy", ["--subset-size", "3"], 1, "max_tv 1\npass false"),
+    ("correctness", [], 0, "max_tv 0\npass true"),
+], ids=["privacy", "privacy-triples", "correctness"])
+def test_audit_decides_large_csa_privacy_and_correctness_exactly(prop, extra, code, verdict,
+                                                                 tmp_path, capsys, monkeypatch):
+    # the query map is probed at the first theta only, and correctness is
+    # assembled from the maps, so both fit the default cap at csa
+    # (12,64,2,2); each ran in 2-4 s on a 2-core VM
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    got, out, _ = run_cli(["audit", *LARGE_CSA_ARGS, "--property", prop, *extra], capsys)
+    assert time.perf_counter() - started < 10
+    assert got == code
+    assert "exhaustive true" in out
+    assert verdict in out
+
+
+class _StorageFailsAtTheCheckPoint(CsaScheme):
+    """csa whose storage raises only for the messages (1, 2, 3 / 4, 5, 6),
+    the message part of the identity test's storage check point at
+    (5,2,1,1)."""
+
+    def storage(self, messages, noise):
+        if messages.symbols == ((1, 2, 3), (4, 5, 6)):
+            raise RuntimeError("no storage for this message")
+        return super().storage(messages, noise)
+
+
+@pytest.mark.parametrize("extra", [[], ["--sampled"], ["--sampled", "--cap", "0"]])
+def test_audit_fails_a_correctness_failure_it_proves_past_any_enumeration(extra, tmp_path, capsys,
+                                                                          monkeypatch):
+    # the identity test's witness is reported, never a sampled pass
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(REGISTRY, "csa", _StorageFailsAtTheCheckPoint)
+    code, out, _ = run_cli(["audit", *CSA_ARGS, "--property", "correctness", *extra], capsys)
+    assert code == 1
+    assert "exhaustive false" in out
+    assert "max_tv 1\npass false\ndetail identity test: theta 1, storage point check" in out
 
 
 def test_audit_decides_csa_correctness_past_any_enumeration(tmp_path, capsys, monkeypatch):
