@@ -15,7 +15,7 @@ Components:
   tests where the scheme declares the map an audit reads affine (`linear`
   for shares and answers, read by security and sym-security, as every
   scheme does; `linear_queries` for queries, read by privacy), by an
-  identity test for correctness given both, else by enumeration;
+  identity test for correctness given `linear`, else by enumeration;
 - sim: server objects behind a synchronous wire transport, wire format,
   replayable and validated transcripts;
 - cli: the xstpir command.

@@ -17,7 +17,8 @@ and the queries of the first theta, each other theta in two more calls
 for it (`declared`, `Scheme.answer_rows`), checked against `answer` at the
 check point; `compose` and `cross` apply such declared rows, and decode's,
 to the maps without calling the scheme again. `identity` assembles the
-correctness identity of a scheme declared linear on both sides from them.
+correctness identity of a scheme declared linear from them: once per theta
+where the queries are declared too, else per query realization.
 
 The audits' rank tests ask whether some column of B lies outside colspan A
 in a matrix [A | B] of such rows. A is block diagonal over the connected
@@ -208,56 +209,68 @@ def declared(inst: Scheme, payloads, shares, answers) -> list:
     return given
 
 
-def identity(inst: Scheme, thetas: list[int], zero):
-    """The identity test of `audit.audit_correctness` on `thetas`, given the
-    storage at zero: g(u, v) = decode(answers) - message theta, bi-affine
-    in the storage values u and the query randomness v, assembled from the
-    share map, the query map, the declared answer rows (`declared`, checked
-    at the check point) and decode's rows (decode read at zero, unit and
-    check answers). None if its constant and its u-, v- and uv-coefficients
-    all vanish and a real decode at the check points is right, else the
-    (theta, storage point, query point) of the call that raised or of a
-    coefficient that does not vanish."""
-    p, N, L, qs = inst.p, inst.N, inst.L, inst.query_symbols
-    du, dv = (dim(inst, s) for s in ((inst.messages, inst.storage_noises), (inst.query_randomness,)))
+def identity(inst: Scheme, asked: list, zero):
+    """The identity test of `audit.audit_correctness` on `asked`, given the
+    storage at zero: g = decode(answers) - message theta, affine in the
+    storage values u, assembled from the share map, the declared answer
+    rows (`declared`, checked at the check point) and decode's rows (decode
+    read at zero, unit and check answers). `asked` lists (theta, query
+    randomness values) pairs. For a scheme declared `linear_queries` they
+    are (theta, None), one per theta: g(u, v) is then bi-affine in u and
+    the query randomness v, assembled with the query map too, and its v-
+    and uv-coefficients must vanish as well. Else each pair's real queries
+    are tested, with no query map and no v or uv terms. None if every
+    coefficient vanishes and a real decode at the check points is right,
+    else the (theta, storage point, query point) of the call that raised or
+    of a coefficient that does not vanish."""
+    p, N, L, qs, qr = inst.p, inst.N, inst.L, inst.query_symbols, inst.query_randomness
+    du, full = dim(inst, (inst.messages, inst.storage_noises)), inst.linear_queries
     unit = lambda n, j: [int(i == j) for i in range(n)]  # unit(n, -1) is zero
-    # the answer rows at the zero query, and their change along each query symbol
-    given = [inst.answer_rows(tuple(unit(qs, k))) for k in range(-1, qs)]
-    width = next((len(rows) for rows in given if rows is not None), 0)
-    base, *units = [rows or (((), ()),) * width for rows in given]
-    delta = [[(js + bj, aj + tuple(-a for a in ba)) for (js, aj), (bj, ba) in zip(rows, base)]
-             for rows in units]
-    spot, probed = [thetas[0], unit(du, -1), unit(dv, -1)], []
+    if full:  # the answer rows at the zero query, and their change along each query symbol
+        dv, given = dim(inst, (qr,)), [inst.answer_rows(tuple(unit(qs, k))) for k in range(-1, qs)]
+        width = next((len(rows) for rows in given if rows is not None), 0)
+        base, *units = [rows or (((), ()),) * width for rows in given]
+        delta = [[(js + bj, aj + tuple(-a for a in ba)) for (js, aj), (bj, ba) in zip(rows, base)]
+                 for rows in units]
+    spot, probed, decoders = [asked[0][0], unit(du, -1), unit(qr.count, -1)], [], {}
     try:
         if isinstance(zero, Exception):
             raise zero
         shares, stored = share_map(inst, zero, spot)
-        first, maps = query_maps(inst, thetas, spot)
-        spot[1:] = check(du, p), check(dv, p)
+        if full:  # per theta the queries' constant (at zero), and the queries at the check point
+            first, maps = query_maps(inst, [theta for theta, _ in asked], spot)
+            asked = [(theta, check(dv, p), *mapped) for (theta, _), mapped in zip(asked, maps)]
+        spot[1] = check(du, p)
         checked = inst.messages.build(spot[1][: inst.messages.count])
-        for spot[0], (_, queries) in zip(thetas, maps):  # decode's rows, and one real decode
+        for spot[0], spot[2], *mapped in asked:  # the answers at the check points, and one real decode
+            queries = mapped[1] if full else inst.queries(spot[0], qr.build(spot[2]))
             answers = list(map(inst.answer, stored, queries))
-            at = lambda a: [inst.decode(spot[0], [tuple(a[n * width:][:width]) for n in range(N)])]
-            rows = read(map(at, points(N * width, p)), N * width, p)[0]
+            width = width if full else next((len(a) for a in answers if a is not None), 0)
+            if (spot[0], width) not in decoders:  # decode's rows
+                at = lambda a: [inst.decode(spot[0], [tuple(a[n * width:][:width]) for n in range(N)])]
+                decoders[spot[0], width] = read(map(at, points(N * width, p)), N * width, p)[0]
             decoded = inst.decode(spot[0], answers) == inst.plaintext(checked, spot[0])
-            probed.append((rows, answers, decoded))
+            probed.append((spot[0], spot[2], mapped[0] if full else None, queries, width, answers, decoded))
     except Exception:
         return tuple(spot)
-    moving, shared = cross(first, shares, delta, width, p), inst.share_payloads(stored)
-    for theta, (constant, queries), (rows, answers, decoded) in zip(thetas, maps, probed):
-        declared(inst, inst.query_payloads(queries), shared, answers)
-        forms = [compose(row, shares[n], p) for n in range(N)
-                 for row in inst.answer_rows(tuple(constant[n * qs:][:qs])) or (((), ()),) * width]
-        for l, (c, js, aj) in enumerate(rows):  # decode's row l, minus message theta's symbol l
+    moving, shared = cross(first, shares, delta, width, p) if full else {}, inst.share_payloads(stored)
+    for theta, v, constant, queries, width, answers, decoded in probed:
+        payloads, point = inst.query_payloads(queries), v
+        declared(inst, payloads, shared, answers)
+        if full:  # g(u, 0) is read from the answer rows at the queries' constant, else g(u, v) at v
+            payloads, point = [tuple(constant[n * qs:][:qs]) for n in range(N)], unit(dv, -1)
+        forms = [compose(row, shares[n], p) for n, rows in enumerate(map(inst.answer_rows, payloads))
+                 for row in rows or (((), ()),) * width]
+        for l, (c, js, aj) in enumerate(decoders[theta, width]):  # decode's row l - message theta's symbol l
             c, us, _ = compose((js + (-1,), aj + (1,)), [*forms, (c, ((theta - 1) * L + l,), (-1,))], p)
             if c or us:
-                return theta, unit(du, -1 if c else min(us)), unit(dv, -1)
+                return theta, unit(du, -1 if c else min(us)), point
             row = dict(zip(js, aj))
             for column, (j, m) in moving.items():
                 if sum(row.get(i, 0) * a for i, a in column) % p:
                     return theta, unit(du, m), unit(dv, j)
         if not decoded:
-            return theta, spot[1], spot[2]
+            return theta, spot[1], v
     return None
 
 

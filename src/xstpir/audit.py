@@ -29,31 +29,36 @@ rank[A_other | A_z] = rank A_z (A_other: A_m outside message theta) for
 every theta and distinct query payload, one elimination each. Security
 and privacy split [A | B] into the components of A (`affine.split`).
 
-The identity test (`affine.identity`) decides correctness where both
-sides are declared. g(u, v) = decode(answers) - message theta is then
-bi-affine in the storage values u and the query randomness v; it is
-assembled from the share map, the query map, the answer rows and decode
-read at zero, unit and check answers, and its constant and u-, v- and
-uv-coefficients must all vanish. Where one does not, or a call raises,
-enumeration takes over within its cap; past it the report fails, not
-exhaustive, max_tv 1, with the witness realization (theta, storage and
-query point, what went wrong) in `detail`, never a sampled statistic.
-Enumeration decides the rest from exact outcome-frequency tables over all
-the randomness (sym_xspir's privacy and correctness, and a scheme that
-declares nothing), and it is the oracle the other engines are tested
-against.
+The identity test (`affine.identity`) decides correctness where the
+storage side is declared. g = decode(answers) - message theta is then
+affine in the storage values u for each query realization; it is
+assembled from the share map, the answer rows and decode read at zero,
+unit and check answers, and its constant and u-coefficients must vanish.
+With the query side declared too, g(u, v) is bi-affine in u and the query
+randomness v, the query map is read once, and its v- and uv-coefficients
+must vanish as well; else each (theta, query realization) is tested.
+Where a coefficient does not vanish, or a call raises, enumeration takes
+over within its cap; past it the report fails, not exhaustive, max_tv 1,
+with the witness realization (theta, storage and query point, what went
+wrong) in `detail`.
+
+Enumeration (`_enumeration`) tabulates a view per group over all the
+randomness and compares the tables exactly. It decides sym_xspir's
+privacy and every audit of a scheme that declares nothing, and it is the
+oracle the other engines are tested against.
 
 Distances are exact Fractions; an exact audit passes only at distance 0
 (correctness reports the exact failure fraction). When the exact engine's
-work (`estimate_work`) would exceed the cap the audit runs on a seeded
-draw, flagged non-exhaustive (fallback=False raises OverCap; samples below
-1 raise ValueError). The first two engines then run their probes and the
-tests of the draw: min(samples, C(N, size)) distinct subsets (privacy
-comparing the first and the last theta), `samples` query realizations for
-sym-security, min(samples, K) thetas for correctness. Such a report is
-one-sided: max_tv 1 proves a failure, max_tv 0 says that none of the tests
-run found one, and `detail` says how many ran. Enumeration's fallback
-compares outcome frequencies over `samples` drawn realizations.
+work (`estimate_work`) would exceed the cap the audit refuses with
+OverCap (samples below 1 raise ValueError), unless its engine reads the
+scheme's declared maps and `fallback` allows a seeded draw, flagged
+non-exhaustive. The engine then runs its probes and the tests of the
+draw: min(samples, C(N, size)) distinct subsets (privacy comparing the
+first and the last theta), `samples` query realizations for sym-security,
+and for correctness min(samples, K) thetas, or min(samples, K * |qr|)
+(theta, query realization) pairs. Such a report is one-sided: max_tv 1
+proves a failure, max_tv 0 says that none of the tests run found one, and
+`detail` says how many ran. Enumeration has no such mode.
 """
 
 from __future__ import annotations
@@ -84,9 +89,6 @@ WORK_UNITS = {
 
 DEFAULT_CAP = 1 << 24
 DEFAULT_SAMPLES = 20000
-# Comparing sampled outcome frequencies cannot certify distance 0, only flag
-# gross violations. The rank tests of a linear scheme need no tolerance.
-SAMPLED_TOLERANCE = Fraction(1, 20)
 
 
 class OverCap(ValueError):
@@ -126,18 +128,27 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _tv(c1: Counter, c2: Counter, total: int) -> Fraction:
-    keys = set(c1) | set(c2)
-    return Fraction(sum(abs(c1[k] - c2[k]) for k in keys), 2 * total)
+def _max_tv(tables: dict) -> Fraction:
+    """Max TV between two tables of one group (`_enumeration`), which must
+    each count the same realizations; identical tables are grouped first,
+    so the common all-equal case costs one pass."""
+    worst = Fraction(0)
+    for group in tables.values():
+        (total,) = {sum(c.values()) for c in group.values()}
+        for a, b in combinations({frozenset(c.items()): c for c in group.values()}.values(), 2):
+            worst = max(worst, Fraction(sum(abs(a[k] - b[k]) for k in a.keys() | b.keys()), 2 * total))
+    return worst
 
 
-def _max_tv(tables: dict[object, list[Counter]], total: int) -> Fraction:
-    """Max pairwise TV within each entry's tables, each over `total`
-    realizations; identical tables are grouped first, so the common
-    all-equal case costs one pass."""
-    assert all(sum(c.values()) == total for counters in tables.values() for c in counters)
-    reps = [{tuple(sorted(c.items())): c for c in counters}.values() for counters in tables.values()]
-    return max((_tv(a, b, total) for r in reps for a, b in combinations(r, 2)), default=Fraction(0))
+def _enumeration(views) -> dict:
+    """The enumeration engine's tables: `views` yields, realization by
+    realization over all the randomness, the (group, table, outcome)
+    triples that realization shows. Per group, its tables by key, each
+    counting its outcomes in the order they were first seen."""
+    tables: dict = {}
+    for (group, table, outcome), n in Counter(views).items():
+        tables.setdefault(group, {}).setdefault(table, Counter())[outcome] = n
+    return tables
 
 
 # The audits take any Scheme. The older adapter names stay, as the scheme
@@ -148,55 +159,68 @@ BinaryInstance = BinaryScheme
 SymXspirInstance = SymXspirScheme
 
 
-def _check_size(inst: Scheme, size: int) -> int:
-    if not 1 <= size <= inst.N:
-        raise ValueError(f"subset size must be in 1..{inst.N}, got {size}")
-    return size
-
-
 def _exact(inst: Scheme, prop: str, size, cap: int, samples: int, fallback: bool, engine=None):
     """Whether `engine` (by default `exact_engine`'s) runs, its `_plan` work
     within the cap, and `_plan`'s tests. Past the cap, OverCap unless
-    `fallback` is allowed."""
+    `fallback` is allowed and the engine is not enumeration."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     engine = engine or exact_engine(inst, prop)
     work, tests = _plan(inst, prop, size, cap, engine)
-    if work > cap and not fallback:
+    if work > cap and not (fallback and engine != ENUMERATION):
         raise OverCap(f"the exact audit by {engine} would take {work} {WORK_UNITS[engine]}, "
                       f"over the cap of {cap}")
     return work <= cap, tests
 
 
-def _subsets_report(prop, inst, size, tests, exact, enumerated, samples, seed) -> AuditReport:
-    """The split rank test `tests` on the size-subsets of the servers, in
-    lexicographic order up to the first leak: on every one if `exact`,
-    else on min(samples, C(N, size)) distinct ones drawn from Random(seed)."""
-    total = comb(inst.N, size)
-    subsets = combinations(range(inst.N), size)
+def _draw(seed: int, samples: int, total: int, one) -> list:
+    """min(samples, total) distinct values of one(rng), rng = Random(seed), sorted."""
+    rng, drawn = Random(seed), set()
+    while len(drawn) < min(samples, total):
+        drawn.add(one(rng))
+    return sorted(drawn)
+
+
+def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, detail=""):
+    """Exact: pass at max_tv 0. Else a seeded draw of the exact tests
+    `detail` names, one-sided: pass at 0, and 1 is a proven failure."""
+    head = (prop, inst.describe(), size, checked, max_tv, max_tv == 0, exact)
+    return AuditReport(*head, enumerated) if exact else AuditReport(*head, 0, samples, f"sampled: {detail}")
+
+
+def _subsets_audit(prop, inst, subset_size, cap, samples, seed, fallback) -> AuditReport:
+    """X-security or T-privacy (`prop`) of the size-subsets of the servers.
+    The split rank tests run in lexicographic order up to the first leak:
+    on every subset if exact, else on min(samples, C(N, size)) distinct ones
+    drawn from Random(seed). Enumeration tabulates each subset's view per
+    message value (security: its shares over the storage noise) or per theta
+    (privacy: its queries over the query randomness)."""
+    security, thetas, qr = prop == X_SECURITY, list(inst.thetas), inst.query_randomness
+    size = (inst.X if security else inst.T) if subset_size is None else subset_size
+    if not 1 <= size <= inst.N:
+        raise ValueError(f"subset size must be in 1..{inst.N}, got {size}")
+    exact, tests = _exact(inst, prop, size, cap, samples, fallback)
+    enumerated = inst.messages.size * inst.storage_noises.size * (1 if security else len(thetas) * qr.size)
+    total, subsets = comb(inst.N, size), combinations(range(inst.N), size)
+    if exact_engine(inst, prop) == ENUMERATION:
+        if security:
+            views = ((m, inst.share_payloads(inst.storage(m, z)))
+                     for m in inst.messages for z in inst.storage_noises)
+        else:
+            views = ((t, inst.query_payloads(inst.queries(t, r))) for t in thetas for r in qr)
+        tables = _enumeration((s, table, tuple(y[n] for n in s))
+                              for table, y in views for s in combinations(range(inst.N), size))
+        return _report(prop, inst, size, total, _max_tv(tables), True, enumerated, None)
+    if tests is None or not (exact or security):  # sampled privacy compares the first and the last theta
+        tests = _security_tests(inst) if security else _privacy_tests(inst, [thetas[0], thetas[-1]])
     if not exact and samples < total:
-        rng, drawn = Random(seed), set()
-        while len(drawn) < samples:
-            drawn.add(tuple(sorted(rng.sample(range(inst.N), size))))
-        subsets = sorted(drawn)
+        subsets = _draw(seed, samples, total, lambda rng: tuple(sorted(rng.sample(range(inst.N), size))))
     seen: dict = {}
     for tested, s in enumerate(subsets, 1):
         if leak := affine.leaks(tests, s, inst.p, seen):
             break
     return _report(prop, inst, size, total if exact else tested, Fraction(leak), exact,
                    enumerated, samples, f"rank tests on {tested} of {total} subsets")
-
-
-def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, ranked=""):
-    """Exact: pass at max_tv 0. Sampled by the exact tests `ranked` names:
-    pass at 0 (1 is a failure). Else: pass within SAMPLED_TOLERANCE."""
-    head = (prop, inst.describe(), size, checked, max_tv)
-    if exact:
-        return AuditReport(*head, max_tv == 0, True, enumerated)
-    if ranked:
-        return AuditReport(*head, max_tv == 0, False, 0, samples, f"sampled: {ranked}")
-    return AuditReport(*head, max_tv <= SAMPLED_TOLERANCE, False, 0, samples,
-                       f"sampled, tolerance {SAMPLED_TOLERANCE}")
 
 
 def audit_security(
@@ -215,22 +239,7 @@ def audit_security(
     share tuple over all storage noise, tabulated per message value. A
     subset size outside 1..N raises ValueError.
     """
-    size = _check_size(inst, inst.X if subset_size is None else subset_size)
-    exact, tests = _exact(inst, X_SECURITY, size, cap, samples, fallback)
-    enumerated = inst.messages.size * inst.storage_noises.size
-    if exact_engine(inst, X_SECURITY) == RANK_TESTS:
-        tests = _security_tests(inst) if tests is None else tests
-        return _subsets_report(X_SECURITY, inst, size, tests, exact, enumerated, samples, seed)
-    subsets, rng, z = list(combinations(range(inst.N), size)), Random(seed), inst.storage_noises
-    # exact: every message value over all storage noise; sampled: two drawn
-    # message values, each over `samples` draws of it
-    messages = list(inst.messages) if exact else [inst.messages.sample(rng) for _ in range(2)]
-    per = z.size if exact else samples
-    draws = lambda: z if exact else (z.sample(rng) for _ in range(samples))
-    views = ((i, inst.share_payloads(inst.storage(m, noise)))
-             for i, m in enumerate(messages) for noise in draws())
-    max_tv = _subset_tables(subsets, views, len(messages), per)
-    return _report(X_SECURITY, inst, size, len(subsets), max_tv, exact, enumerated, samples)
+    return _subsets_audit(X_SECURITY, inst, subset_size, cap, samples, seed, fallback)
 
 
 def _security_tests(inst: Scheme) -> list:
@@ -240,16 +249,6 @@ def _security_tests(inst: Scheme) -> list:
     km, dim = inst.messages.count, affine.dim(inst, spaces)
     shares = affine.storage_at(inst, inst.share_payloads)
     return affine.split(affine.probe(inst, shares, spaces), range(km, dim), range(km))
-
-
-def _subset_tables(subsets, views, tables: int, per: int) -> Fraction:
-    """Max TV, per subset, between `tables` tables of its view, each over
-    `per` realizations: views yields (table, every server's payload)."""
-    counts: dict[tuple, list[Counter]] = {s: [Counter() for _ in range(tables)] for s in subsets}
-    for table, payloads in views:
-        for s in subsets:
-            counts[s][table][tuple(payloads[n] for n in s)] += 1
-    return _max_tv(counts, per)
 
 
 def audit_privacy(
@@ -275,27 +274,11 @@ def audit_privacy(
 
     and the share view cannot move max_tv. It is decided by rank tests
     (`exact_engine`) or by tabulating Q_theta; `enumerated` still counts
-    the len(thetas) * |qr| * pairs joint realizations. The sampled mode
-    compares the first and the last theta. A subset size outside 1..N
+    the len(thetas) * |qr| * pairs joint realizations. The sampled rank
+    tests compare the first and the last theta. A subset size outside 1..N
     raises ValueError.
     """
-    size = _check_size(inst, inst.T if subset_size is None else subset_size)
-    thetas, qr = list(inst.thetas), inst.query_randomness
-    ends = [thetas[0], thetas[-1]]
-    exact, tests = _exact(inst, T_PRIVACY, size, cap, samples, fallback)
-    enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
-    if exact_engine(inst, T_PRIVACY) == RANK_TESTS:
-        tests = tests if exact else _privacy_tests(inst, ends)
-        return _subsets_report(T_PRIVACY, inst, size, tests, exact, enumerated, samples, seed)
-    subsets, rng = list(combinations(range(inst.N), size)), Random(seed)
-    # exact: every theta over all query randomness; sampled: the two ends,
-    # each over `samples` draws of it
-    compared, per = (thetas, qr.size) if exact else (ends, samples)
-    draws = lambda: qr if exact else (qr.sample(rng) for _ in range(samples))
-    views = ((i, inst.query_payloads(inst.queries(t, r)))
-             for i, t in enumerate(compared) for r in draws())
-    max_tv = _subset_tables(subsets, views, len(compared), per)
-    return _report(T_PRIVACY, inst, size, len(subsets), max_tv, exact, enumerated, samples)
+    return _subsets_audit(T_PRIVACY, inst, subset_size, cap, samples, seed, fallback)
 
 
 def _privacy_tests(inst: Scheme, thetas: list[int]) -> list:
@@ -337,51 +320,35 @@ def audit_sym_security(
     (theta, query payload, value of message theta) groups, sampled rank
     tests the distinct (theta, query payload) pairs they test.
     """
-    thetas, rng, qr = list(inst.thetas), Random(seed), inst.query_randomness
+    thetas, qr = list(inst.thetas), inst.query_randomness
     exact, zero = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
+    ask = lambda t, r: (inst.query_payloads(q := inst.queries(t, r)), q)
+    asked = {t: [ask(t, r) for r in qr] for t in thetas} if exact else {}
     if exact_engine(inst, SYM_SECURITY) == RANK_TESTS:
         if exact:
-            asked = {t: _distinct_queries(inst, t) for t in thetas}
-            pairs = ((t, q) for t in thetas for q, *_ in asked[t].values())
+            pairs = ((t, *yq) for t in thetas for yq in asked[t])
         else:
-            drawn = (rng.choice(thetas) for _ in range(samples))
-            pairs = ((t, inst.queries(t, qr.sample(rng))) for t in drawn)
+            rng = Random(seed)
+            pairs = ((t, *ask(t, qr.sample(rng))) for t in (rng.choice(thetas) for _ in range(samples)))
         tested, distinct, leak = _sym_by_rank(inst, pairs, zero)
         # a linear plaintext is message theta's L values: p^L groups per payload
-        checked = sum(map(len, asked.values())) * inst.p**inst.L if exact else distinct
+        checked = len({(t, y) for t in thetas for y, _ in asked[t]}) * inst.p**inst.L if exact else distinct
         detail = f"rank tests on {tested} query realizations drawn from {len(thetas)} x {qr.base}^{qr.count}"
         return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
                        samples, detail)
-    if exact:
-        max_tv, groups = _sym_security_by_enumeration(inst, thetas)
-        return _report(SYM_SECURITY, inst, inst.N, groups, max_tv, True, enumerated, 0)
-    tables = {}
-    for i, theta in enumerate((thetas[0], thetas[-1])):
-        q = inst.queries(theta, qr.sample(rng))
-        base, other = inst.messages.draw(rng), inst.messages.draw(rng)
-        desired = slice((theta - 1) * inst.L, theta * inst.L)
-        other[desired] = base[desired]  # the same message theta, so they are comparable
-        answers = affine.storage_at(inst, lambda stored: _answers(inst, stored, q))
-        draw = lambda m: answers(m + inst.storage_noises.draw(rng))
-        tables[i] = [Counter(draw(m) for _ in range(samples)) for m in (base, other)]
-    return _report(SYM_SECURITY, inst, inst.N, 2, _max_tv(tables, samples), False, 0, samples)
-
-
-def _distinct_queries(inst: Scheme, theta: int) -> dict[tuple, list]:
-    """Every query tuple for theta, grouped by payload."""
-    realizations: dict[tuple, list] = {}
-    for qr in inst.query_randomness:
-        q = inst.queries(theta, qr)
-        realizations.setdefault(inst.query_payloads(q), []).append(q)
-    return realizations
+    stored = [(m, inst.storage(m, z)) for m in inst.messages for z in inst.storage_noises]
+    tables = _enumeration(((t, y, inst.plaintext(m, t)), m, _answers(inst, shares, q))
+                          for t in thetas for m, shares in stored for y, q in asked[t])
+    return _report(SYM_SECURITY, inst, inst.N, len(tables), _max_tv(tables), True, enumerated, samples)
 
 
 def _sym_by_rank(inst: Scheme, asked, zero) -> tuple[int, int, bool]:
     """rank[A_other | A_z] > rank A_z for the answers to each (theta, query
-    tuple) in `asked`, up to the first leak, A being the declared answer
-    rows composed with the share map: how many were tested, how many
-    distinct (theta, payload) pairs among them, and whether one leaks."""
+    payload, query tuple) in `asked`, up to the first leak, A being the
+    declared answer rows composed with the share map: how many were tested,
+    how many distinct (theta, payload) pairs among them, and whether one
+    leaks."""
     km, kz, p, L = inst.messages.count, inst.storage_noises.count, inst.p, inst.L
     shares, stored = affine.share_map(inst, zero, [None] * 3)
     # each share row's (column, coefficient) pairs, the columns [noise | messages]
@@ -389,12 +356,11 @@ def _sym_by_rank(inst: Scheme, asked, zero) -> tuple[int, int, bool]:
     shares = [[tuple(zip(map(place.__getitem__, js), aj)) for _, js, aj in server] for server in shares]
     checked = inst.share_payloads(stored)
     verdicts: dict[tuple, bool] = {}  # by (theta, query payload)
-    for tested, (theta, q) in enumerate(asked, 1):
-        key = (theta, inst.query_payloads(q))
-        if key not in verdicts:
+    for tested, (theta, payload, q) in enumerate(asked, 1):
+        if (key := (theta, payload)) not in verdicts:
             rows, cut = [], kz + (theta - 1) * L
             answers = list(map(inst.answer, stored, q))
-            for view, declared in zip(shares, affine.declared(inst, key[1], checked, answers)):
+            for view, declared in zip(shares, affine.declared(inst, payload, checked, answers)):
                 for js, aj in declared or ():
                     dense = [0] * (kz + km)
                     for i, a in zip(js, aj):
@@ -408,24 +374,6 @@ def _sym_by_rank(inst: Scheme, asked, zero) -> tuple[int, int, bool]:
     return tested, len(verdicts), verdicts[key]
 
 
-def _sym_security_by_enumeration(inst: Scheme, thetas: list[int]) -> tuple[Fraction, int]:
-    messages, noises = list(inst.messages), list(inst.storage_noises)
-    share_cache = [[inst.storage(m, z) for z in noises] for m in messages]
-    max_tv, groups = Fraction(0), 0
-    for theta in thetas:
-        for qlist in _distinct_queries(inst, theta).values():
-            by_desired: dict = {}
-            for mi, m in enumerate(messages):
-                c: Counter = Counter()
-                for shares in share_cache[mi]:
-                    for q in qlist:
-                        c[_answers(inst, shares, q)] += 1
-                by_desired.setdefault(inst.plaintext(m, theta), []).append(c)
-            max_tv = max(max_tv, _max_tv(by_desired, len(noises) * len(qlist)))
-            groups += len(by_desired)
-    return max_tv, groups
-
-
 def _attempt(make, *args):
     """make(*args), or the exception it raised."""
     try:
@@ -434,18 +382,18 @@ def _attempt(make, *args):
         return exc
 
 
-def _decodes(inst: Scheme, theta: int, m, shares, queries) -> tuple[bool, Exception | None]:
-    """Whether one realization decodes to message theta, and the first
-    exception on its way: from building the shares, from building the
-    queries (each passed in as the exception when it raised), or from the
-    answers and decode."""
-    for made in (shares, queries):
-        if isinstance(made, Exception):
-            return False, made
-    try:
-        return inst.decode(theta, _answers(inst, shares, queries)) == inst.plaintext(m, theta), None
-    except Exception as exc:
-        return False, exc
+def _decodes(inst: Scheme, theta: int, m, shares, queries) -> tuple[bool, str]:
+    """Whether one realization decodes to message theta, and what the first
+    exception on its way says ("" if none): from building the shares, from
+    building the queries (each passed in as the exception when it raised),
+    or from the answers and decode."""
+    error = next((made for made in (shares, queries) if isinstance(made, Exception)), None)
+    if error is None:
+        try:
+            return inst.decode(theta, _answers(inst, shares, queries)) == inst.plaintext(m, theta), ""
+        except Exception as exc:
+            error = exc
+    return False, f"decode raised {type(error).__name__}: {error}"
 
 
 def audit_correctness(
@@ -464,45 +412,35 @@ def audit_correctness(
     order is surfaced in the detail field. Enumeration (each storage once
     per (m, z), each query tuple once per (theta, qr)) runs where the
     identity test (`exact_engine`) fails, within its cap; past it the
-    failure is reported with the identity test's witness and max_tv 1."""
+    failure is reported with the identity test's witness and max_tv 1.
+    `subsets_checked` counts the thetas tested."""
     thetas, qr = list(inst.thetas), inst.query_randomness
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
     exhaustive, zero = _exact(inst, CORRECTNESS, None, cap, samples, fallback)
     if exact_engine(inst, CORRECTNESS) == IDENTITY:
-        drawn = thetas if exhaustive else sorted(Random(seed).sample(thetas, min(samples, len(thetas))))
-        if (failed := affine.identity(inst, drawn, zero)) is None:
-            return _report(CORRECTNESS, inst, inst.N, len(drawn), Fraction(0), exhaustive, enumerated,
-                           samples, f"identity test on {len(drawn)} of {len(thetas)} thetas")
-        if not (exhaustive and _exact(inst, CORRECTNESS, None, cap, samples, True, ENUMERATION)[0]):
-            return AuditReport(CORRECTNESS, inst.describe(), inst.N, len(drawn), Fraction(1), False,
+        # one test per theta where the queries are declared affine, else one per (theta, qr)
+        per = 1 if inst.linear_queries else qr.size
+        total = len(thetas) * per
+        values = lambda i: [i // qr.base**c % qr.base for c in reversed(range(qr.count))]
+        picked = range(total) if exhaustive or samples >= total else _draw(
+            seed, samples, total, lambda rng: rng.randrange(total))
+        asked = [(thetas[i // per], None if inst.linear_queries else values(i % per)) for i in picked]
+        checked = len({t for t, _ in asked})
+        if (failed := affine.identity(inst, asked, zero)) is None:
+            what = "thetas" if inst.linear_queries else "(theta, query realization) pairs"
+            return _report(CORRECTNESS, inst, inst.N, checked, Fraction(0), exhaustive, enumerated,
+                           samples, f"identity test on {len(asked)} of {total} {what}")
+        if not (exhaustive and _plan(inst, CORRECTNESS, None, cap, ENUMERATION)[0] <= cap):
+            return AuditReport(CORRECTNESS, inst.describe(), inst.N, checked, Fraction(1), False,
                                False, 0, None if exhaustive else samples, _witness(inst, *failed))
-    if exhaustive:  # every (theta, m, z, qr), in that order
-        stored = [(m, _attempt(inst.storage, m, z)) for m in inst.messages for z in inst.storage_noises]
-        rounds = _rounds(inst, thetas, stored, list(qr))
-    else:
-        rounds = _sampled_rounds(inst, thetas, samples, Random(seed))
-    detail, failures, count = "", 0, 0
-    for count, realization in enumerate(rounds, 1):
-        ok, error = _decodes(inst, *realization)
-        if error is not None and not detail:
-            detail = f"decode raised {type(error).__name__}: {error}"
-        failures += not ok
-    assert count == (enumerated if exhaustive else samples)
-    return AuditReport(
-        CORRECTNESS, inst.describe(), inst.N, len(thetas),
-        Fraction(failures, count), failures == 0, exhaustive,
-        enumerated if exhaustive else 0, None if exhaustive else samples,
-        detail=detail,
-    )
-
-
-def _rounds(inst: Scheme, thetas: list[int], stored: list, randomness: list):
-    """(theta, m, shares, queries), nested as theta, (m, shares) in `stored`, randomness."""
-    for theta in thetas:
-        asked = [_attempt(inst.queries, theta, qr) for qr in randomness]
-        for m, shares in stored:
-            for queries in asked:
-                yield theta, m, shares, queries
+    stored = [(m, _attempt(inst.storage, m, z)) for m in inst.messages for z in inst.storage_noises]
+    asked = {t: [_attempt(inst.queries, t, r) for r in qr] for t in thetas}
+    outcomes = _enumeration(((), (), _decodes(inst, t, m, shares, q))  # in (theta, m, z, qr) order
+                            for t in thetas for m, shares in stored for q in asked[t])[()][()]
+    failures = sum(n for (ok, _), n in outcomes.items() if not ok)
+    detail = next((error for _, error in outcomes if error), "")
+    return AuditReport(CORRECTNESS, inst.describe(), inst.N, len(thetas), Fraction(failures, enumerated),
+                       failures == 0, True, enumerated, detail=detail)
 
 
 def _witness(inst: Scheme, theta: int, u: list, v: list) -> str:
@@ -515,22 +453,17 @@ def _witness(inst: Scheme, theta: int, u: list, v: list) -> str:
     if ok:
         raise ValueError(f"{inst.describe()} decodes at theta {theta} where its declarations say it does not")
     name = lambda x: "zero" if not any(x) else f"unit {x.index(1)}" if x.count(0) == len(x) - 1 else "check"
-    what = f"decode raised {type(error).__name__}: {error}" if error else "decode is not message theta"
-    return f"identity test: theta {theta}, storage point {name(u)}, query point {name(v)}: {what}"
-
-
-def _sampled_rounds(inst: Scheme, thetas: list[int], samples: int, rng: Random):
-    for _ in range(samples):
-        theta, m = thetas[rng.randrange(len(thetas))], inst.messages.sample(rng)
-        z, qr = inst.storage_noises.sample(rng), inst.query_randomness.sample(rng)
-        yield theta, m, _attempt(inst.storage, m, z), _attempt(inst.queries, theta, qr)
+    where = f"query point {name(v)}" if inst.linear_queries else f"query realization {tuple(v)}"
+    what = error or "decode is not message theta"
+    return f"identity test: theta {theta}, storage point {name(u)}, {where}: {what}"
 
 
 def exact_engine(inst: Scheme, prop: str) -> str:
     """The exact mode's engine: RANK_TESTS where the scheme declares the map
-    this audit reads affine (`Scheme`), IDENTITY for correctness if both, else ENUMERATION."""
+    this audit reads affine (`Scheme`), IDENTITY for correctness where it
+    declares `linear`, else ENUMERATION."""
     if prop == CORRECTNESS:
-        return IDENTITY if inst.linear and inst.linear_queries else ENUMERATION
+        return IDENTITY if inst.linear else ENUMERATION
     return RANK_TESTS if (inst.linear_queries if prop == T_PRIVACY else inst.linear) else ENUMERATION
 
 
@@ -559,7 +492,9 @@ def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> in
     check point and one elimination. The identity test: the storage probe,
     the query maps, the answer rows at the zero and each unit query, and
     per theta the N answers at the check point and decodes at the answer
-    probe's points and of the real answers.
+    probe's points and of the real answers; without `linear_queries`, per
+    theta the decodes at the answer probe's points, and per (theta, qr) its
+    queries, the N answers at the check point and one real decode.
     """
     return _plan(inst, prop, subset_size, DEFAULT_CAP, exact_engine(inst, prop))[0]
 
@@ -584,6 +519,8 @@ def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int, engine: st
         probe = 0 if failed else (dim + 2) * sum(map(len, inst.share_payloads(zero)))
     width = inst.answer_symbols((1,) * inst.query_symbols)
     rows = inst.N * width
+    if prop == CORRECTNESS and not inst.linear_queries:
+        return probe + thetas * (qr.size * (queried + rows + inst.L) + (rows + 2) * inst.L), zero
     if prop == CORRECTNESS:
         declared = (qr.count + 2 * thetas) * queried + (inst.query_symbols + 1) * width
         return probe + declared + thetas * (rows + (rows + 3) * inst.L), zero

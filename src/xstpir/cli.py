@@ -199,7 +199,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     try:
         report = auditor(inst, **kwargs)
     except audit_mod.OverCap as exc:
-        raise UsageError(f"{exc}; rerun with --sampled (or raise --cap) to proceed") from exc
+        # enumeration has no sampled mode: only a higher cap lets it run
+        sampled = audit_mod.exact_engine(inst, kind) != audit_mod.ENUMERATION
+        hint = "rerun with --sampled (or raise --cap)" if sampled else "raise --cap"
+        raise UsageError(f"{exc}; {hint} to proceed") from exc
     out = args.out if args.out is not None else "audit_report.txt"
     Path(out).write_text(report.render())
     sys.stdout.write(report.render())

@@ -47,15 +47,16 @@ class Scheme:
     Two flags declare maps affine mod p in Space values of base p; only
     `audit.exact_engine` reads them. `linear`: the share payloads are
     affine in (messages, storage noise), `answer_rows` declares each
-    answer, and `plaintext` is message theta's row of the `messages`
-    values; security and sym-security are then decided by rank tests.
-    `linear_queries`: each theta's query payloads are affine in the query
-    randomness, which enters them the same way for every theta; privacy is
-    then decided by rank tests. With both, `answer_rows` is affine in the
-    query payload and `decode` affine in the answers, and the identity test
-    decides correctness. The audits check each declaration against the
-    scheme's own calls at the check point of `affine.points`, so a
-    declaration alone cannot pass.
+    answer, `decode` is affine in the answers, and `plaintext` is message
+    theta's row of the `messages` values; security and sym-security are
+    then decided by rank tests, and correctness by the identity test on
+    each (theta, query realization). `linear_queries`: each theta's query
+    payloads are affine in the query randomness, which enters them the same
+    way for every theta; privacy is then decided by rank tests. With both,
+    `answer_rows` is affine in the query payload, and the identity test
+    reads the query map once instead of each realization. The audits check
+    each declaration against the scheme's own calls at the check point of
+    `affine.points`, so a declaration alone cannot pass.
     """
 
     name = ""

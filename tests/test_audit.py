@@ -62,8 +62,9 @@ def _broken_csa():
 def _enumerated(inst):
     """inst, audited by enumeration: a test-side subclass of its class that
     declares neither its storage side (`linear`) nor its queries
-    (`linear_queries`) affine. The oracle the rank tests must agree with;
-    its sampled audits call the scheme once per draw."""
+    (`linear_queries`) affine. The oracle the rank tests and the identity
+    test must agree with; it has no sampled mode, so past the cap its
+    audits refuse with OverCap whatever `fallback` says."""
     cls = type(inst)
     declared = {"linear": False, "linear_queries": False}
     inst.__class__ = type(f"Enumerated{cls.__name__}", (cls,), declared)
@@ -242,13 +243,22 @@ BOUNDARY_CASES = {
         audit_correctness, CORRECTNESS, lambda: _csa(3, 1, 1, 1), {}, IDENTITY,
         4 * 3 + 3 * 3 + 2 * 1 + 1 * (3 + (3 + 3) * 1),
     ),
+    # sym_xspir (1,2), p = 2, its queries not declared: the storage probe
+    # (8 points x 8 share symbols); per (theta, qr), 2 x 2 = 4 query symbols,
+    # 2 answers of 2 symbols at the check point and one decode of L = 1;
+    # per theta, decodes at the 4 + 2 answer points
+    "correctness-identity-symx": (
+        audit_correctness, CORRECTNESS, lambda: _symx(1, 2), {}, IDENTITY,
+        8 * 8 + 2 * (2 * (4 + 4 + 1) + (4 + 2) * 1),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", BOUNDARY_CASES)
 def test_estimate_work_is_the_cap_boundary(case):
     # the cap is compared with the work of the engine that runs: at the
-    # estimate the exact engine runs, one below it the sampled one
+    # estimate the exact engine runs; one below it the sampled one, or for
+    # enumeration, which has no sampled mode, a refusal
     auditor, prop, make, kwargs, engine, closed_form = BOUNDARY_CASES[case]
     inst = make()
     assert exact_engine(inst, prop) == engine
@@ -257,6 +267,10 @@ def test_estimate_work_is_the_cap_boundary(case):
         assert work == closed_form
     exact = auditor(inst, cap=work, samples=40, seed=1, **kwargs)
     assert exact.exhaustive and exact.samples is None
+    if engine == ENUMERATION:
+        with pytest.raises(OverCap, match=f"by enumeration would take {work} realizations"):
+            auditor(make(), cap=work - 1, samples=40, seed=1, **kwargs)
+        return
     sampled = auditor(make(), cap=work - 1, samples=40, seed=1, **kwargs)
     assert not sampled.exhaustive and sampled.samples == 40
 
@@ -344,21 +358,26 @@ def test_sampled_mode_engages_when_capped():
     assert report.passed
     assert report.max_tv_distance == ZERO
     assert report.detail == "sampled: rank tests on 3 of 3 subsets"
-    # by enumeration: sampled outcome tables, within the tolerance
-    report = audit_security(_enumerated(_symx(1, 2)), cap=0, samples=6000, seed=1)
+    # sym_xspir passes the same way; by enumeration there is no sampled
+    # mode, and past the cap the audit is refused
+    report = audit_security(_symx(1, 2), cap=0, samples=6000, seed=1)
     assert not report.exhaustive and report.samples == 6000
-    assert report.passed
-    assert report.max_tv_distance <= Fraction(1, 20)
-    assert "tolerance" in report.detail
+    assert report.passed and report.max_tv_distance == ZERO
+    assert report.detail == "sampled: rank tests on 2 of 2 subsets"
+    with pytest.raises(OverCap, match="by enumeration"):
+        audit_security(_enumerated(_symx(1, 2)), cap=0, samples=6000, seed=1)
 
 
 def test_sampled_mode_still_catches_gross_leaks():
-    # by rank tests, and by outcome tables when not declared linear
+    # by rank tests; when not declared linear the enumeration catches it
+    # within the cap and refuses past it
     identity = ((1, 0), (0, 1))
-    for inst in (BinaryInstance(2, b=identity), _enumerated(BinaryInstance(2, b=identity))):
-        report = audit_privacy(inst, cap=0, samples=400, seed=1)
-        assert not report.exhaustive
-        assert not report.passed
+    report = audit_privacy(BinaryInstance(2, b=identity), cap=0, samples=400, seed=1)
+    assert not report.exhaustive
+    assert not report.passed
+    assert not audit_privacy(_enumerated(BinaryInstance(2, b=identity))).passed
+    with pytest.raises(OverCap, match="by enumeration"):
+        audit_privacy(_enumerated(BinaryInstance(2, b=identity)), cap=0, samples=400, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -366,14 +385,18 @@ def test_sampled_sym_security_compares_differing_undesired_messages(seed):
     # download_all at K = 2 hands the user the other message, so a sampled
     # pair of message sets that differ there is at distance 1; a pair that
     # shared it (a message set compared with itself) would pass. At K = 1
-    # there is no other message to leak. Both by the rank tests and, when
-    # not declared linear, by outcome tables.
-    for make in (_dl, lambda *a: _enumerated(_dl(*a))):
-        leak = audit_sym_security(make(2, 2, 1, 1), cap=0, samples=2000, seed=seed)
-        assert not leak.exhaustive and leak.samples == 2000
-        assert leak.max_tv_distance == ONE and not leak.passed
-        alone = audit_sym_security(make(2, 1, 1, 1), cap=0, samples=2000, seed=seed)
-        assert not alone.exhaustive and alone.passed
+    # there is no other message to leak. By the rank tests on a draw; when
+    # not declared linear, by the enumeration within the cap (the same
+    # verdicts), and refused past it.
+    leak = audit_sym_security(_dl(2, 2, 1, 1), cap=0, samples=2000, seed=seed)
+    assert not leak.exhaustive and leak.samples == 2000
+    assert leak.max_tv_distance == ONE and not leak.passed
+    alone = audit_sym_security(_dl(2, 1, 1, 1), cap=0, samples=2000, seed=seed)
+    assert not alone.exhaustive and alone.passed
+    for k, passed in ((2, False), (1, True)):
+        assert audit_sym_security(_enumerated(_dl(2, k, 1, 1)), seed=seed).passed == passed
+        with pytest.raises(OverCap, match="by enumeration"):
+            audit_sym_security(_enumerated(_dl(2, k, 1, 1)), cap=0, samples=2000, seed=seed)
 
 
 def test_sampled_mode_is_seed_deterministic():
@@ -505,18 +528,22 @@ def test_exhaustive_correctness_builds_each_storage_and_query_once(case):
     assert calls["queries"] == len(inst.thetas) * inst.query_randomness.size
 
 
-@pytest.mark.parametrize("case", [c for c in WORK_CASES if "symx" not in c])
+@pytest.mark.parametrize("case", WORK_CASES)
 def test_the_identity_test_builds_each_storage_and_query_point_once(case):
-    # zero, each unit vector and the check point, on each side
+    # zero, each unit vector and the check point of the storage
     inst = WORK_CASES[case]()
     calls = _count_calls(inst)
     assert exact_engine(inst, CORRECTNESS) == IDENTITY
     assert audit_correctness(inst).exhaustive
     assert calls["storage"] == inst.messages.count + inst.storage_noises.count + 2
-    # the first theta's query map, then zero and the check point per theta
-    assert calls["queries"] == inst.query_randomness.count + 2 * len(inst.thetas)
-    # each server's answer at the check points, per theta
-    assert calls["answer"] == inst.N * len(inst.thetas)
+    if inst.linear_queries:
+        # the first theta's query map, then zero and the check point per theta
+        assert calls["queries"] == inst.query_randomness.count + 2 * len(inst.thetas)
+        # each server's answer at the check points, per theta
+        assert calls["answer"] == inst.N * len(inst.thetas)
+    else:  # sym_xspir: each (theta, qr) once, and its answers at the storage check point
+        assert calls["queries"] == len(inst.thetas) * inst.query_randomness.size
+        assert calls["answer"] == inst.N * calls["queries"]
 
 
 def _per_realization_reference(inst):
@@ -687,10 +714,12 @@ def test_sym_xspir_rank_tests_pass_it_and_catch_the_planted_leaks(case):
 
 def test_sym_xspir_privacy_stays_on_the_enumeration():
     # its queries are column indices, not affine in the query randomness;
-    # at K = p = 2 the probe's one-point check could pass by chance
+    # at K = p = 2 the probe's one-point check could pass by chance.
+    # Correctness needs only the storage side: the identity test runs on
+    # each (theta, query realization)
     for inst in (_symx(1, 2), _symx(2, 3, 5)):
         assert exact_engine(inst, T_PRIVACY) == ENUMERATION
-        assert exact_engine(inst, CORRECTNESS) == ENUMERATION
+        assert exact_engine(inst, CORRECTNESS) == IDENTITY
         assert exact_engine(inst, X_SECURITY) == exact_engine(inst, SYM_SECURITY) == RANK_TESTS
 
 
@@ -776,6 +805,14 @@ class _DoublesServer1QueryNoise(CsaInstance):
         return (QueryShare(1, cols, self.p), *rest)
 
 
+class _AsksForTheWrongThetaOnce(SymXspirInstance):
+    """Queries for theta mod K + 1 when the private column m_o is 1: one of
+    the K query realizations is wrong for every theta."""
+
+    def queries(self, theta, randomness):
+        return super().queries(theta % self.K + 1 if randomness == 1 else theta, randomness)
+
+
 # Every correctness audit the identity test decides in the tests, the
 # goldens included, and planted failures: instance, failure fraction.
 CORRECTNESS_ORACLE_CASES = {
@@ -804,6 +841,16 @@ CORRECTNESS_ORACLE_CASES = {
     ),
     "doubles-server-1-query-noise": (
         lambda: _DoublesServer1QueryNoise(CsaParams.make(3, 2, 1, 1)), Fraction(96, 125),
+    ),
+    # sym_xspir declares its storage side only: one test per (theta, qr)
+    "symx-x1k2": (lambda: _symx(1, 2), ZERO),
+    "symx-x1k2p3": (lambda: _symx(1, 2, 3), ZERO),
+    "symx-x2k2": (lambda: _symx(2, 2), ZERO),
+    "symx-x1k2p5": (lambda: _symx(1, 2, 5), ZERO),
+    # half of the realizations ask for the other message, which decodes
+    # wrong unless the noise read in its place is the same: 1/2 x 2/3
+    "symx-wrong-theta-once": (
+        lambda: _AsksForTheWrongThetaOnce(SymXspirParams.make(1, 2, 3)), Fraction(1, 3),
     ),
 }
 
@@ -857,6 +904,22 @@ def test_sampled_correctness_runs_the_identity_test_on_drawn_thetas():
     # a declaration its calls contradict, though the scheme decodes: refused
     with pytest.raises(ValueError, match="decodes at theta 2 where its declarations say"):
         audit_correctness(_NoiseDependsOnTheta(CsaParams.make(3, 2, 1, 1)), cap=0, samples=5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_correctness_runs_the_identity_test_on_drawn_realizations(seed):
+    # sym_xspir declares no query map, so the draw is of (theta, query
+    # realization) pairs, one-sided and seed-deterministic: the secure
+    # instance passes on every seed, the planted wrong query fails
+    report = audit_correctness(_symx(2, 4, 5), cap=0, samples=5, seed=seed)
+    assert (report.passed, report.exhaustive, report.max_tv_distance) == (True, False, ZERO)
+    assert report.detail == "sampled: identity test on 5 of 16 (theta, query realization) pairs"
+    assert report == audit_correctness(_symx(2, 4, 5), cap=0, samples=5, seed=seed)
+    planted = _AsksForTheWrongThetaOnce(SymXspirParams.make(2, 4, 5))
+    report = audit_correctness(planted, cap=0, samples=16, seed=seed)
+    assert (report.passed, report.exhaustive, report.max_tv_distance) == (False, False, ONE)
+    assert report.detail.startswith("identity test: theta 1, storage point unit ")
+    assert report.detail.endswith(", query realization (0,): decode is not message theta")
 
 
 class _ShiftedAnswerRows(CsaInstance):

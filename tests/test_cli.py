@@ -214,6 +214,22 @@ def test_audit_refuses_oversized_enumeration(tmp_path, capsys, monkeypatch):
     assert "--sampled" in err
 
 
+def test_audit_refuses_an_enumeration_past_the_cap_even_when_sampled(tmp_path, capsys,
+                                                                      monkeypatch):
+    # sym_xspir privacy runs by enumeration, which has no sampled mode: past
+    # the cap it is refused and only a higher cap is suggested (a sampled
+    # outcome statistic here used to fail this secure instance)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        ["audit", "--scheme", "sym_xspir", "-N", "2", "-K", "64", "-X", "1", "-T", "1",
+         "--property", "privacy", "--sampled", "--cap", "0", "--samples", "2000"], capsys
+    )
+    assert code == 2
+    assert "by enumeration would take 4096 realizations" in err
+    assert "raise --cap" in err
+    assert "--sampled" not in err
+
+
 def test_audit_sampled_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
@@ -337,11 +353,12 @@ LARGE_SYMX_ARGS = ["--scheme", "sym_xspir", "-N", "3", "-K", "4", "-X", "2", "-T
                    "--prime", "5"]
 
 
-@pytest.mark.parametrize("prop", ["security", "sym-security"])
+@pytest.mark.parametrize("prop", ["security", "sym-security", "correctness"])
 def test_audit_decides_a_large_sym_xspir_storage_side_exactly(prop, tmp_path, capsys,
                                                               monkeypatch):
     # 5^(4 + 2 * 16) storage realizations, past any enumeration: the rank
-    # tests read the share and answer maps instead
+    # tests read the share and answer maps instead, and the identity test
+    # reads them once for each of the 4 x 4 (theta, query realization) pairs
     monkeypatch.chdir(tmp_path)
     started = time.perf_counter()
     code, out, _ = run_cli(["audit", *LARGE_SYMX_ARGS, "--property", prop], capsys)
