@@ -5,11 +5,11 @@ interface: the probe behind the audits' rank tests and identity test
 A map `at` takes the values of some Spaces, laid end to end as one list u
 (messages, storage noise, query randomness, in that order), to per-server
 payloads: a scheme's shares, its queries for one theta, or every server's
-answer to one query. `probe` evaluates it at zero, at each unit vector and
-at a check point with every coordinate nonzero, one evaluation at a time,
-and keeps each payload coordinate as a sparse row (c, js, aj): the
-coordinate is c + sum_i aj[i] * u[js[i]] mod p, over the nonzero
-coefficients only, so memory is O(nonzeros) however long u is.
+answer to one query. `read` takes its payloads at zero, at each unit
+vector and at a check point with every coordinate nonzero (`points`), one
+evaluation at a time, and keeps each payload coordinate as a sparse row
+(c, js, aj): the coordinate is c + sum_i aj[i] * u[js[i]] mod p, over the
+nonzero coefficients only, so memory is O(nonzeros) however long u is.
 
 `share_map` and `query_maps` read a scheme's maps once each: the shares,
 and the queries of the first theta, each other theta in two more calls
@@ -143,24 +143,19 @@ def dim(inst: Scheme, spaces) -> int:
     return sum(space.count for space in spaces)
 
 
-def probe(inst: Scheme, at, spaces) -> list:
-    """`read` of `at`, a map of the values of `spaces`."""
-    n = dim(inst, spaces)
-    return read(map(at, points(n, inst.p)), n, inst.p)
-
-
-def storage_at(inst: Scheme, then=lambda stored: stored):
-    """then(the storage), as a map of the (messages, storage noise) values."""
+def storage_at(inst: Scheme):
+    """The storage, as a map of the (messages, storage noise) values."""
     km, build_m, build_z = inst.messages.count, inst.messages.build, inst.storage_noises.build
-    return lambda u: then(inst.storage(build_m(u[:km]), build_z(u[km:])))
+    return lambda u: inst.storage(build_m(u[:km]), build_z(u[km:]))
 
 
 def query_maps(inst: Scheme, thetas: list[int], spot: list) -> tuple:
-    """The query map of thetas[0] (`probe`), and per theta its constant
+    """The query map of thetas[0] (`read`), and per theta its constant
     (flat) and its queries at the check point, in two calls for each later
     theta; ValueError unless the randomness enters them the same way there.
     spot[0] and spot[2] follow the calls, to name the one that raises."""
-    qr, asked = inst.query_randomness, [None]
+    qr, asked, p = inst.query_randomness, [None], inst.p
+    n = dim(inst, (qr,))
 
     def at(theta):
         def call(v):
@@ -169,8 +164,8 @@ def query_maps(inst: Scheme, thetas: list[int], spot: list) -> tuple:
             return inst.query_payloads(asked[0])
         return call
 
-    first = probe(inst, at(thetas[0]), (qr,))
-    shared = constants(first, qr.count, inst.p)
+    first = read(map(at(thetas[0]), points(n, p)), n, p)
+    shared = constants(first, n, p)
     maps = [([c for rows in first for c, _, _ in rows], asked[0])]
     for theta in thetas[1:]:
         if (constant := shared(at(theta))) is None:

@@ -11,7 +11,7 @@ theta on every realization).
 
 An exact report (`exhaustive true`) comes from one of three engines, as
 `exact_engine` picks from the scheme's declarations (`Scheme`). The first
-two read each declared map once (`affine.probe`) and check every
+two read each declared map once (`affine.read`) and check every
 declaration at the check point of `affine.points`, so a declaration alone
 cannot pass; a scheme declared linear that fails only off those points is
 not caught.
@@ -53,12 +53,13 @@ work (`estimate_work`) would exceed the cap the audit refuses with
 OverCap (samples below 1 raise ValueError), unless its engine reads the
 scheme's declared maps and `fallback` allows a seeded draw, flagged
 non-exhaustive. The engine then runs its probes and the tests of the
-draw: min(samples, C(N, size)) distinct subsets (privacy comparing the
-first and the last theta), `samples` query realizations for sym-security,
-and for correctness min(samples, K) thetas, or min(samples, K * |qr|)
-(theta, query realization) pairs. Such a report is one-sided: max_tv 1
-proves a failure, max_tv 0 says that none of the tests run found one, and
-`detail` says how many ran. Enumeration has no such mode.
+draw (`_draw`, distinct values): min(samples, C(N, size)) subsets for
+security and privacy; for sym-security and correctness min(samples,
+K * |qr|) (theta, query realization) pairs, or min(samples, K) thetas
+where the queries are declared affine. Such a report is one-sided: max_tv
+1 proves a failure, max_tv 0 says that none of the tests run found one,
+and `detail` says how many ran of how many ("rank tests on 50 of 50
+(theta, query realization) pairs"). Enumeration has no such mode.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import comb
 from random import Random
 from . import affine
@@ -159,18 +160,18 @@ BinaryInstance = BinaryScheme
 SymXspirInstance = SymXspirScheme
 
 
-def _exact(inst: Scheme, prop: str, size, cap: int, samples: int, fallback: bool, engine=None):
-    """Whether `engine` (by default `exact_engine`'s) runs, its `_plan` work
-    within the cap, and `_plan`'s tests. Past the cap, OverCap unless
+def _exact(inst: Scheme, prop: str, size, cap: int, samples: int, fallback: bool):
+    """`exact_engine`'s engine, whether its `_plan` work is within the cap,
+    and `_plan`'s zero storage and tests. Past the cap, OverCap unless
     `fallback` is allowed and the engine is not enumeration."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    engine = engine or exact_engine(inst, prop)
-    work, tests = _plan(inst, prop, size, cap, engine)
+    engine = exact_engine(inst, prop)
+    work, zero, tests = _plan(inst, prop, size, cap, engine)
     if work > cap and not (fallback and engine != ENUMERATION):
         raise OverCap(f"the exact audit by {engine} would take {work} {WORK_UNITS[engine]}, "
                       f"over the cap of {cap}")
-    return work <= cap, tests
+    return engine, work <= cap, zero, tests
 
 
 def _draw(seed: int, samples: int, total: int, one) -> list:
@@ -179,6 +180,19 @@ def _draw(seed: int, samples: int, total: int, one) -> list:
     while len(drawn) < min(samples, total):
         drawn.add(one(rng))
     return sorted(drawn)
+
+
+def _pairs(inst: Scheme, exact: bool, samples: int, seed: int, values: bool = True) -> tuple:
+    """The (theta, query randomness values) pairs an audit tests, in order,
+    and how many there are: all of them if `exact` or `samples` covers them,
+    else `_draw`'s. Without `values`, one (theta, None) per theta."""
+    thetas, qr = list(inst.thetas), inst.query_randomness
+    total = len(thetas) * (qr.size if values else 1)
+    if exact or samples >= total:
+        every = product(range(qr.base), repeat=qr.count) if values else [None]
+        return list(product(thetas, every)), total
+    one = lambda rng: (rng.choice(thetas), tuple(qr.draw(rng)) if values else None)
+    return _draw(seed, samples, total, one), total
 
 
 def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, detail=""):
@@ -199,10 +213,10 @@ def _subsets_audit(prop, inst, subset_size, cap, samples, seed, fallback) -> Aud
     size = (inst.X if security else inst.T) if subset_size is None else subset_size
     if not 1 <= size <= inst.N:
         raise ValueError(f"subset size must be in 1..{inst.N}, got {size}")
-    exact, tests = _exact(inst, prop, size, cap, samples, fallback)
+    engine, exact, zero, tests = _exact(inst, prop, size, cap, samples, fallback)
     enumerated = inst.messages.size * inst.storage_noises.size * (1 if security else len(thetas) * qr.size)
     total, subsets = comb(inst.N, size), combinations(range(inst.N), size)
-    if exact_engine(inst, prop) == ENUMERATION:
+    if engine == ENUMERATION:
         if security:
             views = ((m, inst.share_payloads(inst.storage(m, z)))
                      for m in inst.messages for z in inst.storage_noises)
@@ -211,8 +225,8 @@ def _subsets_audit(prop, inst, subset_size, cap, samples, seed, fallback) -> Aud
         tables = _enumeration((s, table, tuple(y[n] for n in s))
                               for table, y in views for s in combinations(range(inst.N), size))
         return _report(prop, inst, size, total, _max_tv(tables), True, enumerated, None)
-    if tests is None or not (exact or security):  # sampled privacy compares the first and the last theta
-        tests = _security_tests(inst) if security else _privacy_tests(inst, [thetas[0], thetas[-1]])
+    if tests is None:  # past the cap, `_plan` did not probe
+        tests = _security_tests(inst, zero) if security else _privacy_tests(inst)
     if not exact and samples < total:
         subsets = _draw(seed, samples, total, lambda rng: tuple(sorted(rng.sample(range(inst.N), size))))
     seen: dict = {}
@@ -242,13 +256,13 @@ def audit_security(
     return _subsets_audit(X_SECURITY, inst, subset_size, cap, samples, seed, fallback)
 
 
-def _security_tests(inst: Scheme) -> list:
-    """[Z | M] of the share map, split: on every subset's rows the message
-    columns must lie in the span of the noise columns."""
-    spaces = (inst.messages, inst.storage_noises)
-    km, dim = inst.messages.count, affine.dim(inst, spaces)
-    shares = affine.storage_at(inst, inst.share_payloads)
-    return affine.split(affine.probe(inst, shares, spaces), range(km, dim), range(km))
+def _security_tests(inst: Scheme, zero) -> list:
+    """[Z | M] of the share map (given the storage at zero), split: on every
+    subset's rows the message columns must lie in the span of the noise
+    columns."""
+    km, kz = inst.messages.count, inst.storage_noises.count
+    shares, _ = affine.share_map(inst, zero, [None] * 3)
+    return affine.split(shares, range(km, km + kz), range(km))
 
 
 def audit_privacy(
@@ -274,19 +288,18 @@ def audit_privacy(
 
     and the share view cannot move max_tv. It is decided by rank tests
     (`exact_engine`) or by tabulating Q_theta; `enumerated` still counts
-    the len(thetas) * |qr| * pairs joint realizations. The sampled rank
-    tests compare the first and the last theta. A subset size outside 1..N
-    raises ValueError.
+    the len(thetas) * |qr| * pairs joint realizations. A subset size
+    outside 1..N raises ValueError.
     """
     return _subsets_audit(T_PRIVACY, inst, subset_size, cap, samples, seed, fallback)
 
 
-def _privacy_tests(inst: Scheme, thetas: list[int]) -> list:
-    """[R | q(theta) - q(thetas[0]) for each later theta] of the query
-    maps, split, R being the same for every theta (ValueError if not): on
-    every subset's rows the differences must lie in the span of R."""
+def _privacy_tests(inst: Scheme) -> list:
+    """[R | q(theta) - q(1) for each later theta] of the query maps, split,
+    R being the same for every theta (ValueError if not): on every subset's
+    rows the differences must lie in the span of R."""
     kq, p, flat = inst.query_randomness.count, inst.p, count()
-    first, (_, *others) = affine.query_maps(inst, thetas, [None] * 3)
+    first, (_, *others) = affine.query_maps(inst, list(inst.thetas), [None] * 3)
     others = [constant for constant, _ in others]
 
     def row(c, js, aj):
@@ -296,11 +309,6 @@ def _privacy_tests(inst: Scheme, thetas: list[int]) -> list:
 
     view = [[row(*r) for r in rows] for rows in first]
     return affine.split(view, range(kq), range(kq, kq + len(others)))
-
-
-def _answers(inst: Scheme, shares, queries) -> tuple:
-    """Every server's answer, zero queries included."""
-    return tuple(map(inst.answer, shares, queries))
 
 
 def audit_sym_security(
@@ -320,26 +328,21 @@ def audit_sym_security(
     (theta, query payload, value of message theta) groups, sampled rank
     tests the distinct (theta, query payload) pairs they test.
     """
-    thetas, qr = list(inst.thetas), inst.query_randomness
-    exact, zero = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)
-    enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
-    ask = lambda t, r: (inst.query_payloads(q := inst.queries(t, r)), q)
-    asked = {t: [ask(t, r) for r in qr] for t in thetas} if exact else {}
-    if exact_engine(inst, SYM_SECURITY) == RANK_TESTS:
-        if exact:
-            pairs = ((t, *yq) for t in thetas for yq in asked[t])
-        else:
-            rng = Random(seed)
-            pairs = ((t, *ask(t, qr.sample(rng))) for t in (rng.choice(thetas) for _ in range(samples)))
-        tested, distinct, leak = _sym_by_rank(inst, pairs, zero)
+    engine, exact, zero, _ = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)
+    pairs, total = _pairs(inst, exact, samples, seed)
+    enumerated = total * inst.messages.size * inst.storage_noises.size
+    ask = lambda t, v: (t, inst.query_payloads(q := inst.queries(t, inst.query_randomness.build(v))), q)
+    asked = [ask(*pair) for pair in pairs] if exact else (ask(*pair) for pair in pairs)  # lazy past the cap
+    if engine == RANK_TESTS:
+        tested, distinct, leak = _sym_by_rank(inst, asked, zero)
         # a linear plaintext is message theta's L values: p^L groups per payload
-        checked = len({(t, y) for t in thetas for y, _ in asked[t]}) * inst.p**inst.L if exact else distinct
-        detail = f"rank tests on {tested} query realizations drawn from {len(thetas)} x {qr.base}^{qr.count}"
+        checked = len({(t, y) for t, y, _ in asked}) * inst.p**inst.L if exact else distinct
+        detail = f"rank tests on {tested} of {total} (theta, query realization) pairs"
         return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
                        samples, detail)
     stored = [(m, inst.storage(m, z)) for m in inst.messages for z in inst.storage_noises]
-    tables = _enumeration(((t, y, inst.plaintext(m, t)), m, _answers(inst, shares, q))
-                          for t in thetas for m, shares in stored for y, q in asked[t])
+    tables = _enumeration(((t, y, inst.plaintext(m, t)), m, tuple(map(inst.answer, shares, q)))
+                          for m, shares in stored for t, y, q in asked)
     return _report(SYM_SECURITY, inst, inst.N, len(tables), _max_tv(tables), True, enumerated, samples)
 
 
@@ -390,7 +393,8 @@ def _decodes(inst: Scheme, theta: int, m, shares, queries) -> tuple[bool, str]:
     error = next((made for made in (shares, queries) if isinstance(made, Exception)), None)
     if error is None:
         try:
-            return inst.decode(theta, _answers(inst, shares, queries)) == inst.plaintext(m, theta), ""
+            answers = tuple(map(inst.answer, shares, queries))
+            return inst.decode(theta, answers) == inst.plaintext(m, theta), ""
         except Exception as exc:
             error = exc
     return False, f"decode raised {type(error).__name__}: {error}"
@@ -416,15 +420,10 @@ def audit_correctness(
     `subsets_checked` counts the thetas tested."""
     thetas, qr = list(inst.thetas), inst.query_randomness
     enumerated = len(thetas) * qr.size * inst.messages.size * inst.storage_noises.size
-    exhaustive, zero = _exact(inst, CORRECTNESS, None, cap, samples, fallback)
-    if exact_engine(inst, CORRECTNESS) == IDENTITY:
+    engine, exhaustive, zero, _ = _exact(inst, CORRECTNESS, None, cap, samples, fallback)
+    if engine == IDENTITY:
         # one test per theta where the queries are declared affine, else one per (theta, qr)
-        per = 1 if inst.linear_queries else qr.size
-        total = len(thetas) * per
-        values = lambda i: [i // qr.base**c % qr.base for c in reversed(range(qr.count))]
-        picked = range(total) if exhaustive or samples >= total else _draw(
-            seed, samples, total, lambda rng: rng.randrange(total))
-        asked = [(thetas[i // per], None if inst.linear_queries else values(i % per)) for i in picked]
+        asked, total = _pairs(inst, exhaustive, samples, seed, not inst.linear_queries)
         checked = len({t for t, _ in asked})
         if (failed := affine.identity(inst, asked, zero)) is None:
             what = "thetas" if inst.linear_queries else "(theta, query realization) pairs"
@@ -500,16 +499,17 @@ def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> in
 
 
 def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int, engine: str):
-    """estimate_work's count for `engine`, probing only when the probe fits
-    `cap` (else the count is the probe's cost), and the split rank tests of
-    the exact mode when it probed for them (for sym-security and the
-    identity test, the storage at zero or its error; else None)."""
+    """(work, zero, tests): estimate_work's count for `engine`, probing only
+    when the probe fits `cap` (else the count is the probe's cost); the
+    storage at zero where the engine reads the share map (for correctness,
+    its error if it raised), else None; and the split rank tests of the
+    exact mode when it probed for them, else None."""
     thetas = len(inst.thetas)
     m, z, qr = inst.messages, inst.storage_noises, inst.query_randomness
     if engine == ENUMERATION:
         counts = {X_SECURITY: m.size * z.size, T_PRIVACY: thetas * qr.size}
-        return counts.get(prop, thetas * m.size * z.size * qr.size), None
-    dim, queried = m.count + z.count, inst.N * inst.query_symbols
+        return counts.get(prop, thetas * m.size * z.size * qr.size), None, None
+    dim, queried, zero = m.count + z.count, inst.N * inst.query_symbols, None
     if prop == T_PRIVACY:
         probe = (qr.count + 2 * thetas) * queried
     else:
@@ -520,17 +520,17 @@ def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int, engine: st
     width = inst.answer_symbols((1,) * inst.query_symbols)
     rows = inst.N * width
     if prop == CORRECTNESS and not inst.linear_queries:
-        return probe + thetas * (qr.size * (queried + rows + inst.L) + (rows + 2) * inst.L), zero
+        return probe + thetas * (qr.size * (queried + rows + inst.L) + (rows + 2) * inst.L), zero, None
     if prop == CORRECTNESS:
         declared = (qr.count + 2 * thetas) * queried + (inst.query_symbols + 1) * width
-        return probe + declared + thetas * (rows + (rows + 3) * inst.L), zero
+        return probe + declared + thetas * (rows + (rows + 3) * inst.L), zero, None
     if prop == SYM_SECURITY:
-        return probe + thetas * qr.size * (queried + rows + _elimination(rows, dim, z.count)), zero
+        return probe + thetas * qr.size * (queried + rows + _elimination(rows, dim, z.count)), zero, None
     if probe > cap:
-        return probe, None
+        return probe, zero, None
     security = prop == X_SECURITY
-    tests = _security_tests(inst) if security else _privacy_tests(inst, list(inst.thetas))
+    tests = _security_tests(inst, zero) if security else _privacy_tests(inst)
     size = (inst.X if security else inst.T) if subset_size is None else subset_size
     return probe + comb(inst.N, size) * sum(
         _elimination(sum(sorted(map(len, rows))[-size:]), width, na) for na, width, rows in tests
-    ), tests
+    ), zero, tests

@@ -136,6 +136,8 @@ class CsaParams:
             raise ValueError("need N > X + T; smaller N is the download-all regime")
         if p is None:
             p = smallest_valid_prime(N, L)
+        elif not is_prime(p):  # before choose_alphas, whose error would name the wrong cause
+            raise ValueError(f"need a prime p >= N + L = {N + L}")
         return cls(N, K, X, T, L, p, choose_alphas(p, L, N))
 
     @classmethod

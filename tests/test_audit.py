@@ -366,6 +366,12 @@ def test_sampled_mode_engages_when_capped():
     assert report.detail == "sampled: rank tests on 2 of 2 subsets"
     with pytest.raises(OverCap, match="by enumeration"):
         audit_security(_enumerated(_symx(1, 2)), cap=0, samples=6000, seed=1)
+    # sym-security draws distinct (theta, query realization) pairs: samples
+    # past their number test each pair once
+    for inst, samples, pairs in ((_csa(3, 2, 1, 1), 200, 50), (_symx(1, 3), 100, 9)):
+        report = audit_sym_security(inst, cap=0, samples=samples, seed=3)
+        assert not report.exhaustive and report.passed and report.samples == samples
+        assert report.detail == f"sampled: rank tests on {pairs} of {pairs} (theta, query realization) pairs"
 
 
 def test_sampled_mode_still_catches_gross_leaks():
@@ -971,15 +977,15 @@ def _unsplit(inst, auditor, size):
     q(1) for each later theta] of the queries."""
     p, km, kz = inst.p, inst.messages.count, inst.storage_noises.count
     if auditor is audit_security:
-        at = affine.storage_at(inst, inst.share_payloads)
-        view = affine.probe(inst, at, (inst.messages, inst.storage_noises))
+        at = affine.storage_at(inst)
+        view = affine.read((inst.share_payloads(at(u)) for u in affine.points(km + kz, p)), km + kz, p)
         columns, limit = [*range(km, km + kz), *range(km)], kz
     else:
         kq, thetas = inst.query_randomness.count, list(inst.thetas)
         build = inst.query_randomness.build
         first, *others = [
-            affine.probe(inst, lambda u, t=t: inst.query_payloads(inst.queries(t, build(u))),
-                         (inst.query_randomness,))
+            affine.read((inst.query_payloads(inst.queries(t, build(u))) for u in affine.points(kq, p)),
+                        kq, p)
             for t in thetas
         ]
         view = [
@@ -1106,7 +1112,7 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
         dim, kq = inst.messages.count + inst.storage_noises.count, inst.query_randomness.count
         calls = _count_calls(inst)
         audit_security(inst, subset_size=2, cap=0, samples=samples)
-        assert calls == {"storage": 1 + dim + 2}  # the work count's zero point, then the probe
+        assert calls == {"storage": dim + 2}  # the probe, the work count's zero point reused
         calls.clear()
         audit_privacy(inst, subset_size=2, cap=0, samples=samples)
         # the first theta's probe, then zero and the check point of the
@@ -1115,10 +1121,19 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
         calls.clear()
         report = audit_sym_security(inst, cap=0, samples=samples)
         # the storage at every probe point (the work count's zero point
-        # reused), one query per draw, and each server's answer at the
-        # check point per distinct query payload
-        assert calls == {"storage": dim + 2, "queries": samples,
+        # reused), one query per distinct drawn (theta, query realization)
+        # pair, and each server's answer at the check point per distinct
+        # query payload
+        pairs = len(inst.thetas) * inst.query_randomness.size
+        assert calls == {"storage": dim + 2, "queries": min(samples, pairs),
                          "answer": inst.N * report.subsets_checked}
+    # past the cap, but with the query probe within it: the privacy tests
+    # the work count probed for are the ones the draw runs, all K thetas
+    inst = _csa(5, 2, 1, 1)
+    calls = _count_calls(inst)
+    report = audit_privacy(inst, subset_size=2, cap=300, samples=4)
+    assert (report.exhaustive, report.passed) == (False, False)  # T = 1: two servers learn theta
+    assert calls == {"queries": inst.query_randomness.count + 2 * inst.K}
     # the exact audit runs the split its work count probed for, and the
     # count itself leaves nothing on the scheme
     inst = _csa(3, 2, 1, 1)
@@ -1127,7 +1142,7 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
     assert estimate_work(inst, X_SECURITY) > 0 and vars(inst) == state
     calls.clear()
     assert audit_security(inst).exhaustive
-    assert calls == {"storage": 1 + dim + 2}  # the zero point, one probe
+    assert calls == {"storage": dim + 2}  # the zero point, then the rest of the probe
 
 
 @pytest.mark.parametrize("auditor", PROPERTY)

@@ -132,6 +132,9 @@ def test_params_validation():
         CsaParams(3, 1, 1, 1, L=1, p=5, alphas=(f5(0), f5(1), f5(4)))
     with pytest.raises(InsufficientFieldError):
         CsaParams.make(5, 1, 1, 1, p=7)  # only 7 - 3 = 4 usable points for N = 5
+    for p in (4, 1):  # refused as not prime, not for counting 2 or 0 usable points
+        with pytest.raises(ValueError, match=r"^need a prime p >= N \+ L = 6$"):
+            CsaParams.make(4, 1, 1, 1, p=p)
     for alphas in ((0, 1, 5), (0, 1, -1), (0, 1, 2.0), (0, 1, Field(5)(2))):
         with pytest.raises(ValueError, match=r"ints in range\(p\)"):
             CsaParams(3, 1, 1, 1, L=1, p=5, alphas=alphas)
