@@ -68,7 +68,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
-from math import comb
+from math import comb, log10
 from random import Random
 from . import affine
 from .scheme import BinaryScheme, CsaScheme, DownloadAllScheme, Scheme, SymXspirScheme
@@ -90,10 +90,16 @@ WORK_UNITS = {
 
 DEFAULT_CAP = 1 << 24
 DEFAULT_SAMPLES = 20000
+FULL_DIGITS = 30
 
 
 class OverCap(ValueError):
     """An exact computation past its work cap, with no sampled fallback."""
+
+
+def _figure(n: int) -> str:
+    """n, or past FULL_DIGITS digits `about 10^k`: str(n) fails past 4,300 digits on 3.11+."""
+    return str(n) if n < 10**FULL_DIGITS else f"about 10^{round(log10(n))}"
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ class AuditReport:
             f"subset_size {self.subset_size}",
             f"subsets_checked {self.subsets_checked}",
             f"exhaustive {str(self.exhaustive).lower()}",
-            f"enumerated {self.enumerated}",
+            f"enumerated {_figure(self.enumerated)}",
         ]
         if self.samples is not None:
             lines.append(f"samples {self.samples}")
@@ -169,7 +175,7 @@ def _exact(inst: Scheme, prop: str, size, cap: int, samples: int, fallback: bool
     engine = exact_engine(inst, prop)
     work, zero, tests = _plan(inst, prop, size, cap, engine)
     if work > cap and not (fallback and engine != ENUMERATION):
-        raise OverCap(f"the exact audit by {engine} would take {work} {WORK_UNITS[engine]}, "
+        raise OverCap(f"the exact audit by {engine} would take {_figure(work)} {WORK_UNITS[engine]}, "
                       f"over the cap of {cap}")
     return engine, work <= cap, zero, tests
 
@@ -337,7 +343,7 @@ def audit_sym_security(
         tested, distinct, leak = _sym_by_rank(inst, asked, zero)
         # a linear plaintext is message theta's L values: p^L groups per payload
         checked = len({(t, y) for t, y, _ in asked}) * inst.p**inst.L if exact else distinct
-        detail = f"rank tests on {tested} of {total} (theta, query realization) pairs"
+        detail = f"rank tests on {tested} of {_figure(total)} (theta, query realization) pairs"
         return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
                        samples, detail)
     stored = [(m, inst.storage(m, z)) for m in inst.messages for z in inst.storage_noises]
@@ -428,7 +434,7 @@ def audit_correctness(
         if (failed := affine.identity(inst, asked, zero)) is None:
             what = "thetas" if inst.linear_queries else "(theta, query realization) pairs"
             return _report(CORRECTNESS, inst, inst.N, checked, Fraction(0), exhaustive, enumerated,
-                           samples, f"identity test on {len(asked)} of {total} {what}")
+                           samples, f"identity test on {len(asked)} of {_figure(total)} {what}")
         if not (exhaustive and _plan(inst, CORRECTNESS, None, cap, ENUMERATION)[0] <= cap):
             return AuditReport(CORRECTNESS, inst.describe(), inst.N, checked, Fraction(1), False,
                                False, 0, None if exhaustive else samples, _witness(inst, *failed))

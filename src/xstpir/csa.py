@@ -17,11 +17,11 @@ vanishes.
 Representation: every symbol is an int in range(p), the evaluation points
 and the messages included. Noise, shares, queries, answers and decoded
 symbols are ints too, and the storage, query, answer and decode maps run on
-them with one reduction mod p per output symbol. What those maps need from
-the parameters alone (the points l + alpha_n, their powers, the query
-scales, the desired rows of the inverse decoding matrix and the query
-check weights) sits in one table per params value, computed once from the
-definitions below (`delta_except`, `decoding_matrix`, `solve_linear`).
+them. What those maps need from the parameters alone (the points
+l + alpha_n, their powers, the query scales, the desired rows of the inverse
+decoding matrix and the query check weights) sits in one table per params
+value, computed once from the definitions below (`delta_except`,
+`decoding_matrix`, `solve_linear`).
 
 Every server evaluates the same K-vector polynomial in its own point u, so
 storage and queries share one mixing kernel. It packs each K-vector into one
@@ -29,7 +29,9 @@ int of lanes wide enough that (p - 1) + depth * (p - 1)^2 never carries
 (8, 16, 32 or 64 bits, or whole bytes past 64), and builds each row with one
 big-int multiply-add per noise term. The replay check of theta
 (`constant_terms`) runs on the same lanes, N terms deep: one big-int
-multiply-add per server per block.
+multiply-add per server per block. Lanes are reduced mod p by byte tables
+where (bits / 8) * (p - 1) < 256 (`_unpack`), as 16-bit lanes are up to
+p = 127; other lanes, answers and decoded symbols take one `% p` each.
 """
 
 from __future__ import annotations
@@ -406,14 +408,31 @@ def _pack(values: Sequence[int], bits: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(bits // 8, byteorder) for v in values]), byteorder)
 
 
+@lru_cache(maxsize=_TABLES)
+def _byte_tables(p: int, width: int) -> tuple[bytes, ...] | None:
+    """Per byte position j of a `width`-byte lane, the table b -> b * 256^j
+    mod p, if the lane's byte residues sum below 256; else None."""
+    fits = width * (p - 1) < 256
+    return tuple(bytes((b << 8 * j) % p for b in range(256)) for j in range(width)) if fits else None
+
+
 def _unpack(accs: Sequence[int], count: int, bits: int, p: int) -> list[tuple[int, ...]]:
     """The `count` lanes of each int in `accs`, each reduced mod p, as one
-    tuple per int, read in one pass over all their bytes."""
+    tuple per int, read in one pass over all their bytes. With `_byte_tables`,
+    each byte position goes through its table (`bytes.translate`), the
+    positions add as ints of 8-bit lanes, which cannot carry, and the sum
+    goes through the j = 0 table; else each lane takes its own `% p`."""
     raw = b"".join([acc.to_bytes(count * bits // 8, byteorder) for acc in accs])
-    if bits in _LANE_CODES:
+    step, tables = bits // 8, _byte_tables(p, bits // 8)
+    if tables and step == 1:
+        lanes = raw.translate(tables[0])  # one byte per lane: nothing to add
+    elif tables:
+        starts = range(step) if byteorder == "little" else range(step - 1, -1, -1)
+        total = sum([int.from_bytes(raw[i::step].translate(t), "little") for i, t in zip(starts, tables)])
+        lanes = total.to_bytes(len(raw) // step, "little").translate(tables[0])
+    elif bits in _LANE_CODES:
         lanes = [v % p for v in memoryview(raw).cast(_LANE_CODES[bits])]
     else:
-        step = bits // 8
         lanes = [int.from_bytes(raw[i : i + step], byteorder) % p for i in range(0, len(raw), step)]
     return list(zip(*[iter(lanes)] * count))  # consecutive runs of `count`
 

@@ -11,10 +11,12 @@ from random import Random
 import pytest
 
 from xstpir import affine
+from xstpir import audit as audit_mod
 from xstpir.audit import (
     CORRECTNESS,
     DEFAULT_CAP,
     ENUMERATION,
+    FULL_DIGITS,
     IDENTITY,
     RANK_TESTS,
     SYM_SECURITY,
@@ -1165,6 +1167,24 @@ def test_an_audit_without_fallback_refuses_past_the_cap(auditor):
     with pytest.raises(OverCap, match=r"would take \d+ \w+.*, over the cap of 0$"):
         auditor(inst, cap=0, fallback=False)
     assert auditor(inst, fallback=False).exhaustive
+
+
+def test_counts_past_the_full_digits_print_as_a_power_of_ten():
+    # a count is never converted to str whole: Python 3.11+ refuses past
+    # 4,300 digits, and an audit's work or total can have far more
+    assert audit_mod._figure(0) == "0"
+    assert audit_mod._figure(10**FULL_DIGITS - 1) == "9" * FULL_DIGITS
+    assert audit_mod._figure(10**FULL_DIGITS) == f"about 10^{FULL_DIGITS}"
+    assert audit_mod._figure(3 * 10**40) == "about 10^40"
+    assert audit_mod._figure(9 * 10**40) == "about 10^41"
+    assert audit_mod._figure(11**100_000) == "about 10^104139"  # 104,140 digits
+    # sampled sym-security of csa (5,16,1,1) draws from 16 * 11^48 pairs
+    report = audit_sym_security(_csa(5, 16, 1, 1), samples=2)
+    assert report.detail == "sampled: rank tests on 2 of about 10^51 (theta, query realization) pairs"
+    # an exact report renders its enumerated count the same way
+    report = audit_correctness(_csa(5, 16, 1, 1))
+    assert report.enumerated == 16 * 11**48 * 11**48 * 11**48 and report.exhaustive
+    assert "enumerated about 10^151\n" in report.render()
 
 
 def test_the_sampled_probe_holds_only_the_nonzero_coefficients():

@@ -214,6 +214,21 @@ def test_audit_refuses_oversized_enumeration(tmp_path, capsys, monkeypatch):
     assert "--sampled" in err
 
 
+def test_audit_refuses_a_work_count_of_more_digits_than_str_converts(tmp_path, capsys,
+                                                                     monkeypatch):
+    # The exact sym-security of csa (24,256,4,4) would take about 10^26433
+    # steps: the refusal names that count without converting it to str,
+    # which past 4,300 digits raises ValueError on Python 3.11+.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        ["audit", "--scheme", "csa", "-N", "24", "-K", "256", "-X", "4", "-T", "4",
+         "--property", "sym-security"], capsys
+    )
+    assert code == 2
+    assert "by rank tests would take about 10^26433 steps" in err
+    assert "--sampled" in err
+
+
 def test_audit_refuses_an_enumeration_past_the_cap_even_when_sampled(tmp_path, capsys,
                                                                       monkeypatch):
     # sym_xspir privacy runs by enumeration, which has no sampled mode: past

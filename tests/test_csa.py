@@ -7,6 +7,7 @@ so a sign or indexing slip in the library cannot cancel itself out.
 from itertools import chain, combinations, count, product
 from math import isqrt, prod
 from random import Random
+import sys
 from types import SimpleNamespace
 
 import oracle
@@ -572,6 +573,92 @@ def test_one_noise_term_and_lanes_past_64_bits_decode():
         queries = gen_queries(2, zp, params)
         answers = [answer(s, q) for s, q in zip(shares, queries)]
         assert decode(answers, params).desired == w.message(2)
+
+
+# Per lane width in bits, the largest prime p with (bits / 8) (p - 1) < 256,
+# where `_unpack` reduces through byte tables, and the first prime past it,
+# where it falls back to one `%` per lane.
+BYTE_TABLE_PRIMES = {8: (251, 257), 16: (127, 131), 32: (61, 67), 64: (31, 37)}
+
+
+def _byte_table_primes(bits):
+    last, past = BYTE_TABLE_PRIMES[bits]
+    assert bits // 8 * (last - 1) < 256 <= bits // 8 * (past - 1)
+    assert [q for q in range(last + 1, past + 1) if is_prime(q)] == [past]
+    return [q for q in range(2, last + 1) if is_prime(q)], past
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("bits", [8, 16])
+def test_byte_tables_reduce_every_lane_value_exactly(monkeypatch, order, bits):
+    # Every lane value at every prime the tables serve, the largest
+    # included, and at the first prime past them, in both byte orders: the
+    # tables go through no `array` cast, so the patch holds. Past them,
+    # 16-bit lanes are cast to native "H" items, so that prime is checked
+    # in the native order only.
+    monkeypatch.setattr(csa_mod, "byteorder", order)
+    width, every = bits // 8, range(1 << bits)
+    acc = int.from_bytes(b"".join(v.to_bytes(width, order) for v in every), order)
+    served, past = _byte_table_primes(bits)
+    for p in served + ([past] if bits == 8 or order == sys.byteorder else []):
+        assert (csa_mod._byte_tables(p, width) is None) == (p == past)
+        assert csa_mod._unpack([acc], len(every), bits, p) == [tuple(v % p for v in every)]
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_byte_tables_reduce_wide_lanes_exactly(bits):
+    # Random lane values and both extremes, at every prime the tables serve
+    # and at the first one past them.
+    rng, width = Random(bits), bits // 8
+    lanes = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(4000)]
+    accs = [csa_mod._pack(lanes[i : i + 6], bits) for i in range(0, len(lanes), 6)]
+    served, past = _byte_table_primes(bits)
+    for p in served + [past]:
+        assert (csa_mod._byte_tables(p, width) is None) == (p == past)
+        got = csa_mod._unpack(accs, 6, bits, p)
+        assert [v for row in got for v in row] == [v % p for v in lanes]
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("bits", [8, 16])
+def test_pack_then_unpack_round_trips(monkeypatch, order, bits):
+    monkeypatch.setattr(csa_mod, "byteorder", order)
+    rng = Random(bits)
+    values = [0, 255] + [rng.randrange(256) for _ in range(300)]
+    for p in (2, 11, 23, 83, 127) + ((131, 257) if order == sys.byteorder else ()):
+        assert csa_mod._unpack([csa_mod._pack(values, bits)], len(values), bits, p) == [
+            tuple(v % p for v in values)
+        ]
+
+
+def _reductions(monkeypatch):
+    """The (lane width in bytes, tables or None) of each later `_unpack`."""
+    seen, real = [], csa_mod._byte_tables
+    monkeypatch.setattr(
+        csa_mod, "_byte_tables", lambda p, width: seen.append((width, real(p, width))) or seen[-1][1]
+    )
+    return seen
+
+
+@pytest.mark.parametrize("n,k,x,t", [(5, 2, 1, 1), (12, 64, 2, 2), (24, 256, 4, 4), (48, 256, 8, 8)])
+def test_storage_and_queries_at_default_primes_reduce_through_byte_tables(monkeypatch, n, k, x, t):
+    # The benchmark's and the ROADMAP's csa sizes, storage on the depth-X
+    # lanes and queries on the depth-T ones: no per-lane `%` in either.
+    params = CsaParams.make(n, k, x, t)
+    seen = _reductions(monkeypatch)
+    encode_storage(MessageSet.zeros(k, params.L, params.field), StorageNoise.zeros(params), params)
+    gen_queries(1, QueryNoise.zeros(params), params)
+    table = csa_mod._table(params)
+    assert [width for width, _ in seen] == [table.lanes[x] // 8, table.lanes[t] // 8]
+    assert all(tables is not None for _, tables in seen)
+
+
+def test_constant_terms_of_replayed_transcripts_reduce_through_byte_tables(monkeypatch):
+    # csa (24,32,4,4), the size of the benchmark's replays, at p = 41: 16-bit lanes.
+    params = CsaParams.make(24, 32, 4, 4)
+    seen = _reductions(monkeypatch)
+    csa_mod.constant_terms([(0,) * (params.L * params.K)] * params.N, params)
+    assert [width for width, _ in seen] == [2] and seen[0][1] is not None
 
 
 # One csa instance per lane width of `constant_terms` (16, 32 and 64 bits,
