@@ -332,7 +332,8 @@ def audit_sym_security(
     expected to pass; running a T > 1 instance is allowed and documents the
     leak by reporting the nonzero distance. `subsets_checked` counts those
     (theta, query payload, value of message theta) groups, sampled rank
-    tests the distinct (theta, query payload) pairs they test.
+    tests the distinct (theta, query realization) pairs they test (every
+    shipped query map is injective in its randomness: their payloads differ).
     """
     engine, exact, zero, _ = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)
     pairs, total = _pairs(inst, exact, samples, seed)
@@ -340,9 +341,9 @@ def audit_sym_security(
     ask = lambda t, v: (t, inst.query_payloads(q := inst.queries(t, inst.query_randomness.build(v))), q)
     asked = [ask(*pair) for pair in pairs] if exact else (ask(*pair) for pair in pairs)  # lazy past the cap
     if engine == RANK_TESTS:
-        tested, distinct, leak = _sym_by_rank(inst, asked, zero)
+        tested, leak = _sym_by_rank(inst, asked, zero)
         # a linear plaintext is message theta's L values: p^L groups per payload
-        checked = len({(t, y) for t, y, _ in asked}) * inst.p**inst.L if exact else distinct
+        checked = len({(t, y) for t, y, _ in asked}) * inst.p**inst.L if exact else tested
         detail = f"rank tests on {tested} of {_figure(total)} (theta, query realization) pairs"
         return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
                        samples, detail)
@@ -352,35 +353,31 @@ def audit_sym_security(
     return _report(SYM_SECURITY, inst, inst.N, len(tables), _max_tv(tables), True, enumerated, samples)
 
 
-def _sym_by_rank(inst: Scheme, asked, zero) -> tuple[int, int, bool]:
+def _sym_by_rank(inst: Scheme, asked, zero) -> tuple[int, bool]:
     """rank[A_other | A_z] > rank A_z for the answers to each (theta, query
     payload, query tuple) in `asked`, up to the first leak, A being the
     declared answer rows composed with the share map: how many were tested,
-    how many distinct (theta, payload) pairs among them, and whether one
-    leaks."""
+    and whether one leaks. No payload outlives its test."""
     km, kz, p, L = inst.messages.count, inst.storage_noises.count, inst.p, inst.L
     shares, stored = affine.share_map(inst, zero, [None] * 3)
     # each share row's (column, coefficient) pairs, the columns [noise | messages]
     place = [*range(kz, kz + km), *range(kz)]
     shares = [[tuple(zip(map(place.__getitem__, js), aj)) for _, js, aj in server] for server in shares]
     checked = inst.share_payloads(stored)
-    verdicts: dict[tuple, bool] = {}  # by (theta, query payload)
     for tested, (theta, payload, q) in enumerate(asked, 1):
-        if (key := (theta, payload)) not in verdicts:
-            rows, cut = [], kz + (theta - 1) * L
-            answers = list(map(inst.answer, stored, q))
-            for view, declared in zip(shares, affine.declared(inst, payload, checked, answers)):
-                for js, aj in declared or ():
-                    dense = [0] * (kz + km)
-                    for i, a in zip(js, aj):
-                        for j, b in view[i]:
-                            dense[j] += a * b
-                    del dense[cut:cut + L]  # message theta is given
-                    rows.append(dense)
-            verdicts[key] = affine.rank_grows(rows, kz, p)
-        if verdicts[key]:
+        rows, cut = [], kz + (theta - 1) * L
+        declared_rows = affine.declared(inst, payload, checked, list(map(inst.answer, stored, q)))
+        for view, declared in zip(shares, declared_rows):
+            for js, aj in declared or ():
+                dense = [0] * (kz + km)
+                for i, a in zip(js, aj):
+                    for j, b in view[i]:
+                        dense[j] += a * b
+                del dense[cut:cut + L]  # message theta is given
+                rows.append(dense)
+        if leak := affine.rank_grows(rows, kz, p):
             break
-    return tested, len(verdicts), verdicts[key]
+    return tested, leak
 
 
 def _attempt(make, *args):

@@ -31,7 +31,9 @@ big-int multiply-add per noise term. The replay check of theta
 (`constant_terms`) runs on the same lanes, N terms deep: one big-int
 multiply-add per server per block. Lanes are reduced mod p by byte tables
 where (bits / 8) * (p - 1) < 256 (`_unpack`), as 16-bit lanes are up to
-p = 127; other lanes, answers and decoded symbols take one `% p` each.
+p = 127; other lanes, answers and decoded symbols take one `% p` each. On
+8- and 16-bit lanes the kernel's inputs are reduced through the j = 0
+table, b -> b mod p, one `bytes.translate` per K-vector (`_pack`).
 """
 
 from __future__ import annotations
@@ -393,10 +395,17 @@ def _lane_bits(p: int, depth: int) -> int:
     return next((bits for bits in sorted(_LANE_CODES) if need <= bits), -(-need // 8) * 8)
 
 
-def _pack(values: Sequence[int], bits: int) -> int:
-    """One int of `bits`-bit lanes holding `values`, in native order. At 8
-    and 16 bits the values, all below 256, are written as bytes: at 16 bits
-    into each lane's low byte."""
+def _pack(values: Sequence[int], bits: int, p: int | None = None) -> int:
+    """One int of `bits`-bit lanes holding `values`, in native order, each
+    first reduced mod p if p is given. At 8 and 16 bits the values, all
+    below 256 (as p is), are written as bytes, at 16 bits into each lane's
+    low byte, and reduced through the j = 0 byte table unless `bytes`
+    refuses one outside 0..255 or a non-int; else each takes a `% p`."""
+    if p is not None:
+        try:
+            values = bytes(values).translate(_byte_table(p, 0)) if bits <= 16 else [v % p for v in values]
+        except (TypeError, ValueError):
+            values = [v % p for v in values]
     if bits == 8:
         return int.from_bytes(bytes(values), byteorder)
     if bits == 16:
@@ -408,12 +417,17 @@ def _pack(values: Sequence[int], bits: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(bits // 8, byteorder) for v in values]), byteorder)
 
 
+@lru_cache(maxsize=8 * _TABLES)  # up to 8 byte positions per modulus
+def _byte_table(p: int, j: int) -> bytes:
+    """The table b -> b * 256^j mod p, for p <= 256."""
+    return bytes((b << 8 * j) % p for b in range(256))
+
+
 @lru_cache(maxsize=_TABLES)
 def _byte_tables(p: int, width: int) -> tuple[bytes, ...] | None:
-    """Per byte position j of a `width`-byte lane, the table b -> b * 256^j
-    mod p, if the lane's byte residues sum below 256; else None."""
-    fits = width * (p - 1) < 256
-    return tuple(bytes((b << 8 * j) % p for b in range(256)) for j in range(width)) if fits else None
+    """Per byte position j of a `width`-byte lane, `_byte_table(p, j)`, if
+    the lane's byte residues sum below 256; else None."""
+    return tuple(_byte_table(p, j) for j in range(width)) if width * (p - 1) < 256 else None
 
 
 def _unpack(accs: Sequence[int], count: int, bits: int, p: int) -> list[tuple[int, ...]]:
@@ -451,10 +465,11 @@ def _mix(
     lanes for the depth of z, once for all N servers; a row is then one
     big-int multiply-add per term, and all N * L rows are unpacked in one
     pass. No lane exceeds (p - 1) + depth * (p - 1)^2, which the lanes hold,
-    so no lane carries into the next.
+    so no lane carries into the next. On 8- and 16-bit lanes the reduction
+    is one `bytes.translate` per vector through the j = 0 byte table.
     """
     p, k, bits = table.params.p, len(bases[0]), table.lanes[len(z[0])]
-    terms = [[_pack([v % p for v in vec], bits) for vec in (base, *zl)] for base, zl in zip(bases, z)]
+    terms = [[_pack(vec, bits, p) for vec in (base, *zl)] for base, zl in zip(bases, z)]
     accs = [sum(map(mul, ws, ts)) for row in weights for ws, ts in zip(row, terms)]
     return list(zip(*[iter(_unpack(accs, k, bits, p))] * len(bases)))
 
@@ -550,9 +565,11 @@ def constant_terms(
     p, k, table = params.p, params.K, _table(params)
     bits = table.lanes[params.N]
     mask, packed = (1 << k * bits) - 1, [_pack(q, bits) for q in queries]
+    # block l's shift: in big-endian lanes the first block is the highest
+    shifts = range(0, len(table.check_weights) * k * bits, k * bits)[:: 1 if byteorder == "little" else -1]
     accs = [
-        sum([w * (q >> l * k * bits & mask) for w, q in zip(weights, packed)])
-        for l, weights in enumerate(table.check_weights)
+        sum([w * (q >> shift & mask) for w, q in zip(weights, packed)])
+        for shift, weights in zip(shifts, table.check_weights)
     ]
     return tuple(_unpack(accs, k, bits, p))
 

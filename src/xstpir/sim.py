@@ -15,10 +15,12 @@ byte-identical transcript.
 Every payload (QUERY and ANSWER lines, and the DECODED line) is written
 and read through one symbol codec: a table of the canonical decimal
 strings of the symbols below `_TABLE_SIZE`, and its inverse dict, both
-built at import. A symbol or token outside the table (a larger value, or a
-spelling such as "007", "+3" or "1_000" that `int` accepts) takes the
-`str`/`int` path instead, so each line is formatted, accepted or rejected
-exactly as by `str` and `int` alone.
+built at import; a payload of `_BYTE_FORMAT_MIN` or more symbols in 0..255
+is written by three digit tables instead (`bytes.translate`), and a line of
+two or more tokens read by one `itemgetter` call. A symbol or token outside
+the table (a larger value, or a spelling such as "007", "+3" or "1_000"
+that `int` accepts) takes the `str`/`int` path instead, so each line is
+formatted, accepted or rejected exactly as by `str` and `int` alone.
 
 Each payload's length and alphabet are checked once, by whoever receives
 it: a server checks its QUERY in `Server.handle`, the client checks the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from random import Random
 from typing import Sequence
 
@@ -50,12 +53,23 @@ _HEADER = ("scheme", "N", "K", "X", "T", "p", "L", "seed", "theta")
 _TABLE_SIZE = 1024
 _TEXT_OF = {v: str(v) for v in range(_TABLE_SIZE)}
 _VALUE_OF = {text: v for v, text in _TEXT_OF.items()}
+# Per byte, its hundreds, tens and units digit, NUL where it has none; they
+# write faster than the table from about 50 symbols on.
+_DIGITS = [bytes(48 + b // d % 10 if b >= f else 0 for b in range(256)) for d, f in ((100, 100), (10, 10), (1, 0))]
+_BYTE_FORMAT_MIN = 64
 
 
 def _format_symbols(symbols: Sequence[int]) -> str:
-    """`" ".join(map(str, symbols))` for int symbols, reading each text
-    from the table. (A non-int equal to an entry, such as 3.0, is written
-    as that int.)"""
+    """`" ".join(map(str, symbols))` for int symbols, by the digit tables
+    for a long payload in 0..255, else reading each text from the table.
+    (A non-int equal to an entry, such as 3.0, is written as that int.)"""
+    try:
+        if len(symbols) >= _BYTE_FORMAT_MIN:
+            raw, buf = bytes(symbols), bytearray(b" ") * (4 * len(symbols))
+            buf[0::4], buf[1::4], buf[2::4] = (raw.translate(t) for t in _DIGITS)
+            return buf.translate(None, b"\0")[:-1].decode()
+    except (TypeError, ValueError):  # a symbol outside 0..255, or a non-int
+        pass
     try:
         return " ".join([_TEXT_OF[v] for v in symbols])
     except (KeyError, TypeError):
@@ -66,6 +80,8 @@ def _read_symbols(tokens: Sequence[str]) -> tuple[tuple[int, ...], bool]:
     """`tuple(map(int, tokens))`, reading each value from the table, and
     whether every token was in the table (so that no value is negative)."""
     try:
+        if len(tokens) > 1:  # one token would give a bare value, none a TypeError
+            return itemgetter(*tokens)(_VALUE_OF), True
         return tuple(map(_VALUE_OF.__getitem__, tokens)), True
     except KeyError:
         return tuple(map(int, tokens)), False

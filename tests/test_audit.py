@@ -1203,3 +1203,20 @@ def test_the_sampled_probe_holds_only_the_nonzero_coefficients():
     assert report.exhaustive and report.subsets_checked == 66
     assert report.max_tv_distance == ZERO and report.passed
     assert peak < 50_000_000
+
+
+def test_sampled_sym_security_keeps_no_payload_past_its_test():
+    # csa (5,32,1,1): each drawn pair's query payloads are 5 x 96 symbols.
+    # Keeping them all until the audit ends grew the peak by about 3 MB
+    # from 200 to 800 draws; only the drawn pairs themselves may grow it.
+    inst, peaks = _csa(5, 32, 1, 1), {}
+    for samples in (200, 800):
+        tracemalloc.start()
+        try:
+            report = audit_sym_security(inst, cap=0, samples=samples, seed=1)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.subsets_checked == samples
+        assert report.detail == f"sampled: rank tests on {samples} of about 10^101 (theta, query realization) pairs"
+    assert peaks[800] - peaks[200] < 1_000_000

@@ -4,6 +4,7 @@ The expansion oracles recompute server answers from scratch in product form,
 so a sign or indexing slip in the library cannot cancel itself out.
 """
 
+import hashlib
 from itertools import chain, combinations, count, product
 from math import isqrt, prod
 from random import Random
@@ -651,6 +652,83 @@ def test_storage_and_queries_at_default_primes_reduce_through_byte_tables(monkey
     table = csa_mod._table(params)
     assert [width for width, _ in seen] == [table.lanes[x] // 8, table.lanes[t] // 8]
     assert all(tables is not None for _, tables in seen)
+
+
+# Noise values beside in-range ones: `bytes` takes those in [p, 256), which
+# the j = 0 byte table reduces, and refuses the others, which then take one
+# `% p` each. Every int (a bool included) mixes as its residue does; a
+# float is refused as before.
+ODD_NOISE = {
+    "p": lambda p: p,
+    "255": lambda p: 255,
+    "-1": lambda p: -1,
+    "-3p-1": lambda p: -3 * p - 1,
+    "256": lambda p: 256,
+    "10^30": lambda p: 10**30,
+    "True": lambda p: True,
+    "3.0": lambda p: 3.0,
+}
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("odd", list(ODD_NOISE))
+def test_noise_outside_the_byte_table_mixes_as_its_residue(monkeypatch, order, odd):
+    # 8-bit lanes at p = 11 and 17, 16-bit ones at p = 23; neither goes
+    # through an `array` cast, so the byte-order patch holds.
+    monkeypatch.setattr(csa_mod, "byteorder", order)
+    for params in (CsaParams.make(5, 2, 1, 1), CsaParams.make(7, 3, 2, 2, p=17), CsaParams.make(12, 64, 2, 2)):
+        p, value, rng = params.p, ODD_NOISE[odd](params.p), Random(params.p)
+        w = MessageSet.random(params.K, params.L, params.field, rng)
+        unit = [int(kk == 2) for kk in range(1, params.K + 1)]
+        for kind, run, bases, weights in (
+            (StorageNoise, lambda z: [s.rows for s in encode_storage(w, z, params)],
+             list(zip(*w.symbols)), _paper_weights(params, params.X, False)),
+            (QueryNoise, lambda z: [q.cols for q in gen_queries(2, z, params)],
+             [unit] * params.L, _paper_weights(params, params.T, True)),
+        ):
+            space = kind.space(params)
+            for where in (0, space.count // 2, space.count - 1):  # refused early, midway, late
+                values = space.draw(rng)
+                values[where] = value
+                noise = space.build(values)
+                if isinstance(value, float):
+                    with pytest.raises(ValueError, match=f"{kind.kind} noise must hold ints in range"):
+                        run(noise)
+                else:
+                    assert run(noise) == _loop(p, weights, bases, noise.z)
+
+
+# sha256 prefixes of the shares and queries of seeded inputs at the
+# benchmark's and the ROADMAP's csa sizes, and of `constant_terms` of
+# seeded in-range payloads at csa (24,32,4,4), as the kernel gave them
+# when every input took its own `% p`: each byte order must give them.
+PINNED_KERNEL = {
+    (5, 2, 1, 1): ("f7312343549e4f7f", "13c02d3936326023"),
+    (12, 64, 2, 2): ("bf1a985c3a40782f", "8204a7c158c64625"),
+    (24, 256, 4, 4): ("de46f52dbf26405b", "593a88d87a913f06"),
+    (48, 256, 8, 8): ("685e238a8d0c7fdc", "67ad7b27641c8981"),
+}
+PINNED_CHECK = "b72363cf2a835fb9"
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_kernel_outputs_match_their_pinned_digests(monkeypatch, order):
+    monkeypatch.setattr(csa_mod, "byteorder", order)
+    for (n, k, x, t), pinned in PINNED_KERNEL.items():
+        params = CsaParams.make(n, k, x, t)
+        rng = Random(n * 1000 + k)
+        w = MessageSet.random(k, params.L, params.field, rng)
+        shares = encode_storage(w, StorageNoise.random(params, rng), params)
+        queries = gen_queries(rng.randrange(1, k + 1), QueryNoise.random(params, rng), params)
+        assert (_digest([s.rows for s in shares]), _digest([q.cols for q in queries])) == pinned
+    params = CsaParams.make(24, 32, 4, 4)
+    rng = Random(24032)
+    payloads = [tuple(rng.randrange(params.p) for _ in range(params.L * params.K)) for _ in range(params.N)]
+    assert _digest(csa_mod.constant_terms(payloads, params)) == PINNED_CHECK
 
 
 def test_constant_terms_of_replayed_transcripts_reduce_through_byte_tables(monkeypatch):

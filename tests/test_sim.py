@@ -82,6 +82,15 @@ CODEC_PAYLOADS = [
     (10**30,),
     (0, B - 1, B, B + 1, 10**30, 7, 0),
     tuple(range(B + 3)),
+    # long payloads inside 0..255, which the digit tables write
+    tuple(range(256)),
+    tuple(range(255, -1, -1)),
+    (9,) * 70 + (10,) * 70,
+    (99,) * 70 + (100,) * 70,
+    (255,) * 70,
+    (0, 9, 10, 99, 100, 255) * 20,
+    # in range up to the last symbol: the tables fail late
+    tuple(range(256)) + (256,),
 ]
 
 
@@ -107,6 +116,15 @@ def test_symbol_codec_writes_and_reads_what_str_and_int_do(payload):
     rendered = t.render()
     assert rendered.endswith(f"DECODED {len(payload)} {text}".rstrip() + "\n")
     assert Transcript.parse(rendered) == t
+
+
+def test_digit_tables_write_any_length_as_str_does(monkeypatch):
+    # With no length gate the digit tables write every payload inside
+    # 0..255, the empty one and single symbols included; the others fall
+    # back, however late their first symbol past a byte comes.
+    monkeypatch.setattr(sim_mod, "_BYTE_FORMAT_MIN", 0)
+    for payload in CODEC_PAYLOADS + [(v,) for v in (0, 9, 10, 99, 100, 255, 256)]:
+        assert sim_mod._format_symbols(payload) == " ".join(map(str, payload))
 
 
 def test_symbol_codec_formats_negative_decoded_symbols_as_str_does():
@@ -137,6 +155,25 @@ def test_symbol_codec_reads_any_token_as_int_does(token):
         assert _outcome(WireMessage.parse, line) == want
         text = _replace_line(rendered, "DECODED ", sep.join(["DECODED", "3", *tokens]))
         assert _outcome(lambda: Transcript.parse(text).decoded) == as_int
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS + BAD_TOKENS)
+def test_symbol_codec_reads_a_long_line_ending_in_any_token_as_int_does(token):
+    # The table read takes the whole line at once, so a token it lacks at
+    # the very end sends all 600 back through `int`.
+    tokens = [str(v % 256) for v in range(599)] + [token]
+    as_int = _outcome(lambda: (tuple(map(int, tokens)), False))
+    assert _outcome(sim_mod._read_symbols, tokens) == as_int
+    want = _outcome(lambda: WireMessage(KIND_QUERY, 2, tuple(map(int, tokens))))
+    assert _outcome(WireMessage.parse, " ".join(["QUERY", "2", "600", *tokens])) == want
+
+
+def test_symbol_codec_reads_zero_one_and_two_tokens():
+    read = sim_mod._read_symbols
+    assert read([]) == ((), True)
+    assert read(["5"]) == ((5,), True) and read(["007"]) == ((7,), False)
+    assert read(["5", "0"]) == ((5, 0), True) and read(["5", "+0"]) == ((5, 0), False)
+    assert _outcome(read, ["x"]) == _outcome(int, "x")
 
 
 def test_each_payload_is_range_checked_once_by_its_receiver(monkeypatch):
