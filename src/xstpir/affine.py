@@ -14,11 +14,11 @@ nonzero coefficients only, so memory is O(nonzeros) however long u is.
 `share_map` and `query_maps` read a scheme's maps once each: the shares,
 and the queries of the first theta, each other theta in two more calls
 (`constants`). A server's answer is read from the rows the scheme declares
-for it (`declared`, `Scheme.answer_rows`), checked against `answer` at the
-check point; `compose` and `cross` apply such declared rows, and decode's,
-to the maps without calling the scheme again. `identity` assembles the
-correctness identity of a scheme declared linear from them: once per theta
-where the queries are declared too, else per query realization.
+for it (`Scheme.answer_rows`), checked against `answer` at the check point;
+`forms` and `moved` apply such declared rows to the maps without calling
+the scheme again. From them `identity` assembles the correctness identity
+of a scheme declared linear, and `sym_views` sym-security's rank tests:
+once per theta where the queries are declared too, else per realization.
 
 The audits' rank tests ask whether some column of B lies outside colspan A
 in a matrix [A | B] of such rows. A is block diagonal over the connected
@@ -109,30 +109,34 @@ def compose(row, rows: list, p: int) -> tuple:
         c += a * ci
         for j, b in zip(js, aj):
             out[j] = out.get(j, 0) + a * b
-    out = {j: v % p for j, v in out.items() if v % p}
+    out = {j: r for j, v in out.items() if (r := v % p)}
     return c % p, tuple(out), tuple(out.values())
 
 
-def cross(queries: list, shares: list, delta: list, width: int, p: int) -> dict:
-    """The parts of answers a(u, v) = R(q(v)) s(u) that move with v: q and s
-    affine maps (per server their rows, `read`), R affine in the query
-    payload, delta[k] its rows' change along symbol k. Each distinct column
-    over the answer symbols (n * width + r), with a (v index, u index or -1
-    for the v part alone) where it sits, the v parts first."""
-    moved: dict[tuple, dict] = {}
+def answer_delta(inst: Scheme) -> tuple:
+    """The answer rows' width, and their change along each query symbol (declared affine in it)."""
+    qs = inst.query_symbols
+    given = [inst.answer_rows(tuple(int(i == k) for i in range(qs))) for k in range(-1, qs)]
+    width = next((len(rows) for rows in given if rows is not None), 0)
+    base, *units = [rows or (((), ()),) * width for rows in given]
+    return width, [[(js + bj, aj + tuple(-a for a in ba)) for (js, aj), (bj, ba) in zip(rows, base)]
+                   for rows in units]
+
+
+def moved(queries: list, shares: list, delta: list, width: int, p: int) -> dict:
+    """Per (v index, u index or -1 for v alone), the coefficient in each
+    answer symbol n * width + r of what moves with v in answers R(q(v)) s(u):
+    q and s affine maps (`read`), delta[k] R's change along query symbol k."""
+    out: dict[tuple, dict] = {}
     for n, rows in enumerate(queries):
         for k, (_, js, aj) in enumerate(rows):
             for r, row in enumerate(delta[k]):
                 c, us, ua = compose(row, shares[n], p)
                 for j, b in zip(js, aj):
                     for m, a in ((-1, c), *zip(us, ua)):
-                        cell = moved.setdefault((j, m), {})
+                        cell = out.setdefault((j, m), {})
                         cell[n * width + r] = cell.get(n * width + r, 0) + a * b
-    distinct: dict[tuple, tuple] = {}
-    for j, m in sorted(moved, key=lambda jm: jm[1] >= 0):
-        if column := tuple((i, a % p) for i, a in moved[j, m].items() if a % p):
-            distinct.setdefault(column, (j, m))
-    return distinct
+    return out
 
 
 def dim(inst: Scheme, spaces) -> int:
@@ -190,25 +194,27 @@ def share_map(inst: Scheme, zero, spot: list) -> tuple:
     return read(chain([inst.share_payloads(zero)], map(at, rest)), n, inst.p), stored[0]
 
 
-def declared(inst: Scheme, payloads, shares, answers) -> list:
-    """Each server's answer rows for the query `payloads`
-    (`Scheme.answer_rows`). ValueError unless they give `answers`, the
-    answers at the check point, from `shares`, the share payloads there."""
-    p, given = inst.p, list(map(inst.answer_rows, payloads))
-    for n, rows, share, answer in zip(count(1), given, shares, answers):
+def forms(inst: Scheme, shares: list, stored, queries, answers, constant=None, width=0, how=compose) -> list:
+    """The answer rows declared for `queries`, or for the flat payloads
+    `constant`, times the share map (`how`); ValueError unless those for
+    `queries` give `answers` from `stored`, both at the check point."""
+    p, qs, given = inst.p, inst.query_symbols, list(map(inst.answer_rows, inst.query_payloads(queries)))
+    for n, rows, share, answer in zip(count(1), given, inst.share_payloads(stored), answers):
         got = None if rows is None else [sum(map(mul, map(share.__getitem__, js), aj)) for js, aj in rows]
         if (got is None) != (answer is None) or got is not None and (
                 len(got) != len(answer) or any((v - g) % p for g, v in zip(got, answer))):
             raise ValueError(f"{inst.describe()} declares answer rows that are not "
                              f"server {n}'s answer at the check point")
-    return given
+    if constant is not None:
+        given = [inst.answer_rows(tuple(constant[n * qs:][:qs])) for n in range(inst.N)]
+    return [how(row, shares[n], p) for n, rows in enumerate(given) for row in rows or (((), ()),) * width]
 
 
 def identity(inst: Scheme, asked: list, zero):
     """The identity test of `audit.audit_correctness` on `asked`, given the
     storage at zero: g = decode(answers) - message theta, affine in the
     storage values u, assembled from the share map, the declared answer
-    rows (`declared`, checked at the check point) and decode's rows (decode
+    rows (`forms`, checked at the check point) and decode's rows (decode
     read at zero, unit and check answers). `asked` lists (theta, query
     randomness values) pairs. For a scheme declared `linear_queries` they
     are (theta, None), one per theta: g(u, v) is then bi-affine in u and
@@ -218,15 +224,11 @@ def identity(inst: Scheme, asked: list, zero):
     coefficient vanishes and a real decode at the check points is right,
     else the (theta, storage point, query point) of the call that raised or
     of a coefficient that does not vanish."""
-    p, N, L, qs, qr = inst.p, inst.N, inst.L, inst.query_symbols, inst.query_randomness
+    p, N, L, qr = inst.p, inst.N, inst.L, inst.query_randomness
     du, full = dim(inst, (inst.messages, inst.storage_noises)), inst.linear_queries
     unit = lambda n, j: [int(i == j) for i in range(n)]  # unit(n, -1) is zero
-    if full:  # the answer rows at the zero query, and their change along each query symbol
-        dv, given = dim(inst, (qr,)), [inst.answer_rows(tuple(unit(qs, k))) for k in range(-1, qs)]
-        width = next((len(rows) for rows in given if rows is not None), 0)
-        base, *units = [rows or (((), ()),) * width for rows in given]
-        delta = [[(js + bj, aj + tuple(-a for a in ba)) for (js, aj), (bj, ba) in zip(rows, base)]
-                 for rows in units]
+    if full:  # the answer rows' change along each query symbol
+        dv, (width, delta) = dim(inst, (qr,)), answer_delta(inst)
     spot, probed, decoders = [asked[0][0], unit(du, -1), unit(qr.count, -1)], [], {}
     try:
         if isinstance(zero, Exception):
@@ -248,16 +250,15 @@ def identity(inst: Scheme, asked: list, zero):
             probed.append((spot[0], spot[2], mapped[0] if full else None, queries, width, answers, decoded))
     except Exception:
         return tuple(spot)
-    moving, shared = cross(first, shares, delta, width, p) if full else {}, inst.share_payloads(stored)
+    moving, products = {}, moved(first, shares, delta, width, p) if full else {}
+    for j, m in sorted(products, key=lambda jm: jm[1] >= 0):  # each distinct moving column, v parts first
+        if column := tuple((i, a % p) for i, a in products[j, m].items() if a % p):
+            moving.setdefault(column, (j, m))
     for theta, v, constant, queries, width, answers, decoded in probed:
-        payloads, point = inst.query_payloads(queries), v
-        declared(inst, payloads, shared, answers)
-        if full:  # g(u, 0) is read from the answer rows at the queries' constant, else g(u, v) at v
-            payloads, point = [tuple(constant[n * qs:][:qs]) for n in range(N)], unit(dv, -1)
-        forms = [compose(row, shares[n], p) for n, rows in enumerate(map(inst.answer_rows, payloads))
-                 for row in rows or (((), ()),) * width]
+        # g(u, 0) is read from the answer rows at the queries' constant, else g(u, v) at v
+        point, g = unit(dv, -1) if full else v, forms(inst, shares, stored, queries, answers, constant, width)
         for l, (c, js, aj) in enumerate(decoders[theta, width]):  # decode's row l - message theta's symbol l
-            c, us, _ = compose((js + (-1,), aj + (1,)), [*forms, (c, ((theta - 1) * L + l,), (-1,))], p)
+            c, us, _ = compose((js + (-1,), aj + (1,)), [*g, (c, ((theta - 1) * L + l,), (-1,))], p)
             if c or us:
                 return theta, unit(du, -1 if c else min(us)), point
             row = dict(zip(js, aj))
@@ -267,6 +268,48 @@ def identity(inst: Scheme, asked: list, zero):
         if not decoded:
             return theta, spot[1], v
     return None
+
+
+def sym_views(inst: Scheme, asked, zero) -> tuple:
+    """`audit.audit_sym_security`'s rank tests, given the storage at zero:
+    per entry of `asked`, A = `forms` as [A_z | A_other] over [noise |
+    messages but theta's], and a count of its distinct (theta, payload)s.
+    Entries are (theta, payloads, queries), or with declared queries (theta,
+    randomness values): A at the queries' constant plus `moved`'s entries."""
+    km, kz, p, L = inst.messages.count, inst.storage_noises.count, inst.p, inst.L
+    shares, stored = share_map(inst, zero, [None] * 3)
+    place, moving = [*range(kz, kz + km), *range(kz)], []  # the columns: noise first
+    shares = [[(c, tuple(map(place.__getitem__, js)), aj) for c, js, aj in rows] for rows in shares]
+
+    def dense(row, rows, _) -> list:  # `compose`, laid out in the columns [noise | messages], unreduced
+        out = [0] * (kz + km)
+        for i, a in zip(*row):
+            for j, b in zip(*rows[i][1:]):
+                out[j] += a * b
+        return out
+    lay = lambda q, *at: forms(inst, shares, stored, q, list(map(inst.answer, stored, q)), *at, how=dense)
+
+    if inst.linear_queries:
+        (first, maps), (width, delta) = query_maps(inst, list(inst.thetas), [None] * 3), answer_delta(inst)
+        moving = [[] for _ in range(inst.query_randomness.count)]
+        for (j, m), cells in moved(first, shares, delta, width, p).items():  # the v part alone moves no span
+            moving[j] += [(r, m, a % p) for r, a in cells.items() if m >= 0 and a % p]
+
+    def views(current=None):
+        for theta, *pair in asked:  # in theta order
+            if inst.linear_queries and theta != current:
+                base, current = lay(maps[theta - 1][1], maps[theta - 1][0], width), theta
+            rows = [row[:] for row in base] if inst.linear_queries else lay(pair[1])
+            for vj, entries in zip(pair[0], moving):  # no entries where the queries are not declared
+                for r, c, a in entries if vj else ():
+                    rows[r][c] += vj * a
+            yield [row[:kz + (theta - 1) * L] + row[kz + theta * L:] for row in rows]  # theta's is given
+
+    if not inst.linear_queries:
+        return views(), lambda: len({(t, y) for t, y, _ in asked})
+    rank = lambda: eliminate_mod([[dict(zip(js, aj)).get(j, 0) for j in range(len(moving))]
+                                  for rows in first for _, js, aj in rows], p)
+    return views(), lambda: len({t for t, _ in asked}) * p ** rank()  # p^rank R payloads a theta
 
 
 def rank_grows(rows: list[list[int]], limit: int, p: int) -> bool:

@@ -26,7 +26,8 @@ X-security of a subset S holds iff rank[M_S | Z_S] = rank Z_S; T-privacy
 iff every q_S(theta) - q_S(1) lies in colspan(R_S), R probed at the first
 theta and each other theta read in two calls; sym-security iff
 rank[A_other | A_z] = rank A_z (A_other: A_m outside message theta) for
-every theta and distinct query payload, one elimination each. Security
+every theta and distinct query payload, one elimination each, A built
+from the query map where it is declared (`affine.sym_views`). Security
 and privacy split [A | B] into the components of A (`affine.split`).
 
 The identity test (`affine.identity`) decides correctness where the
@@ -191,14 +192,19 @@ def _draw(seed: int, samples: int, total: int, one) -> list:
 def _pairs(inst: Scheme, exact: bool, samples: int, seed: int, values: bool = True) -> tuple:
     """The (theta, query randomness values) pairs an audit tests, in order,
     and how many there are: all of them if `exact` or `samples` covers them,
-    else `_draw`'s. Without `values`, one (theta, None) per theta."""
+    else `_draw`'s, their values held as big-endian bytes that sort as the
+    tuples do (past a byte a value, unpacked as they are iterated). Without
+    `values`, one (theta, None) per theta."""
     thetas, qr = list(inst.thetas), inst.query_randomness
     total = len(thetas) * (qr.size if values else 1)
     if exact or samples >= total:
         every = product(range(qr.base), repeat=qr.count) if values else [None]
         return list(product(thetas, every)), total
-    one = lambda rng: (rng.choice(thetas), tuple(qr.draw(rng)) if values else None)
-    return _draw(seed, samples, total, one), total
+    w = ((qr.base - 1).bit_length() + 7) // 8 or 1
+    pack = lambda rng: b"".join(x.to_bytes(w, "big") for x in qr.draw(rng)) if values else None
+    drawn = _draw(seed, samples, total, lambda rng: (rng.choice(thetas), pack(rng)))
+    unpack = lambda b: tuple(int.from_bytes(b[j:j + w], "big") for j in range(0, len(b), w))
+    return (((t, unpack(b)) for t, b in drawn) if w > 1 and values else drawn), total
 
 
 def _report(prop, inst, size, checked, max_tv, exact, enumerated, samples, detail=""):
@@ -336,14 +342,18 @@ def audit_sym_security(
     shipped query map is injective in its randomness: their payloads differ).
     """
     engine, exact, zero, _ = _exact(inst, SYM_SECURITY, None, cap, samples, fallback)
-    pairs, total = _pairs(inst, exact, samples, seed)
+    asked, total = _pairs(inst, exact, samples, seed)
     enumerated = total * inst.messages.size * inst.storage_noises.size
-    ask = lambda t, v: (t, inst.query_payloads(q := inst.queries(t, inst.query_randomness.build(v))), q)
-    asked = [ask(*pair) for pair in pairs] if exact else (ask(*pair) for pair in pairs)  # lazy past the cap
+    if not (engine == RANK_TESTS and inst.linear_queries):  # else no call per pair: the maps are read once
+        ask = lambda t, v: (t, inst.query_payloads(q := inst.queries(t, inst.query_randomness.build(v))), q)
+        asked = [ask(*a) for a in asked] if exact else (ask(*a) for a in asked)  # lazy past the cap
     if engine == RANK_TESTS:
-        tested, leak = _sym_by_rank(inst, asked, zero)
+        views, distinct = affine.sym_views(inst, asked, zero)
+        for tested, rows in enumerate(views, 1):
+            if leak := affine.rank_grows(rows, inst.storage_noises.count, inst.p):
+                break
         # a linear plaintext is message theta's L values: p^L groups per payload
-        checked = len({(t, y) for t, y, _ in asked}) * inst.p**inst.L if exact else tested
+        checked = distinct() * inst.p**inst.L if exact else tested
         detail = f"rank tests on {tested} of {_figure(total)} (theta, query realization) pairs"
         return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
                        samples, detail)
@@ -351,33 +361,6 @@ def audit_sym_security(
     tables = _enumeration(((t, y, inst.plaintext(m, t)), m, tuple(map(inst.answer, shares, q)))
                           for m, shares in stored for t, y, q in asked)
     return _report(SYM_SECURITY, inst, inst.N, len(tables), _max_tv(tables), True, enumerated, samples)
-
-
-def _sym_by_rank(inst: Scheme, asked, zero) -> tuple[int, bool]:
-    """rank[A_other | A_z] > rank A_z for the answers to each (theta, query
-    payload, query tuple) in `asked`, up to the first leak, A being the
-    declared answer rows composed with the share map: how many were tested,
-    and whether one leaks. No payload outlives its test."""
-    km, kz, p, L = inst.messages.count, inst.storage_noises.count, inst.p, inst.L
-    shares, stored = affine.share_map(inst, zero, [None] * 3)
-    # each share row's (column, coefficient) pairs, the columns [noise | messages]
-    place = [*range(kz, kz + km), *range(kz)]
-    shares = [[tuple(zip(map(place.__getitem__, js), aj)) for _, js, aj in server] for server in shares]
-    checked = inst.share_payloads(stored)
-    for tested, (theta, payload, q) in enumerate(asked, 1):
-        rows, cut = [], kz + (theta - 1) * L
-        declared_rows = affine.declared(inst, payload, checked, list(map(inst.answer, stored, q)))
-        for view, declared in zip(shares, declared_rows):
-            for js, aj in declared or ():
-                dense = [0] * (kz + km)
-                for i, a in zip(js, aj):
-                    for j, b in view[i]:
-                        dense[j] += a * b
-                del dense[cut:cut + L]  # message theta is given
-                rows.append(dense)
-        if leak := affine.rank_grows(rows, kz, p):
-            break
-    return tested, leak
 
 
 def _attempt(make, *args):
@@ -427,6 +410,7 @@ def audit_correctness(
     if engine == IDENTITY:
         # one test per theta where the queries are declared affine, else one per (theta, qr)
         asked, total = _pairs(inst, exhaustive, samples, seed, not inst.linear_queries)
+        asked = list(asked)
         checked = len({t for t, _ in asked})
         if (failed := affine.identity(inst, asked, zero)) is None:
             what = "thetas" if inst.linear_queries else "(theta, query realization) pairs"
@@ -490,13 +474,15 @@ def estimate_work(inst: Scheme, prop: str, subset_size: int | None = None) -> in
     (qr.count + 2 calls), two calls per other theta, and the components
     likewise; counting them runs the probe, so when the probe alone costs
     more than DEFAULT_CAP the count is that cost. Sym-security: the storage
-    probe, and per query of every theta its payloads, the N answers at the
-    check point and one elimination. The identity test: the storage probe,
-    the query maps, the answer rows at the zero and each unit query, and
-    per theta the N answers at the check point and decodes at the answer
-    probe's points and of the real answers; without `linear_queries`, per
-    theta the decodes at the answer probe's points, and per (theta, qr) its
-    queries, the N answers at the check point and one real decode.
+    probe, and per (theta, qr) one elimination after its query payloads and
+    N answers at the check point, or with declared queries its N * width x
+    dim matrix (after the query probe and per theta N answers). The
+    identity test: the storage probe, the query maps, the answer rows at
+    the zero and each unit query, and per theta the N answers at the check
+    point and decodes at the answer probe's points and of the real answers;
+    without `linear_queries`, per theta the decodes at the answer probe's
+    points, and per (theta, qr) its queries, the N answers at the check
+    point and one real decode.
     """
     return _plan(inst, prop, subset_size, DEFAULT_CAP, exact_engine(inst, prop))[0]
 
@@ -513,22 +499,23 @@ def _plan(inst: Scheme, prop: str, subset_size: int | None, cap: int, engine: st
         counts = {X_SECURITY: m.size * z.size, T_PRIVACY: thetas * qr.size}
         return counts.get(prop, thetas * m.size * z.size * qr.size), None, None
     dim, queried, zero = m.count + z.count, inst.N * inst.query_symbols, None
+    maps = (qr.count + 2 * thetas) * queried  # the query map: the first theta's probe, two calls per other
     if prop == T_PRIVACY:
-        probe = (qr.count + 2 * thetas) * queried
+        probe = maps
     else:
         zero = _attempt(inst.storage, m.build([0] * m.count), z.build([0] * z.count))
         if (failed := isinstance(zero, Exception)) and prop != CORRECTNESS:
             raise zero
         probe = 0 if failed else (dim + 2) * sum(map(len, inst.share_payloads(zero)))
-    width = inst.answer_symbols((1,) * inst.query_symbols)
-    rows = inst.N * width
+    rows = inst.N * (width := inst.answer_symbols((1,) * inst.query_symbols))
     if prop == CORRECTNESS and not inst.linear_queries:
         return probe + thetas * (qr.size * (queried + rows + inst.L) + (rows + 2) * inst.L), zero, None
     if prop == CORRECTNESS:
-        declared = (qr.count + 2 * thetas) * queried + (inst.query_symbols + 1) * width
+        declared = maps + (inst.query_symbols + 1) * width
         return probe + declared + thetas * (rows + (rows + 3) * inst.L), zero, None
-    if prop == SYM_SECURITY:
-        return probe + thetas * qr.size * (queried + rows + _elimination(rows, dim, z.count)), zero, None
+    if prop == SYM_SECURITY:  # per pair its matrix, from the maps or from its queries and answers
+        maps, per = (maps + thetas * rows, rows * dim) if inst.linear_queries else (0, queried + rows)
+        return probe + maps + thetas * qr.size * (per + _elimination(rows, dim, z.count)), zero, None
     if probe > cap:
         return probe, zero, None
     security = prop == X_SECURITY

@@ -414,7 +414,7 @@ def _pack(values: Sequence[int], bits: int, p: int | None = None) -> int:
         return int.from_bytes(buf, byteorder)
     if bits in _LANE_CODES:
         return int.from_bytes(array(_LANE_CODES[bits], values).tobytes(), byteorder)
-    return int.from_bytes(b"".join([v.to_bytes(bits // 8, byteorder) for v in values]), byteorder)
+    return int.from_bytes(b"".join([int.to_bytes(v, bits // 8, byteorder) for v in values]), byteorder)
 
 
 @lru_cache(maxsize=8 * _TABLES)  # up to 8 byte positions per modulus

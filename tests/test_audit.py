@@ -202,12 +202,14 @@ BOUNDARY_CASES = {
         audit_privacy, T_PRIVACY, lambda: _csa(3, 2, 1, 1), {"subset_size": 2},
         RANK_TESTS, (4 + 2) * 6 + 3 * 2 * (2 * 2 * 1),
     ),
-    # the storage probe, then for 2 thetas x 25 queries: 6 query symbols, 3
-    # one-symbol answers at the check point, and a 3 x 4 elimination with
-    # 2 pivots
+    # csa (3,2,1,1), p = 5, its queries declared: the storage probe (6 x 6);
+    # the query map as privacy reads it, (2 + 2 * 2) calls x 6 query
+    # symbols; per theta its 3 one-symbol answers at the check point; then
+    # for 2 thetas x 25 query realizations, the 3 x 4 matrix assembled from
+    # the maps and a 3 x 4 elimination with 2 pivots
     "symsec-rank": (
         audit_sym_security, SYM_SECURITY, lambda: _csa(3, 2, 1, 1), {}, RANK_TESTS,
-        6 * 6 + 2 * 25 * (6 + 3 + 3 * 4 * 2),
+        6 * 6 + (2 + 2 * 2) * 6 + 2 * 3 + 2 * 25 * (3 * 4 + 3 * 4 * 2),
     ),
     # sym_xspir (1,2), p = 2: dim 6 (2 message, 4 noise symbols), 8 share
     # symbols. Per subset four components, one per noise symbol z_km, each
@@ -648,6 +650,17 @@ class _AnswersTheWholeGrid(SymXspirInstance):
         return tuple(((i,), (1,)) for i in range(self.K * self.K))
 
 
+class _CollapsedQueryNoise(CsaInstance):
+    """csa whose query noise enters only through the sum of its values, the
+    same way for every theta: affine but not injective, so realizations
+    share payloads (at (3,2,1,1), 5 payloads a theta for 25 realizations)."""
+
+    def queries(self, theta, randomness):
+        values = list(chain.from_iterable(chain.from_iterable(randomness.z)))
+        collapsed = [sum(values) % self.p] + [0] * (len(values) - 1)
+        return super().queries(theta, self.query_randomness.build(collapsed))
+
+
 # Every security, privacy and sym-security audit the rank tests decide in
 # the tests, the goldens included: audit, instance, kwargs.
 ORACLE_CASES = {
@@ -698,6 +711,11 @@ ORACLE_CASES = {
     "over-x-symx-x2k2": (audit_security, lambda: _symx(2, 2), {"subset_size": 3}),
     "symsec-symx-whole-grid": (
         audit_sym_security, lambda: _AnswersTheWholeGrid(SymXspirParams.make(1, 2)), {},
+    ),
+    # subsets_checked counts distinct payloads: p^rank of the query map's
+    # randomness part per theta, 2 * 5 * 5 here
+    "symsec-csa-3211-collapsed": (
+        audit_sym_security, lambda: _CollapsedQueryNoise(CsaParams.make(3, 2, 1, 1)), {},
     ),
 }
 
@@ -754,6 +772,17 @@ class _NoiseDependsOnTheta(CsaInstance):
         return super().queries(theta, QueryNoise(z))
 
 
+class _NoiseReversedForTheta2(CsaInstance):
+    """Affine for each theta, but theta 2 takes the query noise values in
+    reverse order: its queries move with the randomness unlike theta 1's."""
+
+    def queries(self, theta, randomness):
+        if theta == 2:
+            space = self.query_randomness
+            randomness = space.build(list(chain.from_iterable(chain.from_iterable(randomness.z)))[::-1])
+        return super().queries(theta, randomness)
+
+
 def _wrong_modulus():
     inst = BinaryInstance(2)
     inst.p = 3  # its Spaces stay mod 2
@@ -769,7 +798,14 @@ NOT_LINEAR_CASES = {
         lambda: _SquaresQueryNoise(CsaParams.make(3, 2, 1, 1)), (audit_privacy,), "not affine",
     ),
     "theta": (
-        lambda: _NoiseDependsOnTheta(CsaParams.make(3, 2, 1, 1)), (audit_privacy,), "differently",
+        lambda: _NoiseDependsOnTheta(CsaParams.make(3, 2, 1, 1)),
+        (audit_privacy, audit_sym_security), "differently",
+    ),
+    # sym-security reads the query map once: every theta but the first in
+    # two calls, refused where the randomness enters them differently
+    "theta-order": (
+        lambda: _NoiseReversedForTheta2(CsaParams.make(3, 2, 1, 1)),
+        (audit_sym_security, audit_privacy), "enters the queries for theta 2 differently",
     ),
     "modulus": (_wrong_modulus, (audit_security, audit_privacy), "not all mod 3"),
 }
@@ -1108,6 +1144,26 @@ def test_sampled_views_match_the_per_draw_scheme_calls(case):
                 assert report.max_tv_distance == exact.max_tv_distance
 
 
+@pytest.mark.parametrize("case", [*SAMPLED_INSTANCES, "csa-4212"])
+def test_sym_security_from_the_maps_matches_the_real_queries(case):
+    # Declared queries: each pair's matrix is assembled from the share and
+    # query maps. Undeclared (a subclass), the same rank tests run on each
+    # pair's real queries and answers. Every report must be the same, the
+    # exact ones' subsets_checked (distinct payloads) included; csa
+    # (4,2,1,2) leaks.
+    make = SAMPLED_INSTANCES.get(case, lambda: _csa(4, 2, 1, 2, p=5))
+
+    def real(inst):
+        inst.__class__ = type(f"Real{type(inst).__name__}", (type(inst),), {"linear_queries": False})
+        return inst
+
+    runs = [{"cap": 0, "samples": samples, "seed": seed} for samples, seed in product((1, 7, 60), (0, 1, 2))]
+    if max(estimate_work(make(), SYM_SECURITY), estimate_work(real(make()), SYM_SECURITY)) <= DEFAULT_CAP:
+        runs.append({})
+    for kwargs in runs:
+        assert audit_sym_security(make(), **kwargs) == audit_sym_security(real(make()), **kwargs), kwargs
+
+
 def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
     for samples in (10, 400):
         inst = _csa(3, 2, 1, 1)
@@ -1123,12 +1179,11 @@ def test_sampled_audits_of_a_linear_scheme_call_it_once_per_probe_point():
         calls.clear()
         report = audit_sym_security(inst, cap=0, samples=samples)
         # the storage at every probe point (the work count's zero point
-        # reused), one query per distinct drawn (theta, query realization)
-        # pair, and each server's answer at the check point per distinct
-        # query payload
-        pairs = len(inst.thetas) * inst.query_randomness.size
-        assert calls == {"storage": dim + 2, "queries": min(samples, pairs),
-                         "answer": inst.N * report.subsets_checked}
+        # reused), the query map as privacy reads it, and each server's
+        # answer at the check point once per theta: no call per drawn
+        # (theta, query realization) pair, of which there are 10 or all 50
+        assert calls == {"storage": dim + 2, "queries": kq + 2 * inst.K, "answer": inst.N * inst.K}
+        assert report.subsets_checked == min(samples, len(inst.thetas) * inst.query_randomness.size)
     # past the cap, but with the query probe within it: the privacy tests
     # the work count probed for are the ones the draw runs, all K thetas
     inst = _csa(5, 2, 1, 1)
@@ -1208,8 +1263,10 @@ def test_the_sampled_probe_holds_only_the_nonzero_coefficients():
 def test_sampled_sym_security_keeps_no_payload_past_its_test():
     # csa (5,32,1,1): each drawn pair's query payloads are 5 x 96 symbols.
     # Keeping them all until the audit ends grew the peak by about 3 MB
-    # from 200 to 800 draws; only the drawn pairs themselves may grow it.
+    # from 200 to 800 draws, and the drawn pairs as tuples of 96 ints by
+    # 444 KB; held as 96 bytes each, the 600 more pairs take about 110 KB.
     inst, peaks = _csa(5, 32, 1, 1), {}
+    audit_sym_security(inst, cap=0, samples=200, seed=1)  # fills the caches, to count in neither peak
     for samples in (200, 800):
         tracemalloc.start()
         try:
@@ -1219,4 +1276,16 @@ def test_sampled_sym_security_keeps_no_payload_past_its_test():
             tracemalloc.stop()
         assert report.passed and report.subsets_checked == samples
         assert report.detail == f"sampled: rank tests on {samples} of about 10^101 (theta, query realization) pairs"
-    assert peaks[800] - peaks[200] < 1_000_000
+    assert peaks[800] - peaks[200] < 150_000
+
+
+@pytest.mark.parametrize("p", [5, 257, 65537])
+def test_drawn_values_are_packed_in_the_order_of_their_tuples(p):
+    # each drawn values list is held as bytes, one a value below 256 (read
+    # as they are) and w big-endian ones past it (unpacked as the pairs are
+    # read): the draw, its order and its values stay those of the tuples
+    inst = _csa(3, 2, 1, 1, p=p)
+    qr, thetas = inst.query_randomness, list(inst.thetas)
+    tuples = audit_mod._draw(4, 30, 2 * p**2, lambda rng: (rng.choice(thetas), tuple(qr.draw(rng))))
+    pairs, total = audit_mod._pairs(inst, False, 30, 4)
+    assert total == 2 * p**2 and [(t, tuple(v)) for t, v in pairs] == tuples

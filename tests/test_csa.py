@@ -673,10 +673,13 @@ ODD_NOISE = {
 @pytest.mark.parametrize("order", ["little", "big"])
 @pytest.mark.parametrize("odd", list(ODD_NOISE))
 def test_noise_outside_the_byte_table_mixes_as_its_residue(monkeypatch, order, odd):
-    # 8-bit lanes at p = 11 and 17, 16-bit ones at p = 23; neither goes
-    # through an `array` cast, so the byte-order patch holds.
+    # 8-bit lanes at p = 11 and 17, 16-bit ones at p = 23, and at
+    # p = 2^61 - 1 lanes past 64 bits written a value at a time, where a
+    # float escaped as AttributeError; none goes through an `array` cast,
+    # so the byte-order patch holds.
     monkeypatch.setattr(csa_mod, "byteorder", order)
-    for params in (CsaParams.make(5, 2, 1, 1), CsaParams.make(7, 3, 2, 2, p=17), CsaParams.make(12, 64, 2, 2)):
+    for params in (CsaParams.make(5, 2, 1, 1), CsaParams.make(7, 3, 2, 2, p=17), CsaParams.make(12, 64, 2, 2),
+                   CsaParams.make(5, 2, 1, 1, p=2**61 - 1)):
         p, value, rng = params.p, ODD_NOISE[odd](params.p), Random(params.p)
         w = MessageSet.random(params.K, params.L, params.field, rng)
         unit = [int(kk == 2) for kk in range(1, params.K + 1)]
