@@ -180,26 +180,29 @@ def query_maps(inst: Scheme, thetas: list[int], spot: list) -> tuple:
 
 
 def share_map(inst: Scheme, zero, spot: list) -> tuple:
-    """The share map (`read`, given the storage at zero) and the storage at
-    its check point; spot[1] follows the point read."""
-    n, stored, build = dim(inst, (inst.messages, inst.storage_noises)), [zero], storage_at(inst)
+    """The share map (`read`, given the storage at zero), and the storage at
+    its check point and that storage's share payloads; spot[1] follows the
+    point read."""
+    n, held, build = dim(inst, (inst.messages, inst.storage_noises)), [zero, None], storage_at(inst)
 
     def at(u):
         spot[1] = u
-        stored[0] = build(u)
-        return inst.share_payloads(stored[0])
+        held[0] = build(u)
+        held[1] = inst.share_payloads(held[0])
+        return held[1]
 
     rest = points(n, inst.p)
     spot[1] = next(rest)
-    return read(chain([inst.share_payloads(zero)], map(at, rest)), n, inst.p), stored[0]
+    return read(chain([inst.share_payloads(zero)], map(at, rest)), n, inst.p), *held
 
 
-def forms(inst: Scheme, shares: list, stored, queries, answers, constant=None, width=0, how=compose) -> list:
+def forms(inst: Scheme, shares: list, payloads, queries, answers, constant=None, width=0, how=compose) -> list:
     """The answer rows declared for `queries`, or for the flat payloads
     `constant`, times the share map (`how`); ValueError unless those for
-    `queries` give `answers` from `stored`, both at the check point."""
+    `queries` give `answers` from the share `payloads`, both at the check
+    point."""
     p, qs, given = inst.p, inst.query_symbols, list(map(inst.answer_rows, inst.query_payloads(queries)))
-    for n, rows, share, answer in zip(count(1), given, inst.share_payloads(stored), answers):
+    for n, rows, share, answer in zip(count(1), given, payloads, answers):
         got = None if rows is None else [sum(map(mul, map(share.__getitem__, js), aj)) for js, aj in rows]
         if (got is None) != (answer is None) or got is not None and (
                 len(got) != len(answer) or any((v - g) % p for g, v in zip(got, answer))):
@@ -233,7 +236,7 @@ def identity(inst: Scheme, asked: list, zero):
     try:
         if isinstance(zero, Exception):
             raise zero
-        shares, stored = share_map(inst, zero, spot)
+        shares, stored, payloads = share_map(inst, zero, spot)
         if full:  # per theta the queries' constant (at zero), and the queries at the check point
             first, maps = query_maps(inst, [theta for theta, _ in asked], spot)
             asked = [(theta, check(dv, p), *mapped) for (theta, _), mapped in zip(asked, maps)]
@@ -256,7 +259,7 @@ def identity(inst: Scheme, asked: list, zero):
             moving.setdefault(column, (j, m))
     for theta, v, constant, queries, width, answers, decoded in probed:
         # g(u, 0) is read from the answer rows at the queries' constant, else g(u, v) at v
-        point, g = unit(dv, -1) if full else v, forms(inst, shares, stored, queries, answers, constant, width)
+        point, g = unit(dv, -1) if full else v, forms(inst, shares, payloads, queries, answers, constant, width)
         for l, (c, js, aj) in enumerate(decoders[theta, width]):  # decode's row l - message theta's symbol l
             c, us, _ = compose((js + (-1,), aj + (1,)), [*g, (c, ((theta - 1) * L + l,), (-1,))], p)
             if c or us:
@@ -277,7 +280,7 @@ def sym_views(inst: Scheme, asked, zero) -> tuple:
     Entries are (theta, payloads, queries), or with declared queries (theta,
     randomness values): A at the queries' constant plus `moved`'s entries."""
     km, kz, p, L = inst.messages.count, inst.storage_noises.count, inst.p, inst.L
-    shares, stored = share_map(inst, zero, [None] * 3)
+    shares, stored, payloads = share_map(inst, zero, [None] * 3)
     place, moving = [*range(kz, kz + km), *range(kz)], []  # the columns: noise first
     shares = [[(c, tuple(map(place.__getitem__, js)), aj) for c, js, aj in rows] for rows in shares]
 
@@ -287,7 +290,7 @@ def sym_views(inst: Scheme, asked, zero) -> tuple:
             for j, b in zip(*rows[i][1:]):
                 out[j] += a * b
         return out
-    lay = lambda q, *at: forms(inst, shares, stored, q, list(map(inst.answer, stored, q)), *at, how=dense)
+    lay = lambda q, *at: forms(inst, shares, payloads, q, list(map(inst.answer, stored, q)), *at, how=dense)
 
     if inst.linear_queries:
         (first, maps), (width, delta) = query_maps(inst, list(inst.thetas), [None] * 3), answer_delta(inst)

@@ -273,7 +273,7 @@ def _security_tests(inst: Scheme, zero) -> list:
     subset's rows the message columns must lie in the span of the noise
     columns."""
     km, kz = inst.messages.count, inst.storage_noises.count
-    shares, _ = affine.share_map(inst, zero, [None] * 3)
+    shares = affine.share_map(inst, zero, [None] * 3)[0]
     return affine.split(shares, range(km, km + kz), range(km))
 
 

@@ -16,6 +16,7 @@ inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Callable, Iterator, Sequence
@@ -111,6 +112,19 @@ def reshape(values: Sequence, shape: Sequence[int]) -> tuple:
     return tuple(items)
 
 
+# The count of values from which `Space.draw` takes its words in one call.
+_BYTE_DRAW_MIN = 48
+
+
+@lru_cache(maxsize=None)
+def _byte_draw(base: int) -> tuple[bytes, bytes]:
+    """For a base below 256: the table taking a word's top byte to the value
+    `getrandbits(base.bit_length())` reads from that word, and the bytes
+    whose value is >= base, which `Space.draw` rejects."""
+    shift = 8 - base.bit_length()
+    return bytes(b >> shift for b in range(256)), bytes(b for b in range(256) if b >> shift >= base)
+
+
 @dataclass(frozen=True)
 class Space:
     """A uniform random object: `count` values in range(base), turned into
@@ -136,11 +150,24 @@ class Space:
         """`count` values in range(base), drawn as `rng.randrange(base)`
         draws each one: `getrandbits(base.bit_length())`, redrawn while the
         value is >= base. The values, and the state `rng` is left in, are
-        those of the `randrange` loop."""
+        those of the `randrange` loop.
+
+        For a base below 256 (at most 8 bits a value) and `_BYTE_DRAW_MIN`
+        or more values, the words come in one `getrandbits(32 * need)` call:
+        that is `need` 32-bit words, the first lowest, and `getrandbits(k)`
+        for k <= 32 is the top k bits of one word, so each value is its
+        word's top byte shifted. One `translate` shifts the bytes and
+        deletes those whose value is >= base; the shortfall is drawn the
+        same way, and once below `_BYTE_DRAW_MIN` by the loop."""
         base, getrandbits = self.base, rng.getrandbits
+        count, values = self.count, []
+        if count >= _BYTE_DRAW_MIN and base < 256:
+            table, rejected, drawn = *_byte_draw(base), bytearray()
+            while (need := self.count - len(drawn)) >= _BYTE_DRAW_MIN:
+                drawn += getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table, rejected)
+            values, count = list(drawn), need
         bits = base.bit_length()
-        values = []
-        for _ in range(self.count):
+        for _ in range(count):
             v = getrandbits(bits)
             while v >= base:
                 v = getrandbits(bits)

@@ -17,27 +17,34 @@ and read through one symbol codec: a table of the canonical decimal
 strings of the symbols below `_TABLE_SIZE`, and its inverse dict, both
 built at import; a payload of `_BYTE_FORMAT_MIN` or more symbols in 0..255
 is written by three digit tables instead (`bytes.translate`), and a line of
-two or more tokens read by one `itemgetter` call. A symbol or token outside
-the table (a larger value, or a spelling such as "007", "+3" or "1_000"
-that `int` accepts) takes the `str`/`int` path instead, so each line is
-formatted, accepted or rejected exactly as by `str` and `int` alone.
+two or more tokens read by one `itemgetter` call, from the table of the
+receiver's alphabet (`_table_for`) for a line of `_BYTE_FORMAT_MIN` or
+more. A symbol or token outside the table (a larger value, or a spelling
+such as "007", "+3" or "1_000" that `int` accepts) takes the `str`/`int`
+path instead, so each line is formatted, accepted or rejected exactly as
+by `str` and `int` alone.
 
 Each payload's length and alphabet are checked once, by whoever receives
 it: a server checks its QUERY in `Server.handle`, the client checks the
 ANSWERs (`_answers_by_server`) but not the queries it built itself, and
 `replay`, which receives everything, checks both, and the queries before
 the scheme's check of theta, which packs them into lanes sized for that
-alphabet. `WireMessage` itself refuses only negative symbols, and skips
-that scan for a line whose every token was read from the table.
+alphabet. Each parses the payload against the alphabet it checks (the
+scheme's query alphabet, range(p) for ANSWERs; `replay` once the header
+names the scheme), so a payload read wholly from that alphabet's table is
+checked for its length alone, and any other is scanned. `WireMessage`
+itself refuses only negative symbols, and skips that scan for a line whose
+every token was read from a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .audit import DEFAULT_CAP, OverCap
 from .scheme import Payload, Scheme, for_params, from_header
@@ -53,6 +60,7 @@ _HEADER = ("scheme", "N", "K", "X", "T", "p", "L", "seed", "theta")
 _TABLE_SIZE = 1024
 _TEXT_OF = {v: str(v) for v in range(_TABLE_SIZE)}
 _VALUE_OF = {text: v for v, text in _TEXT_OF.items()}
+_TABLE_RANGE = range(_TABLE_SIZE)
 # Per byte, its hundreds, tens and units digit, NUL where it has none; they
 # write faster than the table from about 50 symbols on.
 _DIGITS = [bytes(48 + b // d % 10 if b >= f else 0 for b in range(256)) for d, f in ((100, 100), (10, 10), (1, 0))]
@@ -76,15 +84,34 @@ def _format_symbols(symbols: Sequence[int]) -> str:
         return " ".join(map(str, symbols))
 
 
-def _read_symbols(tokens: Sequence[str]) -> tuple[tuple[int, ...], bool]:
-    """`tuple(map(int, tokens))`, reading each value from the table, and
-    whether every token was in the table (so that no value is negative)."""
+@lru_cache(maxsize=64)
+def _table_for(alphabet: range) -> dict[str, int]:
+    """The codec table's entries whose value lies in `alphabet`: a copy of
+    `_VALUE_OF` with the others deleted, which keeps its sparse hash table
+    and so probes faster than a dict built afresh from the same entries."""
+    table = _VALUE_OF.copy()
+    for text, v in _VALUE_OF.items():
+        if v not in alphabet:
+            del table[text]
+    return table
+
+
+def _read_symbols(tokens: Sequence[str], alphabet: range | None = None) -> tuple[tuple[int, ...], range | None]:
+    """`tuple(map(int, tokens))`, and a range every value is known to lie
+    in. A payload of `_BYTE_FORMAT_MIN` or more tokens wholly in `alphabet`'s
+    table gives `alphabet`, any other wholly in the codec table that
+    table's range, and a payload read by `int` None."""
+    table, within = _VALUE_OF, _TABLE_RANGE
+    if alphabet is not None and len(tokens) >= _BYTE_FORMAT_MIN:
+        table, within = _table_for(alphabet), alphabet
     try:
         if len(tokens) > 1:  # one token would give a bare value, none a TypeError
-            return itemgetter(*tokens)(_VALUE_OF), True
-        return tuple(map(_VALUE_OF.__getitem__, tokens)), True
+            return itemgetter(*tokens)(table), within
+        return tuple(map(table.__getitem__, tokens)), within
     except KeyError:
-        return tuple(map(int, tokens)), False
+        if table is not _VALUE_OF:
+            return _read_symbols(tokens)
+        return tuple(map(int, tokens)), None
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -98,19 +125,25 @@ class WireMessage:
     kind: str
     server_id: int
     payload: tuple[int, ...]
-    # Set by `parse` when every symbol came from the codec table, whose
-    # values are all >= 0: the scan for a negative symbol is then skipped.
-    _read_from_table: InitVar[bool] = False
+    # Set by `parse` to the range of the table every symbol was read from
+    # (see `_read_symbols`), None when some symbol was read by `int`. Table
+    # values are all >= 0, so the scan for a negative symbol is skipped.
+    # An alphabet's range is kept (the class default is None): checked
+    # against that alphabet, the payload needs only its length checked.
+    _within: InitVar[range | None] = None
 
-    def __post_init__(self, _read_from_table):
+    def __post_init__(self, _within):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
         if self.kind == KIND_ANSWER_EMPTY and self.payload:
             raise ValueError("ANSWER_EMPTY carries no payload")
         if self.server_id < 1:
             raise ValueError("server ids are 1-based")
-        if self.payload and not _read_from_table and min(self.payload) < 0:
-            raise ValueError("payload symbols are nonnegative integers")
+        if _within is None:
+            if self.payload and min(self.payload) < 0:
+                raise ValueError("payload symbols are nonnegative integers")
+        elif _within is not _TABLE_RANGE:  # an alphabet its receiver checks
+            object.__setattr__(self, "_within", _within)
 
     def encode(self) -> str:
         """The wire line, newline included. It is formatted on the first
@@ -129,15 +162,18 @@ class WireMessage:
         return f"{head} {_format_symbols(self.payload)}\n"
 
     @classmethod
-    def parse(cls, line: str) -> "WireMessage":
+    def parse(cls, line: str, alphabet: range | None = None) -> "WireMessage":
+        """The message on `line`, read against the `alphabet` its receiver
+        checks, if given (`_read_symbols`): the message, or the error, is
+        the same either way."""
         parts = line.split()
         if len(parts) < 3:
             raise ValueError(f"malformed wire line: {line!r}")
         kind, server_id, count = parts[0], int(parts[1]), int(parts[2])
-        payload, read_from_table = _read_symbols(parts[3:])
+        payload, within = _read_symbols(parts[3:], alphabet)
         if len(payload) != count:
             raise ValueError(f"payload count mismatch in line: {line!r}")
-        return cls(kind, server_id, payload, read_from_table)
+        return cls(kind, server_id, payload, within)
 
 
 @dataclass(frozen=True)
@@ -175,17 +211,31 @@ class Transcript:
         return "".join(lines)
 
     @classmethod
-    def parse(cls, text: str) -> "Transcript":
+    def parse(
+        cls, text: str, alphabets: Callable[[dict[str, str]], dict[str, range]] | None = None
+    ) -> "Transcript":
+        """The transcript `text` renders. `alphabets`, if given, is asked
+        for each message kind's alphabet once, at the first message line if
+        the header is complete by then, and each line is read against its
+        kind's (`WireMessage.parse`): the transcript, or the error, is the
+        same either way."""
         header: dict[str, str] = {}
         queries: list[WireMessage] = []
         answers: list[WireMessage] = []
         decoded: tuple[int, ...] | None = None
+        by_kind: dict[str, range] = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
             tag = line.split(maxsplit=1)[0]
             if tag in _KINDS:
-                msg = WireMessage.parse(line)
+                if alphabets is not None and len(header) == len(_HEADER):
+                    try:
+                        by_kind = alphabets(header)
+                    except Exception:  # noqa: BLE001 - read without alphabets: the same lines
+                        pass
+                alphabets = None
+                msg = WireMessage.parse(line, by_kind.get(tag))
                 (queries if msg.kind == KIND_QUERY else answers).append(msg)
             elif tag == "DECODED":
                 parts = line.split()
@@ -215,7 +265,8 @@ class Transcript:
 
 def _check_symbols(msg: WireMessage, count: int, alphabet: range) -> None:
     """The receiver's one check of a payload: its length and alphabet. A
-    `WireMessage` holds no negative symbol, so an alphabet from 0 needs only
+    payload parsed from `alphabet`'s table needs no scan; otherwise, as a
+    `WireMessage` holds no negative symbol, an alphabet from 0 needs only
     the payload's max."""
     payload = msg.payload
     if len(payload) != count:
@@ -223,6 +274,9 @@ def _check_symbols(msg: WireMessage, count: int, alphabet: range) -> None:
             f"{msg.kind} {msg.server_id} carries {len(payload)} symbols, "
             f"the scheme sends {count}"
         )
+    # (no payload shorter than _BYTE_FORMAT_MIN is read from an alphabet's table)
+    if count >= _BYTE_FORMAT_MIN and msg._within == alphabet:
+        return
     start = alphabet.start
     if payload and (max(payload) >= alphabet.stop or (start and min(payload) < start)):
         raise ValueError(
@@ -248,13 +302,13 @@ def _answers_by_server(
         ids = sorted(m.server_id for m in msgs)
         if ids != list(range(1, n + 1)):
             raise ValueError(f"need one {what} per server id 1..{n}, got ids {ids}")
-    by_id = {m.server_id: m for m in answers}
+    by_id, symbols = {m.server_id: m for m in answers}, range(scheme.p)
     out: list[Payload | None] = []
     for q in queries:
         a, owed = by_id[q.server_id], scheme.answer_symbols(q.payload)
         if a.kind != (KIND_ANSWER if owed else KIND_ANSWER_EMPTY):
             raise ValueError(f"server {a.server_id} replied {a.kind} to its query")
-        _check_symbols(a, owed, range(scheme.p))
+        _check_symbols(a, owed, symbols)
         out.append(a.payload if owed else None)
     return out
 
@@ -278,12 +332,12 @@ class Server:
         self.received: list[str] = []
 
     def handle(self, line: str) -> str:
-        msg = WireMessage.parse(line)
+        scheme = self.scheme
+        msg = WireMessage.parse(line, scheme.query_alphabet)
         if msg.kind != KIND_QUERY or msg.server_id != self.server_id:
             self.received.append(f"misaddressed:{msg.kind}")
             return WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()).encode()
         self.received.append(msg.kind)
-        scheme = self.scheme
         _check_symbols(msg, scheme.query_symbols, scheme.query_alphabet)
         if not scheme.answer_symbols(msg.payload):
             return WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()).encode()
@@ -325,8 +379,9 @@ def run_retrieval(params, messages, theta: int, seed: int, rng: Random | None = 
         for n, payload in enumerate(scheme.query_payloads(queries), start=1)
     )
     servers = [Server(n, share, scheme) for n, share in enumerate(shares, start=1)]
+    symbols = range(scheme.p)
     replies = tuple(
-        WireMessage.parse(server.handle(msg.encode())) for server, msg in zip(servers, sent)
+        WireMessage.parse(server.handle(msg.encode()), symbols) for server, msg in zip(servers, sent)
     )
     for server in servers:
         if server.received != [KIND_QUERY]:
@@ -367,8 +422,14 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
     so there the re-decode against the DECODED line is the only check of
     theta.
     """
-    transcript = Transcript.parse(text)
-    scheme = _scheme_of(transcript)
+    built: list[Scheme] = []
+
+    def alphabets(header: dict[str, str]) -> dict[str, range]:
+        built.append(from_header(header["scheme"], {key: int(header[key]) for key in _HEADER[1:7]}))
+        return {KIND_QUERY: built[0].query_alphabet, KIND_ANSWER: range(built[0].p)}
+
+    transcript = Transcript.parse(text, alphabets)
+    scheme = built[0] if built else _scheme_of(transcript)
     theta = transcript.theta
     scheme.check_theta(theta)
     queries = sorted(transcript.queries, key=lambda m: m.server_id)

@@ -11,6 +11,7 @@ import oracle
 import pytest
 from oracle import Field, lift, values
 
+from xstpir import field as field_mod
 from xstpir.field import (
     FieldMismatchError,
     PrimeField,
@@ -324,10 +325,12 @@ def test_int_rank_matches_the_fe_rank(p):
     assert eliminate_mod([], p) == 0
 
 
-@pytest.mark.parametrize("base", [2, 3, 5, 23, 64, 65, 1009])
+@pytest.mark.parametrize("base", [2, 3, 5, 23, 64, 65, 128, 129, 255, 256, 1009])
 def test_space_draw_matches_the_randrange_loop(base):
-    # the same values, and the source left in the same state
-    for count in (0, 1, 2, 1000):
+    # the same values, and the source left in the same state, on both sides
+    # of the count from which a base below 256 draws its words in one call
+    least = field_mod._BYTE_DRAW_MIN
+    for count in (0, 1, 2, least - 1, least, least + 1, 1000, 5000):
         a, b = Random(base * count + 1), Random(base * count + 1)
         assert Space(base, count, tuple).draw(a) == [b.randrange(base) for _ in range(count)]
         assert a.getstate() == b.getstate()

@@ -12,7 +12,7 @@ from test_csa import CHECK_LANES
 from xstpir import csa as csa_mod
 from xstpir import sim as sim_mod
 from xstpir.csa import CsaParams, MessageSet, StorageNoise
-from xstpir.scheme import CsaScheme
+from xstpir.scheme import CsaScheme, for_params
 from xstpir.sim import (
     KIND_ANSWER,
     KIND_ANSWER_EMPTY,
@@ -162,17 +162,17 @@ def test_symbol_codec_reads_a_long_line_ending_in_any_token_as_int_does(token):
     # The table read takes the whole line at once, so a token it lacks at
     # the very end sends all 600 back through `int`.
     tokens = [str(v % 256) for v in range(599)] + [token]
-    as_int = _outcome(lambda: (tuple(map(int, tokens)), False))
+    as_int = _outcome(lambda: (tuple(map(int, tokens)), None))
     assert _outcome(sim_mod._read_symbols, tokens) == as_int
     want = _outcome(lambda: WireMessage(KIND_QUERY, 2, tuple(map(int, tokens))))
     assert _outcome(WireMessage.parse, " ".join(["QUERY", "2", "600", *tokens])) == want
 
 
 def test_symbol_codec_reads_zero_one_and_two_tokens():
-    read = sim_mod._read_symbols
-    assert read([]) == ((), True)
-    assert read(["5"]) == ((5,), True) and read(["007"]) == ((7,), False)
-    assert read(["5", "0"]) == ((5, 0), True) and read(["5", "+0"]) == ((5, 0), False)
+    read, table = sim_mod._read_symbols, range(B)
+    assert read([]) == ((), table)
+    assert read(["5"]) == ((5,), table) and read(["007"]) == ((7,), None)
+    assert read(["5", "0"]) == ((5, 0), table) and read(["5", "+0"]) == ((5, 0), None)
     assert _outcome(read, ["x"]) == _outcome(int, "x")
 
 
@@ -715,3 +715,193 @@ def test_replay_matches_answers_to_servers_by_id():
             msgs = parsed.answers if prefix == "ANSWER" else parsed.queries
             assert [m.server_id for m in msgs] == [5, 4, 3, 2, 1]
         assert redecoded == run.transcript.decoded
+
+
+# ---------------------------------------------------------------------------
+# the fused read: a receiver parses and alphabet-checks a payload in one
+# table read, with the same outcome as a parse followed by a scan
+# ---------------------------------------------------------------------------
+
+FUSED_ALPHABETS = [range(2), range(23), range(41), range(257), range(1031), range(1, 65)]
+
+
+def _as_today(fn, *args):
+    """`fn(*args)`'s outcome with every alphabet's table empty: each payload
+    is read as by a receiver that knows no alphabet, then scanned."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_mod, "_table_for", lambda alphabet: {})
+        return _outcome(fn, *args)
+
+
+def _tampered(tokens, alphabet):
+    """`tokens` with one token its alphabet's table lacks (the alphabet's
+    stop, "0", one below its start, and the odd and bad tokens) put at the
+    start, the middle and the end."""
+    for token in [str(alphabet.stop), "0", str(alphabet.start - 1), *ODD_TOKENS, *BAD_TOKENS]:
+        for i in {0, len(tokens) // 2, len(tokens) - 1}:
+            yield tokens[:i] + [token] + tokens[i + 1 :]
+
+
+@pytest.mark.parametrize("alphabet", FUSED_ALPHABETS, ids=str)
+def test_the_fused_read_parses_and_checks_as_int_and_a_scan_do(alphabet):
+    def received(tokens):
+        msg = WireMessage.parse(" ".join(["QUERY", "2", str(len(tokens)), *tokens]), alphabet)
+        sim_mod._check_symbols(msg, len(tokens), alphabet)
+        return msg.payload
+
+    def scanned(tokens):
+        msg = WireMessage(KIND_QUERY, 2, tuple(map(int, tokens)))
+        sim_mod._check_symbols(msg, len(tokens), alphabet)
+        return msg.payload
+
+    values = [alphabet[i * 37 % len(alphabet)] for i in range(600)]
+    clean = list(map(str, values))
+    fused = WireMessage.parse(" ".join(["QUERY", "2", "600", *clean]), alphabet)
+    assert fused.payload == tuple(values)
+    # read from the alphabet's table unless a value lies past the codec's
+    assert (fused._within == alphabet) == (max(values) < B)
+    for tokens in [clean[:3], *_tampered(clean, alphabet), *_tampered(clean[:3], alphabet)]:
+        assert _outcome(received, tokens) == _outcome(scanned, tokens)
+
+
+# Query alphabets range(p) at p = 23, 41, 257, 1031 and 2, and sym_xspir's
+# range(1, K + 1), each on lines of 64 query symbols.
+SERVED = {
+    "csa p=23": CsaParams.make(12, 8, 2, 2),
+    "csa p=41": CsaParams.make(12, 8, 2, 2, p=41),
+    "csa p=257": CsaParams.make(12, 8, 2, 2, p=257),
+    "csa p=1031": CsaParams.make(12, 8, 2, 2, p=1031),
+    "binary_n3": 64,
+    "sym_xspir": SymXspirParams.make(1, 64),
+}
+
+
+@pytest.mark.parametrize("name", list(SERVED))
+def test_a_server_answers_or_refuses_as_after_a_scan(name):
+    scheme, rng = for_params(SERVED[name]), Random(0)
+    shares = scheme.storage(scheme.messages.sample(rng), scheme.storage_noises.sample(rng))
+    payloads = scheme.query_payloads(scheme.queries(1, scheme.query_randomness.sample(rng)))
+    server = Server(2, shares[1], scheme)
+    tokens = list(map(str, payloads[1]))
+    assert len(tokens) == 64 and scheme.query_alphabet in FUSED_ALPHABETS
+    for tokens in [tokens, *_tampered(tokens, scheme.query_alphabet)]:
+        line = " ".join(["QUERY", "2", str(len(tokens)), *tokens]) + "\n"
+        assert _outcome(server.handle, line) == _as_today(server.handle, line)
+
+
+# Schemes whose answers are 64 symbols (download_all at p = 3, sym_xspir at
+# p = 2) or one (csa).
+ANSWERED = {
+    "download_all": DownloadAllParams.make(2, 64, 1, 1),
+    "sym_xspir": SymXspirParams.make(1, 64),
+    "csa p=23": CsaParams.make(12, 8, 2, 2),
+    "csa p=1031": CsaParams.make(12, 8, 2, 2, p=1031),
+}
+
+
+@pytest.mark.parametrize("name", list(ANSWERED))
+def test_the_client_accepts_or_refuses_answers_as_after_a_scan(name, monkeypatch):
+    params = ANSWERED[name]
+    scheme = for_params(params)
+    messages = scheme.messages.sample(Random(1))
+    run = lambda: run_retrieval(params, messages, 1, seed=0)
+    tokens = list(map(str, run().transcript.answers[1].payload))
+    assert len(tokens) in (1, 64)
+    handle, reply = Server.handle, {}
+
+    def replying(server, line):  # server 2 sends the reply under test
+        honest = handle(server, line)
+        return reply["line"] if server.server_id == 2 else honest
+
+    monkeypatch.setattr(Server, "handle", replying)
+    for tokens in [tokens, *_tampered(tokens, range(scheme.p))]:
+        reply["line"] = " ".join(["ANSWER", "2", str(len(tokens)), *tokens]) + "\n"
+        assert _outcome(run) == _as_today(run)
+
+
+REPLAYED = {
+    "csa (24,32,4,4)": lambda: _transcript(CsaParams.make(24, 32, 4, 4)),
+    "csa p=1031": lambda: _transcript(CsaParams.make(12, 8, 2, 2, p=1031)),
+    "sym_xspir": lambda: _transcript(SymXspirParams.make(1, 64)),
+}
+
+
+def _transcript(params, seed=0):
+    scheme = for_params(params)
+    return run_retrieval(params, scheme.messages.sample(Random(seed)), 1, seed).transcript
+
+
+@pytest.mark.parametrize("name", list(REPLAYED))
+def test_replay_accepts_or_refuses_as_after_a_scan(name):
+    transcript = REPLAYED[name]()
+    alphabet = for_params(params_from_header(transcript)).query_alphabet
+    text = transcript.render()
+    assert _outcome(replay, text) == _as_today(replay, text)
+    tokens = list(map(str, transcript.queries[1].payload))
+    for tokens in _tampered(tokens, alphabet):
+        tampered = _replace_line(text, "QUERY 2 ", " ".join(["QUERY", "2", str(len(tokens)), *tokens]))
+        assert _outcome(replay, tampered) == _as_today(replay, tampered)
+
+
+def test_a_replay_scans_no_query_payload_it_read_from_its_alphabet(monkeypatch):
+    transcript = _transcript(CsaParams.make(24, 32, 4, 4))
+    text, scanned = transcript.render(), []
+
+    def counting(values):
+        scanned.append(len(values))
+        return max(values)
+
+    monkeypatch.setattr(sim_mod, "max", counting, raising=False)
+    assert replay(text)[1] == transcript.decoded
+    assert scanned == [1] * 24  # the one-symbol answers, too short for the fused read
+    scanned.clear()
+    tampered = _set_payload(text, KIND_QUERY, 3, (41,) + transcript.queries[2].payload[1:])
+    with pytest.raises(ValueError, match="QUERY 3 has a symbol outside 0..40"):
+        replay(tampered)
+    assert scanned == [512]  # only the query its table could not read
+
+
+def test_transcript_parse_asks_for_the_alphabets_once_given_the_whole_header():
+    text = _csa_run()[1].transcript.render()
+    asked = []
+
+    def alphabets(header):
+        asked.append(dict(header))
+        return {KIND_QUERY: range(11), KIND_ANSWER: range(11)}
+
+    assert Transcript.parse(text, alphabets) == Transcript.parse(text)
+    assert asked == [dict(line.split(" ", 1) for line in text.splitlines()[:9])]
+    asked.clear()
+    late = _drop_line(text, "theta ") + "theta 1\n"  # incomplete at the first message line
+    assert Transcript.parse(late, alphabets) == Transcript.parse(text)
+    assert asked == []
+
+    def refusing(header):
+        asked.append(header)
+        raise RuntimeError("no alphabets")
+
+    assert Transcript.parse(text, refusing) == Transcript.parse(text)
+    assert len(asked) == 1
+
+
+def test_replay_builds_the_scheme_once_and_parses_through_transcript_parse(monkeypatch):
+    built, parsed = [], []
+    from_header, parse = sim_mod.from_header, Transcript.parse.__func__
+
+    def counting_build(*args):
+        built.append(args[0])
+        return from_header(*args)
+
+    def counting_parse(cls, *args):
+        parsed.append(1)
+        return parse(cls, *args)
+
+    monkeypatch.setattr(sim_mod, "from_header", counting_build)
+    monkeypatch.setattr(Transcript, "parse", classmethod(counting_parse))
+    run = _csa_run()[1]
+    assert replay(run.transcript.render())[1] == run.transcript.decoded
+    assert built == ["csa"] and parsed == [1]
+    built.clear()
+    with pytest.raises(ValueError, match="unknown scheme"):  # built, refused, and built again
+        replay(_edit(run.transcript.render(), "scheme csa\n", "scheme pir\n"))
+    assert built == ["pir", "pir"]
