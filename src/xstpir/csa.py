@@ -17,11 +17,13 @@ vanishes.
 Representation: every symbol is an int in range(p), the evaluation points
 and the messages included. Noise, shares, queries, answers and decoded
 symbols are ints too, and the storage, query, answer and decode maps run on
-them. What those maps need from the parameters alone (the points
-l + alpha_n, their powers, the query scales, the desired rows of the inverse
-decoding matrix and the query check weights) sits in one table per params
-value, computed once from the definitions below (`delta_except`,
-`decoding_matrix`, `solve_linear`).
+them; a server's share and query are each one flat payload of L blocks of K
+symbols, from the kernel to the wire, and its answer is their dot product.
+What those maps need from the parameters alone (the points l + alpha_n,
+their powers, the query scales, the desired rows of the inverse decoding
+matrix and the query check weights) sits in one table per params value,
+computed once from the definitions below (`delta_except`, `decoding_matrix`,
+`solve_linear`).
 
 Every server evaluates the same K-vector polynomial in its own point u, so
 storage and queries share one mixing kernel. It packs each K-vector into one
@@ -291,24 +293,33 @@ class QueryNoise(_Noise):
         return (params.L, params.T, params.K)
 
 
+def _blocks(share) -> tuple[tuple[int, ...], ...]:
+    """A share's or a query's payload cut into its L K-vectors."""
+    return tuple(share.payload[i : i + share.k] for i in range(0, len(share.payload), share.k))
+
+
 @dataclass(frozen=True)
 class StorageShare:
-    """What one server stores: rows[l] is the mixed K-vector for block l,
-    ints in range(p)."""
+    """What one server stores: its L mixed K-vectors as one flat payload,
+    ints in range(p); rows[l] is block l's."""
 
     server_index: int
-    rows: tuple[tuple[int, ...], ...]
+    payload: tuple[int, ...]
     p: int
+    k: int
+    rows = property(_blocks)
 
 
 @dataclass(frozen=True)
 class QueryShare:
-    """What one server is asked: cols[l] is the scaled K-vector for block l,
-    ints in range(p)."""
+    """What one server is asked: its L scaled K-vectors as one flat payload,
+    ints in range(p); cols[l] is block l's."""
 
     server_index: int
-    cols: tuple[tuple[int, ...], ...]
+    payload: tuple[int, ...]
     p: int
+    k: int
+    cols = property(_blocks)
 
 
 @dataclass(frozen=True)
@@ -430,25 +441,23 @@ def _byte_tables(p: int, width: int) -> tuple[bytes, ...] | None:
     return tuple(_byte_table(p, j) for j in range(width)) if width * (p - 1) < 256 else None
 
 
-def _unpack(accs: Sequence[int], count: int, bits: int, p: int) -> list[tuple[int, ...]]:
-    """The `count` lanes of each int in `accs`, each reduced mod p, as one
-    tuple per int, read in one pass over all their bytes. With `_byte_tables`,
+def _unpack(accs: Sequence[int], count: int, bits: int, p: int) -> Sequence[int]:
+    """The `count` lanes of each int in `accs`, each reduced mod p, in one
+    flat run, read in one pass over all their bytes. With `_byte_tables`,
     each byte position goes through its table (`bytes.translate`), the
     positions add as ints of 8-bit lanes, which cannot carry, and the sum
     goes through the j = 0 table; else each lane takes its own `% p`."""
     raw = b"".join([acc.to_bytes(count * bits // 8, byteorder) for acc in accs])
     step, tables = bits // 8, _byte_tables(p, bits // 8)
     if tables and step == 1:
-        lanes = raw.translate(tables[0])  # one byte per lane: nothing to add
-    elif tables:
+        return raw.translate(tables[0])  # one byte per lane: nothing to add
+    if tables:
         starts = range(step) if byteorder == "little" else range(step - 1, -1, -1)
         total = sum([int.from_bytes(raw[i::step].translate(t), "little") for i, t in zip(starts, tables)])
-        lanes = total.to_bytes(len(raw) // step, "little").translate(tables[0])
-    elif bits in _LANE_CODES:
-        lanes = [v % p for v in memoryview(raw).cast(_LANE_CODES[bits])]
-    else:
-        lanes = [int.from_bytes(raw[i : i + step], byteorder) % p for i in range(0, len(raw), step)]
-    return list(zip(*[iter(lanes)] * count))  # consecutive runs of `count`
+        return total.to_bytes(len(raw) // step, "little").translate(tables[0])
+    if bits in _LANE_CODES:
+        return [v % p for v in memoryview(raw).cast(_LANE_CODES[bits])]
+    return [int.from_bytes(raw[i : i + step], byteorder) % p for i in range(0, len(raw), step)]
 
 
 def _mix(
@@ -456,10 +465,10 @@ def _mix(
     bases: Sequence[Sequence[int]],
     z: Sequence[Sequence[Sequence[int]]],
     weights: list[list[tuple[int, ...]]],
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Per server n, the L vectors c_0 base_l + sum_j c_j z[l][j] mod p, with
-    (c_0, c_1, ...) = weights[n][l]: the table's `powers` for storage rows,
-    its `query_weights` for query rows, whose bases must be 0/1 vectors.
+) -> list[tuple[int, ...]]:
+    """Per server n, one flat payload of the L vectors c_0 base_l + sum_j
+    c_j z[l][j] mod p, (c_0, c_1, ...) = weights[n][l]: the table's `powers`
+    for storage rows, its `query_weights` for query rows (0/1 bases only).
 
     Each K-vector is reduced mod p and packed into one int, on the table's
     lanes for the depth of z, once for all N servers; a row is then one
@@ -471,7 +480,8 @@ def _mix(
     p, k, bits = table.params.p, len(bases[0]), table.lanes[len(z[0])]
     terms = [[_pack(vec, bits, p) for vec in (base, *zl)] for base, zl in zip(bases, z)]
     accs = [sum(map(mul, ws, ts)) for row in weights for ws, ts in zip(row, terms)]
-    return list(zip(*[iter(_unpack(accs, k, bits, p))] * len(bases)))
+    lanes, step = _unpack(accs, k, bits, p), len(bases) * k
+    return [tuple(lanes[i : i + step]) for i in range(0, len(lanes), step)]
 
 
 def encode_storage(
@@ -490,7 +500,7 @@ def encode_storage(
         rows = _mix(table, list(zip(*messages.symbols)), noise.z, table.powers)
     except TypeError as exc:
         raise ValueError(f"storage noise must hold ints in range({params.p})") from exc
-    return tuple(StorageShare(n, r, params.p) for n, r in enumerate(rows, start=1))
+    return tuple(StorageShare(n, r, params.p, params.K) for n, r in enumerate(rows, start=1))
 
 
 def gen_queries(
@@ -512,7 +522,7 @@ def gen_queries(
         cols = _mix(table, [unit] * params.L, qnoise.z, table.query_weights)
     except TypeError as exc:
         raise ValueError(f"query noise must hold ints in range({params.p})") from exc
-    return tuple(QueryShare(n, c, params.p) for n, c in enumerate(cols, start=1))
+    return tuple(QueryShare(n, c, params.p, params.K) for n, c in enumerate(cols, start=1))
 
 
 def answer(share: StorageShare, query: QueryShare) -> int:
@@ -521,14 +531,11 @@ def answer(share: StorageShare, query: QueryShare) -> int:
         raise ValueError("share and query belong to different servers")
     if share.p != query.p:
         raise ValueError("share and query live in different fields")
-    if len(share.rows) != len(query.cols):
+    if share.k != query.k:
+        raise ValueError("share and query have different message counts")
+    if len(share.payload) != len(query.payload):
         raise ValueError("share and query have different block counts")
-    acc = 0
-    for row, col in zip(share.rows, query.cols):
-        if len(row) != len(col):
-            raise ValueError("share and query have different message counts")
-        acc += sum(map(mul, row, col))
-    return acc % share.p
+    return sum(map(mul, share.payload, query.payload)) % share.p
 
 
 def decode(answers: Sequence[int], params: CsaParams) -> DecodeOutput:
@@ -571,7 +578,7 @@ def constant_terms(
         sum([w * (q >> shift & mask) for w, q in zip(weights, packed)])
         for shift, weights in zip(shifts, table.check_weights)
     ]
-    return tuple(_unpack(accs, k, bits, p))
+    return tuple(zip(*[iter(_unpack(accs, k, bits, p))] * k))  # consecutive runs of K
 
 
 def desired_columns(params: CsaParams) -> list[list[int]]:

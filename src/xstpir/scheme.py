@@ -38,11 +38,11 @@ class Scheme:
     payload) and `query_alphabet` (the values a query symbol may take).
 
     Shares and queries stay in the scheme's native form. `share_payloads`
-    and `query_payloads` flatten them to the integer payloads that travel
-    on the wire and key the audits' tables. `answer` is the per-server
-    answer map and returns the answer payload; `answer_symbols` tells from
-    a query payload how many symbols the answer carries, 0 meaning the
-    server owes nothing and replies ANSWER_EMPTY.
+    and `query_payloads` give the flat integer payloads that travel on the
+    wire and key the audits' tables (a csa share or query holds its own).
+    `answer` is the per-server answer map and returns the answer payload;
+    `answer_symbols` tells from a query payload how many symbols the answer
+    carries, 0 meaning the server owes nothing and replies ANSWER_EMPTY.
 
     Two flags declare maps affine mod p in Space values of base p; only
     `audit.exact_engine` reads them. `linear`: the share payloads are
@@ -96,7 +96,7 @@ class Scheme:
         raise NotImplementedError
 
     def share_payloads(self, shares) -> tuple[Payload, ...]:
-        raise NotImplementedError
+        return tuple(shares)
 
     def query_payloads(self, queries) -> tuple[Payload, ...]:
         return tuple(queries)
@@ -167,15 +167,13 @@ class CsaScheme(Scheme):
         return csa.gen_queries(theta, randomness, self.params)
 
     def share_payloads(self, shares):
-        return tuple(tuple(chain.from_iterable(s.rows)) for s in shares)
+        return tuple(s.payload for s in shares)
 
     def query_payloads(self, queries):
-        return tuple(tuple(chain.from_iterable(q.cols)) for q in queries)
+        return tuple(q.payload for q in queries)
 
     def query_from_payload(self, server_id, payload):
-        k = self.K
-        cols = tuple(payload[i : i + k] for i in range(0, self.L * k, k))
-        return csa.QueryShare(server_id, cols, self.p)
+        return csa.QueryShare(server_id, payload, self.p, self.K)
 
     def answer(self, share, query):
         return (csa.answer(share, query),)
@@ -234,9 +232,6 @@ class DownloadAllScheme(Scheme):
     # check_retrieves keeps the default: the queries are empty, so a replay
     # can only tell theta by re-decoding against the DECODED line.
 
-    def share_payloads(self, shares):
-        return tuple(shares)
-
     def answer(self, share, query):
         return share
 
@@ -293,9 +288,6 @@ class BinaryScheme(Scheme):
 
     def queries(self, theta, randomness):
         return special.binary_queries(theta, randomness, self.b)
-
-    def share_payloads(self, shares):
-        return tuple(shares)
 
     def answer(self, share, query):
         bit = special.binary_answer(share, query)

@@ -34,7 +34,8 @@ scheme's query alphabet, range(p) for ANSWERs; `replay` once the header
 names the scheme), so a payload read wholly from that alphabet's table is
 checked for its length alone, and any other is scanned. `WireMessage`
 itself refuses only negative symbols, and skips that scan for a line whose
-every token was read from a table.
+every token was read from a table or for a long payload `bytes` takes
+(each symbol an int in 0..255), whose bytes it keeps for the digit tables.
 """
 
 from __future__ import annotations
@@ -140,6 +141,12 @@ class WireMessage:
         if self.server_id < 1:
             raise ValueError("server ids are 1-based")
         if _within is None:
+            if len(self.payload) >= _BYTE_FORMAT_MIN:
+                try:  # `bytes` takes only ints in 0..255: a payload it takes has no negative symbol
+                    object.__setattr__(self, "_raw", bytes(self.payload))  # kept for `_format`
+                    return
+                except (TypeError, ValueError):
+                    pass
             if self.payload and min(self.payload) < 0:
                 raise ValueError("payload symbols are nonnegative integers")
         elif _within is not _TABLE_RANGE:  # an alphabet its receiver checks
@@ -159,7 +166,7 @@ class WireMessage:
         head = f"{self.kind} {self.server_id} {len(self.payload)}"
         if not self.payload:
             return head + "\n"
-        return f"{head} {_format_symbols(self.payload)}\n"
+        return f"{head} {_format_symbols(self.__dict__.get('_raw', self.payload))}\n"
 
     @classmethod
     def parse(cls, line: str, alphabet: range | None = None) -> "WireMessage":

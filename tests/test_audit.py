@@ -845,8 +845,8 @@ class _DoublesServer1QueryNoise(CsaInstance):
         first, *rest = super().queries(theta, randomness)
         qr = self.query_randomness
         clean = super().queries(theta, qr.build([0] * qr.count))[0]
-        cols = tuple(tuple((2 * a - b) % self.p for a, b in zip(x, y)) for x, y in zip(first.cols, clean.cols))
-        return (QueryShare(1, cols, self.p), *rest)
+        payload = tuple((2 * a - b) % self.p for a, b in zip(first.payload, clean.payload))
+        return (QueryShare(1, payload, self.p, self.K), *rest)
 
 
 class _AsksForTheWrongThetaOnce(SymXspirInstance):

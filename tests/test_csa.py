@@ -7,6 +7,7 @@ so a sign or indexing slip in the library cannot cancel itself out.
 import hashlib
 from itertools import chain, combinations, count, product
 from math import isqrt, prod
+from operator import mul
 from random import Random
 import sys
 from types import SimpleNamespace
@@ -41,6 +42,7 @@ from xstpir.csa import (
     encode_storage,
     gen_queries,
 )
+from xstpir.scheme import CsaScheme
 from xstpir.field import (
     FieldMismatchError,
     InsufficientFieldError,
@@ -300,12 +302,41 @@ TOP_PRIME = _largest_prime_below(_MR_BOUND)
 KERNEL_POINTS = KERNEL_GRID + [(12, 64, 2, 2, None), (5, 3, 2, 2, TOP_PRIME)]
 
 
+def _paper_rows(params, w, z, zp, theta):
+    """Per server, its storage rows and query columns recomputed from the
+    paper's definitions with the oracle's Fe arithmetic: S_n,l = W_l +
+    sum_x u^x Z_l,x and Q_n,l = prod_{i != l} (i + alpha_n) (e_theta +
+    sum_t u^t Z'_l,t), with u = l + alpha_n; one Fe tuple per block."""
+    f = Field(params.p)
+    out = []
+    for alpha in oracle.alphas(params):
+        rows, cols = [], []
+        for l_index in range(1, params.L + 1):
+            u = l_index + alpha
+            scale = f.one
+            for i in range(1, params.L + 1):
+                if i != l_index:
+                    scale = scale * (i + alpha)
+            row, col = [], []
+            for kk in range(params.K):
+                s_sym = f(w.symbols[kk][l_index - 1])
+                q_sym = f.one if kk + 1 == theta else f.zero
+                for j in range(params.X):
+                    s_sym = s_sym + u ** (j + 1) * z.z[l_index - 1][j][kk]
+                for j in range(params.T):
+                    q_sym = q_sym + u ** (j + 1) * zp.z[l_index - 1][j][kk]
+                row.append(s_sym)
+                col.append(scale * q_sym)
+            rows.append(tuple(row))
+            cols.append(tuple(col))
+        out.append((rows, cols))
+    return out
+
+
 @pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS)
 def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
     # Shares, queries and answers recomputed from the paper's definitions
-    # with the oracle's Fe arithmetic: S_n,l = W_l + sum_x u^x Z_l,x and
-    # Q_n,l = prod_{i != l} (i + alpha_n) (e_theta + sum_t u^t Z'_l,t),
-    # with u = l + alpha_n; the answer is sum_l S_n,l . Q_n,l.
+    # (`_paper_rows`); the answer is sum_l S_n,l . Q_n,l.
     params = CsaParams.make(n, k, x, t, p=p)
     f = Field(params.p)
     rng = Random(n * 1000 + k * 100 + x * 10 + t)
@@ -317,30 +348,46 @@ def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
         shares = encode_storage(w, z, params)
         queries = gen_queries(theta, zp, params)
         answers = [answer(s, q) for s, q in zip(shares, queries)]
-        for idx, alpha in enumerate(oracle.alphas(params)):
+        for idx, (rows, cols) in enumerate(_paper_rows(params, w, z, zp, theta)):
             want_answer = f.zero
-            for l_index in range(1, params.L + 1):
-                u = l_index + alpha
-                scale = f.one
-                for i in range(1, params.L + 1):
-                    if i != l_index:
-                        scale = scale * (i + alpha)
-                row, col = [], []
-                for kk in range(k):
-                    s_sym = f(w.symbols[kk][l_index - 1])
-                    q_sym = f.one if kk + 1 == theta else f.zero
-                    for j in range(x):
-                        s_sym = s_sym + u ** (j + 1) * z.z[l_index - 1][j][kk]
-                    for j in range(t):
-                        q_sym = q_sym + u ** (j + 1) * zp.z[l_index - 1][j][kk]
-                    q_sym = scale * q_sym
-                    row.append(s_sym)
-                    col.append(q_sym)
+            for l_index, (row, col) in enumerate(zip(rows, cols), start=1):
+                for s_sym, q_sym in zip(row, col):
                     want_answer = want_answer + s_sym * q_sym
                 assert shares[idx].rows[l_index - 1] == values(row)
                 assert queries[idx].cols[l_index - 1] == values(col)
             assert answers[idx] == want_answer.value
         assert decode(answers, params).desired == w.message(theta)
+
+
+@pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS + [(4, 2, 1, 1, TOP_PRIME), (6, 3, 1, 2, 2**31 - 1)])
+def test_flat_payloads_match_the_paper_formulas(n, k, x, t, p):
+    # Each share and query is one flat payload: the paper's L blocks of K
+    # symbols, block after block; `rows` and `cols` cut it back into
+    # K-tuples; and the scheme hands the payloads on as they are held.
+    params = CsaParams.make(n, k, x, t, p=p)
+    scheme = CsaScheme(params)
+    rng = Random(n * 1000 + k * 100 + x * 10 + t + 3)
+    for _ in range(2):
+        w = MessageSet.random(k, params.L, params.field, rng)
+        z = StorageNoise.random(params, rng)
+        zp = QueryNoise.random(params, rng)
+        theta = rng.randrange(1, k + 1)
+        shares = encode_storage(w, z, params)
+        queries = gen_queries(theta, zp, params)
+        for idx, (rows, cols) in enumerate(_paper_rows(params, w, z, zp, theta)):
+            share, query = shares[idx], queries[idx]
+            assert share.payload == values(tuple(chain.from_iterable(rows)))
+            assert query.payload == values(tuple(chain.from_iterable(cols)))
+            assert len(share.payload) == len(query.payload) == params.L * k
+            assert (share.k, query.k, share.p, query.p) == (k, k, params.p, params.p)
+            blocks = range(0, params.L * k, k)
+            assert share.rows == tuple(share.payload[i : i + k] for i in blocks)
+            assert query.cols == tuple(query.payload[i : i + k] for i in blocks)
+            assert all(type(v) is int for v in share.payload + query.payload)
+        for n_index, (share, query) in enumerate(zip(shares, queries)):
+            assert scheme.share_payloads(shares)[n_index] is share.payload
+            assert scheme.query_payloads(queries)[n_index] is query.payload
+            assert scheme.query_from_payload(n_index + 1, query.payload) == query
 
 
 def _loop(p, weights, bases, z):
@@ -354,6 +401,11 @@ def _loop(p, weights, bases, z):
         )
         for row in weights
     ]
+
+
+def _flat(grid):
+    """Per server, its blocks joined into one flat payload."""
+    return [tuple(chain.from_iterable(blocks)) for blocks in grid]
 
 
 def _paper_weights(params, depth, scaled):
@@ -549,7 +601,7 @@ def test_lane_width_boundaries(bits, depth):
             ([[0, 0, 1, 0, 0]] * blocks, (top,) * (depth + 1)),
         ):
             weights = [[weights] * blocks] * servers
-            assert csa_mod._mix(table, bases, z, weights) == _loop(p, weights, bases, z)
+            assert csa_mod._mix(table, bases, z, weights) == _flat(_loop(p, weights, bases, z))
     # The same at the prime below the limit, through the table: the query
     # weights fold in the scale, and must be reduced mod p before packing.
     params = CsaParams.make(2 * depth + 3, 5, depth, depth, p=below)  # L = 3: scales other than 1
@@ -603,7 +655,7 @@ def test_byte_tables_reduce_every_lane_value_exactly(monkeypatch, order, bits):
     served, past = _byte_table_primes(bits)
     for p in served + ([past] if bits == 8 or order == sys.byteorder else []):
         assert (csa_mod._byte_tables(p, width) is None) == (p == past)
-        assert csa_mod._unpack([acc], len(every), bits, p) == [tuple(v % p for v in every)]
+        assert tuple(csa_mod._unpack([acc], len(every), bits, p)) == tuple(v % p for v in every)
 
 
 @pytest.mark.parametrize("bits", [32, 64])
@@ -616,8 +668,7 @@ def test_byte_tables_reduce_wide_lanes_exactly(bits):
     served, past = _byte_table_primes(bits)
     for p in served + [past]:
         assert (csa_mod._byte_tables(p, width) is None) == (p == past)
-        got = csa_mod._unpack(accs, 6, bits, p)
-        assert [v for row in got for v in row] == [v % p for v in lanes]
+        assert list(csa_mod._unpack(accs, 6, bits, p)) == [v % p for v in lanes]
 
 
 @pytest.mark.parametrize("order", ["little", "big"])
@@ -627,9 +678,9 @@ def test_pack_then_unpack_round_trips(monkeypatch, order, bits):
     rng = Random(bits)
     values = [0, 255] + [rng.randrange(256) for _ in range(300)]
     for p in (2, 11, 23, 83, 127) + ((131, 257) if order == sys.byteorder else ()):
-        assert csa_mod._unpack([csa_mod._pack(values, bits)], len(values), bits, p) == [
-            tuple(v % p for v in values)
-        ]
+        assert tuple(csa_mod._unpack([csa_mod._pack(values, bits)], len(values), bits, p)) == tuple(
+            v % p for v in values
+        )
 
 
 def _reductions(monkeypatch):
@@ -916,15 +967,37 @@ def test_answer_is_linear_in_the_query():
     q2 = gen_queries(2, QueryNoise.random(params, rng), params)[2]
     combined = QueryShare(
         q1.server_index,
-        tuple(
-            tuple((a + b) % f.modulus for a, b in zip(c1, c2))
-            for c1, c2 in zip(q1.cols, q2.cols)
-        ),
+        tuple((a + b) % f.modulus for a, b in zip(q1.payload, q2.payload)),
         f.modulus,
+        q1.k,
     )
     assert answer(share, combined) == (answer(share, q1) + answer(share, q2)) % f.modulus
     with pytest.raises(ValueError):
         answer(share, gen_queries(1, QueryNoise.zeros(params), params)[0])
+
+
+def test_a_received_query_of_the_wrong_length_or_shape_is_refused():
+    # A received payload is wrapped as it is, so the answer map sees its
+    # length: symbols too many (a whole block or not) or too few are
+    # refused, not cut to length or read short, as are a query built for
+    # another K and one over another field.
+    params = CsaParams.make(5, 2, 1, 1)
+    scheme, rng = CsaScheme(params), Random(6)
+    share = scheme.storage(MessageSet.random(2, params.L, params.field, rng), StorageNoise.random(params, rng))[0]
+    q = scheme.query_payloads(scheme.queries(1, QueryNoise.random(params, rng)))[0]
+    assert len(q) == 6
+    assert scheme.answer(share, scheme.query_from_payload(1, q)) == (sum(map(mul, share.payload, q)) % params.p,)
+    for wrong in (q + (1, 2, 3), q + (1, 2), q + (0,), q[:-1], q[:-2], ()):
+        with pytest.raises(ValueError, match="different block counts"):
+            scheme.answer(share, scheme.query_from_payload(1, wrong))
+    with pytest.raises(ValueError, match="different message counts"):
+        answer(share, QueryShare(1, q, params.p, 3))
+    with pytest.raises(ValueError, match="different message counts"):
+        answer(share, QueryShare(1, q, params.p, 1))
+    with pytest.raises(ValueError, match="different fields"):
+        answer(share, QueryShare(1, q, 7, 2))
+    with pytest.raises(ValueError, match="different servers"):
+        answer(share, scheme.query_from_payload(2, q))
 
 
 def _sweep_decoding_invertibility(p: int) -> int:

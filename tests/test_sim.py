@@ -214,6 +214,34 @@ def test_only_payloads_not_read_from_the_table_are_scanned_for_negatives(monkeyp
             WireMessage.parse(line)
 
 
+def test_a_long_payload_built_in_code_is_checked_and_written_through_bytes_once(monkeypatch):
+    # 100 symbols: a payload `bytes` takes is thereby known nonnegative and
+    # is not scanned, and its line is written from those bytes; one it
+    # refuses (a symbol past 255, or floats) is scanned instead, and each
+    # line and refusal is the one `str` and the scan give.
+    scanned = []
+
+    def counting(values):
+        scanned.append(tuple(values))
+        return min(values)
+
+    monkeypatch.setattr(sim_mod, "min", counting, raising=False)
+    rng = Random(100)
+    base = [0, 9, 10, 99, 100, 255] + [rng.randrange(256) for _ in range(94)]
+    text = " ".join(map(str, base))
+    msg = WireMessage(KIND_QUERY, 2, tuple(base))
+    assert scanned == []
+    assert msg.encode() == f"QUERY 2 100 {text}\n" == f"QUERY 2 100 {sim_mod._format_symbols(tuple(base))}\n"
+    with pytest.raises(ValueError, match="payload symbols are nonnegative integers"):
+        WireMessage(KIND_QUERY, 2, tuple(base[:50] + [-1] + base[51:]))
+    wide = tuple(base[:50] + [300] + base[51:])
+    assert WireMessage(KIND_QUERY, 2, wide).encode() == f"QUERY 2 100 {' '.join(map(str, wide))}\n"
+    floats = tuple(map(float, base))
+    assert WireMessage(KIND_QUERY, 2, floats).encode() == f"QUERY 2 100 {text}\n"
+    assert [len(s) for s in scanned] == [100, 100, 100]
+    assert scanned[1:] == [wide, floats]
+
+
 def test_transcript_round_trip_and_counters():
     _, run = _csa_run(seed=3)
     t = run.transcript
