@@ -16,7 +16,7 @@ override the defaults that do not fit, and add the class to `SCHEMES`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count
 from typing import Sequence
 
@@ -26,6 +26,8 @@ from .field import Space
 from .special import DownloadAllParams, SymXspirParams
 
 Payload = tuple[int, ...]
+# Schemes kept per params value (and per dimensions); a run uses one or a few.
+_SCHEMES = 16
 
 
 class Scheme:
@@ -64,8 +66,11 @@ class Scheme:
     linear = linear_queries = False
 
     @classmethod
+    @lru_cache(maxsize=_SCHEMES, typed=True)
     def make(cls, N: int, K: int, X: int, T: int, p: int | None = None) -> "Scheme":
-        """The scheme at these dimensions; ValueError names the regime it needs."""
+        """The scheme at these dimensions, one per class and dimensions and
+        shared, so callers must not mutate it; ValueError names the regime
+        it needs."""
         for key, value in (("N", N), ("K", K), ("X", X), ("T", T)):
             if value < 1:
                 raise ValueError(f"{key} must be a positive integer, got {value}")
@@ -383,9 +388,11 @@ SCHEMES: dict[str, type[Scheme]] = {
 }
 
 
+@lru_cache(maxsize=_SCHEMES, typed=True)
 def for_params(params) -> Scheme:
     """The scheme that runs `params`: CsaParams, DownloadAllParams,
-    SymXspirParams, or an int K for the three-server bit scheme."""
+    SymXspirParams, or an int K for the three-server bit scheme. The same
+    scheme is returned for equal params, so callers must not mutate it."""
     for cls in SCHEMES.values():
         if type(params) is cls.params_type:
             return cls(params)
@@ -393,8 +400,8 @@ def for_params(params) -> Scheme:
 
 
 def from_header(name: str, header: dict[str, int]) -> Scheme:
-    """The scheme a transcript header names. ValueError if it names none,
-    or dimensions that scheme does not have."""
+    """The scheme a transcript header names, shared like `Scheme.make`'s.
+    ValueError if it names none, or dimensions that scheme does not have."""
     if name not in SCHEMES:
         raise ValueError(f"unknown scheme {name!r}")
     scheme = SCHEMES[name].make(header["N"], header["K"], header["X"], header["T"], header["p"])

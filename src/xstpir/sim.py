@@ -40,10 +40,10 @@ every token was read from a table or for a long payload `bytes` takes
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from random import Random
 from typing import Callable, Sequence
 
@@ -119,54 +119,67 @@ class ProtocolInvariantError(RuntimeError):
     """The harness observed something an honest execution can never produce."""
 
 
-@dataclass(frozen=True)
 class WireMessage:
-    """One line on the wire: kind, server id, symbol count, symbols."""
+    """One line on the wire: kind, server id, symbol count, symbols. A
+    `__slots__` record: these fields are read-only, and `==`, `hash` and
+    `repr` are those of a frozen dataclass of them."""
 
-    kind: str
-    server_id: int
-    payload: tuple[int, ...]
-    # Set by `parse` to the range of the table every symbol was read from
-    # (see `_read_symbols`), None when some symbol was read by `int`. Table
-    # values are all >= 0, so the scan for a negative symbol is skipped.
-    # An alphabet's range is kept (the class default is None): checked
-    # against that alphabet, the payload needs only its length checked.
-    _within: InitVar[range | None] = None
+    __slots__ = ("_kind", "_server_id", "_payload", "_within", "_raw", "_line")
 
-    def __post_init__(self, _within):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.kind == KIND_ANSWER_EMPTY and self.payload:
+    def __init__(self, kind: str, server_id: int, payload: tuple[int, ...], _within: range | None = None):
+        # `parse` passes `_within`, the range of the table every symbol was
+        # read from (`_read_symbols`), or None if some was read by `int`. No
+        # table value is negative, so the scan is skipped; an alphabet's range
+        # is kept (else None): checked against it, only the length is checked.
+        if kind not in _KINDS:
+            raise ValueError(f"unknown message kind {kind!r}")
+        if kind == KIND_ANSWER_EMPTY and payload:
             raise ValueError("ANSWER_EMPTY carries no payload")
-        if self.server_id < 1:
+        if server_id < 1:
             raise ValueError("server ids are 1-based")
+        self._kind, self._server_id, self._payload = kind, server_id, payload
+        self._raw, self._line, self._within = payload, None, None
         if _within is None:
-            if len(self.payload) >= _BYTE_FORMAT_MIN:
+            if len(payload) >= _BYTE_FORMAT_MIN:
                 try:  # `bytes` takes only ints in 0..255: a payload it takes has no negative symbol
-                    object.__setattr__(self, "_raw", bytes(self.payload))  # kept for `_format`
+                    self._raw = bytes(payload)  # kept for `_format`
                     return
                 except (TypeError, ValueError):
                     pass
-            if self.payload and min(self.payload) < 0:
+            if payload and min(payload) < 0:
                 raise ValueError("payload symbols are nonnegative integers")
         elif _within is not _TABLE_RANGE:  # an alphabet its receiver checks
-            object.__setattr__(self, "_within", _within)
+            self._within = _within
+
+    kind = property(attrgetter("_kind"))
+    server_id = property(attrgetter("_server_id"))
+    payload = property(attrgetter("_payload"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._kind, self._server_id, self._payload) == (other._kind, other._server_id, other._payload)
+
+    def __hash__(self):
+        return hash((self._kind, self._server_id, self._payload))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(kind={self._kind!r}, server_id={self._server_id!r}, payload={self._payload!r})"
 
     def encode(self) -> str:
         """The wire line, newline included. It is formatted on the first
         call and kept, so a message that is sent and then rendered is
         formatted once."""
-        line = self.__dict__.get("_line")
+        line = self._line
         if line is None:
-            line = self._format()
-            object.__setattr__(self, "_line", line)
+            line = self._line = self._format()
         return line
 
     def _format(self) -> str:
-        head = f"{self.kind} {self.server_id} {len(self.payload)}"
-        if not self.payload:
+        head = f"{self._kind} {self._server_id} {len(self._payload)}"
+        if not self._payload:
             return head + "\n"
-        return f"{head} {_format_symbols(self.__dict__.get('_raw', self.payload))}\n"
+        return f"{head} {_format_symbols(self._raw)}\n"
 
     @classmethod
     def parse(cls, line: str, alphabet: range | None = None) -> "WireMessage":
@@ -209,7 +222,8 @@ class Transcript:
         return sum(self.downloaded)
 
     def render(self) -> str:
-        lines = [f"{key} {getattr(self, key)}\n" for key in _HEADER]
+        lines = [f"scheme {self.scheme}\nN {self.N}\nK {self.K}\nX {self.X}\nT {self.T}\np {self.p}\n"
+                 f"L {self.L}\nseed {self.seed}\ntheta {self.theta}\n"]
         lines.extend(m.encode() for m in self.queries)
         lines.extend(m.encode() for m in self.answers)
         decoded = _format_symbols(self.decoded)

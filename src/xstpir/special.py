@@ -14,6 +14,7 @@ Three constructions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -111,28 +112,31 @@ def download_all_encode(
     )
 
 
+@lru_cache(maxsize=16)  # params values; a run uses one or a few
+def _download_all_decoder(params: DownloadAllParams) -> tuple[tuple[int, ...], ...]:
+    """Decoder row n < L over a stored column's N symbols: the unit vector
+    of n, then -g_n G^-1 over the last X, the noise at n read from there (G
+    is the noise generator's X x X tail, g_n its row n)."""
+    p, L, x, gen = params.p, params.L, params.X, _noise_generator(params)
+    inverse = solve_linear(gen[L:], [[int(i == j) for j in range(x)] for i in range(x)], p)
+    return tuple(tuple(int(j == n) for j in range(L)) + tuple(-sum(map(mul, g, col)) % p for col in zip(*inverse))
+                 for n, g in enumerate(gen[:L]))
+
+
 def download_all_decode(
     payloads: Sequence[Sequence[int]], params: DownloadAllParams
 ) -> tuple[tuple[int, ...], ...]:
     """Recover all K messages from the full N x K download.
 
     The last X coordinates of each stored column are pure noise through an
-    invertible block, so the noise is solved for there and subtracted
-    everywhere else.
+    invertible block, so the noise is read from there and subtracted
+    everywhere else: one mat-vec per column with the L decoder rows, which
+    are computed once per params value (`_download_all_decoder`).
     """
     if len(payloads) != params.N or any(len(row) != params.K for row in payloads):
         raise ValueError("need the full N x K download")
-    p, L = params.p, params.L
-    gen = _noise_generator(params)
-    # noise[x][k] for every message k at once: one elimination of the tail.
-    noise = solve_linear(gen[L:], [list(row) for row in payloads[L:]], p) if params.X else []
-    return tuple(
-        tuple(
-            (payloads[n][k] - sum(g * zx[k] for g, zx in zip(gen[n], noise))) % p
-            for n in range(L)
-        )
-        for k in range(params.K)
-    )
+    p, decoder = params.p, _download_all_decoder(params)
+    return tuple(tuple(sum(map(mul, row, column)) % p for row in decoder) for column in zip(*payloads))
 
 
 def build_B(k: int) -> tuple[tuple[int, ...], ...]:

@@ -325,10 +325,11 @@ def test_int_rank_matches_the_fe_rank(p):
     assert eliminate_mod([], p) == 0
 
 
-@pytest.mark.parametrize("base", [2, 3, 5, 23, 64, 65, 128, 129, 255, 256, 1009])
+@pytest.mark.parametrize("base", [2, 3, 5, 23, 64, 65, 128, 129, 255, 256, 257, 1009, 1031, 65521, 65535])
 def test_space_draw_matches_the_randrange_loop(base):
     # the same values, and the source left in the same state, on both sides
-    # of the count from which a base below 256 draws its words in one call
+    # of the count from which a base below 256 draws its words in one call,
+    # and at bases of 9 to 16 bits, which draw one value per call
     least = field_mod._BYTE_DRAW_MIN
     for count in (0, 1, 2, least - 1, least, least + 1, 1000, 5000):
         a, b = Random(base * count + 1), Random(base * count + 1)

@@ -150,6 +150,17 @@ def test_golden_transcripts_replay_to_their_decoded_line(name):
     assert redecoded == transcript.decoded
 
 
+
+def test_transcripts_render_alike_in_any_order_in_one_process():
+    # every retrieval and replay of a params value shares one scheme: none
+    # may leave state in it that changes the next one's bytes
+    names = list(TRANSCRIPTS)
+    for name in names + names[::-1]:
+        text = render("transcripts", name)
+        assert text == (GOLDEN / "transcripts" / f"{name}.txt").read_text()
+        transcript, redecoded = replay(text)
+        assert redecoded == transcript.decoded
+
 if __name__ == "__main__":
     for kind, name in CASES:
         path = GOLDEN / kind / f"{name}.txt"

@@ -2,7 +2,8 @@
 checks, rates, collusion views, and the information-flow guards."""
 
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, dataclass, replace
+from itertools import product
 from fractions import Fraction
 from random import Random
 
@@ -12,7 +13,8 @@ from test_csa import CHECK_LANES
 from xstpir import csa as csa_mod
 from xstpir import sim as sim_mod
 from xstpir.csa import CsaParams, MessageSet, StorageNoise
-from xstpir.scheme import CsaScheme, for_params
+from xstpir import scheme as scheme_mod
+from xstpir.scheme import BinaryScheme, CsaScheme, Scheme, for_params, from_header
 from xstpir.sim import (
     KIND_ANSWER,
     KIND_ANSWER_EMPTY,
@@ -70,6 +72,47 @@ def test_wire_message_validation():
         WireMessage.parse("PING 1 0")
     with pytest.raises(ValueError):
         WireMessage.parse("QUERY")
+
+
+@dataclass(frozen=True)
+class _FrozenWireMessage:
+    """The reference record: a frozen dataclass of WireMessage's fields."""
+
+    kind: str
+    server_id: int
+    payload: tuple[int, ...]
+
+
+@pytest.mark.parametrize("length", [0, 5, 64, 600])
+def test_wire_message_is_the_record_a_frozen_dataclass_is(length):
+    # ==, !=, hash and repr as the reference's, against each other and a
+    # plain tuple, for built and parsed messages; the fields are read-only.
+    # 64 symbols in 0..255 keep their bytes; 600 reach 599 and are scanned.
+    payload = tuple(v * 7 % (256 if length == 64 else 600) for v in range(length))
+    other = payload[:-1] + (payload[-1] + 1,) if payload else ()
+    if payload:
+        fields = [(KIND_QUERY, 2, payload), (KIND_ANSWER, 2, payload), (KIND_QUERY, 3, payload),
+                  (KIND_QUERY, 2, other)]
+    else:
+        fields = [(KIND_QUERY, 2, ()), (KIND_ANSWER_EMPTY, 2, ()), (KIND_ANSWER_EMPTY, 3, ())]
+    pairs = [(WireMessage(*f), _FrozenWireMessage(*f)) for f in fields]
+    pairs += [(WireMessage.parse(m.encode()), ref) for m, ref in pairs]
+    for (a, ref_a), (b, ref_b) in product(pairs, repeat=2):
+        assert (a == b) == (ref_a == ref_b)
+        assert (a != b) == (ref_a != ref_b)
+    for (msg, ref), f in zip(pairs, fields * 2):
+        assert (msg.kind, msg.server_id, msg.payload) == f
+        assert hash(msg) == hash(ref) == hash(f)
+        assert repr(msg) == repr(ref).replace("_FrozenWireMessage(", "WireMessage(", 1)
+        assert (msg == f) is (ref == f) is False
+        assert (msg != f) is (ref != f) is True
+        assert {msg: 1}[WireMessage(*f)] == 1
+        for name in ("kind", "server_id", "payload"):
+            with pytest.raises(AttributeError):
+                setattr(msg, name, getattr(msg, name))
+            with pytest.raises(FrozenInstanceError):
+                setattr(ref, name, getattr(ref, name))
+        assert (msg.kind, msg.server_id, msg.payload) == f
 
 
 B = sim_mod._TABLE_SIZE
@@ -293,6 +336,70 @@ def test_transcript_parse_rejects_garbage():
     )
     with pytest.raises(ValueError):
         Transcript.parse(headerless)
+
+
+# ---------------------------------------------------------------------------
+# one scheme per params value
+# ---------------------------------------------------------------------------
+
+RETRIEVE_MIX_PARAMS = {
+    "csa": lambda: CsaParams.make(5, 2, 1, 1),
+    "download_all": lambda: DownloadAllParams.make(3, 4, 1, 2),
+    "binary_n3": lambda: 8,
+    "sym_xspir": lambda: SymXspirParams.make(2, 4),
+}
+
+
+@pytest.mark.parametrize("name", RETRIEVE_MIX_PARAMS)
+def test_equal_params_share_one_scheme(name):
+    first, second = RETRIEVE_MIX_PARAMS[name](), RETRIEVE_MIX_PARAMS[name]()
+    assert first == second
+    scheme = for_params(first)
+    assert scheme.name == name
+    assert for_params(first) is scheme and for_params(second) is scheme
+    made = type(scheme).make(scheme.N, scheme.K, scheme.X, scheme.T, scheme.p)
+    assert type(scheme).make(scheme.N, scheme.K, scheme.X, scheme.T, scheme.p) is made
+    header = scheme.header()
+    assert from_header(name, dict(header)) is from_header(name, dict(header)) is made
+    assert made.params == scheme.params
+
+
+def test_for_params_tells_an_int_from_a_bool():
+    assert for_params(2).name == "binary_n3"
+    with pytest.raises(TypeError, match="no scheme runs bool"):
+        for_params(True)
+    with pytest.raises(TypeError, match="no scheme runs float"):
+        for_params(2.0)
+
+
+def test_the_scheme_caches_are_bounded():
+    # past the constant bound the oldest scheme is dropped and built anew
+    bound = scheme_mod._SCHEMES
+    for cached in (for_params, vars(Scheme)["make"].__func__):
+        assert cached.cache_info().maxsize == bound
+    first, made = for_params(2), BinaryScheme.make(3, 2, 1, 1)
+    for k in range(3, 3 + bound):
+        for_params(k)
+        BinaryScheme.make(3, k, 1, 1)
+    assert for_params.cache_info().currsize == bound
+    assert for_params(2) is not first and for_params(2).b == first.b
+    assert BinaryScheme.make(3, 2, 1, 1) is not made
+
+
+def test_from_header_refuses_a_bad_header_on_every_call():
+    # lru_cache keeps no exception: each call refuses again
+    header = CsaScheme.make(5, 2, 1, 1).header()
+    cases = [
+        ("pir", header, "unknown scheme"),
+        ("csa", {**header, "L": 2}, "does not match"),
+        ("csa", {**header, "N": 2}, "csa needs N > X"),
+        ("binary_n3", header, "binary_n3 is fixed"),
+    ]
+    for _ in range(3):
+        for name, bad, match in cases:
+            with pytest.raises(ValueError, match=match):
+                from_header(name, bad)
+        assert from_header("csa", header).header() == header
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import oracle
 import pytest
 from oracle import Field, lift, values
 
+from xstpir import special as special_mod
 from xstpir.csa import MessageSet
 from xstpir.field import (
     FieldMismatchError,
@@ -156,8 +157,8 @@ def test_download_all_single_server_view_is_uniform():
     assert all(t == tables[0] for t in tables)
 
 
-# (N, K, X, T, p): X = 0 and X = 1, 2; minimal primes from 2 to 11, and a
-# non-minimal one
+# (N, K, X, T, p): X = 0 (no tail to solve) and X = 1, 2, 3, 4, 5; X = N - 1
+# and X = T; minimal primes from 2 to 11, and non-minimal ones
 DOWNLOAD_ALL_GRID = [
     (1, 2, 0, 1, 2),
     (2, 3, 0, 2, 3),
@@ -167,15 +168,22 @@ DOWNLOAD_ALL_GRID = [
     (6, 2, 3, 3, 7),
     (9, 2, 5, 4, 11),
     (3, 3, 2, 1, 13),
+    (3, 4, 1, 2, 5),
+    (4, 3, 3, 1, 5),
+    (5, 2, 4, 1, 11),
 ]
 
 
 @pytest.mark.parametrize("n,k,x,t,p", DOWNLOAD_ALL_GRID)
-def test_download_all_matches_the_oracle(n, k, x, t, p):
+def test_download_all_matches_the_oracle(monkeypatch, n, k, x, t, p):
     # the int maps against the oracle's symbol-by-symbol Fe maps, on seeded
-    # messages and noise, and on payloads that no encoding produced
+    # messages and noise, and on payloads that no encoding produced; the
+    # decoder rows come from one inverse of the tail per params value
     params = DownloadAllParams(n, k, x, t, p)
     assert params.p == p
+    solves, solve = [], special_mod.solve_linear
+    monkeypatch.setattr(special_mod, "solve_linear", lambda *args: solves.append(args) or solve(*args))
+    special_mod._download_all_decoder.cache_clear()
     rng = Random(n * 1000 + k * 100 + x * 10 + t)
     for _ in range(10):
         w = MessageSet.random(k, params.L, params.field, rng)
@@ -186,6 +194,8 @@ def test_download_all_matches_the_oracle(n, k, x, t, p):
         payloads = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
         want = values(oracle.download_all_decode(lift(payloads, p), params))
         assert download_all_decode(payloads, params) == want
+    assert download_all_decode(shares, DownloadAllParams(n, k, x, t, p)) == w.symbols
+    assert len(solves) == 1
 
 
 def test_download_all_shape_errors():
