@@ -13,12 +13,14 @@ nonzero coefficients only, so memory is O(nonzeros) however long u is.
 
 `share_map` and `query_maps` read a scheme's maps once each: the shares,
 and the queries of the first theta, each other theta in two more calls
-(`constants`). A server's answer is read from the rows the scheme declares
-for it (`Scheme.answer_rows`), checked against `answer` at the check point;
-`forms` and `moved` apply such declared rows to the maps without calling
-the scheme again. From them `identity` assembles the correctness identity
-of a scheme declared linear, and `sym_views` sym-security's rank tests:
-once per theta where the queries are declared too, else per realization.
+(`constants`), of which only the last theta's are kept; any other theta is
+read again, in one call, when a test asks for it. A server's answer is
+read from the rows the scheme declares for it (`Scheme.answer_rows`),
+checked against `answer` at the check point; `forms` and `moved` apply
+such declared rows to the maps without calling the scheme again. From them
+`identity` assembles the correctness identity of a scheme declared linear,
+and `sym_views` sym-security's rank tests: once per theta where the
+queries are declared too, else per realization.
 
 The audits' rank tests ask whether some column of B lies outside colspan A
 in a matrix [A | B] of such rows. A is block diagonal over the connected
@@ -89,11 +91,15 @@ def read(payloads, n: int, p: int) -> list:
 def constants(view, n: int, p: int):
     """A function of a map `at` of n values meant to share `view`'s
     coefficients (`read`): its constant, the payloads at zero flattened,
-    or None unless it moves from there to the check point as `view` does."""
+    or None unless it moves from there to the check point as `view` does;
+    with `checked` False, its payloads at the check point less that move,
+    in one call."""
     shape, x = [None if server is None else len(server) for server in view], check(n, p)
     moved = [sum(a * x[j] for j, a in zip(js, aj)) % p for server in view for _, js, aj in server or ()]
 
-    def constant(at):
+    def constant(at, checked=True):
+        if not checked:
+            return [(y - d) % p for y, d in zip(_flat(at(x), shape), moved)]
         base = _flat(at([0] * n), shape)
         return base if [(y - c) % p for y, c in zip(_flat(at(x), shape), base)] == moved else None
 
@@ -154,9 +160,12 @@ def storage_at(inst: Scheme):
 
 
 def query_maps(inst: Scheme, thetas: list[int], spot: list) -> tuple:
-    """The query map of thetas[0] (`read`), and per theta its constant
-    (flat) and its queries at the check point, in two calls for each later
-    theta; ValueError unless the randomness enters them the same way there.
+    """The query map of thetas[0] (`read`), and a function of a theta giving
+    its queries' constant (flat) and its queries at the check point. Every
+    later theta is read here in two calls: ValueError unless the randomness
+    enters its queries as it enters thetas[0]'s. The first and the last
+    theta's reads are kept and any other is read again, in one call at the
+    check point, so what is held does not grow with the count of thetas.
     spot[0] and spot[2] follow the calls, to name the one that raises."""
     qr, asked, p = inst.query_randomness, [None], inst.p
     n = dim(inst, (qr,))
@@ -170,13 +179,13 @@ def query_maps(inst: Scheme, thetas: list[int], spot: list) -> tuple:
 
     first = read(map(at(thetas[0]), points(n, p)), n, p)
     shared = constants(first, n, p)
-    maps = [([c for rows in first for c, _, _ in rows], asked[0])]
+    kept = {thetas[0]: ([c for rows in first for c, _, _ in rows], asked[0])}
     for theta in thetas[1:]:
         if (constant := shared(at(theta))) is None:
             raise ValueError(f"{inst.describe()} is declared linear but the query randomness "
                              f"enters the queries for theta {theta} differently")
-        maps.append((constant, asked[0]))
-    return first, maps
+        kept[thetas[-1]] = constant, asked[0]  # in the end the last theta's
+    return first, lambda theta: kept.get(theta) or (shared(at(theta), False), asked[0])
 
 
 def share_map(inst: Scheme, zero, spot: list) -> tuple:
@@ -238,27 +247,29 @@ def identity(inst: Scheme, asked: list, zero):
             raise zero
         shares, stored, payloads = share_map(inst, zero, spot)
         if full:  # per theta the queries' constant (at zero), and the queries at the check point
-            first, maps = query_maps(inst, [theta for theta, _ in asked], spot)
-            asked = [(theta, check(dv, p), *mapped) for (theta, _), mapped in zip(asked, maps)]
+            first, mapped = query_maps(inst, [theta for theta, _ in asked], spot)
+            asked = [(theta, check(dv, p)) for theta, _ in asked]
         spot[1] = check(du, p)
         checked = inst.messages.build(spot[1][: inst.messages.count])
-        for spot[0], spot[2], *mapped in asked:  # the answers at the check points, and one real decode
-            queries = mapped[1] if full else inst.queries(spot[0], qr.build(spot[2]))
+        for spot[0], spot[2] in asked:  # the answers at the check points, and one real decode
+            queries = mapped(spot[0])[1] if full else inst.queries(spot[0], qr.build(spot[2]))
             answers = list(map(inst.answer, stored, queries))
             width = width if full else next((len(a) for a in answers if a is not None), 0)
             if (spot[0], width) not in decoders:  # decode's rows
                 at = lambda a: [inst.decode(spot[0], [tuple(a[n * width:][:width]) for n in range(N)])]
                 decoders[spot[0], width] = read(map(at, points(N * width, p)), N * width, p)[0]
             decoded = inst.decode(spot[0], answers) == inst.plaintext(checked, spot[0])
-            probed.append((spot[0], spot[2], mapped[0] if full else None, queries, width, answers, decoded))
+            probed.append((spot[0], spot[2], None if full else queries, width, answers, decoded))
     except Exception:
         return tuple(spot)
     moving, products = {}, moved(first, shares, delta, width, p) if full else {}
     for j, m in sorted(products, key=lambda jm: jm[1] >= 0):  # each distinct moving column, v parts first
         if column := tuple((i, a % p) for i, a in products[j, m].items() if a % p):
             moving.setdefault(column, (j, m))
-    for theta, v, constant, queries, width, answers, decoded in probed:
-        # g(u, 0) is read from the answer rows at the queries' constant, else g(u, v) at v
+    for theta, v, queries, width, answers, decoded in probed:
+        # g(u, 0) is read from the answer rows at the queries' constant (declared queries are
+        # read again here, so no theta's are held past its own test), else g(u, v) at v
+        constant, queries = mapped(theta) if full else (None, queries)
         point, g = unit(dv, -1) if full else v, forms(inst, shares, payloads, queries, answers, constant, width)
         for l, (c, js, aj) in enumerate(decoders[theta, width]):  # decode's row l - message theta's symbol l
             c, us, _ = compose((js + (-1,), aj + (1,)), [*g, (c, ((theta - 1) * L + l,), (-1,))], p)
@@ -275,10 +286,13 @@ def identity(inst: Scheme, asked: list, zero):
 
 def sym_views(inst: Scheme, asked, zero) -> tuple:
     """`audit.audit_sym_security`'s rank tests, given the storage at zero:
-    per entry of `asked`, A = `forms` as [A_z | A_other] over [noise |
-    messages but theta's], and a count of its distinct (theta, payload)s.
-    Entries are (theta, payloads, queries), or with declared queries (theta,
-    randomness values): A at the queries' constant plus `moved`'s entries."""
+    per entry of `asked`, the rows of A = `forms` as [A_z | A_other] over
+    [noise | messages but theta's], fresh lists, and a count of the
+    distinct (theta, payload)s. Entries are (theta, payloads, queries), or
+    with declared queries (theta, randomness values), in theta order: A is
+    then a copy of theta's base (the answer rows at the queries' constant,
+    laid out and reduced mod p once per theta) plus v_j times `moved`'s
+    entries. Theta's own columns are deleted from each pair's rows."""
     km, kz, p, L = inst.messages.count, inst.storage_noises.count, inst.p, inst.L
     shares, stored, payloads = share_map(inst, zero, [None] * 3)
     place, moving = [*range(kz, kz + km), *range(kz)], []  # the columns: noise first
@@ -293,20 +307,24 @@ def sym_views(inst: Scheme, asked, zero) -> tuple:
     lay = lambda q, *at: forms(inst, shares, payloads, q, list(map(inst.answer, stored, q)), *at, how=dense)
 
     if inst.linear_queries:
-        (first, maps), (width, delta) = query_maps(inst, list(inst.thetas), [None] * 3), answer_delta(inst)
+        (first, mapped), (width, delta) = query_maps(inst, list(inst.thetas), [None] * 3), answer_delta(inst)
         moving = [[] for _ in range(inst.query_randomness.count)]
         for (j, m), cells in moved(first, shares, delta, width, p).items():  # the v part alone moves no span
             moving[j] += [(r, m, a % p) for r, a in cells.items() if m >= 0 and a % p]
 
     def views(current=None):
-        for theta, *pair in asked:  # in theta order
+        for theta, *pair in asked:  # in theta order: each theta's base is built once
             if inst.linear_queries and theta != current:
-                base, current = lay(maps[theta - 1][1], maps[theta - 1][0], width), theta
+                constant, queries = mapped(theta)
+                base, current = [[v % p for v in row] for row in lay(queries, constant, width)], theta
             rows = [row[:] for row in base] if inst.linear_queries else lay(pair[1])
             for vj, entries in zip(pair[0], moving):  # no entries where the queries are not declared
                 for r, c, a in entries if vj else ():
                     rows[r][c] += vj * a
-            yield [row[:kz + (theta - 1) * L] + row[kz + theta * L:] for row in rows]  # theta's is given
+            given = slice(kz + (theta - 1) * L, kz + theta * L)
+            for row in rows:
+                del row[given]
+            yield rows
 
     if not inst.linear_queries:
         return views(), lambda: len({(t, y) for t, y, _ in asked})
@@ -317,9 +335,10 @@ def sym_views(inst: Scheme, asked, zero) -> tuple:
 
 def rank_grows(rows: list[list[int]], limit: int, p: int) -> bool:
     """Whether rank[A | B] > rank A mod p, for rows of [A | B] with A the
-    first `limit` columns: whether some column of B lies outside colspan A."""
-    rank = eliminate_mod(rows, p, limit)
-    return any(any(row[limit:]) for row in rows[rank:])
+    first `limit` columns: whether some column of B lies outside colspan A.
+    `eliminate_mod` reduces `rows` in place and leaves the rows past rank A
+    zero in A's columns, so the test is whether any of them is nonzero."""
+    return any(map(any, rows[eliminate_mod(rows, p, limit):]))
 
 
 def split(view, pivots: range, others) -> list:

@@ -311,8 +311,9 @@ def _privacy_tests(inst: Scheme) -> list:
     R being the same for every theta (ValueError if not): on every subset's
     rows the differences must lie in the span of R."""
     kq, p, flat = inst.query_randomness.count, inst.p, count()
-    first, (_, *others) = affine.query_maps(inst, list(inst.thetas), [None] * 3)
-    others = [constant for constant, _ in others]
+    thetas = list(inst.thetas)
+    first, mapped = affine.query_maps(inst, thetas, [None] * 3)
+    others = [mapped(theta)[0] for theta in thetas[1:]]
 
     def row(c, js, aj):
         i = next(flat)

@@ -43,6 +43,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import prod
 from operator import mul
 from random import Random
@@ -55,6 +56,7 @@ from .field import (
     PrimeField,
     Space,
     is_prime,
+    record,
     reshape,
     smallest_valid_prime,
     solve_linear,
@@ -162,22 +164,20 @@ class CsaParams:
         return PrimeField(self.p)
 
 
-@dataclass(frozen=True)
-class MessageSet:
+class MessageSet(record("symbols", "p")):
     """K messages of L symbols each over GF(p); row k is message k, its
     symbols ints in range(p)."""
 
-    symbols: tuple[tuple[int, ...], ...]
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.symbols or not self.symbols[0]:
+    def __init__(self, symbols: tuple[tuple[int, ...], ...], p: int):
+        if not symbols or not symbols[0]:
             raise ValueError("need at least one message and one symbol")
-        width = len(self.symbols[0])
-        if any(len(row) != width for row in self.symbols):
+        if len(set(map(len, symbols))) > 1:
             raise ValueError("all messages must have the same length")
-        if min(map(min, self.symbols)) < 0 or max(map(max, self.symbols)) >= self.p:
-            raise ValueError(f"message symbols must lie in range({self.p})")
+        if min(map(min, symbols)) < 0 or max(map(max, symbols)) >= p:
+            raise ValueError(f"message symbols must lie in range({p})")
+        self._symbols, self._p = symbols, p
 
     @property
     def K(self) -> int:
@@ -228,23 +228,19 @@ class MessageSet:
         return cls(((0,) * length,) * k, field.modulus)
 
 
-@dataclass(frozen=True)
-class _Noise:
+class _Noise(record("z")):
     """Uniform noise: z[l][j] is a K-vector of ints in range(p), for l in
     1..L and j in 1..J, with J given by the subclass's `_shape`. The grid
     is checked once, here, to be a box: one J per block, one length per
     vector. Its (L, J, K) is then read off its first vector (`check`)."""
 
-    z: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
     kind = ""
 
-    def __post_init__(self):
-        z = self.z
-        if z and (
-            any(len(zl) != len(z[0]) for zl in z)
-            or any(len(zj) != len(z[0][0]) for zl in z for zj in zl)
-        ):
+    def __init__(self, z: tuple[tuple[tuple[int, ...], ...], ...]):
+        if len(set(map(len, z))) > 1 or len(set(map(len, chain.from_iterable(z)))) > 1:
             raise ValueError(f"{self.kind} noise has wrong shape")
+        self._z = z
 
     @staticmethod
     def _shape(params: CsaParams) -> tuple[int, int, int]:
@@ -271,10 +267,10 @@ class _Noise:
         return space.build([0] * space.count)
 
 
-@dataclass(frozen=True)
 class StorageNoise(_Noise):
     """Storage-side noise: z[l][x] is a K-vector, for l in 1..L, x in 1..X."""
 
+    __slots__ = ()
     kind = "storage"
 
     @staticmethod
@@ -282,10 +278,10 @@ class StorageNoise(_Noise):
         return (params.L, params.X, params.K)
 
 
-@dataclass(frozen=True)
 class QueryNoise(_Noise):
     """Query-side noise: z[l][t] is a K-vector, for l in 1..L, t in 1..T."""
 
+    __slots__ = ()
     kind = "query"
 
     @staticmethod
@@ -293,40 +289,42 @@ class QueryNoise(_Noise):
         return (params.L, params.T, params.K)
 
 
-def _blocks(share) -> tuple[tuple[int, ...], ...]:
-    """A share's or a query's payload cut into its L K-vectors."""
-    return tuple(share.payload[i : i + share.k] for i in range(0, len(share.payload), share.k))
+class _Share(record("server_index", "payload", "p", "k")):
+    """One server's L K-vectors as one flat payload, ints in range(p)."""
+
+    __slots__ = ()
+
+    def __init__(self, server_index: int, payload: tuple[int, ...], p: int, k: int):
+        self._server_index, self._payload, self._p, self._k = server_index, payload, p, k
+
+    def _blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The payload cut into its L K-vectors."""
+        return tuple(self._payload[i : i + self._k] for i in range(0, len(self._payload), self._k))
 
 
-@dataclass(frozen=True)
-class StorageShare:
+class StorageShare(_Share):
     """What one server stores: its L mixed K-vectors as one flat payload,
     ints in range(p); rows[l] is block l's."""
 
-    server_index: int
-    payload: tuple[int, ...]
-    p: int
-    k: int
-    rows = property(_blocks)
+    __slots__ = ()
+    rows = property(_Share._blocks)
 
 
-@dataclass(frozen=True)
-class QueryShare:
+class QueryShare(_Share):
     """What one server is asked: its L scaled K-vectors as one flat payload,
     ints in range(p); cols[l] is block l's."""
 
-    server_index: int
-    payload: tuple[int, ...]
-    p: int
-    k: int
-    cols = property(_blocks)
+    __slots__ = ()
+    cols = property(_Share._blocks)
 
 
-@dataclass(frozen=True)
-class DecodeOutput:
+class DecodeOutput(record("desired")):
     """The L desired symbols, ints in range(p)."""
 
-    desired: tuple[int, ...]
+    __slots__ = ()
+
+    def __init__(self, desired: tuple[int, ...]):
+        self._desired = desired
 
 
 # Params values whose tables are kept; a run uses one or a few.

@@ -10,7 +10,9 @@ Representation: a symbol of GF(p) is a plain int in range(p), in every
 scheme, its parameters and its messages; the maps reduce mod p where they
 sum and return ints in range(p). One elimination, `eliminate_mod`, gives
 ranks; `solve_linear` finishes it by back substitution for solutions and
-inverses.
+inverses. `record` is the one pattern of the package's per-call value
+records (csa's shares, queries, messages, noise and decoded symbols, and
+the wire's messages).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 
@@ -103,12 +106,42 @@ class PrimeField:
         return f"GF({self.modulus})"
 
 
+def record(*fields: str) -> type:
+    """The base of a `__slots__` value record of `fields`: field f is kept in
+    the slot `_f`, which the subclass's `__init__` sets, and read through a
+    read-only property; `==`, `hash` and `repr` are those of a frozen
+    dataclass of the fields, at about a third of its construction cost.
+    A subclass declares its own `__slots__`: empty, or its private extras."""
+    slots = tuple("_" + name for name in fields)
+    get = attrgetter(*slots)
+    values = get if len(fields) > 1 else lambda self: (get(self),)
+
+    class Record:
+        __slots__ = slots
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return values(self) == values(other)
+
+        def __hash__(self):
+            return hash(values(self))
+
+        def __repr__(self):
+            shown = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values(self)))
+            return f"{type(self).__qualname__}({shown})"
+
+    for name, slot in zip(fields, slots):
+        setattr(Record, name, property(attrgetter(slot)))
+    return Record
+
+
 def reshape(values: Sequence, shape: Sequence[int]) -> tuple:
-    """Flat row-major `values` as nested tuples of `shape`."""
+    """The prod(shape) flat row-major `values` as nested tuples of `shape`."""
     items = values
     for depth in range(len(shape) - 1, 0, -1):
-        size = shape[depth]
-        items = [tuple(items[i * size : (i + 1) * size]) for i in range(prod(shape[:depth]))]
+        size = shape[depth]  # consecutive runs of `size`, or empty tuples
+        items = list(zip(*[iter(items)] * size)) if size else [()] * prod(shape[:depth])
     return tuple(items)
 
 
@@ -182,32 +215,36 @@ def eliminate_mod(rows: list[list[int]], p: int, limit: int | None = None) -> in
     """In-place row echelon reduction of int rows mod the prime p; returns
     the rank.
 
-    Entries may be any ints; they are reduced mod p first. `limit` caps the
-    columns eligible for pivoting, so augmented columns do not count toward
-    the rank: rows from the returned rank on are then zero in the first
-    `limit` columns and hold, in the others, what those columns cannot
-    reach. Only the rows below each pivot are cleared, which is all a rank
-    needs; `solve_linear` clears the rest.
+    Entries may be any ints, and none is copied or reduced up front: a
+    pivot is an entry nonzero mod p, and a row is reduced when it is
+    normalised as a pivot row or cleared below one, and the rows past the
+    rank at the end, so entries never grow past p and every row it leaves
+    holds ints in range(p). `limit` caps the columns eligible for pivoting,
+    so augmented columns do not count toward the rank: rows from the
+    returned rank on are then zero in the first `limit` columns and hold,
+    in the others, what those columns cannot reach. Only the rows below
+    each pivot are cleared, which is all a rank needs; `solve_linear`
+    clears the rest.
     """
-    rows[:] = [[v % p for v in row] for row in rows]
-    if not rows:
+    n, rank = len(rows), 0
+    if not n:
         return 0
-    n_cols = len(rows[0]) if limit is None else limit
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+    for col in range(len(rows[0]) if limit is None else limit):
+        for r in range(rank, n):
+            if rows[r][col] % p:
+                break
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        top = rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            if factor:
+        row, rows[r] = rows[r], rows[rank]
+        inv = pow(row[col], -1, p)
+        top = rows[rank] = [v * inv % p for v in row]
+        for r in range(rank + 1, n):
+            if factor := rows[r][col] % p:
                 rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], top)]
         rank += 1
-        if rank == len(rows):
-            break
+        if rank == n:
+            return rank
+    rows[rank:] = [[v % p for v in row] for row in rows[rank:]]
     return rank
 
 

@@ -24,18 +24,19 @@ such as "007", "+3" or "1_000" that `int` accepts) takes the `str`/`int`
 path instead, so each line is formatted, accepted or rejected exactly as
 by `str` and `int` alone.
 
-Each payload's length and alphabet are checked once, by whoever receives
-it: a server checks its QUERY in `Server.handle`, the client checks the
-ANSWERs (`_answers_by_server`) but not the queries it built itself, and
-`replay`, which receives everything, checks both, and the queries before
-the scheme's check of theta, which packs them into lanes sized for that
-alphabet. Each parses the payload against the alphabet it checks (the
-scheme's query alphabet, range(p) for ANSWERs; `replay` once the header
-names the scheme), so a payload read wholly from that alphabet's table is
-checked for its length alone, and any other is scanned. `WireMessage`
-itself refuses only negative symbols, and skips that scan for a line whose
-every token was read from a table or for a long payload `bytes` takes
-(each symbol an int in 0..255), whose bytes it keeps for the digit tables.
+Each payload's length and alphabet, and the server ids of each kind, are
+checked once, by whoever receives them: a server checks its QUERY in
+`Server.handle`, the client checks the ANSWERs (`_answers_by_server`) but
+not the queries it built itself, and `replay`, which receives everything,
+checks both (`_by_server` the ids), and the queries before the scheme's
+check of theta, which packs them into lanes sized for that alphabet. Each
+parses the payload against the alphabet it checks (the scheme's query
+alphabet, range(p) for ANSWERs; `replay` once the header names the
+scheme), so a payload read wholly from that alphabet's table is checked
+for its length alone, and any other is scanned. `WireMessage` itself
+refuses only negative symbols, and skips that scan for a line whose every
+token was read from a table or for a long payload `bytes` takes (each
+symbol an int in 0..255), whose bytes it keeps for the digit tables.
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
 
 from .audit import DEFAULT_CAP, OverCap
+from .field import record
 from .scheme import Payload, Scheme, for_params, from_header
 
 KIND_QUERY = "QUERY"
@@ -119,12 +121,12 @@ class ProtocolInvariantError(RuntimeError):
     """The harness observed something an honest execution can never produce."""
 
 
-class WireMessage:
+class WireMessage(record("kind", "server_id", "payload")):
     """One line on the wire: kind, server id, symbol count, symbols. A
-    `__slots__` record: these fields are read-only, and `==`, `hash` and
-    `repr` are those of a frozen dataclass of them."""
+    `__slots__` record (`field.record`): these fields are read-only, and
+    `==`, `hash` and `repr` are those of a frozen dataclass of them."""
 
-    __slots__ = ("_kind", "_server_id", "_payload", "_within", "_raw", "_line")
+    __slots__ = ("_within", "_raw", "_line")
 
     def __init__(self, kind: str, server_id: int, payload: tuple[int, ...], _within: range | None = None):
         # `parse` passes `_within`, the range of the table every symbol was
@@ -150,21 +152,6 @@ class WireMessage:
                 raise ValueError("payload symbols are nonnegative integers")
         elif _within is not _TABLE_RANGE:  # an alphabet its receiver checks
             self._within = _within
-
-    kind = property(attrgetter("_kind"))
-    server_id = property(attrgetter("_server_id"))
-    payload = property(attrgetter("_payload"))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._kind, self._server_id, self._payload) == (other._kind, other._server_id, other._payload)
-
-    def __hash__(self):
-        return hash((self._kind, self._server_id, self._payload))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(kind={self._kind!r}, server_id={self._server_id!r}, payload={self._payload!r})"
 
     def encode(self) -> str:
         """The wire line, newline included. It is formatted on the first
@@ -309,21 +296,16 @@ def _check_symbols(msg: WireMessage, count: int, alphabet: range) -> None:
 def _answers_by_server(
     scheme: Scheme, queries: Sequence[WireMessage], answers: Sequence[WireMessage]
 ) -> list[Payload | None]:
-    """Check one exchange, `queries` in server order, against the scheme
-    and return the answer payloads in that order (None for ANSWER_EMPTY).
+    """Check one exchange's answers against the scheme and return their
+    payloads in server order (None for ANSWER_EMPTY), given the `queries`
+    for server ids 1..N in that order.
 
-    Raises ValueError unless there is exactly one QUERY and one ANSWER or
-    ANSWER_EMPTY for each server id 1..N, and every answer carries exactly
-    the symbols its query owes, each below p. The query payloads' own
-    lengths and alphabets are their receivers' to check (see the module
-    docstring).
+    Raises ValueError unless there is exactly one ANSWER or ANSWER_EMPTY
+    for each server id 1..N, and every answer carries exactly the symbols
+    its query owes, each below p. The queries are their receivers' to
+    check, ids included (see the module docstring).
     """
-    n = scheme.N
-    for what, msgs in (("QUERY", queries), ("answer", answers)):
-        ids = sorted(m.server_id for m in msgs)
-        if ids != list(range(1, n + 1)):
-            raise ValueError(f"need one {what} per server id 1..{n}, got ids {ids}")
-    by_id, symbols = {m.server_id: m for m in answers}, range(scheme.p)
+    by_id, symbols = _by_server(scheme, "answer", answers), range(scheme.p)
     out: list[Payload | None] = []
     for q in queries:
         a, owed = by_id[q.server_id], scheme.answer_symbols(q.payload)
@@ -332,6 +314,15 @@ def _answers_by_server(
         _check_symbols(a, owed, symbols)
         out.append(a.payload if owed else None)
     return out
+
+
+def _by_server(scheme: Scheme, what: str, msgs: Sequence[WireMessage]) -> dict[int, WireMessage]:
+    """`msgs` by server id; ValueError unless there is one for each id 1..N."""
+    by_id = {m.server_id: m for m in msgs}
+    if len(by_id) != len(msgs) or sorted(by_id) != list(range(1, scheme.N + 1)):
+        raise ValueError(f"need one {what} per server id 1..{scheme.N}, "
+                         f"got ids {sorted(m.server_id for m in msgs)}")
+    return by_id
 
 
 class Server:
@@ -453,7 +444,8 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
     scheme = built[0] if built else _scheme_of(transcript)
     theta = transcript.theta
     scheme.check_theta(theta)
-    queries = sorted(transcript.queries, key=lambda m: m.server_id)
+    by_id = _by_server(scheme, "QUERY", transcript.queries)
+    queries = [by_id[n] for n in range(1, scheme.N + 1)]
     for q in queries:
         _check_symbols(q, scheme.query_symbols, scheme.query_alphabet)
     answers = _answers_by_server(scheme, queries, transcript.answers)

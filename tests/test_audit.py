@@ -1279,6 +1279,52 @@ def test_sampled_sym_security_keeps_no_payload_past_its_test():
     assert peaks[800] - peaks[200] < 150_000
 
 
+def test_the_query_maps_hold_no_theta_past_the_first_and_the_last():
+    # query_maps reads every theta, but keeps only the first and the last
+    # theta's reads and reads any other again when it is asked for. Keeping
+    # every theta's constant and queries made what it holds grow as K^2 at
+    # csa (5,K,1,1): 0.9 times the first theta's map past it at K = 8 and
+    # 4.3 times at K = 32. Now the thetas past the first add a fraction of
+    # the first map, the same at every K, and each re-read is theta's own.
+    for k in (8, 32):
+        inst, held = _csa(5, k, 1, 1), {}
+        thetas = list(inst.thetas)
+        affine.query_maps(inst, thetas, [None] * 3)  # fills the caches, to count in neither
+        for asked in ([1], thetas):
+            tracemalloc.start()
+            try:
+                first, mapped = affine.query_maps(inst, asked, [None] * 3)
+                held[len(asked)] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert held[k] - held[1] < held[1] / 2, (k, held)
+        qr = inst.query_randomness
+        for theta in (1, 2, k // 2, k):
+            constant, queries = mapped(theta)
+            assert queries == inst.queries(theta, qr.build(affine.check(qr.count, inst.p)))
+            at_zero = inst.query_payloads(inst.queries(theta, qr.build([0] * qr.count)))
+            assert constant == list(chain.from_iterable(at_zero))
+
+
+def test_the_identity_test_holds_no_theta_past_its_own_test():
+    # exact correctness of csa (5,K,1,1): the identity test reads each
+    # theta's declared queries again for its test instead of keeping every
+    # theta's constant and queries until the tests run, so its peak grows
+    # about as K does. Kept, it grew 2.9 times from K = 32 to K = 64.
+    peaks = {}
+    for k in (16, 32, 64):
+        inst = _csa(5, k, 1, 1)
+        audit_correctness(inst)  # fills the caches, to count in no peak
+        tracemalloc.start()
+        try:
+            report = audit_correctness(inst)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.exhaustive and report.passed
+    assert peaks[32] < 2.4 * peaks[16] and peaks[64] < 2.4 * peaks[32], peaks
+
+
 @pytest.mark.parametrize("p", [5, 257, 65537])
 def test_drawn_values_are_packed_in_the_order_of_their_tuples(p):
     # each drawn values list is held as bytes, one a value below 256 (read

@@ -4,6 +4,7 @@ The expansion oracles recompute server answers from scratch in product form,
 so a sign or indexing slip in the library cannot cancel itself out.
 """
 
+import dataclasses
 import hashlib
 from itertools import chain, combinations, count, product
 from math import isqrt, prod
@@ -1122,3 +1123,55 @@ def test_make_primes_are_minimal():
         assert is_prime(params.p)
         assert params.p >= n + params.L
         assert all(not is_prime(v) for v in range(n + params.L, params.p))
+
+
+# Each csa value record, its fields, and values differing in one field at a
+# time (in order: a first value, then per field one that changes it).
+RECORD_CASES = {
+    "StorageShare": (csa_mod.StorageShare, ("server_index", "payload", "p", "k"),
+                     [(1, (1, 2, 3, 4), 5, 2), (2, (1, 2, 3, 4), 5, 2), (1, (1, 2, 3, 0), 5, 2),
+                      (1, (1, 2, 3, 4), 7, 2), (1, (1, 2, 3, 4), 5, 4)]),
+    "QueryShare": (QueryShare, ("server_index", "payload", "p", "k"),
+                   [(1, (1, 0, 0, 4), 5, 2), (3, (1, 0, 0, 4), 5, 2), (1, (0, 0, 0, 4), 5, 2),
+                    (1, (1, 0, 0, 4), 11, 2), (1, (1, 0, 0, 4), 5, 1)]),
+    "DecodeOutput": (csa_mod.DecodeOutput, ("desired",), [((1, 2),), ((1, 3),)]),
+    "MessageSet": (MessageSet, ("symbols", "p"),
+                   [(((1, 2), (3, 4)), 5), (((1, 2), (3, 0)), 5), (((1, 2), (3, 4)), 7)]),
+    "StorageNoise": (StorageNoise, ("z",), [((((1, 2),),),), ((((1, 3),),),)]),
+    "QueryNoise": (QueryNoise, ("z",), [((((1, 2), (0, 0)),),), ((((1, 2), (0, 1)),),)]),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_CASES))
+def test_csa_records_are_the_records_frozen_dataclasses_are(name):
+    # ==, !=, hash and repr as a frozen dataclass's of the same name and
+    # fields, for records built positionally and by keyword; the fields are
+    # read-only and no other attribute can be set.
+    cls, names, fields = RECORD_CASES[name]
+    ref_cls = dataclasses.make_dataclass(name, names, frozen=True)
+    pairs = [(cls(*f), ref_cls(*f)) for f in fields]
+    pairs += [(cls(**dict(zip(names, f))), ref) for f, (_, ref) in zip(fields, pairs)]
+    for (a, ref_a), (b, ref_b) in product(pairs, repeat=2):
+        assert (a == b) == (ref_a == ref_b)
+        assert (a != b) == (ref_a != ref_b)
+    for (record, ref), f in zip(pairs, fields * 2):
+        assert tuple(getattr(record, n) for n in names) == f
+        assert hash(record) == hash(ref) == hash(f)
+        assert repr(record) == repr(ref)
+        assert (record == f) is (ref == f) is False
+        assert {record: 1}[cls(*f)] == 1
+        for n in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, n, getattr(record, n, None))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ref, n, getattr(ref, n, None))
+        assert tuple(getattr(record, n) for n in names) == f
+
+
+def test_records_of_the_same_fields_are_not_equal_across_classes():
+    # as two frozen dataclasses are not: a share is not its server's query,
+    # nor storage noise query noise; the views cut the flat payload by k
+    share, query = csa_mod.StorageShare(1, (1, 2, 3, 4), 5, 2), QueryShare(1, (1, 2, 3, 4), 5, 2)
+    assert share != query and hash(share) == hash(query)
+    assert share.rows == query.cols == ((1, 2), (3, 4))
+    assert StorageNoise((((1,),),)) != QueryNoise((((1,),),))

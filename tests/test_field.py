@@ -5,6 +5,7 @@ code is compared against everywhere else; the elimination tests compare
 the int elimination with the oracle's."""
 
 import time
+from math import prod
 from random import Random
 
 import oracle
@@ -12,6 +13,7 @@ import pytest
 from oracle import Field, lift, values
 
 from xstpir import field as field_mod
+from xstpir.affine import rank_grows
 from xstpir.field import (
     FieldMismatchError,
     PrimeField,
@@ -311,9 +313,11 @@ def test_int_rank_matches_the_fe_rank(p):
     for m in _random_matrices(p, rng):
         want = oracle.eliminate([[f(v) for v in row] for row in m])
         assert eliminate_mod([list(row) for row in m], p) == want, m
-        # unreduced and negative entries are the same matrix
+        # unreduced and negative entries are the same matrix, and every row
+        # the elimination leaves is reduced
         shifted = [[v - p * rng.randrange(-3, 4) for v in row] for row in m]
         assert eliminate_mod(shifted, p) == want
+        assert all(v in range(p) for row in shifted for v in row)
         assert oracle.matrix_rank([[f(v) for v in row] for row in m]) == want
         # with a limit, the rank of the leading columns; the rows after it
         # are zero there
@@ -322,7 +326,46 @@ def test_int_rank_matches_the_fe_rank(p):
         rank = eliminate_mod(rows, p, limit)
         assert rank == oracle.eliminate([[f(v) for v in row[:limit]] for row in m])
         assert not any(any(row[:limit]) for row in rows[rank:])
+        assert all(v in range(p) for row in rows for v in row)
     assert eliminate_mod([], p) == 0
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_rank_grows_matches_the_fe_ranks(p):
+    # On the same seeded matrices, as given, unreduced and negative, and with
+    # B all zero, at every limit from 0 (A empty) to the width (B empty):
+    # rank_grows says whether rank [A | B] exceeds rank A by the oracle's
+    # eliminations, and leaves every row in range(p).
+    f, rng = Field(p), Random(p)
+    rank = lambda m, limit=None: oracle.eliminate([[f(v) for v in row[:limit]] for row in m])
+    for m in _random_matrices(p, rng):
+        width = len(m[0])
+        shifted = [[v - p * rng.randrange(-3, 4) for v in row] for row in m]
+        for limit in range(width + 1):
+            zero_b = [row[:limit] + [0] * (width - limit) for row in shifted]
+            for given in (m, shifted, zero_b):
+                rows = [list(row) for row in given]
+                grows = rank_grows(rows, limit, p)
+                assert grows == (rank(given) > rank(given, limit)), (given, limit)
+                assert all(v in range(p) for row in rows for v in row)
+            assert not rank_grows(zero_b, limit, p)
+
+
+def test_reshape_nests_row_major_runs():
+    # as slicing each level into prod(shape[:depth]) runs does, a dimension
+    # of size 0 included (download_all at X = 0 reshapes to (K, 0))
+    def sliced(values, shape):
+        items = values
+        for depth in range(len(shape) - 1, 0, -1):
+            size = shape[depth]
+            items = [tuple(items[i * size : (i + 1) * size]) for i in range(prod(shape[:depth]))]
+        return tuple(items)
+
+    for shape in [(1,), (5,), (2, 1), (1, 3), (3, 2, 4), (2, 0), (3, 0, 2), (0, 4), (2, 2, 1, 3)]:
+        values = list(range(prod(shape)))
+        assert field_mod.reshape(values, shape) == sliced(values, shape), shape
+        assert field_mod.reshape(tuple(values), shape) == sliced(values, shape), shape
+    assert field_mod.reshape([1, 2, 3, 4], (2, 2)) == ((1, 2), (3, 4))
 
 
 @pytest.mark.parametrize("base", [2, 3, 5, 23, 64, 65, 128, 129, 255, 256, 257, 1009, 1031, 65521, 65535])

@@ -748,6 +748,8 @@ BAD_TRANSCRIPTS = {
     "missing answer": (lambda t: _drop_line(t, "ANSWER 3 "), "one answer per server"),
     "duplicated answer": (lambda t: _edit(t, "ANSWER 3 ", "ANSWER 2 "), "one answer per server"),
     "missing query": (lambda t: _drop_line(t, "QUERY 5 "), "one QUERY per server"),
+    "repeated query": (lambda t: _edit(t, "QUERY 3 ", "QUERY 2 "), "one QUERY per server"),
+    "query for no server": (lambda t: _edit(t, "QUERY 5 ", "QUERY 6 "), "one QUERY per server"),
     "query too short": (
         lambda t: _set_payload(t, "QUERY", 1, [1, 2, 3, 4, 5]), "carries 5 symbols"
     ),
