@@ -33,10 +33,8 @@ from .capacity import (
 )
 from .csa import (
     CsaParams,
-    DecodeOutput,
     MessageSet,
     QueryNoise,
-    QueryShare,
     StorageNoise,
     StorageShare,
     answer,
@@ -75,9 +73,9 @@ from .special import (
 )
 
 __all__ = [
-    "CsaParams", "DecodeOutput", "DownloadAllParams",
+    "CsaParams", "DownloadAllParams",
     "FieldMismatchError", "InsufficientFieldError", "MessageSet",
-    "PrimeField", "ProtocolInvariantError", "QueryNoise", "QueryShare",
+    "PrimeField", "ProtocolInvariantError", "QueryNoise",
     "RetrievalRun", "SingularMatrixError", "StorageNoise", "StorageShare",
     "SymXspirParams", "Transcript", "WireMessage", "answer",
     "build_B", "c_n3", "c_pir", "c_tpir", "choose_alphas",

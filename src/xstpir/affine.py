@@ -174,7 +174,7 @@ def query_maps(inst: Scheme, thetas: list[int], spot: list) -> tuple:
         def call(v):
             spot[0], spot[2] = theta, v
             asked[0] = inst.queries(theta, qr.build(v))
-            return inst.query_payloads(asked[0])
+            return asked[0]
         return call
 
     first = read(map(at(thetas[0]), points(n, p)), n, p)
@@ -210,7 +210,7 @@ def forms(inst: Scheme, shares: list, payloads, queries, answers, constant=None,
     `constant`, times the share map (`how`); ValueError unless those for
     `queries` give `answers` from the share `payloads`, both at the check
     point."""
-    p, qs, given = inst.p, inst.query_symbols, list(map(inst.answer_rows, inst.query_payloads(queries)))
+    p, qs, given = inst.p, inst.query_symbols, list(map(inst.answer_rows, queries))
     for n, rows, share, answer in zip(count(1), given, payloads, answers):
         got = None if rows is None else [sum(map(mul, map(share.__getitem__, js), aj)) for js, aj in rows]
         if (got is None) != (answer is None) or got is not None and (
@@ -288,8 +288,8 @@ def sym_views(inst: Scheme, asked, zero) -> tuple:
     """`audit.audit_sym_security`'s rank tests, given the storage at zero:
     per entry of `asked`, the rows of A = `forms` as [A_z | A_other] over
     [noise | messages but theta's], fresh lists, and a count of the
-    distinct (theta, payload)s. Entries are (theta, payloads, queries), or
-    with declared queries (theta, randomness values), in theta order: A is
+    distinct (theta, payload)s. Entries are (theta, queries), or with
+    declared queries (theta, randomness values), in theta order: A is
     then a copy of theta's base (the answer rows at the queries' constant,
     laid out and reduced mod p once per theta) plus v_j times `moved`'s
     entries. Theta's own columns are deleted from each pair's rows."""
@@ -313,12 +313,12 @@ def sym_views(inst: Scheme, asked, zero) -> tuple:
             moving[j] += [(r, m, a % p) for r, a in cells.items() if m >= 0 and a % p]
 
     def views(current=None):
-        for theta, *pair in asked:  # in theta order: each theta's base is built once
+        for theta, x in asked:  # in theta order: each theta's base is built once
             if inst.linear_queries and theta != current:
                 constant, queries = mapped(theta)
                 base, current = [[v % p for v in row] for row in lay(queries, constant, width)], theta
-            rows = [row[:] for row in base] if inst.linear_queries else lay(pair[1])
-            for vj, entries in zip(pair[0], moving):  # no entries where the queries are not declared
+            rows = [row[:] for row in base] if inst.linear_queries else lay(x)
+            for vj, entries in zip(x, moving):  # no entries where the queries are not declared
                 for r, c, a in entries if vj else ():
                     rows[r][c] += vj * a
             given = slice(kz + (theta - 1) * L, kz + theta * L)
@@ -327,7 +327,7 @@ def sym_views(inst: Scheme, asked, zero) -> tuple:
             yield rows
 
     if not inst.linear_queries:
-        return views(), lambda: len({(t, y) for t, y, _ in asked})
+        return views(), lambda: len(set(asked))
     rank = lambda: eliminate_mod([[dict(zip(js, aj)).get(j, 0) for j in range(len(moving))]
                                   for rows in first for _, js, aj in rows], p)
     return views(), lambda: len({t for t, _ in asked}) * p ** rank()  # p^rank R payloads a theta

@@ -233,7 +233,7 @@ def _subsets_audit(prop, inst, subset_size, cap, samples, seed, fallback) -> Aud
             views = ((m, inst.share_payloads(inst.storage(m, z)))
                      for m in inst.messages for z in inst.storage_noises)
         else:
-            views = ((t, inst.query_payloads(inst.queries(t, r))) for t in thetas for r in qr)
+            views = ((t, inst.queries(t, r)) for t in thetas for r in qr)
         tables = _enumeration((s, table, tuple(y[n] for n in s))
                               for table, y in views for s in combinations(range(inst.N), size))
         return _report(prop, inst, size, total, _max_tv(tables), True, enumerated, None)
@@ -346,7 +346,7 @@ def audit_sym_security(
     asked, total = _pairs(inst, exact, samples, seed)
     enumerated = total * inst.messages.size * inst.storage_noises.size
     if not (engine == RANK_TESTS and inst.linear_queries):  # else no call per pair: the maps are read once
-        ask = lambda t, v: (t, inst.query_payloads(q := inst.queries(t, inst.query_randomness.build(v))), q)
+        ask = lambda t, v: (t, inst.queries(t, inst.query_randomness.build(v)))
         asked = [ask(*a) for a in asked] if exact else (ask(*a) for a in asked)  # lazy past the cap
     if engine == RANK_TESTS:
         views, distinct = affine.sym_views(inst, asked, zero)
@@ -359,8 +359,8 @@ def audit_sym_security(
         return _report(SYM_SECURITY, inst, inst.N, checked, Fraction(leak), exact, enumerated,
                        samples, detail)
     stored = [(m, inst.storage(m, z)) for m in inst.messages for z in inst.storage_noises]
-    tables = _enumeration(((t, y, inst.plaintext(m, t)), m, tuple(map(inst.answer, shares, q)))
-                          for m, shares in stored for t, y, q in asked)
+    tables = _enumeration(((t, q, inst.plaintext(m, t)), m, tuple(map(inst.answer, shares, q)))
+                          for m, shares in stored for t, q in asked)
     return _report(SYM_SECURITY, inst, inst.N, len(tables), _max_tv(tables), True, enumerated, samples)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -38,30 +37,6 @@ PROPERTIES = tuple(AUDITS)
 
 class UsageError(ValueError):
     """Bad command line or config: reported on stderr with exit code 2."""
-
-
-@dataclass
-class ExperimentConfig:
-    """A validated experiment: scheme, dimensions, modulus, seed."""
-
-    scheme: str
-    N: int
-    K: int
-    X: int
-    T: int
-    seed: int
-    prime: int | None = None
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise UsageError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-
-    def build_scheme(self) -> Scheme:
-        """The scheme at these dimensions, rejecting out-of-regime ones."""
-        try:
-            return REGISTRY[self.scheme].make(self.N, self.K, self.X, self.T, p=self.prime)
-        except ValueError as exc:  # InsufficientFieldError included
-            raise UsageError(str(exc)) from exc
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -125,26 +100,33 @@ def _default_seed() -> int:
         raise UsageError(f"XSTPIR_SEED must be an integer, got {raw!r}")
 
 
-def _experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _scheme_and_seed(args: argparse.Namespace) -> tuple[Scheme, int]:
+    """The scheme the options name, at their dimensions and modulus, and the
+    seed; out-of-regime dimensions are a UsageError. The scheme is checked
+    here because argparse's choices never see a config file's value."""
     missing = [name for name in ("scheme", "N", "K", "X", "T")
                if getattr(args, name) is None]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join(missing)}")
     seed = args.seed if args.seed is not None else _default_seed()
-    return ExperimentConfig(
-        scheme=args.scheme, N=args.N, K=args.K, X=args.X, T=args.T,
-        seed=seed, prime=args.prime,
-    )
+    if args.scheme not in REGISTRY:
+        raise UsageError(f"unknown scheme {args.scheme!r}; pick one of {SCHEMES}")
+    try:
+        return REGISTRY[args.scheme].make(args.N, args.K, args.X, args.T, p=args.prime), seed
+    except ValueError as exc:  # InsufficientFieldError included
+        raise UsageError(str(exc)) from exc
 
 
 def _fmt(value: Fraction) -> str:
     return f"{value} ({float(value):.6f})"
 
 
-def _theta(args: argparse.Namespace, k: int) -> int:
+def _theta(args: argparse.Namespace, scheme: Scheme) -> int:
     theta = args.theta if args.theta is not None else 1
-    if not 1 <= theta <= k:
-        raise UsageError(f"theta must be in 1..{k}")
+    try:
+        scheme.check_theta(theta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return theta
 
 
@@ -158,12 +140,11 @@ def _positive(args: argparse.Namespace, name: str, default: int) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    cfg = _experiment_from_args(args)
-    scheme = cfg.build_scheme()
-    theta = _theta(args, cfg.K)
-    rng = Random(cfg.seed)
+    scheme, seed = _scheme_and_seed(args)
+    theta = _theta(args, scheme)
+    rng = Random(seed)
     messages = scheme.messages.sample(rng)
-    run = sim.run_retrieval(scheme.params, messages, theta, cfg.seed, rng=rng)
+    run = sim.run_retrieval(scheme.params, messages, theta, seed, rng=rng)
     t = run.transcript
     out = args.out if args.out is not None else "transcript.txt"
     Path(out).write_text(t.render())
@@ -181,15 +162,14 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _experiment_from_args(args)
-    inst = cfg.build_scheme()
+    inst, seed = _scheme_and_seed(args)
     prop = args.property
     if prop is None:
         raise UsageError(f"--property is required; pick one of {PROPERTIES}")
     cap = args.cap if args.cap is not None else audit_mod.DEFAULT_CAP
     samples = _positive(args, "samples", audit_mod.DEFAULT_SAMPLES)
     auditor, kind = AUDITS[prop]
-    kwargs = {"cap": cap, "samples": samples, "seed": cfg.seed, "fallback": bool(args.sampled)}
+    kwargs = {"cap": cap, "samples": samples, "seed": seed, "fallback": bool(args.sampled)}
     if args.subset_size is not None:
         if kind not in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
             raise UsageError(f"--subset-size applies to security and privacy, not {prop}")
@@ -211,20 +191,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    cfg = _experiment_from_args(args)
-    scheme = cfg.build_scheme()
-    theta = _theta(args, cfg.K)
+    scheme, seed = _scheme_and_seed(args)
+    theta = _theta(args, scheme)
     exhaustive = bool(args.exhaustive)
     trials = _positive(args, "trials", 1000)
     try:
         measured = sim.empirical_rate(
-            scheme.params, exhaustive=exhaustive, trials=trials, seed=cfg.seed, theta=theta
+            scheme.params, exhaustive=exhaustive, trials=trials, seed=seed, theta=theta
         )
     except audit_mod.OverCap as exc:
         raise UsageError(f"{exc}; rerun without --exhaustive to sample --trials retrievals") from exc
     closed = scheme.closed_form_rate()
     mode = "exhaustive" if exhaustive else f"sampled over {trials} trials"
-    print(f"scheme {cfg.scheme} N={cfg.N} K={cfg.K} X={cfg.X} T={cfg.T}")
+    print(f"scheme {scheme.name} N={scheme.N} K={scheme.K} X={scheme.X} T={scheme.T}")
     print(f"empirical rate ({mode}): {_fmt(measured)}")
     print(f"closed form: {_fmt(closed)}")
     print(f"match {'true' if measured == closed else 'false'}")

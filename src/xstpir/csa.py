@@ -18,7 +18,9 @@ Representation: every symbol is an int in range(p), the evaluation points
 and the messages included. Noise, shares, queries, answers and decoded
 symbols are ints too, and the storage, query, answer and decode maps run on
 them; a server's share and query are each one flat payload of L blocks of K
-symbols, from the kernel to the wire, and its answer is their dot product.
+symbols, from the kernel to the wire: the share held in a `StorageShare`,
+the query a bare tuple, as it travels. Its answer is their dot product, and
+decode returns the L desired symbols as a tuple.
 What those maps need from the parameters alone (the points l + alpha_n,
 their powers, the query scales, the desired rows of the inverse decoding
 matrix and the query check weights) sits in one table per params value,
@@ -141,7 +143,8 @@ class CsaParams:
         """Fill in L, the default modulus and the default evaluation points."""
         L = N - X - T
         if L < 1:
-            raise ValueError("need N > X + T; smaller N is the download-all regime")
+            raise ValueError("csa needs N > X + T; for X < N <= X + T use download_all, "
+                             "the download-all scheme")
         if p is None:
             p = smallest_valid_prime(N, L)
         elif not is_prime(p):  # before choose_alphas, whose error would name the wrong cause
@@ -289,42 +292,18 @@ class QueryNoise(_Noise):
         return (params.L, params.T, params.K)
 
 
-class _Share(record("server_index", "payload", "p", "k")):
-    """One server's L K-vectors as one flat payload, ints in range(p)."""
+class StorageShare(record("server_index", "payload", "p", "k")):
+    """What one server stores: its L mixed K-vectors as one flat payload,
+    ints in range(p); rows[l] is block l's."""
 
     __slots__ = ()
 
     def __init__(self, server_index: int, payload: tuple[int, ...], p: int, k: int):
         self._server_index, self._payload, self._p, self._k = server_index, payload, p, k
 
-    def _blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The payload cut into its L K-vectors."""
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._payload[i : i + self._k] for i in range(0, len(self._payload), self._k))
-
-
-class StorageShare(_Share):
-    """What one server stores: its L mixed K-vectors as one flat payload,
-    ints in range(p); rows[l] is block l's."""
-
-    __slots__ = ()
-    rows = property(_Share._blocks)
-
-
-class QueryShare(_Share):
-    """What one server is asked: its L scaled K-vectors as one flat payload,
-    ints in range(p); cols[l] is block l's."""
-
-    __slots__ = ()
-    cols = property(_Share._blocks)
-
-
-class DecodeOutput(record("desired")):
-    """The L desired symbols, ints in range(p)."""
-
-    __slots__ = ()
-
-    def __init__(self, desired: tuple[int, ...]):
-        self._desired = desired
 
 
 # Params values whose tables are kept; a run uses one or a few.
@@ -503,8 +482,8 @@ def encode_storage(
 
 def gen_queries(
     theta: int, qnoise: QueryNoise, params: CsaParams
-) -> tuple[QueryShare, ...]:
-    """Build the N query shares for retrieving message theta (1-based).
+) -> tuple[tuple[int, ...], ...]:
+    """Build the N flat query payloads for retrieving message theta (1-based).
 
     Query column l at server n is the unit vector for theta plus noise
     weighted by powers of (l + alpha_n), all scaled by the product of every
@@ -517,26 +496,20 @@ def gen_queries(
     unit = [int(k == theta) for k in range(1, params.K + 1)]
     table = _table(params)
     try:
-        cols = _mix(table, [unit] * params.L, qnoise.z, table.query_weights)
+        return tuple(_mix(table, [unit] * params.L, qnoise.z, table.query_weights))
     except TypeError as exc:
         raise ValueError(f"query noise must hold ints in range({params.p})") from exc
-    return tuple(QueryShare(n, c, params.p, params.K) for n, c in enumerate(cols, start=1))
 
 
-def answer(share: StorageShare, query: QueryShare) -> int:
-    """One server's scalar answer: the dot product of its share and query."""
-    if share.server_index != query.server_index:
-        raise ValueError("share and query belong to different servers")
-    if share.p != query.p:
-        raise ValueError("share and query live in different fields")
-    if share.k != query.k:
-        raise ValueError("share and query have different message counts")
-    if len(share.payload) != len(query.payload):
+def answer(share: StorageShare, query: Sequence[int]) -> int:
+    """One server's scalar answer: the dot product of its share and its
+    flat query payload, which must be as long as the share."""
+    if len(share.payload) != len(query):
         raise ValueError("share and query have different block counts")
-    return sum(map(mul, share.payload, query.payload)) % share.p
+    return sum(map(mul, share.payload, query)) % share.p
 
 
-def decode(answers: Sequence[int], params: CsaParams) -> DecodeOutput:
+def decode(answers: Sequence[int], params: CsaParams) -> tuple[int, ...]:
     """Invert the answer system; the first L unknowns are the desired symbols.
 
     The desired rows of the inverse are computed once per params value. A
@@ -546,7 +519,7 @@ def decode(answers: Sequence[int], params: CsaParams) -> DecodeOutput:
     if len(answers) != params.N:
         raise ValueError("need one answer per server")
     p = params.p
-    return DecodeOutput(tuple(sum(map(mul, row, answers)) % p for row in _table(params).decoder))
+    return tuple(sum(map(mul, row, answers)) % p for row in _table(params).decoder)
 
 
 def constant_terms(

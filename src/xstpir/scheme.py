@@ -3,14 +3,18 @@
 The paper defines a scheme once: a storage code, a query code, an answer
 map and a decoder. A `Scheme` here owns all of that for one scheme, along
 with its randomness (enumerated for the audits, sampled for retrievals),
-the flat integer payloads its shares and queries travel as, and its
-closed-form rate. The simulator (`sim`), the audits (`audit`) and the
-command line (`cli`) hold no per-scheme code: they reach a scheme through
-this interface, `SCHEMES` (by name) and `for_params` (by params type).
+the flat integer payloads its shares travel as, and its closed-form rate.
+A query is its wire payload in every scheme: a tuple of ints, the vector
+whose inner product with its store a server returns. The simulator
+(`sim`), the audits (`audit`) and the command line (`cli`) hold no
+per-scheme code: they reach a scheme through this interface, `SCHEMES`
+(by name) and `for_params` (by params type).
 
 Adding a scheme: subclass `Scheme`, set the attributes its docstring lists
-in `__init__`, implement the methods that raise NotImplementedError,
-override the defaults that do not fit, and add the class to `SCHEMES`.
+in `__init__`, implement the methods that raise NotImplementedError (with
+`queries` returning the N wire payloads), override the defaults that do
+not fit (`share_payloads` only where a share is not its own payload), and
+add the class to `SCHEMES`.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count
+from operator import mul
 from typing import Sequence
 
 from . import capacity, csa, special
 from .csa import CsaParams, MessageSet, QueryNoise, StorageNoise
-from .field import Space
+from .field import Space, reshape
 from .special import DownloadAllParams, SymXspirParams
 
 Payload = tuple[int, ...]
@@ -39,12 +44,13 @@ class Scheme:
     and `query_randomness`, `query_symbols` (the length of every query
     payload) and `query_alphabet` (the values a query symbol may take).
 
-    Shares and queries stay in the scheme's native form. `share_payloads`
-    and `query_payloads` give the flat integer payloads that travel on the
-    wire and key the audits' tables (a csa share or query holds its own).
-    `answer` is the per-server answer map and returns the answer payload;
-    `answer_symbols` tells from a query payload how many symbols the answer
-    carries, 0 meaning the server owes nothing and replies ANSWER_EMPTY.
+    `queries` returns the N query payloads, tuples of ints, as they travel
+    on the wire and key the audits' tables. Shares stay in the scheme's
+    native form; `share_payloads` gives their flat integer payloads (a csa
+    share holds its own). `answer` is the per-server answer map, from a
+    share and a query payload to the answer payload; `answer_symbols` tells
+    from a query payload how many symbols the answer carries, 0 meaning
+    the server owes nothing and replies ANSWER_EMPTY.
 
     Two flags declare maps affine mod p in Space values of base p; only
     `audit.exact_engine` reads them. `linear`: the share payloads are
@@ -97,19 +103,13 @@ class Scheme:
     def storage(self, messages, noise) -> tuple:
         raise NotImplementedError
 
-    def queries(self, theta: int, randomness) -> tuple:
+    def queries(self, theta: int, randomness) -> tuple[Payload, ...]:
         raise NotImplementedError
 
     def share_payloads(self, shares) -> tuple[Payload, ...]:
         return tuple(shares)
 
-    def query_payloads(self, queries) -> tuple[Payload, ...]:
-        return tuple(queries)
-
-    def query_from_payload(self, server_id: int, payload: Payload):
-        return payload
-
-    def answer(self, share, query) -> Payload | None:
+    def answer(self, share, query: Payload) -> Payload | None:
         raise NotImplementedError
 
     def answer_symbols(self, query: Payload) -> int:
@@ -161,8 +161,6 @@ class CsaScheme(Scheme):
 
     @classmethod
     def _make(cls, N, K, X, T, p):
-        if N <= X + T:
-            raise ValueError("csa needs N > X + T; for X < N <= X + T use download_all")
         return cls(CsaParams.make(N, K, X, T, p=p))
 
     def storage(self, messages, noise):
@@ -173,12 +171,6 @@ class CsaScheme(Scheme):
 
     def share_payloads(self, shares):
         return tuple(s.payload for s in shares)
-
-    def query_payloads(self, queries):
-        return tuple(q.payload for q in queries)
-
-    def query_from_payload(self, server_id, payload):
-        return csa.QueryShare(server_id, payload, self.p, self.K)
 
     def answer(self, share, query):
         return (csa.answer(share, query),)
@@ -197,7 +189,7 @@ class CsaScheme(Scheme):
             raise ValueError(f"the queries do not retrieve message {theta}")
 
     def decode(self, theta, answers):
-        return csa.decode([a[0] if a else 0 for a in answers], self.params).desired
+        return csa.decode([a[0] if a else 0 for a in answers], self.params)
 
     def closed_form_rate(self):
         return capacity.finite_k_rate(self.N, self.X, self.T, self.K, self.p, self.L)
@@ -216,7 +208,8 @@ class DownloadAllScheme(Scheme):
         self.N, self.K, self.X, self.T = params.N, params.K, params.X, params.T
         self.p, self.L = params.p, params.L
         self.messages = MessageSet.space(params.K, params.L, params.field)
-        self.storage_noises = special.download_all_noise_space(params)
+        shape = (self.K, self.X)  # per message its X noise symbols
+        self.storage_noises = Space(self.p, self.K * self.X, lambda v: reshape(v, shape))
         # The request is constant: there is no query randomness.
         self.query_randomness = Space(self.p, 0, lambda v: None)
         self.query_symbols = 0
@@ -224,8 +217,6 @@ class DownloadAllScheme(Scheme):
 
     @classmethod
     def _make(cls, N, K, X, T, p):
-        if not X < N <= X + T:
-            raise ValueError("download_all needs X < N <= X + T; for N > X + T use csa")
         return cls(DownloadAllParams.make(N, K, X, T, p=p))
 
     def storage(self, messages, noise):
@@ -295,8 +286,12 @@ class BinaryScheme(Scheme):
         return special.binary_queries(theta, randomness, self.b)
 
     def answer(self, share, query):
-        bit = special.binary_answer(share, query)
-        return None if bit is None else (bit,)
+        """The inner product over GF(2); None for the free all-zero query."""
+        if not any(query):
+            return None
+        if len(share) != len(query):
+            raise ValueError("dimension mismatch")
+        return (sum(map(mul, share, query)) % 2,)
 
     def answer_symbols(self, query):
         return 1 if any(query) else 0
@@ -336,7 +331,9 @@ class SymXspirScheme(Scheme):
         self.p, self.L = params.p, 1
         k = params.K
         self.messages = Space(self.p, k, tuple)
-        self.storage_noises = special.sym_xspir_noise_space(params)
+        # z[x][k][m]: noise-server x+1's symbol for message k+1, column m+1.
+        shape = (self.X, k, k)
+        self.storage_noises = Space(self.p, self.X * k * k, lambda v: reshape(v, shape))
         # The private column m_o, uniform on 1..K.
         self.query_randomness = Space(k, 1, lambda v: v[0] + 1)
         self.query_symbols = k
@@ -360,7 +357,10 @@ class SymXspirScheme(Scheme):
         return tuple(tuple(chain.from_iterable(grid)) for grid in shares)
 
     def answer(self, share, query):
-        return special.sym_xspir_answer(share, query)
+        """Entry (k, query[k]) of the stored K x K grid, per message slot k."""
+        if len(query) != len(share):
+            raise ValueError("need one column index per message")
+        return tuple(share[k][m - 1] for k, m in enumerate(query))
 
     def answer_rows(self, query):
         return tuple(((k * self.K + m - 1,), (1,)) for k, m in enumerate(query))

@@ -353,8 +353,7 @@ class Server:
         _check_symbols(msg, scheme.query_symbols, scheme.query_alphabet)
         if not scheme.answer_symbols(msg.payload):
             return WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()).encode()
-        query = scheme.query_from_payload(self.server_id, msg.payload)
-        return WireMessage(KIND_ANSWER, self.server_id, scheme.answer(self.share, query)).encode()
+        return WireMessage(KIND_ANSWER, self.server_id, scheme.answer(self.share, msg.payload)).encode()
 
 
 @dataclass(frozen=True)
@@ -386,10 +385,7 @@ def run_retrieval(params, messages, theta: int, seed: int, rng: Random | None = 
         rng = Random(seed)
     shares = scheme.storage(messages, scheme.storage_noises.sample(rng))
     queries = scheme.queries(theta, scheme.query_randomness.sample(rng))
-    sent = tuple(
-        WireMessage(KIND_QUERY, n, payload)
-        for n, payload in enumerate(scheme.query_payloads(queries), start=1)
-    )
+    sent = tuple(WireMessage(KIND_QUERY, n, payload) for n, payload in enumerate(queries, start=1))
     servers = [Server(n, share, scheme) for n, share in enumerate(shares, start=1)]
     symbols = range(scheme.p)
     replies = tuple(
@@ -480,8 +476,7 @@ def empirical_rate(
     if exhaustive:
         total = 0
         for randomness in scheme.query_randomness:
-            payloads = scheme.query_payloads(scheme.queries(theta, randomness))
-            total += sum(map(scheme.answer_symbols, payloads))
+            total += sum(map(scheme.answer_symbols, scheme.queries(theta, randomness)))
         return Fraction(scheme.L * scheme.query_randomness.size, total)
     total = 0
     rng_master = Random(seed)

@@ -9,6 +9,9 @@ Three constructions live here:
   around a K x K bit matrix B with B and I + B both invertible;
 - the replication-based symmetrically secure scheme for N = X + 1, where the
   user learns message theta and provably nothing about the other messages.
+
+Their params, storage and query maps and decoders live here; each scheme's
+noise space and answer map live in its class in `scheme`.
 """
 
 from __future__ import annotations
@@ -19,15 +22,7 @@ from operator import mul
 from typing import Sequence
 
 from .csa import MessageSet
-from .field import (
-    InsufficientFieldError,
-    PrimeField,
-    Space,
-    is_prime,
-    reshape,
-    smallest_valid_prime,
-    solve_linear,
-)
+from .field import InsufficientFieldError, PrimeField, is_prime, smallest_valid_prime, solve_linear
 
 
 @dataclass(frozen=True)
@@ -47,10 +42,9 @@ class DownloadAllParams:
     def __post_init__(self):
         if self.K < 1 or self.T < 1 or self.X < 0:
             raise ValueError("need K >= 1, T >= 1, X >= 0")
-        if self.N <= self.X:
-            raise ValueError("need N > X, otherwise nothing can be retrieved")
-        if self.N > self.X + self.T:
-            raise ValueError("need N <= X + T; larger N is the aligned regime")
+        if not self.X < self.N <= self.X + self.T:
+            raise ValueError("download_all needs X < N <= X + T; for N > X + T use csa, "
+                             "the aligned scheme")
         if not is_prime(self.p) or self.p <= self.N:
             raise InsufficientFieldError(
                 f"need a prime p > N = {self.N} for N distinct nonzero code points"
@@ -80,12 +74,6 @@ def _noise_generator(params: DownloadAllParams) -> list[list[int]]:
     """
     p = params.p
     return [[pow(n, x + 1, p) for x in range(params.X)] for n in range(1, params.N + 1)]
-
-
-def download_all_noise_space(params: DownloadAllParams) -> Space:
-    """Every K x X noise block: one length-X noise vector per message."""
-    shape = (params.K, params.X)
-    return Space(params.p, params.K * params.X, lambda v: reshape(v, shape))
 
 
 def download_all_encode(
@@ -202,15 +190,6 @@ def binary_queries(
     return tuple(zp), tuple(q2), q3
 
 
-def binary_answer(storage: Sequence[int], query: Sequence[int]) -> int | None:
-    """Inner product over GF(2); None marks the free all-zero-query case."""
-    if not any(query):
-        return None
-    if len(storage) != len(query):
-        raise ValueError("dimension mismatch")
-    return sum(map(mul, storage, query)) % 2
-
-
 @dataclass(frozen=True)
 class SymXspirParams:
     """Parameters of the symmetrically secure scheme: N = X + 1 servers,
@@ -241,13 +220,6 @@ class SymXspirParams:
     @property
     def field(self) -> PrimeField:
         return PrimeField(self.p)
-
-
-def sym_xspir_noise_space(params: SymXspirParams) -> Space:
-    """Every X x K x K noise grid: z[x][k][m] is the noise symbol at
-    noise-server x+1 for message k+1 and column m+1."""
-    shape = (params.X, params.K, params.K)
-    return Space(params.p, params.X * params.K * params.K, lambda v: reshape(v, shape))
 
 
 def _wrap(m: int, k: int) -> int:
@@ -288,12 +260,3 @@ def sym_xspir_queries(theta: int, m_o: int, params: SymXspirParams) -> tuple[tup
     flat = tuple(m_o for _ in range(k))
     shifted = tuple(_wrap(m_o - theta + kk, k) for kk in range(1, k + 1))
     return tuple(flat for _ in range(params.X)) + (shifted,)
-
-
-def sym_xspir_answer(
-    grid: Sequence[Sequence[int]], request: Sequence[int]
-) -> tuple[int, ...]:
-    """Entry (k, request_k) of the stored grid, for each message slot k."""
-    if len(request) != len(grid):
-        raise ValueError("need one column index per message")
-    return tuple(grid[k][request[k] - 1] for k in range(len(grid)))

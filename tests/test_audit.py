@@ -35,7 +35,7 @@ from xstpir.audit import (
     estimate_work,
     exact_engine,
 )
-from xstpir.csa import CsaParams, MessageSet, QueryNoise, QueryShare
+from xstpir.csa import CsaParams, MessageSet, QueryNoise
 from xstpir.field import PrimeField
 from xstpir.special import DownloadAllParams, SymXspirParams
 
@@ -459,7 +459,7 @@ def _joint_privacy_reference(inst, size):
     enumerated = 0
     for ti, theta in enumerate(thetas):
         for qr in inst.query_randomness:
-            qkeys = inst.query_payloads(inst.queries(theta, qr))
+            qkeys = inst.queries(theta, qr)
             for skeys in share_keys:
                 enumerated += 1
                 for s in subsets:
@@ -845,8 +845,7 @@ class _DoublesServer1QueryNoise(CsaInstance):
         first, *rest = super().queries(theta, randomness)
         qr = self.query_randomness
         clean = super().queries(theta, qr.build([0] * qr.count))[0]
-        payload = tuple((2 * a - b) % self.p for a, b in zip(first.payload, clean.payload))
-        return (QueryShare(1, payload, self.p, self.K), *rest)
+        return (tuple((2 * a - b) % self.p for a, b in zip(first, clean)), *rest)
 
 
 class _AsksForTheWrongThetaOnce(SymXspirInstance):
@@ -1022,7 +1021,7 @@ def _unsplit(inst, auditor, size):
         kq, thetas = inst.query_randomness.count, list(inst.thetas)
         build = inst.query_randomness.build
         first, *others = [
-            affine.read((inst.query_payloads(inst.queries(t, build(u))) for u in affine.points(kq, p)),
+            affine.read((inst.queries(t, build(u)) for u in affine.points(kq, p)),
                         kq, p)
             for t in thetas
         ]
@@ -1302,7 +1301,7 @@ def test_the_query_maps_hold_no_theta_past_the_first_and_the_last():
         for theta in (1, 2, k // 2, k):
             constant, queries = mapped(theta)
             assert queries == inst.queries(theta, qr.build(affine.check(qr.count, inst.p)))
-            at_zero = inst.query_payloads(inst.queries(theta, qr.build([0] * qr.count)))
+            at_zero = inst.queries(theta, qr.build([0] * qr.count))
             assert constant == list(chain.from_iterable(at_zero))
 
 

@@ -32,7 +32,6 @@ from xstpir.csa import (
     CsaParams,
     MessageSet,
     QueryNoise,
-    QueryShare,
     StorageNoise,
     answer,
     choose_alphas,
@@ -58,6 +57,11 @@ from xstpir.field import (
 
 def _invertible(matrix, p):
     return eliminate_mod([list(row) for row in matrix], p) == len(matrix)
+
+
+def _blocks(payload, k):
+    """A flat query payload cut into its L K-vectors."""
+    return tuple(payload[i : i + k] for i in range(0, len(payload), k))
 
 
 def test_delta_goldens():
@@ -211,8 +215,7 @@ def test_query_layout_worked_example():
     theta = 2
     queries = gen_queries(theta, zp, params)
     for n, alpha in enumerate(oracle.alphas(params), start=1):
-        q = queries[n - 1]
-        assert q.server_index == n
+        q = _blocks(queries[n - 1], params.K)
         for l_index in range(1, params.L + 1):
             point = l_index + alpha
             scale = oracle.delta_except(alpha, params.L, l_index)
@@ -224,7 +227,7 @@ def test_query_layout_worked_example():
                     acc = acc + weight * zt[k - 1]
                     weight = weight * point
                 expected.append((scale * acc).value)
-            assert q.cols[l_index - 1] == tuple(expected)
+            assert q[l_index - 1] == tuple(expected)
     with pytest.raises(ValueError):
         gen_queries(0, zp, params)
     with pytest.raises(ValueError):
@@ -271,7 +274,7 @@ def test_two_block_product_form_oracle():
             ) * (1 + g * zp2)
             assert answers[n] == expected.value
         out = decode(answers, params)
-        assert out.desired == w.message(1)
+        assert out == w.message(1)
 
 
 # (N, K, X, T, p): L = 1 (N = X + T + 1) and longer messages, minimal and
@@ -355,16 +358,17 @@ def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
                 for s_sym, q_sym in zip(row, col):
                     want_answer = want_answer + s_sym * q_sym
                 assert shares[idx].rows[l_index - 1] == values(row)
-                assert queries[idx].cols[l_index - 1] == values(col)
+                assert _blocks(queries[idx], k)[l_index - 1] == values(col)
             assert answers[idx] == want_answer.value
-        assert decode(answers, params).desired == w.message(theta)
+        assert decode(answers, params) == w.message(theta)
 
 
 @pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS + [(4, 2, 1, 1, TOP_PRIME), (6, 3, 1, 2, 2**31 - 1)])
 def test_flat_payloads_match_the_paper_formulas(n, k, x, t, p):
     # Each share and query is one flat payload: the paper's L blocks of K
-    # symbols, block after block; `rows` and `cols` cut it back into
-    # K-tuples; and the scheme hands the payloads on as they are held.
+    # symbols, block after block; a share's `rows` cut it back into
+    # K-tuples; a query is a bare tuple, the scheme's queries are the
+    # kernel's, and its share payloads are the shares' own.
     params = CsaParams.make(n, k, x, t, p=p)
     scheme = CsaScheme(params)
     rng = Random(n * 1000 + k * 100 + x * 10 + t + 3)
@@ -378,17 +382,15 @@ def test_flat_payloads_match_the_paper_formulas(n, k, x, t, p):
         for idx, (rows, cols) in enumerate(_paper_rows(params, w, z, zp, theta)):
             share, query = shares[idx], queries[idx]
             assert share.payload == values(tuple(chain.from_iterable(rows)))
-            assert query.payload == values(tuple(chain.from_iterable(cols)))
-            assert len(share.payload) == len(query.payload) == params.L * k
-            assert (share.k, query.k, share.p, query.p) == (k, k, params.p, params.p)
+            assert type(query) is tuple and query == values(tuple(chain.from_iterable(cols)))
+            assert len(share.payload) == len(query) == params.L * k
+            assert (share.k, share.p) == (k, params.p)
             blocks = range(0, params.L * k, k)
             assert share.rows == tuple(share.payload[i : i + k] for i in blocks)
-            assert query.cols == tuple(query.payload[i : i + k] for i in blocks)
-            assert all(type(v) is int for v in share.payload + query.payload)
-        for n_index, (share, query) in enumerate(zip(shares, queries)):
+            assert all(type(v) is int for v in share.payload + query)
+        assert scheme.queries(theta, zp) == queries
+        for n_index, share in enumerate(shares):
             assert scheme.share_payloads(shares)[n_index] is share.payload
-            assert scheme.query_payloads(queries)[n_index] is query.payload
-            assert scheme.query_from_payload(n_index + 1, query.payload) == query
 
 
 def _loop(p, weights, bases, z):
@@ -432,7 +434,7 @@ def _check_against_the_loop(params, w, z, zp, theta):
     assert [s.rows for s in encode_storage(w, z, params)] == _loop(
         p, _paper_weights(params, params.X, False), list(zip(*w.symbols)), z.z
     )
-    assert [q.cols for q in gen_queries(theta, zp, params)] == _loop(
+    assert [_blocks(q, params.K) for q in gen_queries(theta, zp, params)] == _loop(
         p, _paper_weights(params, params.T, True), [unit] * params.L, zp.z
     )
 
@@ -626,7 +628,7 @@ def test_one_noise_term_and_lanes_past_64_bits_decode():
         shares = encode_storage(w, z, params)
         queries = gen_queries(2, zp, params)
         answers = [answer(s, q) for s, q in zip(shares, queries)]
-        assert decode(answers, params).desired == w.message(2)
+        assert decode(answers, params) == w.message(2)
 
 
 # Per lane width in bits, the largest prime p with (bits / 8) (p - 1) < 256,
@@ -738,7 +740,7 @@ def test_noise_outside_the_byte_table_mixes_as_its_residue(monkeypatch, order, o
         for kind, run, bases, weights in (
             (StorageNoise, lambda z: [s.rows for s in encode_storage(w, z, params)],
              list(zip(*w.symbols)), _paper_weights(params, params.X, False)),
-            (QueryNoise, lambda z: [q.cols for q in gen_queries(2, z, params)],
+            (QueryNoise, lambda z: [_blocks(q, params.K) for q in gen_queries(2, z, params)],
              [unit] * params.L, _paper_weights(params, params.T, True)),
         ):
             space = kind.space(params)
@@ -779,7 +781,7 @@ def test_kernel_outputs_match_their_pinned_digests(monkeypatch, order):
         w = MessageSet.random(k, params.L, params.field, rng)
         shares = encode_storage(w, StorageNoise.random(params, rng), params)
         queries = gen_queries(rng.randrange(1, k + 1), QueryNoise.random(params, rng), params)
-        assert (_digest([s.rows for s in shares]), _digest([q.cols for q in queries])) == pinned
+        assert (_digest([s.rows for s in shares]), _digest([_blocks(q, k) for q in queries])) == pinned
     params = CsaParams.make(24, 32, 4, 4)
     rng = Random(24032)
     payloads = [tuple(rng.randrange(params.p) for _ in range(params.L * params.K)) for _ in range(params.N)]
@@ -848,9 +850,8 @@ def test_honest_queries_have_the_unit_vector_of_theta_as_constant_term(n, k, x, 
     rng = Random(n * 1000 + k * 100 + x * 10 + t + 2)
     for theta in range(1, k + 1):
         queries = gen_queries(theta, QueryNoise.random(params, rng), params)
-        payloads = [tuple(chain.from_iterable(q.cols)) for q in queries]
         unit = tuple(int(kk == theta) for kk in range(1, k + 1))
-        assert csa_mod.constant_terms(payloads, params) == (unit,) * params.L
+        assert csa_mod.constant_terms(queries, params) == (unit,) * params.L
 
 
 def test_decode_of_arbitrary_answers_matches_elimination():
@@ -865,7 +866,7 @@ def test_decode_of_arbitrary_answers_matches_elimination():
         for _ in range(5):
             answers = [rng.randrange(params.p) for _ in range(n)]
             want = oracle.solve_linear(matrix, [f(a) for a in answers])
-            assert decode(answers, params).desired == values(want[: params.L])
+            assert decode(answers, params) == values(want[: params.L])
             assert solve_linear(decoding_matrix(params), answers, params.p) == list(values(want))
 
 
@@ -923,7 +924,7 @@ def test_decode_exhaustive_tiny_instance():
             for zp in iter_query_noise(params):
                 queries = gen_queries(1, zp, params)
                 answers = [answer(s, q) for s, q in zip(shares, queries)]
-                assert decode(answers, params).desired == w.message(1)
+                assert decode(answers, params) == w.message(1)
                 count += 1
     assert count == 5**3
 
@@ -940,7 +941,7 @@ def test_randomized_decode_across_regimes():
             shares = encode_storage(w, z, params)
             queries = gen_queries(theta, zp, params)
             answers = [answer(s, q) for s, q in zip(shares, queries)]
-            assert decode(answers, params).desired == w.message(theta)
+            assert decode(answers, params) == w.message(theta)
 
 
 def test_storage_noise_coefficients_invertible_for_any_x_subset():
@@ -966,39 +967,30 @@ def test_answer_is_linear_in_the_query():
     share = encode_storage(w, z, params)[2]
     q1 = gen_queries(1, QueryNoise.random(params, rng), params)[2]
     q2 = gen_queries(2, QueryNoise.random(params, rng), params)[2]
-    combined = QueryShare(
-        q1.server_index,
-        tuple((a + b) % f.modulus for a, b in zip(q1.payload, q2.payload)),
-        f.modulus,
-        q1.k,
-    )
+    combined = tuple((a + b) % f.modulus for a, b in zip(q1, q2))
     assert answer(share, combined) == (answer(share, q1) + answer(share, q2)) % f.modulus
     with pytest.raises(ValueError):
-        answer(share, gen_queries(1, QueryNoise.zeros(params), params)[0])
+        answer(share, q1 + (0,))
 
 
 def test_a_received_query_of_the_wrong_length_or_shape_is_refused():
-    # A received payload is wrapped as it is, so the answer map sees its
+    # A received payload is answered as it is, so the answer map sees its
     # length: symbols too many (a whole block or not) or too few are
-    # refused, not cut to length or read short, as are a query built for
-    # another K and one over another field.
+    # refused, not cut to length or read short, as is a query built for
+    # another K, whose length is L times that K.
     params = CsaParams.make(5, 2, 1, 1)
     scheme, rng = CsaScheme(params), Random(6)
     share = scheme.storage(MessageSet.random(2, params.L, params.field, rng), StorageNoise.random(params, rng))[0]
-    q = scheme.query_payloads(scheme.queries(1, QueryNoise.random(params, rng)))[0]
+    q = scheme.queries(1, QueryNoise.random(params, rng))[0]
     assert len(q) == 6
-    assert scheme.answer(share, scheme.query_from_payload(1, q)) == (sum(map(mul, share.payload, q)) % params.p,)
+    assert scheme.answer(share, q) == (sum(map(mul, share.payload, q)) % params.p,)
     for wrong in (q + (1, 2, 3), q + (1, 2), q + (0,), q[:-1], q[:-2], ()):
         with pytest.raises(ValueError, match="different block counts"):
-            scheme.answer(share, scheme.query_from_payload(1, wrong))
-    with pytest.raises(ValueError, match="different message counts"):
-        answer(share, QueryShare(1, q, params.p, 3))
-    with pytest.raises(ValueError, match="different message counts"):
-        answer(share, QueryShare(1, q, params.p, 1))
-    with pytest.raises(ValueError, match="different fields"):
-        answer(share, QueryShare(1, q, 7, 2))
-    with pytest.raises(ValueError, match="different servers"):
-        answer(share, scheme.query_from_payload(2, q))
+            scheme.answer(share, wrong)
+    for k in (3, 1):
+        other = CsaParams.make(5, k, 1, 1)
+        with pytest.raises(ValueError, match="different block counts"):
+            answer(share, gen_queries(1, QueryNoise.random(other, rng), other)[0])
 
 
 def _sweep_decoding_invertibility(p: int) -> int:
@@ -1131,10 +1123,6 @@ RECORD_CASES = {
     "StorageShare": (csa_mod.StorageShare, ("server_index", "payload", "p", "k"),
                      [(1, (1, 2, 3, 4), 5, 2), (2, (1, 2, 3, 4), 5, 2), (1, (1, 2, 3, 0), 5, 2),
                       (1, (1, 2, 3, 4), 7, 2), (1, (1, 2, 3, 4), 5, 4)]),
-    "QueryShare": (QueryShare, ("server_index", "payload", "p", "k"),
-                   [(1, (1, 0, 0, 4), 5, 2), (3, (1, 0, 0, 4), 5, 2), (1, (0, 0, 0, 4), 5, 2),
-                    (1, (1, 0, 0, 4), 11, 2), (1, (1, 0, 0, 4), 5, 1)]),
-    "DecodeOutput": (csa_mod.DecodeOutput, ("desired",), [((1, 2),), ((1, 3),)]),
     "MessageSet": (MessageSet, ("symbols", "p"),
                    [(((1, 2), (3, 4)), 5), (((1, 2), (3, 0)), 5), (((1, 2), (3, 4)), 7)]),
     "StorageNoise": (StorageNoise, ("z",), [((((1, 2),),),), ((((1, 3),),),)]),
@@ -1169,9 +1157,8 @@ def test_csa_records_are_the_records_frozen_dataclasses_are(name):
 
 
 def test_records_of_the_same_fields_are_not_equal_across_classes():
-    # as two frozen dataclasses are not: a share is not its server's query,
-    # nor storage noise query noise; the views cut the flat payload by k
-    share, query = csa_mod.StorageShare(1, (1, 2, 3, 4), 5, 2), QueryShare(1, (1, 2, 3, 4), 5, 2)
-    assert share != query and hash(share) == hash(query)
-    assert share.rows == query.cols == ((1, 2), (3, 4))
+    # as two frozen dataclasses are not: storage noise is not query noise;
+    # nor is a share its payload, which a query is; `rows` cuts it by k
+    share = csa_mod.StorageShare(1, (1, 2, 3, 4), 5, 2)
+    assert share != share.payload and share.rows == ((1, 2), (3, 4))
     assert StorageNoise((((1,),),)) != QueryNoise((((1,),),))

@@ -432,6 +432,33 @@ def test_run_retrieval_matches_plaintext_across_schemes():
     assert run.transcript.downloaded == (2, 2, 2)
 
 
+# One small instance per scheme: the retrieve-mix shapes.
+SMALL = {"csa": (5, 2, 1, 1), "download_all": (3, 4, 1, 2), "binary_n3": (3, 8, 1, 1), "sym_xspir": (3, 4, 2, 1)}
+
+
+@pytest.mark.parametrize("name", list(scheme_mod.SCHEMES))
+def test_queries_are_the_wire_payloads_in_every_scheme(name):
+    # The scheme's queries are the N payloads the wire carries, tuples of
+    # ints in its alphabet; its answer map takes them as they are and gives
+    # the ANSWER payloads of a retrieval at the same seed (None for an
+    # ANSWER_EMPTY); decode gives the plaintext as a tuple.
+    scheme = scheme_mod.SCHEMES[name].make(*SMALL[name])
+    for seed in range(4):
+        messages, theta, rng = scheme.messages.sample(Random(~seed)), seed % scheme.K + 1, Random(seed)
+        shares = scheme.storage(messages, scheme.storage_noises.sample(rng))
+        queries = scheme.queries(theta, scheme.query_randomness.sample(rng))
+        assert type(queries) is tuple and len(queries) == scheme.N
+        for q in queries:
+            assert type(q) is tuple and len(q) == scheme.query_symbols
+            assert all(type(v) is int and v in scheme.query_alphabet for v in q)
+        transcript = run_retrieval(scheme.params, messages, theta, seed).transcript
+        assert tuple(m.payload for m in transcript.queries) == queries
+        answers = [scheme.answer(s, q) if scheme.answer_symbols(q) else None for s, q in zip(shares, queries)]
+        assert [a.payload if a.kind == KIND_ANSWER else None for a in transcript.answers] == answers
+        decoded = scheme.decode(theta, answers)
+        assert type(decoded) is tuple and decoded == scheme.plaintext(messages, theta) == transcript.decoded
+
+
 def test_run_retrieval_deterministic_per_seed():
     for seed in (0, 1, 17):
         _, a = _csa_run(seed=seed)
@@ -917,7 +944,7 @@ SERVED = {
 def test_a_server_answers_or_refuses_as_after_a_scan(name):
     scheme, rng = for_params(SERVED[name]), Random(0)
     shares = scheme.storage(scheme.messages.sample(rng), scheme.storage_noises.sample(rng))
-    payloads = scheme.query_payloads(scheme.queries(1, scheme.query_randomness.sample(rng)))
+    payloads = scheme.queries(1, scheme.query_randomness.sample(rng))
     server = Server(2, shares[1], scheme)
     tokens = list(map(str, payloads[1]))
     assert len(tokens) == 64 and scheme.query_alphabet in FUSED_ALPHABETS

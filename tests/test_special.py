@@ -22,15 +22,11 @@ from xstpir.sim import run_retrieval
 from xstpir.special import (
     DownloadAllParams,
     SymXspirParams,
-    binary_answer,
     binary_queries,
     binary_storage,
     build_B,
     download_all_decode,
     download_all_encode,
-    download_all_noise_space,
-    sym_xspir_answer,
-    sym_xspir_noise_space,
     sym_xspir_queries,
     sym_xspir_storage,
 )
@@ -96,7 +92,7 @@ def test_download_all_decode_matches_independent_oracle():
     rng = Random(8)
     for _ in range(50):
         w = MessageSet.random(params.K, params.L, params.field, rng)
-        noise = lift(download_all_noise_space(params).sample(rng), params.p)
+        noise = lift(DownloadAllScheme(params).storage_noises.sample(rng), params.p)
         payloads = lift(download_all_encode(w, values(noise), params), params.p)
         got = lift(download_all_decode(values(payloads), params), params.p)
         for k in range(params.K):
@@ -132,7 +128,7 @@ def test_download_all_decode_of_arbitrary_payloads_matches_per_message_solves():
 def test_download_all_runs_without_storage_noise():
     # X = 0: the noise block has an empty row per message
     params = DownloadAllParams.make(1, 2, 0, 1)
-    assert download_all_noise_space(params).sample(Random(0)) == ((), ())
+    assert DownloadAllScheme(params).storage_noises.sample(Random(0)) == ((), ())
     w = MessageSet.from_ints([[1], [0]], params.field)
     assert run_retrieval(params, w, 1, seed=0).transcript.decoded == (1,)
 
@@ -187,7 +183,7 @@ def test_download_all_matches_the_oracle(monkeypatch, n, k, x, t, p):
     rng = Random(n * 1000 + k * 100 + x * 10 + t)
     for _ in range(10):
         w = MessageSet.random(k, params.L, params.field, rng)
-        noise = download_all_noise_space(params).sample(rng)
+        noise = DownloadAllScheme(params).storage_noises.sample(rng)
         shares = download_all_encode(w, noise, params)
         assert shares == values(oracle.download_all_encode(lift(w.symbols, p), lift(noise, p), params))
         assert download_all_decode(shares, params) == w.symbols
@@ -342,9 +338,10 @@ def test_binary_storage_distribution_is_message_independent():
 
 
 def test_binary_answer_zero_query_is_free():
-    assert binary_answer((1, 0, 1), (0, 0, 0)) is None
-    assert binary_answer((1, 0, 1), (1, 0, 1)) == 0
-    assert binary_answer((1, 0, 1), (1, 1, 0)) == 1
+    answer = BinaryScheme(3).answer
+    assert answer((1, 0, 1), (0, 0, 0)) is None
+    assert answer((1, 0, 1), (1, 0, 1)) == (0,)
+    assert answer((1, 0, 1), (1, 1, 0)) == (1,)
 
 
 def test_binary_state_validation():
@@ -481,10 +478,11 @@ def test_sym_xspir_matches_the_oracle(x, k, p):
     # storage and every answer against the oracle's Fe maps; unreduced
     # messages and noise store as their residues
     params = SymXspirParams.make(x, k, p=p)
+    scheme = SymXspirScheme(params)
     rng = Random(x * 100 + k * 10 + p)
     for _ in range(10):
         w = tuple(rng.randrange(p) for _ in range(k))
-        z = sym_xspir_noise_space(params).sample(rng)
+        z = scheme.storage_noises.sample(rng)
         grids = sym_xspir_storage(w, z, params)
         want = oracle.sym_xspir_storage(lift(w, p), lift(z, p), params)
         assert grids == values(want)
@@ -497,6 +495,6 @@ def test_sym_xspir_matches_the_oracle(x, k, p):
         for theta in range(1, k + 1):
             for m_o in range(1, k + 1):
                 for grid, fe_grid, request in zip(grids, want, sym_xspir_queries(theta, m_o, params)):
-                    assert sym_xspir_answer(grid, request) == values(
+                    assert scheme.answer(grid, request) == values(
                         oracle.sym_xspir_answer(fe_grid, request)
                     )
