@@ -292,14 +292,15 @@ class QueryNoise(_Noise):
         return (params.L, params.T, params.K)
 
 
-class StorageShare(record("server_index", "payload", "p", "k")):
+class StorageShare(record("payload", "p", "k")):
     """What one server stores: its L mixed K-vectors as one flat payload,
-    ints in range(p); rows[l] is block l's."""
+    ints in range(p); rows[l] is block l's. Its place in the `storage`
+    tuple names its server."""
 
     __slots__ = ()
 
-    def __init__(self, server_index: int, payload: tuple[int, ...], p: int, k: int):
-        self._server_index, self._payload, self._p, self._k = server_index, payload, p, k
+    def __init__(self, payload: tuple[int, ...], p: int, k: int):
+        self._payload, self._p, self._k = payload, p, k
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -477,7 +478,7 @@ def encode_storage(
         rows = _mix(table, list(zip(*messages.symbols)), noise.z, table.powers)
     except TypeError as exc:
         raise ValueError(f"storage noise must hold ints in range({params.p})") from exc
-    return tuple(StorageShare(n, r, params.p, params.K) for n, r in enumerate(rows, start=1))
+    return tuple(StorageShare(r, params.p, params.K) for r in rows)
 
 
 def gen_queries(

@@ -10,11 +10,12 @@ whose inner product with its store a server returns. The simulator
 per-scheme code: they reach a scheme through this interface, `SCHEMES`
 (by name) and `for_params` (by params type).
 
-Adding a scheme: subclass `Scheme`, set the attributes its docstring lists
-in `__init__`, implement the methods that raise NotImplementedError (with
-`queries` returning the N wire payloads), override the defaults that do
-not fit (`share_payloads` only where a share is not its own payload), and
-add the class to `SCHEMES`.
+Adding a scheme: subclass `Scheme`, set `params_type` and the attributes
+its docstring lists in `__init__`, implement the methods that raise
+NotImplementedError (with `queries` returning the N wire payloads),
+override the defaults that do not fit (`share_payloads` only where a
+share is not its own payload, `_make` where the params are not
+`params_type.make(N, K, X, T, p=p)`), and add the class to `SCHEMES`.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class Scheme:
 
     @classmethod
     def _make(cls, N: int, K: int, X: int, T: int, p: int | None) -> "Scheme":
-        raise NotImplementedError
+        # the params check their own regime
+        return cls(cls.params_type.make(N, K, X, T, p=p))
 
     @property
     def thetas(self) -> range:
@@ -159,10 +161,6 @@ class CsaScheme(Scheme):
         self.query_symbols = params.L * params.K
         self.query_alphabet = range(self.p)
 
-    @classmethod
-    def _make(cls, N, K, X, T, p):
-        return cls(CsaParams.make(N, K, X, T, p=p))
-
     def storage(self, messages, noise):
         return csa.encode_storage(messages, noise, self.params)
 
@@ -214,10 +212,6 @@ class DownloadAllScheme(Scheme):
         self.query_randomness = Space(self.p, 0, lambda v: None)
         self.query_symbols = 0
         self.query_alphabet = range(self.p)
-
-    @classmethod
-    def _make(cls, N, K, X, T, p):
-        return cls(DownloadAllParams.make(N, K, X, T, p=p))
 
     def storage(self, messages, noise):
         return special.download_all_encode(messages, noise, self.params)

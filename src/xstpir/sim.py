@@ -22,7 +22,14 @@ receiver's alphabet (`_table_for`) for a line of `_BYTE_FORMAT_MIN` or
 more. A symbol or token outside the table (a larger value, or a spelling
 such as "007", "+3" or "1_000" that `int` accepts) takes the `str`/`int`
 path instead, so each line is formatted, accepted or rejected exactly as
-by `str` and `int` alone.
+by `str` and `int` alone. A line of `2 * _BYTE_FORMAT_MIN` characters or
+more that counts `_BYTE_FORMAT_MIN` symbols or more, read against an
+alphabet below 100, is read first as bytes, with no token objects
+(`_read_bytes`: two `translate` passes into big-int lanes, and one that
+deletes every lane but each token's value). A byte other than a digit or
+space, a token of three or more digits, a count other than the header's
+or a value outside the alphabet sends the line to the token read, which
+then gives the message or the error.
 
 Each payload's length and alphabet, and the server ids of each kind, are
 checked once, by whoever receives them: a server checks its QUERY in
@@ -68,6 +75,10 @@ _TABLE_RANGE = range(_TABLE_SIZE)
 # write faster than the table from about 50 symbols on.
 _DIGITS = [bytes(48 + b // d % 10 if b >= f else 0 for b in range(256)) for d, f in ((100, 100), (10, 10), (1, 0))]
 _BYTE_FORMAT_MIN = 64
+# The byte read's lanes: per byte its digit value, else 0; and 0xFF for a
+# space, 0 for a digit, 1 for any other byte.
+_DIGIT_VALUE = bytes(b - 48 if 48 <= b < 58 else 0 for b in range(256))
+_SPACES = bytes(255 if b == 32 else 0 if 48 <= b < 58 else 1 for b in range(256))
 
 
 def _format_symbols(symbols: Sequence[int]) -> str:
@@ -115,6 +126,37 @@ def _read_symbols(tokens: Sequence[str], alphabet: range | None = None) -> tuple
         if table is not _VALUE_OF:
             return _read_symbols(tokens)
         return tuple(map(int, tokens)), None
+
+
+@lru_cache(maxsize=64)
+def _bytes_of(alphabet: range) -> bytes:
+    """The values of `alphabet` a byte can hold, as bytes."""
+    return bytes(v for v in alphabet if 0 <= v < 256)
+
+
+def _read_bytes(text: str, count: int, alphabet: range) -> tuple[int, ...] | None:
+    """The `count` symbols of `text` (which `str.split` left starting with
+    a digit) if it holds digits and spaces, no token of 3+ digits and only
+    values in `alphabet`, else None. In big-endian byte lanes a token's
+    value `V + 10 * (V >> 8)` stands at its last digit; the spaces S and the
+    lanes before a digit, `D << 8`, are 0xFF and deleted, so a run of
+    spaces separates as one, as in `split`."""
+    if not text.isascii():  # which `encode` needs for a lone surrogate
+        return None
+    raw = text.encode().rstrip()
+    spaces = raw.translate(_SPACES)
+    if b"\1" in spaces:  # a byte neither a digit nor a space
+        return None
+    n = len(raw)
+    S = int.from_bytes(spaces, "big")
+    D = S ^ ((1 << 8 * n) - 1)
+    if D & D >> 8 & D >> 16:  # three digits in a row: "105" would read as 5
+        return None
+    V = int.from_bytes(raw.translate(_DIGIT_VALUE), "big")
+    out = (V + 10 * (V >> 8) | S | D << 8).to_bytes(n + 1, "big").translate(None, b"\xff")
+    if len(out) != count or out.translate(None, _bytes_of(alphabet)):
+        return None
+    return tuple(out)
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -171,8 +213,15 @@ class WireMessage(record("kind", "server_id", "payload")):
     @classmethod
     def parse(cls, line: str, alphabet: range | None = None) -> "WireMessage":
         """The message on `line`, read against the `alphabet` its receiver
-        checks, if given (`_read_symbols`): the message, or the error, is
-        the same either way."""
+        checks, if given (`_read_bytes` for a long line of symbols below
+        100, else `_read_symbols`): the message, or the error, is the same
+        either way."""
+        if len(line) >= 2 * _BYTE_FORMAT_MIN and alphabet is not None and alphabet.stop <= 100:
+            head = line.split(None, 3)
+            if len(head) == 4:  # the token path reads (and refuses) the same three tokens first
+                kind, server_id, count = head[0], int(head[1]), int(head[2])
+                if count >= _BYTE_FORMAT_MIN and (payload := _read_bytes(head[3], count, alphabet)) is not None:
+                    return cls(kind, server_id, payload, alphabet)
         parts = line.split()
         if len(parts) < 3:
             raise ValueError(f"malformed wire line: {line!r}")

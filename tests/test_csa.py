@@ -166,9 +166,8 @@ def test_storage_layout_worked_example():
         (((5, 6),), ((2, 1),))  # z[l][x] is a K-vector
     )
     shares = encode_storage(w, z, params)
-    for n, alpha in enumerate(oracle.alphas(params), start=1):
-        share = shares[n - 1]
-        assert share.server_index == n
+    assert len(shares) == params.N
+    for share, alpha in zip(shares, oracle.alphas(params)):  # server n's share is shares[n - 1]
         assert len(share.rows) == params.L
         for l_index in range(1, params.L + 1):
             point = l_index + alpha
@@ -1120,9 +1119,8 @@ def test_make_primes_are_minimal():
 # Each csa value record, its fields, and values differing in one field at a
 # time (in order: a first value, then per field one that changes it).
 RECORD_CASES = {
-    "StorageShare": (csa_mod.StorageShare, ("server_index", "payload", "p", "k"),
-                     [(1, (1, 2, 3, 4), 5, 2), (2, (1, 2, 3, 4), 5, 2), (1, (1, 2, 3, 0), 5, 2),
-                      (1, (1, 2, 3, 4), 7, 2), (1, (1, 2, 3, 4), 5, 4)]),
+    "StorageShare": (csa_mod.StorageShare, ("payload", "p", "k"),
+                     [((1, 2, 3, 4), 5, 2), ((1, 2, 3, 0), 5, 2), ((1, 2, 3, 4), 7, 2), ((1, 2, 3, 4), 5, 4)]),
     "MessageSet": (MessageSet, ("symbols", "p"),
                    [(((1, 2), (3, 4)), 5), (((1, 2), (3, 0)), 5), (((1, 2), (3, 4)), 7)]),
     "StorageNoise": (StorageNoise, ("z",), [((((1, 2),),),), ((((1, 3),),),)]),
@@ -1159,6 +1157,6 @@ def test_csa_records_are_the_records_frozen_dataclasses_are(name):
 def test_records_of_the_same_fields_are_not_equal_across_classes():
     # as two frozen dataclasses are not: storage noise is not query noise;
     # nor is a share its payload, which a query is; `rows` cuts it by k
-    share = csa_mod.StorageShare(1, (1, 2, 3, 4), 5, 2)
+    share = csa_mod.StorageShare((1, 2, 3, 4), 5, 2)
     assert share != share.payload and share.rows == ((1, 2), (3, 4))
     assert StorageNoise((((1,),),)) != QueryNoise((((1,),),))

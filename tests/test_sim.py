@@ -890,18 +890,21 @@ FUSED_ALPHABETS = [range(2), range(23), range(41), range(257), range(1031), rang
 
 
 def _as_today(fn, *args):
-    """`fn(*args)`'s outcome with every alphabet's table empty: each payload
-    is read as by a receiver that knows no alphabet, then scanned."""
+    """`fn(*args)`'s outcome with every alphabet's table empty and no byte
+    read: each payload is split into tokens and read as by a receiver that
+    knows no alphabet, then scanned."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_mod, "_table_for", lambda alphabet: {})
+        patch.setattr(sim_mod, "_read_bytes", lambda text, count, alphabet: None)
         return _outcome(fn, *args)
 
 
 def _tampered(tokens, alphabet):
     """`tokens` with one token its alphabet's table lacks (the alphabet's
-    stop, "0", one below its start, and the odd and bad tokens) put at the
-    start, the middle and the end."""
-    for token in [str(alphabet.stop), "0", str(alphabet.start - 1), *ODD_TOKENS, *BAD_TOKENS]:
+    stop, "0", one below its start, 100 above it, whose last two digits are
+    in an alphabet below 100, and the odd and bad tokens) put at the start,
+    the middle and the end."""
+    for token in [str(alphabet.stop), "0", str(alphabet.start - 1), str(alphabet.start + 100), *ODD_TOKENS, *BAD_TOKENS]:
         for i in {0, len(tokens) // 2, len(tokens) - 1}:
             yield tokens[:i] + [token] + tokens[i + 1 :]
 
@@ -1023,6 +1026,79 @@ def test_a_replay_scans_no_query_payload_it_read_from_its_alphabet(monkeypatch):
     with pytest.raises(ValueError, match="QUERY 3 has a symbol outside 0..40"):
         replay(tampered)
     assert scanned == [512]  # only the query its table could not read
+
+
+# ---------------------------------------------------------------------------
+# the byte read: a long line of symbols below 100 read as bytes, with the
+# outcome of the token read and a scan
+# ---------------------------------------------------------------------------
+
+# Texts put in place of one token: whitespace around it, then tokens the
+# byte read must refuse or read as `int` does ("105" would be 5 and "123"
+# 23 by their last two digits; a lone surrogate has no UTF-8 encoding).
+SPLICES = [
+    lambda t: t + "  ", lambda t: t + "\t", lambda t: " " + t, lambda t: t + " ", lambda t: t + "\r\n",
+    lambda t: "07", lambda t: "00", lambda t: "٣", lambda t: "105", lambda t: "123", lambda t: "\ud800",
+]
+
+
+def _variants(tokens):
+    """Lines of `tokens` (count, text) with each splice at the start, the
+    middle and the end of the payload, and the clean line with its count
+    off by one either way."""
+    n = len(tokens)
+    yield n, " ".join(tokens)
+    yield n - 1, " ".join(tokens)
+    yield n + 1, " ".join(tokens)
+    for splice in SPLICES:
+        for i in (0, n // 2, n - 1):
+            yield n, " ".join(tokens[:i] + [splice(tokens[i])] + tokens[i + 1 :])
+
+
+def _byte_payloads(alphabet):
+    """Each long codec payload, and 600 symbols of `alphabet`."""
+    drawn = tuple(alphabet[i * 37 % len(alphabet)] for i in range(600))
+    return [pl for pl in CODEC_PAYLOADS if len(pl) >= sim_mod._BYTE_FORMAT_MIN] + [drawn]
+
+
+@pytest.mark.parametrize("alphabet", FUSED_ALPHABETS, ids=str)
+def test_the_byte_read_parses_and_checks_as_the_token_read_and_a_scan_do(alphabet):
+    def received(line, n):
+        msg = WireMessage.parse(line, alphabet)
+        sim_mod._check_symbols(msg, n, alphabet)
+        return msg
+
+    for payload in _byte_payloads(alphabet):
+        tokens = list(map(str, payload))
+        for count, text in _variants(tokens):
+            for end in ("", "\n"):
+                line = f"QUERY 2 {count} {text}{end}"
+                assert _outcome(received, line, len(tokens)) == _as_today(received, line, len(tokens))
+
+
+def _refusing(*args):
+    raise AssertionError("read by the other path")
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_canonical_long_lines_below_100_take_the_byte_read(p, monkeypatch):
+    transcript = _transcript(CsaParams.make(12, 8, 2, 2, p=p))
+    assert len(transcript.queries[0].payload) == 64
+    monkeypatch.setattr(sim_mod, "_read_symbols", _refusing)
+    for q in transcript.queries:
+        msg = WireMessage.parse(q.encode(), range(p))
+        assert msg == q and msg._within == range(p)
+    with pytest.raises(AssertionError, match="read by the other path"):
+        WireMessage.parse(transcript.queries[0].encode())  # no alphabet: the token read
+
+
+@pytest.mark.parametrize("p", [257, 1031])
+def test_long_lines_past_100_never_try_the_byte_read(p, monkeypatch):
+    transcript = _transcript(CsaParams.make(12, 8, 2, 2, p=p))
+    monkeypatch.setattr(sim_mod, "_read_bytes", _refusing)
+    assert replay(transcript.render())[1] == transcript.decoded
+    for q in transcript.queries:
+        assert WireMessage.parse(q.encode(), range(p)) == q
 
 
 def test_transcript_parse_asks_for_the_alphabets_once_given_the_whole_header():
