@@ -16,34 +16,30 @@ Every payload (QUERY and ANSWER lines, and the DECODED line) is written
 and read through one symbol codec: a table of the canonical decimal
 strings of the symbols below `_TABLE_SIZE`, and its inverse dict, both
 built at import; a payload of `_BYTE_FORMAT_MIN` or more symbols in 0..255
-is written by three digit tables instead (`bytes.translate`), and a line of
-two or more tokens read by one `itemgetter` call, from the table of the
-receiver's alphabet (`_table_for`) for a line of `_BYTE_FORMAT_MIN` or
-more. A symbol or token outside the table (a larger value, or a spelling
-such as "007", "+3" or "1_000" that `int` accepts) takes the `str`/`int`
-path instead, so each line is formatted, accepted or rejected exactly as
-by `str` and `int` alone. A line of `2 * _BYTE_FORMAT_MIN` characters or
-more that counts `_BYTE_FORMAT_MIN` symbols or more, read against an
-alphabet below 100, is read first as bytes, with no token objects
-(`_read_bytes`: two `translate` passes into big-int lanes, and one that
-deletes every lane but each token's value). A byte other than a digit or
-space, a token of three or more digits, a count other than the header's
-or a value outside the alphabet sends the line to the token read, which
-then gives the message or the error.
+is written by three digit tables instead (`bytes.translate`). The parse
+needs no alphabet. A line of `2 * _BYTE_FORMAT_MIN` characters or more
+whose header counts `_BYTE_FORMAT_MIN` symbols or more is read first as
+bytes, with no token objects (`_read_bytes`); a byte other than a digit or
+space, a token of three or more digits or a count other than the header's
+sends it to the token read. That read takes a line of two or more tokens
+by one `itemgetter` call on the inverse table, and a token the table lacks
+(a larger value, or a spelling such as "007", "+3" or "1_000" that `int`
+accepts) sends the line through `int`, so each line is formatted, accepted
+or rejected exactly as by `str` and `int` alone.
 
 Each payload's length and alphabet, and the server ids of each kind, are
 checked once, by whoever receives them: a server checks its QUERY in
 `Server.handle`, the client checks the ANSWERs (`_answers_by_server`) but
 not the queries it built itself, and `replay`, which receives everything,
 checks both (`_by_server` the ids), and the queries before the scheme's
-check of theta, which packs them into lanes sized for that alphabet. Each
-parses the payload against the alphabet it checks (the scheme's query
-alphabet, range(p) for ANSWERs; `replay` once the header names the
-scheme), so a payload read wholly from that alphabet's table is checked
-for its length alone, and any other is scanned. `WireMessage` itself
-refuses only negative symbols, and skips that scan for a line whose every
-token was read from a table or for a long payload `bytes` takes (each
-symbol an int in 0..255), whose bytes it keeps for the digit tables.
+check of theta, which packs them into lanes sized for that alphabet. The
+check, `_check_symbols`, is the one place that reads an alphabet: the
+bytes a `WireMessage` keeps (the byte read's, or `bytes(payload)` for a
+long payload built in code) are checked by one `translate` that deletes
+the alphabet's bytes, and any other payload by its max (and min, for an
+alphabet that does not start at 0). `WireMessage` itself refuses only
+negative symbols, and skips that scan for a payload it holds as bytes or
+read wholly from the codec table.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .audit import DEFAULT_CAP, OverCap
 from .field import record
@@ -70,7 +66,6 @@ _HEADER = ("scheme", "N", "K", "X", "T", "p", "L", "seed", "theta")
 _TABLE_SIZE = 1024
 _TEXT_OF = {v: str(v) for v in range(_TABLE_SIZE)}
 _VALUE_OF = {text: v for v, text in _TEXT_OF.items()}
-_TABLE_RANGE = range(_TABLE_SIZE)
 # Per byte, its hundreds, tens and units digit, NUL where it has none; they
 # write faster than the table from about 50 symbols on.
 _DIGITS = [bytes(48 + b // d % 10 if b >= f else 0 for b in range(256)) for d, f in ((100, 100), (10, 10), (1, 0))]
@@ -98,49 +93,24 @@ def _format_symbols(symbols: Sequence[int]) -> str:
         return " ".join(map(str, symbols))
 
 
-@lru_cache(maxsize=64)
-def _table_for(alphabet: range) -> dict[str, int]:
-    """The codec table's entries whose value lies in `alphabet`: a copy of
-    `_VALUE_OF` with the others deleted, which keeps its sparse hash table
-    and so probes faster than a dict built afresh from the same entries."""
-    table = _VALUE_OF.copy()
-    for text, v in _VALUE_OF.items():
-        if v not in alphabet:
-            del table[text]
-    return table
-
-
-def _read_symbols(tokens: Sequence[str], alphabet: range | None = None) -> tuple[tuple[int, ...], range | None]:
-    """`tuple(map(int, tokens))`, and a range every value is known to lie
-    in. A payload of `_BYTE_FORMAT_MIN` or more tokens wholly in `alphabet`'s
-    table gives `alphabet`, any other wholly in the codec table that
-    table's range, and a payload read by `int` None."""
-    table, within = _VALUE_OF, _TABLE_RANGE
-    if alphabet is not None and len(tokens) >= _BYTE_FORMAT_MIN:
-        table, within = _table_for(alphabet), alphabet
+def _read_symbols(tokens: Sequence[str]) -> tuple[tuple[int, ...], bool]:
+    """`tuple(map(int, tokens))`, and whether every token was read from the
+    codec table, so that no value is negative."""
     try:
         if len(tokens) > 1:  # one token would give a bare value, none a TypeError
-            return itemgetter(*tokens)(table), within
-        return tuple(map(table.__getitem__, tokens)), within
+            return itemgetter(*tokens)(_VALUE_OF), True
+        return tuple(map(_VALUE_OF.__getitem__, tokens)), True
     except KeyError:
-        if table is not _VALUE_OF:
-            return _read_symbols(tokens)
-        return tuple(map(int, tokens)), None
+        return tuple(map(int, tokens)), False
 
 
-@lru_cache(maxsize=64)
-def _bytes_of(alphabet: range) -> bytes:
-    """The values of `alphabet` a byte can hold, as bytes."""
-    return bytes(v for v in alphabet if 0 <= v < 256)
-
-
-def _read_bytes(text: str, count: int, alphabet: range) -> tuple[int, ...] | None:
+def _read_bytes(text: str, count: int) -> bytes | None:
     """The `count` symbols of `text` (which `str.split` left starting with
-    a digit) if it holds digits and spaces, no token of 3+ digits and only
-    values in `alphabet`, else None. In big-endian byte lanes a token's
-    value `V + 10 * (V >> 8)` stands at its last digit; the spaces S and the
-    lanes before a digit, `D << 8`, are 0xFF and deleted, so a run of
-    spaces separates as one, as in `split`."""
+    a digit), as bytes, if it holds only digits and spaces and no token of
+    3+ digits, else None. In big-endian byte lanes a token's value
+    `V + 10 * (V >> 8)` stands at its last digit; the spaces S and the lanes
+    before a digit, `D << 8`, are 0xFF and deleted, so a run of spaces
+    separates as one, as in `split`."""
     if not text.isascii():  # which `encode` needs for a lone surrogate
         return None
     raw = text.encode().rstrip()
@@ -154,9 +124,7 @@ def _read_bytes(text: str, count: int, alphabet: range) -> tuple[int, ...] | Non
         return None
     V = int.from_bytes(raw.translate(_DIGIT_VALUE), "big")
     out = (V + 10 * (V >> 8) | S | D << 8).to_bytes(n + 1, "big").translate(None, b"\xff")
-    if len(out) != count or out.translate(None, _bytes_of(alphabet)):
-        return None
-    return tuple(out)
+    return out if len(out) == count else None
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -168,13 +136,12 @@ class WireMessage(record("kind", "server_id", "payload")):
     `__slots__` record (`field.record`): these fields are read-only, and
     `==`, `hash` and `repr` are those of a frozen dataclass of them."""
 
-    __slots__ = ("_within", "_raw", "_line")
+    __slots__ = ("_raw", "_line")
 
-    def __init__(self, kind: str, server_id: int, payload: tuple[int, ...], _within: range | None = None):
-        # `parse` passes `_within`, the range of the table every symbol was
-        # read from (`_read_symbols`), or None if some was read by `int`. No
-        # table value is negative, so the scan is skipped; an alphabet's range
-        # is kept (else None): checked against it, only the length is checked.
+    def __init__(self, kind: str, server_id: int, payload: tuple[int, ...], _raw: Sequence[int] | None = None):
+        # `parse` passes `_raw`, the payload as read: the byte read's bytes,
+        # or the payload itself if every symbol was read from the codec
+        # table. Neither holds a negative symbol, so the scan is skipped.
         if kind not in _KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
         if kind == KIND_ANSWER_EMPTY and payload:
@@ -182,18 +149,17 @@ class WireMessage(record("kind", "server_id", "payload")):
         if server_id < 1:
             raise ValueError("server ids are 1-based")
         self._kind, self._server_id, self._payload = kind, server_id, payload
-        self._raw, self._line, self._within = payload, None, None
-        if _within is None:
+        self._raw, self._line = _raw, None
+        if _raw is None:
+            self._raw = payload
             if len(payload) >= _BYTE_FORMAT_MIN:
                 try:  # `bytes` takes only ints in 0..255: a payload it takes has no negative symbol
-                    self._raw = bytes(payload)  # kept for `_format`
+                    self._raw = bytes(payload)  # kept for `_format` and `_check_symbols`
                     return
                 except (TypeError, ValueError):
                     pass
             if payload and min(payload) < 0:
                 raise ValueError("payload symbols are nonnegative integers")
-        elif _within is not _TABLE_RANGE:  # an alphabet its receiver checks
-            self._within = _within
 
     def encode(self) -> str:
         """The wire line, newline included. It is formatted on the first
@@ -211,25 +177,24 @@ class WireMessage(record("kind", "server_id", "payload")):
         return f"{head} {_format_symbols(self._raw)}\n"
 
     @classmethod
-    def parse(cls, line: str, alphabet: range | None = None) -> "WireMessage":
-        """The message on `line`, read against the `alphabet` its receiver
-        checks, if given (`_read_bytes` for a long line of symbols below
-        100, else `_read_symbols`): the message, or the error, is the same
+    def parse(cls, line: str) -> "WireMessage":
+        """The message on `line`: by `_read_bytes` for a long line it reads,
+        else by `_read_symbols`; the message, or the error, is the same
         either way."""
-        if len(line) >= 2 * _BYTE_FORMAT_MIN and alphabet is not None and alphabet.stop <= 100:
+        if len(line) >= 2 * _BYTE_FORMAT_MIN:
             head = line.split(None, 3)
             if len(head) == 4:  # the token path reads (and refuses) the same three tokens first
                 kind, server_id, count = head[0], int(head[1]), int(head[2])
-                if count >= _BYTE_FORMAT_MIN and (payload := _read_bytes(head[3], count, alphabet)) is not None:
-                    return cls(kind, server_id, payload, alphabet)
+                if count >= _BYTE_FORMAT_MIN and (raw := _read_bytes(head[3], count)) is not None:
+                    return cls(kind, server_id, tuple(raw), raw)
         parts = line.split()
         if len(parts) < 3:
             raise ValueError(f"malformed wire line: {line!r}")
         kind, server_id, count = parts[0], int(parts[1]), int(parts[2])
-        payload, within = _read_symbols(parts[3:], alphabet)
+        payload, from_table = _read_symbols(parts[3:])
         if len(payload) != count:
             raise ValueError(f"payload count mismatch in line: {line!r}")
-        return cls(kind, server_id, payload, within)
+        return cls(kind, server_id, payload, payload if from_table else None)
 
 
 @dataclass(frozen=True)
@@ -268,31 +233,18 @@ class Transcript:
         return "".join(lines)
 
     @classmethod
-    def parse(
-        cls, text: str, alphabets: Callable[[dict[str, str]], dict[str, range]] | None = None
-    ) -> "Transcript":
-        """The transcript `text` renders. `alphabets`, if given, is asked
-        for each message kind's alphabet once, at the first message line if
-        the header is complete by then, and each line is read against its
-        kind's (`WireMessage.parse`): the transcript, or the error, is the
-        same either way."""
+    def parse(cls, text: str) -> "Transcript":
+        """The transcript `text` renders."""
         header: dict[str, str] = {}
         queries: list[WireMessage] = []
         answers: list[WireMessage] = []
         decoded: tuple[int, ...] | None = None
-        by_kind: dict[str, range] = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
             tag = line.split(maxsplit=1)[0]
             if tag in _KINDS:
-                if alphabets is not None and len(header) == len(_HEADER):
-                    try:
-                        by_kind = alphabets(header)
-                    except Exception:  # noqa: BLE001 - read without alphabets: the same lines
-                        pass
-                alphabets = None
-                msg = WireMessage.parse(line, by_kind.get(tag))
+                msg = WireMessage.parse(line)
                 (queries if msg.kind == KIND_QUERY else answers).append(msg)
             elif tag == "DECODED":
                 parts = line.split()
@@ -320,22 +272,30 @@ class Transcript:
         )
 
 
+@lru_cache(maxsize=64)
+def _bytes_of(alphabet: range) -> bytes:
+    """The values of `alphabet` a byte can hold, as bytes."""
+    return bytes(v for v in alphabet if 0 <= v < 256)
+
+
 def _check_symbols(msg: WireMessage, count: int, alphabet: range) -> None:
-    """The receiver's one check of a payload: its length and alphabet. A
-    payload parsed from `alphabet`'s table needs no scan; otherwise, as a
-    `WireMessage` holds no negative symbol, an alphabet from 0 needs only
-    the payload's max."""
-    payload = msg.payload
+    """The receiver's one check of a payload: its length and alphabet. The
+    bytes a message keeps are checked by one `translate` that deletes the
+    alphabet's; any other payload, as a `WireMessage` holds no negative
+    symbol, by its max, and its min for an alphabet that does not start
+    at 0."""
+    payload, raw = msg.payload, msg._raw
     if len(payload) != count:
         raise ValueError(
             f"{msg.kind} {msg.server_id} carries {len(payload)} symbols, "
             f"the scheme sends {count}"
         )
-    # (no payload shorter than _BYTE_FORMAT_MIN is read from an alphabet's table)
-    if count >= _BYTE_FORMAT_MIN and msg._within == alphabet:
-        return
-    start = alphabet.start
-    if payload and (max(payload) >= alphabet.stop or (start and min(payload) < start)):
+    if isinstance(raw, bytes):
+        outside = raw.translate(None, _bytes_of(alphabet))
+    else:
+        start = alphabet.start
+        outside = payload and (max(payload) >= alphabet.stop or (start and min(payload) < start))
+    if outside:
         raise ValueError(
             f"{msg.kind} {msg.server_id} has a symbol outside "
             f"{alphabet.start}..{alphabet.stop - 1}"
@@ -394,7 +354,7 @@ class Server:
 
     def handle(self, line: str) -> str:
         scheme = self.scheme
-        msg = WireMessage.parse(line, scheme.query_alphabet)
+        msg = WireMessage.parse(line)
         if msg.kind != KIND_QUERY or msg.server_id != self.server_id:
             self.received.append(f"misaddressed:{msg.kind}")
             return WireMessage(KIND_ANSWER_EMPTY, self.server_id, ()).encode()
@@ -436,10 +396,7 @@ def run_retrieval(params, messages, theta: int, seed: int, rng: Random | None = 
     queries = scheme.queries(theta, scheme.query_randomness.sample(rng))
     sent = tuple(WireMessage(KIND_QUERY, n, payload) for n, payload in enumerate(queries, start=1))
     servers = [Server(n, share, scheme) for n, share in enumerate(shares, start=1)]
-    symbols = range(scheme.p)
-    replies = tuple(
-        WireMessage.parse(server.handle(msg.encode()), symbols) for server, msg in zip(servers, sent)
-    )
+    replies = tuple(WireMessage.parse(server.handle(msg.encode())) for server, msg in zip(servers, sent))
     for server in servers:
         if server.received != [KIND_QUERY]:
             raise ProtocolInvariantError(f"server {server.server_id} saw {server.received}")
@@ -479,14 +436,8 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
     so there the re-decode against the DECODED line is the only check of
     theta.
     """
-    built: list[Scheme] = []
-
-    def alphabets(header: dict[str, str]) -> dict[str, range]:
-        built.append(from_header(header["scheme"], {key: int(header[key]) for key in _HEADER[1:7]}))
-        return {KIND_QUERY: built[0].query_alphabet, KIND_ANSWER: range(built[0].p)}
-
-    transcript = Transcript.parse(text, alphabets)
-    scheme = built[0] if built else _scheme_of(transcript)
+    transcript = Transcript.parse(text)
+    scheme = _scheme_of(transcript)
     theta = transcript.theta
     scheme.check_theta(theta)
     by_id = _by_server(scheme, "QUERY", transcript.queries)

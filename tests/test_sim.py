@@ -205,17 +205,17 @@ def test_symbol_codec_reads_a_long_line_ending_in_any_token_as_int_does(token):
     # The table read takes the whole line at once, so a token it lacks at
     # the very end sends all 600 back through `int`.
     tokens = [str(v % 256) for v in range(599)] + [token]
-    as_int = _outcome(lambda: (tuple(map(int, tokens)), None))
+    as_int = _outcome(lambda: (tuple(map(int, tokens)), False))
     assert _outcome(sim_mod._read_symbols, tokens) == as_int
     want = _outcome(lambda: WireMessage(KIND_QUERY, 2, tuple(map(int, tokens))))
     assert _outcome(WireMessage.parse, " ".join(["QUERY", "2", "600", *tokens])) == want
 
 
 def test_symbol_codec_reads_zero_one_and_two_tokens():
-    read, table = sim_mod._read_symbols, range(B)
-    assert read([]) == ((), table)
-    assert read(["5"]) == ((5,), table) and read(["007"]) == ((7,), None)
-    assert read(["5", "0"]) == ((5, 0), table) and read(["5", "+0"]) == ((5, 0), None)
+    read = sim_mod._read_symbols
+    assert read([]) == ((), True)
+    assert read(["5"]) == ((5,), True) and read(["007"]) == ((7,), False)
+    assert read(["5", "0"]) == ((5, 0), True) and read(["5", "+0"]) == ((5, 0), False)
     assert _outcome(read, ["x"]) == _outcome(int, "x")
 
 
@@ -882,52 +882,58 @@ def test_replay_matches_answers_to_servers_by_id():
 
 
 # ---------------------------------------------------------------------------
-# the fused read: a receiver parses and alphabet-checks a payload in one
-# table read, with the same outcome as a parse followed by a scan
+# a receiver's fused read, the parse of a payload and its alphabet check:
+# the outcome of the token read and a scan of every symbol
 # ---------------------------------------------------------------------------
 
-FUSED_ALPHABETS = [range(2), range(23), range(41), range(257), range(1031), range(1, 65)]
+ALPHABETS = [range(2), range(23), range(41), range(257), range(1031), range(1, 65)]
+_check_symbols = sim_mod._check_symbols
+
+
+def _scanned(msg, count, alphabet):
+    """`_check_symbols` by the max/min scan: `msg` keeps no bytes."""
+    msg._raw = msg.payload
+    _check_symbols(msg, count, alphabet)
 
 
 def _as_today(fn, *args):
-    """`fn(*args)`'s outcome with every alphabet's table empty and no byte
-    read: each payload is split into tokens and read as by a receiver that
-    knows no alphabet, then scanned."""
+    """`fn(*args)`'s outcome with no byte read and every check a scan: each
+    payload is split into tokens, read by the codec table or `int`, and
+    scanned by its receiver."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim_mod, "_table_for", lambda alphabet: {})
-        patch.setattr(sim_mod, "_read_bytes", lambda text, count, alphabet: None)
+        patch.setattr(sim_mod, "_read_bytes", lambda text, count: None)
+        patch.setattr(sim_mod, "_check_symbols", _scanned)
         return _outcome(fn, *args)
 
 
 def _tampered(tokens, alphabet):
-    """`tokens` with one token its alphabet's table lacks (the alphabet's
-    stop, "0", one below its start, 100 above it, whose last two digits are
-    in an alphabet below 100, and the odd and bad tokens) put at the start,
-    the middle and the end."""
+    """`tokens` with one token outside its alphabet or the codec table (the
+    alphabet's stop, "0", one below its start, 100 above it, whose last two
+    digits are in an alphabet below 100, and the odd and bad tokens) put at
+    the start, the middle and the end."""
     for token in [str(alphabet.stop), "0", str(alphabet.start - 1), str(alphabet.start + 100), *ODD_TOKENS, *BAD_TOKENS]:
         for i in {0, len(tokens) // 2, len(tokens) - 1}:
             yield tokens[:i] + [token] + tokens[i + 1 :]
 
 
-@pytest.mark.parametrize("alphabet", FUSED_ALPHABETS, ids=str)
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=str)
 def test_the_fused_read_parses_and_checks_as_int_and_a_scan_do(alphabet):
+    # A receiver's read and check of a payload, short or long, clean or
+    # tampered with, against `int` and a scan.
     def received(tokens):
-        msg = WireMessage.parse(" ".join(["QUERY", "2", str(len(tokens)), *tokens]), alphabet)
+        msg = WireMessage.parse(" ".join(["QUERY", "2", str(len(tokens)), *tokens]))
         sim_mod._check_symbols(msg, len(tokens), alphabet)
         return msg.payload
 
     def scanned(tokens):
         msg = WireMessage(KIND_QUERY, 2, tuple(map(int, tokens)))
-        sim_mod._check_symbols(msg, len(tokens), alphabet)
+        _scanned(msg, len(tokens), alphabet)
         return msg.payload
 
     values = [alphabet[i * 37 % len(alphabet)] for i in range(600)]
     clean = list(map(str, values))
-    fused = WireMessage.parse(" ".join(["QUERY", "2", "600", *clean]), alphabet)
-    assert fused.payload == tuple(values)
-    # read from the alphabet's table unless a value lies past the codec's
-    assert (fused._within == alphabet) == (max(values) < B)
-    for tokens in [clean[:3], *_tampered(clean, alphabet), *_tampered(clean[:3], alphabet)]:
+    assert WireMessage.parse(" ".join(["QUERY", "2", "600", *clean])).payload == tuple(values)
+    for tokens in [clean[:3], clean, *_tampered(clean, alphabet), *_tampered(clean[:3], alphabet)]:
         assert _outcome(received, tokens) == _outcome(scanned, tokens)
 
 
@@ -950,7 +956,7 @@ def test_a_server_answers_or_refuses_as_after_a_scan(name):
     payloads = scheme.queries(1, scheme.query_randomness.sample(rng))
     server = Server(2, shares[1], scheme)
     tokens = list(map(str, payloads[1]))
-    assert len(tokens) == 64 and scheme.query_alphabet in FUSED_ALPHABETS
+    assert len(tokens) == 64 and scheme.query_alphabet in ALPHABETS
     for tokens in [tokens, *_tampered(tokens, scheme.query_alphabet)]:
         line = " ".join(["QUERY", "2", str(len(tokens)), *tokens]) + "\n"
         assert _outcome(server.handle, line) == _as_today(server.handle, line)
@@ -1020,12 +1026,12 @@ def test_a_replay_scans_no_query_payload_it_read_from_its_alphabet(monkeypatch):
 
     monkeypatch.setattr(sim_mod, "max", counting, raising=False)
     assert replay(text)[1] == transcript.decoded
-    assert scanned == [1] * 24  # the one-symbol answers, too short for the fused read
+    assert scanned == [1] * 24  # the one-symbol answers, too short for the byte read
     scanned.clear()
     tampered = _set_payload(text, KIND_QUERY, 3, (41,) + transcript.queries[2].payload[1:])
     with pytest.raises(ValueError, match="QUERY 3 has a symbol outside 0..40"):
         replay(tampered)
-    assert scanned == [512]  # only the query its table could not read
+    assert scanned == []  # refused from its kept bytes
 
 
 # ---------------------------------------------------------------------------
@@ -1061,10 +1067,10 @@ def _byte_payloads(alphabet):
     return [pl for pl in CODEC_PAYLOADS if len(pl) >= sim_mod._BYTE_FORMAT_MIN] + [drawn]
 
 
-@pytest.mark.parametrize("alphabet", FUSED_ALPHABETS, ids=str)
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=str)
 def test_the_byte_read_parses_and_checks_as_the_token_read_and_a_scan_do(alphabet):
     def received(line, n):
-        msg = WireMessage.parse(line, alphabet)
+        msg = WireMessage.parse(line)
         sim_mod._check_symbols(msg, n, alphabet)
         return msg
 
@@ -1074,6 +1080,30 @@ def test_the_byte_read_parses_and_checks_as_the_token_read_and_a_scan_do(alphabe
             for end in ("", "\n"):
                 line = f"QUERY 2 {count} {text}{end}"
                 assert _outcome(received, line, len(tokens)) == _as_today(received, line, len(tokens))
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=str)
+def test_kept_bytes_are_checked_as_a_scan_checks_them(alphabet, monkeypatch):
+    # 64 symbols of the alphabet below 100, then with one set to each of its
+    # stop, one below its start, 0, 99 and 255 that a byte holds (range(2)
+    # meets a 2, range(1, 65) a 0), at the start, the middle and the end.
+    # Their bytes are kept when built in code and, below 100, by the byte
+    # read; the check of either gives the outcome of the max/min scan.
+    monkeypatch.setattr(sim_mod, "_read_symbols", _refusing)
+    clean = [alphabet[i * 37 % len(alphabet)] % 100 for i in range(64)]
+    payloads = [clean] + [
+        clean[:i] + [odd] + clean[i + 1 :]
+        for odd in {alphabet.stop, alphabet.start - 1, 0, 99, 255} & set(range(256))
+        for i in (0, 32, 63)
+    ]
+    for payload in map(tuple, payloads):
+        built = WireMessage(KIND_QUERY, 2, payload)
+        msgs = [built] + ([WireMessage.parse(built.encode())] if max(payload) < 100 else [])
+        want = _outcome(_scanned, WireMessage(KIND_QUERY, 2, payload), 64, alphabet)
+        assert (want is None) == all(v in alphabet for v in payload)
+        for msg in msgs:
+            assert msg == built and msg._raw == bytes(payload)
+            assert _outcome(sim_mod._check_symbols, msg, 64, alphabet) == want
 
 
 def _refusing(*args):
@@ -1086,42 +1116,27 @@ def test_canonical_long_lines_below_100_take_the_byte_read(p, monkeypatch):
     assert len(transcript.queries[0].payload) == 64
     monkeypatch.setattr(sim_mod, "_read_symbols", _refusing)
     for q in transcript.queries:
-        msg = WireMessage.parse(q.encode(), range(p))
-        assert msg == q and msg._within == range(p)
-    with pytest.raises(AssertionError, match="read by the other path"):
-        WireMessage.parse(transcript.queries[0].encode())  # no alphabet: the token read
+        msg = WireMessage.parse(q.encode())
+        assert msg == q and msg._raw == bytes(q.payload)
 
 
 @pytest.mark.parametrize("p", [257, 1031])
-def test_long_lines_past_100_never_try_the_byte_read(p, monkeypatch):
+def test_long_lines_past_100_fall_back_to_the_token_read(p, monkeypatch):
+    # Each QUERY line holds a token of three digits: the byte read refuses
+    # it, and the token read gives the message.
     transcript = _transcript(CsaParams.make(12, 8, 2, 2, p=p))
-    monkeypatch.setattr(sim_mod, "_read_bytes", _refusing)
+    tried, read_bytes = [], sim_mod._read_bytes
+
+    def recording(text, count):
+        tried.append(read_bytes(text, count))
+        return tried[-1]
+
+    monkeypatch.setattr(sim_mod, "_read_bytes", recording)
     assert replay(transcript.render())[1] == transcript.decoded
+    assert tried == [None] * 12
     for q in transcript.queries:
-        assert WireMessage.parse(q.encode(), range(p)) == q
-
-
-def test_transcript_parse_asks_for_the_alphabets_once_given_the_whole_header():
-    text = _csa_run()[1].transcript.render()
-    asked = []
-
-    def alphabets(header):
-        asked.append(dict(header))
-        return {KIND_QUERY: range(11), KIND_ANSWER: range(11)}
-
-    assert Transcript.parse(text, alphabets) == Transcript.parse(text)
-    assert asked == [dict(line.split(" ", 1) for line in text.splitlines()[:9])]
-    asked.clear()
-    late = _drop_line(text, "theta ") + "theta 1\n"  # incomplete at the first message line
-    assert Transcript.parse(late, alphabets) == Transcript.parse(text)
-    assert asked == []
-
-    def refusing(header):
-        asked.append(header)
-        raise RuntimeError("no alphabets")
-
-    assert Transcript.parse(text, refusing) == Transcript.parse(text)
-    assert len(asked) == 1
+        msg = WireMessage.parse(q.encode())
+        assert msg == q and msg._raw == q.payload
 
 
 def test_replay_builds_the_scheme_once_and_parses_through_transcript_parse(monkeypatch):
@@ -1142,6 +1157,6 @@ def test_replay_builds_the_scheme_once_and_parses_through_transcript_parse(monke
     assert replay(run.transcript.render())[1] == run.transcript.decoded
     assert built == ["csa"] and parsed == [1]
     built.clear()
-    with pytest.raises(ValueError, match="unknown scheme"):  # built, refused, and built again
+    with pytest.raises(ValueError, match="unknown scheme"):
         replay(_edit(run.transcript.render(), "scheme csa\n", "scheme pir\n"))
-    assert built == ["pir", "pir"]
+    assert built == ["pir"]
