@@ -23,7 +23,7 @@ the query a bare tuple, as it travels. Its answer is their dot product, and
 decode returns the L desired symbols as a tuple.
 What those maps need from the parameters alone (the points l + alpha_n,
 their powers, the query scales, the desired rows of the inverse decoding
-matrix and the query check weights) sits in one table per params value,
+matrix and the check's factors) sits in one table per params value,
 computed once from the definitions below (`delta_except`, `decoding_matrix`,
 `solve_linear`).
 
@@ -32,8 +32,10 @@ storage and queries share one mixing kernel. It packs each K-vector into one
 int of lanes wide enough that (p - 1) + depth * (p - 1)^2 never carries
 (8, 16, 32 or 64 bits, or whole bytes past 64), and builds each row with one
 big-int multiply-add per noise term. The replay check of theta
-(`constant_terms`) runs on the same lanes, N terms deep: one big-int
-multiply-add per server per block. Lanes are reduced mod p by byte tables
+(`constant_terms`) runs on the same lanes, N terms deep, with one big-int
+multiply-add per server and one scale per block: its weight lambda_{n,l} /
+s_{n,l} is P_l * c_n, P_l = prod_m (l + alpha_m), c_n = 1 / (delta_n
+prod_{m != n} (alpha_m - alpha_n)). Lanes are reduced mod p by byte tables
 where (bits / 8) * (p - 1) < 256 (`_unpack`), as 16-bit lanes are up to
 p = 127; other lanes, answers and decoded symbols take one `% p` each. On
 8- and 16-bit lanes the kernel's inputs are reduced through the j = 0
@@ -317,12 +319,12 @@ class _Table:
     For server n (0-based) and block l (0-based, the paper's l + 1):
     `powers[n][l]` is (1, u, u^2, ..., u^max(X, T)) with u = l + 1 + alpha_n,
     the weights of a storage row's terms (its base, then its noise);
-    `scales[n][l]` is delta_except(alpha_n, L, l + 1), and
-    `query_weights[n][l]` is `powers[n][l]` times that scale, mod p, the
-    weights of a query row's terms. The decoder rows
-    and the query check weights need inverses; they are computed on first
-    use, so corrupted params still encode and answer, and a failure is
-    raised again by every later call instead of being kept.
+    `query_weights[n][l]` is `powers[n][l]` times the query scale s_{n,l} =
+    delta_except(alpha_n, L, l + 1), mod p. The decoder rows and the check
+    weights' factors, `block_factors[l] * server_factors[n]` =
+    lambda_{n,l} / s_{n,l} (the (l + alpha_n) in s_{n,l} cancels), are
+    computed on first use, so corrupted params still encode and answer, and
+    a failure is raised again by every later call instead of being kept.
     """
 
     def __init__(self, params: CsaParams):
@@ -336,10 +338,9 @@ class _Table:
             [tuple(pow(u, j, p) for j in range(depth + 1)) for u in row]
             for row in self.points
         ]
-        self.scales = list(zip(*desired_columns(params)))
         self.query_weights = [
             [tuple(s * w % p for w in ws) for ws, s in zip(row, scales)]
-            for row, scales in zip(self.powers, self.scales)
+            for row, scales in zip(self.powers, zip(*desired_columns(params)))
         ]
         # Lane width per depth for `_mix` (X, T) and `constant_terms` (N).
         self.lanes = {d: _lane_bits(p, d) for d in (params.X, params.T, params.N)}
@@ -352,19 +353,18 @@ class _Table:
         return solve_linear(decoding_matrix(params), identity, params.p)[: params.L]
 
     @cached_property
-    def check_weights(self) -> list[list[int]]:
-        """w[l][n] = lambda_{n,l} / s_{n,l}, with lambda_{n,l} the Lagrange
-        weight at u = 0 over the N points of block l and s_{n,l} the query
-        scale."""
-        p, out = self.params.p, []
-        for l in range(self.params.L):
-            points, weights = [row[l] for row in self.points], []
-            for n, u in enumerate(points):
-                others = points[:n] + points[n + 1 :]
-                den = prod(v - u for v in others) * self.scales[n][l]
-                weights.append(prod(others) * pow(den, -1, p) % p)
-            out.append(weights)
-        return out
+    def block_factors(self) -> list[int]:
+        """P_l = prod over m of (l + alpha_m), per block l."""
+        return [prod(us) % self.params.p for us in zip(*self.points)]
+
+    @cached_property
+    def server_factors(self) -> list[int]:
+        """c_n = 1 / (delta_n * prod over m != n of (alpha_m - alpha_n))."""
+        p, length, alphas = self.params.p, self.params.L, self.params.alphas
+        return [
+            pow(delta(a, length, p) * prod(b - a for b in alphas[:n] + alphas[n + 1 :]), -1, p)
+            for n, a in enumerate(alphas)
+        ]
 
 
 @lru_cache(maxsize=_TABLES)
@@ -385,11 +385,10 @@ def _lane_bits(p: int, depth: int) -> int:
 
 
 def _pack(values: Sequence[int], bits: int, p: int | None = None) -> int:
-    """One int of `bits`-bit lanes holding `values`, in native order, each
-    first reduced mod p if p is given. At 8 and 16 bits the values, all
-    below 256 (as p is), are written as bytes, at 16 bits into each lane's
-    low byte, and reduced through the j = 0 byte table unless `bytes`
-    refuses one outside 0..255 or a non-int; else each takes a `% p`."""
+    """One int of `bits`-bit lanes holding `values` in native order, each
+    reduced mod p first if p is given: by the j = 0 byte table where `bytes`
+    takes them at 8 and 16 bits, else by a `% p` each. Bytes, and values at
+    8 and 16 bits (below 256, as p is), go into each lane's low byte."""
     if p is not None:
         try:
             values = bytes(values).translate(_byte_table(p, 0)) if bits <= 16 else [v % p for v in values]
@@ -397,9 +396,9 @@ def _pack(values: Sequence[int], bits: int, p: int | None = None) -> int:
             values = [v % p for v in values]
     if bits == 8:
         return int.from_bytes(bytes(values), byteorder)
-    if bits == 16:
-        buf = bytearray(2 * len(values))
-        buf[byteorder == "big" :: 2] = bytes(values)
+    if bits == 16 or isinstance(values, bytes):
+        buf, step = bytearray(bits // 8 * len(values)), bits // 8
+        buf[(step - 1) * (byteorder == "big") :: step] = bytes(values)
         return int.from_bytes(buf, byteorder)
     if bits in _LANE_CODES:
         return int.from_bytes(array(_LANE_CODES[bits], values).tobytes(), byteorder)
@@ -528,10 +527,10 @@ def constant_terms(
 ) -> tuple[tuple[int, ...], ...]:
     """Per block l, the K-vector sum over n of lambda_{n,l} / s_{n,l} * q_{n,l},
     from the N flat query payloads (block l at symbols l*K .. l*K + K - 1),
-    whose symbols must lie in range(p), which the packed lanes are sized for.
-    Each payload is packed once on the table's lanes for depth N; each block
-    is then one big-int multiply-add per server, and all L blocks are
-    unpacked in one pass.
+    tuples or bytes of symbols in range(p), which the packed lanes are sized
+    for. The weight is P_l * c_n (`_Table`): the payloads, packed on the
+    lanes for depth N, take one big-int multiply-add by c_n each, and all
+    L * K lanes are unpacked in one pass and scaled by P_l per block.
 
     Unscaled, the query for block l is a polynomial in u = l + alpha_n of
     degree T < N whose constant term is the unit vector of theta;
@@ -543,14 +542,12 @@ def constant_terms(
         raise ValueError("need one query per server")
     p, k, table = params.p, params.K, _table(params)
     bits = table.lanes[params.N]
-    mask, packed = (1 << k * bits) - 1, [_pack(q, bits) for q in queries]
-    # block l's shift: in big-endian lanes the first block is the highest
-    shifts = range(0, len(table.check_weights) * k * bits, k * bits)[:: 1 if byteorder == "little" else -1]
-    accs = [
-        sum([w * (q >> shift & mask) for w, q in zip(weights, packed)])
-        for shift, weights in zip(shifts, table.check_weights)
-    ]
-    return tuple(zip(*[iter(_unpack(accs, k, bits, p))] * k))  # consecutive runs of K
+    acc = sum(map(mul, table.server_factors, [_pack(q, bits) for q in queries]))
+    lanes = _unpack([acc], params.L * k, bits, p)
+    return tuple(
+        tuple([v * f % p for v in lanes[i : i + k]])
+        for i, f in zip(range(0, len(lanes), k), table.block_factors)
+    )
 
 
 def desired_columns(params: CsaParams) -> list[list[int]]:

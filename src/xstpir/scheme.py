@@ -124,10 +124,11 @@ class Scheme:
         server replies ANSWER_EMPTY."""
         raise NotImplementedError
 
-    def check_retrieves(self, theta: int, queries: Sequence[Payload]) -> None:
-        """Raise ValueError unless the query payloads, in server order and
-        of checked length and alphabet, retrieve message theta. The default
-        checks nothing; it fits a scheme whose queries do not depend on theta."""
+    def check_retrieves(self, theta: int, queries: Sequence[Sequence[int]]) -> None:
+        """Raise ValueError unless the query payloads (tuples or bytes), in
+        server order and of checked length and alphabet, retrieve message
+        theta. The default, which checks nothing, fits queries that do not
+        depend on theta."""
 
     def decode(self, theta: int, answers: Sequence[Payload | None]) -> Payload:
         raise NotImplementedError
@@ -296,7 +297,7 @@ class BinaryScheme(Scheme):
     def check_retrieves(self, theta, queries):
         """q1 + q2 must be the unit vector of theta; server 1's query is the
         randomness Z' itself, so all three queries are rebuilt from it."""
-        if tuple(queries) != self.queries(theta, queries[0]):
+        if tuple(map(tuple, queries)) != self.queries(theta, queries[0]):
             raise ValueError(f"the queries do not retrieve message {theta}")
 
     def decode(self, theta, answers):
@@ -363,7 +364,7 @@ class SymXspirScheme(Scheme):
         """Server N's first column is wrap(m_o - theta + 1), with m_o the
         column every other server is asked for, so all queries are rebuilt
         from m_o = server 1's first column."""
-        if tuple(queries) != self.queries(theta, queries[0][0]):
+        if tuple(map(tuple, queries)) != self.queries(theta, queries[0][0]):
             raise ValueError(f"the queries do not retrieve message {theta}")
 
     def decode(self, theta, answers):

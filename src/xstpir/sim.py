@@ -32,11 +32,12 @@ checked once, by whoever receives them: a server checks its QUERY in
 `Server.handle`, the client checks the ANSWERs (`_answers_by_server`) but
 not the queries it built itself, and `replay`, which receives everything,
 checks both (`_by_server` the ids), and the queries before the scheme's
-check of theta, which packs them into lanes sized for that alphabet. The
-check, `_check_symbols`, is the one place that reads an alphabet: the
-bytes a `WireMessage` keeps (the byte read's, or `bytes(payload)` for a
-long payload built in code) are checked by one `translate` that deletes
-the alphabet's bytes, and any other payload by its max (and min, for an
+check of theta, which packs them into lanes sized for that alphabet, from
+the bytes a message keeps (`_raw`), if any. The check,
+`_check_symbols`, is the one place that reads an alphabet: the bytes a
+`WireMessage` keeps (the byte read's, or `bytes(payload)` for a long
+payload built in code) are checked by one `translate` that deletes the
+alphabet's bytes, and any other payload by its max (and min, for an
 alphabet that does not start at 0). `WireMessage` itself refuses only
 negative symbols, and skips that scan for a payload it holds as bytes or
 read wholly from the codec table.
@@ -445,7 +446,7 @@ def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
     for q in queries:
         _check_symbols(q, scheme.query_symbols, scheme.query_alphabet)
     answers = _answers_by_server(scheme, queries, transcript.answers)
-    scheme.check_retrieves(theta, [m.payload for m in queries])
+    scheme.check_retrieves(theta, [m._raw for m in queries])
     return transcript, scheme.decode(theta, answers)
 
 

@@ -311,22 +311,36 @@ def decoding_matrix(params: CsaParams) -> list[list[Fe]]:
     return [[col[n] for col in cols] for n in range(params.N)]
 
 
-def constant_terms(payloads: Sequence[Sequence[int]], params: CsaParams) -> list[list[Fe]]:
-    """Per block l, the unscaled queries evaluated at u = 0: block l of each
-    flat payload is divided by its query scale, and the N values at the
-    points u_n = l + alpha_n are interpolated at 0 by Lagrange's formula,
-    lambda_n = prod over m != n of u_m / (u_m - u_n)."""
-    f, k = Field(params.p), params.K
+def check_weights(params: CsaParams) -> list[list[Fe]]:
+    """Per block l and server n, lambda_{n,l} / s_{n,l}: the Lagrange
+    weight at u = 0 over the points u_m = l + alpha_m, lambda_{n,l} = prod
+    over m != n of u_m / (u_m - u_n), over the query scale
+    s_{n,l} = delta_except(alpha_n, L, l)."""
     out = []
     for l_index in range(1, params.L + 1):
         points = [l_index + alpha for alpha in alphas(params)]
-        total = [f.zero] * k
-        for n, (alpha, u, payload) in enumerate(zip(alphas(params), points, payloads)):
+        row = []
+        for n, (alpha, u) in enumerate(zip(alphas(params), points)):
             weight = delta_except(alpha, params.L, l_index).inv()
             for m, v in enumerate(points):
                 if m != n:
                     weight = weight * v / (v - u)
-            block = payload[(l_index - 1) * k : l_index * k]
+            row.append(weight)
+        out.append(row)
+    return out
+
+
+def constant_terms(payloads: Sequence[Sequence[int]], params: CsaParams) -> list[list[Fe]]:
+    """Per block l, the unscaled queries evaluated at u = 0: block l of each
+    flat payload is divided by its query scale, and the N values at the
+    points u_n = l + alpha_n are interpolated at 0 by Lagrange's formula
+    (`check_weights`)."""
+    f, k = Field(params.p), params.K
+    out = []
+    for l_index, weights in enumerate(check_weights(params)):
+        total = [f.zero] * k
+        for weight, payload in zip(weights, payloads):
+            block = payload[l_index * k : (l_index + 1) * k]
             total = [acc + weight * q for acc, q in zip(total, block)]
         out.append(total)
     return out

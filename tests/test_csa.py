@@ -785,6 +785,7 @@ def test_kernel_outputs_match_their_pinned_digests(monkeypatch, order):
     rng = Random(24032)
     payloads = [tuple(rng.randrange(params.p) for _ in range(params.L * params.K)) for _ in range(params.N)]
     assert _digest(csa_mod.constant_terms(payloads, params)) == PINNED_CHECK
+    assert _digest(csa_mod.constant_terms(list(map(bytes, payloads)), params)) == PINNED_CHECK
 
 
 def test_constant_terms_of_replayed_transcripts_reduce_through_byte_tables(monkeypatch):
@@ -829,18 +830,61 @@ def test_constant_terms_match_a_lagrange_evaluation(bits):
 @pytest.mark.parametrize("bits", [16, 32, 64, 72])
 def test_constant_terms_lane_width_boundaries(monkeypatch, bits, servers):
     # At the largest modulus each width holds for N servers, every symbol
-    # and weight p - 1 makes every lane reach (p - 1) + N (p - 1)^2's
+    # and server factor p - 1 makes every lane reach (p - 1) + N (p - 1)^2's
     # N (p - 1)^2 exactly; it must not carry. Prime or not, as for `_mix`.
     limit, below, _ = _lane_limit(bits, servers)
     assert csa_mod._lane_bits(limit, servers) == bits
     k, blocks = 5, 3
     for p in (limit, below):
-        params = SimpleNamespace(N=servers, K=k, p=p)
-        table = SimpleNamespace(lanes={servers: bits}, check_weights=[[p - 1] * servers] * blocks)
+        params = SimpleNamespace(N=servers, K=k, L=blocks, p=p)
+        table = SimpleNamespace(
+            lanes={servers: bits}, server_factors=[p - 1] * servers, block_factors=[p - 1] * blocks
+        )
         monkeypatch.setattr(csa_mod, "_table", lambda _: table)
         payloads = [[p - 1] * (blocks * k)] * servers
-        want = ((servers * (p - 1) ** 2 % p,) * k,) * blocks
+        want = ((servers * (p - 1) ** 2 % p * (p - 1) % p,) * k,) * blocks
         assert csa_mod.constant_terms(payloads, params) == want
+
+
+@pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS + list(CHECK_LANES.values()))
+def test_check_factors_multiply_to_the_lagrange_weights_over_the_scales(n, k, x, t, p):
+    # P_l * c_n = lambda_{n,l} / s_{n,l}: the (l + alpha_n) in s_{n,l}
+    # cancels the one in lambda_{n,l}'s numerator.
+    params = CsaParams.make(n, k, x, t, p=p)
+    table = csa_mod._table(params)
+    got = [[b * c % params.p for c in table.server_factors] for b in table.block_factors]
+    assert got == [list(values(row)) for row in oracle.check_weights(params)]
+
+
+@pytest.mark.parametrize("bits", list(CHECK_LANES))
+def test_constant_terms_read_bytes_as_their_symbols(bits):
+    # Blocks of 32 symbols below 256 on each lane width, 32 and 64 bits among
+    # them (p = 1009 and 65537), where an `array` would read bytes as words.
+    n, _, x, t, p = CHECK_LANES[bits]
+    params = CsaParams.make(n, 32, x, t, p=p)
+    rng = Random(bits)
+    for _ in range(3):
+        payloads = [tuple(rng.randrange(min(p, 256)) for _ in range(params.L * 32)) for _ in range(n)]
+        want = csa_mod.constant_terms(payloads, params)
+        assert csa_mod.constant_terms(list(map(bytes, payloads)), params) == want
+        assert want == values(oracle.constant_terms(payloads, params))
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64, 72, 168])
+def test_pack_reads_bytes_as_their_symbols(bits):
+    for symbols in ([1, 2, 3], [1, 2, 3, 4], list(range(64)), [255] * 8):
+        assert csa_mod._pack(bytes(symbols), bits) == csa_mod._pack(symbols, bits)
+
+
+def test_duplicate_points_raise_in_the_check_on_every_call():
+    f = PrimeField(5)
+    params = CsaParams._unvalidated(
+        N=3, K=1, X=1, T=1, L=1, p=5, alphas=(f(0), f(1), f(1))
+    )
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not invertible"):
+            csa_mod.constant_terms([(0,)] * 3, params)
+        assert "server_factors" not in vars(csa_mod._table(params))  # the failure was not kept
 
 
 @pytest.mark.parametrize("n,k,x,t,p", KERNEL_POINTS)

@@ -849,6 +849,35 @@ def test_replay_rejects_a_query_symbol_the_lanes_would_take_before_packing(monke
     assert not called
 
 
+def test_replay_packs_the_kept_query_bytes(monkeypatch):
+    # At p = 41 the byte read keeps each query's bytes, which the check of
+    # theta packs as they are, with no tuple built back into bytes.
+    _, run = _lane_run(16)
+    packed, real = [], csa_mod._pack
+    monkeypatch.setattr(csa_mod, "_pack", lambda values, *args: packed.append(type(values)) or real(values, *args))
+    transcript, redecoded = replay(run.transcript.render())
+    assert redecoded == transcript.decoded
+    assert packed == [bytes] * transcript.N
+
+
+# Retrievals of 64-symbol queries in the two schemes that rebuild them to
+# check theta: the byte read keeps their bytes, which must compare as values.
+KEPT_BYTES_RUNS = {
+    "binary_n3": lambda: run_retrieval(64, tuple(Random(64).getrandbits(1) for _ in range(64)), 1, seed=0),
+    "sym_xspir": lambda: run_retrieval(SymXspirParams.make(1, 64), tuple(range(64)), 1, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(KEPT_BYTES_RUNS))
+def test_kept_query_bytes_retrieve_theta_by_value(name):
+    text = KEPT_BYTES_RUNS[name]().transcript.render()
+    transcript, redecoded = replay(text)
+    assert redecoded == transcript.decoded
+    assert all(isinstance(q._raw, bytes) for q in transcript.queries)
+    with pytest.raises(ValueError, match="do not retrieve message 2"):
+        replay(_THETA_2(text))
+
+
 def test_replays_with_one_header_eliminate_once(monkeypatch):
     texts = [_csa_run(seed=s, theta=1 + s % 2)[1].transcript.render() for s in (0, 1)]
     calls = []
