@@ -72,7 +72,8 @@ from itertools import combinations, count, product
 from math import comb, log10
 from random import Random
 from . import affine
-from .scheme import BinaryScheme, CsaScheme, DownloadAllScheme, Scheme, SymXspirScheme
+from .scheme import (DEFAULT_CAP, BinaryScheme, CsaScheme, DownloadAllScheme, OverCap, Scheme,
+                     SymXspirScheme)
 
 X_SECURITY = "X_SECURITY"
 T_PRIVACY = "T_PRIVACY"
@@ -89,13 +90,8 @@ WORK_UNITS = {
     ENUMERATION: "realizations",
 }
 
-DEFAULT_CAP = 1 << 24
 DEFAULT_SAMPLES = 20000
 FULL_DIGITS = 30
-
-
-class OverCap(ValueError):
-    """An exact computation past its work cap, with no sampled fallback."""
 
 
 def _figure(n: int) -> str:

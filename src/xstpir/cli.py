@@ -4,10 +4,13 @@ Subcommands: retrieve (run one retrieval, write the transcript), audit (run
 a distribution audit, write the report), rate (empirical download rate),
 capacity (exact bounds and achieved rates), bench (CSV rate curves over N).
 
-Exit codes: 0 on success, 1 when an audit fails, 2 on usage errors. Every
-numeric option can also come from a key=value config file ('#' starts a
-comment); explicit flags win over the file. The default seed comes from the
-XSTPIR_SEED environment variable when set.
+Exit codes: 0 on success, 1 when an audit fails, 2 on usage errors. Any
+option of retrieve, audit and rate can also come from a key=value config
+file ('#' starts a comment), read as the flags `-K=v` or `--key=v` (`_` read
+as `-`) put before the command line's, which win; the subcommand's parser
+checks them as it checks any flag. Types, choices and defaults live only
+in `build_parser`. The default seed comes from the XSTPIR_SEED environment
+variable when set.
 """
 
 from __future__ import annotations
@@ -39,9 +42,37 @@ class UsageError(ValueError):
     """Bad command line or config: reported on stderr with exit code 2."""
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and '#' comments are ignored."""
-    values: dict[str, str] = {}
+class _FileParser(argparse.ArgumentParser):
+    """The parser a config file's flags are checked by: its errors are
+    UsageErrors, and it has no -h and takes no abbreviated option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**{**kwargs, "add_help": False, "allow_abbrev": False})
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def integer(raw: str) -> int:
+    """int, named so that argparse reports `invalid integer value`."""
+    return int(raw)
+
+
+def boolean(raw: str) -> bool:
+    """true/false/1/0, any case."""
+    if raw.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(raw)
+    return raw.lower() in ("true", "1")
+
+
+# A flag that is true when given bare and takes a `boolean` value.
+SWITCH = {"nargs": "?", "const": True, "default": False, "type": boolean, "metavar": "BOOL"}
+
+
+def read_config_file(path: str) -> list[str]:
+    """The flags of a file's key=value lines, `-K=v` or `--key=v` with `_`
+    read as `-`; blank lines and '#' comments are ignored."""
+    flags = []
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -52,44 +83,20 @@ def read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+        key, value = (part.strip() for part in line.split("=", 1))
+        flags.append(f"{'-' if len(key) == 1 else '--'}{key.replace('_', '-')}={value}")
+    return flags
 
 
-_INT_KEYS = ("N", "K", "X", "T", "seed", "theta", "prime", "trials", "samples",
-             "cap", "subset_size", "n_min", "n_max")
-_BOOL_KEYS = ("exhaustive", "sampled")
-_STR_KEYS = ("scheme", "property", "out")
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then parse value types."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, raw in file_values.items():
-        attr = key.replace("-", "_")
-        if attr not in vars(args):
-            raise UsageError(f"config key {key!r} is not an option of this command")
-        if attr in _BOOL_KEYS:
-            # store_true flags default to False, so False means "not given".
-            if getattr(args, attr):
-                continue
-            if raw.lower() not in ("true", "false", "0", "1"):
-                raise UsageError(f"config key {key!r} wants true/false, got {raw!r}")
-            setattr(args, attr, raw.lower() in ("true", "1"))
-            continue
-        if getattr(args, attr) is not None:
-            continue  # explicit flag wins
-        if attr in _INT_KEYS:
-            try:
-                setattr(args, attr, int(raw))
-            except ValueError:
-                raise UsageError(f"config key {key!r} wants an integer, got {raw!r}")
-        elif attr in _STR_KEYS:
-            setattr(args, attr, raw)
-        else:
-            raise UsageError(f"config key {key!r} is not recognized")
-    return args
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The flags of the config file, checked as the subcommand checks flags."""
+    flags = read_config_file(args.config)
+    try:
+        if build_parser(_FileParser).parse_args([args.command, *flags]).config is not None:
+            raise UsageError("a config file cannot set config")
+    except UsageError as exc:
+        raise UsageError(f"config file {args.config}: {exc}") from None
+    return flags
 
 
 def _default_seed() -> int:
@@ -102,38 +109,26 @@ def _default_seed() -> int:
 
 def _scheme_and_seed(args: argparse.Namespace) -> tuple[Scheme, int]:
     """The scheme the options name, at their dimensions and modulus, and the
-    seed; out-of-regime dimensions are a UsageError. The scheme is checked
-    here because argparse's choices never see a config file's value."""
+    seed; out-of-regime dimensions and a theta past K are a UsageError."""
     missing = [name for name in ("scheme", "N", "K", "X", "T")
                if getattr(args, name) is None]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join(missing)}")
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.scheme not in REGISTRY:
-        raise UsageError(f"unknown scheme {args.scheme!r}; pick one of {SCHEMES}")
     try:
-        return REGISTRY[args.scheme].make(args.N, args.K, args.X, args.T, p=args.prime), seed
+        scheme = REGISTRY[args.scheme].make(args.N, args.K, args.X, args.T, p=args.prime)
+        scheme.check_theta(getattr(args, "theta", 1))  # audit takes no theta
     except ValueError as exc:  # InsufficientFieldError included
         raise UsageError(str(exc)) from exc
+    return scheme, seed
 
 
 def _fmt(value: Fraction) -> str:
     return f"{value} ({float(value):.6f})"
 
 
-def _theta(args: argparse.Namespace, scheme: Scheme) -> int:
-    theta = args.theta if args.theta is not None else 1
-    try:
-        scheme.check_theta(theta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return theta
-
-
-def _positive(args: argparse.Namespace, name: str, default: int) -> int:
+def _positive(args: argparse.Namespace, name: str) -> int:
     value = getattr(args, name)
-    if value is None:
-        return default
     if value < 1:
         raise UsageError(f"--{name} must be >= 1, got {value}")
     return value
@@ -141,13 +136,11 @@ def _positive(args: argparse.Namespace, name: str, default: int) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     scheme, seed = _scheme_and_seed(args)
-    theta = _theta(args, scheme)
     rng = Random(seed)
     messages = scheme.messages.sample(rng)
-    run = sim.run_retrieval(scheme.params, messages, theta, seed, rng=rng)
+    run = sim.run_retrieval(scheme.params, messages, args.theta, seed, rng=rng)
     t = run.transcript
-    out = args.out if args.out is not None else "transcript.txt"
-    Path(out).write_text(t.render())
+    Path(args.out).write_text(t.render())
     print(f"scheme {t.scheme} N={t.N} K={t.K} X={t.X} T={t.T} p={t.p} L={t.L} "
           f"theta={t.theta} seed={t.seed}")
     print(f"plaintext {' '.join(map(str, run.plaintext))}")
@@ -157,7 +150,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
           f"(total {t.total_downloaded})")
     rate = Fraction(t.L, t.total_downloaded) if t.total_downloaded else Fraction(0)
     print(f"rate this retrieval: {_fmt(rate)}")
-    print(f"transcript written to {out}")
+    print(f"transcript written to {args.out}")
     return 0
 
 
@@ -166,10 +159,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     prop = args.property
     if prop is None:
         raise UsageError(f"--property is required; pick one of {PROPERTIES}")
-    cap = args.cap if args.cap is not None else audit_mod.DEFAULT_CAP
-    samples = _positive(args, "samples", audit_mod.DEFAULT_SAMPLES)
+    samples = _positive(args, "samples")
     auditor, kind = AUDITS[prop]
-    kwargs = {"cap": cap, "samples": samples, "seed": seed, "fallback": bool(args.sampled)}
+    kwargs = {"cap": args.cap, "samples": samples, "seed": seed, "fallback": args.sampled}
     if args.subset_size is not None:
         if kind not in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
             raise UsageError(f"--subset-size applies to security and privacy, not {prop}")
@@ -183,26 +175,23 @@ def cmd_audit(args: argparse.Namespace) -> int:
         sampled = audit_mod.exact_engine(inst, kind) != audit_mod.ENUMERATION
         hint = "rerun with --sampled (or raise --cap)" if sampled else "raise --cap"
         raise UsageError(f"{exc}; {hint} to proceed") from exc
-    out = args.out if args.out is not None else "audit_report.txt"
-    Path(out).write_text(report.render())
+    Path(args.out).write_text(report.render())
     sys.stdout.write(report.render())
-    print(f"report written to {out}")
+    print(f"report written to {args.out}")
     return 0 if report.passed else 1
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
     scheme, seed = _scheme_and_seed(args)
-    theta = _theta(args, scheme)
-    exhaustive = bool(args.exhaustive)
-    trials = _positive(args, "trials", 1000)
+    trials = _positive(args, "trials")
     try:
         measured = sim.empirical_rate(
-            scheme.params, exhaustive=exhaustive, trials=trials, seed=seed, theta=theta
+            scheme.params, exhaustive=args.exhaustive, trials=trials, seed=seed, theta=args.theta
         )
     except audit_mod.OverCap as exc:
         raise UsageError(f"{exc}; rerun without --exhaustive to sample --trials retrievals") from exc
     closed = scheme.closed_form_rate()
-    mode = "exhaustive" if exhaustive else f"sampled over {trials} trials"
+    mode = "exhaustive" if args.exhaustive else f"sampled over {trials} trials"
     print(f"scheme {scheme.name} N={scheme.N} K={scheme.K} X={scheme.X} T={scheme.T}")
     print(f"empirical rate ({mode}): {_fmt(measured)}")
     print(f"closed form: {_fmt(closed)}")
@@ -251,8 +240,7 @@ def _best_achieved(n, k, x, t, bound):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    n_min = args.n_min if args.n_min is not None else 3
-    n_max = args.n_max if args.n_max is not None else 100
+    n_min, n_max = args.n_min, args.n_max
     if n_min < 3 or n_max < n_min:
         raise UsageError("need 3 <= n-min <= n-max")
     lines = ["N,mds_best_M,mds_best_num,mds_best_den,mds_best,sqrt_bound,"
@@ -278,19 +266,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _add_scheme_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
-    p.add_argument("-N", type=int, default=None, help="number of servers")
-    p.add_argument("-K", type=int, default=None, help="number of messages")
-    p.add_argument("-X", type=int, default=None, help="storage security threshold")
-    p.add_argument("-T", type=int, default=None, help="query privacy threshold")
-    p.add_argument("--prime", type=int, default=None, help="field modulus override")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: $XSTPIR_SEED or 0)")
-    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("-N", type=integer, help="number of servers")
+    p.add_argument("-K", type=integer, help="number of messages")
+    p.add_argument("-X", type=integer, help="storage security threshold")
+    p.add_argument("-T", type=integer, help="query privacy threshold")
+    p.add_argument("--prime", type=integer, help="field modulus override")
+    p.add_argument("--seed", type=integer, help="RNG seed (default: $XSTPIR_SEED or 0)")
+    p.add_argument("--config", help="key=value config file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = cls(
         prog="xstpir",
         description="X-secure T-private information retrieval: schemes, audits, rates.",
     )
@@ -298,52 +285,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="run one retrieval and write its transcript")
     _add_scheme_options(p)
-    p.add_argument("--theta", type=int, default=None, help="message index, 1-based")
-    p.add_argument("--out", default=None, help="transcript path (default transcript.txt)")
+    p.add_argument("--theta", type=integer, default=1,
+                   help="message index, 1-based (default: %(default)s)")
+    p.add_argument("--out", default="transcript.txt",
+                   help="transcript path (default: %(default)s)")
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("audit", help="run a distribution audit and write its report")
     _add_scheme_options(p)
-    p.add_argument("--property", choices=PROPERTIES, default=None)
-    p.add_argument("--subset-size", dest="subset_size", type=int, default=None,
-                   help="override the audited collusion size")
-    p.add_argument("--sampled", action="store_true",
-                   help="allow the randomized fallback beyond the cap")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None,
-                   help="max work of the exact audit")
-    p.add_argument("--out", default=None, help="report path (default audit_report.txt)")
+    p.add_argument("--property", choices=PROPERTIES)
+    p.add_argument("--subset-size", type=integer, help="override the audited collusion size")
+    p.add_argument("--sampled", **SWITCH, help="allow the randomized fallback beyond the cap")
+    p.add_argument("--samples", type=integer, default=audit_mod.DEFAULT_SAMPLES,
+                   help="draws of the sampled fallback (default: %(default)s)")
+    p.add_argument("--cap", type=integer, default=audit_mod.DEFAULT_CAP,
+                   help="max work of the exact audit (default: %(default)s)")
+    p.add_argument("--out", default="audit_report.txt",
+                   help="report path (default: %(default)s)")
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("rate", help="measure the download rate")
     _add_scheme_options(p)
-    p.add_argument("--theta", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="enumerate the query randomness exactly")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--theta", type=integer, default=1,
+                   help="message index, 1-based (default: %(default)s)")
+    p.add_argument("--exhaustive", **SWITCH, help="enumerate the query randomness exactly")
+    p.add_argument("--trials", type=integer, default=1000,
+                   help="sampled retrievals (default: %(default)s)")
     p.set_defaults(fn=cmd_rate)
 
     p = sub.add_parser("capacity", help="print exact bounds and achieved rates")
-    p.add_argument("-N", type=int, default=None)
-    p.add_argument("-K", type=int, default=None, help="omit for the asymptotic row only")
-    p.add_argument("-X", type=int, default=None)
-    p.add_argument("-T", type=int, default=None)
+    p.add_argument("-N", type=integer)
+    p.add_argument("-K", type=integer, help="omit for the asymptotic row only")
+    p.add_argument("-X", type=integer)
+    p.add_argument("-T", type=integer)
     p.set_defaults(fn=cmd_capacity)
 
     p = sub.add_parser("bench", help="CSV rate curves over a range of N (X=T=1)")
-    p.add_argument("--n-min", dest="n_min", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    p.add_argument("--n-min", type=integer, default=3, help="(default: %(default)s)")
+    p.add_argument("--n-max", type=integer, default=100, help="(default: %(default)s)")
+    p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(fn=cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "config"):
-            args = _merge_config(args)
+        if getattr(args, "config", None):
+            args = parser.parse_args([args.command, *_config_flags(args), *argv[1:]])
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

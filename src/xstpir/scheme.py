@@ -32,6 +32,14 @@ from .field import Space, reshape
 from .special import DownloadAllParams, SymXspirParams
 
 Payload = tuple[int, ...]
+# The most work an exact computation (an audit engine, an exhaustive rate)
+# takes on before it refuses with OverCap.
+DEFAULT_CAP = 1 << 24
+
+
+class OverCap(ValueError):
+    """An exact computation past its work cap, with no sampled fallback."""
+
 # Schemes kept per params value (and per dimensions); a run uses one or a few.
 _SCHEMES = 16
 

@@ -52,9 +52,8 @@ from operator import itemgetter
 from random import Random
 from typing import Sequence
 
-from .audit import DEFAULT_CAP, OverCap
 from .field import record
-from .scheme import Payload, Scheme, for_params, from_header
+from .scheme import DEFAULT_CAP, OverCap, Payload, Scheme, for_params, from_header
 
 KIND_QUERY = "QUERY"
 KIND_ANSWER = "ANSWER"
@@ -463,7 +462,7 @@ def empirical_rate(
     the download count (a server downloads nothing exactly when its query
     payload is all zero); sampled mode runs `trials` full retrievals with
     seeds seed, seed+1, ... Exhaustive mode refuses (OverCap) more than
-    the audits' DEFAULT_CAP query realizations, before enumerating them.
+    DEFAULT_CAP query realizations, before enumerating them.
     A theta outside 1..K or `trials` below 1 raises ValueError first, in
     either mode.
     """

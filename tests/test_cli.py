@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -592,6 +593,90 @@ def test_config_type_errors(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["rate", "--config", str(cfg)], capsys)
     assert code == 2
     assert "trials must be >= 1" in err
+
+
+CSA_CFG = "scheme = csa\nN = 4\nK = 2\nX = 1\nT = 1\n"
+
+
+@pytest.mark.parametrize("command,line", [
+    ("audit", "property = bogus"),
+    ("audit", "scheme = bogus"),
+    ("audit", "sampled = maybe"),
+    ("rate", "exhaustive = maybe"),
+    ("retrieve", "N = five"),
+    ("audit", "samples = 0"),
+    ("rate", "trials = 0"),
+    ("retrieve", "width = 4"),
+])
+def test_bad_config_values_exit_2_without_a_traceback(command, line, tmp_path, capsys,
+                                                      monkeypatch):
+    # the file is checked by the parser that checks flags: before, an
+    # unknown property reached the audit table and raised KeyError
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CSA_CFG + ("property = security\n" if command == "audit" else "") + line + "\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert line.split()[0] in err or line.split()[-1] in err
+    assert "Traceback" not in err
+
+
+def _as_flags(options):
+    """Command-line flags for config-file options: a true switch is bare."""
+    flags = []
+    for key, value in options.items():
+        flag = ("-" if len(key) == 1 else "--") + key.replace("_", "-")
+        flags += [flag] if value == "true" else [flag, value]
+    return flags
+
+
+@pytest.mark.parametrize("command,options", [
+    ("retrieve", {"scheme": "csa", "N": "5", "K": "2", "X": "1", "T": "1", "theta": "2",
+                  "seed": "7", "out": "t.txt"}),
+    ("audit", {"scheme": "csa", "N": "4", "K": "2", "X": "1", "T": "1", "property": "privacy",
+               "subset_size": "1", "sampled": "true", "cap": "0", "samples": "3", "seed": "3",
+               "out": "r.txt"}),
+    ("audit", {"scheme": "binary_n3", "N": "3", "K": "2", "X": "1", "T": "1",
+               "property": "security", "out": "r.txt"}),
+    ("rate", {"scheme": "binary_n3", "N": "3", "K": "2", "X": "1", "T": "1", "theta": "2",
+              "exhaustive": "true"}),
+    ("rate", {"scheme": "csa", "N": "4", "K": "2", "X": "1", "T": "1", "trials": "20",
+              "seed": "1"}),
+])
+def test_config_file_and_flags_give_identical_runs(command, options, tmp_path, capsys,
+                                                   monkeypatch):
+    results = []
+    for way in ("file", "flags"):
+        (tmp_path / way).mkdir()
+        monkeypatch.chdir(tmp_path / way)
+        if way == "file":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+            argv = [command, "--config", str(cfg)]
+        else:
+            argv = [command, *_as_flags(options)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        written = sorted((path.name, path.read_bytes()) for path in Path.cwd().iterdir())
+        results.append((out, written))
+    assert results[0] == results[1]
+    assert results[0][1] or command == "rate"
+
+
+def test_command_line_property_and_sampled_beat_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(CSA_CFG + "property = correctness\nsampled = false\ncap = 0\n")
+    code, _, err = run_cli(["audit", "--config", str(cfg), "--property", "security"], capsys)
+    assert code == 2
+    assert "rerun with --sampled" in err
+    code, out, _ = run_cli(
+        ["audit", "--config", str(cfg), "--property", "security", "--sampled"], capsys
+    )
+    assert code == 0
+    assert out.startswith("property X_SECURITY\n")
+    assert "exhaustive false" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Package-wide rules checked on the source: the package imports only the
 standard library and itself (relatively), so it runs on a bare Python and
-numpy stays optional; and a field symbol has one representation, an int
-in range(p), so no element class comes back beside it."""
+numpy stays optional; `import xstpir` leaves the audit engine out; and a
+field symbol has one representation, an int in range(p), so no element
+class comes back beside it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+from xstpir import audit, scheme
 from xstpir.field import PrimeField
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xstpir"
@@ -46,6 +50,19 @@ def test_the_guard_sees_imports_at_any_depth(tmp_path):
     )
     outside = [m for _, m in _absolute_imports(source) if m not in sys.stdlib_module_names]
     assert sorted(outside) == ["numpy", "pandas", "xstpir"]
+
+
+def test_import_xstpir_leaves_the_audit_engine_out():
+    # sim takes the work cap from scheme, so a retrieval never compiles
+    # audit and affine; audit's names for the cap are the same objects
+    code = "import sys, xstpir; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = proc.stdout.split()
+    assert "xstpir.sim" in loaded
+    assert "xstpir.audit" not in loaded and "xstpir.affine" not in loaded
+    assert audit.DEFAULT_CAP is scheme.DEFAULT_CAP and audit.OverCap is scheme.OverCap
 
 
 # Names of a second field representation: the element objects, which live
