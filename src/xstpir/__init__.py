@@ -34,8 +34,6 @@ from .capacity import (
 from .csa import (
     CsaParams,
     MessageSet,
-    QueryNoise,
-    StorageNoise,
     StorageShare,
     answer,
     choose_alphas,
@@ -75,8 +73,8 @@ from .special import (
 __all__ = [
     "CsaParams", "DownloadAllParams",
     "FieldMismatchError", "InsufficientFieldError", "MessageSet",
-    "PrimeField", "ProtocolInvariantError", "QueryNoise",
-    "RetrievalRun", "SingularMatrixError", "StorageNoise", "StorageShare",
+    "PrimeField", "ProtocolInvariantError", "RetrievalRun",
+    "SingularMatrixError", "StorageShare",
     "SymXspirParams", "Transcript", "WireMessage", "answer",
     "build_B", "c_n3", "c_pir", "c_tpir", "choose_alphas",
     "collude", "decode", "decoding_matrix", "delta", "delta_except",

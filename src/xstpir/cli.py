@@ -165,8 +165,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.subset_size is not None:
         if kind not in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
             raise UsageError(f"--subset-size applies to security and privacy, not {prop}")
-        if not 1 <= args.subset_size <= inst.N:
-            raise UsageError(f"--subset-size must be in 1..{inst.N}, got {args.subset_size}")
         kwargs["subset_size"] = args.subset_size
     try:
         report = auditor(inst, **kwargs)
@@ -175,6 +173,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         sampled = audit_mod.exact_engine(inst, kind) != audit_mod.ENUMERATION
         hint = "rerun with --sampled (or raise --cap)" if sampled else "raise --cap"
         raise UsageError(f"{exc}; {hint} to proceed") from exc
+    except ValueError as exc:  # a subset size outside 1..N, given or the default X = 0
+        raise UsageError(str(exc)) from exc
     Path(args.out).write_text(report.render())
     sys.stdout.write(report.render())
     print(f"report written to {args.out}")

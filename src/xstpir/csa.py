@@ -17,10 +17,12 @@ vanishes.
 Representation: every symbol is an int in range(p), the evaluation points
 and the messages included. Noise, shares, queries, answers and decoded
 symbols are ints too, and the storage, query, answer and decode maps run on
-them; a server's share and query are each one flat payload of L blocks of K
-symbols, from the kernel to the wire: the share held in a `StorageShare`,
-the query a bare tuple, as it travels. Its answer is their dot product, and
-decode returns the L desired symbols as a tuple.
+them; the noise is the nested tuple the scheme's `Space` builds, z[l][j] a
+K-vector, whose shape each map checks once. A server's share and query are
+each one flat payload of L blocks of K symbols, from the kernel to the
+wire: the share held in a `StorageShare`, the query a bare tuple, as it
+travels. Its answer is their dot product, and decode returns the L desired
+symbols as a tuple.
 What those maps need from the parameters alone (the points l + alpha_n,
 their powers, the query scales, the desired rows of the inverse decoding
 matrix and the check's factors) sits in one table per params value,
@@ -233,67 +235,6 @@ class MessageSet(record("symbols", "p")):
         return cls(((0,) * length,) * k, field.modulus)
 
 
-class _Noise(record("z")):
-    """Uniform noise: z[l][j] is a K-vector of ints in range(p), for l in
-    1..L and j in 1..J, with J given by the subclass's `_shape`. The grid
-    is checked once, here, to be a box: one J per block, one length per
-    vector. Its (L, J, K) is then read off its first vector (`check`)."""
-
-    __slots__ = ()
-    kind = ""
-
-    def __init__(self, z: tuple[tuple[tuple[int, ...], ...], ...]):
-        if len(set(map(len, z))) > 1 or len(set(map(len, chain.from_iterable(z)))) > 1:
-            raise ValueError(f"{self.kind} noise has wrong shape")
-        self._z = z
-
-    @staticmethod
-    def _shape(params: CsaParams) -> tuple[int, int, int]:
-        raise NotImplementedError
-
-    def check(self, params: CsaParams) -> None:
-        """ValueError unless the grid's shape is `_shape(params)`."""
-        z, (blocks, depth, k) = self.z, self._shape(params)
-        if len(z) != blocks or len(z[0]) != depth or len(z[0][0]) != k:
-            raise ValueError(f"{self.kind} noise has wrong shape")
-
-    @classmethod
-    def space(cls, params: CsaParams) -> Space:
-        shape = cls._shape(params)
-        return Space(params.p, shape[0] * shape[1] * shape[2], lambda v: cls(reshape(v, shape)))
-
-    @classmethod
-    def random(cls, params: CsaParams, rng: Random):
-        return cls.space(params).sample(rng)
-
-    @classmethod
-    def zeros(cls, params: CsaParams):
-        space = cls.space(params)
-        return space.build([0] * space.count)
-
-
-class StorageNoise(_Noise):
-    """Storage-side noise: z[l][x] is a K-vector, for l in 1..L, x in 1..X."""
-
-    __slots__ = ()
-    kind = "storage"
-
-    @staticmethod
-    def _shape(params: CsaParams) -> tuple[int, int, int]:
-        return (params.L, params.X, params.K)
-
-
-class QueryNoise(_Noise):
-    """Query-side noise: z[l][t] is a K-vector, for l in 1..L, t in 1..T."""
-
-    __slots__ = ()
-    kind = "query"
-
-    @staticmethod
-    def _shape(params: CsaParams) -> tuple[int, int, int]:
-        return (params.L, params.T, params.K)
-
-
 class StorageShare(record("payload", "p", "k")):
     """What one server stores: its L mixed K-vectors as one flat payload,
     ints in range(p); rows[l] is block l's. Its place in the `storage`
@@ -311,6 +252,8 @@ class StorageShare(record("payload", "p", "k")):
 
 # Params values whose tables are kept; a run uses one or a few.
 _TABLES = 16
+# Noise z[l][j]: per block l (of L) and term j (of X or T) a K-vector.
+Noise = Sequence[Sequence[Sequence[int]]]
 
 
 class _Table:
@@ -440,7 +383,7 @@ def _unpack(accs: Sequence[int], count: int, bits: int, p: int) -> Sequence[int]
 def _mix(
     table: _Table,
     bases: Sequence[Sequence[int]],
-    z: Sequence[Sequence[Sequence[int]]],
+    z: Noise,
     weights: list[list[tuple[int, ...]]],
 ) -> list[tuple[int, ...]]:
     """Per server n, one flat payload of the L vectors c_0 base_l + sum_j
@@ -461,42 +404,48 @@ def _mix(
     return [tuple(lanes[i : i + step]) for i in range(0, len(lanes), step)]
 
 
-def encode_storage(
-    messages: MessageSet, noise: StorageNoise, params: CsaParams
-) -> tuple[StorageShare, ...]:
+def _check_noise(z: Noise, shape: tuple[int, int, int], kind: str) -> None:
+    """ValueError unless the noise z[l][j] is a box of `shape`: its blocks,
+    one depth for every block, one length for every K-vector."""
+    blocks, depth, k = shape
+    if len(z) != blocks or set(map(len, z)) != {depth} or set(map(len, chain.from_iterable(z))) != {k}:
+        raise ValueError(f"{kind} noise has wrong shape")
+
+
+def encode_storage(messages: MessageSet, noise: Noise, params: CsaParams) -> tuple[StorageShare, ...]:
     """Mix messages with noise into one share per server.
 
-    Share row l at server n is column(l) + sum over x of (l + alpha_n)^x z[l][x].
-    Any X of these shares are an invertible linear image of the noise alone,
-    which is what makes the storage X-secure.
+    Share row l at server n is column(l) + sum over x of (l + alpha_n)^x z[l][x],
+    with the noise z[l][x] a K-vector of ints in range(p), for l in 1..L and
+    x in 1..X. Any X of these shares are an invertible linear image of the
+    noise alone, which is what makes the storage X-secure.
     """
     messages.check(params)
-    noise.check(params)
+    _check_noise(noise, (params.L, params.X, params.K), "storage")
     try:
         table = _table(params)
-        rows = _mix(table, list(zip(*messages.symbols)), noise.z, table.powers)
+        rows = _mix(table, list(zip(*messages.symbols)), noise, table.powers)
     except TypeError as exc:
         raise ValueError(f"storage noise must hold ints in range({params.p})") from exc
     return tuple(StorageShare(r, params.p, params.K) for r in rows)
 
 
-def gen_queries(
-    theta: int, qnoise: QueryNoise, params: CsaParams
-) -> tuple[tuple[int, ...], ...]:
+def gen_queries(theta: int, qnoise: Noise, params: CsaParams) -> tuple[tuple[int, ...], ...]:
     """Build the N flat query payloads for retrieving message theta (1-based).
 
-    Query column l at server n is the unit vector for theta plus noise
-    weighted by powers of (l + alpha_n), all scaled by the product of every
-    (i + alpha_n) with i != l. Any T queries are uniform and independent of
-    theta, which is what makes them T-private.
+    Query column l at server n is the unit vector for theta plus the noise
+    z'[l][t], K-vectors of ints in range(p) for t in 1..T, weighted by
+    powers of (l + alpha_n), all scaled by the product of every (i + alpha_n)
+    with i != l. Any T queries are uniform and independent of theta, which
+    is what makes them T-private.
     """
     if not 1 <= theta <= params.K:
         raise ValueError(f"theta must be in 1..{params.K}")
-    qnoise.check(params)
+    _check_noise(qnoise, (params.L, params.T, params.K), "query")
     unit = [int(k == theta) for k in range(1, params.K + 1)]
     table = _table(params)
     try:
-        return tuple(_mix(table, [unit] * params.L, qnoise.z, table.query_weights))
+        return tuple(_mix(table, [unit] * params.L, qnoise, table.query_weights))
     except TypeError as exc:
         raise ValueError(f"query noise must hold ints in range({params.p})") from exc
 

@@ -11,8 +11,7 @@ scheme, its parameters and its messages; the maps reduce mod p where they
 sum and return ints in range(p). One elimination, `eliminate_mod`, gives
 ranks; `solve_linear` finishes it by back substitution for solutions and
 inverses. `record` is the one pattern of the package's per-call value
-records (csa's shares, queries, messages, noise and decoded symbols, and
-the wire's messages).
+records (csa's messages and shares, and the wire's messages).
 """
 
 from __future__ import annotations

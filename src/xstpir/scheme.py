@@ -23,11 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count
+from math import prod
 from operator import mul
 from typing import Sequence
 
 from . import capacity, csa, special
-from .csa import CsaParams, MessageSet, QueryNoise, StorageNoise
+from .csa import CsaParams, MessageSet
 from .field import Space, reshape
 from .special import DownloadAllParams, SymXspirParams
 
@@ -85,15 +86,11 @@ class Scheme:
     def make(cls, N: int, K: int, X: int, T: int, p: int | None = None) -> "Scheme":
         """The scheme at these dimensions, one per class and dimensions and
         shared, so callers must not mutate it; ValueError names the regime
-        it needs."""
-        for key, value in (("N", N), ("K", K), ("X", X), ("T", T)):
-            if value < 1:
-                raise ValueError(f"{key} must be a positive integer, got {value}")
+        it needs, as the params (or `_make`) check it."""
         return cls._make(N, K, X, T, p)
 
     @classmethod
     def _make(cls, N: int, K: int, X: int, T: int, p: int | None) -> "Scheme":
-        # the params check their own regime
         return cls(cls.params_type.make(N, K, X, T, p=p))
 
     @property
@@ -165,8 +162,10 @@ class CsaScheme(Scheme):
         self.N, self.K, self.X, self.T = params.N, params.K, params.X, params.T
         self.p, self.L = params.p, params.L
         self.messages = MessageSet.space(params.K, params.L, params.field)
-        self.storage_noises = StorageNoise.space(params)
-        self.query_randomness = QueryNoise.space(params)
+        # z[l][x] and z'[l][t]: the K-vectors of noise of block l + 1.
+        storage, query = (params.L, params.X, params.K), (params.L, params.T, params.K)
+        self.storage_noises = Space(self.p, prod(storage), lambda v: reshape(v, storage))
+        self.query_randomness = Space(self.p, prod(query), lambda v: reshape(v, query))
         self.query_symbols = params.L * params.K
         self.query_alphabet = range(self.p)
 

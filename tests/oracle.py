@@ -16,13 +16,16 @@ from typing import Iterator, Sequence
 from xstpir.csa import (
     CsaParams,
     MessageSet,
-    QueryNoise,
-    StorageNoise,
     answer,
     encode_storage,
     gen_queries,
 )
 from xstpir.field import FieldMismatchError, SingularMatrixError, is_prime
+from xstpir.scheme import CsaScheme
+
+# csa's noise as its Space builds it: z[l][j] is a K-vector of ints in
+# range(p), for block l and noise term j (x in 1..X, or t in 1..T).
+Noise = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class Field:
@@ -349,8 +352,8 @@ def constant_terms(payloads: Sequence[Sequence[int]], params: CsaParams) -> list
 def interference_aligned(
     params: CsaParams,
     messages: MessageSet,
-    noise: StorageNoise,
-    qnoise: QueryNoise,
+    noise: Noise,
+    qnoise: Noise,
     theta: int,
 ) -> bool:
     """Check the alignment identity on a full round of honest answers.
@@ -382,14 +385,30 @@ def iter_messages(params: CsaParams) -> Iterator[MessageSet]:
     return iter(MessageSet.space(params.K, params.L, params.field))
 
 
-def iter_storage_noise(params: CsaParams) -> Iterator[StorageNoise]:
+def iter_storage_noise(params: CsaParams) -> Iterator[Noise]:
     """All p^(L*X*K) storage-noise realizations."""
-    return iter(StorageNoise.space(params))
+    return iter(CsaScheme(params).storage_noises)
 
 
-def iter_query_noise(params: CsaParams) -> Iterator[QueryNoise]:
+def iter_query_noise(params: CsaParams) -> Iterator[Noise]:
     """All p^(L*T*K) query-noise realizations."""
-    return iter(QueryNoise.space(params))
+    return iter(CsaScheme(params).query_randomness)
+
+
+def _noise(space, rng) -> Noise:
+    return space.sample(rng) if rng is not None else space.build([0] * space.count)
+
+
+def storage_noise(params: CsaParams, rng=None) -> Noise:
+    """Storage noise z[l][x] as a retrieval draws it from `rng`; without one,
+    all zeros."""
+    return _noise(CsaScheme(params).storage_noises, rng)
+
+
+def query_noise(params: CsaParams, rng=None) -> Noise:
+    """Query noise z'[l][t] as a retrieval draws it from `rng`; without one,
+    all zeros."""
+    return _noise(CsaScheme(params).query_randomness, rng)
 
 
 # ---------------------------------------------------------------------------

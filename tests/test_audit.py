@@ -36,7 +36,7 @@ from xstpir.audit import (
     estimate_work,
     exact_engine,
 )
-from xstpir.csa import CsaParams, MessageSet, QueryNoise
+from xstpir.csa import CsaParams, MessageSet
 from xstpir.field import PrimeField
 from xstpir.special import DownloadAllParams, SymXspirParams
 
@@ -657,7 +657,7 @@ class _CollapsedQueryNoise(CsaInstance):
     share payloads (at (3,2,1,1), 5 payloads a theta for 25 realizations)."""
 
     def queries(self, theta, randomness):
-        values = list(chain.from_iterable(chain.from_iterable(randomness.z)))
+        values = list(chain.from_iterable(chain.from_iterable(randomness)))
         collapsed = [sum(values) % self.p] + [0] * (len(values) - 1)
         return super().queries(theta, self.query_randomness.build(collapsed))
 
@@ -760,8 +760,8 @@ class _SquaresMessages(CsaInstance):
 
 class _SquaresQueryNoise(CsaInstance):
     def queries(self, theta, randomness):
-        z = tuple(tuple(tuple(v * v % self.p for v in k) for k in t) for t in randomness.z)
-        return super().queries(theta, QueryNoise(z))
+        z = tuple(tuple(tuple(v * v % self.p for v in k) for k in t) for t in randomness)
+        return super().queries(theta, z)
 
 
 class _NoiseDependsOnTheta(CsaInstance):
@@ -769,8 +769,8 @@ class _NoiseDependsOnTheta(CsaInstance):
 
     def queries(self, theta, randomness):
         scale = 2 if theta == 2 else 1
-        z = tuple(tuple(tuple(v * scale % self.p for v in k) for k in t) for t in randomness.z)
-        return super().queries(theta, QueryNoise(z))
+        z = tuple(tuple(tuple(v * scale % self.p for v in k) for k in t) for t in randomness)
+        return super().queries(theta, z)
 
 
 class _NoiseReversedForTheta2(CsaInstance):
@@ -780,7 +780,7 @@ class _NoiseReversedForTheta2(CsaInstance):
     def queries(self, theta, randomness):
         if theta == 2:
             space = self.query_randomness
-            randomness = space.build(list(chain.from_iterable(chain.from_iterable(randomness.z)))[::-1])
+            randomness = space.build(list(chain.from_iterable(chain.from_iterable(randomness)))[::-1])
         return super().queries(theta, randomness)
 
 

@@ -147,6 +147,25 @@ def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ")
 
 
+
+def test_download_all_at_x_0_retrieves_and_a_security_audit_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # X = 0 is in download_all's regime: the retrieval runs and its
+    # transcript replays; security of 0 servers has no subset to audit, a
+    # usage error, where it was a ValueError traceback (exit 1).
+    monkeypatch.chdir(tmp_path)
+    dims = ["--scheme", "download_all", "-N", "1", "-K", "2", "-X", "0", "-T", "1"]
+    code, out, _ = run_cli(["retrieve", *dims], capsys)
+    assert code == 0 and "match true" in out
+    transcript, decoded = sim.replay((tmp_path / "transcript.txt").read_text())
+    assert decoded == transcript.decoded
+    code, out, err = run_cli(["audit", *dims, "--property", "security"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: subset size must be in 1..1, got 0\n"
+    assert not (tmp_path / "audit_report.txt").exists()
+    # and `capacity` counts it: downloading everything meets T-PIR's 1/K
+    code, out, _ = run_cli(["capacity", "-N", "2", "-K", "2", "-X", "0", "-T", "2"], capsys)
+    assert code == 0 and "achieved 1/2 (0.500000) scheme=download_all TIGHT" in out
+
 def test_prime_past_the_primality_bound_exits_2(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(["retrieve", *CSA_ARGS, "--prime", str(2**127 - 1)], capsys)

@@ -23,7 +23,9 @@ from oracle import (
     iter_query_noise,
     iter_storage_noise,
     lift,
+    query_noise,
     residual_in_interference_span,
+    storage_noise,
     values,
 )
 
@@ -31,8 +33,6 @@ from xstpir import csa as csa_mod
 from xstpir.csa import (
     CsaParams,
     MessageSet,
-    QueryNoise,
-    StorageNoise,
     answer,
     choose_alphas,
     decode,
@@ -162,9 +162,7 @@ def test_storage_layout_worked_example():
     assert (params.L, params.p) == (2, 7)
     f = params.field
     w = MessageSet.from_ints([[1, 2], [3, 4]], f)  # rows are messages
-    z = StorageNoise(
-        (((5, 6),), ((2, 1),))  # z[l][x] is a K-vector
-    )
+    z = (((5, 6),), ((2, 1),))  # z[l][x] is a K-vector
     shares = encode_storage(w, z, params)
     assert len(shares) == params.N
     for share, alpha in zip(shares, oracle.alphas(params)):  # server n's share is shares[n - 1]
@@ -172,7 +170,7 @@ def test_storage_layout_worked_example():
         for l_index in range(1, params.L + 1):
             point = l_index + alpha
             expected = tuple(
-                (w.column(l_index)[k] + point * z.z[l_index - 1][0][k]).value
+                (w.column(l_index)[k] + point * z[l_index - 1][0][k]).value
                 for k in range(params.K)
             )
             assert share.rows[l_index - 1] == expected
@@ -182,7 +180,7 @@ def test_storage_rejects_messages_from_another_field():
     params = CsaParams.make(5, 2, 1, 2)  # p = 7
     w = MessageSet.from_ints([[1, 2], [3, 4]], PrimeField(11))
     with pytest.raises(FieldMismatchError):
-        encode_storage(w, StorageNoise.zeros(params), params)
+        encode_storage(w, storage_noise(params), params)
 
 
 def test_noise_of_field_elements_is_rejected_by_name():
@@ -192,24 +190,20 @@ def test_noise_of_field_elements_is_rejected_by_name():
     params = CsaParams.make(5, 2, 1, 2)  # p = 7
     f = Field(params.p)
     w = MessageSet.from_ints([[1, 2], [3, 4]], params.field)
-    storage_noise = StorageNoise(((((f(5), f(6)),), ((f(2), f(1)),))))
+    z = (((f(5), f(6)),), ((f(2), f(1)),))
     with pytest.raises(ValueError, match=r"storage noise must hold ints in range\(7\)"):
-        encode_storage(w, storage_noise, params)
-    query_noise = QueryNoise(
-        (((f(1), f(2)), (f(3), f(4))), ((f(5), f(6)), (f(0), f(1))))
-    )
+        encode_storage(w, z, params)
+    zp = (((f(1), f(2)), (f(3), f(4))), ((f(5), f(6)), (f(0), f(1))))
     with pytest.raises(ValueError, match=r"query noise must hold ints in range\(7\)"):
-        gen_queries(1, query_noise, params)
+        gen_queries(1, zp, params)
 
 
 def test_query_layout_worked_example():
     params = CsaParams.make(5, 2, 1, 2)
     f = Field(params.p)
-    zp = QueryNoise(
-        (
-            ((1, 2), (3, 4)),  # block 1: T = 2 noise K-vectors
-            ((5, 6), (0, 1)),
-        )
+    zp = (
+        ((1, 2), (3, 4)),  # block 1: T = 2 noise K-vectors
+        ((5, 6), (0, 1)),
     )
     theta = 2
     queries = gen_queries(theta, zp, params)
@@ -222,7 +216,7 @@ def test_query_layout_worked_example():
             for k in range(1, params.K + 1):
                 acc = f.one if k == theta else f.zero
                 weight = point
-                for zt in zp.z[l_index - 1]:
+                for zt in zp[l_index - 1]:
                     acc = acc + weight * zt[k - 1]
                     weight = weight * point
                 expected.append((scale * acc).value)
@@ -239,8 +233,7 @@ def test_scalar_answer_expansion_oracle_exhaustive():
     f = Field(params.p)
     for wv, zv, zpv in product(range(5), repeat=3):
         w = MessageSet.from_ints([[wv]], params.field)
-        z = StorageNoise((((zv,),),))
-        zp = QueryNoise((((zpv,),),))
+        z, zp = (((zv,),),), (((zpv,),),)
         shares = encode_storage(w, z, params)
         queries = gen_queries(1, zp, params)
         for n, alpha in enumerate(oracle.alphas(params)):
@@ -257,17 +250,17 @@ def test_two_block_product_form_oracle():
     rng = Random(42)
     for _ in range(60):
         w = MessageSet.random(1, 2, params.field, rng)
-        z = StorageNoise.random(params, rng)
-        zp = QueryNoise.random(params, rng)
+        z = storage_noise(params, rng)
+        zp = query_noise(params, rng)
         shares = encode_storage(w, z, params)
         queries = gen_queries(1, zp, params)
         answers = [answer(s, q) for s, q in zip(shares, queries)]
         for n, a in enumerate(oracle.alphas(params)):
             b, g = 1 + a, 2 + a
             w1, w2 = w.column(1)[0], w.column(2)[0]
-            z11, z12 = (z.z[0][x][0] for x in range(2))
-            z21, z22 = (z.z[1][x][0] for x in range(2))
-            zp1, zp2 = zp.z[0][0][0], zp.z[1][0][0]
+            z11, z12 = (z[0][x][0] for x in range(2))
+            z21, z22 = (z[1][x][0] for x in range(2))
+            zp1, zp2 = zp[0][0][0], zp[1][0][0]
             expected = g * (w1 + b * z11 + b * b * z12) * (1 + b * zp1) + b * (
                 w2 + g * z21 + g * g * z22
             ) * (1 + g * zp2)
@@ -325,9 +318,9 @@ def _paper_rows(params, w, z, zp, theta):
                 s_sym = f(w.symbols[kk][l_index - 1])
                 q_sym = f.one if kk + 1 == theta else f.zero
                 for j in range(params.X):
-                    s_sym = s_sym + u ** (j + 1) * z.z[l_index - 1][j][kk]
+                    s_sym = s_sym + u ** (j + 1) * z[l_index - 1][j][kk]
                 for j in range(params.T):
-                    q_sym = q_sym + u ** (j + 1) * zp.z[l_index - 1][j][kk]
+                    q_sym = q_sym + u ** (j + 1) * zp[l_index - 1][j][kk]
                 row.append(s_sym)
                 col.append(scale * q_sym)
             rows.append(tuple(row))
@@ -345,8 +338,8 @@ def test_kernel_matches_the_paper_formulas(n, k, x, t, p):
     rng = Random(n * 1000 + k * 100 + x * 10 + t)
     for _ in range(4):
         w = MessageSet.random(k, params.L, params.field, rng)
-        z = StorageNoise.random(params, rng)
-        zp = QueryNoise.random(params, rng)
+        z = storage_noise(params, rng)
+        zp = query_noise(params, rng)
         theta = rng.randrange(1, k + 1)
         shares = encode_storage(w, z, params)
         queries = gen_queries(theta, zp, params)
@@ -373,8 +366,8 @@ def test_flat_payloads_match_the_paper_formulas(n, k, x, t, p):
     rng = Random(n * 1000 + k * 100 + x * 10 + t + 3)
     for _ in range(2):
         w = MessageSet.random(k, params.L, params.field, rng)
-        z = StorageNoise.random(params, rng)
-        zp = QueryNoise.random(params, rng)
+        z = storage_noise(params, rng)
+        zp = query_noise(params, rng)
         theta = rng.randrange(1, k + 1)
         shares = encode_storage(w, z, params)
         queries = gen_queries(theta, zp, params)
@@ -431,10 +424,10 @@ def _check_against_the_loop(params, w, z, zp, theta):
     """Shares and queries against the per-symbol reference."""
     p, unit = params.p, [int(kk == theta) for kk in range(1, params.K + 1)]
     assert [s.rows for s in encode_storage(w, z, params)] == _loop(
-        p, _paper_weights(params, params.X, False), list(zip(*w.symbols)), z.z
+        p, _paper_weights(params, params.X, False), list(zip(*w.symbols)), z
     )
     assert [_blocks(q, params.K) for q in gen_queries(theta, zp, params)] == _loop(
-        p, _paper_weights(params, params.T, True), [unit] * params.L, zp.z
+        p, _paper_weights(params, params.T, True), [unit] * params.L, zp
     )
 
 
@@ -448,8 +441,8 @@ def test_packed_kernel_matches_the_loop(n, k, x, t, p):
         rng = Random(n * 1000 + k * 100 + x * 10 + t + 1)
         for _ in range(3):
             w = MessageSet.random(k, params.L, params.field, rng)
-            z = StorageNoise.random(params, rng)
-            zp = QueryNoise.random(params, rng)
+            z = storage_noise(params, rng)
+            zp = query_noise(params, rng)
             _check_against_the_loop(params, w, z, zp, rng.randrange(1, k + 1))
 
 
@@ -465,18 +458,18 @@ def test_unreduced_noise_gives_the_shares_of_its_residues():
         p = params.p
         rng = Random(77)
         w = MessageSet.random(3, params.L, params.field, rng)
-        z = StorageNoise.random(params, rng)
-        zp = QueryNoise.random(params, rng)
+        z = storage_noise(params, rng)
+        zp = query_noise(params, rng)
 
         def shifted(noise):
-            return type(noise)(tuple(
+            return tuple(
                 tuple(tuple(v + p * rng.randrange(-3, 4) for v in zj) for zj in zl)
-                for zl in noise.z
-            ))
+                for zl in noise
+            )
 
         bare_z, bare_zp = shifted(z), shifted(zp)
-        assert any(v < 0 for zl in bare_z.z for zj in zl for v in zj)
-        assert any(v >= p for zl in bare_zp.z for zj in zl for v in zj)
+        assert any(v < 0 for zl in bare_z for zj in zl for v in zj)
+        assert any(v >= p for zl in bare_zp for zj in zl for v in zj)
         want = encode_storage(w, z, params), gen_queries(2, zp, params)
         assert (encode_storage(w, bare_z, params), gen_queries(2, bare_zp, params)) == want
 
@@ -486,10 +479,10 @@ def test_noise_that_is_not_ints_is_rejected(depth):
     params = CsaParams.make(2 * depth + 3, 2, depth, depth, p=17)
     f = Field(params.p)
     w = MessageSet.zeros(2, params.L, params.field)
-    z = StorageNoise.zeros(params)
-    zp = QueryNoise.zeros(params)
-    fe_z = StorageNoise(tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in z.z))
-    fe_zp = QueryNoise(tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in zp.z))
+    z = storage_noise(params)
+    zp = query_noise(params)
+    fe_z = tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in z)
+    fe_zp = tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in zp)
     with pytest.raises(ValueError, match=r"storage noise must hold ints in range\(17\)"):
         encode_storage(w, fe_z, params)
     with pytest.raises(ValueError, match=r"query noise must hold ints in range\(17\)"):
@@ -508,22 +501,30 @@ def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
     w = MessageSet.zeros(2, params.L, params.field)
     for cut in (1, 3):  # one symbol short, one too many
         vector = (0,) * cut
-        z = StorageNoise(((vector,) * params.X,) * params.L)
+        z = ((vector,) * params.X,) * params.L
         with pytest.raises(ValueError, match="storage noise has wrong shape"):
             encode_storage(w, z, params)
-        zp = QueryNoise(((vector,) * params.T,) * params.L)
+        zp = ((vector,) * params.T,) * params.L
         with pytest.raises(ValueError, match="query noise has wrong shape"):
             gen_queries(1, zp, params)
-    # a ragged grid is refused where it is built, with two noise terms and
-    # with one
+    # a ragged grid is refused by the map that reads it, with two noise
+    # terms and with one
     for params in (params, CsaParams.make(5, 2, 1, 1)):
+        w = MessageSet.zeros(2, params.L, params.field)
         for cut in (1, 3):
             with pytest.raises(ValueError, match="storage noise has wrong shape"):
-                StorageNoise(_ragged(params, params.X, cut))
+                encode_storage(w, _ragged(params, params.X, cut), params)
             with pytest.raises(ValueError, match="query noise has wrong shape"):
-                QueryNoise(_ragged(params, params.T, cut))
-    with pytest.raises(ValueError, match="storage noise has wrong shape"):
-        StorageNoise((((0, 0), (0, 0)), ((0, 0),)))  # blocks of two depths
+                gen_queries(1, _ragged(params, params.T, cut), params)
+    # blocks of two depths, either first, and too few or too many blocks
+    params = CsaParams.make(7, 2, 2, 2, p=17)  # L = 3
+    w = MessageSet.zeros(2, params.L, params.field)
+    deep, shallow = ((0, 0),) * 2, ((0, 0),)
+    for z in ((deep, deep, shallow), (shallow, deep, deep), (deep,) * 2, (deep,) * 4, ()):
+        with pytest.raises(ValueError, match="storage noise has wrong shape"):
+            encode_storage(w, z, params)
+        with pytest.raises(ValueError, match="query noise has wrong shape"):
+            gen_queries(1, z, params)
 
 
 @pytest.mark.parametrize("n,k,x,t", [(5, 2, 1, 1), (6, 3, 1, 2), (6, 3, 2, 1)])
@@ -544,9 +545,9 @@ def test_one_noise_term_rejects_noise_vectors_of_the_wrong_length(n, k, x, t):
     for cut in (1, k + 1):
         for bad in range(params.L):
             with pytest.raises(ValueError, match="storage noise has wrong shape"):
-                encode_storage(w, StorageNoise(noise(x, bad, cut)), params)
+                encode_storage(w, noise(x, bad, cut), params)
             with pytest.raises(ValueError, match="query noise has wrong shape"):
-                gen_queries(1, QueryNoise(noise(t, bad, cut)), params)
+                gen_queries(1, noise(t, bad, cut), params)
 
 
 def _lane_limit(bits, depth):
@@ -610,9 +611,8 @@ def test_lane_width_boundaries(bits, depth):
     assert csa_mod._table(params).lanes[depth] == bits
     top = below - 1
     w = MessageSet(((top,) * params.L,) * 5, below)
-    z = StorageNoise(((((top,) * 5),) * depth,) * params.L)
-    zp = QueryNoise(z.z)
-    _check_against_the_loop(params, w, z, zp, 3)
+    z = ((((top,) * 5),) * depth,) * params.L
+    _check_against_the_loop(params, w, z, z, 3)
 
 
 def test_one_noise_term_and_lanes_past_64_bits_decode():
@@ -622,8 +622,8 @@ def test_one_noise_term_and_lanes_past_64_bits_decode():
         assert csa_mod._table(params).lanes[x] == bits
         rng = Random(p)
         w = MessageSet.random(3, params.L, params.field, rng)
-        z = StorageNoise.random(params, rng)
-        zp = QueryNoise.random(params, rng)
+        z = storage_noise(params, rng)
+        zp = query_noise(params, rng)
         shares = encode_storage(w, z, params)
         queries = gen_queries(2, zp, params)
         answers = [answer(s, q) for s, q in zip(shares, queries)]
@@ -700,8 +700,8 @@ def test_storage_and_queries_at_default_primes_reduce_through_byte_tables(monkey
     # lanes and queries on the depth-T ones: no per-lane `%` in either.
     params = CsaParams.make(n, k, x, t)
     seen = _reductions(monkeypatch)
-    encode_storage(MessageSet.zeros(k, params.L, params.field), StorageNoise.zeros(params), params)
-    gen_queries(1, QueryNoise.zeros(params), params)
+    encode_storage(MessageSet.zeros(k, params.L, params.field), storage_noise(params), params)
+    gen_queries(1, query_noise(params), params)
     table = csa_mod._table(params)
     assert [width for width, _ in seen] == [table.lanes[x] // 8, table.lanes[t] // 8]
     assert all(tables is not None for _, tables in seen)
@@ -736,22 +736,22 @@ def test_noise_outside_the_byte_table_mixes_as_its_residue(monkeypatch, order, o
         p, value, rng = params.p, ODD_NOISE[odd](params.p), Random(params.p)
         w = MessageSet.random(params.K, params.L, params.field, rng)
         unit = [int(kk == 2) for kk in range(1, params.K + 1)]
-        for kind, run, bases, weights in (
-            (StorageNoise, lambda z: [s.rows for s in encode_storage(w, z, params)],
+        scheme = CsaScheme(params)
+        for kind, space, run, bases, weights in (
+            ("storage", scheme.storage_noises, lambda z: [s.rows for s in encode_storage(w, z, params)],
              list(zip(*w.symbols)), _paper_weights(params, params.X, False)),
-            (QueryNoise, lambda z: [_blocks(q, params.K) for q in gen_queries(2, z, params)],
+            ("query", scheme.query_randomness, lambda z: [_blocks(q, params.K) for q in gen_queries(2, z, params)],
              [unit] * params.L, _paper_weights(params, params.T, True)),
         ):
-            space = kind.space(params)
             for where in (0, space.count // 2, space.count - 1):  # refused early, midway, late
                 values = space.draw(rng)
                 values[where] = value
                 noise = space.build(values)
                 if isinstance(value, float):
-                    with pytest.raises(ValueError, match=f"{kind.kind} noise must hold ints in range"):
+                    with pytest.raises(ValueError, match=f"{kind} noise must hold ints in range"):
                         run(noise)
                 else:
-                    assert run(noise) == _loop(p, weights, bases, noise.z)
+                    assert run(noise) == _loop(p, weights, bases, noise)
 
 
 # sha256 prefixes of the shares and queries of seeded inputs at the
@@ -778,8 +778,8 @@ def test_kernel_outputs_match_their_pinned_digests(monkeypatch, order):
         params = CsaParams.make(n, k, x, t)
         rng = Random(n * 1000 + k)
         w = MessageSet.random(k, params.L, params.field, rng)
-        shares = encode_storage(w, StorageNoise.random(params, rng), params)
-        queries = gen_queries(rng.randrange(1, k + 1), QueryNoise.random(params, rng), params)
+        shares = encode_storage(w, storage_noise(params, rng), params)
+        queries = gen_queries(rng.randrange(1, k + 1), query_noise(params, rng), params)
         assert (_digest([s.rows for s in shares]), _digest([_blocks(q, k) for q in queries])) == pinned
     params = CsaParams.make(24, 32, 4, 4)
     rng = Random(24032)
@@ -892,7 +892,7 @@ def test_honest_queries_have_the_unit_vector_of_theta_as_constant_term(n, k, x, 
     params = CsaParams.make(n, k, x, t, p=p)
     rng = Random(n * 1000 + k * 100 + x * 10 + t + 2)
     for theta in range(1, k + 1):
-        queries = gen_queries(theta, QueryNoise.random(params, rng), params)
+        queries = gen_queries(theta, query_noise(params, rng), params)
         unit = tuple(int(kk == theta) for kk in range(1, k + 1))
         assert csa_mod.constant_terms(queries, params) == (unit,) * params.L
 
@@ -978,8 +978,8 @@ def test_randomized_decode_across_regimes():
         params = CsaParams.make(n, k, x, t)
         for _ in range(25):
             w = MessageSet.random(k, params.L, params.field, rng)
-            z = StorageNoise.random(params, rng)
-            zp = QueryNoise.random(params, rng)
+            z = storage_noise(params, rng)
+            zp = query_noise(params, rng)
             theta = rng.randrange(1, k + 1)
             shares = encode_storage(w, z, params)
             queries = gen_queries(theta, zp, params)
@@ -1006,10 +1006,10 @@ def test_answer_is_linear_in_the_query():
     f = params.field
     rng = Random(5)
     w = MessageSet.random(2, params.L, f, rng)
-    z = StorageNoise.random(params, rng)
+    z = storage_noise(params, rng)
     share = encode_storage(w, z, params)[2]
-    q1 = gen_queries(1, QueryNoise.random(params, rng), params)[2]
-    q2 = gen_queries(2, QueryNoise.random(params, rng), params)[2]
+    q1 = gen_queries(1, query_noise(params, rng), params)[2]
+    q2 = gen_queries(2, query_noise(params, rng), params)[2]
     combined = tuple((a + b) % f.modulus for a, b in zip(q1, q2))
     assert answer(share, combined) == (answer(share, q1) + answer(share, q2)) % f.modulus
     with pytest.raises(ValueError):
@@ -1023,8 +1023,8 @@ def test_a_received_query_of_the_wrong_length_or_shape_is_refused():
     # another K, whose length is L times that K.
     params = CsaParams.make(5, 2, 1, 1)
     scheme, rng = CsaScheme(params), Random(6)
-    share = scheme.storage(MessageSet.random(2, params.L, params.field, rng), StorageNoise.random(params, rng))[0]
-    q = scheme.queries(1, QueryNoise.random(params, rng))[0]
+    share = scheme.storage(MessageSet.random(2, params.L, params.field, rng), storage_noise(params, rng))[0]
+    q = scheme.queries(1, query_noise(params, rng))[0]
     assert len(q) == 6
     assert scheme.answer(share, q) == (sum(map(mul, share.payload, q)) % params.p,)
     for wrong in (q + (1, 2, 3), q + (1, 2), q + (0,), q[:-1], q[:-2], ()):
@@ -1033,7 +1033,7 @@ def test_a_received_query_of_the_wrong_length_or_shape_is_refused():
     for k in (3, 1):
         other = CsaParams.make(5, k, 1, 1)
         with pytest.raises(ValueError, match="different block counts"):
-            answer(share, gen_queries(1, QueryNoise.random(other, rng), other)[0])
+            answer(share, gen_queries(1, query_noise(other, rng), other)[0])
 
 
 def _sweep_decoding_invertibility(p: int) -> int:
@@ -1064,8 +1064,8 @@ def test_interference_alignment_honest_answers():
         params = CsaParams.make(n, k, x, t)
         for _ in range(20):
             w = MessageSet.random(k, params.L, params.field, rng)
-            z = StorageNoise.random(params, rng)
-            zp = QueryNoise.random(params, rng)
+            z = storage_noise(params, rng)
+            zp = query_noise(params, rng)
             theta = rng.randrange(1, k + 1)
             assert interference_aligned(params, w, z, zp, theta)
 
@@ -1075,8 +1075,8 @@ def test_corrupted_answer_leaves_interference_span():
     f = Field(params.p)
     rng = Random(3)
     w = MessageSet.random(1, 1, params.field, rng)
-    z = StorageNoise.random(params, rng)
-    zp = QueryNoise.random(params, rng)
+    z = storage_noise(params, rng)
+    zp = query_noise(params, rng)
     shares = encode_storage(w, z, params)
     queries = gen_queries(1, zp, params)
     answers = [answer(s, q) for s, q in zip(shares, queries)]
@@ -1099,8 +1099,8 @@ def test_honest_alignment_survives_wrong_evaluation_points():
     rng = Random(11)
     for _ in range(20):
         w = MessageSet.random(1, 1, f, rng)
-        z = StorageNoise.random(wrong, rng)
-        zp = QueryNoise.random(wrong, rng)
+        z = storage_noise(wrong, rng)
+        zp = query_noise(wrong, rng)
         assert interference_aligned(wrong, w, z, zp, 1)
 
 
@@ -1110,8 +1110,8 @@ def test_duplicate_points_make_decoding_singular():
         N=3, K=1, X=1, T=1, L=1, p=5, alphas=(f(0), f(1), f(1))
     )
     w = MessageSet.from_ints([[2]], f)
-    z = StorageNoise.zeros(params)
-    zp = QueryNoise.zeros(params)
+    z = storage_noise(params)
+    zp = query_noise(params)
     shares = encode_storage(w, z, params)
     queries = gen_queries(1, zp, params)
     answers = [answer(s, q) for s, q in zip(shares, queries)]
@@ -1167,8 +1167,6 @@ RECORD_CASES = {
                      [((1, 2, 3, 4), 5, 2), ((1, 2, 3, 0), 5, 2), ((1, 2, 3, 4), 7, 2), ((1, 2, 3, 4), 5, 4)]),
     "MessageSet": (MessageSet, ("symbols", "p"),
                    [(((1, 2), (3, 4)), 5), (((1, 2), (3, 0)), 5), (((1, 2), (3, 4)), 7)]),
-    "StorageNoise": (StorageNoise, ("z",), [((((1, 2),),),), ((((1, 3),),),)]),
-    "QueryNoise": (QueryNoise, ("z",), [((((1, 2), (0, 0)),),), ((((1, 2), (0, 1)),),)]),
 }
 
 
@@ -1199,8 +1197,7 @@ def test_csa_records_are_the_records_frozen_dataclasses_are(name):
 
 
 def test_records_of_the_same_fields_are_not_equal_across_classes():
-    # as two frozen dataclasses are not: storage noise is not query noise;
-    # nor is a share its payload, which a query is; `rows` cuts it by k
+    # as two frozen dataclasses are not: a share is not its payload, which
+    # a query is; `rows` cuts it by k
     share = csa_mod.StorageShare((1, 2, 3, 4), 5, 2)
     assert share != share.payload and share.rows == ((1, 2), (3, 4))
-    assert StorageNoise((((1,),),)) != QueryNoise((((1,),),))

@@ -12,7 +12,7 @@ from test_csa import CHECK_LANES
 
 from xstpir import csa as csa_mod
 from xstpir import sim as sim_mod
-from xstpir.csa import CsaParams, MessageSet, StorageNoise
+from xstpir.csa import CsaParams, MessageSet
 from xstpir import scheme as scheme_mod
 from xstpir.scheme import BinaryScheme, CsaScheme, Scheme, for_params, from_header
 from xstpir.sim import (
@@ -524,6 +524,31 @@ def test_replay_re_decodes_all_schemes():
         assert redecoded == run.transcript.decoded
 
 
+
+# Each scheme at the edges of the regime its params accept: csa at L = 1,
+# download_all at X = 0 (N = 1 and N = T) and at N = X + T, binary_n3 at
+# its smallest K, sym_xspir at N = 2, K = 1.
+REGIME_EDGES = [
+    ("csa", (3, 1, 1, 1)),
+    ("download_all", (1, 2, 0, 1)),
+    ("download_all", (2, 2, 0, 2)),
+    ("download_all", (3, 4, 1, 2)),
+    ("binary_n3", (3, 2, 1, 1)),
+    ("sym_xspir", (2, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("name,dims", REGIME_EDGES, ids=[f"{n}-{d}" for n, d in REGIME_EDGES])
+def test_replay_round_trips_at_each_regime_edge(name, dims):
+    # Whatever dimensions a scheme's params accept, `replay` builds the same
+    # scheme from the transcript's header and re-decodes to its DECODED line.
+    scheme = scheme_mod.SCHEMES[name].make(*dims)
+    rng = Random(sum(dims))
+    run = run_retrieval(scheme.params, scheme.messages.sample(rng), scheme.K, seed=3)
+    parsed, redecoded = replay(run.transcript.render())
+    assert parsed == run.transcript
+    assert redecoded == run.transcript.decoded == run.plaintext
+
 def test_replay_exposes_tampered_answers():
     _, run = _csa_run(seed=6)
     text = run.transcript.render()
@@ -649,9 +674,8 @@ def test_server_only_ever_sees_its_own_query():
 def test_misaddressed_traffic_is_logged_not_answered(monkeypatch):
     params = CsaParams.make(5, 2, 1, 1)
     scheme = CsaScheme(params)
-    share = scheme.storage(
-        MessageSet.zeros(2, 3, params.field), StorageNoise.zeros(params)
-    )[0]
+    noise = scheme.storage_noises.build([0] * scheme.storage_noises.count)
+    share = scheme.storage(MessageSet.zeros(2, 3, params.field), noise)[0]
     server = Server(1, share, scheme)
     query = " ".join(["1"] * scheme.query_symbols)
     reply = server.handle(f"QUERY 2 {scheme.query_symbols} {query}\n")  # for someone else
