@@ -57,7 +57,6 @@ from .sim import (
     RetrievalRun,
     Transcript,
     WireMessage,
-    collude,
     empirical_rate,
     replay,
     run_retrieval,
@@ -77,7 +76,7 @@ __all__ = [
     "SingularMatrixError", "StorageShare",
     "SymXspirParams", "Transcript", "WireMessage", "answer",
     "build_B", "c_n3", "c_pir", "c_tpir", "choose_alphas",
-    "collude", "decode", "decoding_matrix", "delta", "delta_except",
+    "decode", "decoding_matrix", "delta", "delta_except",
     "download_all_decode", "download_all_encode", "empirical_rate",
     "encode_storage", "finite_k_rate", "gen_queries", "mds_pir_asym",
     "mds_pir_rate", "replay", "run_retrieval", "smallest_valid_prime",

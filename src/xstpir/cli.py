@@ -9,14 +9,13 @@ option of retrieve, audit and rate can also come from a key=value config
 file ('#' starts a comment), read as the flags `-K=v` or `--key=v` (`_` read
 as `-`) put before the command line's, which win; the subcommand's parser
 checks them as it checks any flag. Types, choices and defaults live only
-in `build_parser`. The default seed comes from the XSTPIR_SEED environment
-variable when set.
+in `build_parser`; the seed, for one, comes from `--seed` (or `seed =` in
+the file), else is 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +55,13 @@ class _FileParser(argparse.ArgumentParser):
 def integer(raw: str) -> int:
     """int, named so that argparse reports `invalid integer value`."""
     return int(raw)
+
+
+def positive(raw: str) -> int:
+    """An int of at least 1."""
+    if (value := int(raw)) < 1:
+        raise ValueError(raw)
+    return value
 
 
 def boolean(raw: str) -> bool:
@@ -99,46 +105,30 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("XSTPIR_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"XSTPIR_SEED must be an integer, got {raw!r}")
-
-
-def _scheme_and_seed(args: argparse.Namespace) -> tuple[Scheme, int]:
-    """The scheme the options name, at their dimensions and modulus, and the
-    seed; out-of-regime dimensions and a theta past K are a UsageError."""
+def _scheme(args: argparse.Namespace) -> Scheme:
+    """The scheme the options name, at their dimensions and modulus;
+    out-of-regime dimensions and a theta past K are a UsageError."""
     missing = [name for name in ("scheme", "N", "K", "X", "T")
                if getattr(args, name) is None]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join(missing)}")
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         scheme = REGISTRY[args.scheme].make(args.N, args.K, args.X, args.T, p=args.prime)
         scheme.check_theta(getattr(args, "theta", 1))  # audit takes no theta
     except ValueError as exc:  # InsufficientFieldError included
         raise UsageError(str(exc)) from exc
-    return scheme, seed
+    return scheme
 
 
 def _fmt(value: Fraction) -> str:
     return f"{value} ({float(value):.6f})"
 
 
-def _positive(args: argparse.Namespace, name: str) -> int:
-    value = getattr(args, name)
-    if value < 1:
-        raise UsageError(f"--{name} must be >= 1, got {value}")
-    return value
-
-
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    scheme, seed = _scheme_and_seed(args)
-    rng = Random(seed)
+    scheme = _scheme(args)
+    rng = Random(args.seed)
     messages = scheme.messages.sample(rng)
-    run = sim.run_retrieval(scheme.params, messages, args.theta, seed, rng=rng)
+    run = sim.run_retrieval(scheme.params, messages, args.theta, args.seed, rng=rng)
     t = run.transcript
     Path(args.out).write_text(t.render())
     print(f"scheme {t.scheme} N={t.N} K={t.K} X={t.X} T={t.T} p={t.p} L={t.L} "
@@ -155,13 +145,12 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    inst, seed = _scheme_and_seed(args)
+    inst = _scheme(args)
     prop = args.property
     if prop is None:
         raise UsageError(f"--property is required; pick one of {PROPERTIES}")
-    samples = _positive(args, "samples")
     auditor, kind = AUDITS[prop]
-    kwargs = {"cap": args.cap, "samples": samples, "seed": seed, "fallback": args.sampled}
+    kwargs = {"cap": args.cap, "samples": args.samples, "seed": args.seed, "fallback": args.sampled}
     if args.subset_size is not None:
         if kind not in (audit_mod.X_SECURITY, audit_mod.T_PRIVACY):
             raise UsageError(f"--subset-size applies to security and privacy, not {prop}")
@@ -182,16 +171,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    scheme, seed = _scheme_and_seed(args)
-    trials = _positive(args, "trials")
+    scheme = _scheme(args)
     try:
         measured = sim.empirical_rate(
-            scheme.params, exhaustive=args.exhaustive, trials=trials, seed=seed, theta=args.theta
+            scheme.params, exhaustive=args.exhaustive, trials=args.trials, seed=args.seed, theta=args.theta
         )
     except audit_mod.OverCap as exc:
         raise UsageError(f"{exc}; rerun without --exhaustive to sample --trials retrievals") from exc
     closed = scheme.closed_form_rate()
-    mode = "exhaustive" if args.exhaustive else f"sampled over {trials} trials"
+    mode = "exhaustive" if args.exhaustive else f"sampled over {args.trials} trials"
     print(f"scheme {scheme.name} N={scheme.N} K={scheme.K} X={scheme.X} T={scheme.T}")
     print(f"empirical rate ({mode}): {_fmt(measured)}")
     print(f"closed form: {_fmt(closed)}")
@@ -272,7 +260,7 @@ def _add_scheme_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("-X", type=integer, help="storage security threshold")
     p.add_argument("-T", type=integer, help="query privacy threshold")
     p.add_argument("--prime", type=integer, help="field modulus override")
-    p.add_argument("--seed", type=integer, help="RNG seed (default: $XSTPIR_SEED or 0)")
+    p.add_argument("--seed", type=integer, default=0, help="RNG seed (default: %(default)s)")
     p.add_argument("--config", help="key=value config file")
 
 
@@ -296,7 +284,7 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--property", choices=PROPERTIES)
     p.add_argument("--subset-size", type=integer, help="override the audited collusion size")
     p.add_argument("--sampled", **SWITCH, help="allow the randomized fallback beyond the cap")
-    p.add_argument("--samples", type=integer, default=audit_mod.DEFAULT_SAMPLES,
+    p.add_argument("--samples", type=positive, default=audit_mod.DEFAULT_SAMPLES,
                    help="draws of the sampled fallback (default: %(default)s)")
     p.add_argument("--cap", type=integer, default=audit_mod.DEFAULT_CAP,
                    help="max work of the exact audit (default: %(default)s)")
@@ -309,7 +297,7 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--theta", type=integer, default=1,
                    help="message index, 1-based (default: %(default)s)")
     p.add_argument("--exhaustive", **SWITCH, help="enumerate the query randomness exactly")
-    p.add_argument("--trials", type=integer, default=1000,
+    p.add_argument("--trials", type=positive, default=1000,
                    help="sampled retrievals (default: %(default)s)")
     p.set_defaults(fn=cmd_rate)
 

@@ -200,12 +200,6 @@ class MessageSet(record("symbols", "p")):
             raise ValueError(f"message index {k} outside 1..{self.K}")
         return self.symbols[k - 1]
 
-    def column(self, l_index: int) -> tuple[int, ...]:
-        """The K symbols at position l_index (1-based) across all messages."""
-        if not 1 <= l_index <= self.L:
-            raise ValueError(f"symbol index {l_index} outside 1..{self.L}")
-        return tuple(row[l_index - 1] for row in self.symbols)
-
     def check(self, params) -> None:
         """ValueError unless these are params.K messages of params.L
         symbols; FieldMismatchError unless they are over GF(params.p)."""
@@ -229,10 +223,6 @@ class MessageSet(record("symbols", "p")):
     @classmethod
     def random(cls, k: int, length: int, field: PrimeField, rng: Random) -> "MessageSet":
         return cls.space(k, length, field).sample(rng)
-
-    @classmethod
-    def zeros(cls, k: int, length: int, field: PrimeField) -> "MessageSet":
-        return cls(((0,) * length,) * k, field.modulus)
 
 
 class StorageShare(record("payload", "p", "k")):

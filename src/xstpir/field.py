@@ -97,23 +97,19 @@ class PrimeField:
     def __call__(self, value: int) -> int:
         return value % self.modulus
 
-    def random(self, rng) -> int:
-        """Uniform symbol drawn from an injected random.Random-like source."""
-        return rng.randrange(self.modulus)
-
     def __repr__(self) -> str:
         return f"GF({self.modulus})"
 
 
 def record(*fields: str) -> type:
-    """The base of a `__slots__` value record of `fields`: field f is kept in
+    """The base of a `__slots__` value record of two or more `fields`
+    (`attrgetter` of one name gives a bare value): field f is kept in
     the slot `_f`, which the subclass's `__init__` sets, and read through a
     read-only property; `==`, `hash` and `repr` are those of a frozen
     dataclass of the fields, at about a third of its construction cost.
     A subclass declares its own `__slots__`: empty, or its private extras."""
     slots = tuple("_" + name for name in fields)
-    get = attrgetter(*slots)
-    values = get if len(fields) > 1 else lambda self: (get(self),)
+    values = attrgetter(*slots)
 
     class Record:
         __slots__ = slots
@@ -248,25 +244,22 @@ def eliminate_mod(rows: list[list[int]], p: int, limit: int | None = None) -> in
 
 
 def solve_linear(matrix: Sequence[Sequence[int]], rhs: Sequence, p: int) -> list:
-    """Solve the square system M x = y over GF(p) exactly.
+    """Solve the square system M X = Y over GF(p) exactly.
 
-    `rhs` is either the vector y, and the result the vector x, or a matrix
-    Y given as n rows with one column per right-hand side, and the result
-    the matrix X (n rows) with M X = Y; all columns share one elimination
-    (`eliminate_mod`, then back substitution). Entries are any ints; the
-    result holds ints in range(p). Raises SingularMatrixError when M is
-    not invertible.
+    `rhs` is the matrix Y, given as n rows with one column per right-hand
+    side, and the result the matrix X (n rows); all columns share one
+    elimination (`eliminate_mod`, then back substitution). Entries are any
+    ints; the result holds ints in range(p). Raises SingularMatrixError
+    when M is not invertible, and ValueError for a vector `rhs`.
     """
     n = len(matrix)
     if n == 0:
         return []
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear needs a square matrix and matching rhs")
-    columns = isinstance(rhs[0], (list, tuple))
-    tails = [list(y) if columns else [y] for y in rhs]
-    if len({len(tail) for tail in tails}) != 1:
-        raise ValueError("right-hand side rows differ in length")
-    aug = [list(row) + tail for row, tail in zip(matrix, tails)]
+    if not all(isinstance(y, (list, tuple)) for y in rhs) or len(set(map(len, rhs))) != 1:
+        raise ValueError("the right-hand side must be n rows of one length")
+    aug = [[*row, *y] for row, y in zip(matrix, rhs)]
     if eliminate_mod(aug, p, limit=n) != n:
         raise SingularMatrixError("coefficient matrix is singular")
     # Row i has its unit pivot in column i; clear the entries above each.
@@ -276,4 +269,4 @@ def solve_linear(matrix: Sequence[Sequence[int]], rhs: Sequence, p: int) -> list
             factor = aug[r][i]
             if factor:
                 aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], pivot)]
-    return [row[n:] for row in aug] if columns else [row[n] for row in aug]
+    return [row[n:] for row in aug]

@@ -14,8 +14,10 @@ Adding a scheme: subclass `Scheme`, set `params_type` and the attributes
 its docstring lists in `__init__`, implement the methods that raise
 NotImplementedError (with `queries` returning the N wire payloads),
 override the defaults that do not fit (`share_payloads` only where a
-share is not its own payload, `_make` where the params are not
-`params_type.make(N, K, X, T, p=p)`), and add the class to `SCHEMES`.
+share is not its own payload, `_make`, which returns the params, where
+they are not `params_type.make(N, K, X, T, p=p)`), and add the class to
+`SCHEMES`. Every scheme object is built by `for_params`, one per params
+value, which `Scheme.make` and `from_header` return too.
 """
 
 from __future__ import annotations
@@ -84,14 +86,16 @@ class Scheme:
     @classmethod
     @lru_cache(maxsize=_SCHEMES, typed=True)
     def make(cls, N: int, K: int, X: int, T: int, p: int | None = None) -> "Scheme":
-        """The scheme at these dimensions, one per class and dimensions and
-        shared, so callers must not mutate it; ValueError names the regime
-        it needs, as the params (or `_make`) check it."""
-        return cls._make(N, K, X, T, p)
+        """`for_params` of the params at these dimensions (an object of the
+        class `SCHEMES` registers for them), kept per class and dimensions;
+        ValueError names the regime it needs, as the params (or `_make`)
+        check it."""
+        return for_params(cls._make(N, K, X, T, p))
 
     @classmethod
-    def _make(cls, N: int, K: int, X: int, T: int, p: int | None) -> "Scheme":
-        return cls(cls.params_type.make(N, K, X, T, p=p))
+    def _make(cls, N: int, K: int, X: int, T: int, p: int | None):
+        """The params at these dimensions."""
+        return cls.params_type.make(N, K, X, T, p=p)
 
     @property
     def thetas(self) -> range:
@@ -279,7 +283,7 @@ class BinaryScheme(Scheme):
             )
         if p not in (None, 2):
             raise ValueError("binary_n3 runs over GF(2); drop --prime")
-        return cls(K)
+        return K
 
     def storage(self, messages, noise):
         return special.binary_storage(messages, noise, self.b)
@@ -347,7 +351,7 @@ class SymXspirScheme(Scheme):
             raise ValueError("sym_xspir needs N = X + 1")
         if T != 1:
             raise ValueError("sym_xspir is single-query-private: T must be 1")
-        return cls(SymXspirParams.make(X, K, p=p))
+        return SymXspirParams.make(X, K, p=p)
 
     def storage(self, messages, noise):
         return special.sym_xspir_storage(messages, noise, self.params)
@@ -394,7 +398,8 @@ SCHEMES: dict[str, type[Scheme]] = {
 def for_params(params) -> Scheme:
     """The scheme that runs `params`: CsaParams, DownloadAllParams,
     SymXspirParams, or an int K for the three-server bit scheme. The same
-    scheme is returned for equal params, so callers must not mutate it."""
+    scheme is returned for equal params (and by `Scheme.make` at their
+    dimensions), so callers must not mutate it."""
     for cls in SCHEMES.values():
         if type(params) is cls.params_type:
             return cls(params)
@@ -402,7 +407,7 @@ def for_params(params) -> Scheme:
 
 
 def from_header(name: str, header: dict[str, int]) -> Scheme:
-    """The scheme a transcript header names, shared like `Scheme.make`'s.
+    """The scheme a transcript header names, `Scheme.make`'s.
     ValueError if it names none, or dimensions that scheme does not have."""
     if name not in SCHEMES:
         raise ValueError(f"unknown scheme {name!r}")

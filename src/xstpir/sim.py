@@ -10,7 +10,8 @@ checks the whole exchange against the scheme, and decodes. Replay goes
 through the same checks. Download accounting counts answer payload symbols
 only; upload is free by convention. Every retrieval is driven by a single
 seeded generator, so a fixed (params, messages, theta, seed) reproduces a
-byte-identical transcript.
+byte-identical transcript, which `run_retrieval` returns with the plaintext
+it decoded to; the shares stay with the server objects.
 
 Every payload (QUERY and ANSWER lines, and the DECODED line) is written
 and read through one symbol codec: a table of the canonical decimal
@@ -367,14 +368,9 @@ class Server:
 
 @dataclass(frozen=True)
 class RetrievalRun:
-    """A transcript plus the harness-side record of what each server stored.
-
-    Shares never travel between servers; they are kept here, as flat
-    payloads, so collusion views can be assembled for the audits.
-    """
+    """A retrieval's transcript and the plaintext it must decode to."""
 
     transcript: Transcript
-    shares: tuple[tuple[int, ...], ...]
     plaintext: tuple[int, ...]
 
 
@@ -411,17 +407,12 @@ def run_retrieval(params, messages, theta: int, seed: int, rng: Random | None = 
         scheme.name, **scheme.header(), seed=seed, theta=theta,
         queries=sent, answers=replies, decoded=decoded,
     )
-    return RetrievalRun(transcript, scheme.share_payloads(shares), plaintext)
+    return RetrievalRun(transcript, plaintext)
 
 
 def _scheme_of(transcript: Transcript) -> Scheme:
     header = {key: getattr(transcript, key) for key in _HEADER[1:7]}
     return from_header(transcript.scheme, header)
-
-
-def params_from_header(transcript: Transcript):
-    """Rebuild the scheme parameters a transcript was produced with."""
-    return _scheme_of(transcript).params
 
 
 def replay(text: str) -> tuple[Transcript, tuple[int, ...]]:
@@ -486,24 +477,3 @@ def empirical_rate(
         total += run.transcript.total_downloaded
     return Fraction(scheme.L * trials, total)
 
-
-def collude(
-    runs: Sequence[RetrievalRun], servers: Sequence[int]
-) -> dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
-    """Assemble the view of a colluding server subset across retrievals.
-
-    For each listed server id, the view is the tuple over runs of (stored
-    share payload, received query payload), exactly what that server held
-    and saw; nothing else leaks into it.
-    """
-    if not servers:
-        raise ValueError("collusion set must be nonempty")
-    view: dict[int, tuple] = {}
-    for sid in servers:
-        entries = []
-        for run in runs:
-            if not 1 <= sid <= len(run.shares):
-                raise ValueError(f"server {sid} not present in run")
-            entries.append((run.shares[sid - 1], run.transcript.queries[sid - 1].payload))
-        view[sid] = tuple(entries)
-    return view

@@ -1,4 +1,4 @@
-"""The retrieval grid runner (bench/grid.py) and the BENCH file it wrote."""
+"""The grid runner (bench/grid.py) and the BENCH files it wrote."""
 
 import importlib.util
 import json
@@ -39,3 +39,33 @@ def test_the_committed_bench_file_has_every_row_and_field(grid):
             assert row["steps"][step]["runs"] == record["runs"]
             assert row["steps"][step]["ms"] > 0 and row["steps"][step]["raw_ms"] > 0
         assert row["symbols_per_s"]["value"] > 0
+
+
+def test_an_audit_row_times_the_command_and_its_readers(grid):
+    row = grid.measure_audit("--scheme csa -N 3 -K 1 -X 1 -T 1 --property security", runs=1, min_ms=0.1)
+    assert (row["exit"], row["result"], row["exhaustive"], row["engine"]) == (0, "pass true", True, "rank tests")
+    assert row["wall"]["ms"] > 0 and row["wall"]["runs"] == 1 and row["wall"]["calls"] >= 1
+    assert row["work_per_s"]["raw"] == pytest.approx(int(row["work"]) / row["wall"]["raw_ms"] * 1e3)
+    assert 0 < row["share"]["share_map"] < 1 and row["share"]["query_maps"] == 0
+    # a refusal is a row too: its work is the count it refused, and no work was done
+    row = grid.measure_audit("--scheme csa -N 24 -K 256 -X 4 -T 4 --property sym-security", runs=1, min_ms=0.1)
+    assert row["exit"] == 2 and row["result"].startswith("error: the exact audit by rank tests")
+    assert row["work"] == "about 10^26433" and row["work_per_s"] is None
+    # and the readers are restored
+    from xstpir import affine
+    assert all(getattr(affine, name).__module__ == "xstpir.affine" for name in grid.READERS)
+
+
+def test_the_committed_audit_bench_file_has_every_row_and_field(grid):
+    record = json.loads((ROOT / "bench" / "BENCH_2.json").read_text())
+    for key in ("git_sha", "python", "nproc", "cal_ms"):
+        assert record[key]
+    assert record["bench"] == "audit grid" and record["runs"] >= 5
+    assert [row["options"] for row in record["rows"]] == list(grid.AUDIT_ROWS)
+    for row in record["rows"]:
+        assert row["wall"]["runs"] == record["runs"]
+        assert row["wall"]["ms"] > 0 and row["wall"]["raw_ms"] > 0
+        assert row["exit"] in (0, 2) and row["result"].startswith("pass true" if row["exit"] == 0 else "error: ")
+        assert (row["work_per_s"] is not None) == row["exhaustive"]
+        assert set(row["share"]) == set(grid.READERS)
+        assert all(0 <= share < 1 for share in row["share"].values())

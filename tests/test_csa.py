@@ -170,7 +170,7 @@ def test_storage_layout_worked_example():
         for l_index in range(1, params.L + 1):
             point = l_index + alpha
             expected = tuple(
-                (w.column(l_index)[k] + point * z[l_index - 1][0][k]).value
+                (w.message(k + 1)[l_index - 1] + point * z[l_index - 1][0][k]).value
                 for k in range(params.K)
             )
             assert share.rows[l_index - 1] == expected
@@ -257,7 +257,7 @@ def test_two_block_product_form_oracle():
         answers = [answer(s, q) for s, q in zip(shares, queries)]
         for n, a in enumerate(oracle.alphas(params)):
             b, g = 1 + a, 2 + a
-            w1, w2 = w.column(1)[0], w.column(2)[0]
+            w1, w2 = w.message(1)
             z11, z12 = (z[0][x][0] for x in range(2))
             z21, z22 = (z[1][x][0] for x in range(2))
             zp1, zp2 = zp[0][0][0], zp[1][0][0]
@@ -478,7 +478,7 @@ def test_unreduced_noise_gives_the_shares_of_its_residues():
 def test_noise_that_is_not_ints_is_rejected(depth):
     params = CsaParams.make(2 * depth + 3, 2, depth, depth, p=17)
     f = Field(params.p)
-    w = MessageSet.zeros(2, params.L, params.field)
+    w = MessageSet.from_ints([[0] * params.L] * 2, params.field)
     z = storage_noise(params)
     zp = query_noise(params)
     fe_z = tuple(tuple(tuple(map(f, zj)) for zj in zl) for zl in z)
@@ -498,7 +498,7 @@ def _ragged(params, depth, cut):
 
 def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
     params = CsaParams.make(7, 2, 2, 2, p=17)
-    w = MessageSet.zeros(2, params.L, params.field)
+    w = MessageSet.from_ints([[0] * params.L] * 2, params.field)
     for cut in (1, 3):  # one symbol short, one too many
         vector = (0,) * cut
         z = ((vector,) * params.X,) * params.L
@@ -510,7 +510,7 @@ def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
     # a ragged grid is refused by the map that reads it, with two noise
     # terms and with one
     for params in (params, CsaParams.make(5, 2, 1, 1)):
-        w = MessageSet.zeros(2, params.L, params.field)
+        w = MessageSet.from_ints([[0] * params.L] * 2, params.field)
         for cut in (1, 3):
             with pytest.raises(ValueError, match="storage noise has wrong shape"):
                 encode_storage(w, _ragged(params, params.X, cut), params)
@@ -518,7 +518,7 @@ def test_packed_kernel_rejects_noise_vectors_of_the_wrong_length():
                 gen_queries(1, _ragged(params, params.T, cut), params)
     # blocks of two depths, either first, and too few or too many blocks
     params = CsaParams.make(7, 2, 2, 2, p=17)  # L = 3
-    w = MessageSet.zeros(2, params.L, params.field)
+    w = MessageSet.from_ints([[0] * params.L] * 2, params.field)
     deep, shallow = ((0, 0),) * 2, ((0, 0),)
     for z in ((deep, deep, shallow), (shallow, deep, deep), (deep,) * 2, (deep,) * 4, ()):
         with pytest.raises(ValueError, match="storage noise has wrong shape"):
@@ -533,7 +533,7 @@ def test_one_noise_term_rejects_noise_vectors_of_the_wrong_length(n, k, x, t):
     # zipped short or packed into the next lane: on a side with one noise
     # term per block, and at (6, 3, 2, 1) beside a side with two.
     params = CsaParams.make(n, k, x, t)
-    w = MessageSet.zeros(k, params.L, params.field)
+    w = MessageSet.from_ints([[0] * params.L] * k, params.field)
 
     def noise(depth, bad, cut):
         """Zero noise whose first vector in block `bad` has `cut` symbols."""
@@ -700,7 +700,7 @@ def test_storage_and_queries_at_default_primes_reduce_through_byte_tables(monkey
     # lanes and queries on the depth-T ones: no per-lane `%` in either.
     params = CsaParams.make(n, k, x, t)
     seen = _reductions(monkeypatch)
-    encode_storage(MessageSet.zeros(k, params.L, params.field), storage_noise(params), params)
+    encode_storage(MessageSet.from_ints([[0] * params.L] * k, params.field), storage_noise(params), params)
     gen_queries(1, query_noise(params), params)
     table = csa_mod._table(params)
     assert [width for width, _ in seen] == [table.lanes[x] // 8, table.lanes[t] // 8]
@@ -910,7 +910,8 @@ def test_decode_of_arbitrary_answers_matches_elimination():
             answers = [rng.randrange(params.p) for _ in range(n)]
             want = oracle.solve_linear(matrix, [f(a) for a in answers])
             assert decode(answers, params) == values(want[: params.L])
-            assert solve_linear(decoding_matrix(params), answers, params.p) == list(values(want))
+            got = solve_linear(decoding_matrix(params), [[a] for a in answers], params.p)
+            assert got == [[v] for v in values(want)]
 
 
 def test_singular_decoder_raises_on_every_call(monkeypatch):
@@ -1138,7 +1139,6 @@ def test_message_set_accessors():
     w = MessageSet.from_ints([[1, 2], [3, 4]], f)
     assert w.K == 2 and w.L == 2 and w.p == 5
     assert w.message(2) == (f(3), f(4)) == (3, 4)
-    assert w.column(1) == (f(1), f(3)) == (1, 3)
     # from_ints reduces into range(p); the constructor refuses other ints
     assert MessageSet.from_ints([[6, -1]], f) == MessageSet(((1, 4),), 5)
     for row in ((1, 5), (-1, 4)):
@@ -1146,8 +1146,6 @@ def test_message_set_accessors():
             MessageSet((row,), 5)
     with pytest.raises(ValueError):
         w.message(0)
-    with pytest.raises(ValueError):
-        w.column(3)
     with pytest.raises(ValueError):
         MessageSet.from_ints([[1, 2], [3]], f)
 

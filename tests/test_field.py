@@ -186,9 +186,14 @@ def test_is_prime_refuses_moduli_past_its_proven_bound():
 # ---------------------------------------------------------------------------
 
 
+def _column(vector):
+    """A vector as the one-column matrix `solve_linear` takes."""
+    return [[v] for v in vector]
+
+
 def test_solve_linear_worked_example():
     m = [[1, 1], [0, 1]]
-    assert solve_linear(m, [3, 2], 5) == [1, 2]
+    assert solve_linear(m, [[3], [2]], 5) == [[1], [2]]
     assert oracle.solve_linear(lift(m, 5), lift([3, 2], 5)) == list(lift([1, 2], 5))
 
 
@@ -199,33 +204,31 @@ def _invertible(m, p):
 def test_solve_linear_random_roundtrip():
     rng = Random(123)
     for p in (5, 11, 97):
-        f = PrimeField(p)
         done = 0
         while done < 40:
             n = rng.randrange(1, 6)
-            m = [[f.random(rng) for _ in range(n)] for _ in range(n)]
+            m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             if not _invertible(m, p):
                 continue
-            x = [f.random(rng) for _ in range(n)]
+            x = [rng.randrange(p) for _ in range(n)]
             y = list(values(oracle.mat_vec(lift(m, p), lift(x, p))))
-            assert solve_linear(m, y, p) == x
+            assert solve_linear(m, _column(y), p) == _column(x)
             done += 1
 
 
 def test_solve_linear_matrix_rhs_matches_column_solves():
     rng = Random(31)
-    f = PrimeField(11)
     done = 0
     while done < 30:
         n, width = rng.randrange(1, 6), rng.randrange(1, 4)
-        m = [[f.random(rng) for _ in range(n)] for _ in range(n)]
+        m = [[rng.randrange(11) for _ in range(n)] for _ in range(n)]
         if not _invertible(m, 11):
             continue
-        y = [[f.random(rng) for _ in range(width)] for _ in range(n)]
+        y = [[rng.randrange(11) for _ in range(width)] for _ in range(n)]
         x = solve_linear(m, y, 11)
         assert len(x) == n and all(len(row) == width for row in x)
         for j in range(width):
-            assert [row[j] for row in x] == solve_linear(m, [row[j] for row in y], 11)
+            assert _column(row[j] for row in x) == solve_linear(m, _column(row[j] for row in y), 11)
         done += 1
     with pytest.raises(ValueError):
         solve_linear([[1, 0], [0, 1]], [[1], [1, 2]], 11)
@@ -234,14 +237,18 @@ def test_solve_linear_matrix_rhs_matches_column_solves():
 def test_solve_linear_singular_raises():
     m = [[1, 1], [2, 2]]
     with pytest.raises(SingularMatrixError):
-        solve_linear(m, [1, 0], 5)
+        solve_linear(m, [[1], [0]], 5)
 
 
 def test_solve_linear_shape_errors():
     with pytest.raises(ValueError):
-        solve_linear([[1, 2]], [1], 5)
+        solve_linear([[1, 2]], [[1]], 5)
     with pytest.raises(ValueError):
-        solve_linear([[1]], [1, 2], 5)
+        solve_linear([[1]], [[1], [2]], 5)
+    # the right-hand side is a matrix: a vector is refused, not solved
+    for rhs in ([1, 0], [[1], 0], [0, [1]]):
+        with pytest.raises(ValueError, match="must be n rows"):
+            solve_linear([[1, 0], [0, 1]], rhs, 5)
 
 
 # A non-minimal modulus beside the small ones, where reductions that a
@@ -251,14 +258,14 @@ SOLVE_PRIMES = [2, 3, 5, 7, 11, 101]
 
 @pytest.mark.parametrize("p", SOLVE_PRIMES)
 def test_solve_linear_matches_the_oracle(p):
-    # vector and matrix right-hand sides, unreduced entries included, and
+    # one-column and wider right-hand sides, unreduced entries included, and
     # singular matrices, which both must refuse
     rng = Random(p * 7 + 1)
     solved = singular = 0
     while solved < 30 or singular < 5:
         n, width = rng.randrange(1, 6), rng.randrange(1, 4)
         m = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
-        y = [rng.randrange(-p, 2 * p) for _ in range(n)]
+        y = _column(rng.randrange(-p, 2 * p) for _ in range(n))
         ys = [[rng.randrange(p) for _ in range(width)] for _ in range(n)]
         if not _invertible(m, p):
             for rhs in (y, ys):
@@ -269,16 +276,16 @@ def test_solve_linear_matches_the_oracle(p):
             singular += 1
             continue
         fm = lift(m, p)
-        assert solve_linear(m, y, p) == list(values(oracle.solve_linear(fm, lift(y, p))))
-        want = [list(row) for row in values(oracle.solve_linear(fm, lift(ys, p)))]
-        assert solve_linear(m, ys, p) == want
+        for rhs in (y, ys):
+            want = [list(row) for row in values(oracle.solve_linear(fm, lift(rhs, p)))]
+            assert solve_linear(m, rhs, p) == want
         solved += 1
     # a matrix made singular by repeating a row, at every size
     for n in range(2, 6):
         m = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
         m.append(list(m[0]))
         with pytest.raises(SingularMatrixError):
-            solve_linear(m, [1] * n, p)
+            solve_linear(m, [[1]] * n, p)
 
 
 def test_matrix_rank_examples():
@@ -400,7 +407,7 @@ def test_bin_det_examples():
     assert eliminate_mod([[1, 1], [1, 1]], 2) == 1
     assert eliminate_mod([[0, 1], [1, 0]], 2) == 2
     with pytest.raises(ValueError):
-        solve_linear([[0, 0, 0], [0, 0, 0]], [0, 0], 2)
+        solve_linear([[0, 0, 0], [0, 0, 0]], [[0], [0]], 2)
 
 
 def test_bin_inv_roundtrip_randomized():

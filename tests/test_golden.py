@@ -50,7 +50,7 @@ def _bits(k, rng):
 
 
 def _symbols(params, rng):
-    return tuple(params.field.random(rng) for _ in range(params.K))
+    return tuple(rng.randrange(params.p) for _ in range(params.K))
 
 
 TRANSCRIPTS = {

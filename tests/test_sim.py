@@ -1,5 +1,5 @@
 """Protocol harness: wire format, determinism, replay and its transcript
-checks, rates, collusion views, and the information-flow guards."""
+checks, rates, and the information-flow guards."""
 
 import threading
 from dataclasses import FrozenInstanceError, dataclass, replace
@@ -23,9 +23,7 @@ from xstpir.sim import (
     Server,
     Transcript,
     WireMessage,
-    collude,
     empirical_rate,
-    params_from_header,
     replay,
     run_retrieval,
 )
@@ -364,6 +362,18 @@ def test_equal_params_share_one_scheme(name):
     assert made.params == scheme.params
 
 
+@pytest.mark.parametrize("name", RETRIEVE_MIX_PARAMS)
+def test_make_for_params_and_a_replayed_header_give_one_scheme(name):
+    # every scheme object comes from `for_params`: the dimensions, the
+    # params and a rendered transcript's header all resolve to it
+    params = RETRIEVE_MIX_PARAMS[name]()
+    scheme = for_params(params)
+    assert type(scheme).make(scheme.N, scheme.K, scheme.X, scheme.T, scheme.p) is scheme
+    assert scheme_mod.SCHEMES[name].make(scheme.N, scheme.K, scheme.X, scheme.T) is scheme
+    run = run_retrieval(params, scheme.messages.sample(Random(1)), 1, seed=1)
+    assert sim_mod._scheme_of(Transcript.parse(run.transcript.render())) is scheme
+
+
 def test_for_params_tells_an_int_from_a_bool():
     assert for_params(2).name == "binary_n3"
     with pytest.raises(TypeError, match="no scheme runs bool"):
@@ -464,7 +474,6 @@ def test_run_retrieval_deterministic_per_seed():
         _, a = _csa_run(seed=seed)
         _, b = _csa_run(seed=seed)
         assert a.transcript.render() == b.transcript.render()
-        assert a.shares == b.shares
     _, a = _csa_run(seed=0)
     _, b = _csa_run(seed=1)
     assert a.transcript.render() != b.transcript.render()
@@ -497,7 +506,7 @@ def test_zero_query_servers_answer_empty_and_cost_nothing():
 
 def test_theta_out_of_range_rejected():
     params = CsaParams.make(3, 2, 1, 1)
-    w = MessageSet.zeros(2, 1, params.field)
+    w = MessageSet.from_ints([[0]] * 2, params.field)
     with pytest.raises(ValueError):
         run_retrieval(params, w, 3, seed=0)
 
@@ -577,14 +586,14 @@ def test_params_from_header_round_trip():
         SymXspirParams.make(1, 2, p=5),
     ]:
         if isinstance(params, CsaParams):
-            w = MessageSet.zeros(2, 3, params.field)
+            w = MessageSet.from_ints([[0, 0, 0]] * 2, params.field)
             run = run_retrieval(params, w, 1, seed=0)
         elif isinstance(params, DownloadAllParams):
-            w = MessageSet.zeros(2, 1, params.field)
+            w = MessageSet.from_ints([[0]] * 2, params.field)
             run = run_retrieval(params, w, 1, seed=0)
         else:
             run = run_retrieval(params, (params.field(0), params.field(0)), 1, seed=0)
-        assert params_from_header(run.transcript) == params
+        assert sim_mod._scheme_of(run.transcript).params == params
 
 
 # ---------------------------------------------------------------------------
@@ -630,36 +639,18 @@ def test_sampled_rate_approaches_exhaustive():
 
 
 # ---------------------------------------------------------------------------
-# collusion views and information flow
+# collusion and information flow
 # ---------------------------------------------------------------------------
-
-
-def test_collude_returns_exactly_held_state():
-    runs = [_csa_run(seed=s)[1] for s in range(3)]
-    view = collude(runs, [1, 4])
-    assert set(view) == {1, 4}
-    for sid in (1, 4):
-        assert len(view[sid]) == 3
-        for entry, run in zip(view[sid], runs):
-            assert entry == (
-                run.shares[sid - 1],
-                run.transcript.queries[sid - 1].payload,
-            )
-    with pytest.raises(ValueError):
-        collude(runs, [])
-    with pytest.raises(ValueError):
-        collude(runs, [6])
 
 
 def test_full_collusion_of_download_all_servers_sees_everything():
     # N <= X + T: with all servers colluding, the stored payloads alone
     # reconstruct every message, which is why that regime downloads them all
     params = DownloadAllParams.make(2, 2, 1, 1)
-    f = params.field
+    scheme = for_params(params)
     rng = Random(15)
-    w = MessageSet.random(2, 1, f, rng)
-    run = run_retrieval(params, w, 1, seed=15, rng=rng)
-    payloads = [[f(v) for v in share] for share in run.shares]
+    w = MessageSet.random(2, 1, params.field, rng)
+    payloads = scheme.storage(w, scheme.storage_noises.sample(rng))
     assert download_all_decode(payloads, params) == w.symbols
 
 
@@ -675,7 +666,7 @@ def test_misaddressed_traffic_is_logged_not_answered(monkeypatch):
     params = CsaParams.make(5, 2, 1, 1)
     scheme = CsaScheme(params)
     noise = scheme.storage_noises.build([0] * scheme.storage_noises.count)
-    share = scheme.storage(MessageSet.zeros(2, 3, params.field), noise)[0]
+    share = scheme.storage(MessageSet.from_ints([[0, 0, 0]] * 2, params.field), noise)[0]
     server = Server(1, share, scheme)
     query = " ".join(["1"] * scheme.query_symbols)
     reply = server.handle(f"QUERY 2 {scheme.query_symbols} {query}\n")  # for someone else
@@ -695,7 +686,7 @@ def test_misaddressed_traffic_is_logged_not_answered(monkeypatch):
         return handle(self, line.replace(f"QUERY {self.server_id} ", f"QUERY {sid} ", 1))
 
     monkeypatch.setattr(Server, "handle", readdress)
-    w = MessageSet.zeros(2, 3, params.field)
+    w = MessageSet.from_ints([[0, 0, 0]] * 2, params.field)
     with pytest.raises(ProtocolInvariantError, match="misaddressed:QUERY"):
         run_retrieval(params, w, 1, seed=0)
 
@@ -1060,7 +1051,7 @@ def _transcript(params, seed=0):
 @pytest.mark.parametrize("name", list(REPLAYED))
 def test_replay_accepts_or_refuses_as_after_a_scan(name):
     transcript = REPLAYED[name]()
-    alphabet = for_params(params_from_header(transcript)).query_alphabet
+    alphabet = sim_mod._scheme_of(transcript).query_alphabet
     text = transcript.render()
     assert _outcome(replay, text) == _as_today(replay, text)
     tokens = list(map(str, transcript.queries[1].payload))
